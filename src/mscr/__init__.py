@@ -16,7 +16,6 @@ from .code import (
     parity_residual,
     random_message,
     reconstruct,
-    residuals_zero,
     validate_params,
 )
 from .field import FieldContext, SingularMatrixError
@@ -78,7 +77,6 @@ __all__ = [
     "recount",
     "recover_own_plane",
     "recover_pairs",
-    "residuals_zero",
     "run_repair",
     "validate_params",
 ]

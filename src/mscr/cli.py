@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, oracle, storage
-from .code import NodeVector, residuals_zero_array, validate_params
+from .code import NodeVector, failing_checks, validate_params
 from .metrics import RepairMetrics
 from .repair import RepairJob, run_repair
 
@@ -270,6 +270,7 @@ def cmd_verify(args) -> int:
     manifest = storage.Manifest.load(directory)
     params = manifest.params()
     failed = set(manifest.failed)
+    stripes = manifest.stripe_count
     problems = []
     available = {}
     for i in range(params.n):
@@ -284,21 +285,13 @@ def cmd_verify(args) -> int:
         if digest != manifest.chunks[str(i)]["sha256"]:
             problems.append(f"node {i}: checksum mismatch")
             continue
-        available[i] = _read_column(directory, manifest, params, i)
+        available[i] = _read_column(directory, manifest, params, i).reshape(
+            stripes, params.planes, params.s_pow_n)
         print(f"node {i}: checksum OK")
     if len(available) == params.n:
-        stripes = manifest.stripe_count
-        arr = np.zeros((params.n, params.planes, params.s_pow_n), dtype=np.int64)
-        clean = True
-        for st in range(stripes):
-            for i in range(params.n):
-                arr[i] = available[i][st * params.N : (st + 1) * params.N].reshape(
-                    params.planes, params.s_pow_n
-                )
-            if not residuals_zero_array(params, arr):
-                problems.append(f"stripe {st}: parity checks fail")
-                clean = False
-        if clean:
+        bad = failing_checks(params, [available[i] for i in range(params.n)]).any(axis=1)
+        problems.extend(f"stripe {st}: parity checks fail" for st in np.flatnonzero(bad))
+        if not bad.any():
             print(f"parity: all {stripes} stripe(s) satisfy every check")
     else:
         print("parity: skipped (not all chunks available)")

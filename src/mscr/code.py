@@ -10,8 +10,17 @@ The checks never mix planes, and substitutions a(i, e) only touch digit i, so
 for an erased node set E the unknowns split into independent blocks: fix the
 digits of a outside E and the |E|*s^|E| unknowns of that block close under
 the coupling.  The block coefficient matrix depends only on E (not on the
-plane or the frozen digits), so it is row-reduced exactly once and the
-resulting operator is applied to every block's right-hand side in batch.
+plane, the frozen digits or the stripe), so it is row-reduced exactly once
+and the resulting operator is applied to every block's right-hand side in
+batch.
+
+Files hold many independent codewords (stripes).  solve_erased and
+failing_checks take every stripe of every node at once, as an
+(n, stripes, planes, s^n) array or a list of n (stripes, planes, s^n)
+columns.  Per plane they gather the right-hand sides of every block of every
+stripe into the columns of one matrix, so a whole file costs one product per
+plane.  encode, erase_decode and reconstruct are the one-stripe forms over
+Codeword objects.
 """
 
 from __future__ import annotations
@@ -252,16 +261,20 @@ def _plane_geometry(params: CodeParams):
     return masks, subs
 
 
-def _known_contrib(params: CodeParams, plane: np.ndarray, known_nodes) -> np.ndarray:
-    """K[t, a] = sum over known nodes j of their check contributions at (t, a)."""
+def _known_contrib(params: CodeParams, plane, known_nodes) -> np.ndarray:
+    """K[t, ..., a] = sum over known nodes j of their check contributions at (t, a).
+
+    plane[j] is node j's symbols on one plane, shape (..., s^n); the leading
+    axes (the stripes) are carried through to the result.
+    """
     masks, subs = _plane_geometry(params)
     p = params.p
-    out = np.zeros((params.r, params.s_pow_n), dtype=np.int64)
+    out = np.zeros((params.r,) + plane[known_nodes[0]].shape, dtype=np.int64)
     for j in known_nodes:
         col = plane[j]
         for t in range(params.r):
             out[t] += pow(params.lambdas[j], t, p) * col
-        folded = [masks[j] * col[subs[j][e - 1]] for e in range(1, params.s)]
+        folded = [masks[j] * col[..., subs[j][e - 1]] for e in range(1, params.s)]
         for t in range(params.r):
             for e in range(1, params.s):
                 out[t] += pow(params.mus[e - 1], t, p) * folded[e - 1]
@@ -273,11 +286,13 @@ def _known_contrib(params: CodeParams, plane: np.ndarray, known_nodes) -> np.nda
 def _erasure_operator(params: CodeParams, erased: tuple[int, ...]):
     """Exact solve operator for the block system of an erased node set.
 
-    Returns (op, m, block_index) where op is the row-operation matrix from
-    field.reduction_operator as int64, m = |erased| * s^|erased| is the
-    unknown count, and block_index[pat, f] is the full index of the vector
-    whose erased-coordinate digits spell pat and whose remaining digits
-    spell the frozen assignment f (both little-endian, ascending).
+    Returns (solve_op, block_index).  solve_op is the negated top
+    |erased| * s^|erased| rows of the row-operation matrix from
+    field.reduction_operator, as int64, so that solve_op @ K gives the
+    unknowns of every block whose known contributions are the columns of K.
+    block_index[pat, f] is the full index of the vector whose
+    erased-coordinate digits spell pat and whose remaining digits spell the
+    frozen assignment f (both little-endian, ascending).
     """
     n, s, r, p = params.n, params.s, params.r, params.p
     me = len(erased)
@@ -298,7 +313,7 @@ def _erasure_operator(params: CodeParams, erased: tuple[int, ...]):
                             row[q * pat_count + pat2] + pow(params.mus[e - 1], t, p)
                         ) % p
             rows.append(row)
-    op = np.array(reduction_operator(params.field, rows), dtype=np.int64)
+    solve_op = -np.array(reduction_operator(params.field, rows)[:m], dtype=np.int64) % p
 
     pat_offsets = np.zeros(pat_count, dtype=np.int64)
     for pat in range(pat_count):
@@ -308,55 +323,52 @@ def _erasure_operator(params: CodeParams, erased: tuple[int, ...]):
     for f in range(frozen_count):
         frozen_offsets[f] = sum(((f // s**q) % s) * s**w for q, w in enumerate(others))
     block_index = pat_offsets[:, None] + frozen_offsets[None, :]
-    return op, m, block_index
+    return solve_op, block_index
 
 
-def _solve_erased(params: CodeParams, arr: np.ndarray, erased: tuple[int, ...], check: bool) -> np.ndarray:
-    """Fill the erased columns of arr (n, planes, s^n) in place and return it.
+def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool) -> None:
+    """Fill the erased columns of a file's codewords in place.
 
-    With check=True, tail rows of each block solve (and, when nothing is
-    erased, the full residual sweep) must vanish, else the supplied symbols
-    lie on no codeword and InconsistentCodewordError is raised.
+    cols[j] is node j's column of every stripe, shape (stripes, planes, s^n);
+    an (n, stripes, planes, s^n) array is such a sequence.  Every stripe is
+    solved at once: per plane, one gather of the known contributions, one
+    product with the cached operator and one scatter.  With check=True every
+    parity check of every stripe must then vanish, else the supplied symbols
+    lie on no codeword and InconsistentCodewordError names the first failing
+    stripe and plane.
     """
-    known = [j for j in range(params.n) if j not in erased]
-    if not erased:
-        if check and not residuals_zero_array(params, arr):
-            raise InconsistentCodewordError("symbols fail the parity checks")
-        return arr
-    op, m, block_index = _erasure_operator(params, erased)
-    p = params.p
-    for b0 in range(params.planes):
-        plane = arr[:, b0, :]
-        kc = _known_contrib(params, plane, known)
-        rhs = (-kc[:, block_index]).reshape(op.shape[1], -1) % p
-        solved = (op @ rhs) % p
-        if check and solved[m:].any():
+    if erased:
+        solve_op, block_index = _erasure_operator(params, erased)
+        known = [j for j in range(params.n) if j not in erased]
+        stripes = cols[0].shape[0]
+        for b0 in range(params.planes):
+            plane = [col[:, b0] for col in cols]  # views, (stripes, s^n) each
+            kc = _known_contrib(params, plane, known).swapaxes(1, 2)
+            # rows (t, pattern), columns (frozen digits, stripe)
+            rhs = np.take(kc, block_index, axis=1).reshape(solve_op.shape[1], -1)
+            del kc
+            unknowns = solve_op @ rhs
+            del rhs
+            unknowns %= params.p
+            unknowns = unknowns.reshape(len(erased), block_index.shape[0], -1, stripes)
+            for q, node in enumerate(erased):
+                plane[node].T[block_index] = unknowns[q]
+    if check:
+        bad = failing_checks(params, cols)
+        if bad.any():
+            st, b0 = np.argwhere(bad)[0]
             raise InconsistentCodewordError(
-                f"symbols are not jointly on any codeword (plane {b0 + 1})"
+                f"symbols are not jointly on any codeword (stripe {st}, plane {b0 + 1})"
             )
-        pat_count = params.s ** len(erased)
-        unknowns = solved[:m].reshape(len(erased), pat_count, -1)
-        for q, node in enumerate(erased):
-            flat = plane[node]
-            flat[block_index] = unknowns[q]
-    return arr
 
 
-def residuals_array(params: CodeParams, arr: np.ndarray) -> np.ndarray:
-    """All parity residuals of stacked columns, shape (planes, r, s^n)."""
-    out = np.empty((params.planes, params.r, params.s_pow_n), dtype=np.int64)
-    for b0 in range(params.planes):
-        out[b0] = _known_contrib(params, arr[:, b0, :], range(params.n))
-    return out
-
-
-def residuals_zero_array(params: CodeParams, arr: np.ndarray) -> bool:
-    return not residuals_array(params, arr).any()
-
-
-def residuals_zero(cw: Codeword) -> bool:
-    """True when every parity check of the codeword evaluates to zero."""
-    return residuals_zero_array(cw.params, cw.as_array())
+def failing_checks(params: CodeParams, cols) -> np.ndarray:
+    """Mask (stripes, planes): True where a parity check of that stripe and
+    plane is nonzero.  cols is as for solve_erased."""
+    return np.stack([
+        _known_contrib(params, [col[:, b0] for col in cols], range(params.n)).any(axis=(0, 2))
+        for b0 in range(params.planes)
+    ], axis=1)
 
 
 # --- public encode / decode ------------------------------------------------
@@ -373,17 +385,18 @@ def encode(message, params: CodeParams) -> Codeword:
         raise ValueError(f"message must hold k*N = {params.message_length} symbols, got {msg.shape}")
     if msg.size and (msg.min() < 0 or msg.max() >= params.p):
         raise ValueError(f"message symbols must be reduced into [0,{params.p})")
-    arr = np.zeros((params.n, params.planes, params.s_pow_n), dtype=np.int64)
-    arr[: params.k] = msg.reshape(params.k, params.planes, params.s_pow_n)
+    arr = np.zeros((params.n, 1, params.planes, params.s_pow_n), dtype=np.int64)
+    arr[: params.k, 0] = msg.reshape(params.k, params.planes, params.s_pow_n)
     erased = tuple(range(params.k, params.n))
     try:
-        _solve_erased(params, arr, erased, check=False)
+        solve_erased(params, arr, erased, check=False)
     except SingularMatrixError as exc:  # impossible for validated params
         raise AssertionError(f"encoder solve failed for valid params: {exc}") from exc
-    return Codeword.from_array(params, arr)
+    return Codeword.from_array(params, arr[:, 0])
 
 
 def _gather_available(params: CodeParams, available) -> tuple[np.ndarray, tuple[int, ...]]:
+    """One stripe of the supplied columns, shape (n, 1, planes, s^n), and the missing indices."""
     seen: dict[int, NodeVector] = {}
     for col in available:
         if not isinstance(col, NodeVector):
@@ -393,9 +406,9 @@ def _gather_available(params: CodeParams, available) -> tuple[np.ndarray, tuple[
         if col.index in seen:
             raise ValueError(f"duplicate column for node {col.index}")
         seen[col.index] = col
-    arr = np.zeros((params.n, params.planes, params.s_pow_n), dtype=np.int64)
+    arr = np.zeros((params.n, 1, params.planes, params.s_pow_n), dtype=np.int64)
     for i, col in seen.items():
-        arr[i] = _as_column_array(params, col.symbols)
+        arr[i, 0] = _as_column_array(params, col.symbols)
     erased = tuple(i for i in range(params.n) if i not in seen)
     return arr, erased
 
@@ -410,8 +423,8 @@ def erase_decode(available, params: CodeParams) -> Codeword:
     arr, erased = _gather_available(params, available)
     if len(erased) > params.r:
         raise ValueError(f"{len(erased)} columns missing but only r={params.r} erasures are correctable")
-    _solve_erased(params, arr, erased, check=True)
-    return Codeword.from_array(params, arr)
+    solve_erased(params, arr, erased, check=True)
+    return Codeword.from_array(params, arr[:, 0])
 
 
 def reconstruct(available, params: CodeParams) -> Codeword:
@@ -420,7 +433,5 @@ def reconstruct(available, params: CodeParams) -> Codeword:
     if len(cols) != params.k:
         raise ValueError(f"reconstruct needs exactly k={params.k} columns, got {len(cols)}")
     arr, erased = _gather_available(params, cols)
-    _solve_erased(params, arr, erased, check=False)
-    if not residuals_zero_array(params, arr):
-        raise InconsistentCodewordError("reconstructed symbols fail the parity checks")
-    return Codeword.from_array(params, arr)
+    solve_erased(params, arr, erased, check=True)
+    return Codeword.from_array(params, arr[:, 0])

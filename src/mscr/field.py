@@ -94,47 +94,6 @@ def vandermonde_matrix(ctx: FieldContext, points: list[int], rows: int) -> list[
     return [[ctx.pow(x, t) for x in points] for t in range(rows)]
 
 
-def solve_square(ctx: FieldContext, matrix: list[list[int]], rhs: list[int]) -> list[int]:
-    """Solve A x = rhs for square A by Gaussian elimination over F_p.
-
-    Pivoting picks the first nonzero entry scanning down from the diagonal
-    (lowest row index wins; there is no magnitude over F_p).  Raises
-    SingularMatrixError instead of ever returning a garbage vector.
-    """
-    m = len(matrix)
-    if m < 1 or any(len(row) != m for row in matrix):
-        raise ValueError("matrix must be square and nonempty")
-    if len(rhs) != m:
-        raise ValueError(f"rhs length {len(rhs)} != matrix size {m}")
-    p = ctx.p
-    a = [[ctx.check(x) for x in row] for row in matrix]
-    y = [ctx.check(x) for x in rhs]
-
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError(f"matrix is singular over F_{p} (column {col})")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            y[col], y[pivot] = y[pivot], y[col]
-        inv = pow(a[col][col], p - 2, p)
-        a[col] = [(v * inv) % p for v in a[col]]
-        y[col] = (y[col] * inv) % p
-        for r in range(col + 1, m):
-            f = a[r][col]
-            if f:
-                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[col])]
-                y[r] = (y[r] - f * y[col]) % p
-
-    x = [0] * m
-    for col in range(m - 1, -1, -1):
-        acc = y[col]
-        for j in range(col + 1, m):
-            acc = (acc - a[col][j] * x[j]) % p
-        x[col] = acc
-    return x
-
-
 def reduction_operator(ctx: FieldContext, matrix: list[list[int]]) -> list[list[int]]:
     """Row-operation matrix E with E A = [[I], [0]] for full-column-rank A.
 

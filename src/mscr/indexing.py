@@ -45,21 +45,11 @@ def sub_index(a: int, i: int, v: int, s: int) -> int:
     return a + (v - (a // s**i) % s) * s**i
 
 
-def v_set(i: int, n: int, s: int) -> list[tuple[int, ...]]:
-    """All vectors with digit i equal to zero, ascending; s**(n-1) of them."""
-    return [int_to_vec(a, n, s) for a in v_indices(i, n, s)]
-
-
 def v_indices(i: int, n: int, s: int) -> list[int]:
     if not 0 <= i < n:
         raise ValueError(f"coordinate {i} out of range [0,{n})")
     w = s**i
     return [a for a in range(s**n) if (a // w) % s == 0]
-
-
-def union_v_sets(coords, n: int, s: int) -> list[tuple[int, ...]]:
-    """Union of the zero-digit sets over the given coordinates, ascending."""
-    return [int_to_vec(a, n, s) for a in union_v_indices(coords, n, s)]
 
 
 def union_v_indices(coords, n: int, s: int) -> list[int]:

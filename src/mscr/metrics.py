@@ -219,39 +219,3 @@ def render_table_csv(table: list[TableRow]) -> str:
         )
     return "\n".join(lines)
 
-
-# Literature reference data: sub-packetization, field size, and repair access
-# of previously published cooperative-repair code families, for side-by-side
-# context.  These are quoted values, never computed here.
-LITERATURE_CODES: tuple[dict, ...] = (
-    {
-        "family": "product-matrix cooperative code",
-        "sub_packetization": "d-k+h",
-        "field_size": ">= n(d-k+1) [low rate, d >= max(2k-1-h, k)]",
-        "repair_access": "d*N (full access)",
-    },
-    {
-        "family": "across-subset cooperative code",
-        "sub_packetization": "((d-k+h)(d-k)^(h-1))^C(n,h)",
-        "field_size": ">= (d-k+1)n",
-        "repair_access": "d*N (full access)",
-    },
-    {
-        "family": "optimal-access cooperative code",
-        "sub_packetization": "(d-k+h)^C(n,h)",
-        "field_size": ">= n+d-k",
-        "repair_access": "d*N*h/(d-k+h) (optimal access)",
-    },
-    {
-        "family": "space-shared Hadamard cooperative code",
-        "sub_packetization": "(d-k+h)(d-k+1)^n",
-        "field_size": ">= (d-k+1)n",
-        "repair_access": "d*N (full access)",
-    },
-    {
-        "family": "this construction",
-        "sub_packetization": "(d-k+h)(d-k+1)^n",
-        "field_size": ">= n+d-k",
-        "repair_access": "d*N*G(d-k,h) (low access)",
-    },
-)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .code import CodeParams, NodeVector, _as_column_array
 from .field import matrix_inverse, vandermonde_matrix
-from .indexing import int_to_vec, v_indices
+from .indexing import v_indices
 from .metrics import AccessLog
 
 
@@ -502,51 +502,3 @@ def _surviving_by_index(surviving) -> dict[int, NodeVector]:
         out[col.index] = col
     return out
 
-
-# --- symbolic payload descriptions ---------------------------------------------
-
-def download_payload_terms(job: RepairJob, u: int, j: int):
-    """Symbol-by-symbol description of helper u's payload for failed slot j.
-
-    Each entry is a tuple of (node, plane, index-vector) terms; one term for a
-    direct symbol, two for a sum.  Order matches helper_payload exactly.
-    """
-    params = job.params
-    if u not in job.helpers:
-        raise ValueError(f"node {u} is not a helper")
-    if not 1 <= j <= params.h:
-        raise ValueError(f"failed-slot index {j} out of range [1,{params.h}]")
-    node = job.failed[j - 1]
-    pj = params.d - params.k + j
-    vl = v_indices(node, params.n, params.s)
-    n, s = params.n, params.s
-    terms = [((u, pj, int_to_vec(a, n, s)),) for a in vl]
-    weight = s**node
-    for b in range(1, params.d - params.k + 1):
-        terms.extend(
-            ((u, b, int_to_vec(a, n, s)), (u, pj, int_to_vec(a + b * weight, n, s)))
-            for a in vl
-        )
-    return terms
-
-
-def cooperative_payload_terms(job: RepairJob, sender: int, receiver: int):
-    """Description of the cooperative payload sender -> receiver."""
-    params = job.params
-    if sender == receiver or sender not in job.failed or receiver not in job.failed:
-        raise ValueError("sender and receiver must be distinct failed nodes")
-    pl = job.repair_plane(sender)
-    vl = v_indices(sender, params.n, params.s)
-    n, s = params.n, params.s
-    terms = [((receiver, pl, int_to_vec(a, n, s)),) for a in vl]
-    weight = s**sender
-    for b in range(1, params.d - params.k + 1):
-        terms.extend(
-            ((receiver, b, int_to_vec(a, n, s)), (receiver, pl, int_to_vec(a + b * weight, n, s)))
-            for a in vl
-        )
-    return terms
-
-
-def format_term(term) -> str:
-    return "+".join("c[{},{},{}]".format(node, b, "".join(map(str, vec))) for node, b, vec in term)

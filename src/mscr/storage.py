@@ -7,8 +7,10 @@ Chunk layout (all integers little-endian):
     u16 x payload_len  symbols
 
 payload_len = stripe_count * N.  Files longer than one stripe are striped:
-consecutive kN-symbol blocks are encoded independently and each node's chunk
-concatenates its per-stripe columns in stripe order.
+consecutive kN-symbol blocks are independent codewords and each node's chunk
+concatenates its per-stripe columns in stripe order.  The n bodies of a file
+are therefore one (n, stripes, planes, s^n) array, and encode and decode
+solve every stripe in one code.solve_erased call.
 
 Packing: one byte per symbol when p > 255; otherwise floor(log2 p) bits per
 symbol, MSB-first within the bitstream.  Either way bits_per_symbol is
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .code import CodeParams, validate_params
+from .code import CodeParams, solve_erased, validate_params
 
 MAGIC = b"MSCR"
 FORMAT_VERSION = 1
@@ -184,48 +186,45 @@ def encode_file(data: bytes, params: CodeParams):
     Returns (bodies, original_length, stripe_count); bodies[i] is node i's
     concatenated per-stripe columns, stripe_count * N symbols.
     """
-    from .code import encode  # local import keeps module load light
-
     symbols = pack_bytes(data, params.p)
-    per_stripe = symbols_per_stripe(params)
-    stripes = max(1, -(-symbols.size // per_stripe))
-    padded = np.zeros(stripes * per_stripe, dtype=np.int64)
-    padded[: symbols.size] = symbols
-    bodies = np.zeros((params.n, stripes * params.N), dtype=np.int64)
-    for st in range(stripes):
-        cw = encode(padded[st * per_stripe : (st + 1) * per_stripe], params)
-        for i in range(params.n):
-            bodies[i, st * params.N : (st + 1) * params.N] = cw.column(i).symbols.reshape(-1)
-    return bodies, len(data), stripes
+    stripes = max(1, -(-symbols.size // symbols_per_stripe(params)))
+    arr = np.zeros((params.n, stripes, params.planes, params.s_pow_n), dtype=np.int64)
+    # stripe st's message is node 0..k-1's columns of stripe st, in order
+    arr[: params.k].swapaxes(0, 1).flat[: symbols.size] = symbols
+    del symbols
+    solve_erased(params, arr, tuple(range(params.k, params.n)), check=False)
+    return arr.reshape(params.n, -1), len(data), stripes
 
 
 def decode_file(bodies: dict[int, np.ndarray], params: CodeParams,
                 original_length: int, stripe_count: int) -> bytes:
-    """Rebuild the original bytes from any >= k chunk bodies."""
-    from .code import NodeVector, reconstruct
+    """Rebuild the original bytes from any >= k chunk bodies.
 
+    Without every systematic body, the k lowest-indexed bodies are decoded
+    and every parity check of every stripe is verified before any byte is
+    returned (InconsistentCodewordError otherwise).
+    """
     if len(bodies) < params.k:
         raise ValueError(f"need at least k={params.k} chunks to decode, got {len(bodies)}")
     for i, body in bodies.items():
         if body.shape != (stripe_count * params.N,):
             raise ValueError(f"chunk {i} holds {body.shape[0]} symbols, "
                              f"expected {stripe_count * params.N}")
-    per_stripe = symbols_per_stripe(params)
-    out = np.zeros(stripe_count * per_stripe, dtype=np.int64)
-    systematic = set(range(params.k))
-    if systematic <= set(bodies):
-        for st in range(stripe_count):
-            for i in range(params.k):
-                out[st * per_stripe + i * params.N : st * per_stripe + (i + 1) * params.N] = \
-                    bodies[i][st * params.N : (st + 1) * params.N]
+    k = params.k
+    shape = (stripe_count, params.planes, params.s_pow_n)
+    if set(range(k)) <= set(bodies):
+        message = np.stack([bodies[i].reshape(shape) for i in range(k)], axis=1)
     else:
-        chosen = sorted(bodies)[: params.k]
-        for st in range(stripe_count):
-            cols = [
-                NodeVector(i, bodies[i][st * params.N : (st + 1) * params.N]
-                           .reshape(params.planes, params.s_pow_n))
-                for i in chosen
-            ]
-            cw = reconstruct(cols, params)
-            out[st * per_stripe : (st + 1) * per_stripe] = cw.message()
-    return unpack_symbols(out, params.p, original_length)
+        # columns 0..k-1 are views of the message buffer and are solved into it
+        message = np.zeros((stripe_count, k) + shape[1:], dtype=np.int64)
+        cols = list(message.swapaxes(0, 1)) + [np.zeros(shape, dtype=np.int64)
+                                               for _ in range(k, params.n)]
+        chosen = sorted(bodies)[:k]
+        for i in chosen:
+            if i < k:
+                cols[i][...] = bodies[i].reshape(shape)
+            else:
+                cols[i] = bodies[i].reshape(shape)
+        solve_erased(params, cols, tuple(i for i in range(params.n) if i not in chosen), check=True)
+        del cols  # frees the solved parity columns before unpacking
+    return unpack_symbols(message.reshape(-1), params.p, original_length)

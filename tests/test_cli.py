@@ -5,7 +5,7 @@ import pytest
 
 from mscr.cli import main
 from mscr.oracle import recount
-from mscr.storage import Manifest
+from mscr.storage import Manifest, read_chunk, sha256_file, write_chunk
 
 
 def run_cli(*argv):
@@ -134,6 +134,25 @@ class TestVerifyAndDecode:
         path.write_bytes(bytes(raw))
         assert run_cli("verify", "--dir", store) == 1
         assert "checksum mismatch" in capsys.readouterr().err
+
+    def test_verify_names_the_failing_stripe(self, encoded_dir, capsys):
+        # a consistent checksum but one wrong symbol: only the parity sweep sees it
+        _, store, _ = encoded_dir
+        manifest = Manifest.load(store)
+        params = manifest.params()
+        assert manifest.stripe_count > 3
+        stripe = manifest.stripe_count // 2
+        path = store / manifest.chunks["2"]["file"]
+        header, symbols = read_chunk(path)
+        pos = stripe * params.N + 7
+        symbols[pos] = (symbols[pos] + 1) % params.p
+        write_chunk(path, header, symbols)
+        manifest.chunks["2"]["sha256"] = sha256_file(path)
+        manifest.save(store)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        problems = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("PROBLEM")]
+        assert problems == [f"PROBLEM: stripe {stripe}: parity checks fail"]
 
     def test_verify_reports_quarantined(self, encoded_dir, capsys):
         _, store, _ = encoded_dir

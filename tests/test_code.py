@@ -6,18 +6,29 @@ import pytest
 from mscr.code import (
     Codeword,
     InconsistentCodewordError,
+    _known_contrib,
     encode,
     erase_decode,
+    failing_checks,
     make_node_vector,
     parity_residual,
     random_message,
     reconstruct,
-    residuals_array,
-    residuals_zero,
+    solve_erased,
     validate_params,
 )
 
 from conftest import make_codeword
+
+
+def residuals_array(params, arr):
+    """Every parity residual of one codeword's columns (n, planes, s^n), shape (planes, r, s^n)."""
+    return np.stack([_known_contrib(params, arr[:, b0], range(params.n)) for b0 in range(params.planes)])
+
+
+def failing_planes(cw):
+    """failing_checks of a single codeword, one flag per plane."""
+    return failing_checks(cw.params, cw.as_array()[:, None])[0]
 
 
 class TestValidateParams:
@@ -74,7 +85,7 @@ class TestEncode:
 
     def test_zero_codeword_residuals(self, example1):
         zero = Codeword.zero(example1)
-        assert residuals_zero(zero)
+        assert not failing_planes(zero).any()
         assert parity_residual(zero, 2, 3, 15) == 0
 
     def test_all_residuals_zero_scalar_oracle(self, example1_codeword):
@@ -109,7 +120,7 @@ class TestEncode:
     def test_perturbation_breaks_some_check(self, example1_codeword):
         cw = Codeword(example1_codeword.params, [c.copy() for c in example1_codeword.columns])
         cw.columns[2].symbols[1, 7] = (cw.columns[2].symbols[1, 7] + 1) % 5
-        assert not residuals_zero(cw)
+        assert failing_planes(cw).any()
 
     def test_residual_localized_to_perturbed_plane(self, example1_codeword):
         p = example1_codeword.params
@@ -118,6 +129,7 @@ class TestEncode:
         res = residuals_array(p, arr)
         assert res[1].any()
         assert not res[0].any() and not res[2].any()
+        assert failing_checks(p, arr[:, None]).tolist() == [[False, True, False]]
 
     def test_message_validation(self, example1):
         with pytest.raises(ValueError, match="k\\*N"):
@@ -254,3 +266,49 @@ def test_scalar_vs_vectorized_residuals_wider_alphabet():
         a = int(rng.integers(0, params.s_pow_n))
         assert res[b - 1, t, a] == parity_residual(tampered, t, b, a)
     assert res[2].any() and not res[0].any()
+
+
+class TestStripeBatch:
+    """solve_erased / failing_checks over a stripe axis, against the one-stripe forms."""
+
+    @staticmethod
+    def stripes_of(params, seeds):
+        cws = [make_codeword(params, seed=sd) for sd in seeds]
+        return cws, np.stack([cw.as_array() for cw in cws], axis=1)
+
+    @pytest.mark.parametrize("nkdh", [(5, 2, 3, 2), (5, 2, 4, 1)])
+    def test_every_erasure_set_matches_per_stripe(self, nkdh):
+        params = validate_params(*nkdh)
+        cws, arr = self.stripes_of(params, (1, 2, 3))
+        for size in range(1, params.r + 1):
+            for erased in combinations(range(params.n), size):
+                got = arr.copy()
+                got[list(erased)] = 0
+                solve_erased(params, got, erased, check=True)
+                assert np.array_equal(got, arr), erased
+
+    def test_list_of_columns_accepted(self):
+        params = validate_params(6, 3, 4, 2, p=257)
+        _, arr = self.stripes_of(params, (4, 5))
+        cols = [col.copy() for col in arr]
+        for i in (0, 2, 5):
+            cols[i][...] = 0
+        solve_erased(params, cols, (0, 2, 5), check=True)
+        assert np.array_equal(np.stack(cols), arr)
+
+    def test_failing_checks_names_stripe_and_plane(self):
+        params = validate_params(5, 2, 3, 2)
+        _, arr = self.stripes_of(params, (6, 7, 8, 9))
+        assert not failing_checks(params, arr).any()
+        arr[3, 2, 1, 5] = (arr[3, 2, 1, 5] + 1) % params.p
+        bad = failing_checks(params, arr)
+        assert bad.shape == (4, params.planes)
+        assert np.argwhere(bad).tolist() == [[2, 1]]
+
+    @pytest.mark.parametrize("erased", [(), (4,)])
+    def test_inconsistency_error_names_stripe_and_plane(self, erased):
+        params = validate_params(5, 2, 3, 2)
+        _, arr = self.stripes_of(params, (6, 7, 8))
+        arr[1, 1, 2, 9] = (arr[1, 1, 2, 9] + 1) % params.p
+        with pytest.raises(InconsistentCodewordError, match=r"stripe 1, plane 3"):
+            solve_erased(params, arr, erased, check=True)

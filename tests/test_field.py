@@ -10,7 +10,6 @@ from mscr.field import (
     matrix_inverse,
     reduction_operator,
     smallest_prime_at_least,
-    solve_square,
     vandermonde_matrix,
 )
 
@@ -69,51 +68,6 @@ def test_field_axioms_exhaustive(p):
                 assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-
-
-def test_solve_square_identity():
-    f = FieldContext(5)
-    eye = [[1, 0], [0, 1]]
-    assert solve_square(f, eye, [3, 4]) == [3, 4]
-
-
-def test_solve_square_hand_example():
-    f = FieldContext(5)
-    assert solve_square(f, [[1, 1], [1, 2]], [0, 1]) == [4, 1]
-
-
-def test_solve_square_random_roundtrip():
-    # oracle: multiply the solution back and compare with the right-hand side
-    import random
-
-    rng = random.Random(5)
-    f = FieldContext(11)
-    solved = 0
-    while solved < 10:
-        a = [[rng.randrange(11) for _ in range(8)] for _ in range(8)]
-        y = [rng.randrange(11) for _ in range(8)]
-        try:
-            x = solve_square(f, a, y)
-        except SingularMatrixError:
-            continue
-        assert mat_vec(f, a, x) == y
-        solved += 1
-
-
-def test_solve_square_singular_raises():
-    f = FieldContext(5)
-    with pytest.raises(SingularMatrixError):
-        solve_square(f, [[1, 2], [2, 4]], [1, 1])
-    with pytest.raises(SingularMatrixError):
-        solve_square(f, [[0, 0], [0, 0]], [0, 0])
-
-
-def test_solve_square_shape_errors():
-    f = FieldContext(5)
-    with pytest.raises(ValueError):
-        solve_square(f, [[1, 2]], [1])
-    with pytest.raises(ValueError):
-        solve_square(f, [[1]], [1, 2])
 
 
 def test_vandermonde_single_point():

@@ -6,10 +6,8 @@ from mscr.indexing import (
     sub_index,
     substitute,
     union_v_indices,
-    union_v_sets,
     union_v_size,
     v_indices,
-    v_set,
     vec_to_int,
 )
 
@@ -67,17 +65,16 @@ def test_sub_index_matches_tuple_substitution():
 
 
 def test_v_set_small():
-    assert v_set(0, 2, 2) == [(0, 0), (0, 1)]
+    assert v_indices(0, 2, 2) == [0, 2]  # (0, 0) and (0, 1)
 
 
 @pytest.mark.parametrize("n,s", [(3, 2), (4, 2), (3, 3)])
 def test_v_set_cardinality_and_order(n, s):
     for i in range(n):
-        vs = v_set(i, n, s)
-        assert len(vs) == s ** (n - 1)
-        ints = [vec_to_int(a, s) for a in vs]
+        ints = v_indices(i, n, s)
+        assert len(ints) == s ** (n - 1)
         assert ints == sorted(ints)
-        assert all(a[i] == 0 for a in vs)
+        assert all(int_to_vec(a, n, s)[i] == 0 for a in ints)
 
 
 def test_v_set_coordinate_out_of_range():
@@ -86,11 +83,11 @@ def test_v_set_coordinate_out_of_range():
 
 
 def test_union_single_coordinate_equals_v_set():
-    assert union_v_sets({2}, 4, 2) == v_set(2, 4, 2)
+    assert union_v_indices({2}, 4, 2) == v_indices(2, 4, 2)
 
 
 def test_union_example_counts():
-    assert len(union_v_sets({0, 1}, 4, 2)) == 12  # 2^3 + 2^3 - 2^2
+    assert len(union_v_indices({0, 1}, 4, 2)) == 12  # 2^3 + 2^3 - 2^2
     assert len(union_v_indices({1, 3}, 5, 3)) == 135  # 3^3 (3^2 - 2^2)
 
 
@@ -117,7 +114,7 @@ def test_union_closed_form_exhaustive_small():
 
 def test_union_empty_errors():
     with pytest.raises(ValueError):
-        union_v_sets(set(), 4, 2)
+        union_v_indices(set(), 4, 2)
 
 
 def test_complement_characterization():

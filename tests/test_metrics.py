@@ -230,12 +230,6 @@ class TestMeasuredMetrics:
             RepairMetrics.from_run(job, Stub())
 
 
-def test_literature_reference_rows_present():
-    families = [row["family"] for row in metrics.LITERATURE_CODES]
-    assert "this construction" in families
-    assert len(families) == 5
-
-
 @pytest.mark.parametrize("nkdh", PARAM_SETS + [(6, 2, 4, 2), (6, 2, 3, 2)])
 def test_access_never_exceeds_column(nkdh):
     from mscr.indexing import union_v_size

@@ -11,9 +11,6 @@ from mscr.repair import (
     FailedNodeState,
     HelperNode,
     RepairJob,
-    cooperative_payload_terms,
-    download_payload_terms,
-    format_term,
     helper_payload,
     recover_own_plane,
     recover_pairs,
@@ -97,44 +94,6 @@ class TestHelperPayload:
         params, _, job = ex1
         zero = Codeword.zero(params)
         assert not helper_payload(2, 1, job, zero.column(2)).any()
-
-
-class TestSymbolicTerms:
-    def test_download_terms_slot1(self, ex1):
-        params, _, job = ex1
-        terms = download_payload_terms(job, 2, 1)
-        v0 = [(0, a1, a2, a3) for a3 in range(2) for a2 in range(2) for a1 in range(2)]
-        v0 = sorted(v0, key=lambda t: t[1] + 2 * t[2] + 4 * t[3])
-        assert terms[:8] == [((2, 2, a),) for a in v0]
-        assert terms[8:] == [((2, 1, a), (2, 2, (1,) + a[1:])) for a in v0]
-
-    def test_download_terms_slot2(self, ex1):
-        _, _, job = ex1
-        terms = download_payload_terms(job, 3, 2)
-        for entry in terms[:8]:
-            (node, plane, vec), = entry
-            assert node == 3 and plane == 3 and vec[1] == 0
-        for first, second in terms[8:]:
-            assert first[1] == 1 and second[1] == 3
-            assert first[2][1] == 0 and second[2][1] == 1
-            assert first[2][0] == second[2][0] and first[2][2:] == second[2][2:]
-
-    def test_cooperative_terms(self, ex1):
-        _, _, job = ex1
-        terms = cooperative_payload_terms(job, 1, 0)
-        for entry in terms[:8]:
-            (node, plane, vec), = entry
-            assert node == 0 and plane == 3 and vec[1] == 0
-        for first, second in terms[8:]:
-            assert first[0] == second[0] == 0
-            assert first[1] == 1 and second[1] == 3
-
-    def test_format_term(self):
-        assert format_term(((2, 1, (0, 1, 0, 0)), (2, 2, (1, 1, 0, 0)))) == "c[2,1,0100]+c[2,2,1100]"
-
-    def test_term_count_matches_payload(self, ex1):
-        params, cw, job = ex1
-        assert len(download_payload_terms(job, 2, 1)) == helper_payload(2, 1, job, cw.column(2)).size
 
 
 class TestRecoveryRoutines:

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from mscr.code import validate_params
+from mscr.code import encode, validate_params
 from mscr.storage import (
     ChunkHeader,
     FORMAT_VERSION,
@@ -160,6 +162,47 @@ class TestFileStriping:
         bodies, original, stripes = encode_file(b"hello", example1)
         with pytest.raises(ValueError, match="symbols"):
             decode_file({0: bodies[0][:-1]}, example1, original, stripes)
+
+
+class TestStripeBatchAgainstPerStripe:
+    """encode_file / decode_file solve every stripe in one call; the loop over
+    code.encode below is the per-stripe reference they must reproduce."""
+
+    @staticmethod
+    def per_stripe_bodies(data, params):
+        per_stripe = symbols_per_stripe(params)
+        symbols = pack_bytes(data, params.p)
+        stripes = max(1, -(-symbols.size // per_stripe))
+        padded = np.zeros(stripes * per_stripe, dtype=np.int64)
+        padded[: symbols.size] = symbols
+        bodies = np.zeros((params.n, stripes * params.N), dtype=np.int64)
+        for st in range(stripes):
+            cw = encode(padded[st * per_stripe : (st + 1) * per_stripe], params)
+            for i in range(params.n):
+                bodies[i, st * params.N : (st + 1) * params.N] = cw.column(i).symbols.reshape(-1)
+        return bodies
+
+    @pytest.fixture(params=[((6, 3, 4, 2), 257), ((6, 2, 3, 3), 7)], ids=["6342-p257", "6233-p7"])
+    def case(self, request):
+        nkdh, p = request.param
+        params = validate_params(*nkdh, p=p)
+        # three full stripes and a partial fourth
+        n_bytes = (3 * symbols_per_stripe(params) + 100) * bits_per_symbol(p) // 8
+        data = np.random.default_rng(sum(nkdh) + p).integers(0, 256, size=n_bytes, dtype=np.uint8)
+        return params, data.tobytes()
+
+    def test_encode_matches_per_stripe_encode(self, case):
+        params, data = case
+        bodies, original, stripes = encode_file(data, params)
+        assert (original, stripes) == (len(data), 4)
+        assert np.array_equal(bodies, self.per_stripe_bodies(data, params))
+
+    def test_decode_from_every_k_subset(self, case):
+        params, data = case
+        bodies, original, stripes = encode_file(data, params)
+        for subset in combinations(range(params.n), params.k):
+            got = decode_file({i: bodies[i] for i in subset}, params, original, stripes)
+            assert got == data, subset
 
 
 def test_truncated_header_rejected(tmp_path):

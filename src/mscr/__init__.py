@@ -31,14 +31,9 @@ from .metrics import (
 )
 from .oracle import OracleReport, cross_check, naive_repair, recount
 from .repair import (
-    FailedNodeState,
-    HelperNode,
     RepairJob,
     RepairMessage,
     RepairTranscript,
-    helper_payload,
-    recover_own_plane,
-    recover_pairs,
     run_repair,
 )
 
@@ -49,9 +44,7 @@ __all__ = [
     "Bounds",
     "CodeParams",
     "Codeword",
-    "FailedNodeState",
     "FieldContext",
-    "HelperNode",
     "InconsistentCodewordError",
     "NodeVector",
     "OracleReport",
@@ -68,15 +61,12 @@ __all__ = [
     "encode",
     "erase_decode",
     "g_ratio",
-    "helper_payload",
     "make_node_vector",
     "naive_repair",
     "parity_residual",
     "random_message",
     "reconstruct",
     "recount",
-    "recover_own_plane",
-    "recover_pairs",
     "run_repair",
     "validate_params",
 ]

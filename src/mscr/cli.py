@@ -76,7 +76,11 @@ def _chunk_path(directory: Path, manifest: storage.Manifest, node: int) -> Path:
 
 
 def _read_column(directory: Path, manifest: storage.Manifest, params, node: int) -> np.ndarray:
-    header, symbols = storage.read_chunk(_chunk_path(directory, manifest, node))
+    path = _chunk_path(directory, manifest, node)
+    try:
+        header, symbols = storage.read_chunk(path, manifest.chunks[str(node)]["sha256"])
+    except storage.ChecksumMismatchError as exc:
+        raise storage.ChecksumMismatchError(f"node {node}: {exc}") from None
     if (header.n, header.k, header.d, header.h, header.p) != (
         params.n, params.k, params.d, params.h, params.p,
     ):
@@ -281,12 +285,12 @@ def cmd_verify(args) -> int:
         if not path.exists():
             problems.append(f"node {i}: chunk missing at {path}")
             continue
-        digest = storage.sha256_file(path)
-        if digest != manifest.chunks[str(i)]["sha256"]:
+        try:
+            column = _read_column(directory, manifest, params, i)
+        except storage.ChecksumMismatchError:
             problems.append(f"node {i}: checksum mismatch")
             continue
-        available[i] = _read_column(directory, manifest, params, i).reshape(
-            stripes, params.planes, params.s_pow_n)
+        available[i] = column.reshape(stripes, params.planes, params.s_pow_n)
         print(f"node {i}: checksum OK")
     if len(available) == params.n:
         bad = failing_checks(params, [available[i] for i in range(params.n)]).any(axis=1)
@@ -311,17 +315,19 @@ def cmd_decode(args) -> int:
         wanted = sorted(set(_parse_nodes(nodes)))
     else:
         wanted = [i for i in range(params.n) if i not in failed]
-    bodies = {}
     for i in wanted:
+        if not 0 <= i < params.n:
+            raise CliError(f"node {i} out of range [0,{params.n})")
         if i in failed:
             raise CliError(f"node {i} is failed; repair first or pick other nodes")
-        bodies[i] = _read_column(directory, manifest, params, i)
-    if len(bodies) < params.k:
-        raise CliError(f"need at least k={params.k} chunks, have {len(bodies)}")
+    if len(wanted) < params.k:
+        raise CliError(f"need at least k={params.k} chunks, have {len(wanted)}")
+    # decode_file uses the k lowest-indexed bodies, so only those are read
+    bodies = {i: _read_column(directory, manifest, params, i) for i in wanted[: params.k]}
     data = storage.decode_file(bodies, params, manifest.original_length, manifest.stripe_count)
     out_path = Path(_require(args, config, "out"))
     out_path.write_bytes(data)
-    print(f"decoded {len(data)} bytes from nodes {sorted(bodies)[:params.k]} to {out_path}")
+    print(f"decoded {len(data)} bytes from nodes {sorted(bodies)} to {out_path}")
     return 0
 
 

@@ -109,8 +109,19 @@ def write_chunk(path: Path, header: ChunkHeader, symbols: np.ndarray) -> None:
     path.write_bytes(MAGIC + fixed + points + body)
 
 
-def read_chunk(path: Path) -> tuple[ChunkHeader, np.ndarray]:
+class ChecksumMismatchError(ValueError):
+    """A chunk file's bytes do not hash to the digest recorded for them."""
+
+
+def read_chunk(path: Path, sha256: str) -> tuple[ChunkHeader, np.ndarray]:
+    """Read a chunk file whose bytes must hash to `sha256`, then parse it.
+
+    The digest is checked before any byte is parsed, so a damaged chunk is
+    always reported as a ChecksumMismatchError.
+    """
     raw = path.read_bytes()
+    if hashlib.sha256(raw).hexdigest() != sha256:
+        raise ChecksumMismatchError(f"{path}: checksum mismatch against the manifest")
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}, not a chunk file")
     try:

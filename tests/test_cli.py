@@ -143,7 +143,7 @@ class TestVerifyAndDecode:
         assert manifest.stripe_count > 3
         stripe = manifest.stripe_count // 2
         path = store / manifest.chunks["2"]["file"]
-        header, symbols = read_chunk(path)
+        header, symbols = read_chunk(path, manifest.chunks["2"]["sha256"])
         pos = stripe * params.N + 7
         symbols[pos] = (symbols[pos] + 1) % params.p
         write_chunk(path, header, symbols)
@@ -182,6 +182,72 @@ class TestVerifyAndDecode:
         assert run_cli("decode", "--dir", store, "--out", tmp_path / "x",
                        "--nodes", "0") == 2
         assert "failed" in capsys.readouterr().err
+
+
+class TestCheckedReads:
+    # every chunk read is checked against the manifest before it is used
+
+    @pytest.fixture()
+    def store6(self, tmp_path):
+        data = np.random.default_rng(5).integers(0, 256, size=2000, dtype=np.uint8).tobytes()
+        src = tmp_path / "input.bin"
+        src.write_bytes(data)
+        store = tmp_path / "store"
+        assert run_cli("encode", "--n", 6, "--k", 3, "--d", 4, "--h", 2, "--p", 257,
+                       "--input", src, "--out", store) == 0
+        return tmp_path, store, data
+
+    @staticmethod
+    def flip_bit(path, offset=-100):
+        raw = bytearray(path.read_bytes())
+        raw[offset] ^= 1
+        path.write_bytes(bytes(raw))
+
+    def test_decode_refuses_corrupt_chunk(self, store6, capsys):
+        tmp_path, store, _ = store6
+        self.flip_bit(store / "node0.mscr")
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out) == 2
+        assert "node 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repair_refuses_corrupt_helper(self, store6, capsys):
+        _, store, _ = store6
+        self.flip_bit(store / "node0.mscr")
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5") == 2
+        assert "node 0" in capsys.readouterr().err
+        for i in (1, 4):
+            assert not (store / f"node{i}.mscr").exists()
+            assert (store / f"node{i}.mscr.failed").exists()
+        assert Manifest.load(store).failed == [1, 4]
+
+    def test_verify_reports_unparsable_chunk_as_mismatch(self, store6, capsys):
+        _, store, _ = store6
+        path = store / "node3.mscr"
+        path.write_bytes(path.read_bytes()[:-1])  # the body no longer parses
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        captured = capsys.readouterr()
+        assert "PROBLEM: node 3: checksum mismatch" in captured.err
+        assert captured.out.count("checksum OK") == 5
+
+    def test_decode_ignores_corrupt_chunk_it_does_not_read(self, store6, capsys):
+        tmp_path, store, data = store6
+        self.flip_bit(store / "node5.mscr")
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out) == 0
+        assert "from nodes [0, 1, 2]" in capsys.readouterr().out
+        assert out.read_bytes() == data
+
+    def test_decode_rejects_out_of_range_node(self, encoded_dir, capsys):
+        tmp_path, store, _ = encoded_dir
+        assert run_cli("decode", "--dir", store, "--out", tmp_path / "x",
+                       "--nodes", "0,9") == 2
+        assert "node 9 out of range" in capsys.readouterr().err
 
 
 class TestTableAndParams:

@@ -5,17 +5,7 @@ import pytest
 
 from mscr.code import Codeword, encode, random_message, validate_params
 from mscr.indexing import sub_index, v_indices
-from mscr.repair import (
-    COOPERATIVE,
-    DOWNLOAD,
-    FailedNodeState,
-    HelperNode,
-    RepairJob,
-    helper_payload,
-    recover_own_plane,
-    recover_pairs,
-    run_repair,
-)
+from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, run_repair
 
 from conftest import make_codeword
 
@@ -57,157 +47,6 @@ class TestRepairJob:
         params, _, _ = ex1
         with pytest.raises(ValueError, match="out of range"):
             RepairJob(params, (0, 4), (2, 3))
-
-
-class TestHelperPayload:
-    def test_symbol_count_small(self, ex1):
-        params, cw, job = ex1
-        payload = helper_payload(2, 1, job, cw.column(2))
-        assert payload.size == 16 == params.N // params.planes
-
-    def test_symbol_count_matches_formula(self):
-        # (d-k+1) s^(n-1) = N/(d-k+h); for n=5,k=2,d=3,h=2 that is 2*16 = 32
-        params = validate_params(5, 2, 3, 2)
-        cw = make_codeword(params, seed=5)
-        job = RepairJob(params, (0, 1), (2, 3, 4))
-        payload = helper_payload(2, 1, job, cw.column(2))
-        assert payload.size == 32 == (params.d - params.k + 1) * params.s ** (params.n - 1)
-        assert payload.size == params.N // (params.d - params.k + params.h)
-
-    def test_payload_values(self, ex1):
-        params, cw, job = ex1
-        got = helper_payload(3, 2, job, cw.column(3))  # slot 2 -> node 1, plane 3
-        v1 = v_indices(1, params.n, params.s)
-        col = cw.column(3).symbols
-        d1 = [col[2, a] for a in v1]
-        d2 = [(col[0, a] + col[2, sub_index(a, 1, 1, params.s)]) % params.p for a in v1]
-        assert got.tolist() == d1 + d2
-
-    def test_invalid_helper_or_slot(self, ex1):
-        params, cw, job = ex1
-        with pytest.raises(ValueError, match="not a helper"):
-            helper_payload(0, 1, job, cw.column(0))
-        with pytest.raises(ValueError, match="slot"):
-            helper_payload(2, 3, job, cw.column(2))
-
-    def test_zero_codeword_zero_payload(self, ex1):
-        params, _, job = ex1
-        zero = Codeword.zero(params)
-        assert not helper_payload(2, 1, job, zero.column(2)).any()
-
-
-class TestRecoveryRoutines:
-    def test_recover_own_plane_truth(self):
-        params = validate_params(5, 2, 3, 2)
-        cw = make_codeword(params, seed=31)
-        job = RepairJob(params, (0, 1), (2, 3, 4))
-        vl = np.array(v_indices(0, params.n, params.s))
-        for plane in range(1, params.planes + 1):
-            d1 = {u: cw.column(u).symbols[plane - 1][vl] for u in job.helpers}
-            own_full, on_v = recover_own_plane(job, 0, plane, d1)
-            assert np.array_equal(own_full, cw.column(0).symbols[plane - 1])
-            for w in range(params.n):
-                assert np.array_equal(on_v[w], cw.column(w).symbols[plane - 1][vl])
-
-    def test_recover_pairs_truth_all_combinations(self):
-        params = validate_params(5, 2, 3, 2)
-        cw = make_codeword(params, seed=37)
-        job = RepairJob(params, (0, 1), (2, 3, 4))
-        node = 1
-        vl = np.array(v_indices(node, params.n, params.s))
-        weight = params.s**node
-        for b1 in range(1, params.planes + 1):
-            for b2 in range(1, params.planes + 1):
-                if b1 == b2:
-                    continue
-                for v in range(1, params.s):
-                    sums = {
-                        u: (
-                            cw.column(u).symbols[b1 - 1][vl]
-                            + cw.column(u).symbols[b2 - 1][vl + v * weight]
-                        )
-                        % params.p
-                        for u in job.helpers
-                    }
-                    cross, own_b1 = recover_pairs(job, node, b1, b2, v, sums)
-                    for w in range(params.n):
-                        truth = (
-                            cw.column(w).symbols[b1 - 1][vl]
-                            + cw.column(w).symbols[b2 - 1][vl + v * weight]
-                        ) % params.p
-                        assert np.array_equal(cross[w], truth), (b1, b2, v, w)
-                    for e in range(1, params.s):
-                        truth = cw.column(node).symbols[b1 - 1][vl + e * weight]
-                        assert np.array_equal(own_b1[e - 1], truth)
-
-    def test_recover_pairs_zero_codeword(self, ex1):
-        params, _, job = ex1
-        vl = np.array(v_indices(0, params.n, params.s))
-        zeros = {u: np.zeros(vl.size, dtype=np.int64) for u in job.helpers}
-        cross, own = recover_pairs(job, 0, 1, 2, 1, zeros)
-        assert not cross.any() and not own.any()
-
-    def test_recover_pairs_validation(self, ex1):
-        params, _, job = ex1
-        vl = np.array(v_indices(0, params.n, params.s))
-        zeros = {u: np.zeros(vl.size, dtype=np.int64) for u in job.helpers}
-        with pytest.raises(ValueError, match="distinct planes"):
-            recover_pairs(job, 0, 2, 2, 1, zeros)
-        with pytest.raises(ValueError, match="0 < v < s"):
-            recover_pairs(job, 0, 1, 2, 0, zeros)
-        with pytest.raises(ValueError, match="missing"):
-            recover_pairs(job, 0, 1, 2, 1, {2: zeros[2]})
-        with pytest.raises(ValueError, match="not being repaired"):
-            recover_pairs(job, 2, 1, 2, 1, zeros)
-
-
-class TestStateMachine:
-    def test_download_state_matches_recovered_data_sets(self, ex1):
-        params, cw, job = ex1
-        state = FailedNodeState(job, 0)
-        for u in job.helpers:
-            state.receive_download(u, helper_payload(u, 1, job, cw.column(u)))
-        state.process_downloads()
-        # planes 1..d-k and the repair plane, complete
-        assert sorted(state.own_planes) == [1, 2]
-        for b in (1, 2):
-            assert np.array_equal(state.own_planes[b], cw.column(0).symbols[b - 1])
-        # the peer's repair-plane slice on V, and the cross sums
-        vl = np.array(v_indices(0, params.n, params.s))
-        assert np.array_equal(state.peer_plane_on_v(1), cw.column(1).symbols[1][vl])
-        sums = state.peer_cross_sums(1)
-        truth = (cw.column(1).symbols[0][vl] + cw.column(1).symbols[1][vl + 1]) % params.p
-        assert np.array_equal(sums[0], truth)
-
-    def test_cooperative_before_download_rejected(self, ex1):
-        _, _, job = ex1
-        state = FailedNodeState(job, 0)
-        with pytest.raises(ValueError, match="not processed"):
-            state.cooperative_payload_for(1)
-
-    def test_incomplete_download_rejected(self, ex1):
-        params, cw, job = ex1
-        state = FailedNodeState(job, 0)
-        state.receive_download(2, helper_payload(2, 1, job, cw.column(2)))
-        with pytest.raises(ValueError, match="incomplete"):
-            state.process_downloads()
-
-    def test_duplicate_download_rejected(self, ex1):
-        params, cw, job = ex1
-        state = FailedNodeState(job, 0)
-        payload = helper_payload(2, 1, job, cw.column(2))
-        state.receive_download(2, payload)
-        with pytest.raises(ValueError, match="duplicate"):
-            state.receive_download(2, payload)
-
-    def test_finish_requires_all_planes(self, ex1):
-        params, cw, job = ex1
-        state = FailedNodeState(job, 0)
-        for u in job.helpers:
-            state.receive_download(u, helper_payload(u, 1, job, cw.column(u)))
-        state.process_downloads()
-        with pytest.raises(ValueError, match="missing planes \\[3\\]"):
-            state.finish()
 
 
 class TestRunRepair:
@@ -304,19 +143,40 @@ class TestTranscript:
         assert transcript.access_logs[2].count() == 44
 
 
-class TestHelperNode:
-    def test_index_mismatch_rejected(self, ex1):
-        params, cw, job = ex1
-        with pytest.raises(ValueError, match="belongs to node"):
-            HelperNode(2, cw.column(3), job)
+class TestClosedForm:
+    # Every message recomputed from the codeword by the paper's formulas.  For
+    # failed node i with repair plane P_i and a in V_i, helper u sends
+    # c[u,P_i,a] then c[u,b,a] + c[u,P_i,a(i,b)] for b = 1..d-k; failed node i
+    # sends failed node t the same expressions of t's column.
 
-    def test_access_log_grows_once_per_slot(self, ex1):
-        params, cw, job = ex1
-        node = HelperNode(2, cw.column(2), job)
-        node.payload_for(1)
-        assert node.access_log.count() == 24  # plane 2 in full + plane 1 on V_0
-        node.payload_for(2)
-        assert node.access_log.count() == 44  # plane 3 joins in full, plane 1 grows to V_0 u V_1
+    @pytest.mark.parametrize(
+        "n,k,d,h,p", [(4, 1, 2, 2, 5), (6, 2, 3, 3, None), (6, 2, 4, 2, None)]
+    )
+    def test_every_message_matches_closed_form(self, n, k, d, h, p):
+        params = validate_params(n, k, d, h, p=p)
+        cw = make_codeword(params, seed=83)
+        s = params.s
+
+        def slices(node, i, plane):
+            col = cw.column(node).symbols
+            v = v_indices(i, n, s)
+            out = [int(col[plane - 1, a]) for a in v]
+            for b in range(1, d - k + 1):
+                out += [int(col[b - 1, a] + col[plane - 1, sub_index(a, i, b, s)]) % params.p
+                        for a in v]
+            return out
+
+        for failed in combinations(range(n), h):
+            helpers = tuple(i for i in range(n) if i not in failed)[:d]
+            job = RepairJob(params, failed, helpers)
+            _, transcript = run_repair(job, {u: cw.column(u) for u in helpers})
+            assert len(transcript.messages) == h * d + h * (h - 1)
+            for m in transcript.messages:
+                if m.phase == DOWNLOAD:
+                    expect = slices(m.sender, m.receiver, job.repair_plane(m.receiver))
+                else:
+                    expect = slices(m.receiver, m.sender, job.repair_plane(m.sender))
+                assert m.values.tolist() == expect, (failed, m.phase, m.sender, m.receiver)
 
 
 class TestWiderAlphabet:

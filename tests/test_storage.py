@@ -5,6 +5,7 @@ import pytest
 
 from mscr.code import encode, validate_params
 from mscr.storage import (
+    ChecksumMismatchError,
     ChunkHeader,
     FORMAT_VERSION,
     Manifest,
@@ -62,7 +63,7 @@ class TestChunkIO:
         header = self._header(example1, 2, 96)
         path = tmp_path / chunk_name(2)
         write_chunk(path, header, symbols)
-        got_header, got_symbols = read_chunk(path)
+        got_header, got_symbols = read_chunk(path, sha256_file(path))
         assert got_header == header
         assert np.array_equal(got_symbols, symbols)
         assert got_header.params() == example1
@@ -71,7 +72,7 @@ class TestChunkIO:
         path = tmp_path / "bad.mscr"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
-            read_chunk(path)
+            read_chunk(path, sha256_file(path))
 
     def test_truncated_body_rejected(self, tmp_path, example1):
         symbols = np.zeros(48, dtype=np.int64)
@@ -81,7 +82,17 @@ class TestChunkIO:
         raw = path.read_bytes()
         path.write_bytes(raw[:-2])
         with pytest.raises(ValueError, match="body"):
-            read_chunk(path)
+            read_chunk(path, sha256_file(path))
+
+    def test_checksum_checked_before_parsing(self, tmp_path, example1):
+        path = tmp_path / chunk_name(0)
+        write_chunk(path, self._header(example1, 0, 48), np.zeros(48, dtype=np.int64))
+        digest = sha256_file(path)
+        raw = bytearray(path.read_bytes())
+        raw[0] ^= 1  # the damaged magic would fail to parse
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumMismatchError, match="checksum mismatch"):
+            read_chunk(path, digest)
 
     def test_out_of_field_symbol_rejected(self, tmp_path, example1):
         header = self._header(example1, 0, 2)
@@ -209,4 +220,4 @@ def test_truncated_header_rejected(tmp_path):
     path = tmp_path / "short.mscr"
     path.write_bytes(b"MSCR\x01\x00")
     with pytest.raises(ValueError, match="truncated"):
-        read_chunk(path)
+        read_chunk(path, sha256_file(path))

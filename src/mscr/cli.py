@@ -8,6 +8,7 @@ Configuration comes from flags, optionally backed by a JSON config file
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -75,6 +76,14 @@ def _chunk_path(directory: Path, manifest: storage.Manifest, node: int) -> Path:
     return directory / manifest.chunks[str(node)]["file"]
 
 
+def _chunk_bytes(params, node: int, stripes: int, body: np.ndarray) -> bytes:
+    header = storage.ChunkHeader(
+        storage.FORMAT_VERSION, params.n, params.k, params.d, params.h, params.p, node,
+        stripes * params.N, storage.bits_per_symbol(params.p), params.lambdas, params.mus,
+    )
+    return storage.chunk_bytes(header, body)
+
+
 def _read_column(directory: Path, manifest: storage.Manifest, params, node: int) -> np.ndarray:
     path = _chunk_path(directory, manifest, node)
     try:
@@ -113,21 +122,17 @@ def cmd_encode(args) -> int:
         print(f"wrote generated input to {source}")
 
     bodies, original_length, stripes = storage.encode_file(data, params)
-    bps = storage.bits_per_symbol(params.p)
     chunks = {}
     for i in range(params.n):
-        header = storage.ChunkHeader(
-            storage.FORMAT_VERSION, params.n, params.k, params.d, params.h,
-            params.p, i, stripes * params.N, bps, params.lambdas, params.mus,
-        )
+        data = _chunk_bytes(params, i, stripes, bodies[i])
         name = storage.chunk_name(i)
-        storage.write_chunk(out_dir / name, header, bodies[i])
-        chunks[str(i)] = {"file": name, "sha256": storage.sha256_file(out_dir / name)}
+        storage.write_chunk(out_dir / name, data)
+        chunks[str(i)] = {"file": name, "sha256": hashlib.sha256(data).hexdigest()}
     manifest = storage.Manifest(
         format=storage.FORMAT_VERSION,
         n=params.n, k=params.k, d=params.d, h=params.h, p=params.p,
         lambdas=params.lambdas, mus=params.mus,
-        bits_per_symbol=bps, original_length=original_length,
+        bits_per_symbol=storage.bits_per_symbol(params.p), original_length=original_length,
         stripe_count=stripes, chunks=chunks, failed=[],
     )
     manifest.save(out_dir)
@@ -194,21 +199,15 @@ def cmd_repair(args) -> int:
         if st == 0:
             first_transcript = transcript
 
-    # restore chunk files and verify against recorded checksums
-    bps = manifest.bits_per_symbol
-    mismatched = []
-    for i in failed:
-        header = storage.ChunkHeader(
-            storage.FORMAT_VERSION, params.n, params.k, params.d, params.h,
-            params.p, i, stripes * params.N, bps, params.lambdas, params.mus,
-        )
-        path = _chunk_path(directory, manifest, i)
-        storage.write_chunk(path, header, repaired_bodies[i])
-        digest = storage.sha256_file(path)
-        if digest != manifest.chunks[str(i)]["sha256"]:
-            mismatched.append(i)
+    # every restored chunk must match its recorded checksum before any is written
+    restored = {i: _chunk_bytes(params, i, stripes, repaired_bodies[i]) for i in failed}
+    mismatched = [i for i, data in restored.items()
+                  if hashlib.sha256(data).hexdigest() != manifest.chunks[str(i)]["sha256"]]
     if mismatched:
-        raise CliError(f"restored chunks fail checksum verification: {mismatched}")
+        raise CliError(", ".join(f"node {i}" for i in mismatched)
+                       + ": restored chunk fails checksum verification; nothing written")
+    for i, data in restored.items():
+        storage.write_chunk(_chunk_path(directory, manifest, i), data)
     for i in failed:
         quarantined = _chunk_path(directory, manifest, i).with_name(
             storage.chunk_name(i) + storage.QUARANTINE_SUFFIX

@@ -4,7 +4,7 @@ Chunk layout (all integers little-endian):
     magic   4 bytes  b"MSCR"
     u32 x 9          version, n, k, d, h, p, node_index, payload_len, bits_per_symbol
     u32 x (n+s-1)    evaluation points: lambdas then mus
-    u16 x payload_len  symbols
+    body             payload_len symbols packed at w = ceil(log2 p) bits each
 
 payload_len = stripe_count * N.  Files longer than one stripe are striped:
 consecutive kN-symbol blocks are independent codewords and each node's chunk
@@ -12,15 +12,24 @@ concatenates its per-stripe columns in stripe order.  The n bodies of a file
 are therefore one (n, stripes, planes, s^n) array, and encode and decode
 solve every stripe in one code.solve_erased call.
 
-Packing: one byte per symbol when p > 255; otherwise floor(log2 p) bits per
-symbol, MSB-first within the bitstream.  Either way bits_per_symbol is
-recorded in the header and the original byte length lives in the manifest.
+Two widths are involved.  Message packing (pack_bytes) maps the file's bytes
+to symbols at bits_per_symbol(p) bits each: 8 when p > 255, otherwise
+floor(log2 p), MSB-first within the bitstream, so every message symbol is < p.
+The header records that width and the manifest the original byte length.
+Chunk bodies store every symbol, parity included, at the field's full width
+w = stored_width(p) = ceil(log2 p): first floor(w/8) byte planes, each holding
+one byte of every symbol, low byte first; then w mod 8 bit planes, each the
+np.packbits of one bit of every symbol, lowest remaining bit first.  So a
+body is payload_len * floor(w/8) + (w mod 8) * ceil(payload_len/8) bytes
+(body_length).  Chunks and the manifest are written to a temporary file
+beside their destination, then renamed over it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -30,7 +39,7 @@ import numpy as np
 from .code import CodeParams, solve_erased, validate_params
 
 MAGIC = b"MSCR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 QUARANTINE_SUFFIX = ".failed"
 
@@ -94,7 +103,46 @@ class ChunkHeader:
         )
 
 
-def write_chunk(path: Path, header: ChunkHeader, symbols: np.ndarray) -> None:
+def stored_width(p: int) -> int:
+    """Bits per stored symbol, ceil(log2 p); at most 16, as p < 2^16."""
+    return (p - 1).bit_length()
+
+
+def body_length(payload_len: int, p: int) -> int:
+    """Bytes of a chunk body holding payload_len symbols."""
+    w = stored_width(p)
+    return payload_len * (w // 8) + (w % 8) * -(-payload_len // 8)
+
+
+def pack_body(symbols: np.ndarray, p: int) -> bytes:
+    """Symbols in [0, p) -> byte planes, then bit planes (see module docstring)."""
+    w = stored_width(p)
+    vals = symbols.astype(np.uint16)
+    planes = [(vals >> (8 * j)).astype(np.uint8) for j in range(w // 8)]
+    planes += [np.packbits((vals >> b).astype(np.uint8) & 1) for b in range(w // 8 * 8, w)]
+    return b"".join(plane.tobytes() for plane in planes)
+
+
+def unpack_body(body: bytes, p: int, payload_len: int) -> np.ndarray:
+    """Inverse of pack_body; `body` must be body_length(payload_len, p) bytes.
+
+    Returns uint16: w <= 16, so every stored field fits without overflow.
+    """
+    w = stored_width(p)
+    buf = np.frombuffer(body, dtype=np.uint8)
+    vals = np.zeros(payload_len, dtype=np.uint16)
+    for j in range(w // 8):
+        vals |= np.left_shift(buf[j * payload_len:(j + 1) * payload_len], 8 * j, dtype=np.uint16)
+    off, plane = w // 8 * payload_len, -(-payload_len // 8)
+    for b in range(w // 8 * 8, w):
+        bits = np.unpackbits(buf[off:off + plane], count=payload_len)
+        vals |= np.left_shift(bits, b, dtype=np.uint16)
+        off += plane
+    return vals
+
+
+def chunk_bytes(header: ChunkHeader, symbols: np.ndarray) -> bytes:
+    """Serialize a chunk: magic, header fields, evaluation points, packed body."""
     if symbols.shape != (header.payload_len,):
         raise ValueError(f"payload shape {symbols.shape} != ({header.payload_len},)")
     if symbols.size and (symbols.min() < 0 or symbols.max() >= header.p):
@@ -105,8 +153,27 @@ def write_chunk(path: Path, header: ChunkHeader, symbols: np.ndarray) -> None:
         header.p, header.node_index, header.payload_len, header.bits_per_symbol,
     )
     points = struct.pack(f"<{len(header.lambdas) + len(header.mus)}I", *header.lambdas, *header.mus)
-    body = symbols.astype("<u2").tobytes()
-    path.write_bytes(MAGIC + fixed + points + body)
+    return MAGIC + fixed + points + pack_body(symbols, header.p)
+
+
+def _write_replacing(path: Path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, sync it, then rename it
+    over `path`: a crash leaves the old file or the new one, never a partial one."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_chunk(path: Path, data: bytes) -> None:
+    """Write serialized chunk bytes (chunk_bytes) to `path`, crash-safely."""
+    _write_replacing(path, data)
 
 
 class ChecksumMismatchError(ValueError):
@@ -139,13 +206,15 @@ def read_chunk(path: Path, sha256: str) -> tuple[ChunkHeader, np.ndarray]:
         version, n, k, d, h, p, node_index, payload_len, bps,
         lambdas=tuple(pts[:n]), mus=tuple(pts[n:]),
     )
-    body = raw[off:]
-    if len(body) != 2 * payload_len:
-        raise ValueError(f"{path}: body holds {len(body)} bytes, expected {2 * payload_len}")
-    symbols = np.frombuffer(body, dtype="<u2").astype(np.int64)
+    body = memoryview(raw)[off:]
+    expected = body_length(payload_len, p)
+    if len(body) != expected:
+        raise ValueError(f"{path}: body holds {len(body)} bytes, expected {expected}")
+    symbols = unpack_body(body, p, payload_len)
+    # a w-bit field holds values up to 2^w - 1 >= p
     if symbols.size and symbols.max() >= p:
         raise ValueError(f"{path}: symbol out of field range")
-    return header, symbols
+    return header, symbols.astype(np.int64)
 
 
 def sha256_file(path: Path) -> str:
@@ -176,7 +245,7 @@ class Manifest:
         data = asdict(self)
         data["lambdas"] = list(self.lambdas)
         data["mus"] = list(self.mus)
-        (directory / MANIFEST_NAME).write_text(json.dumps(data, indent=2) + "\n")
+        _write_replacing(directory / MANIFEST_NAME, (json.dumps(data, indent=2) + "\n").encode())
 
     @classmethod
     def load(cls, directory: Path) -> "Manifest":
@@ -184,6 +253,11 @@ class Manifest:
         if not path.exists():
             raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
         data = json.loads(path.read_text())
+        if data.get("format") != FORMAT_VERSION:
+            raise ValueError(
+                f"{path}: store is in chunk format {data.get('format')}, but this version "
+                f"reads format {FORMAT_VERSION} only; re-encode the original file"
+            )
         data["lambdas"] = tuple(data["lambdas"])
         data["mus"] = tuple(data["mus"])
         return cls(**data)

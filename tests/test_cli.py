@@ -1,11 +1,13 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from mscr.cli import main
 from mscr.oracle import recount
-from mscr.storage import Manifest, read_chunk, sha256_file, write_chunk
+from mscr.storage import Manifest, chunk_bytes, read_chunk, sha256_file, write_chunk
 
 
 def run_cli(*argv):
@@ -146,7 +148,7 @@ class TestVerifyAndDecode:
         header, symbols = read_chunk(path, manifest.chunks["2"]["sha256"])
         pos = stripe * params.N + 7
         symbols[pos] = (symbols[pos] + 1) % params.p
-        write_chunk(path, header, symbols)
+        write_chunk(path, chunk_bytes(header, symbols))
         manifest.chunks["2"]["sha256"] = sha256_file(path)
         manifest.save(store)
         capsys.readouterr()
@@ -212,6 +214,22 @@ class TestCheckedReads:
         assert "node 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repair_checks_restored_chunks_before_writing(self, store6, capsys):
+        _, store, _ = store6
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        manifest = Manifest.load(store)
+        manifest.chunks["4"]["sha256"] = "0" * 64
+        manifest.save(store)
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5") == 2
+        err = capsys.readouterr().err
+        assert "node 4: restored chunk fails checksum verification" in err
+        assert "node 1" not in err
+        for i in (1, 4):
+            assert not (store / f"node{i}.mscr").exists()
+            assert (store / f"node{i}.mscr.failed").exists()
+        assert Manifest.load(store).failed == [1, 4]
+
     def test_repair_refuses_corrupt_helper(self, store6, capsys):
         _, store, _ = store6
         self.flip_bit(store / "node0.mscr")
@@ -248,6 +266,80 @@ class TestCheckedReads:
         assert run_cli("decode", "--dir", store, "--out", tmp_path / "x",
                        "--nodes", "0,9") == 2
         assert "node 9 out of range" in capsys.readouterr().err
+
+
+class TestChunkFormat:
+    @pytest.mark.parametrize("nkdh,p", [((6, 2, 3, 3), 7), ((6, 3, 4, 2), 257)])
+    def test_chunk_size_is_header_plus_packed_body(self, tmp_path, nkdh, p):
+        n, k, d, h = nkdh
+        store = tmp_path / "s"
+        assert run_cli("encode", "--n", n, "--k", k, "--d", d, "--h", h, "--p", p,
+                       "--random-bytes", 3001, "--out", store) == 0
+        manifest = Manifest.load(store)
+        payload_len = manifest.stripe_count * manifest.params().N
+        w = math.ceil(math.log2(p))
+        header = 4 + 9 * 4 + 4 * (n + (d - k + 1) - 1)
+        body = payload_len * (w // 8) + (w % 8) * math.ceil(payload_len / 8)
+        for i in range(n):
+            assert (store / f"node{i}.mscr").stat().st_size == header + body
+        # no temporary file is left behind
+        assert sorted(f.name for f in store.iterdir()) == sorted(
+            ["manifest.json", "source.bin"] + [f"node{i}.mscr" for i in range(n)])
+
+    @pytest.mark.parametrize("argv", [
+        ("verify",), ("decode", "--out", "x.bin"), ("repair", "--helpers", "2,3"),
+    ], ids=["verify", "decode", "repair"])
+    def test_store_in_another_format_rejected(self, encoded_dir, capsys, argv):
+        tmp_path, store, _ = encoded_dir
+        path = store / "manifest.json"
+        data = json.loads(path.read_text())
+        data["format"] = 1
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_cli(argv[0], "--dir", store, *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert "format 1" in err and "format 2" in err and "re-encode" in err
+        assert not (tmp_path / "x.bin").exists()
+
+
+class TestGoldenChunks:
+    """Pins of every chunk of two fixed encodes: (byte length, sha256).
+
+    A change of the chunk layout must update these on purpose, bump
+    storage.FORMAT_VERSION, and say so in CHANGES.md.
+    """
+
+    DATA = bytes((7 * i + 3) % 256 for i in range(100))
+    PINS = {
+        ((4, 1, 2, 2), 5): [
+            (222, "f63db31c3b56b6dbc8d8acc5b84caa8258abb94c978a7ba70a60a38959ed880b"),
+            (222, "368695a183c4dd3e92cec50f4d60e1018451990563d4d5b218996e80d2197abe"),
+            (222, "9f90e5eb9add24735848b98b7f362d828818d1f890ca16347fde7a45f8b34d6d"),
+            (222, "32837e285df5122b0a05dcd26115847235e9018bcd7486f21a223efe82919209"),
+        ],
+        ((6, 3, 4, 2), 257): [
+            (284, "ff0f2ce2c24edc7aaa45c860c9d50b5c973ba37a3e23e8b015775bebfaf8a3dc"),
+            (284, "6d025c63ca4c1ecf55847029a0f61886202d6232c04cbbddbe71298bf8ae1a90"),
+            (284, "795f4253eec90ca8a885196a973e9171de690a84e1a6774b695aa0b31b18916a"),
+            (284, "b42967dadf5d9e759623955c28e2a9362c3e6c46b78df440a4e36a6f449789e3"),
+            (284, "b2de1e6c949e57e036465ebd8d63da3cc73c805dadf107cdae57609674e1c661"),
+            (284, "67547d8fecbc19ec7dab282774dd6b077f099f36d12045a47be6548043445848"),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", list(PINS), ids=["4122-p5", "6342-p257"])
+    def test_pinned_chunks(self, tmp_path, case):
+        (n, k, d, h), p = case
+        src = tmp_path / "in.bin"
+        src.write_bytes(self.DATA)
+        store = tmp_path / "s"
+        assert run_cli("encode", "--n", n, "--k", k, "--d", d, "--h", h, "--p", p,
+                       "--input", src, "--out", store) == 0
+        got = []
+        for i in range(n):
+            raw = (store / f"node{i}.mscr").read_bytes()
+            got.append((len(raw), hashlib.sha256(raw).hexdigest()))
+        assert got == self.PINS[case]
 
 
 class TestTableAndParams:

@@ -1,25 +1,48 @@
+import hashlib
+import json
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mscr import storage
 from mscr.code import encode, validate_params
 from mscr.storage import (
     ChecksumMismatchError,
     ChunkHeader,
     FORMAT_VERSION,
+    MANIFEST_NAME,
     Manifest,
     bits_per_symbol,
+    chunk_bytes,
     chunk_name,
     decode_file,
     encode_file,
+    pack_body,
     pack_bytes,
     read_chunk,
     sha256_file,
+    stored_width,
     symbols_per_stripe,
+    unpack_body,
     unpack_symbols,
     write_chunk,
 )
+
+
+def expected_body_length(payload_len, p):
+    # written out from the format description, independently of storage.body_length
+    w = math.ceil(math.log2(p))
+    return payload_len * (w // 8) + (w % 8) * math.ceil(payload_len / 8)
+
+
+def chunk_header(params, node, payload_len):
+    return ChunkHeader(
+        FORMAT_VERSION, params.n, params.k, params.d, params.h, params.p,
+        node, payload_len, bits_per_symbol(params.p), params.lambdas, params.mus,
+    )
 
 
 class TestPacking:
@@ -52,17 +75,11 @@ class TestPacking:
 
 
 class TestChunkIO:
-    def _header(self, params, node, payload_len):
-        return ChunkHeader(
-            FORMAT_VERSION, params.n, params.k, params.d, params.h, params.p,
-            node, payload_len, bits_per_symbol(params.p), params.lambdas, params.mus,
-        )
-
     def test_roundtrip(self, tmp_path, example1):
         symbols = np.arange(96, dtype=np.int64) % example1.p
-        header = self._header(example1, 2, 96)
+        header = chunk_header(example1, 2, 96)
         path = tmp_path / chunk_name(2)
-        write_chunk(path, header, symbols)
+        write_chunk(path, chunk_bytes(header, symbols))
         got_header, got_symbols = read_chunk(path, sha256_file(path))
         assert got_header == header
         assert np.array_equal(got_symbols, symbols)
@@ -76,9 +93,9 @@ class TestChunkIO:
 
     def test_truncated_body_rejected(self, tmp_path, example1):
         symbols = np.zeros(48, dtype=np.int64)
-        header = self._header(example1, 0, 48)
+        header = chunk_header(example1, 0, 48)
         path = tmp_path / chunk_name(0)
-        write_chunk(path, header, symbols)
+        write_chunk(path, chunk_bytes(header, symbols))
         raw = path.read_bytes()
         path.write_bytes(raw[:-2])
         with pytest.raises(ValueError, match="body"):
@@ -86,7 +103,7 @@ class TestChunkIO:
 
     def test_checksum_checked_before_parsing(self, tmp_path, example1):
         path = tmp_path / chunk_name(0)
-        write_chunk(path, self._header(example1, 0, 48), np.zeros(48, dtype=np.int64))
+        write_chunk(path, chunk_bytes(chunk_header(example1, 0, 48), np.zeros(48, dtype=np.int64)))
         digest = sha256_file(path)
         raw = bytearray(path.read_bytes())
         raw[0] ^= 1  # the damaged magic would fail to parse
@@ -95,9 +112,9 @@ class TestChunkIO:
             read_chunk(path, digest)
 
     def test_out_of_field_symbol_rejected(self, tmp_path, example1):
-        header = self._header(example1, 0, 2)
+        header = chunk_header(example1, 0, 2)
         with pytest.raises(ValueError, match="reduced"):
-            write_chunk(tmp_path / "x.mscr", header, np.array([0, 5], dtype=np.int64))
+            chunk_bytes(header, np.array([0, 5], dtype=np.int64))
 
     def test_sha256(self, tmp_path):
         path = tmp_path / "f"
@@ -105,6 +122,109 @@ class TestChunkIO:
         assert sha256_file(path) == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
+
+
+class TestBodyPacking:
+    def test_stored_width(self):
+        assert [stored_width(p) for p in (2, 3, 5, 7, 257, 65521)] == [1, 2, 3, 3, 9, 16]
+
+    def test_layout_by_hand(self):
+        # p=257, w=9: one byte plane (low bytes), then the plane of bit 8
+        assert pack_body(np.array([256, 1, 255]), 257) == bytes([0, 1, 255, 0b10000000])
+        # p=7, w=3: bit planes 0, 1, 2 of (5, 3, 6) = (101, 011, 110)
+        assert pack_body(np.array([5, 3, 6]), 7) == bytes([0b11000000, 0b01100000, 0b10100000])
+
+    @settings(deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 17, 257, 65521]).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), max_size=100))))
+    def test_roundtrip(self, case):
+        p, values = case
+        body = pack_body(np.array(values, dtype=np.int64), p)
+        assert len(body) == expected_body_length(len(values), p)
+        assert unpack_body(body, p, len(values)).tolist() == values
+
+
+class TestPackedBodyRejected:
+    """Bodies whose sha256 matches the manifest but that do not parse."""
+
+    P, LENGTH = 257, 13  # 9-bit fields, and a length that is no multiple of 8
+
+    def chunk(self, tmp_path, raw):
+        path = tmp_path / chunk_name(0)
+        path.write_bytes(raw)
+        return path, hashlib.sha256(raw).hexdigest()
+
+    def valid(self):
+        header = chunk_header(validate_params(6, 3, 4, 2, p=self.P), 0, self.LENGTH)
+        return chunk_bytes(header, np.arange(self.LENGTH, dtype=np.int64))
+
+    def test_packed_value_p_rejected(self, tmp_path):
+        raw = self.valid()
+        head = raw[: len(raw) - expected_body_length(self.LENGTH, self.P)]
+        symbols = np.arange(self.LENGTH, dtype=np.int64)
+        symbols[5] = self.P  # fits in the 9-bit field, but is no field element
+        path, digest = self.chunk(tmp_path, head + pack_body(symbols, self.P))
+        with pytest.raises(ValueError, match="out of field range"):
+            read_chunk(path, digest)
+
+    @pytest.mark.parametrize("edit", [lambda raw: raw[:-1], lambda raw: raw + b"\x00"],
+                             ids=["one-byte-short", "one-byte-long"])
+    def test_wrong_body_length_rejected(self, tmp_path, edit):
+        path, digest = self.chunk(tmp_path, edit(self.valid()))
+        with pytest.raises(ValueError, match="body holds"):
+            read_chunk(path, digest)
+
+
+class TestCrashSafeWrites:
+    """A write that fails partway leaves the previous file and no partial one."""
+
+    @pytest.fixture()
+    def fail_halfway(self, monkeypatch):
+        real_open = open
+
+        class HalfWrite:
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        def arm():
+            monkeypatch.setattr(storage, "open", HalfWrite, raising=False)
+
+        return arm
+
+    def test_chunk_write(self, tmp_path, example1, fail_halfway):
+        header = chunk_header(example1, 0, 48)
+        path = tmp_path / chunk_name(0)
+        old = chunk_bytes(header, np.zeros(48, dtype=np.int64))
+        write_chunk(path, old)
+        fail_halfway()
+        with pytest.raises(OSError, match="No space"):
+            write_chunk(path, chunk_bytes(header, np.ones(48, dtype=np.int64)))
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_manifest_save(self, tmp_path, fail_halfway):
+        manifest = Manifest(
+            format=FORMAT_VERSION, n=4, k=1, d=2, h=2, p=5, lambdas=(0, 1, 2, 3), mus=(4,),
+            bits_per_symbol=2, original_length=100, stripe_count=9, chunks={}, failed=[],
+        )
+        manifest.save(tmp_path)
+        old = (tmp_path / MANIFEST_NAME).read_bytes()
+        fail_halfway()
+        manifest.failed = [1, 2]
+        with pytest.raises(OSError, match="No space"):
+            manifest.save(tmp_path)
+        assert (tmp_path / MANIFEST_NAME).read_bytes() == old
+        assert list(tmp_path.iterdir()) == [tmp_path / MANIFEST_NAME]
 
 
 class TestManifest:
@@ -124,6 +244,12 @@ class TestManifest:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
+            Manifest.load(tmp_path)
+
+    @pytest.mark.parametrize("version", [1, 3, None])
+    def test_other_format_rejected(self, tmp_path, version):
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps({"format": version}))
+        with pytest.raises(ValueError, match=f"format {version}.* format 2 only; re-encode"):
             Manifest.load(tmp_path)
 
 

@@ -6,16 +6,12 @@ bandwidth bound, and exact repair-bandwidth / disk-access accounting.
 """
 
 from .code import (
-    Codeword,
     CodeParams,
     InconsistentCodewordError,
-    NodeVector,
     encode,
     erase_decode,
-    make_node_vector,
     parity_residual,
     random_message,
-    reconstruct,
     validate_params,
 )
 from .field import FieldContext, SingularMatrixError
@@ -43,10 +39,8 @@ __all__ = [
     "AccessLog",
     "Bounds",
     "CodeParams",
-    "Codeword",
     "FieldContext",
     "InconsistentCodewordError",
-    "NodeVector",
     "OracleReport",
     "RepairJob",
     "RepairMessage",
@@ -61,11 +55,9 @@ __all__ = [
     "encode",
     "erase_decode",
     "g_ratio",
-    "make_node_vector",
     "naive_repair",
     "parity_residual",
     "random_message",
-    "reconstruct",
     "recount",
     "run_repair",
     "validate_params",

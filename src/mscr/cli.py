@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, oracle, storage
-from .code import NodeVector, failing_checks, validate_params
+from .code import failing_checks, validate_params
 from .metrics import RepairMetrics
 from .repair import RepairJob, run_repair
 
@@ -189,13 +189,10 @@ def cmd_repair(args) -> int:
     first_transcript = None
     for st in range(stripes):
         sl = slice(st * params.N, (st + 1) * params.N)
-        cols = {
-            u: NodeVector(u, body[sl].reshape(params.planes, params.s_pow_n))
-            for u, body in helper_bodies.items()
-        }
+        cols = {u: body[sl].reshape(params.planes, params.s_pow_n) for u, body in helper_bodies.items()}
         repaired, transcript = run_repair(job, cols)
-        for col in repaired:
-            repaired_bodies[col.index][sl] = col.symbols.reshape(-1)
+        for i, col in repaired.items():
+            repaired_bodies[i][sl] = col.reshape(-1)
         if st == 0:
             first_transcript = transcript
 

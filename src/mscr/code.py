@@ -19,8 +19,9 @@ failing_checks take every stripe of every node at once, as an
 (n, stripes, planes, s^n) array or a list of n (stripes, planes, s^n)
 columns.  Per plane they gather the right-hand sides of every block of every
 stripe into the columns of one matrix, so a whole file costs one product per
-plane.  encode, erase_decode and reconstruct are the one-stripe forms over
-Codeword objects.
+plane.  encode and erase_decode are the one-stripe forms: a codeword is an
+(n, planes, s^n) array, and a set of known columns is a dict from node index
+to its (planes, s^n) column.
 """
 
 from __future__ import annotations
@@ -124,21 +125,8 @@ def validate_params(
     )
 
 
-@dataclass(eq=False)
-class NodeVector:
-    """One node's stored column: symbols[b-1, a] = c[index, b, a]."""
-
-    index: int
-    symbols: np.ndarray  # shape (planes, s**n), dtype int64, values in [0, p)
-
-    def symbol(self, b: int, a: int) -> int:
-        return int(self.symbols[b - 1, a])
-
-    def copy(self) -> "NodeVector":
-        return NodeVector(self.index, self.symbols.copy())
-
-
 def _as_column_array(params: CodeParams, symbols) -> np.ndarray:
+    """One node's column as int64 (planes, s^n), from that shape or N flat symbols."""
     arr = np.asarray(symbols, dtype=np.int64)
     if arr.shape == (params.N,):
         arr = arr.reshape(params.planes, params.s_pow_n)
@@ -152,68 +140,13 @@ def _as_column_array(params: CodeParams, symbols) -> np.ndarray:
     return arr
 
 
-def make_node_vector(params: CodeParams, index: int, symbols) -> NodeVector:
-    if not 0 <= index < params.n:
-        raise ValueError(f"node index {index} out of range [0,{params.n})")
-    return NodeVector(index, _as_column_array(params, symbols))
-
-
-class Codeword:
-    """n node columns plus the parameters they satisfy."""
-
-    def __init__(self, params: CodeParams, columns: list[NodeVector]):
-        if len(columns) != params.n:
-            raise ValueError(f"codeword needs {params.n} columns, got {len(columns)}")
-        by_index = {c.index for c in columns}
-        if by_index != set(range(params.n)):
-            raise ValueError(f"column indices must be 0..{params.n - 1}, got {sorted(by_index)}")
-        self.params = params
-        self.columns = [
-            NodeVector(c.index, _as_column_array(params, c.symbols))
-            for c in sorted(columns, key=lambda c: c.index)
-        ]
-
-    @classmethod
-    def zero(cls, params: CodeParams) -> "Codeword":
-        shape = (params.planes, params.s_pow_n)
-        return cls(params, [NodeVector(i, np.zeros(shape, dtype=np.int64)) for i in range(params.n)])
-
-    @classmethod
-    def from_array(cls, params: CodeParams, arr: np.ndarray) -> "Codeword":
-        return cls(params, [NodeVector(i, arr[i].copy()) for i in range(params.n)])
-
-    def column(self, i: int) -> NodeVector:
-        return self.columns[i]
-
-    def as_array(self) -> np.ndarray:
-        """Stacked symbols, shape (n, planes, s**n)."""
-        return np.stack([c.symbols for c in self.columns])
-
-    def symbol(self, i: int, b: int, a) -> int:
-        if not isinstance(a, int):
-            a = vec_to_int(tuple(a), self.params.s)
-        return int(self.columns[i].symbols[b - 1, a])
-
-    def message(self) -> np.ndarray:
-        """The systematic content: columns [0, k) flattened in (node, b, a) order."""
-        k = self.params.k
-        return np.concatenate([self.columns[i].symbols.reshape(-1) for i in range(k)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Codeword)
-            and self.params == other.params
-            and all(np.array_equal(a.symbols, b.symbols) for a, b in zip(self.columns, other.columns))
-        )
-
-
-def parity_residual(cw: Codeword, t: int, b: int, a) -> int:
-    """Scalar evaluation of one parity check; zero on valid codewords.
+def parity_residual(params: CodeParams, cw: np.ndarray, t: int, b: int, a) -> int:
+    """Scalar evaluation of one parity check of the codeword cw, an
+    (n, planes, s^n) array; zero on valid codewords.
 
     Deliberately independent of the vectorized solver path: plain field
     arithmetic over the definition, usable as an oracle against it.
     """
-    params = cw.params
     ctx = params.field
     if not 0 <= t < params.r:
         raise ValueError(f"power index t={t} out of range [0,{params.r})")
@@ -231,11 +164,11 @@ def parity_residual(cw: Codeword, t: int, b: int, a) -> int:
         a_int = vec_to_int(digits, params.s)
     acc = 0
     for i in range(params.n):
-        acc = ctx.add(acc, ctx.mul(ctx.pow(params.lambdas[i], t), cw.symbol(i, b, a_int)))
+        acc = ctx.add(acc, ctx.mul(ctx.pow(params.lambdas[i], t), int(cw[i, b - 1, a_int])))
         if delta(digits[i]):
             for e in range(1, params.s):
                 a_sub = sub_index(a_int, i, e, params.s)
-                acc = ctx.add(acc, ctx.mul(ctx.pow(params.mus[e - 1], t), cw.symbol(i, b, a_sub)))
+                acc = ctx.add(acc, ctx.mul(ctx.pow(params.mus[e - 1], t), int(cw[i, b - 1, a_sub])))
     return acc
 
 
@@ -378,8 +311,9 @@ def random_message(params: CodeParams, seed: int = 0) -> np.ndarray:
     return rng.integers(0, params.p, size=params.message_length, dtype=np.int64)
 
 
-def encode(message, params: CodeParams) -> Codeword:
-    """Systematic encode: columns [0, k) store the message verbatim."""
+def encode(message, params: CodeParams) -> np.ndarray:
+    """Systematic encode into an (n, planes, s^n) codeword: columns [0, k)
+    store the message verbatim, in (node, plane, index) order."""
     msg = np.asarray(message, dtype=np.int64)
     if msg.shape != (params.message_length,):
         raise ValueError(f"message must hold k*N = {params.message_length} symbols, got {msg.shape}")
@@ -392,46 +326,25 @@ def encode(message, params: CodeParams) -> Codeword:
         solve_erased(params, arr, erased, check=False)
     except SingularMatrixError as exc:  # impossible for validated params
         raise AssertionError(f"encoder solve failed for valid params: {exc}") from exc
-    return Codeword.from_array(params, arr[:, 0])
+    return arr[:, 0]
 
 
-def _gather_available(params: CodeParams, available) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One stripe of the supplied columns, shape (n, 1, planes, s^n), and the missing indices."""
-    seen: dict[int, NodeVector] = {}
-    for col in available:
-        if not isinstance(col, NodeVector):
-            raise TypeError("available columns must be NodeVector instances")
-        if not 0 <= col.index < params.n:
-            raise ValueError(f"node index {col.index} out of range [0,{params.n})")
-        if col.index in seen:
-            raise ValueError(f"duplicate column for node {col.index}")
-        seen[col.index] = col
-    arr = np.zeros((params.n, 1, params.planes, params.s_pow_n), dtype=np.int64)
-    for i, col in seen.items():
-        arr[i, 0] = _as_column_array(params, col.symbols)
-    erased = tuple(i for i in range(params.n) if i not in seen)
-    return arr, erased
-
-
-def erase_decode(available, params: CodeParams) -> Codeword:
+def erase_decode(available: dict, params: CodeParams) -> np.ndarray:
     """Recover up to r = n-k missing columns from the ones supplied.
 
-    With fewer than r columns missing the system is overdetermined and the
-    supplied symbols are rejected (InconsistentCodewordError) unless they lie
-    on a codeword, matching the residual sweep exactly.
+    available maps node index to its column, shaped (planes, s^n) or N flat
+    symbols.  Returns the (n, planes, s^n) codeword.  With fewer than r
+    columns missing the system is overdetermined and the supplied symbols
+    are rejected (InconsistentCodewordError) unless they lie on a codeword,
+    matching the residual sweep exactly.
     """
-    arr, erased = _gather_available(params, available)
+    arr = np.zeros((params.n, 1, params.planes, params.s_pow_n), dtype=np.int64)
+    for i, col in available.items():
+        if not 0 <= i < params.n:
+            raise ValueError(f"node index {i} out of range [0,{params.n})")
+        arr[i, 0] = _as_column_array(params, col)
+    erased = tuple(i for i in range(params.n) if i not in available)
     if len(erased) > params.r:
         raise ValueError(f"{len(erased)} columns missing but only r={params.r} erasures are correctable")
     solve_erased(params, arr, erased, check=True)
-    return Codeword.from_array(params, arr[:, 0])
-
-
-def reconstruct(available, params: CodeParams) -> Codeword:
-    """Rebuild the unique codeword agreeing with exactly k supplied columns."""
-    cols = list(available)
-    if len(cols) != params.k:
-        raise ValueError(f"reconstruct needs exactly k={params.k} columns, got {len(cols)}")
-    arr, erased = _gather_available(params, cols)
-    solve_erased(params, arr, erased, check=True)
-    return Codeword.from_array(params, arr[:, 0])
+    return arr[:, 0]

@@ -1,8 +1,9 @@
 """Independent baselines for validating the repair pipeline.
 
-Deliberately reuses only the field layer and the any-k reconstruction from
-the code module, never the repair engine, so a repair bug cannot mask itself.
-Transcript recounting parses the exported text format from scratch.
+Deliberately reuses only the any-k decoder (code.erase_decode), never the
+repair engine, so a repair bug cannot mask itself.  Columns are passed as
+{node index: (planes, s^n) array}, as for repair.run_repair.  Transcript
+recounting parses the exported text format from scratch.
 """
 
 from __future__ import annotations
@@ -11,16 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code import CodeParams, NodeVector, reconstruct
+from .code import CodeParams, erase_decode
 from .indexing import int_to_vec
 
 
 @dataclass
 class NaiveRepairResult:
-    """Repair-by-reconstruction output with its bandwidth cost."""
+    """Repair-by-decoding output with its bandwidth cost."""
 
-    columns: list[NodeVector]  # ascending failed-node order
-    per_node_bandwidth: int  # kN: one full reconstruction per failed node
+    columns: dict[int, np.ndarray]  # failed node -> repaired column, ascending
+    per_node_bandwidth: int  # kN: one full decode per failed node
     total_bandwidth: int  # h * kN
 
 
@@ -31,33 +32,30 @@ class OracleReport:
     baseline_bandwidth: int = 0
 
 
-def naive_repair(failed, surviving, params: CodeParams) -> NaiveRepairResult:
-    """Classical MDS repair: download k whole columns, reconstruct, re-extract.
+def naive_repair(failed, surviving: dict, params: CodeParams) -> NaiveRepairResult:
+    """Classical MDS repair: download k whole columns, decode, re-extract.
 
     Uses the k lowest-indexed survivors.  Bandwidth is kN per failed node.
     """
     failed = sorted(set(failed))
-    by_index = {col.index: col for col in surviving}
-    if set(failed) & set(by_index):
+    if set(failed) & set(surviving):
         raise ValueError("failed nodes listed among the survivors")
-    if len(by_index) < params.k:
-        raise ValueError(f"need at least k={params.k} surviving columns, got {len(by_index)}")
-    chosen = [by_index[i] for i in sorted(by_index)[: params.k]]
-    cw = reconstruct(chosen, params)
-    cols = [cw.column(i).copy() for i in failed]
+    if len(surviving) < params.k:
+        raise ValueError(f"need at least k={params.k} surviving columns, got {len(surviving)}")
+    cw = erase_decode({i: surviving[i] for i in sorted(surviving)[: params.k]}, params)
     kn = params.k * params.N
-    return NaiveRepairResult(columns=cols, per_node_bandwidth=kn, total_bandwidth=len(failed) * kn)
+    return NaiveRepairResult(columns={i: cw[i] for i in failed}, per_node_bandwidth=kn,
+                             total_bandwidth=len(failed) * kn)
 
 
-def cross_check(cooperative_columns, naive: NaiveRepairResult, params: CodeParams) -> OracleReport:
+def cross_check(cooperative_columns: dict, naive: NaiveRepairResult, params: CodeParams) -> OracleReport:
     """Symbol-by-symbol comparison of the two repair pipelines' outputs."""
-    coop = {c.index: c for c in cooperative_columns}
-    base = {c.index: c for c in naive.columns}
+    coop, base = cooperative_columns, naive.columns
     if set(coop) != set(base):
         raise ValueError(f"pipelines repaired different nodes: {sorted(coop)} vs {sorted(base)}")
     mismatches = []
     for i in sorted(coop):
-        diff = coop[i].symbols != base[i].symbols
+        diff = coop[i] != base[i]
         for b0, a in zip(*np.nonzero(diff)):
             mismatches.append((i, int(b0) + 1, int_to_vec(int(a), params.n, params.s)))
     return OracleReport(

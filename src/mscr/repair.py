@@ -4,7 +4,9 @@ The engine is a deterministic in-process simulation.  Helpers serve payloads
 computed from their own column only, and each failed node's recovery is a
 function of the payloads it received only, never of the global codeword.
 Every download payload is delivered and processed before any cooperative
-payload is produced.
+payload is produced.  Columns are plain (planes, s^n) int64 arrays:
+run_repair takes the survivors as {node index: column} and returns the
+repaired columns the same way.
 
 Per failed node i (sorted position j in the failed set, repair plane
 P_j = d-k+j) the download phase carries, from every helper u,
@@ -30,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .code import CodeParams, NodeVector, _as_column_array
+from .code import CodeParams, _as_column_array
 from .field import matrix_inverse, vandermonde_matrix
 from .indexing import v_indices
 from .metrics import AccessLog
@@ -223,9 +225,6 @@ class RepairTranscript:
             out[key] = out.get(key, 0) + m.count
         return out
 
-    def total_symbols(self) -> int:
-        return sum(m.count for m in self.messages)
-
     def export_text(self) -> str:
         """One message per line: `phase from to count` then hex symbols."""
         lines = []
@@ -235,16 +234,17 @@ class RepairTranscript:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def run_repair(job: RepairJob, surviving) -> tuple[list[NodeVector], RepairTranscript]:
-    """Execute both phases; returns the h repaired columns (ascending) and
-    the full transcript with per-helper access logs attached."""
+def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], RepairTranscript]:
+    """Execute both phases.  surviving maps node index to its (planes, s^n)
+    column and must cover every helper; other entries are ignored.  Returns
+    {failed node: repaired column}, ascending, and the full transcript with
+    per-helper access logs attached."""
     params = job.params
     ctx = _context(job)
-    columns = _surviving_by_index(surviving)
-    missing = [u for u in job.helpers if u not in columns]
+    missing = [u for u in job.helpers if u not in surviving]
     if missing:
         raise ValueError(f"surviving columns must cover every helper; missing {missing}")
-    helper_cols = {u: _as_column_array(params, columns[u].symbols) for u in job.helpers}
+    helper_cols = {u: _as_column_array(params, surviving[u]) for u in job.helpers}
 
     transcript = RepairTranscript(job)
     transcript.access_logs = {u: AccessLog(u) for u in job.helpers}
@@ -265,21 +265,4 @@ def run_repair(job: RepairJob, surviving) -> tuple[list[NodeVector], RepairTrans
             transcript.append(RepairMessage(COOPERATIVE, sender, receiver, payload.reshape(-1)))
             _receive_cooperative(ctx, planes[receiver], sender, payload)
 
-    repaired = [NodeVector(i, planes[i]) for i in job.failed]
-    return repaired, transcript
-
-
-def _surviving_by_index(surviving) -> dict[int, NodeVector]:
-    if isinstance(surviving, dict):
-        items = surviving.values()
-    else:
-        items = surviving
-    out: dict[int, NodeVector] = {}
-    for col in items:
-        if not isinstance(col, NodeVector):
-            raise TypeError("surviving columns must be NodeVector instances")
-        if col.index in out:
-            raise ValueError(f"duplicate surviving column for node {col.index}")
-        out[col.index] = col
-    return out
-
+    return planes, transcript

@@ -22,7 +22,8 @@ one byte of every symbol, low byte first; then w mod 8 bit planes, each the
 np.packbits of one bit of every symbol, lowest remaining bit first.  So a
 body is payload_len * floor(w/8) + (w mod 8) * ceil(payload_len/8) bytes
 (body_length).  Chunks and the manifest are written to a temporary file
-beside their destination, then renamed over it.
+beside their destination, synced, renamed over it, and the directory is
+synced after the rename.
 """
 
 from __future__ import annotations
@@ -97,11 +98,6 @@ class ChunkHeader:
     lambdas: tuple[int, ...]
     mus: tuple[int, ...]
 
-    def params(self) -> CodeParams:
-        return validate_params(
-            self.n, self.k, self.d, self.h, p=self.p, lambdas=self.lambdas, mus=self.mus
-        )
-
 
 def stored_width(p: int) -> int:
     """Bits per stored symbol, ceil(log2 p); at most 16, as p < 2^16."""
@@ -157,8 +153,9 @@ def chunk_bytes(header: ChunkHeader, symbols: np.ndarray) -> bytes:
 
 
 def _write_replacing(path: Path, data: bytes) -> None:
-    """Write `data` to a temporary file beside `path`, sync it, then rename it
-    over `path`: a crash leaves the old file or the new one, never a partial one."""
+    """Write `data` to a temporary file beside `path`, sync it, rename it over
+    `path` and sync the directory: a crash leaves the old file or the new one,
+    never a partial one, and a completed call survives a power loss."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -169,6 +166,12 @@ def _write_replacing(path: Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    # the rename is durable only once the directory entry itself is synced
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_chunk(path: Path, data: bytes) -> None:
@@ -215,10 +218,6 @@ def read_chunk(path: Path, sha256: str) -> tuple[ChunkHeader, np.ndarray]:
     if symbols.size and symbols.max() >= p:
         raise ValueError(f"{path}: symbol out of field range")
     return header, symbols.astype(np.int64)
-
-
-def sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @dataclass

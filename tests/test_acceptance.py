@@ -14,7 +14,7 @@ import pytest
 
 from mscr import metrics
 from mscr.cli import main as cli_main
-from mscr.code import encode, erase_decode, random_message, reconstruct, validate_params
+from mscr.code import encode, erase_decode, random_message, validate_params
 from mscr.metrics import RepairMetrics, access_set, g_ratio
 from mscr.oracle import cross_check, naive_repair, recount
 from mscr.repair import RepairJob, run_repair
@@ -87,9 +87,9 @@ def test_criterion_2_golden_example():
     params = validate_params(4, 1, 2, 2, p=5)
     cw = encode(random_message(params, seed=2024), params)
     job = RepairJob(params, (0, 1), (2, 3))
-    repaired, transcript = run_repair(job, {u: cw.column(u) for u in (2, 3)})
-    for col in repaired:
-        assert np.array_equal(col.symbols, cw.column(col.index).symbols)
+    repaired, transcript = run_repair(job, {u: cw[u] for u in (2, 3)})
+    for i, col in repaired.items():
+        assert np.array_equal(col, cw[i])
     edges = transcript.per_edge_counts()
     for u in (2, 3):
         for i in (0, 1):
@@ -110,11 +110,11 @@ def test_criterion_3_mds_exhaustive():
         for trial in range(20):
             cw = encode(random_message(params, seed=3000 + trial), params)
             for subset in combinations(range(params.n), params.k):
-                assert reconstruct([cw.column(i) for i in subset], params) == cw
+                assert np.array_equal(erase_decode({i: cw[i] for i in subset}, params), cw)
             for size in range(1, params.r + 1):
                 for erased in combinations(range(params.n), size):
-                    available = [c for c in cw.columns if c.index not in erased]
-                    assert erase_decode(available, params) == cw
+                    available = {i: cw[i] for i in range(params.n) if i not in erased}
+                    assert np.array_equal(erase_decode(available, params), cw)
 
 
 @pytest.fixture(scope="module")
@@ -129,9 +129,7 @@ def all_repair_runs():
             for helpers in combinations(rest, params.d):
                 job = RepairJob(params, failed, helpers)
                 for cw in codewords:
-                    repaired, transcript = run_repair(
-                        job, {u: cw.column(u) for u in helpers}
-                    )
+                    repaired, transcript = run_repair(job, {u: cw[u] for u in helpers})
                     runs.append((params, job, cw, repaired, transcript))
     return runs
 
@@ -140,8 +138,8 @@ def all_repair_runs():
 def test_criterion_4_repair_exhaustive(all_repair_runs):
     assert len(all_repair_runs) == 2 * (6 + 10 + 15 + 20)
     for params, job, cw, repaired, transcript in all_repair_runs:
-        for col in repaired:
-            assert np.array_equal(col.symbols, cw.column(col.index).symbols)
+        for i, col in repaired.items():
+            assert np.array_equal(col, cw[i])
         planes = params.d - params.k + params.h
         beta = params.N // planes
         edges = transcript.per_edge_counts()
@@ -175,8 +173,8 @@ def test_criterion_6_oracle_equivalence():
             rest = [i for i in range(params.n) if i not in failed]
             helpers = tuple(sorted(rng.sample(rest, params.d)))
             job = RepairJob(params, failed, helpers)
-            repaired, transcript = run_repair(job, {u: cw.column(u) for u in helpers})
-            naive = naive_repair(failed, [cw.column(i) for i in rest], params)
+            repaired, transcript = run_repair(job, {u: cw[u] for u in helpers})
+            naive = naive_repair(failed, {i: cw[i] for i in rest}, params)
             report = cross_check(repaired, naive, params)
             assert report.match, report.mismatches
             planes = params.d - params.k + params.h

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from mscr import cli
 from mscr.cli import main
 from mscr.oracle import recount
-from mscr.storage import Manifest, chunk_bytes, read_chunk, sha256_file, write_chunk
+from mscr.repair import RepairTranscript
+from mscr.storage import Manifest, chunk_bytes, read_chunk, write_chunk
 
 
 def run_cli(*argv):
@@ -149,7 +151,7 @@ class TestVerifyAndDecode:
         pos = stripe * params.N + 7
         symbols[pos] = (symbols[pos] + 1) % params.p
         write_chunk(path, chunk_bytes(header, symbols))
-        manifest.chunks["2"]["sha256"] = sha256_file(path)
+        manifest.chunks["2"]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
         manifest.save(store)
         capsys.readouterr()
         assert run_cli("verify", "--dir", store) == 1
@@ -340,6 +342,37 @@ class TestGoldenChunks:
             raw = (store / f"node{i}.mscr").read_bytes()
             got.append((len(raw), hashlib.sha256(raw).hexdigest()))
         assert got == self.PINS[case]
+
+
+class TestBenchmarkContract:
+    """perfbench/tracer.py wraps cli.run_repair and derives the traced gamma and
+    helper-access totals from one call per stripe and each call's transcript.
+    A change to that shape has to change the benchmark first."""
+
+    def test_one_run_repair_call_per_stripe(self, tmp_path, monkeypatch):
+        store = tmp_path / "store"
+        assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
+                       "--random-bytes", 40, "--seed", 1, "--out", store) == 0
+        assert run_cli("fail", "--dir", store, "--nodes", "0,1") == 0
+        results = []
+        real = cli.run_repair
+
+        def counting(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_repair", counting)
+        assert run_cli("repair", "--dir", store, "--helpers", "2,3") == 0
+        stripes = Manifest.load(store).stripe_count
+        assert stripes >= 3
+        assert len(results) == stripes
+        for result in results:
+            transcript = result[1]
+            assert isinstance(transcript, RepairTranscript)
+            assert sum(m.count for m in transcript.messages) == 96
+            assert {m.phase for m in transcript.messages} == {"download", "cooperative"}
+            assert sorted(transcript.access_logs) == [2, 3]
+            assert [log.count() for log in transcript.access_logs.values()] == [44, 44]
 
 
 class TestTableAndParams:

@@ -199,7 +199,7 @@ class TestMeasuredMetrics:
         failed = tuple(range(params.h))
         helpers = tuple(range(params.h, params.h + params.d))
         job = RepairJob(params, failed, helpers)
-        _, transcript = run_repair(job, {u: cw.column(u) for u in helpers})
+        _, transcript = run_repair(job, {u: cw[u] for u in helpers})
         m = RepairMetrics.from_run(job, transcript)
         planes = params.d - params.k + params.h
         assert m.beta1 == params.N // planes

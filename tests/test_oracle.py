@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mscr.code import Codeword, validate_params
+from mscr.code import validate_params
 from mscr.oracle import cross_check, naive_repair, recount
 from mscr.repair import RepairJob, run_repair
 
@@ -10,10 +10,10 @@ from conftest import PARAM_SETS, make_codeword
 
 class TestNaiveRepair:
     def test_matches_truth_small(self, example1, example1_codeword):
-        result = naive_repair((0, 1), [example1_codeword.column(i) for i in (2, 3)], example1)
-        assert [c.index for c in result.columns] == [0, 1]
-        for col in result.columns:
-            assert np.array_equal(col.symbols, example1_codeword.column(col.index).symbols)
+        result = naive_repair((0, 1), {i: example1_codeword[i] for i in (2, 3)}, example1)
+        assert list(result.columns) == [0, 1]
+        for i, col in result.columns.items():
+            assert np.array_equal(col, example1_codeword[i])
         assert result.per_node_bandwidth == 48
         assert result.total_bandwidth == 96
 
@@ -22,52 +22,52 @@ class TestNaiveRepair:
         # h(d+h-1)N/(d-k+h), which is strictly less once k > 1
         params = validate_params(6, 3, 4, 2)
         cw = make_codeword(params, seed=59)
-        survivors = [cw.column(i) for i in range(2, 6)]
+        survivors = {i: cw[i] for i in range(2, 6)}
         naive = naive_repair((0, 1), survivors, params)
         assert naive.total_bandwidth == 2 * 3 * params.N
         job = RepairJob(params, (0, 1), (2, 3, 4, 5))
-        _, transcript = run_repair(job, {u: cw.column(u) for u in (2, 3, 4, 5)})
-        gamma = transcript.total_symbols()
+        _, transcript = run_repair(job, {u: cw[u] for u in (2, 3, 4, 5)})
+        gamma = sum(transcript.per_edge_counts().values())
         assert gamma == 2 * 5 * params.N // 3
         assert gamma < naive.total_bandwidth
 
     def test_zero_codeword(self, example1):
-        zero = Codeword.zero(example1)
-        result = naive_repair((0, 1), [zero.column(2), zero.column(3)], example1)
-        for col in result.columns:
-            assert not col.symbols.any()
+        zero = np.zeros((example1.planes, example1.s_pow_n), dtype=np.int64)
+        result = naive_repair((0, 1), {2: zero, 3: zero}, example1)
+        for col in result.columns.values():
+            assert not col.any()
 
     def test_too_few_survivors(self, example1):
         with pytest.raises(ValueError, match="at least k"):
-            naive_repair((0, 1), [], example1)
+            naive_repair((0, 1), {}, example1)
 
     def test_failed_among_survivors_rejected(self, example1, example1_codeword):
         with pytest.raises(ValueError, match="survivors"):
-            naive_repair((0, 1), [example1_codeword.column(1)], example1)
+            naive_repair((0, 1), {1: example1_codeword[1]}, example1)
 
 
 class TestCrossCheck:
     def test_identical_match(self, example1, example1_codeword):
-        naive = naive_repair((0, 1), [example1_codeword.column(i) for i in (2, 3)], example1)
+        naive = naive_repair((0, 1), {i: example1_codeword[i] for i in (2, 3)}, example1)
         job = RepairJob(example1, (0, 1), (2, 3))
-        coop, _ = run_repair(job, {u: example1_codeword.column(u) for u in (2, 3)})
+        coop, _ = run_repair(job, {u: example1_codeword[u] for u in (2, 3)})
         report = cross_check(coop, naive, example1)
         assert report.match and report.mismatches == []
         assert report.baseline_bandwidth == 48
 
     def test_corruption_pinpointed(self, example1, example1_codeword):
-        naive = naive_repair((0, 1), [example1_codeword.column(i) for i in (2, 3)], example1)
+        naive = naive_repair((0, 1), {i: example1_codeword[i] for i in (2, 3)}, example1)
         job = RepairJob(example1, (0, 1), (2, 3))
-        coop, _ = run_repair(job, {u: example1_codeword.column(u) for u in (2, 3)})
-        coop[1].symbols[2, 5] = (coop[1].symbols[2, 5] + 1) % 5
+        coop, _ = run_repair(job, {u: example1_codeword[u] for u in (2, 3)})
+        coop[1][2, 5] = (coop[1][2, 5] + 1) % 5
         report = cross_check(coop, naive, example1)
         assert not report.match
         assert report.mismatches == [(1, 3, (1, 0, 1, 0))]
 
     def test_node_set_mismatch_rejected(self, example1, example1_codeword):
-        naive = naive_repair((0, 1), [example1_codeword.column(i) for i in (2, 3)], example1)
+        naive = naive_repair((0, 1), {i: example1_codeword[i] for i in (2, 3)}, example1)
         with pytest.raises(ValueError, match="different nodes"):
-            cross_check([example1_codeword.column(2)], naive, example1)
+            cross_check({2: example1_codeword[2]}, naive, example1)
 
     @pytest.mark.parametrize("nkdh", PARAM_SETS)
     def test_pipelines_agree_randomized(self, nkdh):
@@ -81,15 +81,15 @@ class TestCrossCheck:
             rest = [i for i in range(params.n) if i not in failed]
             helpers = tuple(sorted(rng.sample(rest, params.d)))
             job = RepairJob(params, failed, helpers)
-            coop, _ = run_repair(job, {u: cw.column(u) for u in helpers})
-            naive = naive_repair(failed, [cw.column(i) for i in rest], params)
+            coop, _ = run_repair(job, {u: cw[u] for u in helpers})
+            naive = naive_repair(failed, {i: cw[i] for i in rest}, params)
             assert cross_check(coop, naive, params).match
 
 
 class TestRecount:
     def test_small_transcript(self, example1, example1_codeword):
         job = RepairJob(example1, (0, 1), (2, 3))
-        _, transcript = run_repair(job, {u: example1_codeword.column(u) for u in (2, 3)})
+        _, transcript = run_repair(job, {u: example1_codeword[u] for u in (2, 3)})
         result = recount(transcript.export_text())
         assert result.gamma == 96
         assert result.per_edge == transcript.per_edge_counts()

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mscr.code import Codeword, encode, random_message, validate_params
+from mscr.code import encode, random_message, validate_params
 from mscr.indexing import sub_index, v_indices
 from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, run_repair
 
@@ -55,9 +55,9 @@ class TestRunRepair:
         for failed in combinations(range(params.n), params.h):
             helpers = tuple(i for i in range(params.n) if i not in failed)
             job = RepairJob(params, failed, helpers)
-            repaired, transcript = run_repair(job, {u: cw.column(u) for u in helpers})
-            for col in repaired:
-                assert np.array_equal(col.symbols, cw.column(col.index).symbols)
+            repaired, transcript = run_repair(job, {u: cw[u] for u in helpers})
+            for i, col in repaired.items():
+                assert np.array_equal(col, cw[i])
             counts = transcript.per_edge_counts()
             assert set(counts.values()) == {16}
             assert len(counts) == params.d * params.h + params.h * (params.h - 1)
@@ -67,17 +67,17 @@ class TestRunRepair:
         params = validate_params(6, 2, 3, 2)
         cw = make_codeword(params, seed=41)
         job = RepairJob(params, (1, 4), (0, 2, 5))
-        repaired, _ = run_repair(job, {u: cw.column(u) for u in (0, 2, 5)})
-        assert np.array_equal(repaired[0].symbols, cw.column(1).symbols)
-        assert np.array_equal(repaired[1].symbols, cw.column(4).symbols)
+        repaired, _ = run_repair(job, {u: cw[u] for u in (0, 2, 5)})
+        assert np.array_equal(repaired[1], cw[1])
+        assert np.array_equal(repaired[4], cw[4])
 
     def test_three_failures(self):
         params = validate_params(6, 2, 3, 3)
         cw = make_codeword(params, seed=43)
         job = RepairJob(params, (0, 3, 5), (1, 2, 4))
-        repaired, transcript = run_repair(job, {u: cw.column(u) for u in (1, 2, 4)})
-        for col in repaired:
-            assert np.array_equal(col.symbols, cw.column(col.index).symbols)
+        repaired, transcript = run_repair(job, {u: cw[u] for u in (1, 2, 4)})
+        for i, col in repaired.items():
+            assert np.array_equal(col, cw[i])
         counts = transcript.per_edge_counts()
         assert set(counts.values()) == {params.N // params.planes}
         coop_edges = [e for e in counts if e[0] == COOPERATIVE]
@@ -87,46 +87,51 @@ class TestRunRepair:
         params = validate_params(5, 2, 4, 1)
         cw = make_codeword(params, seed=47)
         job = RepairJob(params, (3,), (0, 1, 2, 4))
-        repaired, transcript = run_repair(job, {u: cw.column(u) for u in (0, 1, 2, 4)})
-        assert np.array_equal(repaired[0].symbols, cw.column(3).symbols)
+        repaired, transcript = run_repair(job, {u: cw[u] for u in (0, 1, 2, 4)})
+        assert np.array_equal(repaired[3], cw[3])
         assert all(m.phase == DOWNLOAD for m in transcript.messages)
 
-    def test_extra_survivors_ignored(self, ex1):
-        params, cw, job = ex1
-        only_helpers, t1 = run_repair(job, {u: cw.column(u) for u in (2, 3)})
-        with_extra, t2 = run_repair(job, {u: cw.column(u) for u in (2, 3)})
-        for a, b in zip(only_helpers, with_extra):
-            assert np.array_equal(a.symbols, b.symbols)
+    def test_extra_survivors_ignored(self):
+        # n-h = 4 > d = 3: node 3 is a bystander; the second call also passes
+        # its column and the failed nodes' own columns
+        params = validate_params(6, 2, 3, 2)
+        cw = make_codeword(params, seed=37)
+        job = RepairJob(params, (1, 4), (0, 2, 5))
+        only_helpers, t1 = run_repair(job, {u: cw[u] for u in (0, 2, 5)})
+        with_extra, t2 = run_repair(job, dict(enumerate(cw)))
+        assert list(only_helpers) == list(with_extra) == [1, 4]
+        for i in (1, 4):
+            assert np.array_equal(only_helpers[i], with_extra[i])
         assert t1.export_text() == t2.export_text()
 
     def test_missing_helper_column_rejected(self, ex1):
         params, cw, job = ex1
         with pytest.raises(ValueError, match="missing"):
-            run_repair(job, {2: cw.column(2)})
+            run_repair(job, {2: cw[2]})
 
     def test_zero_codeword_repairs_to_zero(self, ex1):
         params, _, job = ex1
-        zero = Codeword.zero(params)
-        repaired, _ = run_repair(job, {u: zero.column(u) for u in job.helpers})
-        for col in repaired:
-            assert not col.symbols.any()
+        zero = np.zeros((params.planes, params.s_pow_n), dtype=np.int64)
+        repaired, _ = run_repair(job, {u: zero for u in job.helpers})
+        for col in repaired.values():
+            assert not col.any()
 
 
 class TestTranscript:
     def test_message_order_and_counts(self, ex1):
         params, cw, job = ex1
-        _, transcript = run_repair(job, {u: cw.column(u) for u in (2, 3)})
+        _, transcript = run_repair(job, {u: cw[u] for u in (2, 3)})
         heads = [(m.phase, m.sender, m.receiver) for m in transcript.messages]
         assert heads == [
             (DOWNLOAD, 2, 0), (DOWNLOAD, 3, 0),
             (DOWNLOAD, 2, 1), (DOWNLOAD, 3, 1),
             (COOPERATIVE, 1, 0), (COOPERATIVE, 0, 1),
         ]
-        assert transcript.total_symbols() == 96
+        assert sum(transcript.per_edge_counts().values()) == 96
 
     def test_export_format(self, ex1):
         params, cw, job = ex1
-        _, transcript = run_repair(job, {u: cw.column(u) for u in (2, 3)})
+        _, transcript = run_repair(job, {u: cw[u] for u in (2, 3)})
         lines = transcript.export_text().strip().splitlines()
         assert len(lines) == 6
         for line in lines:
@@ -138,7 +143,7 @@ class TestTranscript:
 
     def test_access_logs_attached(self, ex1):
         params, cw, job = ex1
-        _, transcript = run_repair(job, {u: cw.column(u) for u in (2, 3)})
+        _, transcript = run_repair(job, {u: cw[u] for u in (2, 3)})
         assert sorted(transcript.access_logs) == [2, 3]
         assert transcript.access_logs[2].count() == 44
 
@@ -158,7 +163,7 @@ class TestClosedForm:
         s = params.s
 
         def slices(node, i, plane):
-            col = cw.column(node).symbols
+            col = cw[node]
             v = v_indices(i, n, s)
             out = [int(col[plane - 1, a]) for a in v]
             for b in range(1, d - k + 1):
@@ -169,7 +174,7 @@ class TestClosedForm:
         for failed in combinations(range(n), h):
             helpers = tuple(i for i in range(n) if i not in failed)[:d]
             job = RepairJob(params, failed, helpers)
-            _, transcript = run_repair(job, {u: cw.column(u) for u in helpers})
+            _, transcript = run_repair(job, {u: cw[u] for u in helpers})
             assert len(transcript.messages) == h * d + h * (h - 1)
             for m in transcript.messages:
                 if m.phase == DOWNLOAD:
@@ -188,9 +193,9 @@ class TestWiderAlphabet:
         assert params.s == 3 and params.planes == 4
         cw = make_codeword(params, seed=71)
         job = RepairJob(params, (2, 5), (0, 1, 3, 4))
-        repaired, transcript = run_repair(job, {u: cw.column(u) for u in (0, 1, 3, 4)})
-        for col in repaired:
-            assert np.array_equal(col.symbols, cw.column(col.index).symbols)
+        repaired, transcript = run_repair(job, {u: cw[u] for u in (0, 1, 3, 4)})
+        for i, col in repaired.items():
+            assert np.array_equal(col, cw[i])
         counts = transcript.per_edge_counts()
         assert set(counts.values()) == {params.N // params.planes}
 
@@ -202,7 +207,7 @@ class TestWiderAlphabet:
         params = validate_params(6, 2, 4, 2)
         cw = make_codeword(params, seed=73)
         job = RepairJob(params, (0, 1), (2, 3, 4, 5))
-        _, transcript = run_repair(job, {u: cw.column(u) for u in (2, 3, 4, 5)})
+        _, transcript = run_repair(job, {u: cw[u] for u in (2, 3, 4, 5)})
         for u in job.helpers:
             assert Fraction(transcript.access_logs[u].count()) == params.N * g_ratio(2, 2)
             assert transcript.access_logs[u].vector_set(params) == access_set(u, job)

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import stat
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,6 @@ from mscr.storage import (
     pack_body,
     pack_bytes,
     read_chunk,
-    sha256_file,
     stored_width,
     symbols_per_stripe,
     unpack_body,
@@ -36,6 +38,10 @@ def expected_body_length(payload_len, p):
     # written out from the format description, independently of storage.body_length
     w = math.ceil(math.log2(p))
     return payload_len * (w // 8) + (w % 8) * math.ceil(payload_len / 8)
+
+
+def sha256_hex(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def chunk_header(params, node, payload_len):
@@ -80,16 +86,19 @@ class TestChunkIO:
         header = chunk_header(example1, 2, 96)
         path = tmp_path / chunk_name(2)
         write_chunk(path, chunk_bytes(header, symbols))
-        got_header, got_symbols = read_chunk(path, sha256_file(path))
+        got_header, got_symbols = read_chunk(path, sha256_hex(path))
         assert got_header == header
         assert np.array_equal(got_symbols, symbols)
-        assert got_header.params() == example1
+        assert (got_header.n, got_header.k, got_header.d, got_header.h, got_header.p,
+                got_header.lambdas, got_header.mus) == (
+            example1.n, example1.k, example1.d, example1.h, example1.p,
+            example1.lambdas, example1.mus)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.mscr"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
-            read_chunk(path, sha256_file(path))
+            read_chunk(path, sha256_hex(path))
 
     def test_truncated_body_rejected(self, tmp_path, example1):
         symbols = np.zeros(48, dtype=np.int64)
@@ -99,12 +108,12 @@ class TestChunkIO:
         raw = path.read_bytes()
         path.write_bytes(raw[:-2])
         with pytest.raises(ValueError, match="body"):
-            read_chunk(path, sha256_file(path))
+            read_chunk(path, sha256_hex(path))
 
     def test_checksum_checked_before_parsing(self, tmp_path, example1):
         path = tmp_path / chunk_name(0)
         write_chunk(path, chunk_bytes(chunk_header(example1, 0, 48), np.zeros(48, dtype=np.int64)))
-        digest = sha256_file(path)
+        digest = sha256_hex(path)
         raw = bytearray(path.read_bytes())
         raw[0] ^= 1  # the damaged magic would fail to parse
         path.write_bytes(bytes(raw))
@@ -115,13 +124,6 @@ class TestChunkIO:
         header = chunk_header(example1, 0, 2)
         with pytest.raises(ValueError, match="reduced"):
             chunk_bytes(header, np.array([0, 5], dtype=np.int64))
-
-    def test_sha256(self, tmp_path):
-        path = tmp_path / "f"
-        path.write_bytes(b"abc")
-        assert sha256_file(path) == (
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        )
 
 
 class TestBodyPacking:
@@ -227,6 +229,45 @@ class TestCrashSafeWrites:
         assert list(tmp_path.iterdir()) == [tmp_path / MANIFEST_NAME]
 
 
+class TestDurableRename:
+    """After the rename the directory is fsynced, so a power loss cannot undo it."""
+
+    @pytest.fixture()
+    def events(self, monkeypatch):
+        log = []
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            log.append(("replace", Path(dst)))
+
+        def fsync(fd):
+            real_fsync(fd)
+            st = os.fstat(fd)
+            log.append(("fsync", (st.st_dev, st.st_ino), stat.S_ISDIR(st.st_mode)))
+
+        monkeypatch.setattr(storage.os, "replace", replace)
+        monkeypatch.setattr(storage.os, "fsync", fsync)
+        return log
+
+    @pytest.mark.parametrize("target", ["chunk", "manifest"])
+    def test_directory_synced_after_rename(self, tmp_path, example1, events, target):
+        if target == "chunk":
+            path = tmp_path / chunk_name(0)
+            write_chunk(path, chunk_bytes(chunk_header(example1, 0, 48), np.zeros(48, dtype=np.int64)))
+        else:
+            path = tmp_path / MANIFEST_NAME
+            Manifest(
+                format=FORMAT_VERSION, n=4, k=1, d=2, h=2, p=5, lambdas=(0, 1, 2, 3), mus=(4,),
+                bits_per_symbol=2, original_length=100, stripe_count=9, chunks={}, failed=[],
+            ).save(tmp_path)
+        directory = os.stat(tmp_path)
+        assert [e[0] for e in events] == ["fsync", "replace", "fsync"]
+        assert events[0][2] is False  # the temp file's data, before the rename
+        assert events[1] == ("replace", path)
+        assert events[2] == ("fsync", (directory.st_dev, directory.st_ino), True)
+
+
 class TestManifest:
     def test_roundtrip(self, tmp_path, example1):
         manifest = Manifest(
@@ -316,7 +357,7 @@ class TestStripeBatchAgainstPerStripe:
         for st in range(stripes):
             cw = encode(padded[st * per_stripe : (st + 1) * per_stripe], params)
             for i in range(params.n):
-                bodies[i, st * params.N : (st + 1) * params.N] = cw.column(i).symbols.reshape(-1)
+                bodies[i, st * params.N : (st + 1) * params.N] = cw[i].reshape(-1)
         return bodies
 
     @pytest.fixture(params=[((6, 3, 4, 2), 257), ((6, 2, 3, 3), 7)], ids=["6342-p257", "6233-p7"])
@@ -346,4 +387,4 @@ def test_truncated_header_rejected(tmp_path):
     path = tmp_path / "short.mscr"
     path.write_bytes(b"MSCR\x01\x00")
     with pytest.raises(ValueError, match="truncated"):
-        read_chunk(path, sha256_file(path))
+        read_chunk(path, sha256_hex(path))

@@ -90,10 +90,11 @@ def _read_column(directory: Path, manifest: storage.Manifest, params, node: int)
         header, symbols = storage.read_chunk(path, manifest.chunks[str(node)]["sha256"])
     except storage.ChecksumMismatchError as exc:
         raise storage.ChecksumMismatchError(f"node {node}: {exc}") from None
-    if (header.n, header.k, header.d, header.h, header.p) != (
-        params.n, params.k, params.d, params.h, params.p,
+    if (header.n, header.k, header.d, header.h, header.p, header.lambdas, header.mus) != (
+        params.n, params.k, params.d, params.h, params.p, params.lambdas, params.mus,
     ):
-        raise CliError(f"chunk for node {node} was written with different parameters")
+        raise CliError(f"chunk for node {node} was written with different parameters "
+                       "or evaluation points")
     if header.node_index != node:
         raise CliError(f"chunk file for node {node} claims index {header.node_index}")
     if header.payload_len != manifest.stripe_count * params.N:
@@ -305,6 +306,11 @@ def cmd_decode(args) -> int:
     directory = Path(_require(args, config, "dir"))
     manifest = storage.Manifest.load(directory)
     params = manifest.params()
+    out_path = Path(_require(args, config, "out"))
+    # the output is renamed into place, which would replace a device, pipe or
+    # directory entry instead of writing to it
+    if out_path.exists() and not out_path.is_file():
+        raise CliError(f"output {out_path} exists and is not a regular file")
     failed = set(manifest.failed)
     nodes = _cfg(args, config, "nodes")
     if nodes:
@@ -321,8 +327,7 @@ def cmd_decode(args) -> int:
     # decode_file uses the k lowest-indexed bodies, so only those are read
     bodies = {i: _read_column(directory, manifest, params, i) for i in wanted[: params.k]}
     data = storage.decode_file(bodies, params, manifest.original_length, manifest.stripe_count)
-    out_path = Path(_require(args, config, "out"))
-    out_path.write_bytes(data)
+    storage._write_replacing(out_path, data)
     print(f"decoded {len(data)} bytes from nodes {sorted(bodies)} to {out_path}")
     return 0
 

@@ -6,20 +6,34 @@ imposes the check
 
     sum_i lambda_i^t c[i,b,a]  +  sum_i delta(a_i) sum_e mu_e^t c[i,b,a(i,e)] = 0.
 
-The checks never mix planes, and substitutions a(i, e) only touch digit i, so
-for an erased node set E the unknowns split into independent blocks: fix the
-digits of a outside E and the |E|*s^|E| unknowns of that block close under
-the coupling.  The block coefficient matrix depends only on E (not on the
-plane, the frozen digits or the stripe), so it is row-reduced exactly once
-and the resulting operator is applied to every block's right-hand side in
-batch.
+The checks never mix planes.  For an erased node set E with m = |E| <= r,
+solve_erased peels the unknowns of a plane in layers, the structure of Ye and
+Barg's cooperative MDS construction ("Cooperative repair: constructions of
+optimal MDS codes for all admissible parameters", IEEE Trans. IT, 2019):
+
+- Layer z holds the index vectors a with z(a) = z, the number of erased
+  coordinates i with a_i = 0.
+- A substitution term c[i, a(i,e)] of an erased i has a_i = 0 replaced by
+  e != 0, so it lies in layer z(a) - 1.  In layer 0 there is none.
+- So once layers below z are solved, the checks t < m at each a in layer z
+  are an m x m Vandermonde system in the erased lambdas: the known nodes'
+  contributions K (_known_contrib) plus the solved substitution terms S on
+  the right, c[E, b, a] = -V^-1 (K + S).  V depends on E only, so each layer
+  costs one product of the cached -V^-1 with every (a, stripe) of the layer.
+
+The checks t >= m are not used by the solve; with check=True the full
+residual sweep (failing_checks) then rejects inputs that lie on no codeword.
+
+Integer bounds: symbols are int64 and reduced into [0, p) with p < 2^16.  S
+is added one erased coordinate at a time and reduced after each, so an
+accumulator stays below p + (s-1)(p-1)^2, and each product entry is below
+m(p-1)^2.  Both are below 2^48 for s, m < 2^16, which every code whose s^n
+index vectors fit in memory satisfies (s, m < n).
 
 Files hold many independent codewords (stripes).  solve_erased and
 failing_checks take every stripe of every node at once, as an
 (n, stripes, planes, s^n) array or a list of n (stripes, planes, s^n)
-columns.  Per plane they gather the right-hand sides of every block of every
-stripe into the columns of one matrix, so a whole file costs one product per
-plane.  encode and erase_decode are the one-stripe forms: a codeword is an
+columns.  encode and erase_decode are the one-stripe forms: a codeword is an
 (n, planes, s^n) array, and a set of known columns is a dict from node index
 to its (planes, s^n) column.
 """
@@ -35,8 +49,9 @@ from .field import (
     FieldContext,
     SingularMatrixError,
     is_prime,
-    reduction_operator,
+    matrix_inverse,
     smallest_prime_at_least,
+    vandermonde_matrix,
 )
 from .indexing import delta, sub_index, vec_to_int
 
@@ -216,47 +231,36 @@ def _known_contrib(params: CodeParams, plane, known_nodes) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _erasure_operator(params: CodeParams, erased: tuple[int, ...]):
-    """Exact solve operator for the block system of an erased node set.
+def _peel_plan(params: CodeParams, erased: tuple[int, ...]):
+    """Everything solve_erased needs for one erased set, shared by every
+    plane and stripe.
 
-    Returns (solve_op, block_index).  solve_op is the negated top
-    |erased| * s^|erased| rows of the row-operation matrix from
-    field.reduction_operator, as int64, so that solve_op @ K gives the
-    unknowns of every block whose known contributions are the columns of K.
-    block_index[pat, f] is the full index of the vector whose
-    erased-coordinate digits spell pat and whose remaining digits spell the
-    frozen assignment f (both little-endian, ascending).
+    Returns (solve_op, mu_powers, layers).  solve_op is the negated inverse of
+    the m x m Vandermonde matrix of the erased lambdas (rows t < m), so that
+    solve_op @ (K + S) gives the erased symbols of an index vector.
+    mu_powers[t, e-1] is mu_e^t.  layers[z] is (members, terms): members are
+    the index vectors a with z(a) = z, ascending, and terms lists, per erased
+    position q whose coordinate i = erased[q] is zero somewhere in the layer,
+    (q, pos, subs): pos indexes members with a_i = 0 and subs[e-1] holds the
+    matching indices a(i, e), all of which lie in layer z-1.
     """
-    n, s, r, p = params.n, params.s, params.r, params.p
-    me = len(erased)
-    others = [w for w in range(n) if w not in erased]
-    pat_count = s**me
-    m = me * pat_count
-
-    rows = []
-    for t in range(r):
-        for pat in range(pat_count):
-            row = [0] * m
-            for q, node in enumerate(erased):
-                row[q * pat_count + pat] = (row[q * pat_count + pat] + pow(params.lambdas[node], t, p)) % p
-                if (pat // s**q) % s == 0:
-                    for e in range(1, s):
-                        pat2 = pat + e * s**q
-                        row[q * pat_count + pat2] = (
-                            row[q * pat_count + pat2] + pow(params.mus[e - 1], t, p)
-                        ) % p
-            rows.append(row)
-    solve_op = -np.array(reduction_operator(params.field, rows)[:m], dtype=np.int64) % p
-
-    pat_offsets = np.zeros(pat_count, dtype=np.int64)
-    for pat in range(pat_count):
-        pat_offsets[pat] = sum(((pat // s**q) % s) * s ** erased[q] for q in range(me))
-    frozen_count = s ** len(others)
-    frozen_offsets = np.zeros(frozen_count, dtype=np.int64)
-    for f in range(frozen_count):
-        frozen_offsets[f] = sum(((f // s**q) % s) * s**w for q, w in enumerate(others))
-    block_index = pat_offsets[:, None] + frozen_offsets[None, :]
-    return solve_op, block_index
+    m = len(erased)
+    p = params.p
+    masks, subs = _plane_geometry(params)
+    zeros = sum(masks[i].astype(np.int64) for i in erased)
+    vm = vandermonde_matrix(params.field, [params.lambdas[i] for i in erased], m)
+    solve_op = -np.array(matrix_inverse(params.field, vm), dtype=np.int64) % p
+    mu_powers = np.array([[pow(mu, t, p) for mu in params.mus] for t in range(m)], dtype=np.int64)
+    layers = []
+    for z in range(m + 1):
+        members = np.flatnonzero(zeros == z)
+        terms = []
+        for q, i in enumerate(erased):
+            pos = np.flatnonzero(masks[i][members])  # empty in layer 0
+            if len(pos):
+                terms.append((q, pos, np.stack([sub[members[pos]] for sub in subs[i]])))
+        layers.append((members, terms))
+    return solve_op, mu_powers, layers
 
 
 def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool) -> None:
@@ -264,28 +268,38 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool)
 
     cols[j] is node j's column of every stripe, shape (stripes, planes, s^n);
     an (n, stripes, planes, s^n) array is such a sequence.  Every stripe is
-    solved at once: per plane, one gather of the known contributions, one
-    product with the cached operator and one scatter.  With check=True every
-    parity check of every stripe must then vanish, else the supplied symbols
-    lie on no codeword and InconsistentCodewordError names the first failing
-    stripe and plane.
+    solved at once, plane by plane and layer by layer (see the module
+    docstring): per layer, one gather of the known contributions, one
+    subtraction of the already-solved substitution terms and one product with
+    the cached m x m inverse.  Work arrays keep the stripe axis innermost.
+
+    With check=True every parity check of every stripe must then vanish, else
+    the supplied symbols lie on no codeword and InconsistentCodewordError
+    names the first failing stripe and plane.  This is the only test of the
+    check rows t >= m, so it is what rejects an inconsistent overdetermined
+    input (m < r).
     """
     if erased:
-        solve_op, block_index = _erasure_operator(params, erased)
+        solve_op, mu_powers, layers = _peel_plan(params, erased)
+        p, m = params.p, len(erased)
         known = [j for j in range(params.n) if j not in erased]
-        stripes = cols[0].shape[0]
         for b0 in range(params.planes):
             plane = [col[:, b0] for col in cols]  # views, (stripes, s^n) each
-            kc = _known_contrib(params, plane, known).swapaxes(1, 2)
-            # rows (t, pattern), columns (frozen digits, stripe)
-            rhs = np.take(kc, block_index, axis=1).reshape(solve_op.shape[1], -1)
-            del kc
-            unknowns = solve_op @ rhs
-            del rhs
-            unknowns %= params.p
-            unknowns = unknowns.reshape(len(erased), block_index.shape[0], -1, stripes)
+            # work[t, a, stripe] starts as check row t's known contributions K;
+            # once a's layer is solved, work[q, a, stripe] is erased[q]'s symbol
+            work = _known_contrib(params, plane, known)[:m].swapaxes(1, 2)
+            for members, terms in layers:
+                rhs = work[:, members]  # (m, |layer|, stripes), reduced
+                for q, pos, subs in terms:
+                    acc = rhs[:, pos]
+                    for e in range(params.s - 1):
+                        acc += mu_powers[:, e, None, None] * work[q, subs[e]]
+                    rhs[:, pos] = acc % p
+                unknowns = solve_op @ rhs.reshape(m, -1)
+                unknowns %= p
+                work[:, members] = unknowns.reshape(rhs.shape)
             for q, node in enumerate(erased):
-                plane[node].T[block_index] = unknowns[q]
+                plane[node][...] = work[q].T
     if check:
         bad = failing_checks(params, cols)
         if bad.any():

@@ -1,9 +1,10 @@
-"""Prime-field arithmetic and the exact linear solvers everything else builds on.
+"""Prime-field arithmetic and the small exact matrices everything else builds on.
 
 Field elements are plain ints reduced into [0, p).  Public operations reject
 unreduced inputs instead of normalizing silently, so a stray unreduced value
-is caught where it first appears.  The solvers work on lists of lists of ints
-and stay exact; batched callers convert the resulting operators to numpy.
+is caught where it first appears.  Vandermonde matrices and their inverses
+are lists of lists of ints and stay exact; the erasure solve and the repair
+convert the small r x r (or m x m) inverses to numpy and apply them in batch.
 """
 
 from __future__ import annotations
@@ -94,53 +95,29 @@ def vandermonde_matrix(ctx: FieldContext, points: list[int], rows: int) -> list[
     return [[ctx.pow(x, t) for x in points] for t in range(rows)]
 
 
-def reduction_operator(ctx: FieldContext, matrix: list[list[int]]) -> list[list[int]]:
-    """Row-operation matrix E with E A = [[I], [0]] for full-column-rank A.
+def matrix_inverse(ctx: FieldContext, matrix: list[list[int]]) -> list[list[int]]:
+    """Inverse of a square matrix over F_p by Gauss-Jordan elimination.
 
-    A may have more rows than columns.  For a right-hand side y of a system
-    A x = y, x = (E y)[:cols] and the tail (E y)[cols:] is zero exactly when
-    the system is consistent.  For square invertible A, E is the inverse.
-    Raises SingularMatrixError when A does not have full column rank.
+    Raises SingularMatrixError when the matrix is not invertible.
     """
-    rows = len(matrix)
-    if rows < 1:
-        raise ValueError("matrix must be nonempty")
-    cols = len(matrix[0])
-    if any(len(row) != cols for row in matrix):
-        raise ValueError("matrix rows must have equal length")
-    if cols > rows:
-        raise SingularMatrixError(f"{rows}x{cols} matrix cannot have full column rank")
+    m = len(matrix)
+    if m < 1 or any(len(row) != m for row in matrix):
+        raise ValueError("matrix must be square and nonempty")
     p = ctx.p
     a = [[ctx.check(x) for x in row] for row in matrix]
-    e = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-
-    for col in range(cols):
-        pivot = next((r for r in range(col, rows) if a[r][col] != 0), None)
+    inv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrixError(f"matrix rank-deficient over F_{p} (column {col})")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            e[col], e[pivot] = e[pivot], e[col]
-        inv = pow(a[col][col], p - 2, p)
-        a[col] = [(v * inv) % p for v in a[col]]
-        e[col] = [(v * inv) % p for v in e[col]]
-        for r in range(rows):
-            if r == col:
-                continue
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = pow(a[col][col], p - 2, p)
+        a[col] = [(v * scale) % p for v in a[col]]
+        inv[col] = [(v * scale) % p for v in inv[col]]
+        for r in range(m):
             f = a[r][col]
-            if f:
+            if r != col and f:
                 a[r] = [(v - f * w) % p for v, w in zip(a[r], a[col])]
-                e[r] = [(v - f * w) % p for v, w in zip(e[r], e[col])]
-    return e
-
-
-def matrix_inverse(ctx: FieldContext, matrix: list[list[int]]) -> list[list[int]]:
-    m = len(matrix)
-    if any(len(row) != m for row in matrix):
-        raise ValueError("matrix must be square")
-    return reduction_operator(ctx, matrix)
-
-
-def mat_vec(ctx: FieldContext, matrix: list[list[int]], vec: list[int]) -> list[int]:
-    p = ctx.p
-    return [sum(a * b for a, b in zip(row, vec)) % p for row in matrix]
+                inv[r] = [(v - f * w) % p for v, w in zip(inv[r], inv[col])]
+    return inv

@@ -30,16 +30,6 @@ def int_to_vec(a: int, n: int, s: int) -> tuple[int, ...]:
     return tuple((a // s**i) % s for i in range(n))
 
 
-def substitute(digits: tuple[int, ...], i: int, v: int, s: int) -> tuple[int, ...]:
-    """The vector with digit i replaced by v; the input is unchanged."""
-    n = len(digits)
-    if not 0 <= i < n:
-        raise ValueError(f"coordinate {i} out of range [0,{n})")
-    if not 0 <= v < s:
-        raise ValueError(f"digit {v} out of range [0,{s})")
-    return digits[:i] + (v,) + digits[i + 1 :]
-
-
 def sub_index(a: int, i: int, v: int, s: int) -> int:
     """Integer form of substitution: index of a(i, v) given the index of a."""
     return a + (v - (a // s**i) % s) * s**i

@@ -1,5 +1,6 @@
 import pytest
 
+from mscr import storage
 from mscr.code import encode, random_message, validate_params
 
 # (n, k, d, h) desk-scale parameter sets exercised throughout the suite
@@ -19,3 +20,29 @@ def example1_codeword(example1):
 
 def make_codeword(params, seed=0):
     return encode(random_message(params, seed=seed), params)
+
+
+@pytest.fixture()
+def fail_halfway(monkeypatch):
+    """Calling the returned function makes every later file write in
+    mscr.storage write half its bytes and then fail with ENOSPC."""
+    real_open = open
+
+    class HalfWrite:
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    def arm():
+        monkeypatch.setattr(storage, "open", HalfWrite, raising=False)
+
+    return arm

@@ -263,6 +263,63 @@ class TestCheckedReads:
         assert "from nodes [0, 1, 2]" in capsys.readouterr().out
         assert out.read_bytes() == data
 
+    @pytest.fixture()
+    def store_p7(self, tmp_path):
+        data = np.random.default_rng(6).integers(0, 256, size=2000, dtype=np.uint8).tobytes()
+        src = tmp_path / "input.bin"
+        src.write_bytes(data)
+        store = tmp_path / "store"
+        assert run_cli("encode", "--n", 6, "--k", 2, "--d", 3, "--h", 3, "--p", 7,
+                       "--input", src, "--out", store) == 0
+        return tmp_path, store, data
+
+    @staticmethod
+    def edit_points(store):
+        # still valid points, so the manifest loads; the chunks' sha256 still match
+        manifest = Manifest.load(store)
+        manifest.lambdas, manifest.mus = (0, 1, 2, 3, 4, 6), (5,)
+        manifest.save(store)
+
+    def test_decode_refuses_edited_evaluation_points(self, store_p7, capsys):
+        tmp_path, store, _ = store_p7
+        self.edit_points(store)
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out, "--nodes", "4,5") == 2
+        assert "node 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repair_refuses_edited_evaluation_points(self, store_p7, capsys):
+        _, store, _ = store_p7
+        assert run_cli("fail", "--dir", store, "--nodes", "0,2,5") == 0
+        self.edit_points(store)
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "1,3,4") == 2
+        assert "node 1" in capsys.readouterr().err
+        for i in (0, 2, 5):
+            assert not (store / f"node{i}.mscr").exists()
+            assert (store / f"node{i}.mscr.failed").exists()
+        assert Manifest.load(store).failed == [0, 2, 5]
+
+    def test_decode_output_write_is_crash_safe(self, encoded_dir, fail_halfway):
+        tmp_path, store, _ = encoded_dir
+        out_dir = tmp_path / "decoded"
+        out_dir.mkdir()
+        fail_halfway()
+        with pytest.raises(OSError, match="No space"):
+            run_cli("decode", "--dir", store, "--out", out_dir / "out.bin", "--nodes", "3")
+        assert list(out_dir.iterdir()) == []
+
+    def test_decode_refuses_output_that_is_not_a_regular_file(self, encoded_dir, capsys):
+        tmp_path, store, _ = encoded_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out) == 2
+        assert "not a regular file" in capsys.readouterr().err
+        assert out.is_dir() and list(out.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "out", "store"]
+
     def test_decode_rejects_out_of_range_node(self, encoded_dir, capsys):
         tmp_path, store, _ = encoded_dir
         assert run_cli("decode", "--dir", store, "--out", tmp_path / "x",

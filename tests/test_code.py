@@ -245,7 +245,10 @@ class TestStripeBatch:
         cws = [make_codeword(params, seed=sd) for sd in seeds]
         return cws, np.stack(cws, axis=1)
 
-    @pytest.mark.parametrize("nkdh", [(5, 2, 3, 2), (5, 2, 4, 1)])
+    # (n, k, d, h[, p]): s = 3 gives several substitution terms per erased
+    # coordinate, s = 4 at p = 257, and the largest supported p
+    @pytest.mark.parametrize("nkdh", [(5, 2, 3, 2), (5, 2, 4, 1), (7, 2, 4, 3, 11),
+                                      (5, 1, 4, 1, 257), (4, 1, 2, 2, 65521)])
     def test_every_erasure_set_matches_per_stripe(self, nkdh):
         params = validate_params(*nkdh)
         cws, arr = self.stripes_of(params, (1, 2, 3))
@@ -274,10 +277,26 @@ class TestStripeBatch:
         assert bad.shape == (4, params.planes)
         assert np.argwhere(bad).tolist() == [[2, 1]]
 
-    @pytest.mark.parametrize("erased", [(), (4,)])
+    @pytest.mark.parametrize("erased", [(), (4,), (0, 4)])
     def test_inconsistency_error_names_stripe_and_plane(self, erased):
         params = validate_params(5, 2, 3, 2)
         _, arr = self.stripes_of(params, (6, 7, 8))
         arr[1, 1, 2, 9] = (arr[1, 1, 2, 9] + 1) % params.p
         with pytest.raises(InconsistentCodewordError, match=r"stripe 1, plane 3"):
             solve_erased(params, arr, erased, check=True)
+
+
+def test_parameters_beyond_a_dense_block_solve():
+    # (7,1,5,1): N = 5 * 5^7 = 390625 symbols per node; one block of the
+    # dense system would have 6 * 5^6 = 93750 unknowns
+    params = validate_params(7, 1, 5, 1)
+    assert (params.p, params.N, params.r, params.s) == (11, 390625, 6, 5)
+    cw = make_codeword(params, seed=3)
+    assert not failing_checks(params, cw[:, None]).any()
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        t = int(rng.integers(0, params.r))
+        b = int(rng.integers(1, params.planes + 1))
+        a = int(rng.integers(0, params.s_pow_n))
+        assert parity_residual(params, cw, t, b, a) == 0
+    assert np.array_equal(erase_decode({6: cw[6]}, params), cw)

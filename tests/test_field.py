@@ -6,9 +6,7 @@ from mscr.field import (
     FieldContext,
     SingularMatrixError,
     is_prime,
-    mat_vec,
     matrix_inverse,
-    reduction_operator,
     smallest_prime_at_least,
     vandermonde_matrix,
 )
@@ -100,27 +98,17 @@ def test_all_square_vandermonde_submatrices_invertible(p):
         for points in combinations(range(p), r):
             vm = vandermonde_matrix(f, list(points), r)
             inv = matrix_inverse(f, vm)  # raises SingularMatrixError if not
-            prod = [mat_vec(f, inv, [vm[i][j] for i in range(r)]) for j in range(r)]
-            for j in range(r):
-                for i in range(r):
-                    assert prod[j][i] == (1 if i == j else 0)
+            for i in range(r):
+                for j in range(r):
+                    entry = sum(inv[i][t] * vm[t][j] for t in range(r)) % p
+                    assert entry == (1 if i == j else 0)
 
 
-def test_reduction_operator_overdetermined_consistency():
-    f = FieldContext(7)
-    a = [[1, 0], [0, 1], [1, 1]]
-    e = reduction_operator(f, a)
-    y_ok = [2, 3, 5]  # consistent: sum matches
-    z = mat_vec(f, e, y_ok)
-    assert z[:2] == [2, 3] and z[2] == 0
-    y_bad = [2, 3, 6]
-    z = mat_vec(f, e, y_bad)
-    assert z[2] != 0
-
-
-def test_reduction_operator_rank_deficient_raises():
+def test_singular_matrix_rejected():
     f = FieldContext(7)
     with pytest.raises(SingularMatrixError):
-        reduction_operator(f, [[1, 2], [2, 4], [3, 6]])
+        matrix_inverse(f, [[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError):
-        reduction_operator(f, [[1, 2, 3]])
+        matrix_inverse(f, [[0, 0, 1], [0, 1, 0], [0, 3, 0]])
+    with pytest.raises(ValueError, match="square"):
+        matrix_inverse(f, [[1, 2, 3]])

@@ -4,7 +4,6 @@ from mscr.indexing import (
     delta,
     int_to_vec,
     sub_index,
-    substitute,
     union_v_indices,
     union_v_size,
     v_indices,
@@ -33,35 +32,14 @@ def test_int_vec_range_errors():
         vec_to_int((0, 2), 2)
 
 
-def test_substitute_basic():
-    assert substitute((0, 0), 0, 1, 2) == (1, 0)
-    assert substitute((0, 1, 0, 1), 2, 1, 2) == (0, 1, 1, 1)
-
-
-def test_substitute_identity_and_involution():
-    a = (1, 0, 2)
-    assert substitute(a, 1, a[1], 3) == a
-    for i in range(3):
-        for v in range(3):
-            assert substitute(substitute(a, i, v, 3), i, a[i], 3) == a
-
-
-def test_substitute_errors():
-    with pytest.raises(ValueError):
-        substitute((0, 0), 2, 1, 2)
-    with pytest.raises(ValueError):
-        substitute((0, 0), 0, 2, 2)
-    with pytest.raises(ValueError):
-        substitute((0, 0), -1, 0, 2)
-
-
 def test_sub_index_matches_tuple_substitution():
     n, s = 4, 3
     for a in range(s**n):
         vec = int_to_vec(a, n, s)
         for i in range(n):
             for v in range(s):
-                assert sub_index(a, i, v, s) == vec_to_int(substitute(vec, i, v, s), s)
+                expect = vec_to_int(vec[:i] + (v,) + vec[i + 1:], s)
+                assert sub_index(a, i, v, s) == expect
 
 
 def test_v_set_small():

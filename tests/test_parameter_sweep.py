@@ -1,7 +1,7 @@
 """Randomized pipeline checks across every small valid parameter tuple.
 
 Enumerates all (n, k, d, h) with n <= 6 that the validator accepts, skipping
-only shapes whose per-block solve would be large (kept for the targeted
+only shapes with more than 4000 symbols per node (kept for the targeted
 tests), and runs one full encode / erase / repair / cross-check cycle on
 each with randomized failure and helper choices.
 """
@@ -23,8 +23,7 @@ def small_param_tuples():
         for k in range(1, n - 1):
             for d in range(k + 1, n):
                 for h in range(1, n - d + 1):
-                    r, s = n - k, d - k + 1
-                    if r * s**r > 96 or (d - k + h) * s**n > 4000:
+                    if (d - k + h) * (d - k + 1) ** n > 4000:
                         continue
                     out.append((n, k, d, h))
     return out
@@ -36,6 +35,7 @@ SWEEP = small_param_tuples()
 def test_sweep_is_nontrivial():
     assert len(SWEEP) >= 15
     assert (4, 1, 2, 2) in SWEEP and (6, 2, 3, 3) in SWEEP
+    assert (6, 1, 3, 3) in SWEEP and (6, 2, 4, 2) in SWEEP  # r * s**r = 1215 and 324
 
 
 @pytest.mark.parametrize("nkdh", SWEEP)

@@ -180,29 +180,6 @@ class TestPackedBodyRejected:
 class TestCrashSafeWrites:
     """A write that fails partway leaves the previous file and no partial one."""
 
-    @pytest.fixture()
-    def fail_halfway(self, monkeypatch):
-        real_open = open
-
-        class HalfWrite:
-            def __init__(self, *args, **kwargs):
-                self.fh = real_open(*args, **kwargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[: len(data) // 2])
-                raise OSError(28, "No space left on device")
-
-        def arm():
-            monkeypatch.setattr(storage, "open", HalfWrite, raising=False)
-
-        return arm
-
     def test_chunk_write(self, tmp_path, example1, fail_halfway):
         header = chunk_header(example1, 0, 48)
         path = tmp_path / chunk_name(0)

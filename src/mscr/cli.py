@@ -184,21 +184,20 @@ def cmd_repair(args) -> int:
         raise CliError(f"helpers {sorted(set(helpers) & set(failed))} are failed")
     job = RepairJob(params, tuple(failed), tuple(helpers))
 
-    helper_bodies = {u: _read_column(directory, manifest, params, u) for u in helpers}
     stripes = manifest.stripe_count
-    repaired_bodies = {i: np.zeros(stripes * params.N, dtype=np.int64) for i in failed}
+    shape = (stripes, params.planes, params.s_pow_n)
+    helper_bodies = {u: _read_column(directory, manifest, params, u).reshape(shape) for u in helpers}
+    repaired_bodies = {i: np.empty(shape, dtype=np.int64) for i in failed}
     first_transcript = None
     for st in range(stripes):
-        sl = slice(st * params.N, (st + 1) * params.N)
-        cols = {u: body[sl].reshape(params.planes, params.s_pow_n) for u, body in helper_bodies.items()}
-        repaired, transcript = run_repair(job, cols)
+        repaired, transcript = run_repair(job, {u: body[st] for u, body in helper_bodies.items()})
         for i, col in repaired.items():
-            repaired_bodies[i][sl] = col.reshape(-1)
+            repaired_bodies[i][st] = col
         if st == 0:
             first_transcript = transcript
 
     # every restored chunk must match its recorded checksum before any is written
-    restored = {i: _chunk_bytes(params, i, stripes, repaired_bodies[i]) for i in failed}
+    restored = {i: _chunk_bytes(params, i, stripes, repaired_bodies[i].reshape(-1)) for i in failed}
     mismatched = [i for i, data in restored.items()
                   if hashlib.sha256(data).hexdigest() != manifest.chunks[str(i)]["sha256"]]
     if mismatched:
@@ -286,6 +285,9 @@ def cmd_verify(args) -> int:
             column = _read_column(directory, manifest, params, i)
         except storage.ChecksumMismatchError:
             problems.append(f"node {i}: checksum mismatch")
+            continue
+        except (CliError, ValueError) as exc:  # the chunk disagrees with the manifest
+            problems.append(f"node {i}: {exc}")
             continue
         available[i] = column.reshape(stripes, params.planes, params.s_pow_n)
         print(f"node {i}: checksum OK")

@@ -47,7 +47,14 @@ class AccessLog:
         per_plane: dict[int, list[np.ndarray]] = {}
         for plane, idx in self._chunks:
             per_plane.setdefault(plane, []).append(idx)
-        return sum(np.unique(np.concatenate(v)).size for v in per_plane.values())
+        total = 0
+        for chunks in per_plane.values():
+            idx = np.concatenate(chunks)
+            # a mask, not np.unique, whose first call imports numpy.ma
+            seen = np.zeros(int(idx.max()) + 1 if idx.size else 0, dtype=bool)
+            seen[idx] = True
+            total += int(np.count_nonzero(seen))
+        return total
 
 
 @dataclass

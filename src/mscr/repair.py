@@ -16,13 +16,29 @@ P_j = d-k+j) the download phase carries, from every helper u,
 
 (d-k+1)s^(n-1) = N/(d-k+h) symbols per edge.  Each of these d-k+1 slices
 satisfies, per a in V_i, the same r x r Vandermonde system: its unknown
-points are the lambdas outside the helper set plus the mus.  Node i solves
-all slices with one product.  The extra unknowns Delta_e absorb the
-substitution terms and are stripped afterwards against already-recovered
-values, isolating node i's own symbols.  The solve also yields every other
-node's value of each slice on V_i; in the cooperative phase node i forwards
-those values to each other failed node t, which completes its plane P_j
-from them.
+points are the lambdas outside the helper set plus the mus.  The solve
+yields every node's value of each slice on V_i, and extra unknowns Delta_e
+that absorb the substitution terms; stripping those against the solved
+values isolates node i's own symbols.  In the cooperative phase node i
+forwards the slice values of each other failed node t, which completes its
+plane P_j from them.
+
+One pass serves every failed node, helper and pair at once, through index
+maps cached per (params, E, R) and stacked over the h failed nodes:
+
+- pay = gathers of the stacked (d, planes*s^n) helper block; pay[:, j] is
+  what the d helpers send node j.
+- One product with the (n + d-k) x d operator [I; -V^-1 Lambda] turns
+  pay[:, j] into full[j], every node's d-k+1 slice values on V_i, and node
+  j's Deltas.  Column j of the product reads pay[:, j] only.
+- The Delta correction is one masked gather over all nodes; one scatter
+  writes each node's recovered planes.
+- The cooperative payload j -> t is full[j, t], derived from j's downloads
+  alone; one gather, one subtraction of t's recovered planes 1..d-k and one
+  scatter complete all h(h-1) exchanges.
+
+Integer bounds: symbols are int64 in [0, p) with p < 2^16, and every
+intermediate is a sum of at most n + 2 terms below p^2, far inside 2^63.
 """
 
 from __future__ import annotations
@@ -77,116 +93,77 @@ class RepairJob:
         return self.params.d - self.params.k + self.slot_of(node)
 
 
-class _Coordinate:
-    """Geometry of one failed coordinate i: its V-set and substitution maps."""
-
-    def __init__(self, params: CodeParams, i: int):
-        n, s = params.n, params.s
-        self.vidx = np.array(v_indices(i, n, s), dtype=np.int64)
-        size = self.vidx.size
-        # shifted[e-1, q]: index of vidx[q] with digit i set to e
-        self.shifted = self.vidx + np.arange(1, s)[:, None] * s**i
-        pos = np.full(params.s_pow_n, -1, dtype=np.int64)
-        pos[self.vidx] = np.arange(size)
-        # Given the (n, s, |V|) slice values `full` of a solve, Delta_e of slice t
-        # at q carries the sum over w of masks[w, q] * full.flat[gather[w, e-1, t, q]]:
-        # masks[w, q] is 1 when w != i and digit w of vidx[q] is zero, and gather
-        # points at node w's slice t at vidx[q] with digit w set to e.
-        self.masks = np.zeros((n, 1, 1, size), dtype=np.int64)
-        subpos = np.zeros((n, s - 1, 1, size), dtype=np.int64)
-        for w in range(n):
-            if w == i:
-                continue
-            weight = s**w
-            digit = (self.vidx // weight) % s
-            self.masks[w, 0, 0] = digit == 0
-            for e in range(1, s):
-                subpos[w, e - 1, 0] = pos[self.vidx + (e - digit) * weight]
-        rows = np.arange(n)[:, None, None, None] * s + np.arange(s)[None, None, :, None]
-        self.gather = rows * size + subpos
-
-
 class _JobContext:
-    """Everything derivable from (params, E, R) alone, shared across stripes."""
+    """Everything derivable from (params, E, R) alone, shared across stripes.
+
+    Failed node j (slot j in sorted E, coordinate i) owns the positions
+    cols_j[e] = V_i with digit i set to e, for e in 0..s-1, and its slice t
+    lives in plane row rows_j[t]: its repair plane d-k+j for t = 0, plane t
+    for t >= 1.  Every map below is stacked over j (and over the h(h-1)
+    cooperative pairs); positions are flat, row * s^n + index.
+    """
 
     def __init__(self, job: RepairJob):
         params = job.params
-        self.job = job
-        self.unknown_nodes = tuple(i for i in range(params.n) if i not in job.helpers)
-        points = [params.lambdas[w] for w in self.unknown_nodes] + list(params.mus)
+        n, s, h, p = params.n, params.s, params.h, params.p
+        dk, width, size = params.d - params.k, params.s_pow_n, params.s_pow_n // params.s
+        unknown = [i for i in range(n) if i not in job.helpers]
+        points = [params.lambdas[w] for w in unknown] + list(params.mus)
         vm = vandermonde_matrix(params.field, points, params.r)
-        self.solve_op = np.array(matrix_inverse(params.field, vm), dtype=np.int64)
-        self.helper_powers = np.array(
+        inverse = np.array(matrix_inverse(params.field, vm), dtype=np.int64)
+        powers = np.array(
             [[params.field.pow(params.lambdas[u], t) for u in job.helpers] for t in range(params.r)],
             dtype=np.int64,
         )
-        self.coords = {i: _Coordinate(params, i) for i in job.failed}
+        # solve @ downloads: rows 0..n-1 are every node's slice values (identity
+        # rows for helpers, -V^-1 Lambda rows for the others), rows n.. the Deltas
+        self.solve = np.zeros((n + dk, params.d), dtype=np.int64)
+        self.solve[list(job.helpers), range(params.d)] = 1
+        self.solve[unknown + list(range(n, n + dk))] = (-(inverse @ powers)) % p
+
+        # place[j, t, e, q]: node j's plane rows_j[t] at cols_j[e][q]
+        place = np.empty((h, s, s, size), dtype=np.int64)
+        # node j's Delta_e of slice t at q is the sum over w of
+        # masks[w, j, 0, 0, q] * y.flat[delta_gather[w, j, t, e-1, q]]: masks is
+        # 1 when w != i and digit w of V_i[q] is zero, and the gather points at
+        # node w's slice t on V_i with digit w set to e
+        self.masks = np.zeros((n, h, 1, 1, size), dtype=np.int64)
+        self.delta_gather = np.zeros((n, h, s, dk, size), dtype=np.int64)
+        for j, i in enumerate(job.failed):
+            vidx = np.array(v_indices(i, n, s), dtype=np.int64)
+            cols = vidx + np.arange(s)[:, None] * s**i
+            rows = np.array([dk + j, *range(dk)])
+            place[j] = rows[:, None, None] * width + cols
+            pos = np.full(width, -1, dtype=np.int64)
+            pos[vidx] = np.arange(size)
+            for w in range(n):
+                if w == i:
+                    continue
+                digit = (vidx // s**w) % s
+                self.masks[w, j, 0, 0] = digit == 0
+                slot = (w * h + j) * s + np.arange(s)[:, None]
+                for e in range(1, s):
+                    self.delta_gather[w, j, :, e - 1] = slot * size + pos[vidx + (e - digit) * s**w]
+
+        # downloads: helper reads place[j, t, 0] for slice t, plus place[j, 0, t] for t >= 1
+        self.download, self.cross = place[:, :, 0], place[:, 0, 1:]
+        # every symbol a helper reads, as (1-based plane, indices) from the gathers
+        self.reads = [(int(g[0]) // width + 1, g % width)
+                      for g in np.concatenate([self.download, self.cross], axis=1).reshape(-1, size)]
+        base = (np.arange(h) * params.planes * width)[:, None, None, None]
+        self.failed = np.array(job.failed, dtype=np.int64)
+        self.download_scatter = base + place
+        # cooperative pair (receiver, sender), receiver-major as in the transcript
+        pairs = [(jr, js) for jr in range(h) for js in range(h) if js != jr]
+        recv, send = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        self.recv_nodes, self.send = self.failed[recv], send
+        self.coop_known = base[recv, 0] + place[send, 1:, 0]
+        self.coop_scatter = base[recv, 0] + place[send, 0]
 
 
 @lru_cache(maxsize=None)
 def _context(job: RepairJob) -> _JobContext:
     return _JobContext(job)
-
-
-def _download_payload(ctx: _JobContext, node: int, col: np.ndarray, log: AccessLog) -> np.ndarray:
-    """The (d-k+1, |V|) payload a helper with column `col` sends to `node`:
-    D1, then the D2 sums for b = 1..d-k.  Every symbol read goes to `log`."""
-    params = ctx.job.params
-    geo = ctx.coords[node]
-    plane = ctx.job.repair_plane(node)
-    dk = params.d - params.k
-    payload = np.empty((dk + 1, geo.vidx.size), dtype=np.int64)
-    payload[0] = col[plane - 1, geo.vidx]
-    payload[1:] = (col[:dk, geo.vidx] + col[plane - 1, geo.shifted]) % params.p
-    log.add(plane, geo.vidx)
-    for b in range(1, dk + 1):
-        log.add(b, geo.vidx)
-        log.add(plane, geo.shifted[b - 1])
-    return payload
-
-
-def _process_downloads(ctx: _JobContext, node: int, received: list[np.ndarray]):
-    """Recover node's planes 1..d-k and its repair plane from its downloads.
-
-    received[m] is the payload of the m-th helper (sorted order).  Returns
-    (planes, full): planes is node's (planes, s^n) column with those rows
-    filled, full is the (n, d-k+1, |V|) array of every node's slice values on
-    V_node.  full[t] for another failed node t is the cooperative payload to t.
-    """
-    params = ctx.job.params
-    p = params.p
-    geo = ctx.coords[node]
-    payloads = np.stack(received)
-    d, slices, width = payloads.shape
-    rhs = (-(ctx.helper_powers @ payloads.reshape(d, -1))) % p
-    solved = ((ctx.solve_op @ rhs) % p).reshape(params.r, slices, width)
-    n_unknown = len(ctx.unknown_nodes)
-    full = np.empty((params.n, slices, width), dtype=np.int64)
-    full[list(ctx.job.helpers)] = payloads
-    full[list(ctx.unknown_nodes)] = solved[:n_unknown]
-    # own[e-1, t, q]: slice t's plane of node at vidx[q] with digit node set to e
-    corr = (geo.masks * full.reshape(-1)[geo.gather]).sum(axis=0)
-    own = (solved[n_unknown:] - corr) % p
-
-    dk = params.d - params.k
-    plane = ctx.job.repair_plane(node)
-    planes = np.zeros((params.planes, params.s_pow_n), dtype=np.int64)
-    planes[plane - 1, geo.vidx] = full[node, 0]
-    planes[plane - 1, geo.shifted] = own[:, 0]
-    planes[:dk, geo.shifted] = own[:, 1:].swapaxes(0, 1)
-    # on V, slice b holds c[node,b,a] + c[node,plane,a(node,b)]; the latter is known
-    planes[:dk, geo.vidx] = (full[node, 1:] - planes[plane - 1, geo.shifted]) % p
-    return planes, full
-
-
-def _receive_cooperative(ctx: _JobContext, planes: np.ndarray, sender: int, payload: np.ndarray) -> None:
-    """Complete the sender's repair plane in `planes` from its (d-k+1, |V_sender|)
-    payload: the plane on V_sender, then the cross-sums with planes 1..d-k."""
-    dk = ctx.job.params.d - ctx.job.params.k
-    geo = ctx.coords[sender]
-    row = planes[ctx.job.repair_plane(sender) - 1]
-    row[geo.vidx] = payload[0]
-    row[geo.shifted] = (payload[1:] - planes[:dk, geo.vidx]) % ctx.job.params.p
 
 
 # --- transcript ----------------------------------------------------------------
@@ -215,9 +192,6 @@ class RepairTranscript:
         self.messages: list[RepairMessage] = []
         self.access_logs: dict[int, AccessLog] = {}
 
-    def append(self, message: RepairMessage) -> None:
-        self.messages.append(message)
-
     def per_edge_counts(self) -> dict[tuple[str, int, int], int]:
         out: dict[tuple[str, int, int], int] = {}
         for m in self.messages:
@@ -244,25 +218,44 @@ def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], 
     missing = [u for u in job.helpers if u not in surviving]
     if missing:
         raise ValueError(f"surviving columns must cover every helper; missing {missing}")
-    helper_cols = {u: _as_column_array(params, surviving[u]) for u in job.helpers}
+    p, n, h, s = params.p, params.n, params.h, params.s
+    helpers = np.stack([_as_column_array(params, surviving[u]) for u in job.helpers])
+    helpers = helpers.reshape(params.d, -1)
+
+    # download phase: pay[m, j] is helper m's payload to failed node j
+    pay = np.take(helpers, ctx.download, axis=1)
+    pay[:, :, 1:] += np.take(helpers, ctx.cross, axis=1)
+    pay %= p
+    y = ((ctx.solve @ pay.reshape(params.d, -1)) % p).reshape(n + s - 1, h, s, -1)
+    full = y[:n].swapaxes(0, 1)
+    delta = (ctx.masks * y.reshape(-1)[ctx.delta_gather]).sum(axis=0)
+    # own[j, t, e] fills node j's positions ctx.download_scatter[j, t, e]
+    own = np.empty(ctx.download_scatter.shape, dtype=np.int64)
+    own[:, :, 1:] = y[n:].transpose(1, 2, 0, 3) - delta
+    own[:, :, 0] = full[np.arange(h), ctx.failed]
+    # on V, slice t >= 1 holds c[node, t, a] + c[node, repair plane, a(i, t)]
+    own[:, 1:, 0] -= own[:, 0, 1:]
+    own %= p
+    repaired = np.empty((h, params.planes, params.s_pow_n), dtype=np.int64)
+    flat = repaired.reshape(-1)
+    flat[ctx.download_scatter] = own
+
+    # cooperative phase: sender j's payload to t is full[j, t]; t completes
+    # j's repair plane from it and its own planes 1..d-k
+    coop = full[ctx.send, ctx.recv_nodes]
+    coop[:, 1:] -= flat[ctx.coop_known]
+    flat[ctx.coop_scatter] = coop % p
 
     transcript = RepairTranscript(job)
+    transcript.messages = [
+        RepairMessage(DOWNLOAD, u, node, pay[m, j].reshape(-1))
+        for j, node in enumerate(job.failed) for m, u in enumerate(job.helpers)
+    ] + [
+        RepairMessage(COOPERATIVE, sender, receiver, full[js, receiver].reshape(-1))
+        for receiver in job.failed for js, sender in enumerate(job.failed) if sender != receiver
+    ]
     transcript.access_logs = {u: AccessLog(u) for u in job.helpers}
-    planes, full = {}, {}
-    for node in job.failed:
-        received = []
-        for u in job.helpers:
-            payload = _download_payload(ctx, node, helper_cols[u], transcript.access_logs[u])
-            transcript.append(RepairMessage(DOWNLOAD, u, node, payload.reshape(-1)))
-            received.append(payload)
-        planes[node], full[node] = _process_downloads(ctx, node, received)
-
-    for receiver in job.failed:
-        for sender in job.failed:
-            if sender == receiver:
-                continue
-            payload = full[sender][receiver]
-            transcript.append(RepairMessage(COOPERATIVE, sender, receiver, payload.reshape(-1)))
-            _receive_cooperative(ctx, planes[receiver], sender, payload)
-
-    return planes, transcript
+    for log in transcript.access_logs.values():
+        for plane, idx in ctx.reads:
+            log.add(plane, idx)
+    return dict(zip(job.failed, repaired)), transcript

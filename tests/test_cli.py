@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -253,6 +254,24 @@ class TestCheckedReads:
         captured = capsys.readouterr()
         assert "PROBLEM: node 3: checksum mismatch" in captured.err
         assert captured.out.count("checksum OK") == 5
+
+    def test_verify_reports_header_mismatch_and_checks_the_rest(self, store6, capsys):
+        _, store, _ = store6
+        path = store / "node2.mscr"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 4 + 6 * 4, 3)  # header field node_index
+        path.write_bytes(bytes(raw))
+        manifest = Manifest.load(store)
+        manifest.chunks["2"]["sha256"] = hashlib.sha256(raw).hexdigest()
+        manifest.save(store)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        captured = capsys.readouterr()
+        assert "PROBLEM: node 2: chunk file for node 2 claims index 3" in captured.err
+        assert "error:" not in captured.err
+        for i in (0, 1, 3, 4, 5):
+            assert f"node {i}: checksum OK" in captured.out
+        assert "parity: skipped" in captured.out
 
     def test_decode_ignores_corrupt_chunk_it_does_not_read(self, store6, capsys):
         tmp_path, store, data = store6

@@ -1,12 +1,15 @@
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mscr import metrics
 from mscr.code import validate_params
 from mscr.metrics import (
     DEFAULT_TABLE_ROWS,
+    AccessLog,
     RepairMetrics,
     access_count,
     access_set,
@@ -242,3 +245,14 @@ def test_access_never_exceeds_column(nkdh):
     partial = union_v_size(params.n, params.s, params.h)
     assert count == params.h * params.s_pow_n + (params.d - params.k) * partial
     assert count <= params.N
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.lists(st.integers(0, 40), max_size=30)),
+                max_size=12))
+def test_access_count_is_distinct_reads(adds):
+    # indices repeat within a chunk, across chunks of one plane and across planes
+    log = AccessLog(0)
+    for plane, idx in adds:
+        log.add(plane, np.array(idx, dtype=np.int64))
+    assert log.count() == len(log.index_set())

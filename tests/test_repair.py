@@ -155,7 +155,8 @@ class TestClosedForm:
     # sends failed node t the same expressions of t's column.
 
     @pytest.mark.parametrize(
-        "n,k,d,h,p", [(4, 1, 2, 2, 5), (6, 2, 3, 3, None), (6, 2, 4, 2, None)]
+        "n,k,d,h,p",
+        [(4, 1, 2, 2, 5), (6, 2, 3, 3, None), (6, 2, 4, 2, None), (6, 1, 3, 3, None)],
     )
     def test_every_message_matches_closed_form(self, n, k, d, h, p):
         params = validate_params(n, k, d, h, p=p)

@@ -24,11 +24,12 @@ optimal MDS codes for all admissible parameters", IEEE Trans. IT, 2019):
 The checks t >= m are not used by the solve; with check=True the full
 residual sweep (failing_checks) then rejects inputs that lie on no codeword.
 
-Integer bounds: symbols are int64 and reduced into [0, p) with p < 2^16.  S
-is added one erased coordinate at a time and reduced after each, so an
-accumulator stays below p + (s-1)(p-1)^2, and each product entry is below
-m(p-1)^2.  Both are below 2^48 for s, m < 2^16, which every code whose s^n
-index vectors fit in memory satisfies (s, m < n).
+Integer bounds: symbols are int64 and reduced into [0, p) with p < 2^16.  K
+is summed unreduced over the known nodes and reduced once, below
+n s (p-1)^2 (_known_contrib).  S is added one erased coordinate at a time
+and reduced after each, so an accumulator stays below p + (s-1)(p-1)^2, and
+each product entry is below m(p-1)^2.  Both are below 2^48 for s, m < 2^16,
+which every code whose s^n index vectors fit in memory satisfies (s, m < n).
 
 Files hold many independent codewords (stripes).  solve_erased and
 failing_checks take every stripe of every node at once, as an
@@ -140,19 +141,27 @@ def validate_params(
     )
 
 
-def _as_column_array(params: CodeParams, symbols) -> np.ndarray:
-    """One node's column as int64 (planes, s^n), from that shape or N flat symbols."""
-    arr = np.asarray(symbols, dtype=np.int64)
-    if arr.shape == (params.N,):
-        arr = arr.reshape(params.planes, params.s_pow_n)
-    if arr.shape != (params.planes, params.s_pow_n):
-        raise ValueError(
-            f"column must hold {params.N} symbols shaped {(params.planes, params.s_pow_n)}, "
-            f"got shape {arr.shape}"
-        )
-    if arr.min() < 0 or arr.max() >= params.p:
+def _as_column_block(params: CodeParams, columns) -> np.ndarray:
+    """Node columns as one int64 (len(columns), planes, s^n) block.
+
+    Each column is given in that (planes, s^n) shape or as N flat symbols.
+    The shapes are checked one by one, the symbols in one range check over the
+    whole block.
+    """
+    shape = (params.planes, params.s_pow_n)
+    block = np.empty((len(columns),) + shape, dtype=np.int64)
+    for m, col in enumerate(columns):
+        col = np.asarray(col)
+        if col.shape == (params.N,):
+            col = col.reshape(shape)
+        if col.shape != shape:
+            raise ValueError(
+                f"column must hold {params.N} symbols shaped {shape}, got shape {col.shape}"
+            )
+        block[m] = col
+    if block.size and (block.min() < 0 or block.max() >= params.p):
         raise ValueError(f"column symbols must be reduced into [0,{params.p})")
-    return arr
+    return block
 
 
 def parity_residual(params: CodeParams, cw: np.ndarray, t: int, b: int, a) -> int:
@@ -209,24 +218,44 @@ def _plane_geometry(params: CodeParams):
     return masks, subs
 
 
-def _known_contrib(params: CodeParams, plane, known_nodes) -> np.ndarray:
-    """K[t, ..., a] = sum over known nodes j of their check contributions at (t, a).
+def _add_multiple(acc: np.ndarray, x: np.ndarray, c: int, tmp: np.ndarray) -> None:
+    """acc += c * x in place, through the scratch array tmp."""
+    if c == 1:
+        acc += x
+    elif c:
+        np.multiply(x, c, out=tmp)
+        acc += tmp
+
+
+def _known_contrib(params: CodeParams, plane, known_nodes, rows: int) -> np.ndarray:
+    """K[t, ..., a] for t < rows: the sum over known nodes j of their check
+    contributions at (t, a), reduced into [0, p).
 
     plane[j] is node j's symbols on one plane, shape (..., s^n); the leading
-    axes (the stripes) are carried through to the result.
+    axes (the stripes) are carried through to the result.  Node j's
+    substitution terms are read through the digit-j view (..., s^(n-1-j), s,
+    s^j) of its symbols: check row t gains lambda_j^t col everywhere and
+    sum_e mu_e^t col[..., e, :] on the zero-digit slice [..., 0, :].  Products
+    go through one temporary and are added in place, so no known column is
+    copied.  With symbols in [0, p), each node adds less than s(p-1)^2 to an
+    entry, so the unreduced sum stays below n s (p-1)^2 < 2^63 (p < 2^16) and
+    is reduced once, at the end.
     """
-    masks, subs = _plane_geometry(params)
-    p = params.p
-    out = np.zeros((params.r,) + plane[known_nodes[0]].shape, dtype=np.int64)
+    p, n, s = params.p, params.n, params.s
+    shape = plane[known_nodes[0]].shape
+    out = np.zeros((rows,) + shape, dtype=np.int64)
+    tmp = np.empty(shape, dtype=np.int64)
     for j in known_nodes:
         col = plane[j]
-        for t in range(params.r):
-            out[t] += pow(params.lambdas[j], t, p) * col
-        folded = [masks[j] * col[..., subs[j][e - 1]] for e in range(1, params.s)]
-        for t in range(params.r):
-            for e in range(1, params.s):
-                out[t] += pow(params.mus[e - 1], t, p) * folded[e - 1]
-        out %= p
+        digits = shape[:-1] + (s ** (n - 1 - j), s, s**j)
+        col_digits = col.reshape(digits)
+        tmp_zero = tmp.reshape(digits)[..., 0, :]
+        for t in range(rows):
+            _add_multiple(out[t], col, pow(params.lambdas[j], t, p), tmp)
+            zero = out[t].reshape(digits)[..., 0, :]
+            for e in range(1, s):
+                _add_multiple(zero, col_digits[..., e, :], pow(params.mus[e - 1], t, p), tmp_zero)
+    out %= p
     return out
 
 
@@ -287,7 +316,7 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool)
             plane = [col[:, b0] for col in cols]  # views, (stripes, s^n) each
             # work[t, a, stripe] starts as check row t's known contributions K;
             # once a's layer is solved, work[q, a, stripe] is erased[q]'s symbol
-            work = _known_contrib(params, plane, known)[:m].swapaxes(1, 2)
+            work = _known_contrib(params, plane, known, m).swapaxes(1, 2)
             for members, terms in layers:
                 rhs = work[:, members]  # (m, |layer|, stripes), reduced
                 for q, pos, subs in terms:
@@ -312,8 +341,9 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool)
 def failing_checks(params: CodeParams, cols) -> np.ndarray:
     """Mask (stripes, planes): True where a parity check of that stripe and
     plane is nonzero.  cols is as for solve_erased."""
+    rows, nodes = params.r, range(params.n)
     return np.stack([
-        _known_contrib(params, [col[:, b0] for col in cols], range(params.n)).any(axis=(0, 2))
+        _known_contrib(params, [col[:, b0] for col in cols], nodes, rows).any(axis=(0, 2))
         for b0 in range(params.planes)
     ], axis=1)
 
@@ -353,10 +383,10 @@ def erase_decode(available: dict, params: CodeParams) -> np.ndarray:
     matching the residual sweep exactly.
     """
     arr = np.zeros((params.n, 1, params.planes, params.s_pow_n), dtype=np.int64)
-    for i, col in available.items():
+    for i in available:
         if not 0 <= i < params.n:
             raise ValueError(f"node index {i} out of range [0,{params.n})")
-        arr[i, 0] = _as_column_array(params, col)
+    arr[list(available), 0] = _as_column_block(params, list(available.values()))
     erased = tuple(i for i in range(params.n) if i not in available)
     if len(erased) > params.r:
         raise ValueError(f"{len(erased)} columns missing but only r={params.r} erasures are correctable")

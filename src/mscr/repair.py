@@ -37,6 +37,11 @@ maps cached per (params, E, R) and stacked over the h failed nodes:
   alone; one gather, one subtraction of t's recovered planes 1..d-k and one
   scatter complete all h(h-1) exchanges.
 
+The helper block is checked once: each column's shape, then one range check
+over all d columns.  The transcript keeps pay and full and builds its
+messages and access logs on demand, the first time each is read, so a caller
+that reads one stripe's transcript of many pays for that one only.
+
 Integer bounds: symbols are int64 in [0, p) with p < 2^16, and every
 intermediate is a sum of at most n + 2 terms below p^2, far inside 2^63.
 """
@@ -44,11 +49,11 @@ intermediate is a sum of at most n + 2 terms below p^2, far inside 2^63.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .code import CodeParams, _as_column_array
+from .code import CodeParams, _as_column_block
 from .field import matrix_inverse, vandermonde_matrix
 from .indexing import v_indices
 from .metrics import AccessLog
@@ -185,12 +190,38 @@ class RepairMessage:
 
 
 class RepairTranscript:
-    """Every message of a repair run plus the helpers' disk-access logs."""
+    """Every message of a repair run plus the helpers' disk-access logs.
 
-    def __init__(self, job: RepairJob):
+    Holds the run's payload arrays and builds `messages` and `access_logs`
+    from them the first time each is read, so a caller that reads neither
+    pays for neither.
+    """
+
+    def __init__(self, job: RepairJob, pay: np.ndarray, full: np.ndarray):
         self.job = job
-        self.messages: list[RepairMessage] = []
-        self.access_logs: dict[int, AccessLog] = {}
+        self._pay = pay  # pay[m, j]: helper m's download payload to failed node j
+        self._full = full  # full[j, t]: failed node j's cooperative payload to node t
+
+    @cached_property
+    def messages(self) -> list[RepairMessage]:
+        """Downloads grouped by receiver, then cooperative messages by receiver."""
+        job = self.job
+        return [
+            RepairMessage(DOWNLOAD, u, node, self._pay[m, j].reshape(-1))
+            for j, node in enumerate(job.failed) for m, u in enumerate(job.helpers)
+        ] + [
+            RepairMessage(COOPERATIVE, sender, receiver, self._full[js, receiver].reshape(-1))
+            for receiver in job.failed for js, sender in enumerate(job.failed) if sender != receiver
+        ]
+
+    @cached_property
+    def access_logs(self) -> dict[int, AccessLog]:
+        reads = _context(self.job).reads
+        logs = {u: AccessLog(u) for u in self.job.helpers}
+        for log in logs.values():
+            for plane, idx in reads:
+                log.add(plane, idx)
+        return logs
 
     def per_edge_counts(self) -> dict[tuple[str, int, int], int]:
         out: dict[tuple[str, int, int], int] = {}
@@ -210,17 +241,17 @@ class RepairTranscript:
 
 def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], RepairTranscript]:
     """Execute both phases.  surviving maps node index to its (planes, s^n)
-    column and must cover every helper; other entries are ignored.  Returns
-    {failed node: repaired column}, ascending, and the full transcript with
-    per-helper access logs attached."""
+    column (or N flat symbols) and must cover every helper; other entries are
+    ignored.  Returns {failed node: repaired column}, ascending, and the
+    transcript, whose messages and per-helper access logs are built when
+    first read."""
     params = job.params
     ctx = _context(job)
     missing = [u for u in job.helpers if u not in surviving]
     if missing:
         raise ValueError(f"surviving columns must cover every helper; missing {missing}")
     p, n, h, s = params.p, params.n, params.h, params.s
-    helpers = np.stack([_as_column_array(params, surviving[u]) for u in job.helpers])
-    helpers = helpers.reshape(params.d, -1)
+    helpers = _as_column_block(params, [surviving[u] for u in job.helpers]).reshape(params.d, -1)
 
     # download phase: pay[m, j] is helper m's payload to failed node j
     pay = np.take(helpers, ctx.download, axis=1)
@@ -246,16 +277,4 @@ def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], 
     coop[:, 1:] -= flat[ctx.coop_known]
     flat[ctx.coop_scatter] = coop % p
 
-    transcript = RepairTranscript(job)
-    transcript.messages = [
-        RepairMessage(DOWNLOAD, u, node, pay[m, j].reshape(-1))
-        for j, node in enumerate(job.failed) for m, u in enumerate(job.helpers)
-    ] + [
-        RepairMessage(COOPERATIVE, sender, receiver, full[js, receiver].reshape(-1))
-        for receiver in job.failed for js, sender in enumerate(job.failed) if sender != receiver
-    ]
-    transcript.access_logs = {u: AccessLog(u) for u in job.helpers}
-    for log in transcript.access_logs.values():
-        for plane, idx in ctx.reads:
-            log.add(plane, idx)
-    return dict(zip(job.failed, repaired)), transcript
+    return dict(zip(job.failed, repaired)), RepairTranscript(job, pay, full)

@@ -32,7 +32,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +64,12 @@ def pack_bytes(data: bytes, p: int) -> np.ndarray:
     pad = (-bits.size) % m
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    weights = 1 << np.arange(m - 1, -1, -1)
-    return (bits.reshape(-1, m) * weights).sum(axis=1).astype(np.int64)
+    rows = bits.reshape(-1, m)  # one symbol's bits per row, MSB first
+    vals = rows[:, 0].copy()
+    for i in range(1, m):
+        vals <<= 1
+        vals |= rows[:, i]
+    return vals.astype(np.int64)
 
 
 def unpack_symbols(symbols: np.ndarray, p: int, original_length: int) -> bytes:
@@ -73,9 +77,12 @@ def unpack_symbols(symbols: np.ndarray, p: int, original_length: int) -> bytes:
     m = bits_per_symbol(p)
     if m == 8:
         return symbols.astype(np.uint8).tobytes()[:original_length]
-    vals = symbols.astype(np.int64)
-    bits = (vals[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
-    flat = bits.reshape(-1).astype(np.uint8)
+    vals = symbols.astype(np.uint8)
+    bits = np.empty((vals.size, m), dtype=np.uint8)  # the low m bits, MSB first
+    for i in range(m):
+        np.right_shift(vals, m - 1 - i, out=bits[:, i])
+        bits[:, i] &= 1
+    flat = bits.reshape(-1)
     usable = (flat.size // 8) * 8
     return np.packbits(flat[:usable]).tobytes()[:original_length]
 
@@ -252,14 +259,43 @@ class Manifest:
         if not path.exists():
             raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
         data = json.loads(path.read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: manifest must hold a JSON object")
         if data.get("format") != FORMAT_VERSION:
             raise ValueError(
                 f"{path}: store is in chunk format {data.get('format')}, but this version "
                 f"reads format {FORMAT_VERSION} only; re-encode the original file"
             )
+        names = [f.name for f in fields(cls)]
+        for key in names:
+            if key not in data:
+                raise ValueError(f"{path}: manifest field {key!r} is missing")
+        for key in data:
+            if key not in names:
+                raise ValueError(f"{path}: manifest field {key!r} is unknown")
+        for key in ("n", "k", "d", "h", "p", "bits_per_symbol", "original_length", "stripe_count"):
+            if not _is_count(data[key]):
+                raise ValueError(f"{path}: manifest field {key!r} must be a non-negative "
+                                 f"integer, got {data[key]!r}")
+        for key in ("lambdas", "mus", "failed"):
+            if not isinstance(data[key], list) or not all(map(_is_count, data[key])):
+                raise ValueError(f"{path}: manifest field {key!r} must be a list of "
+                                 "non-negative integers")
+        chunks = data["chunks"]
+        if not (isinstance(chunks, dict) and len(chunks) == data["n"]
+                and all(str(i) in chunks for i in range(data["n"]))
+                and all(isinstance(c, dict) and isinstance(c.get("file"), str)
+                        and isinstance(c.get("sha256"), str) for c in chunks.values())):
+            raise ValueError(f"{path}: manifest field 'chunks' must map every node index "
+                             "to its file and sha256")
         data["lambdas"] = tuple(data["lambdas"])
         data["mus"] = tuple(data["mus"])
         return cls(**data)
+
+
+def _is_count(value) -> bool:
+    """A JSON integer >= 0 (JSON true and false load as bool, an int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 # --- file-level striping -----------------------------------------------------

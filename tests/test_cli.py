@@ -346,6 +346,35 @@ class TestCheckedReads:
         assert "node 9 out of range" in capsys.readouterr().err
 
 
+class TestMalformedManifest:
+    # a missing, unknown or mistyped manifest field is an error naming it,
+    # never a traceback
+    EDITS = {
+        "missing": (lambda m: m.pop("stripe_count"), "'stripe_count' is missing"),
+        "unknown": (lambda m: m.update(extra=1), "'extra' is unknown"),
+        "string": (lambda m: m.update(stripe_count=str(m["stripe_count"])),
+                   "'stripe_count' must be a non-negative integer"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    @pytest.mark.parametrize("command", ["verify", "decode"])
+    def test_reported_as_error(self, encoded_dir, capsys, command, edit):
+        tmp_path, store, _ = encoded_dir
+        path = store / "manifest.json"
+        manifest = json.loads(path.read_text())
+        change, message = self.EDITS[edit]
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out.bin"
+        argv = ["--dir", store] + (["--out", out] if command == "decode" else [])
+        capsys.readouterr()
+        assert run_cli(command, *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert not out.exists()
+
+
 class TestChunkFormat:
     @pytest.mark.parametrize("nkdh,p", [((6, 2, 3, 3), 7), ((6, 3, 4, 2), 257)])
     def test_chunk_size_is_header_plus_packed_body(self, tmp_path, nkdh, p):

@@ -20,7 +20,8 @@ from conftest import make_codeword
 
 def residuals_array(params, arr):
     """Every parity residual of one codeword's columns (n, planes, s^n), shape (planes, r, s^n)."""
-    return np.stack([_known_contrib(params, arr[:, b0], range(params.n)) for b0 in range(params.planes)])
+    return np.stack([_known_contrib(params, arr[:, b0], range(params.n), params.r)
+                     for b0 in range(params.planes)])
 
 
 def failing_planes(params, cw):
@@ -235,6 +236,20 @@ def test_scalar_vs_vectorized_residuals_wider_alphabet():
         a = int(rng.integers(0, params.s_pow_n))
         assert res[b - 1, t, a] == parity_residual(params, arr, t, b, a)
     assert res[2].any() and not res[0].any()
+
+
+def test_residuals_reduced_once_at_the_largest_p():
+    # _known_contrib reduces only at the end; every symbol p-1 at the largest
+    # supported p is the largest unreduced sum it can see
+    params = validate_params(5, 1, 4, 1, p=65521)
+    arr = np.full((params.n, params.planes, params.s_pow_n), params.p - 1, dtype=np.int64)
+    res = residuals_array(params, arr)
+    rng = np.random.default_rng(89)
+    for _ in range(40):
+        t = int(rng.integers(0, params.r))
+        b = int(rng.integers(1, params.planes + 1))
+        a = int(rng.integers(0, params.s_pow_n))
+        assert res[b - 1, t, a] == parity_residual(params, arr, t, b, a)
 
 
 class TestStripeBatch:

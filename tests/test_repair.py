@@ -109,6 +109,29 @@ class TestRunRepair:
         with pytest.raises(ValueError, match="missing"):
             run_repair(job, {2: cw[2]})
 
+    @pytest.mark.parametrize("bad,match", [
+        ("shape", "shape"), ("too_large", "reduced"), ("negative", "reduced"),
+    ])
+    def test_bad_last_helper_column_rejected(self, ex1, bad, match):
+        # the block is checked as a whole, so a fault in the last helper counts
+        params, cw, job = ex1
+        surviving = {u: cw[u].copy() for u in job.helpers}
+        last = surviving[job.helpers[-1]]
+        if bad == "shape":
+            surviving[job.helpers[-1]] = last.reshape(-1)[:-1]
+        else:
+            last[-1, -1] = params.p if bad == "too_large" else -1
+        with pytest.raises(ValueError, match=match):
+            run_repair(job, surviving)
+
+    def test_flat_helper_columns_accepted(self, ex1):
+        params, cw, job = ex1
+        shaped, t1 = run_repair(job, {u: cw[u] for u in job.helpers})
+        flat, t2 = run_repair(job, {u: cw[u].reshape(-1) for u in job.helpers})
+        for i in job.failed:
+            assert np.array_equal(shaped[i], flat[i])
+        assert t1.export_text() == t2.export_text()
+
     def test_zero_codeword_repairs_to_zero(self, ex1):
         params, _, job = ex1
         zero = np.zeros((params.planes, params.s_pow_n), dtype=np.int64)
@@ -140,6 +163,26 @@ class TestTranscript:
             assert len(blob) == 4 * int(count)
             values = [int(blob[i : i + 4], 16) for i in range(0, len(blob), 4)]
             assert all(v < params.p for v in values)
+
+    def test_transcripts_read_after_later_calls(self):
+        # a transcript is built when first read; one read only after another
+        # stripe's call must still describe its own stripe
+        params = validate_params(6, 2, 3, 3)
+        job = RepairJob(params, (0, 3, 5), (1, 2, 4))
+        stripes = [make_codeword(params, seed=seed) for seed in (51, 52)]
+
+        def contents(transcript):
+            messages = [(m.phase, m.sender, m.receiver, m.values.tolist())
+                        for m in transcript.messages]
+            return messages, {u: log.index_set() for u, log in transcript.access_logs.items()}
+
+        eager = []
+        for cw in stripes:
+            _, transcript = run_repair(job, {u: cw[u] for u in job.helpers})
+            eager.append(contents(transcript))
+        lazy = [run_repair(job, {u: cw[u] for u in job.helpers})[1] for cw in stripes]
+        assert eager[0][0] != eager[1][0]
+        assert [contents(t) for t in lazy] == eager
 
     def test_access_logs_attached(self, ex1):
         params, cw, job = ex1

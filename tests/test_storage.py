@@ -80,6 +80,29 @@ class TestPacking:
             assert unpack_symbols(padded, p, len(data)) == data
 
 
+PRIMES_BELOW_256 = [p for p in range(2, 256) if all(p % q for q in range(2, p))]
+
+
+class TestPackingDefinition:
+    # the sub-byte packing, pinned against its MSB-first bitstream definition
+    @pytest.mark.parametrize("p", PRIMES_BELOW_256)
+    def test_matches_msb_first_bitstream(self, p):
+        m = bits_per_symbol(p)
+        rng = np.random.default_rng(p)
+        data = rng.integers(0, 256, size=37, dtype=np.uint8).tobytes()
+        bits = "".join(f"{b:08b}" for b in data)
+        bits += "0" * (-len(bits) % m)
+        symbols = pack_bytes(data, p)
+        assert symbols.dtype == np.int64
+        assert symbols.tolist() == [int(bits[i:i + m], 2) for i in range(0, len(bits), m)]
+
+        symbols = rng.integers(0, 1 << m, size=41)
+        bits = "".join(format(int(v), f"0{m}b") for v in symbols)
+        whole = bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits) // 8 * 8, 8))
+        assert unpack_symbols(symbols, p, len(whole)) == whole
+        assert unpack_symbols(symbols, p, 3) == whole[:3]
+
+
 class TestChunkIO:
     def test_roundtrip(self, tmp_path, example1):
         symbols = np.arange(96, dtype=np.int64) % example1.p
@@ -268,6 +291,34 @@ class TestManifest:
     def test_other_format_rejected(self, tmp_path, version):
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({"format": version}))
         with pytest.raises(ValueError, match=f"format {version}.* format 2 only; re-encode"):
+            Manifest.load(tmp_path)
+
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("stripe_count", None, "'stripe_count' is missing"),
+        ("extra", 1, "'extra' is unknown"),
+        ("stripe_count", "9", "'stripe_count' must be a non-negative integer"),
+        ("original_length", True, "'original_length' must be a non-negative integer"),
+        ("n", -4, "'n' must be a non-negative integer"),
+        ("mus", 4, "'mus' must be a list"),
+        ("failed", ["1"], "'failed' must be a list"),
+        ("chunks", {"0": {"file": "node0.mscr"}}, "'chunks' must map every node"),
+    ])
+    def test_malformed_field_named(self, tmp_path, field, value, match):
+        Manifest(
+            format=FORMAT_VERSION, n=4, k=1, d=2, h=2, p=5, lambdas=(0, 1, 2, 3), mus=(4,),
+            bits_per_symbol=2, original_length=100, stripe_count=9,
+            chunks={str(i): {"file": chunk_name(i), "sha256": "0" * 64} for i in range(4)},
+            failed=[],
+        ).save(tmp_path)
+        path = tmp_path / MANIFEST_NAME
+        data = json.loads(path.read_text())
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=match):
             Manifest.load(tmp_path)
 
 

@@ -281,13 +281,13 @@ class Manifest:
             if not isinstance(data[key], list) or not all(map(_is_count, data[key])):
                 raise ValueError(f"{path}: manifest field {key!r} must be a list of "
                                  "non-negative integers")
+        # a chunk's file is named by its node, so no entry can point outside the store
         chunks = data["chunks"]
-        if not (isinstance(chunks, dict) and len(chunks) == data["n"]
-                and all(str(i) in chunks for i in range(data["n"]))
-                and all(isinstance(c, dict) and isinstance(c.get("file"), str)
-                        and isinstance(c.get("sha256"), str) for c in chunks.values())):
-            raise ValueError(f"{path}: manifest field 'chunks' must map every node index "
-                             "to its file and sha256")
+        if not (isinstance(chunks, dict) and len(chunks) == data["n"] and all(
+                isinstance(chunks.get(str(i)), dict) and chunks[str(i)].get("file") == chunk_name(i)
+                and isinstance(chunks[str(i)].get("sha256"), str) for i in range(data["n"]))):
+            raise ValueError(f"{path}: manifest field 'chunks' must map every node index i "
+                             "to its file node<i>.mscr and its sha256")
         data["lambdas"] = tuple(data["lambdas"])
         data["mus"] = tuple(data["mus"])
         return cls(**data)

@@ -374,6 +374,20 @@ class TestMalformedManifest:
         assert captured.err.startswith("error: ") and message in captured.err
         assert not out.exists()
 
+    def test_chunk_file_outside_the_store_refused(self, encoded_dir, capsys):
+        tmp_path, store, _ = encoded_dir
+        outside = tmp_path / "keep.txt"
+        outside.write_text("keep")
+        path = store / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["chunks"]["1"]["file"] = "../keep.txt"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("fail", "--dir", store, "--nodes", "0,1") == 2
+        assert "'chunks'" in capsys.readouterr().err
+        assert outside.read_text() == "keep"
+        assert (store / "node0.mscr").exists()
+
 
 class TestChunkFormat:
     @pytest.mark.parametrize("nkdh,p", [((6, 2, 3, 3), 7), ((6, 3, 4, 2), 257)])

@@ -303,6 +303,8 @@ class TestManifest:
         ("mus", 4, "'mus' must be a list"),
         ("failed", ["1"], "'failed' must be a list"),
         ("chunks", {"0": {"file": "node0.mscr"}}, "'chunks' must map every node"),
+        ("chunks", {str(i): {"file": f"../node{i}.mscr", "sha256": "0" * 64} for i in range(4)},
+         "'chunks' must map every node"),
     ])
     def test_malformed_field_named(self, tmp_path, field, value, match):
         Manifest(

@@ -102,6 +102,20 @@ def _read_column(directory: Path, manifest: storage.Manifest, params, node: int)
     return symbols
 
 
+def _checked_column(directory: Path, manifest: storage.Manifest, params, node: int):
+    """(column, None) for a chunk that reads and agrees with the manifest,
+    else (None, a one-line problem naming the node)."""
+    path = _chunk_path(directory, manifest, node)
+    if not path.exists():
+        return None, f"node {node}: chunk missing at {path}"
+    try:
+        return _read_column(directory, manifest, params, node), None
+    except storage.ChecksumMismatchError:
+        return None, f"node {node}: checksum mismatch"
+    except (CliError, ValueError) as exc:  # the chunk disagrees with the manifest
+        return None, f"node {node}: {exc}"
+
+
 def cmd_encode(args) -> int:
     config = _load_config(args.config)
     params = _params_from(args, config)
@@ -187,7 +201,7 @@ def cmd_repair(args) -> int:
     stripes = manifest.stripe_count
     shape = (stripes, params.planes, params.s_pow_n)
     helper_bodies = {u: _read_column(directory, manifest, params, u).reshape(shape) for u in helpers}
-    repaired_bodies = {i: np.empty(shape, dtype=np.int64) for i in failed}
+    repaired_bodies = {i: np.empty(shape, dtype=np.uint16) for i in failed}
     first_transcript = None
     for st in range(stripes):
         repaired, transcript = run_repair(job, {u: body[st] for u, body in helper_bodies.items()})
@@ -277,17 +291,9 @@ def cmd_verify(args) -> int:
         if i in failed:
             print(f"node {i}: FAILED (quarantined)")
             continue
-        path = _chunk_path(directory, manifest, i)
-        if not path.exists():
-            problems.append(f"node {i}: chunk missing at {path}")
-            continue
-        try:
-            column = _read_column(directory, manifest, params, i)
-        except storage.ChecksumMismatchError:
-            problems.append(f"node {i}: checksum mismatch")
-            continue
-        except (CliError, ValueError) as exc:  # the chunk disagrees with the manifest
-            problems.append(f"node {i}: {exc}")
+        column, problem = _checked_column(directory, manifest, params, i)
+        if problem:
+            problems.append(problem)
             continue
         available[i] = column.reshape(stripes, params.planes, params.s_pow_n)
         print(f"node {i}: checksum OK")
@@ -326,8 +332,21 @@ def cmd_decode(args) -> int:
             raise CliError(f"node {i} is failed; repair first or pick other nodes")
     if len(wanted) < params.k:
         raise CliError(f"need at least k={params.k} chunks, have {len(wanted)}")
-    # decode_file uses the k lowest-indexed bodies, so only those are read
-    bodies = {i: _read_column(directory, manifest, params, i) for i in wanted[: params.k]}
+    # decode_file uses the k lowest-indexed bodies, so chunks are read in
+    # order until k of them verify; a bad one is named and skipped
+    bodies, bad = {}, []
+    for i in wanted:
+        if len(bodies) == params.k:
+            break
+        column, problem = _checked_column(directory, manifest, params, i)
+        if problem:
+            print(f"skipped {problem}", file=sys.stderr)
+            bad.append(i)
+        else:
+            bodies[i] = column
+    if len(bodies) < params.k:
+        raise CliError(f"need k={params.k} verified chunks, only {len(bodies)} of nodes "
+                       f"{wanted} verify; bad nodes {bad}")
     data = storage.decode_file(bodies, params, manifest.original_length, manifest.stripe_count)
     storage._write_replacing(out_path, data)
     print(f"decoded {len(data)} bytes from nodes {sorted(bodies)} to {out_path}")

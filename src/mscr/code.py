@@ -24,12 +24,18 @@ optimal MDS codes for all admissible parameters", IEEE Trans. IT, 2019):
 The checks t >= m are not used by the solve; with check=True the full
 residual sweep (failing_checks) then rejects inputs that lie on no codeword.
 
-Integer bounds: symbols are int64 and reduced into [0, p) with p < 2^16.  K
-is summed unreduced over the known nodes and reduced once, below
-n s (p-1)^2 (_known_contrib).  S is added one erased coordinate at a time
-and reduced after each, so an accumulator stays below p + (s-1)(p-1)^2, and
-each product entry is below m(p-1)^2.  Both are below 2^48 for s, m < 2^16,
-which every code whose s^n index vectors fit in memory satisfies (s, m < n).
+Integer bounds: stored symbols are uint16 in [0, p), p < 2^16, and the
+kernels compute in accumulator_dtype(params), int32 when B = n s (p-1)^2 is
+below 2^31 and int64 otherwise.  No intermediate exceeds B:
+- K is summed unreduced over the known nodes and reduced once; each node adds
+  at most s(p-1)^2 to an entry (_known_contrib).
+- S is added one erased coordinate at a time and reduced after each, so an
+  accumulator stays below p + (s-1)(p-1)^2 <= s(p-1)^2 (p >= 3).
+- Each entry of -V^-1 (K + S) is a sum of m < n products below (p-1)^2.
+Every code whose s^n index vectors fit in memory has s < n < 64, so B < 2^44
+and int64 cannot overflow.  _known_contrib copies each uint16 column into
+the accumulator dtype before any product: numpy 2 computes a uint16 array
+times a Python int in uint16, which would wrap.
 
 Files hold many independent codewords (stripes).  solve_erased and
 failing_checks take every stripe of every node at once, as an
@@ -218,8 +224,16 @@ def _plane_geometry(params: CodeParams):
     return masks, subs
 
 
+def accumulator_dtype(params: CodeParams) -> type:
+    """int32 when the kernels' bound n s (p-1)^2 fits it, else int64 (see the
+    module docstring)."""
+    return np.int32 if params.n * params.s * (params.p - 1) ** 2 < 2**31 else np.int64
+
+
 def _add_multiple(acc: np.ndarray, x: np.ndarray, c: int, tmp: np.ndarray) -> None:
-    """acc += c * x in place, through the scratch array tmp."""
+    """acc += c * x in place, through the scratch array tmp.  x must already
+    be in acc's dtype: numpy 2 multiplies a uint16 x by a Python int in uint16,
+    which wraps."""
     if c == 1:
         acc += x
     elif c:
@@ -228,33 +242,37 @@ def _add_multiple(acc: np.ndarray, x: np.ndarray, c: int, tmp: np.ndarray) -> No
 
 
 def _known_contrib(params: CodeParams, plane, known_nodes, rows: int) -> np.ndarray:
-    """K[t, ..., a] for t < rows: the sum over known nodes j of their check
-    contributions at (t, a), reduced into [0, p).
+    """K[t, a, ...] for t < rows: the sum over known nodes j of their check
+    contributions at (t, a), reduced into [0, p), in accumulator_dtype(params).
 
-    plane[j] is node j's symbols on one plane, shape (..., s^n); the leading
-    axes (the stripes) are carried through to the result.  Node j's
-    substitution terms are read through the digit-j view (..., s^(n-1-j), s,
-    s^j) of its symbols: check row t gains lambda_j^t col everywhere and
-    sum_e mu_e^t col[..., e, :] on the zero-digit slice [..., 0, :].  Products
-    go through one temporary and are added in place, so no known column is
-    copied.  With symbols in [0, p), each node adds less than s(p-1)^2 to an
-    entry, so the unreduced sum stays below n s (p-1)^2 < 2^63 (p < 2^16) and
-    is reduced once, at the end.
+    plane[j] is node j's symbols on one plane, shape (stripes, s^n) or
+    (s^n,); K has the index axis first and the stripe axis innermost,
+    (rows, s^n, stripes) or (rows, s^n).  Each known column is copied once,
+    transposed, into a buffer of K's dtype, so every product below runs in
+    that dtype.  Node j's substitution terms are read through the digit-j
+    view (s^(n-1-j), s, s^j, ...) of that buffer: check row t gains
+    lambda_j^t col everywhere and sum_e mu_e^t col[:, e] on the zero-digit
+    slice [:, 0].  Products go through one temporary and are added in
+    place.  With symbols in [0, p), each node adds at most s(p-1)^2 to an
+    entry, so the unreduced sum stays within n s (p-1)^2, which the dtype
+    holds; it is reduced once, at the end.
     """
     p, n, s = params.p, params.n, params.s
-    shape = plane[known_nodes[0]].shape
-    out = np.zeros((rows,) + shape, dtype=np.int64)
-    tmp = np.empty(shape, dtype=np.int64)
+    shape = plane[known_nodes[0]].T.shape
+    dtype = accumulator_dtype(params)
+    out = np.zeros((rows,) + shape, dtype=dtype)
+    col = np.empty(shape, dtype=dtype)
+    tmp = np.empty(shape, dtype=dtype)
     for j in known_nodes:
-        col = plane[j]
-        digits = shape[:-1] + (s ** (n - 1 - j), s, s**j)
+        col[...] = plane[j].T
+        digits = (s ** (n - 1 - j), s, s**j) + shape[1:]
         col_digits = col.reshape(digits)
-        tmp_zero = tmp.reshape(digits)[..., 0, :]
+        tmp_zero = tmp.reshape(digits)[:, 0]
         for t in range(rows):
             _add_multiple(out[t], col, pow(params.lambdas[j], t, p), tmp)
-            zero = out[t].reshape(digits)[..., 0, :]
+            zero = out[t].reshape(digits)[:, 0]
             for e in range(1, s):
-                _add_multiple(zero, col_digits[..., e, :], pow(params.mus[e - 1], t, p), tmp_zero)
+                _add_multiple(zero, col_digits[:, e], pow(params.mus[e - 1], t, p), tmp_zero)
     out %= p
     return out
 
@@ -267,19 +285,20 @@ def _peel_plan(params: CodeParams, erased: tuple[int, ...]):
     Returns (solve_op, mu_powers, layers).  solve_op is the negated inverse of
     the m x m Vandermonde matrix of the erased lambdas (rows t < m), so that
     solve_op @ (K + S) gives the erased symbols of an index vector.
-    mu_powers[t, e-1] is mu_e^t.  layers[z] is (members, terms): members are
-    the index vectors a with z(a) = z, ascending, and terms lists, per erased
-    position q whose coordinate i = erased[q] is zero somewhere in the layer,
-    (q, pos, subs): pos indexes members with a_i = 0 and subs[e-1] holds the
-    matching indices a(i, e), all of which lie in layer z-1.
+    mu_powers[t, e-1] is mu_e^t.  Both are in accumulator_dtype(params).
+    layers[z] is (members, terms): members are the index vectors a with
+    z(a) = z, ascending, and terms lists, per erased position q whose
+    coordinate i = erased[q] is zero somewhere in the layer, (q, pos, subs):
+    pos indexes members with a_i = 0 and subs[e-1] holds the matching
+    indices a(i, e), all of which lie in layer z-1.
     """
     m = len(erased)
-    p = params.p
+    p, dtype = params.p, accumulator_dtype(params)
     masks, subs = _plane_geometry(params)
     zeros = sum(masks[i].astype(np.int64) for i in erased)
     vm = vandermonde_matrix(params.field, [params.lambdas[i] for i in erased], m)
-    solve_op = -np.array(matrix_inverse(params.field, vm), dtype=np.int64) % p
-    mu_powers = np.array([[pow(mu, t, p) for mu in params.mus] for t in range(m)], dtype=np.int64)
+    solve_op = -np.array(matrix_inverse(params.field, vm), dtype=dtype) % p
+    mu_powers = np.array([[pow(mu, t, p) for mu in params.mus] for t in range(m)], dtype=dtype)
     layers = []
     for z in range(m + 1):
         members = np.flatnonzero(zeros == z)
@@ -299,8 +318,11 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool)
     an (n, stripes, planes, s^n) array is such a sequence.  Every stripe is
     solved at once, plane by plane and layer by layer (see the module
     docstring): per layer, one gather of the known contributions, one
-    subtraction of the already-solved substitution terms and one product with
-    the cached m x m inverse.  Work arrays keep the stripe axis innermost.
+    addition of the already-solved substitution terms and the product with
+    the cached m x m inverse, as m^2 multiply-adds of whole rows (numpy's
+    integer matmul has no BLAS path).  The work array is contiguous with the
+    stripe axis innermost, so each gather and scatter moves whole rows of
+    stripes, and it is in accumulator_dtype(params).
 
     With check=True every parity check of every stripe must then vanish, else
     the supplied symbols lie on no codeword and InconsistentCodewordError
@@ -316,7 +338,7 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool)
             plane = [col[:, b0] for col in cols]  # views, (stripes, s^n) each
             # work[t, a, stripe] starts as check row t's known contributions K;
             # once a's layer is solved, work[q, a, stripe] is erased[q]'s symbol
-            work = _known_contrib(params, plane, known, m).swapaxes(1, 2)
+            work = _known_contrib(params, plane, known, m)
             for members, terms in layers:
                 rhs = work[:, members]  # (m, |layer|, stripes), reduced
                 for q, pos, subs in terms:
@@ -324,9 +346,13 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool)
                     for e in range(params.s - 1):
                         acc += mu_powers[:, e, None, None] * work[q, subs[e]]
                     rhs[:, pos] = acc % p
-                unknowns = solve_op @ rhs.reshape(m, -1)
+                unknowns = np.zeros_like(rhs)
+                tmp = np.empty_like(rhs[0])
+                for q in range(m):
+                    for t in range(m):
+                        _add_multiple(unknowns[q], rhs[t], solve_op[q, t], tmp)
                 unknowns %= p
-                work[:, members] = unknowns.reshape(rhs.shape)
+                work[:, members] = unknowns
             for q, node in enumerate(erased):
                 plane[node][...] = work[q].T
     if check:
@@ -343,7 +369,7 @@ def failing_checks(params: CodeParams, cols) -> np.ndarray:
     plane is nonzero.  cols is as for solve_erased."""
     rows, nodes = params.r, range(params.n)
     return np.stack([
-        _known_contrib(params, [col[:, b0] for col in cols], nodes, rows).any(axis=(0, 2))
+        _known_contrib(params, [col[:, b0] for col in cols], nodes, rows).any(axis=(0, 1))
         for b0 in range(params.planes)
     ], axis=1)
 

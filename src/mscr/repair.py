@@ -88,6 +88,12 @@ class RepairJob:
             raise ValueError(
                 f"failed and helper sets overlap: {set(self.failed) & set(self.helpers)}"
             )
+        # hashed once: _context looks the job up on every run_repair call, and
+        # hashing the fields walks all of CodeParams
+        object.__setattr__(self, "_hash", hash((params, self.failed, self.helpers)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def slot_of(self, node: int) -> int:
         """1-based position of a failed node in ascending order."""

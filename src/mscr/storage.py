@@ -10,7 +10,10 @@ payload_len = stripe_count * N.  Files longer than one stripe are striped:
 consecutive kN-symbol blocks are independent codewords and each node's chunk
 concatenates its per-stripe columns in stripe order.  The n bodies of a file
 are therefore one (n, stripes, planes, s^n) array, and encode and decode
-solve every stripe in one code.solve_erased call.
+solve every stripe in one code.solve_erased call.  File-level symbols are
+uint16 from parsing to writing (pack_bytes, read_chunk, encode_file,
+decode_file): p < 2^16, so every symbol fits, and the solver's wider
+arithmetic lives only in its per-plane work arrays.
 
 Two widths are involved.  Message packing (pack_bytes) maps the file's bytes
 to symbols at bits_per_symbol(p) bits each: 8 when p > 255, otherwise
@@ -56,10 +59,10 @@ def bits_per_symbol(p: int) -> int:
 
 
 def pack_bytes(data: bytes, p: int) -> np.ndarray:
-    """File bytes -> field symbols (< p), MSB-first for sub-byte widths."""
+    """File bytes -> uint16 field symbols (< p), MSB-first for sub-byte widths."""
     m = bits_per_symbol(p)
     if m == 8:
-        return np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+        return np.frombuffer(data, dtype=np.uint8).astype(np.uint16)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     pad = (-bits.size) % m
     if pad:
@@ -69,7 +72,7 @@ def pack_bytes(data: bytes, p: int) -> np.ndarray:
     for i in range(1, m):
         vals <<= 1
         vals |= rows[:, i]
-    return vals.astype(np.int64)
+    return vals.astype(np.uint16)
 
 
 def unpack_symbols(symbols: np.ndarray, p: int, original_length: int) -> bytes:
@@ -120,7 +123,7 @@ def body_length(payload_len: int, p: int) -> int:
 def pack_body(symbols: np.ndarray, p: int) -> bytes:
     """Symbols in [0, p) -> byte planes, then bit planes (see module docstring)."""
     w = stored_width(p)
-    vals = symbols.astype(np.uint16)
+    vals = symbols.astype(np.uint16, copy=False)
     planes = [(vals >> (8 * j)).astype(np.uint8) for j in range(w // 8)]
     planes += [np.packbits((vals >> b).astype(np.uint8) & 1) for b in range(w // 8 * 8, w)]
     return b"".join(plane.tobytes() for plane in planes)
@@ -191,7 +194,8 @@ class ChecksumMismatchError(ValueError):
 
 
 def read_chunk(path: Path, sha256: str) -> tuple[ChunkHeader, np.ndarray]:
-    """Read a chunk file whose bytes must hash to `sha256`, then parse it.
+    """Read a chunk file whose bytes must hash to `sha256`, then parse it
+    into its header and its uint16 symbols.
 
     The digest is checked before any byte is parsed, so a damaged chunk is
     always reported as a ChecksumMismatchError.
@@ -224,7 +228,7 @@ def read_chunk(path: Path, sha256: str) -> tuple[ChunkHeader, np.ndarray]:
     # a w-bit field holds values up to 2^w - 1 >= p
     if symbols.size and symbols.max() >= p:
         raise ValueError(f"{path}: symbol out of field range")
-    return header, symbols.astype(np.int64)
+    return header, symbols
 
 
 @dataclass
@@ -304,14 +308,19 @@ def encode_file(data: bytes, params: CodeParams):
     """Encode a byte string into n chunk bodies (one per node).
 
     Returns (bodies, original_length, stripe_count); bodies[i] is node i's
-    concatenated per-stripe columns, stripe_count * N symbols.
+    concatenated per-stripe columns, stripe_count * N uint16 symbols.
     """
     symbols = pack_bytes(data, params.p)
-    stripes = max(1, -(-symbols.size // symbols_per_stripe(params)))
-    arr = np.zeros((params.n, stripes, params.planes, params.s_pow_n), dtype=np.int64)
-    # stripe st's message is node 0..k-1's columns of stripe st, in order
-    arr[: params.k].swapaxes(0, 1).flat[: symbols.size] = symbols
-    del symbols
+    per_stripe = symbols_per_stripe(params)
+    stripes = max(1, -(-symbols.size // per_stripe))
+    arr = np.zeros((params.n, stripes, params.planes, params.s_pow_n), dtype=np.uint16)
+    # stripe st's message is node 0..k-1's columns of stripe st, in order;
+    # whole stripes are copied as blocks, the partial last one symbol by symbol
+    message = arr[: params.k].swapaxes(0, 1)
+    full = symbols.size // per_stripe
+    message[:full] = symbols[: full * per_stripe].reshape(message[:full].shape)
+    message[full:].flat[: symbols.size - full * per_stripe] = symbols[full * per_stripe:]
+    del symbols, message
     solve_erased(params, arr, tuple(range(params.k, params.n)), check=False)
     return arr.reshape(params.n, -1), len(data), stripes
 
@@ -336,8 +345,8 @@ def decode_file(bodies: dict[int, np.ndarray], params: CodeParams,
         message = np.stack([bodies[i].reshape(shape) for i in range(k)], axis=1)
     else:
         # columns 0..k-1 are views of the message buffer and are solved into it
-        message = np.zeros((stripe_count, k) + shape[1:], dtype=np.int64)
-        cols = list(message.swapaxes(0, 1)) + [np.zeros(shape, dtype=np.int64)
+        message = np.zeros((stripe_count, k) + shape[1:], dtype=np.uint16)
+        cols = list(message.swapaxes(0, 1)) + [np.zeros(shape, dtype=np.uint16)
                                                for _ in range(k, params.n)]
         chosen = sorted(bodies)[:k]
         for i in chosen:

@@ -209,12 +209,31 @@ class TestCheckedReads:
         path.write_bytes(bytes(raw))
 
     def test_decode_refuses_corrupt_chunk(self, store6, capsys):
-        tmp_path, store, _ = store6
+        # the corrupt chunk is named and skipped, and the next node takes its place
+        tmp_path, store, data = store6
         self.flip_bit(store / "node0.mscr")
         out = tmp_path / "out.bin"
         capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "skipped node 0: checksum mismatch\n"
+        assert "from nodes [1, 2, 3]" in captured.out
+        assert out.read_bytes() == data
+
+    def test_decode_fails_when_fewer_than_k_chunks_verify(self, store6, capsys):
+        tmp_path, store, _ = store6
+        for i in (0, 4, 5):
+            self.flip_bit(store / f"node{i}.mscr")
+        (store / "node2.mscr").unlink()
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
         assert run_cli("decode", "--dir", store, "--out", out) == 2
-        assert "node 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        for i in (0, 4, 5):
+            assert f"skipped node {i}: checksum mismatch" in err
+        assert "skipped node 2: chunk missing" in err
+        assert "error: need k=3 verified chunks, only 2 of nodes [0, 1, 2, 3, 4, 5] verify; " \
+               "bad nodes [0, 2, 4, 5]" in err
         assert not out.exists()
 
     def test_repair_checks_restored_chunks_before_writing(self, store6, capsys):

@@ -6,6 +6,7 @@ import pytest
 from mscr.code import (
     InconsistentCodewordError,
     _known_contrib,
+    accumulator_dtype,
     encode,
     erase_decode,
     failing_checks,
@@ -250,6 +251,51 @@ def test_residuals_reduced_once_at_the_largest_p():
         b = int(rng.integers(1, params.planes + 1))
         a = int(rng.integers(0, params.s_pow_n))
         assert res[b - 1, t, a] == parity_residual(params, arr, t, b, a)
+
+
+class TestOverflowBound:
+    """The kernels at the largest symbols, p-1 everywhere, in uint16 as stored,
+    on both sides of the int32/int64 accumulator switch, against the scalar
+    oracle parity_residual."""
+
+    # (6,3,4,2): n s = 12, so int32 holds 12 (p-1)^2 up to p = 13378
+    CASES = [(13367, np.int32), (13399, np.int64), (65521, np.int64)]
+
+    @staticmethod
+    def every_residual(params, cw):
+        return np.array([[[parity_residual(params, cw, t, b, a) for a in range(params.s_pow_n)]
+                          for t in range(params.r)] for b in range(1, params.planes + 1)])
+
+    @pytest.mark.parametrize("p, dtype", CASES)
+    def test_failing_checks(self, p, dtype):
+        params = validate_params(6, 3, 4, 2, p=p)
+        assert accumulator_dtype(params) == dtype
+        worst = np.full((params.n, params.planes, params.s_pow_n), p - 1, dtype=np.uint16)
+        valid = make_codeword(params, seed=97).astype(np.uint16)
+        expected = self.every_residual(params, worst)
+        assert np.array_equal(residuals_array(params, worst), expected)
+        bad = failing_checks(params, np.stack([worst, valid], axis=1))
+        assert bad.tolist() == [expected.any(axis=(1, 2)).tolist(), [False] * params.planes]
+
+    @pytest.mark.parametrize("p, dtype", CASES)
+    def test_solve_erased(self, p, dtype):
+        params = validate_params(6, 3, 4, 2, p=p)
+        erased = (0, 2, 5)
+        arr = np.full((params.n, 2, params.planes, params.s_pow_n), p - 1, dtype=np.uint16)
+        arr[list(erased)] = 0
+        solve_erased(params, arr, erased, check=True)
+        assert arr.dtype == np.uint16 and (arr[[1, 3, 4]] == p - 1).all()
+        assert np.array_equal(arr[:, 0], arr[:, 1])
+        assert not self.every_residual(params, arr[:, 0]).any()
+
+
+def test_uint16_column_products_are_not_wrapped():
+    # numpy 2 multiplies a uint16 array by a Python int in uint16, where
+    # lambda_5 * 256 = 256 * 256 = 2^16 would wrap to 0
+    params = validate_params(6, 3, 4, 2, p=257, lambdas=(0, 1, 2, 3, 4, 256))
+    arr = np.zeros((params.n, params.planes, params.s_pow_n), dtype=np.uint16)
+    arr[5] = 256
+    assert np.array_equal(residuals_array(params, arr), TestOverflowBound.every_residual(params, arr))
 
 
 class TestStripeBatch:

@@ -5,7 +5,7 @@ import pytest
 
 from mscr.code import encode, random_message, validate_params
 from mscr.indexing import sub_index, v_indices
-from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, run_repair
+from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, _context, run_repair
 
 from conftest import make_codeword
 
@@ -47,6 +47,15 @@ class TestRepairJob:
         params, _, _ = ex1
         with pytest.raises(ValueError, match="out of range"):
             RepairJob(params, (0, 4), (2, 3))
+
+    def test_equal_jobs_share_one_context(self):
+        # the hash is computed once per job; equal jobs must still meet in the cache
+        job = RepairJob(validate_params(6, 3, 4, 2, p=257), (4, 1), (0, 2, 3, 5))
+        same = RepairJob(validate_params(6, 3, 4, 2, p=257), (1, 4), (5, 3, 2, 0))
+        assert job == same and hash(job) == hash(same)
+        assert _context(job) is _context(same)
+        other = RepairJob(job.params, (1, 5), (0, 2, 3, 4))
+        assert other != job and _context(other) is not _context(job)
 
 
 class TestRunRepair:

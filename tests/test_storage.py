@@ -93,7 +93,7 @@ class TestPackingDefinition:
         bits = "".join(f"{b:08b}" for b in data)
         bits += "0" * (-len(bits) % m)
         symbols = pack_bytes(data, p)
-        assert symbols.dtype == np.int64
+        assert symbols.dtype == np.uint16  # file-level symbols are uint16 at rest
         assert symbols.tolist() == [int(bits[i:i + m], 2) for i in range(0, len(bits), m)]
 
         symbols = rng.integers(0, 1 << m, size=41)
@@ -111,6 +111,7 @@ class TestChunkIO:
         write_chunk(path, chunk_bytes(header, symbols))
         got_header, got_symbols = read_chunk(path, sha256_hex(path))
         assert got_header == header
+        assert got_symbols.dtype == np.uint16
         assert np.array_equal(got_symbols, symbols)
         assert (got_header.n, got_header.k, got_header.d, got_header.h, got_header.p,
                 got_header.lambdas, got_header.mus) == (

@@ -76,30 +76,10 @@ def _chunk_path(directory: Path, manifest: storage.Manifest, node: int) -> Path:
     return directory / manifest.chunks[str(node)]["file"]
 
 
-def _chunk_bytes(params, node: int, stripes: int, body: np.ndarray) -> bytes:
-    header = storage.ChunkHeader(
-        storage.FORMAT_VERSION, params.n, params.k, params.d, params.h, params.p, node,
-        stripes * params.N, storage.bits_per_symbol(params.p), params.lambdas, params.mus,
-    )
-    return storage.chunk_bytes(header, body)
-
-
 def _read_column(directory: Path, manifest: storage.Manifest, params, node: int) -> np.ndarray:
-    path = _chunk_path(directory, manifest, node)
-    try:
-        header, symbols = storage.read_chunk(path, manifest.chunks[str(node)]["sha256"])
-    except storage.ChecksumMismatchError as exc:
-        raise storage.ChecksumMismatchError(f"node {node}: {exc}") from None
-    if (header.n, header.k, header.d, header.h, header.p, header.lambdas, header.mus) != (
-        params.n, params.k, params.d, params.h, params.p, params.lambdas, params.mus,
-    ):
-        raise CliError(f"chunk for node {node} was written with different parameters "
-                       "or evaluation points")
-    if header.node_index != node:
-        raise CliError(f"chunk file for node {node} claims index {header.node_index}")
-    if header.payload_len != manifest.stripe_count * params.N:
-        raise CliError(f"chunk for node {node} has wrong payload length")
-    return symbols
+    return storage.read_chunk(_chunk_path(directory, manifest, node),
+                              manifest.chunks[str(node)]["sha256"], params, node,
+                              manifest.stripe_count * params.N)
 
 
 def _checked_column(directory: Path, manifest: storage.Manifest, params, node: int):
@@ -112,7 +92,7 @@ def _checked_column(directory: Path, manifest: storage.Manifest, params, node: i
         return _read_column(directory, manifest, params, node), None
     except storage.ChecksumMismatchError:
         return None, f"node {node}: checksum mismatch"
-    except (CliError, ValueError) as exc:  # the chunk disagrees with the manifest
+    except (OSError, ValueError) as exc:  # unreadable, or disagrees with the manifest
         return None, f"node {node}: {exc}"
 
 
@@ -137,20 +117,12 @@ def cmd_encode(args) -> int:
         print(f"wrote generated input to {source}")
 
     bodies, original_length, stripes = storage.encode_file(data, params)
-    chunks = {}
+    digests = []
     for i in range(params.n):
-        data = _chunk_bytes(params, i, stripes, bodies[i])
-        name = storage.chunk_name(i)
-        storage.write_chunk(out_dir / name, data)
-        chunks[str(i)] = {"file": name, "sha256": hashlib.sha256(data).hexdigest()}
-    manifest = storage.Manifest(
-        format=storage.FORMAT_VERSION,
-        n=params.n, k=params.k, d=params.d, h=params.h, p=params.p,
-        lambdas=params.lambdas, mus=params.mus,
-        bits_per_symbol=storage.bits_per_symbol(params.p), original_length=original_length,
-        stripe_count=stripes, chunks=chunks, failed=[],
-    )
-    manifest.save(out_dir)
+        data = storage.chunk_bytes(params, i, bodies[i])
+        storage.write_chunk(out_dir / storage.chunk_name(i), data)
+        digests.append(hashlib.sha256(data).hexdigest())
+    storage.Manifest.new(params, original_length, stripes, digests).save(out_dir)
     print(f"encoded {original_length} bytes into {params.n} chunks "
           f"({stripes} stripe(s) of kN={params.k * params.N} symbols, p={params.p})")
     return 0
@@ -211,22 +183,12 @@ def cmd_repair(args) -> int:
             first_transcript = transcript
 
     # every restored chunk must match its recorded checksum before any is written
-    restored = {i: _chunk_bytes(params, i, stripes, repaired_bodies[i].reshape(-1)) for i in failed}
+    restored = {i: storage.chunk_bytes(params, i, repaired_bodies[i].reshape(-1)) for i in failed}
     mismatched = [i for i, data in restored.items()
                   if hashlib.sha256(data).hexdigest() != manifest.chunks[str(i)]["sha256"]]
     if mismatched:
         raise CliError(", ".join(f"node {i}" for i in mismatched)
                        + ": restored chunk fails checksum verification; nothing written")
-    for i, data in restored.items():
-        storage.write_chunk(_chunk_path(directory, manifest, i), data)
-    for i in failed:
-        quarantined = _chunk_path(directory, manifest, i).with_name(
-            storage.chunk_name(i) + storage.QUARANTINE_SUFFIX
-        )
-        if quarantined.exists():
-            quarantined.unlink()
-    manifest.failed = []
-    manifest.save(directory)
 
     measured = RepairMetrics.from_run(job, first_transcript)
     transcript_arg = _cfg(args, config, "transcript")
@@ -265,7 +227,6 @@ def cmd_repair(args) -> int:
         f"  access    : {'LOW-ACCESS (< 2x the optimal per-helper access)' if low_access else 'NOT LOW-ACCESS'}",
         f"transcript (stripe 0) written to {transcript_path}",
     ]
-    print("\n".join(lines))
     csv_arg = _cfg(args, config, "csv")
     if csv_arg:
         csv_lines = [
@@ -276,6 +237,18 @@ def cmd_repair(args) -> int:
             f"{per_helper},{params.N},{g},{b.cooperative},{b.access}",
         ]
         Path(csv_arg).write_text("\n".join(csv_lines) + "\n")
+
+    # the outputs are written first, so a path that cannot be written stops
+    # the command before the store changes
+    for i, data in restored.items():
+        storage.write_chunk(_chunk_path(directory, manifest, i), data)
+    for i in failed:
+        path = _chunk_path(directory, manifest, i)
+        path.with_name(path.name + storage.QUARANTINE_SUFFIX).unlink(missing_ok=True)
+    manifest.failed = []
+    manifest.save(directory)
+
+    print("\n".join(lines))
     return 0
 
 
@@ -447,7 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, FileNotFoundError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,9 +24,15 @@ w = stored_width(p) = ceil(log2 p): first floor(w/8) byte planes, each holding
 one byte of every symbol, low byte first; then w mod 8 bit planes, each the
 np.packbits of one bit of every symbol, lowest remaining bit first.  So a
 body is payload_len * floor(w/8) + (w mod 8) * ceil(payload_len/8) bytes
-(body_length).  Chunks and the manifest are written to a temporary file
-beside their destination, synced, renamed over it, and the directory is
-synced after the rename.
+(body_length).
+
+Only this module knows the format.  chunk_bytes derives the header from the
+code's parameters and the node; read_chunk checks the whole header, every
+field and evaluation point, against the one chunk_bytes would write.
+
+Chunks and the manifest are written to a temporary file beside their
+destination, synced, renamed over it, and the directory is synced after the
+rename.
 """
 
 from __future__ import annotations
@@ -94,21 +100,6 @@ def symbols_per_stripe(params: CodeParams) -> int:
     return params.k * params.N
 
 
-@dataclass
-class ChunkHeader:
-    version: int
-    n: int
-    k: int
-    d: int
-    h: int
-    p: int
-    node_index: int
-    payload_len: int
-    bits_per_symbol: int
-    lambdas: tuple[int, ...]
-    mus: tuple[int, ...]
-
-
 def stored_width(p: int) -> int:
     """Bits per stored symbol, ceil(log2 p); at most 16, as p < 2^16."""
     return (p - 1).bit_length()
@@ -147,19 +138,19 @@ def unpack_body(body: bytes, p: int, payload_len: int) -> np.ndarray:
     return vals
 
 
-def chunk_bytes(header: ChunkHeader, symbols: np.ndarray) -> bytes:
-    """Serialize a chunk: magic, header fields, evaluation points, packed body."""
-    if symbols.shape != (header.payload_len,):
-        raise ValueError(f"payload shape {symbols.shape} != ({header.payload_len},)")
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= header.p):
+def _header_fields(params: CodeParams, node: int, payload_len: int) -> tuple[int, ...]:
+    """The u32 header fields of node `node`'s chunk of `params`, in file order."""
+    return (FORMAT_VERSION, params.n, params.k, params.d, params.h, params.p, node,
+            payload_len, bits_per_symbol(params.p), *params.lambdas, *params.mus)
+
+
+def chunk_bytes(params: CodeParams, node: int, symbols: np.ndarray) -> bytes:
+    """Serialize node `node`'s chunk of `params` holding `symbols`: magic,
+    header fields, evaluation points, packed body."""
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= params.p):
         raise ValueError("chunk symbols must be reduced into [0,p)")
-    fixed = struct.pack(
-        "<9I",
-        header.version, header.n, header.k, header.d, header.h,
-        header.p, header.node_index, header.payload_len, header.bits_per_symbol,
-    )
-    points = struct.pack(f"<{len(header.lambdas) + len(header.mus)}I", *header.lambdas, *header.mus)
-    return MAGIC + fixed + points + pack_body(symbols, header.p)
+    header = _header_fields(params, node, symbols.size)
+    return MAGIC + struct.pack(f"<{len(header)}I", *header) + pack_body(symbols, params.p)
 
 
 def _write_replacing(path: Path, data: bytes) -> None:
@@ -193,42 +184,42 @@ class ChecksumMismatchError(ValueError):
     """A chunk file's bytes do not hash to the digest recorded for them."""
 
 
-def read_chunk(path: Path, sha256: str) -> tuple[ChunkHeader, np.ndarray]:
-    """Read a chunk file whose bytes must hash to `sha256`, then parse it
-    into its header and its uint16 symbols.
-
-    The digest is checked before any byte is parsed, so a damaged chunk is
-    always reported as a ChecksumMismatchError.
-    """
+def read_chunk(path: Path, sha256: str, params: CodeParams, node: int,
+               payload_len: int) -> np.ndarray:
+    """Node `node`'s uint16 symbols, read from `path` and checked in order:
+    the digest `sha256` before any byte is parsed (ChecksumMismatchError), so
+    a damaged chunk is always reported as one; then the magic, the version and
+    every header field against what chunk_bytes writes for (params, node,
+    payload_len); then the body length and the symbol range (ValueError)."""
     raw = path.read_bytes()
     if hashlib.sha256(raw).hexdigest() != sha256:
-        raise ChecksumMismatchError(f"{path}: checksum mismatch against the manifest")
+        raise ChecksumMismatchError(f"node {node}: {path}: checksum mismatch against the manifest")
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}, not a chunk file")
+    want = _header_fields(params, node, payload_len)
     try:
-        fixed = struct.unpack_from("<9I", raw, 4)
-        version, n, k, d, h, p, node_index, payload_len, bps = fixed
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        s = d - k + 1
-        off = 4 + 9 * 4
-        pts = struct.unpack_from(f"<{n + s - 1}I", raw, off)
-        off += (n + s - 1) * 4
+        got = struct.unpack_from(f"<{len(want)}I", raw, 4)
     except struct.error as exc:
         raise ValueError(f"{path}: truncated chunk header") from exc
-    header = ChunkHeader(
-        version, n, k, d, h, p, node_index, payload_len, bps,
-        lambdas=tuple(pts[:n]), mus=tuple(pts[n:]),
-    )
-    body = memoryview(raw)[off:]
-    expected = body_length(payload_len, p)
+    if got[0] != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version {got[0]}")
+    # fields 6 and 7 are node_index and payload_len; the rest fix the code
+    if got[1:6] + got[8:] != want[1:6] + want[8:]:
+        raise ValueError(f"chunk for node {node} was written with different parameters "
+                         "or evaluation points")
+    if got[6] != node:
+        raise ValueError(f"chunk file for node {node} claims index {got[6]}")
+    if got[7] != payload_len:
+        raise ValueError(f"chunk for node {node} has wrong payload length")
+    body = memoryview(raw)[4 + 4 * len(want):]
+    expected = body_length(payload_len, params.p)
     if len(body) != expected:
         raise ValueError(f"{path}: body holds {len(body)} bytes, expected {expected}")
-    symbols = unpack_body(body, p, payload_len)
+    symbols = unpack_body(body, params.p, payload_len)
     # a w-bit field holds values up to 2^w - 1 >= p
-    if symbols.size and symbols.max() >= p:
+    if symbols.size and symbols.max() >= params.p:
         raise ValueError(f"{path}: symbol out of field range")
-    return header, symbols
+    return symbols
 
 
 @dataclass
@@ -250,6 +241,15 @@ class Manifest:
     def params(self) -> CodeParams:
         return validate_params(self.n, self.k, self.d, self.h, p=self.p,
                                lambdas=self.lambdas, mus=self.mus)
+
+    @classmethod
+    def new(cls, params: CodeParams, original_length: int, stripe_count: int,
+            digests: list[str]) -> "Manifest":
+        """The manifest of a fresh store whose node i chunk hashes to digests[i]."""
+        chunks = {str(i): {"file": chunk_name(i), "sha256": h} for i, h in enumerate(digests)}
+        return cls(FORMAT_VERSION, params.n, params.k, params.d, params.h, params.p,
+                   params.lambdas, params.mus, bits_per_symbol(params.p), original_length,
+                   stripe_count, chunks, failed=[])
 
     def save(self, directory: Path) -> None:
         data = asdict(self)
@@ -285,6 +285,9 @@ class Manifest:
             if not isinstance(data[key], list) or not all(map(_is_count, data[key])):
                 raise ValueError(f"{path}: manifest field {key!r} must be a list of "
                                  "non-negative integers")
+        if data["bits_per_symbol"] != (m := bits_per_symbol(data["p"])):
+            raise ValueError(f"{path}: manifest field 'bits_per_symbol' must be {m} for "
+                             f"p={data['p']}, got {data['bits_per_symbol']}")
         # a chunk's file is named by its node, so no entry can point outside the store
         chunks = data["chunks"]
         if not (isinstance(chunks, dict) and len(chunks) == data["n"] and all(

@@ -49,6 +49,11 @@ class TestEncode:
                        "--random-bytes", 100, "--seed", 3, "--out", store) == 0
         assert (store / "source.bin").stat().st_size == 100
 
+    def test_unreadable_input_reported(self, tmp_path, capsys):
+        assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
+                       "--input", tmp_path, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
     def test_invalid_params_exit_code(self, tmp_path, capsys):
         assert run_cli("encode", "--n", 4, "--k", 1, "--d", 4, "--h", 2,
                        "--random-bytes", 10, "--out", tmp_path / "x") == 2
@@ -148,10 +153,11 @@ class TestVerifyAndDecode:
         assert manifest.stripe_count > 3
         stripe = manifest.stripe_count // 2
         path = store / manifest.chunks["2"]["file"]
-        header, symbols = read_chunk(path, manifest.chunks["2"]["sha256"])
+        symbols = read_chunk(path, manifest.chunks["2"]["sha256"], params, 2,
+                             manifest.stripe_count * params.N)
         pos = stripe * params.N + 7
         symbols[pos] = (symbols[pos] + 1) % params.p
-        write_chunk(path, chunk_bytes(header, symbols))
+        write_chunk(path, chunk_bytes(params, 2, symbols))
         manifest.chunks["2"]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
         manifest.save(store)
         capsys.readouterr()
@@ -292,6 +298,39 @@ class TestCheckedReads:
             assert f"node {i}: checksum OK" in captured.out
         assert "parity: skipped" in captured.out
 
+    @pytest.mark.parametrize("command", ["verify", "decode"])
+    def test_unreadable_chunk_is_a_bad_chunk(self, store6, capsys, command):
+        tmp_path, store, data = store6
+        (store / "node0.mscr").unlink()
+        (store / "node0.mscr").mkdir()
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        if command == "verify":
+            assert run_cli("verify", "--dir", store) == 1
+            assert "PROBLEM: node 0: [Errno 21] Is a directory" in capsys.readouterr().err
+        else:
+            assert run_cli("decode", "--dir", store, "--out", out) == 0
+            captured = capsys.readouterr()
+            assert captured.err.startswith("skipped node 0: [Errno 21] Is a directory")
+            assert "from nodes [1, 2, 3]" in captured.out
+            assert out.read_bytes() == data
+
+    @pytest.mark.parametrize("option", ["--transcript", "--csv"])
+    def test_repair_refuses_unwritable_output_before_writing(self, store6, capsys, option):
+        tmp_path, store, _ = store6
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        before = (store / "manifest.json").read_bytes()
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5",
+                       option, tmp_path / "missing" / "out.txt") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno 2]")
+        assert captured.out == ""
+        for i in (1, 4):
+            assert not (store / f"node{i}.mscr").exists()
+            assert (store / f"node{i}.mscr.failed").exists()
+        assert (store / "manifest.json").read_bytes() == before
+
     def test_decode_ignores_corrupt_chunk_it_does_not_read(self, store6, capsys):
         tmp_path, store, data = store6
         self.flip_bit(store / "node5.mscr")
@@ -339,13 +378,13 @@ class TestCheckedReads:
             assert (store / f"node{i}.mscr.failed").exists()
         assert Manifest.load(store).failed == [0, 2, 5]
 
-    def test_decode_output_write_is_crash_safe(self, encoded_dir, fail_halfway):
+    def test_decode_output_write_is_crash_safe(self, encoded_dir, fail_halfway, capsys):
         tmp_path, store, _ = encoded_dir
         out_dir = tmp_path / "decoded"
         out_dir.mkdir()
         fail_halfway()
-        with pytest.raises(OSError, match="No space"):
-            run_cli("decode", "--dir", store, "--out", out_dir / "out.bin", "--nodes", "3")
+        assert run_cli("decode", "--dir", store, "--out", out_dir / "out.bin", "--nodes", "3") == 2
+        assert "error: [Errno 28] No space" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
     def test_decode_refuses_output_that_is_not_a_regular_file(self, encoded_dir, capsys):
@@ -373,6 +412,8 @@ class TestMalformedManifest:
         "unknown": (lambda m: m.update(extra=1), "'extra' is unknown"),
         "string": (lambda m: m.update(stripe_count=str(m["stripe_count"])),
                    "'stripe_count' must be a non-negative integer"),
+        "bits_per_symbol": (lambda m: m.update(bits_per_symbol=3),
+                            "'bits_per_symbol' must be 2 for p=5, got 3"),
     }
 
     @pytest.mark.parametrize("edit", sorted(EDITS))

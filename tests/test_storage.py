@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+import struct
 from itertools import combinations
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from mscr import storage
 from mscr.code import encode, validate_params
 from mscr.storage import (
     ChecksumMismatchError,
-    ChunkHeader,
     FORMAT_VERSION,
     MANIFEST_NAME,
     Manifest,
@@ -42,13 +42,6 @@ def expected_body_length(payload_len, p):
 
 def sha256_hex(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def chunk_header(params, node, payload_len):
-    return ChunkHeader(
-        FORMAT_VERSION, params.n, params.k, params.d, params.h, params.p,
-        node, payload_len, bits_per_symbol(params.p), params.lambdas, params.mus,
-    )
 
 
 class TestPacking:
@@ -106,48 +99,69 @@ class TestPackingDefinition:
 class TestChunkIO:
     def test_roundtrip(self, tmp_path, example1):
         symbols = np.arange(96, dtype=np.int64) % example1.p
-        header = chunk_header(example1, 2, 96)
         path = tmp_path / chunk_name(2)
-        write_chunk(path, chunk_bytes(header, symbols))
-        got_header, got_symbols = read_chunk(path, sha256_hex(path))
-        assert got_header == header
+        write_chunk(path, chunk_bytes(example1, 2, symbols))
+        got_symbols = read_chunk(path, sha256_hex(path), example1, 2, 96)
         assert got_symbols.dtype == np.uint16
         assert np.array_equal(got_symbols, symbols)
-        assert (got_header.n, got_header.k, got_header.d, got_header.h, got_header.p,
-                got_header.lambdas, got_header.mus) == (
-            example1.n, example1.k, example1.d, example1.h, example1.p,
-            example1.lambdas, example1.mus)
 
-    def test_bad_magic_rejected(self, tmp_path):
+    # u32 header field index (after the magic) -> the disagreement it is refused for
+    HEADER_FIELDS = {
+        "version": (0, "unsupported format version"),
+        "n": (1, "different parameters or evaluation points"),
+        "k": (2, "different parameters or evaluation points"),
+        "d": (3, "different parameters or evaluation points"),
+        "h": (4, "different parameters or evaluation points"),
+        "p": (5, "different parameters or evaluation points"),
+        "node_index": (6, "chunk file for node 2 claims index 3"),
+        "payload_len": (7, "wrong payload length"),
+        "bits_per_symbol": (8, "different parameters or evaluation points"),
+        "lambda0": (9, "different parameters or evaluation points"),
+        "mu0": (13, "different parameters or evaluation points"),
+    }
+
+    @pytest.mark.parametrize("field", list(HEADER_FIELDS))
+    def test_header_field_disagreement_rejected(self, tmp_path, example1, field):
+        # the chunk is rehashed, so only the header check can refuse it
+        index, match = self.HEADER_FIELDS[field]
+        raw = bytearray(chunk_bytes(example1, 2, np.zeros(48, dtype=np.uint16)))
+        assert len(example1.lambdas) == 4  # so field 13 is the first mu
+        (value,) = struct.unpack_from("<I", raw, 4 + 4 * index)
+        struct.pack_into("<I", raw, 4 + 4 * index, value + 1)
+        path = tmp_path / chunk_name(2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=match) as info:
+            read_chunk(path, sha256_hex(path), example1, 2, 48)
+        assert not isinstance(info.value, ChecksumMismatchError)
+
+    def test_bad_magic_rejected(self, tmp_path, example1):
         path = tmp_path / "bad.mscr"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
-            read_chunk(path, sha256_hex(path))
+            read_chunk(path, sha256_hex(path), example1, 0, 48)
 
     def test_truncated_body_rejected(self, tmp_path, example1):
         symbols = np.zeros(48, dtype=np.int64)
-        header = chunk_header(example1, 0, 48)
         path = tmp_path / chunk_name(0)
-        write_chunk(path, chunk_bytes(header, symbols))
+        write_chunk(path, chunk_bytes(example1, 0, symbols))
         raw = path.read_bytes()
         path.write_bytes(raw[:-2])
         with pytest.raises(ValueError, match="body"):
-            read_chunk(path, sha256_hex(path))
+            read_chunk(path, sha256_hex(path), example1, 0, 48)
 
     def test_checksum_checked_before_parsing(self, tmp_path, example1):
         path = tmp_path / chunk_name(0)
-        write_chunk(path, chunk_bytes(chunk_header(example1, 0, 48), np.zeros(48, dtype=np.int64)))
+        write_chunk(path, chunk_bytes(example1, 0, np.zeros(48, dtype=np.int64)))
         digest = sha256_hex(path)
         raw = bytearray(path.read_bytes())
         raw[0] ^= 1  # the damaged magic would fail to parse
         path.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumMismatchError, match="checksum mismatch"):
-            read_chunk(path, digest)
+        with pytest.raises(ChecksumMismatchError, match="node 0: .*checksum mismatch"):
+            read_chunk(path, digest, example1, 0, 48)
 
     def test_out_of_field_symbol_rejected(self, tmp_path, example1):
-        header = chunk_header(example1, 0, 2)
         with pytest.raises(ValueError, match="reduced"):
-            chunk_bytes(header, np.array([0, 5], dtype=np.int64))
+            chunk_bytes(example1, 0, np.array([0, 5], dtype=np.int64))
 
 
 class TestBodyPacking:
@@ -174,6 +188,7 @@ class TestPackedBodyRejected:
     """Bodies whose sha256 matches the manifest but that do not parse."""
 
     P, LENGTH = 257, 13  # 9-bit fields, and a length that is no multiple of 8
+    PARAMS = validate_params(6, 3, 4, 2, p=P)
 
     def chunk(self, tmp_path, raw):
         path = tmp_path / chunk_name(0)
@@ -181,8 +196,7 @@ class TestPackedBodyRejected:
         return path, hashlib.sha256(raw).hexdigest()
 
     def valid(self):
-        header = chunk_header(validate_params(6, 3, 4, 2, p=self.P), 0, self.LENGTH)
-        return chunk_bytes(header, np.arange(self.LENGTH, dtype=np.int64))
+        return chunk_bytes(self.PARAMS, 0, np.arange(self.LENGTH, dtype=np.int64))
 
     def test_packed_value_p_rejected(self, tmp_path):
         raw = self.valid()
@@ -191,27 +205,26 @@ class TestPackedBodyRejected:
         symbols[5] = self.P  # fits in the 9-bit field, but is no field element
         path, digest = self.chunk(tmp_path, head + pack_body(symbols, self.P))
         with pytest.raises(ValueError, match="out of field range"):
-            read_chunk(path, digest)
+            read_chunk(path, digest, self.PARAMS, 0, self.LENGTH)
 
     @pytest.mark.parametrize("edit", [lambda raw: raw[:-1], lambda raw: raw + b"\x00"],
                              ids=["one-byte-short", "one-byte-long"])
     def test_wrong_body_length_rejected(self, tmp_path, edit):
         path, digest = self.chunk(tmp_path, edit(self.valid()))
         with pytest.raises(ValueError, match="body holds"):
-            read_chunk(path, digest)
+            read_chunk(path, digest, self.PARAMS, 0, self.LENGTH)
 
 
 class TestCrashSafeWrites:
     """A write that fails partway leaves the previous file and no partial one."""
 
     def test_chunk_write(self, tmp_path, example1, fail_halfway):
-        header = chunk_header(example1, 0, 48)
         path = tmp_path / chunk_name(0)
-        old = chunk_bytes(header, np.zeros(48, dtype=np.int64))
+        old = chunk_bytes(example1, 0, np.zeros(48, dtype=np.int64))
         write_chunk(path, old)
         fail_halfway()
         with pytest.raises(OSError, match="No space"):
-            write_chunk(path, chunk_bytes(header, np.ones(48, dtype=np.int64)))
+            write_chunk(path, chunk_bytes(example1, 0, np.ones(48, dtype=np.int64)))
         assert path.read_bytes() == old
         assert list(tmp_path.iterdir()) == [path]
 
@@ -255,7 +268,7 @@ class TestDurableRename:
     def test_directory_synced_after_rename(self, tmp_path, example1, events, target):
         if target == "chunk":
             path = tmp_path / chunk_name(0)
-            write_chunk(path, chunk_bytes(chunk_header(example1, 0, 48), np.zeros(48, dtype=np.int64)))
+            write_chunk(path, chunk_bytes(example1, 0, np.zeros(48, dtype=np.int64)))
         else:
             path = tmp_path / MANIFEST_NAME
             Manifest(
@@ -283,6 +296,8 @@ class TestManifest:
         got = Manifest.load(tmp_path)
         assert got == manifest
         assert got.params() == example1
+        manifest.failed = []
+        assert Manifest.new(example1, 100, 9, ["0" * 64] * 4) == manifest
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -414,8 +429,8 @@ class TestStripeBatchAgainstPerStripe:
             assert got == data, subset
 
 
-def test_truncated_header_rejected(tmp_path):
+def test_truncated_header_rejected(tmp_path, example1):
     path = tmp_path / "short.mscr"
     path.write_bytes(b"MSCR\x01\x00")
     with pytest.raises(ValueError, match="truncated"):
-        read_chunk(path, sha256_hex(path))
+        read_chunk(path, sha256_hex(path), example1, 0, 48)

@@ -100,8 +100,6 @@ def cmd_encode(args) -> int:
     config = _load_config(args.config)
     params = _params_from(args, config)
     out_dir = Path(_require(args, config, "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     input_path = _cfg(args, config, "input")
     random_bytes = _cfg(args, config, "random_bytes")
     if (input_path is None) == (random_bytes is None):
@@ -112,11 +110,15 @@ def cmd_encode(args) -> int:
         seed = int(_cfg(args, config, "seed", 0))
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=int(random_bytes), dtype=np.uint8).tobytes()
+    # the input is read and encoded before the store directory is made, so a
+    # failed encode leaves nothing behind
+    bodies, original_length, stripes = storage.encode_file(data, params)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if input_path is None:
         source = out_dir / "source.bin"
         source.write_bytes(data)
         print(f"wrote generated input to {source}")
-
-    bodies, original_length, stripes = storage.encode_file(data, params)
     digests = []
     for i in range(params.n):
         data = storage.chunk_bytes(params, i, bodies[i])
@@ -171,19 +173,23 @@ def cmd_repair(args) -> int:
     job = RepairJob(params, tuple(failed), tuple(helpers))
 
     stripes = manifest.stripe_count
-    shape = (stripes, params.planes, params.s_pow_n)
-    helper_bodies = {u: _read_column(directory, manifest, params, u).reshape(shape) for u in helpers}
-    repaired_bodies = {i: np.empty(shape, dtype=np.uint16) for i in failed}
+    shape = (params.planes, params.s_pow_n)
+    # block[st, m]: helper m's column of stripe st
+    block = np.empty((stripes, params.d) + shape, dtype=np.uint16)
+    for m, u in enumerate(helpers):
+        block[:, m] = _read_column(directory, manifest, params, u).reshape(stripes, *shape)
+    repaired_block = np.empty((stripes, params.h) + shape, dtype=np.uint16)
     first_transcript = None
     for st in range(stripes):
-        repaired, transcript = run_repair(job, {u: body[st] for u, body in helper_bodies.items()})
-        for i, col in repaired.items():
-            repaired_bodies[i][st] = col
+        repaired, transcript = run_repair(job, dict(zip(helpers, block[st])))
+        repaired_block[st] = tuple(repaired.values())
         if st == 0:
             first_transcript = transcript
+    del block  # the helper bodies are freed before the restored chunks are packed
 
     # every restored chunk must match its recorded checksum before any is written
-    restored = {i: storage.chunk_bytes(params, i, repaired_bodies[i].reshape(-1)) for i in failed}
+    restored = {i: storage.chunk_bytes(params, i, repaired_block[:, j].reshape(-1))
+                for j, i in enumerate(failed)}
     mismatched = [i for i, data in restored.items()
                   if hashlib.sha256(data).hexdigest() != manifest.chunks[str(i)]["sha256"]]
     if mismatched:

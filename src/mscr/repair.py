@@ -4,9 +4,9 @@ The engine is a deterministic in-process simulation.  Helpers serve payloads
 computed from their own column only, and each failed node's recovery is a
 function of the payloads it received only, never of the global codeword.
 Every download payload is delivered and processed before any cooperative
-payload is produced.  Columns are plain (planes, s^n) int64 arrays:
-run_repair takes the survivors as {node index: column} and returns the
-repaired columns the same way.
+payload is produced.  run_repair takes the survivors as {node index:
+(planes, s^n) column}, in any integer dtype, and returns the repaired columns
+the same way, in accumulator_dtype(params).
 
 Per failed node i (sorted position j in the failed set, repair plane
 P_j = d-k+j) the download phase carries, from every helper u,
@@ -23,27 +23,35 @@ values isolates node i's own symbols.  In the cooperative phase node i
 forwards the slice values of each other failed node t, which completes its
 plane P_j from them.
 
-One pass serves every failed node, helper and pair at once, through index
-maps cached per (params, E, R) and stacked over the h failed nodes:
+One pass serves every failed node, helper and pair at once, through maps
+cached per (params, E, R):
 
-- pay = gathers of the stacked (d, planes*s^n) helper block; pay[:, j] is
-  what the d helpers send node j.
+- pay = two gathers of the stacked (d, planes*s^n) helper block, added and
+  reduced; pay[:, j] is what the d helpers send node j.
 - One product with the (n + d-k) x d operator [I; -V^-1 Lambda] turns
-  pay[:, j] into full[j], every node's d-k+1 slice values on V_i, and node
-  j's Deltas.  Column j of the product reads pay[:, j] only.
-- The Delta correction is one masked gather over all nodes; one scatter
-  writes each node's recovered planes.
-- The cooperative payload j -> t is full[j, t], derived from j's downloads
-  alone; one gather, one subtraction of t's recovered planes 1..d-k and one
-  scatter complete all h(h-1) exchanges.
+  pay[:, j] into y[:, j]: every node's d-k+1 slice values on V_i, and node
+  j's Deltas.  Column j of the product reads pay[:, j] only, and the
+  cooperative payload j -> t is full[j, t] = y[t, j].
+- Everything after the solve (the Delta strip, the assembly of each node's
+  own planes, the cooperative completion) is linear in y with coefficients
+  +-1, so it is one composed map, built once per job:
+  repaired.flat[q] = sum over f < F of coef[f, q] * y.flat[gather[f, q]],
+  one gather, one product, one sum and one reduction.  F = n + 2 is the
+  largest fan-in: a cooperatively completed symbol is one payload value
+  less a plane-t symbol, that is a slice value less a repair-plane symbol,
+  which is a Delta less up to n-1 substitution terms.
 
-The helper block is checked once: each column's shape, then one range check
-over all d columns.  The transcript keeps pay and full and builds its
-messages and access logs on demand, the first time each is read, so a caller
-that reads one stripe's transcript of many pays for that one only.
+The helper block is stacked and its shape checked once, and one exact range
+check runs on the given values before they are cast.  The transcript keeps
+pay and full and builds its messages and access logs on demand, the first
+time each is read, so a caller that reads one stripe's transcript of many
+pays for that one only.
 
-Integer bounds: symbols are int64 in [0, p) with p < 2^16, and every
-intermediate is a sum of at most n + 2 terms below p^2, far inside 2^63.
+Integer bounds: the pass runs in accumulator_dtype(params), int32 when
+B = n s (p-1)^2 < 2^31 and int64 otherwise (see code), and no intermediate
+exceeds B: pay is a sum of two symbols, below 2p, and is reduced before the
+solve; each entry of y is a sum of d < n products below (p-1)^2; the
+composed sum has F <= n s terms, each of absolute value below p.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .code import CodeParams, _as_column_block
+from .code import CodeParams, _as_column_block, accumulator_dtype
 from .field import matrix_inverse, vandermonde_matrix
 from .indexing import v_indices
 from .metrics import AccessLog
@@ -110,8 +118,14 @@ class _JobContext:
     Failed node j (slot j in sorted E, coordinate i) owns the positions
     cols_j[e] = V_i with digit i set to e, for e in 0..s-1, and its slice t
     lives in plane row rows_j[t]: its repair plane d-k+j for t = 0, plane t
-    for t >= 1.  Every map below is stacked over j (and over the h(h-1)
-    cooperative pairs); positions are flat, row * s^n + index.
+    for t >= 1.  Positions are flat, row * s^n + index.
+
+    The repaired columns are a linear map of y = solve @ pay with
+    coefficients +-1: repaired.flat[q] is the sum over f of
+    coef[f, q] * y.flat[gather[f, q]].  The map is built by running the
+    protocol's steps after the solve on linear forms, F slots of (y index,
+    coefficient) per symbol, instead of on values; unused slots have
+    coefficient 0.
     """
 
     def __init__(self, job: RepairJob):
@@ -128,18 +142,20 @@ class _JobContext:
         )
         # solve @ downloads: rows 0..n-1 are every node's slice values (identity
         # rows for helpers, -V^-1 Lambda rows for the others), rows n.. the Deltas
-        self.solve = np.zeros((n + dk, params.d), dtype=np.int64)
+        self.solve = np.zeros((n + dk, params.d), dtype=accumulator_dtype(params))
         self.solve[list(job.helpers), range(params.d)] = 1
         self.solve[unknown + list(range(n, n + dk))] = (-(inverse @ powers)) % p
 
         # place[j, t, e, q]: node j's plane rows_j[t] at cols_j[e][q]
         place = np.empty((h, s, s, size), dtype=np.int64)
-        # node j's Delta_e of slice t at q is the sum over w of
-        # masks[w, j, 0, 0, q] * y.flat[delta_gather[w, j, t, e-1, q]]: masks is
-        # 1 when w != i and digit w of V_i[q] is zero, and the gather points at
-        # node w's slice t on V_i with digit w set to e
-        self.masks = np.zeros((n, h, 1, 1, size), dtype=np.int64)
-        self.delta_gather = np.zeros((n, h, s, dk, size), dtype=np.int64)
+        # y[row, j, t, q]: from node j's downloads, slice t at V_i[q] of node
+        # row for row < n, of Delta_(row-n+1) for row >= n
+        ypos = np.arange((n + dk) * h * s * size, dtype=np.int32).reshape(n + dk, h, s, size)
+        fan = n + 2
+        assert fan <= n * s
+        # the forms of the repaired columns, (slot, failed node, flat position)
+        gather = np.zeros((fan, h, params.planes * width), dtype=np.int32)
+        coef = np.zeros(gather.shape, dtype=np.int8)
         for j, i in enumerate(job.failed):
             vidx = np.array(v_indices(i, n, s), dtype=np.int64)
             cols = vidx + np.arange(s)[:, None] * s**i
@@ -147,29 +163,42 @@ class _JobContext:
             place[j] = rows[:, None, None] * width + cols
             pos = np.full(width, -1, dtype=np.int64)
             pos[vidx] = np.arange(size)
-            for w in range(n):
-                if w == i:
-                    continue
+            # own_*[f, t, e]: slot f of node j's symbols at place[j, t, e]
+            own_y = np.zeros((fan, s, s, size), dtype=np.int32)
+            own_c = np.zeros(own_y.shape, dtype=np.int8)
+            own_y[0, :, 0], own_c[0, :, 0] = ypos[i, j], 1
+            # e >= 1: Delta_e of slice t, less node w's slice t at V_i[q] with
+            # digit w set to e, for every w != i whose digit w of V_i[q] is zero
+            own_y[0, :, 1:], own_c[0, :, 1:] = ypos[n:, j].swapaxes(0, 1), 1
+            for f, w in enumerate((w for w in range(n) if w != i), start=1):
                 digit = (vidx // s**w) % s
-                self.masks[w, j, 0, 0] = digit == 0
-                slot = (w * h + j) * s + np.arange(s)[:, None]
                 for e in range(1, s):
-                    self.delta_gather[w, j, :, e - 1] = slot * size + pos[vidx + (e - digit) * s**w]
+                    own_y[f, :, e] = ypos[w, j][:, pos[vidx + (e - digit) * s**w]]
+                    own_c[f, :, e] = -1 * (digit == 0)
+            # on V_i, slice t >= 1 holds c[node, t, a] + c[node, repair plane, a(i, t)]
+            own_y[1:n + 1, 1:, 0] = own_y[:n, 0, 1:]
+            own_c[1:n + 1, 1:, 0] = -own_c[:n, 0, 1:]
+            gather[:, j, place[j]], coef[:, j, place[j]] = own_y, own_c
+
+        # cooperative pair (receiver jr, sender js): js sends full[js, jr's
+        # node], jr's slice values on js's V.  Slice 0 is jr's symbols in
+        # js's repair plane there; slice t >= 1, less jr's own plane t, gives
+        # them at the positions with js's digit set to t
+        for jr, i in enumerate(job.failed):
+            g, c = gather[:, jr], coef[:, jr]
+            for js in range(h):
+                if js != jr:
+                    dst, known = place[js, 0], place[js, 1:, 0]
+                    g[0, dst], c[0, dst] = ypos[i, js], 1
+                    g[1:, dst[1:]], c[1:, dst[1:]] = g[:-1, known], -c[:-1, known]
+        shape = (fan, h, params.planes, width)
+        self.gather, self.coef = gather.reshape(shape), coef.reshape(shape)
 
         # downloads: helper reads place[j, t, 0] for slice t, plus place[j, 0, t] for t >= 1
         self.download, self.cross = place[:, :, 0], place[:, 0, 1:]
         # every symbol a helper reads, as (1-based plane, indices) from the gathers
         self.reads = [(int(g[0]) // width + 1, g % width)
                       for g in np.concatenate([self.download, self.cross], axis=1).reshape(-1, size)]
-        base = (np.arange(h) * params.planes * width)[:, None, None, None]
-        self.failed = np.array(job.failed, dtype=np.int64)
-        self.download_scatter = base + place
-        # cooperative pair (receiver, sender), receiver-major as in the transcript
-        pairs = [(jr, js) for jr in range(h) for js in range(h) if js != jr]
-        recv, send = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        self.recv_nodes, self.send = self.failed[recv], send
-        self.coop_known = base[recv, 0] + place[send, 1:, 0]
-        self.coop_scatter = base[recv, 0] + place[send, 0]
 
 
 @lru_cache(maxsize=None)
@@ -250,37 +279,38 @@ def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], 
     column (or N flat symbols) and must cover every helper; other entries are
     ignored.  Returns {failed node: repaired column}, ascending, and the
     transcript, whose messages and per-helper access logs are built when
-    first read."""
+    first read.  The repaired columns and the transcript's arrays are in
+    accumulator_dtype(params)."""
     params = job.params
     ctx = _context(job)
-    missing = [u for u in job.helpers if u not in surviving]
-    if missing:
-        raise ValueError(f"surviving columns must cover every helper; missing {missing}")
-    p, n, h, s = params.p, params.n, params.h, params.s
-    helpers = _as_column_block(params, [surviving[u] for u in job.helpers]).reshape(params.d, -1)
+    try:
+        columns = [surviving[u] for u in job.helpers]
+    except KeyError:
+        missing = [u for u in job.helpers if u not in surviving]
+        raise ValueError(f"surviving columns must cover every helper; missing {missing}") from None
+    p, d, shape = params.p, params.d, (params.planes, params.s_pow_n)
+    try:
+        helpers = np.array(columns)
+    except ValueError:  # columns of different shapes
+        helpers = None
+    if helpers is None or helpers.shape[1:] not in (shape, (params.N,)):
+        # names the first bad column; a mix of flat and shaped columns passes
+        helpers = _as_column_block(params, columns)
+    # the range check runs on the given values, before any cast could wrap one
+    elif (helpers.dtype.kind != "u" and helpers.min() < 0) or helpers.max() >= p:
+        raise ValueError(f"column symbols must be reduced into [0,{p})")
+    helpers = helpers.reshape(d, -1).astype(ctx.solve.dtype)  # accumulator_dtype(params)
 
     # download phase: pay[m, j] is helper m's payload to failed node j
-    pay = np.take(helpers, ctx.download, axis=1)
-    pay[:, :, 1:] += np.take(helpers, ctx.cross, axis=1)
+    pay = helpers.take(ctx.download, axis=1)
+    pay[:, :, 1:] += helpers.take(ctx.cross, axis=1)
     pay %= p
-    y = ((ctx.solve @ pay.reshape(params.d, -1)) % p).reshape(n + s - 1, h, s, -1)
-    full = y[:n].swapaxes(0, 1)
-    delta = (ctx.masks * y.reshape(-1)[ctx.delta_gather]).sum(axis=0)
-    # own[j, t, e] fills node j's positions ctx.download_scatter[j, t, e]
-    own = np.empty(ctx.download_scatter.shape, dtype=np.int64)
-    own[:, :, 1:] = y[n:].transpose(1, 2, 0, 3) - delta
-    own[:, :, 0] = full[np.arange(h), ctx.failed]
-    # on V, slice t >= 1 holds c[node, t, a] + c[node, repair plane, a(i, t)]
-    own[:, 1:, 0] -= own[:, 0, 1:]
-    own %= p
-    repaired = np.empty((h, params.planes, params.s_pow_n), dtype=np.int64)
-    flat = repaired.reshape(-1)
-    flat[ctx.download_scatter] = own
-
-    # cooperative phase: sender j's payload to t is full[j, t]; t completes
-    # j's repair plane from it and its own planes 1..d-k
-    coop = full[ctx.send, ctx.recv_nodes]
-    coop[:, 1:] -= flat[ctx.coop_known]
-    flat[ctx.coop_scatter] = coop % p
-
+    y = ctx.solve @ pay.reshape(d, -1)
+    y %= p
+    # the Delta strip, each node's own planes and the cooperative phase: one map of y
+    repaired = y.take(ctx.gather)
+    repaired *= ctx.coef
+    repaired = repaired.sum(axis=0, dtype=y.dtype)
+    repaired %= p
+    full = y[:params.n].reshape(params.n, params.h, params.s, -1).swapaxes(0, 1)
     return dict(zip(job.failed, repaired)), RepairTranscript(job, pay, full)

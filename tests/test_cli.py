@@ -54,6 +54,17 @@ class TestEncode:
                        "--input", tmp_path, "--out", tmp_path / "x") == 2
         assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
 
+    @pytest.mark.parametrize("argv", [
+        ("--d", 2, "--input", "."),  # a directory, not a file
+        ("--d", 2, "--input", "absent.bin"),
+        ("--d", 2),  # neither --input nor --random-bytes
+        ("--d", 4, "--random-bytes", 10),  # invalid parameters
+    ])
+    def test_failed_encode_creates_no_store(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("encode", "--n", 4, "--k", 1, "--h", 2, *argv, "--out", "out1") == 2
+        assert not (tmp_path / "out1").exists()
+
     def test_invalid_params_exit_code(self, tmp_path, capsys):
         assert run_cli("encode", "--n", 4, "--k", 1, "--d", 4, "--h", 2,
                        "--random-bytes", 10, "--out", tmp_path / "x") == 2

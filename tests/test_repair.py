@@ -3,9 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mscr.code import encode, random_message, validate_params
+from mscr.code import accumulator_dtype, encode, random_message, solve_erased, validate_params
 from mscr.indexing import sub_index, v_indices
-from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, _context, run_repair
+from mscr.oracle import naive_repair
+from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, _context, _JobContext, run_repair
 
 from conftest import make_codeword
 
@@ -264,3 +265,62 @@ class TestWiderAlphabet:
         for u in job.helpers:
             assert Fraction(transcript.access_logs[u].count()) == params.N * g_ratio(2, 2)
             assert transcript.access_logs[u].vector_set(params) == access_set(u, job)
+
+
+class TestOverflowBound:
+    """Repair at the largest symbols, helpers in uint16 as stored, on both
+    sides of the int32/int64 accumulator switch."""
+
+    # (6,3,4,2): n s = 12, so int32 holds 12 (p-1)^2 up to p = 13378
+    @pytest.mark.parametrize("p, dtype", [(13367, np.int32), (13399, np.int64), (65521, np.int64)])
+    def test_repair_near_p(self, p, dtype):
+        params = validate_params(6, 3, 4, 2, p=p)
+        assert accumulator_dtype(params) == dtype
+        # nodes 1, 3 and 4 hold p-1 everywhere; 0, 2 and 5 complete the codeword
+        arr = np.full((params.n, 1, params.planes, params.s_pow_n), p - 1, dtype=np.uint16)
+        arr[[0, 2, 5]] = 0
+        solve_erased(params, arr, (0, 2, 5), check=True)
+        cw = arr[:, 0]
+        job = RepairJob(params, (0, 2), (1, 3, 4, 5))
+        surviving = {u: cw[u] for u in job.helpers}
+        repaired, transcript = run_repair(job, surviving)
+        naive = naive_repair(job.failed, surviving, params).columns
+        for i in job.failed:
+            assert repaired[i].dtype == dtype
+            assert np.array_equal(repaired[i], cw[i])
+            assert np.array_equal(repaired[i], naive[i])
+        assert all(0 <= m.values.min() and m.values.max() < p for m in transcript.messages)
+
+
+class TestComposedMap:
+    """The cached map from y = solve @ pay to the repaired columns."""
+
+    @pytest.mark.parametrize("nkdh", [(6, 3, 4, 2), (6, 2, 3, 3), (7, 2, 4, 3), (4, 1, 2, 2)])
+    def test_recovery_reads_only_received_payloads(self, nkdh):
+        # y[row, j] comes from failed node j's downloads alone, and y[row, j]
+        # for row = node t is full[j, t], j's cooperative payload to t; so
+        # every term of t's columns must read t's own block, or row t of
+        # another failed node's block
+        params = validate_params(*nkdh)
+        n, h, s = params.n, params.h, params.s
+        block = params.s_pow_n  # y[row, j] holds s slices of s^(n-1) symbols
+        for failed in list(combinations(range(n), h))[:4]:
+            helpers = tuple(i for i in range(n) if i not in failed)[: params.d]
+            ctx = _context(RepairJob(params, failed, helpers))
+            assert ctx.gather.shape[0] == n + 2 <= n * s
+            assert set(np.unique(ctx.coef)) <= {-1, 0, 1}
+            for jt, t in enumerate(failed):
+                terms = ctx.gather[:, jt][ctx.coef[:, jt] != 0]
+                row, j = terms // (h * block), terms // block % h
+                assert ((j == jt) | (row == t)).all(), (failed, t)
+                assert (j != jt).any()  # the cooperative payloads are read
+
+    def test_context_size(self):
+        # the map holds F (int32 index, int8 coefficient) pairs per repaired
+        # symbol; at the largest desk-scale code it stays under 25 MB
+        params = validate_params(7, 1, 4, 3, p=13399)
+        ctx = _JobContext(RepairJob(params, (0, 3, 5), (1, 2, 4, 6)))  # not cached
+        arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+        arrays += [idx for _, idx in ctx.reads]
+        assert sum(a.nbytes for a in arrays) < 25_000_000
+        assert ctx.gather.shape[0] <= params.n * params.s

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -96,6 +99,22 @@ def _checked_column(directory: Path, manifest: storage.Manifest, params, node: i
         return None, f"node {node}: {exc}"
 
 
+def _encode_input(path, params):
+    """(chunks, stripes, length) of the file at `path`, read one block at a
+    time; a pipe or device has no length to hold it to, so it is read whole
+    first.  A regular file that changes while it is read is an error."""
+    with open(path, "rb") as fh:
+        before = os.fstat(fh.fileno())
+        if not stat.S_ISREG(before.st_mode):
+            data = fh.read()
+            return storage.encode_file(io.BytesIO(data), len(data), params) + (len(data),)
+        result = storage.encode_file(fh, before.st_size, params) + (before.st_size,)
+        after = os.fstat(fh.fileno())
+    if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+        raise CliError(f"input {path} changed while it was read; nothing written")
+    return result
+
+
 def cmd_encode(args) -> int:
     config = _load_config(args.config)
     params = _params_from(args, config)
@@ -104,15 +123,16 @@ def cmd_encode(args) -> int:
     random_bytes = _cfg(args, config, "random_bytes")
     if (input_path is None) == (random_bytes is None):
         raise CliError("give exactly one of --input or --random-bytes")
+    # the input is read and encoded before the store directory is made, so a
+    # failed encode leaves nothing behind
     if input_path is not None:
-        data = Path(input_path).read_bytes()
+        chunks, stripes, original_length = _encode_input(input_path, params)
     else:
         seed = int(_cfg(args, config, "seed", 0))
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=int(random_bytes), dtype=np.uint8).tobytes()
-    # the input is read and encoded before the store directory is made, so a
-    # failed encode leaves nothing behind
-    bodies, original_length, stripes = storage.encode_file(data, params)
+        original_length = len(data)
+        chunks, stripes = storage.encode_file(io.BytesIO(data), original_length, params)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if input_path is None:
@@ -120,10 +140,9 @@ def cmd_encode(args) -> int:
         source.write_bytes(data)
         print(f"wrote generated input to {source}")
     digests = []
-    for i in range(params.n):
-        data = storage.chunk_bytes(params, i, bodies[i])
-        storage.write_chunk(out_dir / storage.chunk_name(i), data)
-        digests.append(hashlib.sha256(data).hexdigest())
+    for i, chunk in enumerate(chunks):
+        storage.write_chunk(out_dir / storage.chunk_name(i), chunk)
+        digests.append(hashlib.sha256(chunk).hexdigest())
     storage.Manifest.new(params, original_length, stripes, digests).save(out_dir)
     print(f"encoded {original_length} bytes into {params.n} chunks "
           f"({stripes} stripe(s) of kN={params.k * params.N} symbols, p={params.p})")
@@ -277,7 +296,10 @@ def cmd_verify(args) -> int:
         available[i] = column.reshape(stripes, params.planes, params.s_pow_n)
         print(f"node {i}: checksum OK")
     if len(available) == params.n:
-        bad = failing_checks(params, [available[i] for i in range(params.n)]).any(axis=1)
+        bad = np.zeros(stripes, dtype=bool)
+        for start, stop in storage.blocks(params, stripes):
+            block = [available[i][start:stop] for i in range(params.n)]
+            bad[start:stop] = failing_checks(params, block).any(axis=1)
         problems.extend(f"stripe {st}: parity checks fail" for st in np.flatnonzero(bad))
         if not bad.any():
             print(f"parity: all {stripes} stripe(s) satisfy every check")

@@ -38,11 +38,14 @@ the accumulator dtype before any product: numpy 2 computes a uint16 array
 times a Python int in uint16, which would wrap.
 
 Files hold many independent codewords (stripes).  solve_erased and
-failing_checks take every stripe of every node at once, as an
+failing_checks take a batch of stripes of every node at once, as an
 (n, stripes, planes, s^n) array or a list of n (stripes, planes, s^n)
-columns.  encode and erase_decode are the one-stripe forms: a codeword is an
-(n, planes, s^n) array, and a set of known columns is a dict from node index
-to its (planes, s^n) column.
+columns; storage walks a file in fixed blocks of stripes, so a batch is at
+most one block.  The checks never mix planes, and the peel depends only on
+the erased set, so both fold the batch into (stripes * planes, s^n) rows and
+treat every plane of every stripe in one pass.  encode and erase_decode are
+the one-stripe forms: a codeword is an (n, planes, s^n) array, and a set of
+known columns is a dict from node index to its (planes, s^n) column.
 """
 
 from __future__ import annotations
@@ -64,7 +67,13 @@ from .indexing import delta, sub_index, vec_to_int
 
 
 class InconsistentCodewordError(ValueError):
-    """Supplied symbols do not lie on any codeword."""
+    """Supplied symbols do not lie on any codeword: a check of `stripe`
+    (0-based) on `plane` (1-based) fails."""
+
+    def __init__(self, stripe: int, plane: int):
+        super().__init__(
+            f"symbols are not jointly on any codeword (stripe {stripe}, plane {plane})")
+        self.stripe, self.plane = stripe, plane
 
 
 @dataclass(frozen=True)
@@ -241,15 +250,15 @@ def _add_multiple(acc: np.ndarray, x: np.ndarray, c: int, tmp: np.ndarray) -> No
         acc += tmp
 
 
-def _known_contrib(params: CodeParams, plane, known_nodes, rows: int) -> np.ndarray:
+def _known_contrib(params: CodeParams, rows_of, known_nodes, rows: int) -> np.ndarray:
     """K[t, a, ...] for t < rows: the sum over known nodes j of their check
     contributions at (t, a), reduced into [0, p), in accumulator_dtype(params).
 
-    plane[j] is node j's symbols on one plane, shape (stripes, s^n) or
-    (s^n,); K has the index axis first and the stripe axis innermost,
-    (rows, s^n, stripes) or (rows, s^n).  Each known column is copied once,
-    transposed, into a buffer of K's dtype, so every product below runs in
-    that dtype.  Node j's substitution terms are read through the digit-j
+    rows_of[j] is node j's symbols, shape (R, s^n) for R rows of (stripe,
+    plane) pairs, or (s^n,); K has the index axis first and the row axis
+    innermost, (rows, s^n, R) or (rows, s^n).  Each known column is copied
+    once, transposed, into a buffer of K's dtype, so every product below runs
+    in that dtype.  Node j's substitution terms are read through the digit-j
     view (s^(n-1-j), s, s^j, ...) of that buffer: check row t gains
     lambda_j^t col everywhere and sum_e mu_e^t col[:, e] on the zero-digit
     slice [:, 0].  Products go through one temporary and are added in
@@ -258,13 +267,13 @@ def _known_contrib(params: CodeParams, plane, known_nodes, rows: int) -> np.ndar
     holds; it is reduced once, at the end.
     """
     p, n, s = params.p, params.n, params.s
-    shape = plane[known_nodes[0]].T.shape
+    shape = rows_of[known_nodes[0]].T.shape
     dtype = accumulator_dtype(params)
     out = np.zeros((rows,) + shape, dtype=dtype)
     col = np.empty(shape, dtype=dtype)
     tmp = np.empty(shape, dtype=dtype)
     for j in known_nodes:
-        col[...] = plane[j].T
+        col[...] = rows_of[j].T
         digits = (s ** (n - 1 - j), s, s**j) + shape[1:]
         col_digits = col.reshape(digits)
         tmp_zero = tmp.reshape(digits)[:, 0]
@@ -311,18 +320,28 @@ def _peel_plan(params: CodeParams, erased: tuple[int, ...]):
     return solve_op, mu_powers, layers
 
 
+def _as_rows(params: CodeParams, cols) -> list[np.ndarray]:
+    """Each node's (stripes, planes, s^n) column as (stripes * planes, s^n)
+    rows: a view of a contiguous column, else a copy, which is only read."""
+    return [np.reshape(col, (-1, params.s_pow_n)) for col in cols]
+
+
 def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool) -> None:
-    """Fill the erased columns of a file's codewords in place.
+    """Fill the erased columns of a batch of codewords in place.
 
     cols[j] is node j's column of every stripe, shape (stripes, planes, s^n);
-    an (n, stripes, planes, s^n) array is such a sequence.  Every stripe is
-    solved at once, plane by plane and layer by layer (see the module
-    docstring): per layer, one gather of the known contributions, one
-    addition of the already-solved substitution terms and the product with
-    the cached m x m inverse, as m^2 multiply-adds of whole rows (numpy's
-    integer matmul has no BLAS path).  The work array is contiguous with the
-    stripe axis innermost, so each gather and scatter moves whole rows of
-    stripes, and it is in accumulator_dtype(params).
+    an (n, stripes, planes, s^n) array is such a sequence.  Every plane of
+    every stripe is solved at once, as one row of (stripes * planes, s^n),
+    layer by layer (see the module docstring): per layer, one gather of the
+    known contributions, one addition of the already-solved substitution
+    terms and the product with the cached m x m inverse, as one einsum
+    (numpy's integer matmul has no BLAS path, and is slower for so small a
+    contraction).  Each product's entry is a sum of m products, in the
+    accumulator dtype, as the module docstring bounds.
+    The work array is contiguous with the row axis innermost, so each gather
+    and scatter moves whole runs of rows, and it is in
+    accumulator_dtype(params).  Its size is m times the batch's symbols per
+    node, so callers with a whole file solve it a block of stripes at a time.
 
     With check=True every parity check of every stripe must then vanish, else
     the supplied symbols lie on no codeword and InconsistentCodewordError
@@ -334,44 +353,35 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool)
         solve_op, mu_powers, layers = _peel_plan(params, erased)
         p, m = params.p, len(erased)
         known = [j for j in range(params.n) if j not in erased]
-        for b0 in range(params.planes):
-            plane = [col[:, b0] for col in cols]  # views, (stripes, s^n) each
-            # work[t, a, stripe] starts as check row t's known contributions K;
-            # once a's layer is solved, work[q, a, stripe] is erased[q]'s symbol
-            work = _known_contrib(params, plane, known, m)
-            for members, terms in layers:
-                rhs = work[:, members]  # (m, |layer|, stripes), reduced
-                for q, pos, subs in terms:
-                    acc = rhs[:, pos]
-                    for e in range(params.s - 1):
-                        acc += mu_powers[:, e, None, None] * work[q, subs[e]]
-                    rhs[:, pos] = acc % p
-                unknowns = np.zeros_like(rhs)
-                tmp = np.empty_like(rhs[0])
-                for q in range(m):
-                    for t in range(m):
-                        _add_multiple(unknowns[q], rhs[t], solve_op[q, t], tmp)
-                unknowns %= p
-                work[:, members] = unknowns
-            for q, node in enumerate(erased):
-                plane[node][...] = work[q].T
+        # work[t, a, row] starts as check row t's known contributions K; once
+        # a's layer is solved, work[q, a, row] is erased[q]'s symbol
+        work = _known_contrib(params, _as_rows(params, cols), known, m)
+        for members, terms in layers:
+            rhs = work[:, members]  # (m, |layer|, rows), reduced
+            for q, pos, subs in terms:
+                acc = rhs[:, pos]
+                for e in range(params.s - 1):
+                    acc += mu_powers[:, e, None, None] * work[q, subs[e]]
+                rhs[:, pos] = acc % p
+            unknowns = np.einsum("qt,t...->q...", solve_op, rhs)
+            unknowns %= p
+            work[:, members] = unknowns
+        for q, node in enumerate(erased):
+            # splitting the row axis of the transposed view copies nothing
+            cols[node][...] = work[q].T.reshape(cols[node].shape)
     if check:
         bad = failing_checks(params, cols)
         if bad.any():
             st, b0 = np.argwhere(bad)[0]
-            raise InconsistentCodewordError(
-                f"symbols are not jointly on any codeword (stripe {st}, plane {b0 + 1})"
-            )
+            raise InconsistentCodewordError(int(st), int(b0) + 1)
 
 
 def failing_checks(params: CodeParams, cols) -> np.ndarray:
     """Mask (stripes, planes): True where a parity check of that stripe and
-    plane is nonzero.  cols is as for solve_erased."""
-    rows, nodes = params.r, range(params.n)
-    return np.stack([
-        _known_contrib(params, [col[:, b0] for col in cols], nodes, rows).any(axis=(0, 1))
-        for b0 in range(params.planes)
-    ], axis=1)
+    plane is nonzero.  cols is as for solve_erased, and the work array is r
+    times the batch's symbols per node."""
+    contrib = _known_contrib(params, _as_rows(params, cols), range(params.n), params.r)
+    return contrib.any(axis=(0, 1)).reshape(-1, params.planes)
 
 
 # --- public encode / decode ------------------------------------------------

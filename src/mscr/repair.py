@@ -103,14 +103,6 @@ class RepairJob:
     def __hash__(self) -> int:
         return self._hash
 
-    def slot_of(self, node: int) -> int:
-        """1-based position of a failed node in ascending order."""
-        return self.failed.index(node) + 1
-
-    def repair_plane(self, node: int) -> int:
-        """Plane d-k+j assigned to failed node with slot j."""
-        return self.params.d - self.params.k + self.slot_of(node)
-
 
 class _JobContext:
     """Everything derivable from (params, E, R) alone, shared across stripes.

@@ -7,13 +7,17 @@ Chunk layout (all integers little-endian):
     body             payload_len symbols packed at w = ceil(log2 p) bits each
 
 payload_len = stripe_count * N.  Files longer than one stripe are striped:
-consecutive kN-symbol blocks are independent codewords and each node's chunk
-concatenates its per-stripe columns in stripe order.  The n bodies of a file
-are therefore one (n, stripes, planes, s^n) array, and encode and decode
-solve every stripe in one code.solve_erased call.  File-level symbols are
-uint16 from parsing to writing (pack_bytes, read_chunk, encode_file,
-decode_file): p < 2^16, so every symbol fits, and the solver's wider
-arithmetic lives only in its per-plane work arrays.
+consecutive kN-symbol runs of the message are independent codewords and each
+node's chunk concatenates its per-stripe columns in stripe order.  So
+encode_file and decode_file walk a file in blocks of stripes (blocks), each
+solved in one code.solve_erased call: encode holds its n serialized chunks
+and one block, reading the input a block at a time, and decode holds the
+chunks' symbols, the output bytes and one block.  A block is a multiple of 8
+stripes, so every block starts on a byte of each bit plane of a body and of
+the message bitstream.  File-level symbols are uint16 from parsing to
+writing (pack_bytes, read_chunk, encode_file, decode_file): p < 2^16, so
+every symbol fits, and the solver's wider arithmetic lives only in its work
+arrays, of one block.
 
 Two widths are involved.  Message packing (pack_bytes) maps the file's bytes
 to symbols at bits_per_symbol(p) bits each: 8 when p > 255, otherwise
@@ -46,12 +50,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .code import CodeParams, solve_erased, validate_params
+from .code import CodeParams, InconsistentCodewordError, solve_erased, validate_params
 
 MAGIC = b"MSCR"
 FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 QUARANTINE_SUFFIX = ".failed"
+# Symbols per node in one block of stripes (see blocks).  The solver's work
+# arrays hold up to r int32 (or int64) entries per symbol of a block, so a
+# block costs a few hundred KB whatever the file's size.
+BLOCK_SYMBOLS = 1 << 15
 
 
 def chunk_name(node: int) -> str:
@@ -111,13 +119,29 @@ def body_length(payload_len: int, p: int) -> int:
     return payload_len * (w // 8) + (w % 8) * -(-payload_len // 8)
 
 
+def _pack_into(body, payload_len: int, offset: int, symbols: np.ndarray, p: int) -> None:
+    """Write symbols[...] into the body buffer of payload_len symbols (see the
+    module docstring) as its symbols offset, offset+1, ...; offset is a
+    multiple of 8, so each bit plane's part starts on a byte."""
+    w = stored_width(p)
+    out = np.frombuffer(body, dtype=np.uint8)
+    vals = symbols.reshape(-1)
+    for j in range(w // 8):
+        start = j * payload_len + offset
+        out[start:start + vals.size] = (vals >> (8 * j)).astype(np.uint8)
+    plane, start = -(-payload_len // 8), w // 8 * payload_len + offset // 8
+    for b in range(w // 8 * 8, w):
+        bits = np.packbits((vals >> b).astype(np.uint8) & 1)
+        out[start:start + bits.size] = bits
+        start += plane
+
+
 def pack_body(symbols: np.ndarray, p: int) -> bytes:
     """Symbols in [0, p) -> byte planes, then bit planes (see module docstring)."""
-    w = stored_width(p)
     vals = symbols.astype(np.uint16, copy=False)
-    planes = [(vals >> (8 * j)).astype(np.uint8) for j in range(w // 8)]
-    planes += [np.packbits((vals >> b).astype(np.uint8) & 1) for b in range(w // 8 * 8, w)]
-    return b"".join(plane.tobytes() for plane in planes)
+    body = bytearray(body_length(vals.size, p))
+    _pack_into(body, vals.size, 0, vals, p)
+    return bytes(body)
 
 
 def unpack_body(body: bytes, p: int, payload_len: int) -> np.ndarray:
@@ -144,13 +168,18 @@ def _header_fields(params: CodeParams, node: int, payload_len: int) -> tuple[int
             payload_len, bits_per_symbol(params.p), *params.lambdas, *params.mus)
 
 
+def _header(params: CodeParams, node: int, payload_len: int) -> bytes:
+    """Magic, header fields and evaluation points of node `node`'s chunk."""
+    fields_ = _header_fields(params, node, payload_len)
+    return MAGIC + struct.pack(f"<{len(fields_)}I", *fields_)
+
+
 def chunk_bytes(params: CodeParams, node: int, symbols: np.ndarray) -> bytes:
     """Serialize node `node`'s chunk of `params` holding `symbols`: magic,
     header fields, evaluation points, packed body."""
     if symbols.size and (symbols.min() < 0 or symbols.max() >= params.p):
         raise ValueError("chunk symbols must be reduced into [0,p)")
-    header = _header_fields(params, node, symbols.size)
-    return MAGIC + struct.pack(f"<{len(header)}I", *header) + pack_body(symbols, params.p)
+    return _header(params, node, symbols.size) + pack_body(symbols, params.p)
 
 
 def _write_replacing(path: Path, data: bytes) -> None:
@@ -239,8 +268,13 @@ class Manifest:
     failed: list[int]
 
     def params(self) -> CodeParams:
-        return validate_params(self.n, self.k, self.d, self.h, p=self.p,
-                               lambdas=self.lambdas, mus=self.mus)
+        """The code's parameters; the byte length must fill stripe_count stripes."""
+        params = validate_params(self.n, self.k, self.d, self.h, p=self.p,
+                                 lambdas=self.lambdas, mus=self.mus)
+        if (want := stripes_for(self.original_length, params)) != self.stripe_count:
+            raise ValueError(f"manifest field 'original_length' = {self.original_length} bytes "
+                             f"fills {want} stripe(s), but 'stripe_count' is {self.stripe_count}")
+        return params
 
     @classmethod
     def new(cls, params: CodeParams, original_length: int, stripe_count: int,
@@ -307,34 +341,76 @@ def _is_count(value) -> bool:
 
 # --- file-level striping -----------------------------------------------------
 
-def encode_file(data: bytes, params: CodeParams):
-    """Encode a byte string into n chunk bodies (one per node).
+def stripes_for(original_length: int, params: CodeParams) -> int:
+    """Stripes of a file of original_length bytes: its message symbols,
+    ceil(8 len / m), in stripes of kN, and at least one."""
+    symbols = -(-8 * original_length // bits_per_symbol(params.p))
+    return max(1, -(-symbols // symbols_per_stripe(params)))
 
-    Returns (bodies, original_length, stripe_count); bodies[i] is node i's
-    concatenated per-stripe columns, stripe_count * N uint16 symbols.
+
+def blocks(params: CodeParams, stripes: int) -> list[tuple[int, int]]:
+    """The [start, stop) stripe ranges a file of `stripes` stripes is walked
+    in: BLOCK_SYMBOLS symbols per node, rounded down to a multiple of 8
+    stripes and at least 8, so every block but the last ends on a byte of
+    each bit plane and of the message bitstream."""
+    size = max(8, BLOCK_SYMBOLS // params.N // 8 * 8)
+    return [(st, min(st + size, stripes)) for st in range(0, stripes, size)]
+
+
+def _message_bytes(params: CodeParams, start: int, stop: int, original_length: int):
+    """The file's byte range [first, last) held by stripes [start, stop)."""
+    bits = symbols_per_stripe(params) * bits_per_symbol(params.p)
+    return start * bits // 8, min(original_length, stop * bits // 8)
+
+
+def encode_file(fh, length: int, params: CodeParams) -> tuple[list[bytearray], int]:
+    """Encode `length` bytes read from the binary file `fh` into n chunks.
+
+    Returns (chunks, stripe_count): chunks[i] is node i's serialized chunk,
+    byte for byte what chunk_bytes writes for its symbols.  The input is read
+    one block of stripes at a time (blocks); each block is packed, solved,
+    and its byte and bit planes are written straight into the chunks.  A read
+    that ends before `length` bytes or a byte past them is a ValueError, so
+    a file that shrinks or grows while it is read is never encoded.
     """
-    symbols = pack_bytes(data, params.p)
-    per_stripe = symbols_per_stripe(params)
-    stripes = max(1, -(-symbols.size // per_stripe))
-    arr = np.zeros((params.n, stripes, params.planes, params.s_pow_n), dtype=np.uint16)
-    # stripe st's message is node 0..k-1's columns of stripe st, in order;
-    # whole stripes are copied as blocks, the partial last one symbol by symbol
-    message = arr[: params.k].swapaxes(0, 1)
-    full = symbols.size // per_stripe
-    message[:full] = symbols[: full * per_stripe].reshape(message[:full].shape)
-    message[full:].flat[: symbols.size - full * per_stripe] = symbols[full * per_stripe:]
-    del symbols, message
-    solve_erased(params, arr, tuple(range(params.k, params.n)), check=False)
-    return arr.reshape(params.n, -1), len(data), stripes
+    stripes = stripes_for(length, params)
+    payload_len = stripes * params.N
+    headers = [_header(params, i, payload_len) for i in range(params.n)]
+    chunks = [bytearray(len(h) + body_length(payload_len, params.p)) for h in headers]
+    for chunk, header in zip(chunks, headers):
+        chunk[:len(header)] = header
+    bodies = [memoryview(chunk)[len(header):] for chunk, header in zip(chunks, headers)]
+    erased = tuple(range(params.k, params.n))
+    for start, stop in blocks(params, stripes):
+        first, last = _message_bytes(params, start, stop, length)
+        data = fh.read(last - first)
+        if len(data) != last - first:
+            raise ValueError(f"input ended after {first + len(data)} of {length} bytes")
+        message = np.zeros((stop - start) * symbols_per_stripe(params), dtype=np.uint16)
+        symbols = pack_bytes(data, params.p)
+        message[:symbols.size] = symbols
+        del data, symbols
+        # block[i]: node i's columns of the block's stripes, message first
+        block = np.empty((params.n, stop - start, params.planes, params.s_pow_n), dtype=np.uint16)
+        block[:params.k] = message.reshape(stop - start, params.k, *block.shape[2:]).swapaxes(0, 1)
+        solve_erased(params, block, erased, check=False)
+        for body, col in zip(bodies, block):
+            _pack_into(body, payload_len, start * params.N, col, params.p)
+    if fh.read(1):
+        raise ValueError(f"input holds more than the {length} bytes it had when encoding began")
+    return chunks, stripes
 
 
 def decode_file(bodies: dict[int, np.ndarray], params: CodeParams,
-                original_length: int, stripe_count: int) -> bytes:
+                original_length: int, stripe_count: int) -> bytearray:
     """Rebuild the original bytes from any >= k chunk bodies.
 
-    Without every systematic body, the k lowest-indexed bodies are decoded
-    and every parity check of every stripe is verified before any byte is
-    returned (InconsistentCodewordError otherwise).
+    The output is filled one block of stripes at a time (blocks).  Without
+    every systematic body, the k lowest-indexed bodies are decoded and every
+    parity check of each block is verified before that block is unpacked
+    (InconsistentCodewordError otherwise, naming the stripe in the file).
+    Encode pads the last stripe with zero bits, so a set bit of the message
+    past original_length is a ValueError: the recorded length is wrong.
     """
     if len(bodies) < params.k:
         raise ValueError(f"need at least k={params.k} chunks to decode, got {len(bodies)}")
@@ -342,21 +418,39 @@ def decode_file(bodies: dict[int, np.ndarray], params: CodeParams,
         if body.shape != (stripe_count * params.N,):
             raise ValueError(f"chunk {i} holds {body.shape[0]} symbols, "
                              f"expected {stripe_count * params.N}")
-    k = params.k
+    if stripes_for(original_length, params) != stripe_count:
+        raise ValueError(f"{original_length} bytes do not fill {stripe_count} stripe(s)")
+    k, m = params.k, bits_per_symbol(params.p)
     shape = (stripe_count, params.planes, params.s_pow_n)
     if set(range(k)) <= set(bodies):
-        message = np.stack([bodies[i].reshape(shape) for i in range(k)], axis=1)
+        chosen, erased = range(k), ()
     else:
-        # columns 0..k-1 are views of the message buffer and are solved into it
-        message = np.zeros((stripe_count, k) + shape[1:], dtype=np.uint16)
-        cols = list(message.swapaxes(0, 1)) + [np.zeros(shape, dtype=np.uint16)
-                                               for _ in range(k, params.n)]
         chosen = sorted(bodies)[:k]
-        for i in chosen:
-            if i < k:
-                cols[i][...] = bodies[i].reshape(shape)
-            else:
-                cols[i] = bodies[i].reshape(shape)
-        solve_erased(params, cols, tuple(i for i in range(params.n) if i not in chosen), check=True)
-        del cols  # frees the solved parity columns before unpacking
-    return unpack_symbols(message.reshape(-1), params.p, original_length)
+        erased = tuple(i for i in range(params.n) if i not in chosen)
+    cols = {i: bodies[i].reshape(shape) for i in chosen}
+    out = bytearray(original_length)
+    for start, stop in blocks(params, stripe_count):
+        # contiguous views of the chosen columns, fresh arrays for the erased
+        block = [cols[i][start:stop] if i in cols else np.empty((stop - start,) + shape[1:],
+                                                                 dtype=np.uint16)
+                 for i in range(params.n if erased else k)]
+        if erased:
+            try:
+                solve_erased(params, block, erased, check=True)
+            except InconsistentCodewordError as exc:
+                raise InconsistentCodewordError(start + exc.stripe, exc.plane) from None
+        message = np.stack(block[:k], axis=1).reshape(-1)
+        del block
+        first, last = _message_bytes(params, start, stop, original_length)
+        if stop == stripe_count:
+            # the pad bits: the last m - r bits of symbol q, in which the
+            # file's last byte ends r bits in, and every later symbol
+            q, r = divmod(8 * (last - first), m)
+            pad = message[q:].copy()
+            if r:
+                pad[0] &= (1 << (m - r)) - 1
+            if pad.any():
+                raise ValueError(f"the decoded message has set bits past original_length "
+                                 f"= {original_length} bytes, which encode pads with zeros")
+        out[first:last] = unpack_symbols(message, params.p, last - first)
+    return out

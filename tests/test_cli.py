@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from mscr import cli
+from mscr import cli, storage
 from mscr.cli import main
 from mscr.oracle import recount
 from mscr.repair import RepairTranscript
@@ -64,6 +65,39 @@ class TestEncode:
         monkeypatch.chdir(tmp_path)
         assert run_cli("encode", "--n", 4, "--k", 1, "--h", 2, *argv, "--out", "out1") == 2
         assert not (tmp_path / "out1").exists()
+
+    def test_input_changed_while_read_refused(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "input.bin"
+        src.write_bytes(bytes(1000))
+        real = storage.encode_file
+
+        def rewritten_meanwhile(fh, length, params):
+            result = real(fh, length, params)
+            src.write_bytes(bytes([1]) * 1000)  # same length, new bytes
+            stat = src.stat()
+            os.utime(src, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+            return result
+
+        monkeypatch.setattr(storage, "encode_file", rewritten_meanwhile)
+        assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
+                       "--input", src, "--out", tmp_path / "x") == 2
+        assert "changed while it was read" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_pipe_input_read_whole(self, tmp_path):
+        data = bytes(range(256)) * 8
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        store = tmp_path / "s"
+        try:
+            assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
+                           "--input", f"/dev/fd/{read_end}", "--out", store) == 0
+        finally:
+            os.close(read_end)
+        assert Manifest.load(store).original_length == len(data)
+        assert run_cli("decode", "--dir", store, "--out", tmp_path / "o.bin", "--nodes", "3") == 0
+        assert (tmp_path / "o.bin").read_bytes() == data
 
     def test_invalid_params_exit_code(self, tmp_path, capsys):
         assert run_cli("encode", "--n", 4, "--k", 1, "--d", 4, "--h", 2,
@@ -413,6 +447,82 @@ class TestCheckedReads:
         assert run_cli("decode", "--dir", store, "--out", tmp_path / "x",
                        "--nodes", "0,9") == 2
         assert "node 9 out of range" in capsys.readouterr().err
+
+
+class TestEditedOriginalLength:
+    """A manifest byte length that disagrees with the chunks is an error:
+    decode never writes a file of another length than the one encoded."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        # 3000 bytes in stripes of 576: six stripes, the last holding 120
+        data = np.random.default_rng(9).integers(1, 256, size=3000, dtype=np.uint8).tobytes()
+        src = tmp_path / "input.bin"
+        src.write_bytes(data)
+        store = tmp_path / "store"
+        assert run_cli("encode", "--n", 6, "--k", 3, "--d", 4, "--h", 2, "--p", 257,
+                       "--input", src, "--out", store) == 0
+        return tmp_path, store
+
+    @staticmethod
+    def set_length(store, length):
+        manifest = Manifest.load(store)
+        manifest.original_length = length
+        manifest.save(store)
+
+    @pytest.mark.parametrize("argv", [("decode",), ("decode", "--nodes", "3,4,5"), ("verify",)])
+    def test_length_of_another_stripe_count_refused_before_any_read(
+            self, store, capsys, monkeypatch, argv):
+        tmp_path, store = store
+        self.set_length(store, 10)
+        reads = []
+        monkeypatch.setattr(storage, "read_chunk", lambda *args: reads.append(args))
+        out = tmp_path / "out.bin"
+        extra = ["--out", out] if argv[0] == "decode" else []
+        capsys.readouterr()
+        assert run_cli(argv[0], "--dir", store, *extra, *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert "'original_length' = 10 bytes fills 1 stripe(s), but 'stripe_count' is 6" in err
+        assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize("nodes", ["0,1,2", "3,4,5"])
+    def test_shortened_length_refused(self, store, capsys, nodes):
+        tmp_path, store = store
+        self.set_length(store, 2900)
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out, "--nodes", nodes) == 2
+        assert "past original_length = 2900 bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBlockWalk:
+    """Commands walk a file in blocks of stripes; with the block shrunk to 8
+    stripes, a fault in the last block is named at its stripe in the file."""
+
+    def test_verify_names_a_stripe_of_the_last_block(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)
+        store = tmp_path / "s"
+        assert run_cli("encode", "--n", 6, "--k", 2, "--d", 3, "--h", 3, "--p", 7,
+                       "--random-bytes", 5000, "--out", store) == 0
+        manifest = Manifest.load(store)
+        params = manifest.params()
+        # 5000 bytes are 20000 two-bit symbols, in 40 stripes of 512
+        assert manifest.stripe_count == 40
+        assert storage.blocks(params, 40)[-1] == (32, 40)
+        path = store / manifest.chunks["4"]["file"]
+        symbols = read_chunk(path, manifest.chunks["4"]["sha256"], params, 4, 40 * params.N)
+        pos = 37 * params.N + 100
+        symbols[pos] = (symbols[pos] + 1) % params.p
+        write_chunk(path, chunk_bytes(params, 4, symbols))
+        manifest.chunks["4"]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest.save(store)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        problems = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("PROBLEM")]
+        assert problems == ["PROBLEM: stripe 37: parity checks fail"]
+        assert run_cli("decode", "--dir", store, "--out", tmp_path / "o.bin") == 0
+        assert (tmp_path / "o.bin").read_bytes() == (store / "source.bin").read_bytes()
 
 
 class TestMalformedManifest:

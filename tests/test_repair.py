@@ -24,8 +24,6 @@ class TestRepairJob:
         params, _, _ = ex1
         job = RepairJob(params, (1, 0), (3, 2))
         assert job.failed == (0, 1) and job.helpers == (2, 3)
-        assert job.slot_of(0) == 1 and job.slot_of(1) == 2
-        assert job.repair_plane(0) == 2 and job.repair_plane(1) == 3
 
     def test_wrong_failure_count(self, ex1):
         params, _, _ = ex1
@@ -232,9 +230,9 @@ class TestClosedForm:
             assert len(transcript.messages) == h * d + h * (h - 1)
             for m in transcript.messages:
                 if m.phase == DOWNLOAD:
-                    expect = slices(m.sender, m.receiver, job.repair_plane(m.receiver))
+                    expect = slices(m.sender, m.receiver, d - k + 1 + job.failed.index(m.receiver))
                 else:
-                    expect = slices(m.receiver, m.sender, job.repair_plane(m.sender))
+                    expect = slices(m.receiver, m.sender, d - k + 1 + job.failed.index(m.sender))
                 assert m.values.tolist() == expect, (failed, m.phase, m.sender, m.receiver)
 
 

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import math
 import os
 import stat
 import struct
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mscr import storage
-from mscr.code import encode, validate_params
+from mscr.code import InconsistentCodewordError, encode, validate_params
 from mscr.storage import (
     ChecksumMismatchError,
     FORMAT_VERSION,
@@ -27,6 +29,7 @@ from mscr.storage import (
     pack_bytes,
     read_chunk,
     stored_width,
+    stripes_for,
     symbols_per_stripe,
     unpack_body,
     unpack_symbols,
@@ -42,6 +45,17 @@ def expected_body_length(payload_len, p):
 
 def sha256_hex(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def encode_bytes(data, params):
+    """encode_file of `data`: (chunks, stripes, bodies), where bodies[i] is
+    node i's symbols parsed back from its chunk."""
+    chunks, stripes = encode_file(io.BytesIO(data), len(data), params)
+    payload_len = stripes * params.N
+    body = expected_body_length(payload_len, params.p)
+    bodies = np.stack([unpack_body(bytes(chunk[len(chunk) - body:]), params.p, payload_len)
+                       for chunk in chunks])
+    return chunks, stripes, bodies
 
 
 class TestPacking:
@@ -346,50 +360,100 @@ class TestFileStriping:
 
         rng = np.random.default_rng(5)
         data = rng.integers(0, 256, size=200, dtype=np.uint8).tobytes()
-        bodies, original, stripes = encode_file(data, example1)
-        assert original == 200
+        _, stripes, bodies = encode_bytes(data, example1)
         # 200 bytes -> 800 two-bit symbols -> ceil(800/48) stripes
-        assert stripes == 17
+        assert stripes == 17 == stripes_for(200, example1)
         assert bodies.shape == (4, 17 * 48)
         for subset in combinations(range(4), 1):
-            got = decode_file({i: bodies[i] for i in subset}, example1, original, stripes)
+            got = decode_file({i: bodies[i] for i in subset}, example1, 200, stripes)
             assert got == data
 
     def test_empty_input_single_padding_stripe(self, example1):
-        bodies, original, stripes = encode_file(b"", example1)
-        assert original == 0 and stripes == 1
+        _, stripes, bodies = encode_bytes(b"", example1)
+        assert stripes == 1
         assert not bodies.any()
         assert decode_file({0: bodies[0]}, example1, 0, 1) == b""
 
     def test_exact_stripe_boundary(self):
         params = validate_params(4, 1, 2, 2, p=5)
         data = bytes(range(12))  # 96 bits = 48 two-bit symbols = exactly kN
-        bodies, original, stripes = encode_file(data, params)
+        _, stripes, bodies = encode_bytes(data, params)
         assert stripes == 1
-        assert decode_file({2: bodies[2]}, params, original, stripes) == data
+        assert decode_file({2: bodies[2]}, params, len(data), stripes) == data
 
     def test_byte_symbols_with_large_field(self):
         params = validate_params(6, 3, 4, 2, p=257)
         assert symbols_per_stripe(params) == 3 * 192
         data = bytes(range(256)) * 3  # 768 bytes -> 768 symbols -> 2 stripes
-        bodies, original, stripes = encode_file(data, params)
+        _, stripes, bodies = encode_bytes(data, params)
         assert stripes == 2
-        got = decode_file({i: bodies[i] for i in (1, 3, 5)}, params, original, stripes)
+        got = decode_file({i: bodies[i] for i in (1, 3, 5)}, params, len(data), stripes)
         assert got == data
 
     def test_decode_needs_k_chunks(self, example1):
-        bodies, original, stripes = encode_file(b"hello", example1)
+        _, stripes, _ = encode_bytes(b"hello", example1)
         with pytest.raises(ValueError, match="at least k"):
-            decode_file({}, example1, original, stripes)
+            decode_file({}, example1, 5, stripes)
 
     def test_decode_validates_body_length(self, example1):
-        bodies, original, stripes = encode_file(b"hello", example1)
+        _, stripes, bodies = encode_bytes(b"hello", example1)
         with pytest.raises(ValueError, match="symbols"):
-            decode_file({0: bodies[0][:-1]}, example1, original, stripes)
+            decode_file({0: bodies[0][:-1]}, example1, 5, stripes)
+
+    @pytest.mark.parametrize("given,match", [(b"abc", "ended after 3 of 4 bytes"),
+                                             (b"abcde", "more than the 4 bytes")])
+    def test_input_of_another_length_refused(self, example1, given, match):
+        # a file that shrinks or grows while it is read is never encoded
+        with pytest.raises(ValueError, match=match):
+            encode_file(io.BytesIO(given), 4, example1)
+
+
+class TestOriginalLength:
+    """The manifest's byte length must match the chunks: a wrong one is an
+    error, never a decode that succeeds with the wrong bytes."""
+
+    PARAMS = validate_params(6, 3, 4, 2, p=257)
+
+    def test_length_of_another_stripe_count_refused(self, example1):
+        manifest = Manifest.new(example1, 100, stripes_for(100, example1), ["0" * 64] * 4)
+        manifest.params()
+        manifest.original_length = 10
+        with pytest.raises(ValueError, match="'original_length' = 10 bytes fills 1 stripe"):
+            manifest.params()
+        with pytest.raises(ValueError, match="do not fill"):
+            decode_file({0: np.zeros(9 * 48, dtype=np.uint16)}, example1, 10, 9)
+
+    @staticmethod
+    def encoded(data, p, nodes):
+        params = validate_params(4, 1, 2, 2, p=p)
+        _, stripes, bodies = encode_bytes(data, params)
+        chosen = {0: bodies[0]} if nodes == "systematic" else {3: bodies[3]}
+        assert decode_file(chosen, params, len(data), stripes) == data
+        return params, chosen, stripes
+
+    @pytest.mark.parametrize("p", [5, 11, 257])
+    @pytest.mark.parametrize("nodes", ["systematic", "parity"])
+    def test_length_cut_into_the_data_refused(self, p, nodes):
+        # 97 bytes are 776 bits, which at p = 11 end inside a 3-bit symbol;
+        # the bit after them, byte 97's first, is the only one set past them
+        data = bytes(range(1, 98)) + b"\x80\x00\x00"
+        params, chosen, stripes = self.encoded(data, p, nodes)
+        assert stripes_for(97, params) == stripes
+        with pytest.raises(ValueError, match="past original_length = 97 bytes"):
+            decode_file(chosen, params, 97, stripes)
+
+    @pytest.mark.parametrize("p", [5, 11, 257])
+    @pytest.mark.parametrize("nodes", ["systematic", "parity"])
+    def test_zero_bytes_may_be_cut(self, p, nodes):
+        # zero bytes at the end look like padding.  At p = 11 the 784 bits of
+        # 98 bytes end inside a symbol whose first bit, byte 97's last, is set
+        data = bytes(range(1, 98)) + b"\x01\x00\x00"
+        params, chosen, stripes = self.encoded(data, p, nodes)
+        assert decode_file(chosen, params, 98, stripes) == data[:98]
 
 
 class TestStripeBatchAgainstPerStripe:
-    """encode_file / decode_file solve every stripe in one call; the loop over
+    """encode_file / decode_file solve many stripes per call; the loop over
     code.encode below is the per-stripe reference they must reproduce."""
 
     @staticmethod
@@ -417,16 +481,121 @@ class TestStripeBatchAgainstPerStripe:
 
     def test_encode_matches_per_stripe_encode(self, case):
         params, data = case
-        bodies, original, stripes = encode_file(data, params)
-        assert (original, stripes) == (len(data), 4)
-        assert np.array_equal(bodies, self.per_stripe_bodies(data, params))
+        chunks, stripes, bodies = encode_bytes(data, params)
+        assert stripes == 4
+        reference = self.per_stripe_bodies(data, params)
+        assert np.array_equal(bodies, reference)
+        assert chunks == [chunk_bytes(params, i, reference[i]) for i in range(params.n)]
 
     def test_decode_from_every_k_subset(self, case):
         params, data = case
-        bodies, original, stripes = encode_file(data, params)
+        _, stripes, bodies = encode_bytes(data, params)
         for subset in combinations(range(params.n), params.k):
-            got = decode_file({i: bodies[i] for i in subset}, params, original, stripes)
+            got = decode_file({i: bodies[i] for i in subset}, params, len(data), stripes)
             assert got == data, subset
+
+
+class TestBlockWalk:
+    """encode_file and decode_file walk a file in blocks of stripes.  With
+    BLOCK_SYMBOLS shrunk to its floor of 8 stripes, 29 stripes are four
+    blocks, the last one partial, and everything must match the one-block
+    walk of the default size."""
+
+    STRIPES = 29
+
+    @pytest.fixture(params=[((6, 3, 4, 2), 257), ((6, 2, 3, 3), 7)], ids=["6342-p257", "6233-p7"])
+    def case(self, request, monkeypatch):
+        nkdh, p = request.param
+        params = validate_params(*nkdh, p=p)
+        # the last stripe holds 100 message symbols
+        n_bytes = ((self.STRIPES - 1) * symbols_per_stripe(params) + 100) * bits_per_symbol(p) // 8
+        data = np.random.default_rng(p).integers(0, 256, size=n_bytes, dtype=np.uint8).tobytes()
+        assert storage.blocks(params, self.STRIPES) == [(0, self.STRIPES)]
+        one_block = encode_bytes(data, params)
+        monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)
+        return params, data, one_block
+
+    def test_blocks(self, case):
+        params, _, _ = case
+        assert storage.blocks(params, self.STRIPES) == [(0, 8), (8, 16), (16, 24), (24, 29)]
+
+    def test_default_blocks_are_whole_bytes(self):
+        params = validate_params(6, 3, 4, 2, p=257)
+        spans = storage.blocks(params, 1821)
+        assert spans[0] == (0, 168) and spans[-1][1] == 1821
+        assert all(stop % 8 == 0 for _, stop in spans[:-1])
+
+    def test_chunks_match_one_block(self, case):
+        params, data, (chunks, stripes, _) = case
+        assert stripes == self.STRIPES
+        assert encode_bytes(data, params)[0] == chunks
+
+    def test_decode_roundtrip(self, case):
+        params, data, (_, stripes, bodies) = case
+        parity = tuple(range(params.n - params.k, params.n))
+        for nodes in (tuple(range(params.k)), parity, (0,) + parity[1:]):
+            got = decode_file({i: bodies[i] for i in nodes}, params, len(data), stripes)
+            assert got == data, nodes
+
+    def test_empty_input(self, case):
+        params, _, _ = case
+        _, stripes, bodies = encode_bytes(b"", params)
+        assert stripes == 1 and not bodies.any()
+        parity = {i: bodies[i] for i in range(params.n - params.k, params.n)}
+        assert decode_file(parity, params, 0, 1) == b""
+
+    def test_inconsistency_named_at_its_file_stripe(self, case, monkeypatch):
+        # a solve whose result breaks a check of local stripe 2 of the last
+        # block, stripe 26 of the file
+        params, data, (_, stripes, bodies) = case
+        real = storage.solve_erased
+
+        def faulty(params, cols, erased, check):
+            real(params, cols, erased, check=False)
+            if len(cols[erased[0]]) == stripes - 24:
+                cols[erased[0]][2, 1, 0] = (cols[erased[0]][2, 1, 0] + 1) % params.p
+            real(params, cols, (), check=check)
+
+        monkeypatch.setattr(storage, "solve_erased", faulty)
+        nodes = range(params.n - params.k, params.n)
+        with pytest.raises(InconsistentCodewordError, match=r"stripe 26, plane 2"):
+            decode_file({i: bodies[i] for i in nodes}, params, len(data), stripes)
+
+
+class TestMemoryDoesNotGrowWithTheFile:
+    """encode_file and decode_file hold their chunks or output plus one block:
+    from a 1 MiB to a 4 MiB file their tracemalloc peak grows by at most 1.1
+    times the growth of the n chunks' bytes (2.25 bytes per input byte at
+    p = 257), not by whole-file symbol and work arrays."""
+
+    PARAMS = validate_params(6, 3, 4, 2, p=257)
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_growth(self):
+        params, rng = self.PARAMS, np.random.default_rng(4)
+        peaks = []
+        for size in (1 << 20, 4 << 20):
+            data = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+            encode_peak, (chunks, stripes) = self.peak(
+                lambda: encode_file(io.BytesIO(data), size, params))
+            _, _, bodies = encode_bytes(data, params)
+            parity = {i: bodies[i] for i in (3, 4, 5)}
+            decode_peak, got = self.peak(lambda: decode_file(parity, params, size, stripes))
+            assert got == data
+            peaks.append((sum(map(len, chunks)), encode_peak, decode_peak))
+            del chunks, bodies, parity, got
+        (small_chunks, *small), (large_chunks, *large) = peaks
+        allowed = 1.1 * (large_chunks - small_chunks)
+        assert large[0] - small[0] <= allowed, ("encode", small, large, allowed)
+        assert large[1] - small[1] <= allowed, ("decode", small, large, allowed)
 
 
 def test_truncated_header_rejected(tmp_path, example1):

@@ -25,7 +25,7 @@ from .metrics import (
     comparison_table,
     g_ratio,
 )
-from .oracle import OracleReport, cross_check, naive_repair, recount
+from .oracle import naive_repair, recount
 from .repair import (
     RepairJob,
     RepairMessage,
@@ -41,7 +41,6 @@ __all__ = [
     "CodeParams",
     "FieldContext",
     "InconsistentCodewordError",
-    "OracleReport",
     "RepairJob",
     "RepairMessage",
     "RepairMetrics",
@@ -51,7 +50,6 @@ __all__ = [
     "access_set",
     "bounds",
     "comparison_table",
-    "cross_check",
     "encode",
     "erase_decode",
     "g_ratio",

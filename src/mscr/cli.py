@@ -137,7 +137,7 @@ def cmd_encode(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if input_path is None:
         source = out_dir / "source.bin"
-        source.write_bytes(data)
+        storage.write_replacing(source, data)
         print(f"wrote generated input to {source}")
     digests = []
     for i, chunk in enumerate(chunks):
@@ -185,11 +185,7 @@ def cmd_repair(args) -> int:
     if not failed:
         raise CliError("no failed nodes recorded in the manifest")
     helpers = sorted(set(_parse_nodes(_require(args, config, "helpers"))))
-    if len(helpers) != params.d:
-        raise CliError(f"need exactly d={params.d} helpers, got {len(helpers)}")
-    if set(helpers) & set(failed):
-        raise CliError(f"helpers {sorted(set(helpers) & set(failed))} are failed")
-    job = RepairJob(params, tuple(failed), tuple(helpers))
+    job = RepairJob(params, tuple(failed), tuple(helpers))  # checks the count and overlap
 
     stripes = manifest.stripe_count
     shape = (params.planes, params.s_pow_n)
@@ -198,11 +194,10 @@ def cmd_repair(args) -> int:
     for m, u in enumerate(helpers):
         block[:, m] = _read_column(directory, manifest, params, u).reshape(stripes, *shape)
     repaired_block = np.empty((stripes, params.h) + shape, dtype=np.uint16)
-    first_transcript = None
     for st in range(stripes):
         repaired, transcript = run_repair(job, dict(zip(helpers, block[st])))
         repaired_block[st] = tuple(repaired.values())
-        if st == 0:
+        if st == 0:  # a store holds at least one stripe
             first_transcript = transcript
     del block  # the helper bodies are freed before the restored chunks are packed
 
@@ -216,10 +211,9 @@ def cmd_repair(args) -> int:
                        + ": restored chunk fails checksum verification; nothing written")
 
     measured = RepairMetrics.from_run(job, first_transcript)
-    transcript_arg = _cfg(args, config, "transcript")
-    transcript_path = Path(transcript_arg) if transcript_arg else directory / "transcript.txt"
+    transcript_path = Path(_cfg(args, config, "transcript") or directory / "transcript.txt")
     text = first_transcript.export_text()
-    transcript_path.write_text(text)
+    storage.write_replacing(transcript_path, text.encode())
     recount = oracle.recount(text)
     if recount.gamma != measured.gamma:
         raise CliError(f"transcript recount {recount.gamma} != measured gamma {measured.gamma}")
@@ -252,8 +246,7 @@ def cmd_repair(args) -> int:
         f"  access    : {'LOW-ACCESS (< 2x the optimal per-helper access)' if low_access else 'NOT LOW-ACCESS'}",
         f"transcript (stripe 0) written to {transcript_path}",
     ]
-    csv_arg = _cfg(args, config, "csv")
-    if csv_arg:
+    if csv_arg := _cfg(args, config, "csv"):
         csv_lines = [
             "stripes,beta1,beta2,gamma_per_stripe,gamma_total,gamma_A_per_stripe,"
             "gamma_A_total,per_helper_access,N,g_exact,cooperative_bound,access_bound",
@@ -261,7 +254,7 @@ def cmd_repair(args) -> int:
             f"{measured.gamma * stripes},{measured.gamma_A},{measured.gamma_A * stripes},"
             f"{per_helper},{params.N},{g},{b.cooperative},{b.access}",
         ]
-        Path(csv_arg).write_text("\n".join(csv_lines) + "\n")
+        storage.write_replacing(Path(csv_arg), ("\n".join(csv_lines) + "\n").encode())
 
     # the outputs are written first, so a path that cannot be written stops
     # the command before the store changes
@@ -305,6 +298,12 @@ def cmd_verify(args) -> int:
             print(f"parity: all {stripes} stripe(s) satisfy every check")
     else:
         print("parity: skipped (not all chunks available)")
+    if all(i in available for i in range(params.k)):
+        try:
+            storage.check_padding(params, [available[i][-1] for i in range(params.k)],
+                                  manifest.original_length, stripes)
+        except ValueError as exc:
+            problems.append(f"manifest: {exc}")
     for msg in problems:
         print(f"PROBLEM: {msg}", file=sys.stderr)
     return 1 if problems else 0
@@ -316,10 +315,6 @@ def cmd_decode(args) -> int:
     manifest = storage.Manifest.load(directory)
     params = manifest.params()
     out_path = Path(_require(args, config, "out"))
-    # the output is renamed into place, which would replace a device, pipe or
-    # directory entry instead of writing to it
-    if out_path.exists() and not out_path.is_file():
-        raise CliError(f"output {out_path} exists and is not a regular file")
     failed = set(manifest.failed)
     nodes = _cfg(args, config, "nodes")
     if nodes:
@@ -349,7 +344,7 @@ def cmd_decode(args) -> int:
         raise CliError(f"need k={params.k} verified chunks, only {len(bodies)} of nodes "
                        f"{wanted} verify; bad nodes {bad}")
     data = storage.decode_file(bodies, params, manifest.original_length, manifest.stripe_count)
-    storage._write_replacing(out_path, data)
+    storage.write_replacing(out_path, data)
     print(f"decoded {len(data)} bytes from nodes {sorted(bodies)} to {out_path}")
     return 0
 
@@ -363,7 +358,7 @@ def cmd_table(args) -> int:
     table = metrics.comparison_table(rows)
     print(metrics.render_table_text(table))
     if args.csv:
-        Path(args.csv).write_text(metrics.render_table_csv(table) + "\n")
+        storage.write_replacing(Path(args.csv), (metrics.render_table_csv(table) + "\n").encode())
         print(f"csv written to {args.csv}")
     return 0
 

@@ -21,8 +21,8 @@ optimal MDS codes for all admissible parameters", IEEE Trans. IT, 2019):
   the right, c[E, b, a] = -V^-1 (K + S).  V depends on E only, so each layer
   costs one product of the cached -V^-1 with every (a, stripe) of the layer.
 
-The checks t >= m are not used by the solve; with check=True the full
-residual sweep (failing_checks) then rejects inputs that lie on no codeword.
+The checks t >= m are not used by the solve; erase_decode then runs the full
+residual sweep (failing_checks), which rejects inputs that lie on no codeword.
 
 Integer bounds: stored symbols are uint16 in [0, p), p < 2^16, and the
 kernels compute in accumulator_dtype(params), int32 when B = n s (p-1)^2 is
@@ -37,15 +37,13 @@ and int64 cannot overflow.  _known_contrib copies each uint16 column into
 the accumulator dtype before any product: numpy 2 computes a uint16 array
 times a Python int in uint16, which would wrap.
 
-Files hold many independent codewords (stripes).  solve_erased and
-failing_checks take a batch of stripes of every node at once, as an
-(n, stripes, planes, s^n) array or a list of n (stripes, planes, s^n)
-columns; storage walks a file in fixed blocks of stripes, so a batch is at
-most one block.  The checks never mix planes, and the peel depends only on
-the erased set, so both fold the batch into (stripes * planes, s^n) rows and
-treat every plane of every stripe in one pass.  encode and erase_decode are
-the one-stripe forms: a codeword is an (n, planes, s^n) array, and a set of
-known columns is a dict from node index to its (planes, s^n) column.
+Files hold many independent codewords (stripes), and every function here
+takes a batch of them: a node's column is a (stripes, planes, s^n) array and
+a batch of codewords an (n, stripes, planes, s^n) array, stored uint16.
+encode and erase_decode are the one encoder and decoder: storage calls them
+once per block of stripes, and a one-stripe caller passes a batch of one.
+The peel depends only on the erased set, so solve_erased and failing_checks
+fold the batch into (stripes * planes, s^n) rows, one pass for all of them.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ import numpy as np
 
 from .field import (
     FieldContext,
-    SingularMatrixError,
     is_prime,
     matrix_inverse,
     smallest_prime_at_least,
@@ -156,29 +153,6 @@ def validate_params(
     )
 
 
-def _as_column_block(params: CodeParams, columns) -> np.ndarray:
-    """Node columns as one int64 (len(columns), planes, s^n) block.
-
-    Each column is given in that (planes, s^n) shape or as N flat symbols.
-    The shapes are checked one by one, the symbols in one range check over the
-    whole block.
-    """
-    shape = (params.planes, params.s_pow_n)
-    block = np.empty((len(columns),) + shape, dtype=np.int64)
-    for m, col in enumerate(columns):
-        col = np.asarray(col)
-        if col.shape == (params.N,):
-            col = col.reshape(shape)
-        if col.shape != shape:
-            raise ValueError(
-                f"column must hold {params.N} symbols shaped {shape}, got shape {col.shape}"
-            )
-        block[m] = col
-    if block.size and (block.min() < 0 or block.max() >= params.p):
-        raise ValueError(f"column symbols must be reduced into [0,{params.p})")
-    return block
-
-
 def parity_residual(params: CodeParams, cw: np.ndarray, t: int, b: int, a) -> int:
     """Scalar evaluation of one parity check of the codeword cw, an
     (n, planes, s^n) array; zero on valid codewords.
@@ -262,9 +236,8 @@ def _known_contrib(params: CodeParams, rows_of, known_nodes, rows: int) -> np.nd
     view (s^(n-1-j), s, s^j, ...) of that buffer: check row t gains
     lambda_j^t col everywhere and sum_e mu_e^t col[:, e] on the zero-digit
     slice [:, 0].  Products go through one temporary and are added in
-    place.  With symbols in [0, p), each node adds at most s(p-1)^2 to an
-    entry, so the unreduced sum stays within n s (p-1)^2, which the dtype
-    holds; it is reduced once, at the end.
+    place; the sum is reduced once, at the end (the module docstring bounds
+    it).
     """
     p, n, s = params.p, params.n, params.s
     shape = rows_of[known_nodes[0]].T.shape
@@ -326,7 +299,7 @@ def _as_rows(params: CodeParams, cols) -> list[np.ndarray]:
     return [np.reshape(col, (-1, params.s_pow_n)) for col in cols]
 
 
-def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool) -> None:
+def solve_erased(params: CodeParams, cols, erased: tuple[int, ...]) -> None:
     """Fill the erased columns of a batch of codewords in place.
 
     cols[j] is node j's column of every stripe, shape (stripes, planes, s^n);
@@ -336,44 +309,32 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...], check: bool)
     known contributions, one addition of the already-solved substitution
     terms and the product with the cached m x m inverse, as one einsum
     (numpy's integer matmul has no BLAS path, and is slower for so small a
-    contraction).  Each product's entry is a sum of m products, in the
-    accumulator dtype, as the module docstring bounds.
-    The work array is contiguous with the row axis innermost, so each gather
-    and scatter moves whole runs of rows, and it is in
-    accumulator_dtype(params).  Its size is m times the batch's symbols per
-    node, so callers with a whole file solve it a block of stripes at a time.
-
-    With check=True every parity check of every stripe must then vanish, else
-    the supplied symbols lie on no codeword and InconsistentCodewordError
-    names the first failing stripe and plane.  This is the only test of the
-    check rows t >= m, so it is what rejects an inconsistent overdetermined
-    input (m < r).
+    contraction).  The work array, in accumulator_dtype(params), is
+    contiguous with the row axis innermost, so each gather and scatter moves
+    whole runs of rows.  Its size is m times the batch's symbols per node, so
+    callers with a whole file solve it a block of stripes at a time.
     """
-    if erased:
-        solve_op, mu_powers, layers = _peel_plan(params, erased)
-        p, m = params.p, len(erased)
-        known = [j for j in range(params.n) if j not in erased]
-        # work[t, a, row] starts as check row t's known contributions K; once
-        # a's layer is solved, work[q, a, row] is erased[q]'s symbol
-        work = _known_contrib(params, _as_rows(params, cols), known, m)
-        for members, terms in layers:
-            rhs = work[:, members]  # (m, |layer|, rows), reduced
-            for q, pos, subs in terms:
-                acc = rhs[:, pos]
-                for e in range(params.s - 1):
-                    acc += mu_powers[:, e, None, None] * work[q, subs[e]]
-                rhs[:, pos] = acc % p
-            unknowns = np.einsum("qt,t...->q...", solve_op, rhs)
-            unknowns %= p
-            work[:, members] = unknowns
-        for q, node in enumerate(erased):
-            # splitting the row axis of the transposed view copies nothing
-            cols[node][...] = work[q].T.reshape(cols[node].shape)
-    if check:
-        bad = failing_checks(params, cols)
-        if bad.any():
-            st, b0 = np.argwhere(bad)[0]
-            raise InconsistentCodewordError(int(st), int(b0) + 1)
+    if not erased:
+        return
+    solve_op, mu_powers, layers = _peel_plan(params, erased)
+    p, m = params.p, len(erased)
+    known = [j for j in range(params.n) if j not in erased]
+    # work[t, a, row] starts as check row t's known contributions K; once
+    # a's layer is solved, work[q, a, row] is erased[q]'s symbol
+    work = _known_contrib(params, _as_rows(params, cols), known, m)
+    for members, terms in layers:
+        rhs = work[:, members]  # (m, |layer|, rows), reduced
+        for q, pos, subs in terms:
+            acc = rhs[:, pos]
+            for e in range(params.s - 1):
+                acc += mu_powers[:, e, None, None] * work[q, subs[e]]
+            rhs[:, pos] = acc % p
+        unknowns = np.einsum("qt,t...->q...", solve_op, rhs)
+        unknowns %= p
+        work[:, members] = unknowns
+    for q, node in enumerate(erased):
+        # splitting the row axis of the transposed view copies nothing
+        cols[node][...] = work[q].T.reshape(cols[node].shape)
 
 
 def failing_checks(params: CodeParams, cols) -> np.ndarray:
@@ -391,40 +352,59 @@ def random_message(params: CodeParams, seed: int = 0) -> np.ndarray:
     return rng.integers(0, params.p, size=params.message_length, dtype=np.int64)
 
 
-def encode(message, params: CodeParams) -> np.ndarray:
-    """Systematic encode into an (n, planes, s^n) codeword: columns [0, k)
-    store the message verbatim, in (node, plane, index) order."""
-    msg = np.asarray(message, dtype=np.int64)
-    if msg.shape != (params.message_length,):
-        raise ValueError(f"message must hold k*N = {params.message_length} symbols, got {msg.shape}")
-    if msg.size and (msg.min() < 0 or msg.max() >= params.p):
-        raise ValueError(f"message symbols must be reduced into [0,{params.p})")
-    arr = np.zeros((params.n, 1, params.planes, params.s_pow_n), dtype=np.int64)
-    arr[: params.k, 0] = msg.reshape(params.k, params.planes, params.s_pow_n)
-    erased = tuple(range(params.k, params.n))
-    try:
-        solve_erased(params, arr, erased, check=False)
-    except SingularMatrixError as exc:  # impossible for validated params
-        raise AssertionError(f"encoder solve failed for valid params: {exc}") from exc
-    return arr[:, 0]
+def check_reduced(params: CodeParams, symbols: np.ndarray, what: str) -> None:
+    """Reject symbols outside [0, p), on the given values, before a cast can wrap one."""
+    if symbols.size and ((symbols.dtype.kind != "u" and symbols.min() < 0)
+                         or symbols.max() >= params.p):
+        raise ValueError(f"{what} symbols must be reduced into [0,{params.p})")
 
 
-def erase_decode(available: dict, params: CodeParams) -> np.ndarray:
-    """Recover up to r = n-k missing columns from the ones supplied.
+def encode(params: CodeParams, message) -> np.ndarray:
+    """Systematic encode of stripes * kN message symbols, in file order, into
+    (n, stripes, planes, s^n) uint16 codewords: stripe st's columns [0, k)
+    hold message symbols [st kN, (st+1) kN) verbatim, in (node, plane, index)
+    order, and one solve fills every stripe's parity columns."""
+    msg = np.asarray(message)
+    kn = params.message_length
+    if msg.ndim != 1 or not msg.size or msg.size % kn:
+        raise ValueError(f"message must hold a positive multiple of k*N = {kn} symbols, "
+                         f"got shape {msg.shape}")
+    check_reduced(params, msg, "message")
+    arr = np.empty((params.n, msg.size // kn, params.planes, params.s_pow_n), dtype=np.uint16)
+    arr[:params.k] = msg.reshape(-1, params.k, *arr.shape[2:]).swapaxes(0, 1)
+    solve_erased(params, arr, tuple(range(params.k, params.n)))
+    return arr
 
-    available maps node index to its column, shaped (planes, s^n) or N flat
-    symbols.  Returns the (n, planes, s^n) codeword.  With fewer than r
-    columns missing the system is overdetermined and the supplied symbols
-    are rejected (InconsistentCodewordError) unless they lie on a codeword,
-    matching the residual sweep exactly.
+
+def erase_decode(params: CodeParams, available: dict) -> np.ndarray:
+    """Recover up to r = n-k missing columns of a batch of codewords.
+
+    available maps node index to its (stripes, planes, s^n) column, in any
+    integer dtype, with the same stripes for every node.  Returns the
+    (n, stripes, planes, s^n) uint16 codewords.  After the solve every parity
+    check of every stripe must vanish, else InconsistentCodewordError names
+    the first failing stripe and plane: with fewer than r columns missing the
+    system is overdetermined, and this sweep is what rejects symbols that lie
+    on no codeword.
     """
-    arr = np.zeros((params.n, 1, params.planes, params.s_pow_n), dtype=np.int64)
     for i in available:
         if not 0 <= i < params.n:
             raise ValueError(f"node index {i} out of range [0,{params.n})")
-    arr[list(available), 0] = _as_column_block(params, list(available.values()))
     erased = tuple(i for i in range(params.n) if i not in available)
     if len(erased) > params.r:
         raise ValueError(f"{len(erased)} columns missing but only r={params.r} erasures are correctable")
-    solve_erased(params, arr, erased, check=True)
-    return arr[:, 0]
+    cols = {i: np.asarray(col) for i, col in available.items()}
+    shape = next(iter(cols.values())).shape[:1] + (params.planes, params.s_pow_n)
+    arr = np.empty((params.n,) + shape, dtype=np.uint16)
+    for i, col in cols.items():
+        if col.shape != shape:  # so col has three axes
+            raise ValueError(f"node {i}: column must be shaped (stripes, planes, s^n) = (stripes, "
+                             f"{params.planes}, {params.s_pow_n}), the same for all, got {col.shape}")
+        check_reduced(params, col, "column")
+        arr[i] = col
+    solve_erased(params, arr, erased)
+    bad = failing_checks(params, arr)
+    if bad.any():
+        st, b0 = np.argwhere(bad)[0]
+        raise InconsistentCodewordError(int(st), int(b0) + 1)
+    return arr

@@ -62,14 +62,8 @@ class FieldContext:
     def add(self, a: int, b: int) -> int:
         return (self.check(a) + self.check(b)) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (self.check(a) - self.check(b)) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (self.check(a) * self.check(b)) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-self.check(a)) % self.p
 
     def inv(self, a: int) -> int:
         if self.check(a) == 0:

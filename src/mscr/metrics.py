@@ -17,44 +17,20 @@ from .indexing import int_to_vec, union_v_indices, union_v_size
 
 
 class AccessLog:
-    """Per-helper record of the (plane, index) symbols read from disk.
+    """The (plane, index) symbols one helper reads from disk, as a boolean
+    (planes, s^n) mask: a helper reads each needed symbol once and serves
+    every failed node from that one pass."""
 
-    Reads are recorded as (plane, index-array) chunks as the helper computes
-    payloads; the de-duplicated union is materialized on demand, matching the
-    rule that a helper reads each needed symbol once and serves every failed
-    node from that one pass.
-    """
-
-    def __init__(self, helper: int):
-        self.helper = helper
-        self._chunks: list[tuple[int, np.ndarray]] = []
-
-    def add(self, plane: int, indices: np.ndarray) -> None:
-        self._chunks.append((plane, indices))
-
-    def index_set(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for plane, idx in self._chunks:
-            out.update((plane, int(a)) for a in idx)
-        return out
-
-    def vector_set(self, params: CodeParams) -> set[tuple[int, tuple[int, ...]]]:
-        return {
-            (plane, int_to_vec(a, params.n, params.s)) for plane, a in self.index_set()
-        }
+    def __init__(self, helper: int, mask: np.ndarray):
+        self.helper, self.mask = helper, mask
 
     def count(self) -> int:
-        per_plane: dict[int, list[np.ndarray]] = {}
-        for plane, idx in self._chunks:
-            per_plane.setdefault(plane, []).append(idx)
-        total = 0
-        for chunks in per_plane.values():
-            idx = np.concatenate(chunks)
-            # a mask, not np.unique, whose first call imports numpy.ma
-            seen = np.zeros(int(idx.max()) + 1 if idx.size else 0, dtype=bool)
-            seen[idx] = True
-            total += int(np.count_nonzero(seen))
-        return total
+        return int(np.count_nonzero(self.mask))
+
+    def vector_set(self, params: CodeParams) -> set[tuple[int, tuple[int, ...]]]:
+        """The reads as (1-based plane, index vector) pairs, as access_set gives them."""
+        return {(int(b0) + 1, int_to_vec(int(a), params.n, params.s))
+                for b0, a in np.argwhere(self.mask)}
 
 
 @dataclass

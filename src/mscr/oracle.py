@@ -1,19 +1,18 @@
 """Independent baselines for validating the repair pipeline.
 
 Deliberately reuses only the any-k decoder (code.erase_decode), never the
-repair engine, so a repair bug cannot mask itself.  Columns are passed as
-{node index: (planes, s^n) array}, as for repair.run_repair.  Transcript
-recounting parses the exported text format from scratch.
+repair engine, so a repair bug cannot mask itself.  Columns of one stripe
+are passed as {node index: (planes, s^n) array}, as for repair.run_repair.
+Transcript recounting parses the exported text format on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .code import CodeParams, erase_decode
-from .indexing import int_to_vec
 
 
 @dataclass
@@ -23,13 +22,6 @@ class NaiveRepairResult:
     columns: dict[int, np.ndarray]  # failed node -> repaired column, ascending
     per_node_bandwidth: int  # kN: one full decode per failed node
     total_bandwidth: int  # h * kN
-
-
-@dataclass
-class OracleReport:
-    match: bool
-    mismatches: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
-    baseline_bandwidth: int = 0
 
 
 def naive_repair(failed, surviving: dict, params: CodeParams) -> NaiveRepairResult:
@@ -42,27 +34,12 @@ def naive_repair(failed, surviving: dict, params: CodeParams) -> NaiveRepairResu
         raise ValueError("failed nodes listed among the survivors")
     if len(surviving) < params.k:
         raise ValueError(f"need at least k={params.k} surviving columns, got {len(surviving)}")
-    cw = erase_decode({i: surviving[i] for i in sorted(surviving)[: params.k]}, params)
+    # one stripe, passed to the decoder as a batch of one
+    cw = erase_decode(params, {i: np.asarray(surviving[i])[None]
+                               for i in sorted(surviving)[: params.k]})[:, 0]
     kn = params.k * params.N
     return NaiveRepairResult(columns={i: cw[i] for i in failed}, per_node_bandwidth=kn,
                              total_bandwidth=len(failed) * kn)
-
-
-def cross_check(cooperative_columns: dict, naive: NaiveRepairResult, params: CodeParams) -> OracleReport:
-    """Symbol-by-symbol comparison of the two repair pipelines' outputs."""
-    coop, base = cooperative_columns, naive.columns
-    if set(coop) != set(base):
-        raise ValueError(f"pipelines repaired different nodes: {sorted(coop)} vs {sorted(base)}")
-    mismatches = []
-    for i in sorted(coop):
-        diff = coop[i] != base[i]
-        for b0, a in zip(*np.nonzero(diff)):
-            mismatches.append((i, int(b0) + 1, int_to_vec(int(a), params.n, params.s)))
-    return OracleReport(
-        match=not mismatches,
-        mismatches=mismatches,
-        baseline_bandwidth=naive.per_node_bandwidth,
-    )
 
 
 @dataclass

@@ -4,9 +4,9 @@ The engine is a deterministic in-process simulation.  Helpers serve payloads
 computed from their own column only, and each failed node's recovery is a
 function of the payloads it received only, never of the global codeword.
 Every download payload is delivered and processed before any cooperative
-payload is produced.  run_repair takes the survivors as {node index:
-(planes, s^n) column}, in any integer dtype, and returns the repaired columns
-the same way, in accumulator_dtype(params).
+payload is produced.  run_repair repairs one stripe: it takes the survivors
+as {node index: (planes, s^n) column}, in any integer dtype, and returns the
+repaired columns the same way, in accumulator_dtype(params).
 
 Per failed node i (sorted position j in the failed set, repair plane
 P_j = d-k+j) the download phase carries, from every helper u,
@@ -41,11 +41,8 @@ cached per (params, E, R):
   less a plane-t symbol, that is a slice value less a repair-plane symbol,
   which is a Delta less up to n-1 substitution terms.
 
-The helper block is stacked and its shape checked once, and one exact range
-check runs on the given values before they are cast.  The transcript keeps
-pay and full and builds its messages and access logs on demand, the first
-time each is read, so a caller that reads one stripe's transcript of many
-pays for that one only.
+The transcript keeps pay and full and builds its messages the first time
+they are read; every helper's access log is the job's one mask of reads.
 
 Integer bounds: the pass runs in accumulator_dtype(params), int32 when
 B = n s (p-1)^2 < 2^31 and int64 otherwise (see code), and no intermediate
@@ -61,7 +58,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .code import CodeParams, _as_column_block, accumulator_dtype
+from .code import CodeParams, accumulator_dtype, check_reduced
 from .field import matrix_inverse, vandermonde_matrix
 from .indexing import v_indices
 from .metrics import AccessLog
@@ -188,9 +185,11 @@ class _JobContext:
 
         # downloads: helper reads place[j, t, 0] for slice t, plus place[j, 0, t] for t >= 1
         self.download, self.cross = place[:, :, 0], place[:, 0, 1:]
-        # every symbol a helper reads, as (1-based plane, indices) from the gathers
-        self.reads = [(int(g[0]) // width + 1, g % width)
-                      for g in np.concatenate([self.download, self.cross], axis=1).reshape(-1, size)]
+        # every symbol a helper reads, the same for every helper and stripe
+        access = np.zeros(params.planes * width, dtype=bool)
+        access[self.download] = access[self.cross] = True
+        access.flags.writeable = False
+        self.access = access.reshape(params.planes, width)
 
 
 @lru_cache(maxsize=None)
@@ -217,12 +216,8 @@ class RepairMessage:
 
 
 class RepairTranscript:
-    """Every message of a repair run plus the helpers' disk-access logs.
-
-    Holds the run's payload arrays and builds `messages` and `access_logs`
-    from them the first time each is read, so a caller that reads neither
-    pays for neither.
-    """
+    """Every message of a repair run plus the helpers' disk-access logs,
+    built from the run's payload arrays the first time each is read."""
 
     def __init__(self, job: RepairJob, pay: np.ndarray, full: np.ndarray):
         self.job = job
@@ -243,12 +238,8 @@ class RepairTranscript:
 
     @cached_property
     def access_logs(self) -> dict[int, AccessLog]:
-        reads = _context(self.job).reads
-        logs = {u: AccessLog(u) for u in self.job.helpers}
-        for log in logs.values():
-            for plane, idx in reads:
-                log.add(plane, idx)
-        return logs
+        access = _context(self.job).access
+        return {u: AccessLog(u, access) for u in self.job.helpers}
 
     def per_edge_counts(self) -> dict[tuple[str, int, int], int]:
         out: dict[tuple[str, int, int], int] = {}
@@ -267,8 +258,8 @@ class RepairTranscript:
 
 
 def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], RepairTranscript]:
-    """Execute both phases.  surviving maps node index to its (planes, s^n)
-    column (or N flat symbols) and must cover every helper; other entries are
+    """Execute both phases on one stripe.  surviving maps node index to its
+    (planes, s^n) column and must cover every helper; other entries are
     ignored.  Returns {failed node: repaired column}, ascending, and the
     transcript, whose messages and per-helper access logs are built when
     first read.  The repaired columns and the transcript's arrays are in
@@ -281,16 +272,12 @@ def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], 
         missing = [u for u in job.helpers if u not in surviving]
         raise ValueError(f"surviving columns must cover every helper; missing {missing}") from None
     p, d, shape = params.p, params.d, (params.planes, params.s_pow_n)
-    try:
-        helpers = np.array(columns)
-    except ValueError:  # columns of different shapes
-        helpers = None
-    if helpers is None or helpers.shape[1:] not in (shape, (params.N,)):
-        # names the first bad column; a mix of flat and shaped columns passes
-        helpers = _as_column_block(params, columns)
-    # the range check runs on the given values, before any cast could wrap one
-    elif (helpers.dtype.kind != "u" and helpers.min() < 0) or helpers.max() >= p:
-        raise ValueError(f"column symbols must be reduced into [0,{p})")
+    for u, col in zip(job.helpers, columns):
+        if np.shape(col) != shape:
+            raise ValueError(f"helper {u}: column must be shaped (planes, s^n) = {shape}, "
+                             f"got shape {np.shape(col)}")
+    helpers = np.array(columns)
+    check_reduced(params, helpers, "column")
     helpers = helpers.reshape(d, -1).astype(ctx.solve.dtype)  # accumulator_dtype(params)
 
     # download phase: pay[m, j] is helper m's payload to failed node j

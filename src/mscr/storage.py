@@ -9,15 +9,15 @@ Chunk layout (all integers little-endian):
 payload_len = stripe_count * N.  Files longer than one stripe are striped:
 consecutive kN-symbol runs of the message are independent codewords and each
 node's chunk concatenates its per-stripe columns in stripe order.  So
-encode_file and decode_file walk a file in blocks of stripes (blocks), each
-solved in one code.solve_erased call: encode holds its n serialized chunks
-and one block, reading the input a block at a time, and decode holds the
-chunks' symbols, the output bytes and one block.  A block is a multiple of 8
-stripes, so every block starts on a byte of each bit plane of a body and of
-the message bitstream.  File-level symbols are uint16 from parsing to
-writing (pack_bytes, read_chunk, encode_file, decode_file): p < 2^16, so
-every symbol fits, and the solver's wider arithmetic lives only in its work
-arrays, of one block.
+encode_file and decode_file walk a file in blocks of stripes (blocks), with
+one code.encode or code.erase_decode call per block: encode holds its n
+serialized chunks and one block, reading the input a block at a time, and
+decode holds the chunks' symbols, the output bytes and one block.  A block
+is a multiple of 8 stripes, so every block starts on a byte of each bit
+plane of a body and of the message bitstream.  File-level symbols are uint16
+from parsing to writing (pack_bytes, read_chunk, encode_file, decode_file):
+p < 2^16, so every symbol fits, and the solver's wider arithmetic lives only
+in its work arrays, of one block.
 
 Two widths are involved.  Message packing (pack_bytes) maps the file's bytes
 to symbols at bits_per_symbol(p) bits each: 8 when p > 255, otherwise
@@ -34,9 +34,9 @@ Only this module knows the format.  chunk_bytes derives the header from the
 code's parameters and the node; read_chunk checks the whole header, every
 field and evaluation point, against the one chunk_bytes would write.
 
-Chunks and the manifest are written to a temporary file beside their
-destination, synced, renamed over it, and the directory is synced after the
-rename.
+Every file the package writes (chunks, the manifest, and the CLI's outputs)
+goes through write_replacing: a temporary file beside its destination,
+synced, renamed over it, and the directory synced after the rename.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .code import CodeParams, InconsistentCodewordError, solve_erased, validate_params
+from . import code
+from .code import CodeParams, InconsistentCodewordError, validate_params
 
 MAGIC = b"MSCR"
 FORMAT_VERSION = 2
@@ -177,15 +178,19 @@ def _header(params: CodeParams, node: int, payload_len: int) -> bytes:
 def chunk_bytes(params: CodeParams, node: int, symbols: np.ndarray) -> bytes:
     """Serialize node `node`'s chunk of `params` holding `symbols`: magic,
     header fields, evaluation points, packed body."""
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= params.p):
-        raise ValueError("chunk symbols must be reduced into [0,p)")
+    code.check_reduced(params, symbols, "chunk")
     return _header(params, node, symbols.size) + pack_body(symbols, params.p)
 
 
-def _write_replacing(path: Path, data: bytes) -> None:
+def write_replacing(path: Path, data: bytes) -> None:
     """Write `data` to a temporary file beside `path`, sync it, rename it over
     `path` and sync the directory: a crash leaves the old file or the new one,
-    never a partial one, and a completed call survives a power loss."""
+    never a partial one, and a completed call survives a power loss.  A
+    symbolic link is followed, not replaced; a device, pipe or directory
+    would be replaced by the rename, so such a `path` is refused."""
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        raise ValueError(f"{path} exists and is not a regular file")
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -206,7 +211,7 @@ def _write_replacing(path: Path, data: bytes) -> None:
 
 def write_chunk(path: Path, data: bytes) -> None:
     """Write serialized chunk bytes (chunk_bytes) to `path`, crash-safely."""
-    _write_replacing(path, data)
+    write_replacing(path, data)
 
 
 class ChecksumMismatchError(ValueError):
@@ -289,7 +294,7 @@ class Manifest:
         data = asdict(self)
         data["lambdas"] = list(self.lambdas)
         data["mus"] = list(self.mus)
-        _write_replacing(directory / MANIFEST_NAME, (json.dumps(data, indent=2) + "\n").encode())
+        write_replacing(directory / MANIFEST_NAME, (json.dumps(data, indent=2) + "\n").encode())
 
     @classmethod
     def load(cls, directory: Path) -> "Manifest":
@@ -368,10 +373,11 @@ def encode_file(fh, length: int, params: CodeParams) -> tuple[list[bytearray], i
 
     Returns (chunks, stripe_count): chunks[i] is node i's serialized chunk,
     byte for byte what chunk_bytes writes for its symbols.  The input is read
-    one block of stripes at a time (blocks); each block is packed, solved,
-    and its byte and bit planes are written straight into the chunks.  A read
-    that ends before `length` bytes or a byte past them is a ValueError, so
-    a file that shrinks or grows while it is read is never encoded.
+    one block of stripes at a time (blocks); each block is packed, encoded
+    by code.encode, and its byte and bit planes are written straight into
+    the chunks.  A read that ends before `length` bytes or a byte past them
+    is a ValueError, so a file that shrinks or grows while it is read is
+    never encoded.
     """
     stripes = stripes_for(length, params)
     payload_len = stripes * params.N
@@ -380,7 +386,6 @@ def encode_file(fh, length: int, params: CodeParams) -> tuple[list[bytearray], i
     for chunk, header in zip(chunks, headers):
         chunk[:len(header)] = header
     bodies = [memoryview(chunk)[len(header):] for chunk, header in zip(chunks, headers)]
-    erased = tuple(range(params.k, params.n))
     for start, stop in blocks(params, stripes):
         first, last = _message_bytes(params, start, stop, length)
         data = fh.read(last - first)
@@ -390,15 +395,30 @@ def encode_file(fh, length: int, params: CodeParams) -> tuple[list[bytearray], i
         symbols = pack_bytes(data, params.p)
         message[:symbols.size] = symbols
         del data, symbols
-        # block[i]: node i's columns of the block's stripes, message first
-        block = np.empty((params.n, stop - start, params.planes, params.s_pow_n), dtype=np.uint16)
-        block[:params.k] = message.reshape(stop - start, params.k, *block.shape[2:]).swapaxes(0, 1)
-        solve_erased(params, block, erased, check=False)
-        for body, col in zip(bodies, block):
+        for body, col in zip(bodies, code.encode(params, message)):
             _pack_into(body, payload_len, start * params.N, col, params.p)
     if fh.read(1):
         raise ValueError(f"input holds more than the {length} bytes it had when encoding began")
     return chunks, stripes
+
+
+def check_padding(params: CodeParams, last_stripe: np.ndarray, original_length: int,
+                  stripe_count: int) -> None:
+    """Encode pads the last stripe with zero bits, so a set bit of its
+    message past original_length means the recorded length is wrong
+    (ValueError).  last_stripe is that stripe's message: its k systematic
+    (planes, s^n) columns."""
+    m = bits_per_symbol(params.p)
+    # the pad bits: the last m - r bits of symbol q, in which the file's last
+    # byte ends r bits into the stripe's message, and every later symbol
+    used = 8 * original_length - (stripe_count - 1) * symbols_per_stripe(params) * m
+    q, r = divmod(used, m)
+    pad = np.array(last_stripe, dtype=np.uint16).reshape(-1)[q:]
+    if r:
+        pad[0] &= (1 << (m - r)) - 1
+    if pad.any():
+        raise ValueError(f"the last stripe's message has set bits past original_length "
+                         f"= {original_length} bytes, which encode pads with zeros")
 
 
 def decode_file(bodies: dict[int, np.ndarray], params: CodeParams,
@@ -406,11 +426,11 @@ def decode_file(bodies: dict[int, np.ndarray], params: CodeParams,
     """Rebuild the original bytes from any >= k chunk bodies.
 
     The output is filled one block of stripes at a time (blocks).  Without
-    every systematic body, the k lowest-indexed bodies are decoded and every
-    parity check of each block is verified before that block is unpacked
-    (InconsistentCodewordError otherwise, naming the stripe in the file).
-    Encode pads the last stripe with zero bits, so a set bit of the message
-    past original_length is a ValueError: the recorded length is wrong.
+    every systematic body, each block is decoded from the k lowest-indexed
+    bodies by code.erase_decode, whose parity sweep must pass before the
+    block is unpacked (InconsistentCodewordError otherwise, naming the
+    stripe in the file).  The last stripe's padding must be zero
+    (check_padding).
     """
     if len(bodies) < params.k:
         raise ValueError(f"need at least k={params.k} chunks to decode, got {len(bodies)}")
@@ -420,37 +440,21 @@ def decode_file(bodies: dict[int, np.ndarray], params: CodeParams,
                              f"expected {stripe_count * params.N}")
     if stripes_for(original_length, params) != stripe_count:
         raise ValueError(f"{original_length} bytes do not fill {stripe_count} stripe(s)")
-    k, m = params.k, bits_per_symbol(params.p)
     shape = (stripe_count, params.planes, params.s_pow_n)
-    if set(range(k)) <= set(bodies):
-        chosen, erased = range(k), ()
-    else:
-        chosen = sorted(bodies)[:k]
-        erased = tuple(i for i in range(params.n) if i not in chosen)
-    cols = {i: bodies[i].reshape(shape) for i in chosen}
+    # the k lowest-indexed bodies: the systematic ones, when all are given
+    cols = {i: bodies[i].reshape(shape) for i in sorted(bodies)[:params.k]}
     out = bytearray(original_length)
     for start, stop in blocks(params, stripe_count):
-        # contiguous views of the chosen columns, fresh arrays for the erased
-        block = [cols[i][start:stop] if i in cols else np.empty((stop - start,) + shape[1:],
-                                                                 dtype=np.uint16)
-                 for i in range(params.n if erased else k)]
-        if erased:
+        block = {i: col[start:stop] for i, col in cols.items()}
+        if list(cols) != list(range(params.k)):
             try:
-                solve_erased(params, block, erased, check=True)
+                block = code.erase_decode(params, block)
             except InconsistentCodewordError as exc:
                 raise InconsistentCodewordError(start + exc.stripe, exc.plane) from None
-        message = np.stack(block[:k], axis=1).reshape(-1)
-        del block
-        first, last = _message_bytes(params, start, stop, original_length)
+        # (stripes, k, planes, s^n): each stripe's message in file order
+        message = np.stack([block[i] for i in range(params.k)], axis=1)
         if stop == stripe_count:
-            # the pad bits: the last m - r bits of symbol q, in which the
-            # file's last byte ends r bits in, and every later symbol
-            q, r = divmod(8 * (last - first), m)
-            pad = message[q:].copy()
-            if r:
-                pad[0] &= (1 << (m - r)) - 1
-            if pad.any():
-                raise ValueError(f"the decoded message has set bits past original_length "
-                                 f"= {original_length} bytes, which encode pads with zeros")
-        out[first:last] = unpack_symbols(message, params.p, last - first)
+            check_padding(params, message[-1], original_length, stripe_count)
+        first, last = _message_bytes(params, start, stop, original_length)
+        out[first:last] = unpack_symbols(message.reshape(-1), params.p, last - first)
     return out

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from mscr import storage
-from mscr.code import encode, random_message, validate_params
+from mscr.code import encode, erase_decode, random_message, validate_params
 
 # (n, k, d, h) desk-scale parameter sets exercised throughout the suite
 PARAM_SETS = [(4, 1, 2, 2), (5, 2, 3, 2), (6, 3, 4, 2), (6, 2, 3, 3)]
@@ -15,11 +16,18 @@ def example1():
 
 @pytest.fixture(scope="session")
 def example1_codeword(example1):
-    return encode(random_message(example1, seed=11), example1)
+    return make_codeword(example1, seed=11)
 
 
 def make_codeword(params, seed=0):
-    return encode(random_message(params, seed=seed), params)
+    """One stripe's codeword of a random message, (n, planes, s^n) uint16."""
+    return encode(params, random_message(params, seed=seed))[:, 0]
+
+
+def decode_stripe(params, columns):
+    """erase_decode of one stripe's {node: (planes, s^n) column}, passed as a
+    batch of one; returns that stripe's (n, planes, s^n) codeword."""
+    return erase_decode(params, {i: np.asarray(col)[None] for i, col in columns.items()})[:, 0]
 
 
 @pytest.fixture()

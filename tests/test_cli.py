@@ -423,6 +423,35 @@ class TestCheckedReads:
             assert (store / f"node{i}.mscr.failed").exists()
         assert Manifest.load(store).failed == [0, 2, 5]
 
+    @pytest.mark.parametrize("option", ["--transcript", "--csv"])
+    def test_repair_refuses_output_that_is_not_a_regular_file(self, store6, capsys, option):
+        # a directory is not replaced; the chunks, quarantine and manifest stay
+        tmp_path, store, _ = store6
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        before = {p.name: p.read_bytes() for p in store.iterdir()}
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5", option, tmp_path) == 2
+        assert "is not a regular file" in capsys.readouterr().err
+        assert tmp_path.is_dir()
+        assert {p.name: p.read_bytes() for p in store.iterdir() if p.name != "transcript.txt"} == before
+
+    @pytest.mark.parametrize("option", ["--transcript", "--csv"])
+    def test_repair_output_write_is_crash_safe(self, store6, fail_halfway, capsys, option):
+        # an existing output keeps its bytes when its rewrite fails, and the
+        # store is left as it was
+        tmp_path, store, _ = store6
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"an earlier run's output\n")
+        before = {p.name: p.read_bytes() for p in store.iterdir()}
+        fail_halfway()
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5", option, target) == 2
+        assert "error: [Errno 28] No space" in capsys.readouterr().err
+        assert target.read_bytes() == b"an earlier run's output\n"
+        assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "out.txt", "store"]
+
     def test_decode_output_write_is_crash_safe(self, encoded_dir, fail_halfway, capsys):
         tmp_path, store, _ = encoded_dir
         out_dir = tmp_path / "decoded"
@@ -494,6 +523,27 @@ class TestEditedOriginalLength:
         assert run_cli("decode", "--dir", store, "--out", out, "--nodes", nodes) == 2
         assert "past original_length = 2900 bytes" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_verify_reports_shortened_length(self, store, capsys):
+        # every chunk and parity check passes; only the padding shows the edit
+        _, store = store
+        self.set_length(store, 2900)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        captured = capsys.readouterr()
+        assert "satisfy every check" in captured.out
+        problems = [ln for ln in captured.err.splitlines() if ln.startswith("PROBLEM")]
+        assert len(problems) == 1
+        assert "past original_length = 2900 bytes" in problems[0]
+
+    def test_verify_checks_padding_with_a_parity_node_failed(self, store, capsys):
+        _, store = store
+        assert run_cli("fail", "--dir", store, "--nodes", "3,4") == 0
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 0
+        self.set_length(store, 2900)
+        assert run_cli("verify", "--dir", store) == 1
+        assert "past original_length = 2900 bytes" in capsys.readouterr().err
 
 
 class TestBlockWalk:
@@ -693,6 +743,14 @@ class TestTableAndParams:
         assert len(lines) == 12  # header + 10 + 1 extra
         assert lines[1].startswith("1,2,11/12,0.9167")
         assert lines[-1].startswith("6,2,")
+
+    def test_table_csv_write_is_crash_safe(self, tmp_path, fail_halfway, capsys):
+        csv = tmp_path / "t.csv"
+        csv.write_text("old\n")
+        fail_halfway()
+        assert run_cli("table", "--csv", csv) == 2
+        assert "error: [Errno 28] No space" in capsys.readouterr().err
+        assert csv.read_text() == "old\n" and list(tmp_path.iterdir()) == [csv]
 
     def test_params_check(self, capsys):
         assert run_cli("params-check", "--n", 4, "--k", 1, "--d", 2, "--h", 2, "--p", 5) == 0

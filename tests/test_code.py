@@ -16,7 +16,7 @@ from mscr.code import (
     validate_params,
 )
 
-from conftest import make_codeword
+from conftest import decode_stripe, make_codeword
 
 
 def residuals_array(params, arr):
@@ -79,7 +79,7 @@ class TestValidateParams:
 
 class TestEncode:
     def test_zero_message_gives_zero_codeword(self, example1):
-        cw = encode(np.zeros(example1.message_length, dtype=np.int64), example1)
+        cw = encode(example1, np.zeros(example1.message_length, dtype=np.int64))
         assert not cw.any()
 
     def test_zero_codeword_residuals(self, example1):
@@ -108,8 +108,17 @@ class TestEncode:
 
     def test_systematic_roundtrip(self, example1):
         msg = random_message(example1, seed=3)
-        cw = encode(msg, example1)
+        cw = encode(example1, msg)
+        assert cw.shape == (4, 1, 3, 16) and cw.dtype == np.uint16
         assert np.array_equal(cw[: example1.k].reshape(-1), msg)
+
+    def test_batch_matches_each_stripe(self, example1):
+        # stripes * kN symbols in file order: stripe st is message run st
+        msgs = [random_message(example1, seed=sd) for sd in (4, 5, 6)]
+        cw = encode(example1, np.concatenate(msgs))
+        assert cw.shape == (4, 3, 3, 16)
+        for st, msg in enumerate(msgs):
+            assert np.array_equal(cw[:, st], encode(example1, msg)[:, 0])
 
     def test_residual_accepts_vector_index(self, example1, example1_codeword):
         assert parity_residual(example1, example1_codeword, 0, 1, (0, 1, 0, 1)) == parity_residual(
@@ -132,17 +141,17 @@ class TestEncode:
 
     def test_message_validation(self, example1):
         with pytest.raises(ValueError, match="k\\*N"):
-            encode(np.zeros(5, dtype=np.int64), example1)
+            encode(example1, np.zeros(5, dtype=np.int64))
         bad = np.zeros(example1.message_length, dtype=np.int64)
         bad[0] = 5
         with pytest.raises(ValueError, match="reduced"):
-            encode(bad, example1)
+            encode(example1, bad)
 
 
 class TestReconstruct:
     # decoding from exactly k columns: r erasures, the full budget
     def test_systematic_subset_reproduces_codeword(self, example1, example1_codeword):
-        got = erase_decode({0: example1_codeword[0]}, example1)
+        got = decode_stripe(example1, {0: example1_codeword[0]})
         assert np.array_equal(got, example1_codeword)
 
     @pytest.mark.parametrize("nkdh", [(4, 1, 2, 2), (5, 2, 3, 2)])
@@ -150,13 +159,13 @@ class TestReconstruct:
         params = validate_params(*nkdh)
         cw = make_codeword(params, seed=17)
         for subset in combinations(range(params.n), params.k):
-            got = erase_decode({i: cw[i] for i in subset}, params)
+            got = decode_stripe(params, {i: cw[i] for i in subset})
             assert np.array_equal(got, cw), subset
 
 
 class TestEraseDecode:
     def test_zero_erasures_identity(self, example1, example1_codeword):
-        got = erase_decode(dict(enumerate(example1_codeword)), example1)
+        got = decode_stripe(example1, dict(enumerate(example1_codeword)))
         assert np.array_equal(got, example1_codeword)
 
     @pytest.mark.parametrize("missing", [1, 2, 3])
@@ -164,60 +173,67 @@ class TestEraseDecode:
         p = example1
         for erased in combinations(range(p.n), missing):
             avail = {i: example1_codeword[i] for i in range(p.n) if i not in erased}
-            got = erase_decode(avail, p)
+            got = decode_stripe(p, avail)
             assert np.array_equal(got, example1_codeword), erased
 
     def test_too_many_erasures_rejected(self, example1):
         with pytest.raises(ValueError, match="erasures"):
-            erase_decode({}, example1)
+            decode_stripe(example1, {})
 
     def test_corrupt_survivor_detected(self, example1, example1_codeword):
         p = example1
         cols = {i: example1_codeword[i].copy() for i in (0, 1, 3)}
         cols[1][0, 3] = (cols[1][0, 3] + 1) % p.p
         with pytest.raises(InconsistentCodewordError):
-            erase_decode(cols, p)
+            decode_stripe(p, cols)
 
     def test_zero_erasures_rejects_noncodeword(self, example1, example1_codeword):
         p = example1
         cols = dict(enumerate(example1_codeword.copy()))
         cols[0][2, 5] = (cols[0][2, 5] + 2) % p.p
         with pytest.raises(InconsistentCodewordError):
-            erase_decode(cols, p)
+            decode_stripe(p, cols)
 
     def test_plane_decoupling(self, example1, example1_codeword):
         # decoding with the full erasure budget solves each plane on its own:
         # replacing one plane of the survivors leaves the other planes' output
         # untouched
         p = example1
-        base = erase_decode({2: example1_codeword[2]}, p)
+        base = decode_stripe(p, {2: example1_codeword[2]})
         tampered = example1_codeword[2].copy()
         tampered[2] = (tampered[2] + 1) % p.p
-        other = erase_decode({2: tampered}, p)
+        other = decode_stripe(p, {2: tampered})
         for i in range(p.n):
             assert np.array_equal(other[i, :2], base[i, :2])
         assert not np.array_equal(other[0, 2], base[0, 2])
 
 
 class TestContainers:
-    # erase_decode's checks on each supplied column
+    # erase_decode's checks on each supplied (stripes, planes, s^n) column
+    SHAPE = r"shaped \(stripes, planes, s\^n\) = \(stripes, 3, 16\)"
+
     def test_column_shape_enforced(self, example1):
-        with pytest.raises(ValueError, match="symbols"):
-            erase_decode({0: np.zeros(47, dtype=np.int64)}, example1)
+        with pytest.raises(ValueError, match=self.SHAPE):
+            erase_decode(example1, {0: np.zeros((1, 3, 15), dtype=np.int64)})
 
     def test_column_range_enforced(self, example1):
-        bad = np.zeros(48, dtype=np.int64)
-        bad[0] = 5
+        bad = np.zeros((1, 3, 16), dtype=np.int64)
+        bad[0, 0, 0] = 5
         with pytest.raises(ValueError, match="reduced"):
-            erase_decode({0: bad}, example1)
+            erase_decode(example1, {0: bad})
 
-    def test_flat_column_accepted(self, example1):
-        cw = erase_decode({1: np.zeros(48, dtype=np.int64)}, example1)
-        assert cw[1].shape == (3, 16)
+    def test_unbatched_column_rejected(self, example1):
+        with pytest.raises(ValueError, match=self.SHAPE + r", the same for all, got \(3, 16\)"):
+            erase_decode(example1, {1: np.zeros((3, 16), dtype=np.uint16)})
+
+    def test_stripe_counts_must_agree(self, example1):
+        cols = {0: np.zeros((2, 3, 16), dtype=np.uint16), 1: np.zeros((1, 3, 16), dtype=np.uint16)}
+        with pytest.raises(ValueError, match=r"node 1: .*got \(1, 3, 16\)"):
+            erase_decode(example1, cols)
 
     def test_index_range(self, example1):
         with pytest.raises(ValueError, match="node index"):
-            erase_decode({4: np.zeros(48, dtype=np.int64)}, example1)
+            erase_decode(example1, {4: np.zeros((1, 3, 16), dtype=np.int64)})
 
 
 def test_scalar_vs_vectorized_residuals_wider_alphabet():
@@ -280,10 +296,8 @@ class TestOverflowBound:
     @pytest.mark.parametrize("p, dtype", CASES)
     def test_solve_erased(self, p, dtype):
         params = validate_params(6, 3, 4, 2, p=p)
-        erased = (0, 2, 5)
-        arr = np.full((params.n, 2, params.planes, params.s_pow_n), p - 1, dtype=np.uint16)
-        arr[list(erased)] = 0
-        solve_erased(params, arr, erased, check=True)
+        worst = np.full((2, params.planes, params.s_pow_n), p - 1, dtype=np.uint16)
+        arr = erase_decode(params, {1: worst, 3: worst, 4: worst})
         assert arr.dtype == np.uint16 and (arr[[1, 3, 4]] == p - 1).all()
         assert np.array_equal(arr[:, 0], arr[:, 1])
         assert not self.every_residual(params, arr[:, 0]).any()
@@ -299,7 +313,7 @@ def test_uint16_column_products_are_not_wrapped():
 
 
 class TestStripeBatch:
-    """solve_erased / failing_checks over a stripe axis, against the one-stripe forms."""
+    """erase_decode / failing_checks over a stripe axis, against single stripes."""
 
     @staticmethod
     def stripes_of(params, seeds):
@@ -315,9 +329,7 @@ class TestStripeBatch:
         cws, arr = self.stripes_of(params, (1, 2, 3))
         for size in range(1, params.r + 1):
             for erased in combinations(range(params.n), size):
-                got = arr.copy()
-                got[list(erased)] = 0
-                solve_erased(params, got, erased, check=True)
+                got = erase_decode(params, {i: arr[i] for i in range(params.n) if i not in erased})
                 assert np.array_equal(got, arr), erased
 
     def test_list_of_columns_accepted(self):
@@ -326,7 +338,7 @@ class TestStripeBatch:
         cols = [col.copy() for col in arr]
         for i in (0, 2, 5):
             cols[i][...] = 0
-        solve_erased(params, cols, (0, 2, 5), check=True)
+        solve_erased(params, cols, (0, 2, 5))
         assert np.array_equal(np.stack(cols), arr)
 
     def test_failing_checks_names_stripe_and_plane(self):
@@ -344,7 +356,7 @@ class TestStripeBatch:
         _, arr = self.stripes_of(params, (6, 7, 8))
         arr[1, 1, 2, 9] = (arr[1, 1, 2, 9] + 1) % params.p
         with pytest.raises(InconsistentCodewordError, match=r"stripe 1, plane 3"):
-            solve_erased(params, arr, erased, check=True)
+            erase_decode(params, {i: arr[i] for i in range(params.n) if i not in erased})
 
 
 def test_parameters_beyond_a_dense_block_solve():
@@ -360,4 +372,4 @@ def test_parameters_beyond_a_dense_block_solve():
         b = int(rng.integers(1, params.planes + 1))
         a = int(rng.integers(0, params.s_pow_n))
         assert parity_residual(params, cw, t, b, a) == 0
-    assert np.array_equal(erase_decode({6: cw[6]}, params), cw)
+    assert np.array_equal(decode_stripe(params, {6: cw[6]}), cw)

@@ -3,13 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from mscr import metrics
 from mscr.code import validate_params
 from mscr.metrics import (
     DEFAULT_TABLE_ROWS,
-    AccessLog,
     RepairMetrics,
     access_count,
     access_set,
@@ -19,7 +17,8 @@ from mscr.metrics import (
     render_table_csv,
     render_table_text,
 )
-from mscr.repair import RepairJob, run_repair
+from mscr.indexing import vec_to_int
+from mscr.repair import RepairJob, _context, run_repair
 
 from conftest import PARAM_SETS, make_codeword
 
@@ -212,9 +211,13 @@ class TestMeasuredMetrics:
         for u in helpers:
             assert Fraction(m.per_helper_access[u]) == params.N * g
         assert m.gamma_A == params.d * m.per_helper_access[helpers[0]]
-        # engine log equals the closed-form index set
+        # engine log equals the closed-form index set: one job mask for every helper
+        expected = np.zeros((params.planes, params.s_pow_n), dtype=bool)
+        for b, a in access_set(helpers[0], job):
+            expected[b - 1, vec_to_int(a, params.s)] = True
         for u in helpers:
-            assert transcript.access_logs[u].vector_set(params) == access_set(u, job)
+            assert transcript.access_logs[u].mask is _context(job).access
+        assert np.array_equal(_context(job).access, expected)
 
     def test_nonuniform_transcript_rejected(self, example1):
         class Stub:
@@ -246,13 +249,3 @@ def test_access_never_exceeds_column(nkdh):
     assert count == params.h * params.s_pow_n + (params.d - params.k) * partial
     assert count <= params.N
 
-
-@settings(deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 4), st.lists(st.integers(0, 40), max_size=30)),
-                max_size=12))
-def test_access_count_is_distinct_reads(adds):
-    # indices repeat within a chunk, across chunks of one plane and across planes
-    log = AccessLog(0)
-    for plane, idx in adds:
-        log.add(plane, np.array(idx, dtype=np.int64))
-    assert log.count() == len(log.index_set())

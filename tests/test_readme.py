@@ -1,5 +1,10 @@
 import re
+import shlex
 from pathlib import Path
+
+import numpy as np
+
+from mscr.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -8,3 +13,18 @@ def test_library_sketch_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_cli_walkthrough_runs(tmp_path, monkeypatch):
+    # every `mscr ...` line of the walkthrough, in order, on a generated data.bin
+    walkthrough = README.read_text().split("## CLI walkthrough", 1)[1]
+    block = re.search(r"```\n(.*?)```", walkthrough, flags=re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("mscr ")]
+    assert [argv[0] for argv in commands] == [
+        "params-check", "encode", "fail", "repair", "verify", "decode", "table"]
+    monkeypatch.chdir(tmp_path)
+    data = np.random.default_rng(7).integers(0, 256, size=5000, dtype=np.uint8).tobytes()
+    (tmp_path / "data.bin").write_bytes(data)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert (tmp_path / "roundtrip.bin").read_bytes() == data

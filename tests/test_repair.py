@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mscr.code import accumulator_dtype, encode, random_message, solve_erased, validate_params
+from mscr.code import accumulator_dtype, erase_decode, validate_params
 from mscr.indexing import sub_index, v_indices
 from mscr.oracle import naive_repair
 from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, _context, _JobContext, run_repair
@@ -14,7 +14,7 @@ from conftest import make_codeword
 @pytest.fixture(scope="module")
 def ex1():
     params = validate_params(4, 1, 2, 2, p=5)
-    cw = encode(random_message(params, seed=23), params)
+    cw = make_codeword(params, seed=23)
     job = RepairJob(params, (0, 1), (2, 3))
     return params, cw, job
 
@@ -123,7 +123,8 @@ class TestRunRepair:
     def test_bad_last_helper_column_rejected(self, ex1, bad, match):
         # the block is checked as a whole, so a fault in the last helper counts
         params, cw, job = ex1
-        surviving = {u: cw[u].copy() for u in job.helpers}
+        # int64 copies: a uint16 column cannot hold the -1 written below
+        surviving = {u: cw[u].astype(np.int64) for u in job.helpers}
         last = surviving[job.helpers[-1]]
         if bad == "shape":
             surviving[job.helpers[-1]] = last.reshape(-1)[:-1]
@@ -132,13 +133,13 @@ class TestRunRepair:
         with pytest.raises(ValueError, match=match):
             run_repair(job, surviving)
 
-    def test_flat_helper_columns_accepted(self, ex1):
+    def test_flat_helper_column_rejected(self, ex1):
         params, cw, job = ex1
-        shaped, t1 = run_repair(job, {u: cw[u] for u in job.helpers})
-        flat, t2 = run_repair(job, {u: cw[u].reshape(-1) for u in job.helpers})
-        for i in job.failed:
-            assert np.array_equal(shaped[i], flat[i])
-        assert t1.export_text() == t2.export_text()
+        surviving = {u: cw[u] for u in job.helpers}
+        surviving[3] = cw[3].reshape(-1)
+        with pytest.raises(ValueError, match=r"helper 3: .* shaped \(planes, s\^n\) = \(3, 16\), "
+                                             r"got shape \(48,\)"):
+            run_repair(job, surviving)
 
     def test_zero_codeword_repairs_to_zero(self, ex1):
         params, _, job = ex1
@@ -182,7 +183,7 @@ class TestTranscript:
         def contents(transcript):
             messages = [(m.phase, m.sender, m.receiver, m.values.tolist())
                         for m in transcript.messages]
-            return messages, {u: log.index_set() for u, log in transcript.access_logs.items()}
+            return messages, {u: log.vector_set(params) for u, log in transcript.access_logs.items()}
 
         eager = []
         for cw in stripes:
@@ -275,10 +276,8 @@ class TestOverflowBound:
         params = validate_params(6, 3, 4, 2, p=p)
         assert accumulator_dtype(params) == dtype
         # nodes 1, 3 and 4 hold p-1 everywhere; 0, 2 and 5 complete the codeword
-        arr = np.full((params.n, 1, params.planes, params.s_pow_n), p - 1, dtype=np.uint16)
-        arr[[0, 2, 5]] = 0
-        solve_erased(params, arr, (0, 2, 5), check=True)
-        cw = arr[:, 0]
+        worst = np.full((1, params.planes, params.s_pow_n), p - 1, dtype=np.uint16)
+        cw = erase_decode(params, {1: worst, 3: worst, 4: worst})[:, 0]
         job = RepairJob(params, (0, 2), (1, 3, 4, 5))
         surviving = {u: cw[u] for u in job.helpers}
         repaired, transcript = run_repair(job, surviving)
@@ -319,6 +318,5 @@ class TestComposedMap:
         params = validate_params(7, 1, 4, 3, p=13399)
         ctx = _JobContext(RepairJob(params, (0, 3, 5), (1, 2, 4, 6)))  # not cached
         arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
-        arrays += [idx for _, idx in ctx.reads]
         assert sum(a.nbytes for a in arrays) < 25_000_000
         assert ctx.gather.shape[0] <= params.n * params.s

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mscr import storage
+from mscr import code, storage
 from mscr.code import InconsistentCodewordError, encode, validate_params
 from mscr.storage import (
     ChecksumMismatchError,
@@ -256,6 +256,15 @@ class TestCrashSafeWrites:
         assert (tmp_path / MANIFEST_NAME).read_bytes() == old
         assert list(tmp_path.iterdir()) == [tmp_path / MANIFEST_NAME]
 
+    def test_symbolic_link_followed(self, tmp_path):
+        # the link stays and its target gets the new bytes
+        target, link = tmp_path / "real.txt", tmp_path / "link.txt"
+        target.write_bytes(b"old")
+        link.symlink_to(target.name)
+        storage.write_replacing(link, b"new")
+        assert link.is_symlink() and target.read_bytes() == b"new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
 
 class TestDurableRename:
     """After the rename the directory is fsynced, so a power loss cannot undo it."""
@@ -465,7 +474,7 @@ class TestStripeBatchAgainstPerStripe:
         padded[: symbols.size] = symbols
         bodies = np.zeros((params.n, stripes * params.N), dtype=np.int64)
         for st in range(stripes):
-            cw = encode(padded[st * per_stripe : (st + 1) * per_stripe], params)
+            cw = encode(params, padded[st * per_stripe : (st + 1) * per_stripe])[:, 0]
             for i in range(params.n):
                 bodies[i, st * params.N : (st + 1) * params.N] = cw[i].reshape(-1)
         return bodies
@@ -530,6 +539,20 @@ class TestBlockWalk:
         assert stripes == self.STRIPES
         assert encode_bytes(data, params)[0] == chunks
 
+    def test_one_code_encode_call_per_block(self, case, monkeypatch):
+        # encode_file looks code.encode up through the module, once per block
+        params, data, (chunks, _, _) = case
+        calls = []
+        real = code.encode
+
+        def counting(params, message):
+            calls.append(message.size // symbols_per_stripe(params))
+            return real(params, message)
+
+        monkeypatch.setattr(code, "encode", counting)
+        assert encode_bytes(data, params)[0] == chunks
+        assert calls == [8, 8, 8, 5]
+
     def test_decode_roundtrip(self, case):
         params, data, (_, stripes, bodies) = case
         parity = tuple(range(params.n - params.k, params.n))
@@ -548,15 +571,15 @@ class TestBlockWalk:
         # a solve whose result breaks a check of local stripe 2 of the last
         # block, stripe 26 of the file
         params, data, (_, stripes, bodies) = case
-        real = storage.solve_erased
+        real = code.solve_erased
 
-        def faulty(params, cols, erased, check):
-            real(params, cols, erased, check=False)
+        def faulty(params, cols, erased):
+            real(params, cols, erased)
             if len(cols[erased[0]]) == stripes - 24:
                 cols[erased[0]][2, 1, 0] = (cols[erased[0]][2, 1, 0] + 1) % params.p
-            real(params, cols, (), check=check)
 
-        monkeypatch.setattr(storage, "solve_erased", faulty)
+        # erase_decode's parity sweep is the only guard against the fault
+        monkeypatch.setattr(code, "solve_erased", faulty)
         nodes = range(params.n - params.k, params.n)
         with pytest.raises(InconsistentCodewordError, match=r"stripe 26, plane 2"):
             decode_file({i: bodies[i] for i in nodes}, params, len(data), stripes)

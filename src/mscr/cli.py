@@ -12,8 +12,10 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import stat
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,40 +81,49 @@ def _chunk_path(directory: Path, manifest: storage.Manifest, node: int) -> Path:
     return directory / manifest.chunks[str(node)]["file"]
 
 
-def _read_column(directory: Path, manifest: storage.Manifest, params, node: int) -> np.ndarray:
+def _open_chunk(directory: Path, manifest: storage.Manifest, params,
+                node: int) -> storage.ChunkReader:
     return storage.read_chunk(_chunk_path(directory, manifest, node),
                               manifest.chunks[str(node)]["sha256"], params, node,
                               manifest.stripe_count * params.N)
 
 
-def _checked_column(directory: Path, manifest: storage.Manifest, params, node: int):
-    """(column, None) for a chunk that reads and agrees with the manifest,
+def _checked_chunk(directory: Path, manifest: storage.Manifest, params, node: int):
+    """(open chunk, None) for a chunk that reads and agrees with the manifest,
     else (None, a one-line problem naming the node)."""
     path = _chunk_path(directory, manifest, node)
     if not path.exists():
         return None, f"node {node}: chunk missing at {path}"
     try:
-        return _read_column(directory, manifest, params, node), None
+        return _open_chunk(directory, manifest, params, node), None
     except storage.ChecksumMismatchError:
         return None, f"node {node}: checksum mismatch"
     except (OSError, ValueError) as exc:  # unreadable, or disagrees with the manifest
         return None, f"node {node}: {exc}"
 
 
-def _encode_input(path, params):
-    """(chunks, stripes, length) of the file at `path`, read one block at a
-    time; a pipe or device has no length to hold it to, so it is read whole
-    first.  A regular file that changes while it is read is an error."""
-    with open(path, "rb") as fh:
-        before = os.fstat(fh.fileno())
-        if not stat.S_ISREG(before.st_mode):
-            data = fh.read()
-            return storage.encode_file(io.BytesIO(data), len(data), params) + (len(data),)
-        result = storage.encode_file(fh, before.st_size, params) + (before.st_size,)
-        after = os.fstat(fh.fileno())
-    if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
-        raise CliError(f"input {path} changed while it was read; nothing written")
-    return result
+def _refuse_store_file(directory: Path, manifest: storage.Manifest, option: str, path) -> None:
+    """An output path must not be the manifest, a chunk or a quarantined
+    chunk of the store: writing it would destroy the store."""
+    files = [directory / storage.MANIFEST_NAME]
+    for i in range(len(manifest.chunks)):
+        chunk = _chunk_path(directory, manifest, i)
+        files += [chunk, chunk.with_name(chunk.name + storage.QUARANTINE_SUFFIX)]
+    if os.path.realpath(path) in {os.path.realpath(f) for f in files}:
+        raise CliError(f"{option} {path} is a file of the store in {directory}; nothing written")
+
+
+def _open_input(stack: ExitStack, path):
+    """(file, length, stat) of the input at `path`.  A regular file is read
+    one block at a time, and its stat is returned so that a change while it
+    is read can be refused; a pipe or device has no length to stream
+    against, so it is read whole and its stat is None."""
+    fh = stack.enter_context(open(path, "rb"))
+    before = os.fstat(fh.fileno())
+    if stat.S_ISREG(before.st_mode):
+        return fh, before.st_size, before
+    data = fh.read()
+    return io.BytesIO(data), len(data), None
 
 
 def cmd_encode(args) -> int:
@@ -123,27 +134,40 @@ def cmd_encode(args) -> int:
     random_bytes = _cfg(args, config, "random_bytes")
     if (input_path is None) == (random_bytes is None):
         raise CliError("give exactly one of --input or --random-bytes")
-    # the input is read and encoded before the store directory is made, so a
-    # failed encode leaves nothing behind
-    if input_path is not None:
-        chunks, stripes, original_length = _encode_input(input_path, params)
-    else:
-        seed = int(_cfg(args, config, "seed", 0))
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 256, size=int(random_bytes), dtype=np.uint8).tobytes()
-        original_length = len(data)
-        chunks, stripes = storage.encode_file(io.BytesIO(data), original_length, params)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if input_path is None:
-        source = out_dir / "source.bin"
-        storage.write_replacing(source, data)
-        print(f"wrote generated input to {source}")
-    digests = []
-    for i, chunk in enumerate(chunks):
-        storage.write_chunk(out_dir / storage.chunk_name(i), chunk)
-        digests.append(hashlib.sha256(chunk).hexdigest())
-    storage.Manifest.new(params, original_length, stripes, digests).save(out_dir)
+    with ExitStack() as inputs:
+        if input_path is not None:
+            fh, original_length, before = _open_input(inputs, input_path)
+        else:
+            rng = np.random.default_rng(int(_cfg(args, config, "seed", 0)))
+            data = rng.integers(0, 256, size=int(random_bytes), dtype=np.uint8).tobytes()
+            fh, original_length, before = io.BytesIO(data), len(data), None
+        # the input is open before the store directory is made, and a failed
+        # encode removes a directory it made
+        made = not out_dir.exists()
+        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            if input_path is None:
+                source = out_dir / "source.bin"
+                storage.write_replacing(source, data)
+                print(f"wrote generated input to {source}")
+            stripes = storage.stripes_for(original_length, params)
+            with ExitStack() as stack:
+                chunks = [stack.enter_context(storage.write_chunk(
+                    out_dir / storage.chunk_name(i), params, i, stripes * params.N))
+                    for i in range(params.n)]
+                original_sha256 = storage.encode_file(fh, original_length, params, chunks)
+                if before is not None:
+                    after = os.fstat(fh.fileno())
+                    if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+                        raise CliError(f"input {input_path} changed while it was read; "
+                                       "nothing written")
+                digests = [chunk.sha256() for chunk in chunks]
+            storage.Manifest.new(params, original_length, original_sha256, stripes,
+                                 digests).save(out_dir)
+        except BaseException:
+            if made:
+                shutil.rmtree(out_dir, ignore_errors=True)
+            raise
     print(f"encoded {original_length} bytes into {params.n} chunks "
           f"({stripes} stripe(s) of kN={params.k * params.N} symbols, p={params.p})")
     return 0
@@ -176,43 +200,13 @@ def cmd_fail(args) -> int:
     return 0
 
 
-def cmd_repair(args) -> int:
-    config = _load_config(args.config)
-    directory = Path(_require(args, config, "dir"))
-    manifest = storage.Manifest.load(directory)
-    params = manifest.params()
-    failed = sorted(manifest.failed)
-    if not failed:
-        raise CliError("no failed nodes recorded in the manifest")
-    helpers = sorted(set(_parse_nodes(_require(args, config, "helpers"))))
-    job = RepairJob(params, tuple(failed), tuple(helpers))  # checks the count and overlap
-
-    stripes = manifest.stripe_count
-    shape = (params.planes, params.s_pow_n)
-    # block[st, m]: helper m's column of stripe st
-    block = np.empty((stripes, params.d) + shape, dtype=np.uint16)
-    for m, u in enumerate(helpers):
-        block[:, m] = _read_column(directory, manifest, params, u).reshape(stripes, *shape)
-    repaired_block = np.empty((stripes, params.h) + shape, dtype=np.uint16)
-    for st in range(stripes):
-        repaired, transcript = run_repair(job, dict(zip(helpers, block[st])))
-        repaired_block[st] = tuple(repaired.values())
-        if st == 0:  # a store holds at least one stripe
-            first_transcript = transcript
-    del block  # the helper bodies are freed before the restored chunks are packed
-
-    # every restored chunk must match its recorded checksum before any is written
-    restored = {i: storage.chunk_bytes(params, i, repaired_block[:, j].reshape(-1))
-                for j, i in enumerate(failed)}
-    mismatched = [i for i, data in restored.items()
-                  if hashlib.sha256(data).hexdigest() != manifest.chunks[str(i)]["sha256"]]
-    if mismatched:
-        raise CliError(", ".join(f"node {i}" for i in mismatched)
-                       + ": restored chunk fails checksum verification; nothing written")
-
-    measured = RepairMetrics.from_run(job, first_transcript)
-    transcript_path = Path(_cfg(args, config, "transcript") or directory / "transcript.txt")
-    text = first_transcript.export_text()
+def _write_report(job: RepairJob, transcript, stripes: int, transcript_path: Path,
+                  csv_path) -> list[str]:
+    """Write the stripe-0 transcript and, when csv_path is set, the metrics
+    CSV of a repair; return the report's lines."""
+    params, failed, helpers = job.params, list(job.failed), list(job.helpers)
+    measured = RepairMetrics.from_run(job, transcript)
+    text = transcript.export_text()
     storage.write_replacing(transcript_path, text.encode())
     recount = oracle.recount(text)
     if recount.gamma != measured.gamma:
@@ -246,7 +240,7 @@ def cmd_repair(args) -> int:
         f"  access    : {'LOW-ACCESS (< 2x the optimal per-helper access)' if low_access else 'NOT LOW-ACCESS'}",
         f"transcript (stripe 0) written to {transcript_path}",
     ]
-    if csv_arg := _cfg(args, config, "csv"):
+    if csv_path:
         csv_lines = [
             "stripes,beta1,beta2,gamma_per_stripe,gamma_total,gamma_A_per_stripe,"
             "gamma_A_total,per_helper_access,N,g_exact,cooperative_bound,access_bound",
@@ -254,12 +248,57 @@ def cmd_repair(args) -> int:
             f"{measured.gamma * stripes},{measured.gamma_A},{measured.gamma_A * stripes},"
             f"{per_helper},{params.N},{g},{b.cooperative},{b.access}",
         ]
-        storage.write_replacing(Path(csv_arg), ("\n".join(csv_lines) + "\n").encode())
+        storage.write_replacing(Path(csv_path), ("\n".join(csv_lines) + "\n").encode())
+    return lines
 
-    # the outputs are written first, so a path that cannot be written stops
-    # the command before the store changes
-    for i, data in restored.items():
-        storage.write_chunk(_chunk_path(directory, manifest, i), data)
+
+def cmd_repair(args) -> int:
+    config = _load_config(args.config)
+    directory = Path(_require(args, config, "dir"))
+    manifest = storage.Manifest.load(directory)
+    params = manifest.params()
+    failed = sorted(manifest.failed)
+    if not failed:
+        raise CliError("no failed nodes recorded in the manifest")
+    helpers = sorted(set(_parse_nodes(_require(args, config, "helpers"))))
+    job = RepairJob(params, tuple(failed), tuple(helpers))  # checks the count and overlap
+    transcript_path = Path(_cfg(args, config, "transcript") or directory / "transcript.txt")
+    csv_arg = _cfg(args, config, "csv")
+    _refuse_store_file(directory, manifest, "--transcript", transcript_path)
+    if csv_arg:
+        _refuse_store_file(directory, manifest, "--csv", csv_arg)
+
+    stripes = manifest.stripe_count
+    # the restored chunks are committed as this block ends, after the
+    # transcript and the CSV, so an output that cannot be written stops the
+    # command before the store changes
+    with ExitStack() as stack:
+        sources = [stack.enter_context(_open_chunk(directory, manifest, params, u))
+                   for u in helpers]
+        restored = [stack.enter_context(storage.write_chunk(
+            _chunk_path(directory, manifest, i), params, i, stripes * params.N)) for i in failed]
+        for start, stop in storage.blocks(params, stripes):
+            block = [source.block(start, stop) for source in sources]
+            # repaired[st, j]: failed node j's column of stripe start + st
+            repaired_block = np.empty((stop - start, params.h, params.planes, params.s_pow_n),
+                                      dtype=np.uint16)
+            for st in range(stop - start):
+                repaired, transcript = run_repair(job, {u: col[st] for u, col in zip(helpers, block)})
+                repaired_block[st] = tuple(repaired.values())
+                if start + st == 0:  # a store holds at least one stripe
+                    first_transcript = transcript
+            for j, chunk in enumerate(restored):
+                chunk.write(start, repaired_block[:, j])
+            del block, repaired_block  # freed before the next block is read
+
+        # every restored chunk must match its recorded checksum before any is committed
+        mismatched = [i for i, chunk in zip(failed, restored)
+                      if chunk.sha256() != manifest.chunks[str(i)]["sha256"]]
+        if mismatched:
+            raise CliError(", ".join(f"node {i}" for i in mismatched)
+                           + ": restored chunk fails checksum verification; nothing written")
+
+        lines = _write_report(job, first_transcript, stripes, transcript_path, csv_arg)
     for i in failed:
         path = _chunk_path(directory, manifest, i)
         path.with_name(path.name + storage.QUARANTINE_SUFFIX).unlink(missing_ok=True)
@@ -277,33 +316,58 @@ def cmd_verify(args) -> int:
     failed = set(manifest.failed)
     stripes = manifest.stripe_count
     problems = []
-    available = {}
-    for i in range(params.n):
-        if i in failed:
-            print(f"node {i}: FAILED (quarantined)")
-            continue
-        column, problem = _checked_column(directory, manifest, params, i)
-        if problem:
-            problems.append(problem)
-            continue
-        available[i] = column.reshape(stripes, params.planes, params.s_pow_n)
-        print(f"node {i}: checksum OK")
-    if len(available) == params.n:
+    with ExitStack() as stack:
+        chunks = {}
+        for i in range(params.n):
+            if i in failed:
+                print(f"node {i}: FAILED (quarantined)")
+                continue
+            chunk, problem = _checked_chunk(directory, manifest, params, i)
+            if problem:
+                problems.append(problem)
+                continue
+            chunks[i] = stack.enter_context(chunk)
+            print(f"node {i}: checksum OK")
+        # parity needs every chunk, and the original bytes the k systematic ones
+        parity = len(chunks) == params.n
+        parity_skipped = "not all chunks available"
+        systematic = all(i in chunks for i in range(params.k))
         bad = np.zeros(stripes, dtype=bool)
+        digest, length_problem = hashlib.sha256(), None
         for start, stop in storage.blocks(params, stripes):
-            block = [available[i][start:stop] for i in range(params.n)]
-            bad[start:stop] = failing_checks(params, block).any(axis=1)
+            if not (parity or systematic):
+                break
+            block = {}
+            for i in range(params.n if parity else params.k):
+                try:
+                    block[i] = chunks[i].block(start, stop)
+                except storage.BadBlockError as exc:  # the check needing node i stops
+                    problems.append(str(exc))
+                    parity, parity_skipped = False, f"node {i} does not read"
+                    systematic = systematic and i >= params.k
+            if parity:
+                bad[start:stop] = failing_checks(params, list(block.values())).any(axis=1)
+            if systematic and length_problem is None:
+                try:
+                    digest.update(storage.file_bytes(params, [block[i] for i in range(params.k)],
+                                                     start, stop, manifest.original_length,
+                                                     stripes))
+                except ValueError as exc:
+                    length_problem = f"manifest: {exc}"
+            del block  # freed before the next block is read
+    if parity:
         problems.extend(f"stripe {st}: parity checks fail" for st in np.flatnonzero(bad))
         if not bad.any():
             print(f"parity: all {stripes} stripe(s) satisfy every check")
     else:
-        print("parity: skipped (not all chunks available)")
-    if all(i in available for i in range(params.k)):
+        print(f"parity: skipped ({parity_skipped})")
+    if systematic and length_problem is None:
         try:
-            storage.check_padding(params, [available[i][-1] for i in range(params.k)],
-                                  manifest.original_length, stripes)
+            manifest.check_decoded(digest.hexdigest())
         except ValueError as exc:
-            problems.append(f"manifest: {exc}")
+            length_problem = f"manifest: {exc}"
+    if length_problem:
+        problems.append(length_problem)
     for msg in problems:
         print(f"PROBLEM: {msg}", file=sys.stderr)
     return 1 if problems else 0
@@ -315,6 +379,7 @@ def cmd_decode(args) -> int:
     manifest = storage.Manifest.load(directory)
     params = manifest.params()
     out_path = Path(_require(args, config, "out"))
+    _refuse_store_file(directory, manifest, "--out", out_path)
     failed = set(manifest.failed)
     nodes = _cfg(args, config, "nodes")
     if nodes:
@@ -328,24 +393,42 @@ def cmd_decode(args) -> int:
             raise CliError(f"node {i} is failed; repair first or pick other nodes")
     if len(wanted) < params.k:
         raise CliError(f"need at least k={params.k} chunks, have {len(wanted)}")
-    # decode_file uses the k lowest-indexed bodies, so chunks are read in
-    # order until k of them verify; a bad one is named and skipped
-    bodies, bad = {}, []
-    for i in wanted:
-        if len(bodies) == params.k:
-            break
-        column, problem = _checked_column(directory, manifest, params, i)
-        if problem:
-            print(f"skipped {problem}", file=sys.stderr)
-            bad.append(i)
-        else:
-            bodies[i] = column
-    if len(bodies) < params.k:
-        raise CliError(f"need k={params.k} verified chunks, only {len(bodies)} of nodes "
-                       f"{wanted} verify; bad nodes {bad}")
-    data = storage.decode_file(bodies, params, manifest.original_length, manifest.stripe_count)
-    storage.write_replacing(out_path, data)
-    print(f"decoded {len(data)} bytes from nodes {sorted(bodies)} to {out_path}")
+    with ExitStack() as stack:
+        # decode_file uses the k lowest-indexed chunks, so chunks are opened
+        # in order until k of them verify; a bad one is named and skipped
+        chunks, bad, pending = {}, [], list(wanted)
+
+        def open_until_k():
+            while len(chunks) < params.k and pending:
+                i = pending.pop(0)
+                chunk, problem = _checked_chunk(directory, manifest, params, i)
+                if problem:
+                    print(f"skipped {problem}", file=sys.stderr)
+                    bad.append(i)
+                else:
+                    chunks[i] = stack.enter_context(chunk)
+            if len(chunks) < params.k:
+                raise CliError(f"need k={params.k} verified chunks, only {len(chunks)} of nodes "
+                               f"{wanted} verify; bad nodes {sorted(bad)}")
+
+        open_until_k()
+        # every check passes before the output replaces out_path
+        with storage.replacing(out_path) as out:
+            while True:
+                try:
+                    sha256 = storage.decode_file(chunks, params, manifest.original_length,
+                                                 manifest.stripe_count, out)
+                    break
+                except storage.BadBlockError as exc:
+                    # skipped like a chunk that does not verify; decoding starts again
+                    print(f"skipped {exc}", file=sys.stderr)
+                    bad.append(exc.node)
+                    chunks.pop(exc.node).close()
+                    open_until_k()
+                    out.seek(0)
+                    out.truncate()
+            manifest.check_decoded(sha256)
+    print(f"decoded {manifest.original_length} bytes from nodes {sorted(chunks)} to {out_path}")
     return 0
 
 

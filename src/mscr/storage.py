@@ -8,35 +8,37 @@ Chunk layout (all integers little-endian):
 
 payload_len = stripe_count * N.  Files longer than one stripe are striped:
 consecutive kN-symbol runs of the message are independent codewords and each
-node's chunk concatenates its per-stripe columns in stripe order.  So
-encode_file and decode_file walk a file in blocks of stripes (blocks), with
-one code.encode or code.erase_decode call per block: encode holds its n
-serialized chunks and one block, reading the input a block at a time, and
-decode holds the chunks' symbols, the output bytes and one block.  A block
-is a multiple of 8 stripes, so every block starts on a byte of each bit
-plane of a body and of the message bitstream.  File-level symbols are uint16
-from parsing to writing (pack_bytes, read_chunk, encode_file, decode_file):
+node's chunk concatenates its per-stripe columns in stripe order.  So every
+stage walks a file in blocks of stripes (blocks) and holds one block per
+node, whatever the file's size: read_chunk returns a ChunkReader whose
+block(start, stop) reads one block of a chunk, write_chunk a ChunkWriter
+that writes one, encode_file reads its input one block at a time, and
+decode_file writes its output one block at a time.  A block is a multiple
+of 8 stripes, so every block starts on a byte of each bit plane of a body
+and of the message bitstream: its symbols lie in one contiguous byte range
+per plane (_plane_spans), which laid end to end are the body pack_body
+writes for them.  File-level symbols are uint16 from parsing to writing:
 p < 2^16, so every symbol fits, and the solver's wider arithmetic lives only
 in its work arrays, of one block.
 
 Two widths are involved.  Message packing (pack_bytes) maps the file's bytes
 to symbols at bits_per_symbol(p) bits each: 8 when p > 255, otherwise
 floor(log2 p), MSB-first within the bitstream, so every message symbol is < p.
-The header records that width and the manifest the original byte length.
-Chunk bodies store every symbol, parity included, at the field's full width
-w = stored_width(p) = ceil(log2 p): first floor(w/8) byte planes, each holding
-one byte of every symbol, low byte first; then w mod 8 bit planes, each the
-np.packbits of one bit of every symbol, lowest remaining bit first.  So a
-body is payload_len * floor(w/8) + (w mod 8) * ceil(payload_len/8) bytes
-(body_length).
+The header records that width and the manifest the original byte length and
+its sha256.  Chunk bodies store every symbol, parity included, at the
+field's full width w = stored_width(p) = ceil(log2 p): first floor(w/8) byte
+planes, each holding one byte of every symbol, low byte first; then w mod 8
+bit planes, each the np.packbits of one bit of every symbol, lowest
+remaining bit first.  So a body is payload_len * floor(w/8) + (w mod 8) *
+ceil(payload_len/8) bytes (body_length).
 
-Only this module knows the format.  chunk_bytes derives the header from the
+Only this module knows the format.  write_chunk derives the header from the
 code's parameters and the node; read_chunk checks the whole header, every
-field and evaluation point, against the one chunk_bytes would write.
+field and evaluation point, against the one it writes.
 
 Every file the package writes (chunks, the manifest, and the CLI's outputs)
-goes through write_replacing: a temporary file beside its destination,
-synced, renamed over it, and the directory synced after the rename.
+goes through replacing: a temporary file beside its destination, synced,
+renamed over it, and the directory synced after the rename.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import hashlib
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -120,29 +123,27 @@ def body_length(payload_len: int, p: int) -> int:
     return payload_len * (w // 8) + (w % 8) * -(-payload_len // 8)
 
 
-def _pack_into(body, payload_len: int, offset: int, symbols: np.ndarray, p: int) -> None:
-    """Write symbols[...] into the body buffer of payload_len symbols (see the
-    module docstring) as its symbols offset, offset+1, ...; offset is a
-    multiple of 8, so each bit plane's part starts on a byte."""
+def _plane_spans(payload_len: int, p: int, first: int, last: int) -> list[tuple[int, int]]:
+    """(offset, length) of the bytes of a body of payload_len symbols that
+    hold its symbols [first, last), first a multiple of 8: one range per
+    byte plane, then one per bit plane.  Laid end to end they are the body
+    pack_body writes for those symbols."""
+    if first % 8:
+        raise ValueError(f"a block must start on a multiple of 8 symbols, not {first}")
     w = stored_width(p)
-    out = np.frombuffer(body, dtype=np.uint8)
-    vals = symbols.reshape(-1)
-    for j in range(w // 8):
-        start = j * payload_len + offset
-        out[start:start + vals.size] = (vals >> (8 * j)).astype(np.uint8)
-    plane, start = -(-payload_len // 8), w // 8 * payload_len + offset // 8
-    for b in range(w // 8 * 8, w):
-        bits = np.packbits((vals >> b).astype(np.uint8) & 1)
-        out[start:start + bits.size] = bits
-        start += plane
+    bits_at, plane = w // 8 * payload_len, -(-payload_len // 8)
+    return ([(j * payload_len + first, last - first) for j in range(w // 8)]
+            + [(bits_at + t * plane + first // 8, -(-last // 8) - first // 8)
+               for t in range(w % 8)])
 
 
 def pack_body(symbols: np.ndarray, p: int) -> bytes:
     """Symbols in [0, p) -> byte planes, then bit planes (see module docstring)."""
-    vals = symbols.astype(np.uint16, copy=False)
-    body = bytearray(body_length(vals.size, p))
-    _pack_into(body, vals.size, 0, vals, p)
-    return bytes(body)
+    w = stored_width(p)
+    vals = symbols.astype(np.uint16, copy=False).reshape(-1)
+    planes = [(vals >> (8 * j)).astype(np.uint8) for j in range(w // 8)]
+    planes += [np.packbits((vals >> b).astype(np.uint8) & 1) for b in range(w // 8 * 8, w)]
+    return b"".join(plane.tobytes() for plane in planes)
 
 
 def unpack_body(body: bytes, p: int, payload_len: int) -> np.ndarray:
@@ -175,26 +176,26 @@ def _header(params: CodeParams, node: int, payload_len: int) -> bytes:
     return MAGIC + struct.pack(f"<{len(fields_)}I", *fields_)
 
 
-def chunk_bytes(params: CodeParams, node: int, symbols: np.ndarray) -> bytes:
-    """Serialize node `node`'s chunk of `params` holding `symbols`: magic,
-    header fields, evaluation points, packed body."""
-    code.check_reduced(params, symbols, "chunk")
-    return _header(params, node, symbols.size) + pack_body(symbols, params.p)
-
-
-def write_replacing(path: Path, data: bytes) -> None:
-    """Write `data` to a temporary file beside `path`, sync it, rename it over
-    `path` and sync the directory: a crash leaves the old file or the new one,
-    never a partial one, and a completed call survives a power loss.  A
-    symbolic link is followed, not replaced; a device, pipe or directory
-    would be replaced by the rename, so such a `path` is refused."""
+@contextmanager
+def replacing(path: Path):
+    """Yield a binary file, open for writing and reading, that replaces
+    `path` when the block ends without an exception: it is a temporary file
+    beside `path`, synced, renamed over it, and the directory is synced
+    after the rename.  So a crash leaves the old file or the new one, never
+    a partial one, and a completed block survives a power loss; on any error
+    the temporary file is removed.  A symbolic link is followed, not
+    replaced; a device, pipe or directory would be replaced by the rename,
+    so such a `path` is refused."""
     path = Path(os.path.realpath(path))
     if path.exists() and not path.is_file():
         raise ValueError(f"{path} exists and is not a regular file")
-    tmp = path.with_name(f".{path.name}.tmp")
+    # a fresh name, created exclusively: two writes never share a temporary
+    # file, and no output path named in advance can be one
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        with open(fd, "w+b") as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -209,51 +210,162 @@ def write_replacing(path: Path, data: bytes) -> None:
         os.close(fd)
 
 
-def write_chunk(path: Path, data: bytes) -> None:
-    """Write serialized chunk bytes (chunk_bytes) to `path`, crash-safely."""
-    write_replacing(path, data)
+def write_replacing(path: Path, data: bytes) -> None:
+    """Write `data` to `path` through replacing."""
+    with replacing(path) as fh:
+        fh.write(data)
+
+
+class ChunkWriter:
+    """A chunk being written, one block of stripes at a time, into the
+    temporary file of replacing (see write_chunk)."""
+
+    def __init__(self, fh, params: CodeParams, node: int, payload_len: int):
+        header = _header(params, node, payload_len)
+        fh.write(header)
+        self._fh, self._params, self._payload_len = fh, params, payload_len
+        self._body_at = len(header)
+        self.written = 0  # symbols
+
+    def write(self, start: int, symbols: np.ndarray) -> None:
+        """Store `symbols`, the (stripes, planes, s^n) columns of stripes
+        start, start+1, ..., at their place in every plane of the body."""
+        code.check_reduced(self._params, symbols, "chunk")
+        first = start * self._params.N
+        body = memoryview(pack_body(symbols, self._params.p))
+        pos = 0
+        for off, size in _plane_spans(self._payload_len, self._params.p,
+                                      first, first + symbols.size):
+            self._fh.seek(self._body_at + off)
+            self._fh.write(body[pos:pos + size])
+            pos += size
+        self.written += symbols.size
+
+    def sha256(self) -> str:
+        """The hex digest of the chunk written so far, read back from the file."""
+        self._fh.flush()
+        self._fh.seek(0)
+        return _sha256(self._fh)
+
+
+@contextmanager
+def write_chunk(path: Path, params: CodeParams, node: int, payload_len: int):
+    """Yield a ChunkWriter for node `node`'s chunk of payload_len symbols at
+    `path`; the chunk replaces `path` (replacing) when the block ends and
+    every symbol has been written."""
+    with replacing(path) as fh:
+        chunk = ChunkWriter(fh, params, node, payload_len)
+        yield chunk
+        if chunk.written != payload_len:
+            raise ValueError(f"chunk for node {node}: {chunk.written} of {payload_len} "
+                             "symbols written")
+
+
+def _sha256(fh) -> str:
+    """The hex digest of the rest of the binary file `fh`, read into one
+    fixed 256 KiB buffer, so hashing holds the same memory for any file."""
+    digest, buf = hashlib.sha256(), bytearray(1 << 18)
+    view = memoryview(buf)
+    while size := fh.readinto(buf):
+        digest.update(view[:size])
+    return digest.hexdigest()
 
 
 class ChecksumMismatchError(ValueError):
     """A chunk file's bytes do not hash to the digest recorded for them."""
 
 
+class BadBlockError(ValueError):
+    """A block of an open chunk does not read: the chunk changed since it
+    was opened, or holds a symbol outside the field.  `node` is its node."""
+
+    def __init__(self, node: int, message: str):
+        super().__init__(message)
+        self.node = node
+
+
+class ChunkReader:
+    """An open chunk whose digest and header have been checked (read_chunk);
+    block(start, stop) reads stripes [start, stop).  Close it, or use it as
+    a context manager."""
+
+    def __init__(self, fh, path: Path, node: int, params: CodeParams, payload_len: int,
+                 body_at: int, opened: tuple[int, int]):
+        self._fh, self._path, self._node, self._params = fh, path, node, params
+        self._payload_len, self._body_at, self._opened = payload_len, body_at, opened
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """The uint16 (stop - start, planes, s^n) columns of stripes
+        [start, stop); start * N must be a multiple of 8.  A chunk whose size
+        or modification time changed since it was opened, or that holds a
+        symbol outside the field, is a BadBlockError naming the node."""
+        params, fd = self._params, self._fh.fileno()
+        first, last = start * params.N, stop * params.N
+        if not 0 <= first <= last <= self._payload_len:
+            raise ValueError(f"stripes [{start}, {stop}) are not in node {self._node}'s chunk")
+        body = b"".join(os.pread(fd, size, self._body_at + off) for off, size
+                        in _plane_spans(self._payload_len, params.p, first, last))
+        st = os.fstat(fd)
+        if (st.st_size, st.st_mtime_ns) != self._opened:
+            raise BadBlockError(self._node, f"node {self._node}: {self._path} changed while "
+                                "it was read")
+        symbols = unpack_body(body, params.p, last - first)
+        # a w-bit field holds values up to 2^w - 1 >= p
+        if symbols.size and symbols.max() >= params.p:
+            raise BadBlockError(self._node, f"node {self._node}: {self._path}: symbol out of "
+                                "field range")
+        return symbols.reshape(stop - start, params.planes, params.s_pow_n)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "ChunkReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def read_chunk(path: Path, sha256: str, params: CodeParams, node: int,
-               payload_len: int) -> np.ndarray:
-    """Node `node`'s uint16 symbols, read from `path` and checked in order:
-    the digest `sha256` before any byte is parsed (ChecksumMismatchError), so
-    a damaged chunk is always reported as one; then the magic, the version and
-    every header field against what chunk_bytes writes for (params, node,
-    payload_len); then the body length and the symbol range (ValueError)."""
-    raw = path.read_bytes()
-    if hashlib.sha256(raw).hexdigest() != sha256:
-        raise ChecksumMismatchError(f"node {node}: {path}: checksum mismatch against the manifest")
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}, not a chunk file")
-    want = _header_fields(params, node, payload_len)
+               payload_len: int) -> ChunkReader:
+    """Open node `node`'s chunk at `path` and check it, in order: the digest
+    `sha256`, hashed in fixed-size sequential reads before any byte is parsed
+    (ChecksumMismatchError), so a damaged chunk is always reported as one;
+    then the magic, the version and every header field against what
+    write_chunk writes for (params, node, payload_len); then the body length
+    (ValueError).  Returns the open ChunkReader, whose blocks check the
+    symbol range."""
+    fh = open(path, "rb", buffering=0)
     try:
-        got = struct.unpack_from(f"<{len(want)}I", raw, 4)
-    except struct.error as exc:
-        raise ValueError(f"{path}: truncated chunk header") from exc
-    if got[0] != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {got[0]}")
-    # fields 6 and 7 are node_index and payload_len; the rest fix the code
-    if got[1:6] + got[8:] != want[1:6] + want[8:]:
-        raise ValueError(f"chunk for node {node} was written with different parameters "
-                         "or evaluation points")
-    if got[6] != node:
-        raise ValueError(f"chunk file for node {node} claims index {got[6]}")
-    if got[7] != payload_len:
-        raise ValueError(f"chunk for node {node} has wrong payload length")
-    body = memoryview(raw)[4 + 4 * len(want):]
-    expected = body_length(payload_len, params.p)
-    if len(body) != expected:
-        raise ValueError(f"{path}: body holds {len(body)} bytes, expected {expected}")
-    symbols = unpack_body(body, params.p, payload_len)
-    # a w-bit field holds values up to 2^w - 1 >= p
-    if symbols.size and symbols.max() >= params.p:
-        raise ValueError(f"{path}: symbol out of field range")
-    return symbols
+        st = os.fstat(fh.fileno())
+        if _sha256(fh) != sha256:
+            raise ChecksumMismatchError(f"node {node}: {path}: checksum mismatch against the manifest")
+        want = _header_fields(params, node, payload_len)
+        raw = os.pread(fh.fileno(), 4 + 4 * len(want), 0)
+        if raw[:4] != MAGIC:
+            raise ValueError(f"{path}: bad magic {raw[:4]!r}, not a chunk file")
+        try:
+            got = struct.unpack_from(f"<{len(want)}I", raw, 4)
+        except struct.error as exc:
+            raise ValueError(f"{path}: truncated chunk header") from exc
+        if got[0] != FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported format version {got[0]}")
+        # fields 6 and 7 are node_index and payload_len; the rest fix the code
+        if got[1:6] + got[8:] != want[1:6] + want[8:]:
+            raise ValueError(f"chunk for node {node} was written with different parameters "
+                             "or evaluation points")
+        if got[6] != node:
+            raise ValueError(f"chunk file for node {node} claims index {got[6]}")
+        if got[7] != payload_len:
+            raise ValueError(f"chunk for node {node} has wrong payload length")
+        expected = body_length(payload_len, params.p)
+        if st.st_size - len(raw) != expected:
+            raise ValueError(f"{path}: body holds {st.st_size - len(raw)} bytes, expected {expected}")
+        return ChunkReader(fh, path, node, params, payload_len, len(raw),
+                           (st.st_size, st.st_mtime_ns))
+    except BaseException:
+        fh.close()
+        raise
 
 
 @dataclass
@@ -268,6 +380,7 @@ class Manifest:
     mus: tuple[int, ...]
     bits_per_symbol: int
     original_length: int
+    original_sha256: str
     stripe_count: int
     chunks: dict[str, dict]  # node index (str) -> {"file": name, "sha256": hex}
     failed: list[int]
@@ -281,14 +394,20 @@ class Manifest:
                              f"fills {want} stripe(s), but 'stripe_count' is {self.stripe_count}")
         return params
 
+    def check_decoded(self, sha256: str) -> None:
+        """The decoded file, hashing to `sha256`, must be the one encoded."""
+        if sha256 != self.original_sha256:
+            raise ValueError(f"the decoded {self.original_length} bytes do not match manifest "
+                             "field 'original_sha256'")
+
     @classmethod
-    def new(cls, params: CodeParams, original_length: int, stripe_count: int,
-            digests: list[str]) -> "Manifest":
+    def new(cls, params: CodeParams, original_length: int, original_sha256: str,
+            stripe_count: int, digests: list[str]) -> "Manifest":
         """The manifest of a fresh store whose node i chunk hashes to digests[i]."""
         chunks = {str(i): {"file": chunk_name(i), "sha256": h} for i, h in enumerate(digests)}
         return cls(FORMAT_VERSION, params.n, params.k, params.d, params.h, params.p,
                    params.lambdas, params.mus, bits_per_symbol(params.p), original_length,
-                   stripe_count, chunks, failed=[])
+                   original_sha256, stripe_count, chunks, failed=[])
 
     def save(self, directory: Path) -> None:
         data = asdict(self)
@@ -301,7 +420,10 @@ class Manifest:
         path = directory / MANIFEST_NAME
         if not path.exists():
             raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
-        data = json.loads(path.read_text())
+        try:
+            data = json.loads(path.read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: not a JSON manifest: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: manifest must hold a JSON object")
         if data.get("format") != FORMAT_VERSION:
@@ -324,6 +446,8 @@ class Manifest:
             if not isinstance(data[key], list) or not all(map(_is_count, data[key])):
                 raise ValueError(f"{path}: manifest field {key!r} must be a list of "
                                  "non-negative integers")
+        if not isinstance(data["original_sha256"], str):
+            raise ValueError(f"{path}: manifest field 'original_sha256' must be a string")
         if data["bits_per_symbol"] != (m := bits_per_symbol(data["p"])):
             raise ValueError(f"{path}: manifest field 'bits_per_symbol' must be {m} for "
                              f"p={data['p']}, got {data['bits_per_symbol']}")
@@ -362,48 +486,50 @@ def blocks(params: CodeParams, stripes: int) -> list[tuple[int, int]]:
     return [(st, min(st + size, stripes)) for st in range(0, stripes, size)]
 
 
-def _message_bytes(params: CodeParams, start: int, stop: int, original_length: int):
+def _byte_range(params: CodeParams, start: int, stop: int, original_length: int):
     """The file's byte range [first, last) held by stripes [start, stop)."""
     bits = symbols_per_stripe(params) * bits_per_symbol(params.p)
     return start * bits // 8, min(original_length, stop * bits // 8)
 
 
-def encode_file(fh, length: int, params: CodeParams) -> tuple[list[bytearray], int]:
-    """Encode `length` bytes read from the binary file `fh` into n chunks.
+def _read_message(fh, params: CodeParams, start: int, stop: int, length: int,
+                  digest) -> np.ndarray:
+    """The message symbols of stripes [start, stop) of a file of `length`
+    bytes, whose bytes are read from `fh` and added to `digest`."""
+    first, last = _byte_range(params, start, stop, length)
+    data = fh.read(last - first)
+    if len(data) != last - first:
+        raise ValueError(f"input ended after {first + len(data)} of {length} bytes")
+    digest.update(data)
+    message = np.zeros((stop - start) * symbols_per_stripe(params), dtype=np.uint16)
+    symbols = pack_bytes(data, params.p)
+    message[:symbols.size] = symbols
+    return message
 
-    Returns (chunks, stripe_count): chunks[i] is node i's serialized chunk,
-    byte for byte what chunk_bytes writes for its symbols.  The input is read
-    one block of stripes at a time (blocks); each block is packed, encoded
-    by code.encode, and its byte and bit planes are written straight into
-    the chunks.  A read that ends before `length` bytes or a byte past them
-    is a ValueError, so a file that shrinks or grows while it is read is
-    never encoded.
+
+def encode_file(fh, length: int, params: CodeParams, chunks: list[ChunkWriter]) -> str:
+    """Encode `length` bytes read from the binary file `fh` into the n chunk
+    writers (write_chunk, payload_len = stripes_for(length) * N); returns
+    the sha256 hex digest of the bytes read.
+
+    The input is read one block of stripes at a time (blocks); each block is
+    packed, encoded by code.encode, and written to every chunk.  A read that
+    ends before `length` bytes or a byte past them is a ValueError, so a
+    file that shrinks or grows while it is read is never encoded.
     """
-    stripes = stripes_for(length, params)
-    payload_len = stripes * params.N
-    headers = [_header(params, i, payload_len) for i in range(params.n)]
-    chunks = [bytearray(len(h) + body_length(payload_len, params.p)) for h in headers]
-    for chunk, header in zip(chunks, headers):
-        chunk[:len(header)] = header
-    bodies = [memoryview(chunk)[len(header):] for chunk, header in zip(chunks, headers)]
-    for start, stop in blocks(params, stripes):
-        first, last = _message_bytes(params, start, stop, length)
-        data = fh.read(last - first)
-        if len(data) != last - first:
-            raise ValueError(f"input ended after {first + len(data)} of {length} bytes")
-        message = np.zeros((stop - start) * symbols_per_stripe(params), dtype=np.uint16)
-        symbols = pack_bytes(data, params.p)
-        message[:symbols.size] = symbols
-        del data, symbols
-        for body, col in zip(bodies, code.encode(params, message)):
-            _pack_into(body, payload_len, start * params.N, col, params.p)
+    digest = hashlib.sha256()
+    for start, stop in blocks(params, stripes_for(length, params)):
+        codewords = code.encode(params, _read_message(fh, params, start, stop, length, digest))
+        for i, chunk in enumerate(chunks):
+            chunk.write(start, codewords[i])
+        del codewords  # freed before the next block is read: one block at a time
     if fh.read(1):
         raise ValueError(f"input holds more than the {length} bytes it had when encoding began")
-    return chunks, stripes
+    return digest.hexdigest()
 
 
-def check_padding(params: CodeParams, last_stripe: np.ndarray, original_length: int,
-                  stripe_count: int) -> None:
+def _check_padding(params: CodeParams, last_stripe: np.ndarray, original_length: int,
+                   stripe_count: int) -> None:
     """Encode pads the last stripe with zero bits, so a set bit of its
     message past original_length means the recorded length is wrong
     (ValueError).  last_stripe is that stripe's message: its k systematic
@@ -421,40 +547,48 @@ def check_padding(params: CodeParams, last_stripe: np.ndarray, original_length: 
                          f"= {original_length} bytes, which encode pads with zeros")
 
 
-def decode_file(bodies: dict[int, np.ndarray], params: CodeParams,
-                original_length: int, stripe_count: int) -> bytearray:
-    """Rebuild the original bytes from any >= k chunk bodies.
+def file_bytes(params: CodeParams, message: list[np.ndarray], start: int, stop: int,
+               original_length: int, stripe_count: int) -> bytes:
+    """The file's bytes held by stripes [start, stop), from their k
+    systematic (stop - start, planes, s^n) columns.  The block that ends the
+    file must have zero padding (a ValueError names original_length)."""
+    # (stripes, k, planes, s^n): each stripe's message in file order
+    stacked = np.stack(message, axis=1)
+    if stop == stripe_count:
+        _check_padding(params, stacked[-1], original_length, stripe_count)
+    first, last = _byte_range(params, start, stop, original_length)
+    return unpack_symbols(stacked.reshape(-1), params.p, last - first)
 
-    The output is filled one block of stripes at a time (blocks).  Without
-    every systematic body, each block is decoded from the k lowest-indexed
-    bodies by code.erase_decode, whose parity sweep must pass before the
+
+def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_count: int,
+                out) -> str:
+    """Rebuild the original bytes from any >= k chunks ({node: ChunkReader})
+    into the binary file `out`; returns their sha256 hex digest.
+
+    The output is written one block of stripes at a time (blocks).  Without
+    every systematic chunk, each block is decoded from the k lowest-indexed
+    chunks by code.erase_decode, whose parity sweep must pass before the
     block is unpacked (InconsistentCodewordError otherwise, naming the
     stripe in the file).  The last stripe's padding must be zero
-    (check_padding).
+    (file_bytes).
     """
-    if len(bodies) < params.k:
-        raise ValueError(f"need at least k={params.k} chunks to decode, got {len(bodies)}")
-    for i, body in bodies.items():
-        if body.shape != (stripe_count * params.N,):
-            raise ValueError(f"chunk {i} holds {body.shape[0]} symbols, "
-                             f"expected {stripe_count * params.N}")
+    if len(chunks) < params.k:
+        raise ValueError(f"need at least k={params.k} chunks to decode, got {len(chunks)}")
     if stripes_for(original_length, params) != stripe_count:
         raise ValueError(f"{original_length} bytes do not fill {stripe_count} stripe(s)")
-    shape = (stripe_count, params.planes, params.s_pow_n)
-    # the k lowest-indexed bodies: the systematic ones, when all are given
-    cols = {i: bodies[i].reshape(shape) for i in sorted(bodies)[:params.k]}
-    out = bytearray(original_length)
+    # the k lowest-indexed chunks: the systematic ones, when all are given
+    nodes = sorted(chunks)[:params.k]
+    digest = hashlib.sha256()
     for start, stop in blocks(params, stripe_count):
-        block = {i: col[start:stop] for i, col in cols.items()}
-        if list(cols) != list(range(params.k)):
+        block = {i: chunks[i].block(start, stop) for i in nodes}
+        if nodes != list(range(params.k)):
             try:
                 block = code.erase_decode(params, block)
             except InconsistentCodewordError as exc:
                 raise InconsistentCodewordError(start + exc.stripe, exc.plane) from None
-        # (stripes, k, planes, s^n): each stripe's message in file order
-        message = np.stack([block[i] for i in range(params.k)], axis=1)
-        if stop == stripe_count:
-            check_padding(params, message[-1], original_length, stripe_count)
-        first, last = _message_bytes(params, start, stop, original_length)
-        out[first:last] = unpack_symbols(message.reshape(-1), params.p, last - first)
-    return out
+        data = file_bytes(params, [block[i] for i in range(params.k)], start, stop,
+                          original_length, stripe_count)
+        del block  # freed before the next block is read: one block at a time
+        digest.update(data)
+        out.write(data)
+    return digest.hexdigest()

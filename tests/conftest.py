@@ -30,15 +30,26 @@ def decode_stripe(params, columns):
     return erase_decode(params, {i: np.asarray(col)[None] for i, col in columns.items()})[:, 0]
 
 
+def chunk_bytes(params, node, symbols):
+    """The whole chunk of node `node` holding `symbols`, as one bytes: the
+    header storage.write_chunk writes, then the packed body.  For tests that
+    build or edit a chunk in memory."""
+    return storage._header(params, node, np.asarray(symbols).size) + storage.pack_body(symbols, params.p)
+
+
 @pytest.fixture()
 def fail_halfway(monkeypatch):
     """Calling the returned function makes every later file write in
-    mscr.storage write half its bytes and then fail with ENOSPC."""
+    mscr.storage write half its bytes and then fail with ENOSPC; every other
+    file operation (read, seek, flush, ...) works as usual."""
     real_open = open
 
     class HalfWrite:
         def __init__(self, *args, **kwargs):
             self.fh = real_open(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
 
         def __enter__(self):
             return self

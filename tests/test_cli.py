@@ -4,18 +4,36 @@ import math
 import os
 import struct
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mscr import cli, storage
+from mscr import cli, code, storage
 from mscr.cli import main
 from mscr.oracle import recount
 from mscr.repair import RepairTranscript
-from mscr.storage import Manifest, chunk_bytes, read_chunk, write_chunk
+from mscr.storage import Manifest, read_chunk, write_replacing
+
+from conftest import chunk_bytes
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def snapshot(directory):
+    """Every file in `directory` (temporary ones included) -> its sha256."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+def chunk_symbols(store, manifest, node):
+    """Node `node`'s symbols, as one flat uint16 array, read through read_chunk."""
+    params = manifest.params()
+    path = store / manifest.chunks[str(node)]["file"]
+    with read_chunk(path, manifest.chunks[str(node)]["sha256"], params, node,
+                    manifest.stripe_count * params.N) as chunk:
+        return chunk.block(0, manifest.stripe_count).reshape(-1)
 
 
 @pytest.fixture()
@@ -31,13 +49,14 @@ def encoded_dir(tmp_path):
 
 class TestEncode:
     def test_chunks_and_manifest_written(self, encoded_dir):
-        _, store, _ = encoded_dir
+        _, store, data = encoded_dir
         manifest = Manifest.load(store)
         assert sorted(manifest.chunks) == ["0", "1", "2", "3"]
         for entry in manifest.chunks.values():
-            assert (store / entry["file"]).exists()
+            assert hashlib.sha256((store / entry["file"]).read_bytes()).hexdigest() == entry["sha256"]
         assert manifest.failed == []
         assert manifest.original_length == 3000
+        assert manifest.original_sha256 == hashlib.sha256(data).hexdigest()
 
     def test_requires_input_or_random(self, tmp_path, capsys):
         assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
@@ -71,8 +90,8 @@ class TestEncode:
         src.write_bytes(bytes(1000))
         real = storage.encode_file
 
-        def rewritten_meanwhile(fh, length, params):
-            result = real(fh, length, params)
+        def rewritten_meanwhile(*args):
+            result = real(*args)
             src.write_bytes(bytes([1]) * 1000)  # same length, new bytes
             stat = src.stat()
             os.utime(src, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
@@ -198,11 +217,10 @@ class TestVerifyAndDecode:
         assert manifest.stripe_count > 3
         stripe = manifest.stripe_count // 2
         path = store / manifest.chunks["2"]["file"]
-        symbols = read_chunk(path, manifest.chunks["2"]["sha256"], params, 2,
-                             manifest.stripe_count * params.N)
+        symbols = chunk_symbols(store, manifest, 2)
         pos = stripe * params.N + 7
         symbols[pos] = (symbols[pos] + 1) % params.p
-        write_chunk(path, chunk_bytes(params, 2, symbols))
+        write_replacing(path, chunk_bytes(params, 2, symbols))
         manifest.chunks["2"]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
         manifest.save(store)
         capsys.readouterr()
@@ -536,6 +554,31 @@ class TestEditedOriginalLength:
         assert len(problems) == 1
         assert "past original_length = 2900 bytes" in problems[0]
 
+    @pytest.mark.parametrize("nodes", ["0,1,2", "3,4,5"])
+    def test_grown_length_refused(self, store, capsys, nodes):
+        # 5 bytes more lie in the zero padding of the last stripe: only the
+        # digest of the original file tells them apart
+        tmp_path, store = store
+        self.set_length(store, 3005)
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out, "--nodes", nodes) == 2
+        assert "do not match manifest field 'original_sha256'" in capsys.readouterr().err
+        assert not out.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "store"]
+
+    @pytest.mark.parametrize("failed", [None, "3,4"])
+    def test_verify_reports_grown_length(self, store, capsys, failed):
+        # with the k systematic chunks verify checks what decode checks
+        _, store = store
+        if failed:
+            assert run_cli("fail", "--dir", store, "--nodes", failed) == 0
+        self.set_length(store, 3005)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        problems = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("PROBLEM")]
+        assert problems == ["PROBLEM: manifest: the decoded 3005 bytes do not match manifest "
+                            "field 'original_sha256'"]
+
     def test_verify_checks_padding_with_a_parity_node_failed(self, store, capsys):
         _, store = store
         assert run_cli("fail", "--dir", store, "--nodes", "3,4") == 0
@@ -561,10 +604,10 @@ class TestBlockWalk:
         assert manifest.stripe_count == 40
         assert storage.blocks(params, 40)[-1] == (32, 40)
         path = store / manifest.chunks["4"]["file"]
-        symbols = read_chunk(path, manifest.chunks["4"]["sha256"], params, 4, 40 * params.N)
+        symbols = chunk_symbols(store, manifest, 4)
         pos = 37 * params.N + 100
         symbols[pos] = (symbols[pos] + 1) % params.p
-        write_chunk(path, chunk_bytes(params, 4, symbols))
+        write_replacing(path, chunk_bytes(params, 4, symbols))
         manifest.chunks["4"]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
         manifest.save(store)
         capsys.readouterr()
@@ -573,6 +616,79 @@ class TestBlockWalk:
         assert problems == ["PROBLEM: stripe 37: parity checks fail"]
         assert run_cli("decode", "--dir", store, "--out", tmp_path / "o.bin") == 0
         assert (tmp_path / "o.bin").read_bytes() == (store / "source.bin").read_bytes()
+
+
+class TestSymbolOutOfField:
+    """A chunk whose digest matches but that holds a symbol outside the
+    field is found when its block is read: decode skips it and restarts from
+    the next node, and verify names it and keeps the checks that do not
+    need it."""
+
+    @pytest.fixture()
+    def store(self, tmp_path, monkeypatch):
+        # 20000 bytes are 35 stripes of 576, walked in five blocks of 8
+        monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)
+        data = np.random.default_rng(4).integers(0, 256, size=20000, dtype=np.uint8).tobytes()
+        src = tmp_path / "input.bin"
+        src.write_bytes(data)
+        store = tmp_path / "store"
+        assert run_cli("encode", "--n", 6, "--k", 3, "--d", 4, "--h", 2, "--p", 257,
+                       "--input", src, "--out", store) == 0
+        return tmp_path, store, data
+
+    @staticmethod
+    def put_p(store, node):
+        """Store p = 257, which fits in the 9-bit field of node `node`'s chunk,
+        in stripe 30 (the fourth block), and record the chunk's new digest."""
+        manifest = Manifest.load(store)
+        params = manifest.params()
+        symbols = chunk_symbols(store, manifest, node)
+        symbols[30 * params.N + 5] = params.p
+        path = store / manifest.chunks[str(node)]["file"]
+        write_replacing(path, chunk_bytes(params, node, symbols))
+        manifest.chunks[str(node)]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest.save(store)
+        return manifest
+
+    def test_decode_skips_the_chunk_and_restarts(self, store, capsys):
+        tmp_path, store, data = store
+        self.put_p(store, 1)
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"skipped node 1: {store / 'node1.mscr'}: symbol out of field range\n"
+        assert "from nodes [0, 2, 3]" in captured.out
+        assert out.read_bytes() == data
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "out.bin", "store"]
+
+    def test_verify_keeps_the_digest_check_without_a_parity_node(self, store, capsys):
+        _, store, _ = store
+        manifest = self.put_p(store, 4)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        captured = capsys.readouterr()
+        assert "node 4: checksum OK" in captured.out
+        assert "parity: skipped (node 4 does not read)" in captured.out
+        problem = f"PROBLEM: node 4: {store / 'node4.mscr'}: symbol out of field range"
+        assert captured.err.splitlines() == [problem]
+        # the k systematic chunks still read, so the file's digest is checked
+        manifest.original_sha256 = "0" * 64
+        manifest.save(store)
+        assert run_cli("verify", "--dir", store) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            problem, "PROBLEM: manifest: the decoded 20000 bytes do not match manifest "
+                     "field 'original_sha256'"]
+
+    def test_verify_names_a_systematic_node(self, store, capsys):
+        _, store, _ = store
+        self.put_p(store, 0)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        captured = capsys.readouterr()
+        assert "parity: skipped (node 0 does not read)" in captured.out
+        assert captured.err.splitlines() == [
+            f"PROBLEM: node 0: {store / 'node0.mscr'}: symbol out of field range"]
 
 
 class TestMalformedManifest:
@@ -585,6 +701,7 @@ class TestMalformedManifest:
                    "'stripe_count' must be a non-negative integer"),
         "bits_per_symbol": (lambda m: m.update(bits_per_symbol=3),
                             "'bits_per_symbol' must be 2 for p=5, got 3"),
+        "no_digest": (lambda m: m.pop("original_sha256"), "'original_sha256' is missing"),
     }
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
@@ -604,6 +721,15 @@ class TestMalformedManifest:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [b"\x00\x82 not UTF-8", b"{not JSON"], ids=["bytes", "text"])
+    def test_undecodable_manifest_named(self, encoded_dir, capsys, raw):
+        _, store, _ = encoded_dir
+        path = store / "manifest.json"
+        path.write_bytes(raw)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a JSON manifest: ")
 
     def test_chunk_file_outside_the_store_refused(self, encoded_dir, capsys):
         tmp_path, store, _ = encoded_dir
@@ -723,6 +849,179 @@ class TestBenchmarkContract:
             assert {m.phase for m in transcript.messages} == {"download", "cooperative"}
             assert sorted(transcript.access_logs) == [2, 3]
             assert [log.count() for log in transcript.access_logs.values()] == [44, 44]
+
+
+    def test_chunk_reads_and_writes_name_their_paths(self, tmp_path, monkeypatch):
+        # storage.bytes_read and bytes_written are the sizes of the paths
+        # passed first to read_chunk (once per chunk opened) and write_chunk
+        # (once per chunk committed); encode_file and decode_file are looked
+        # up through storage
+        store = tmp_path / "store"
+        calls = {name: [] for name in ("read_chunk", "write_chunk", "encode_file", "decode_file")}
+        for name, log in calls.items():
+            def recording(*args, _real=getattr(storage, name), _log=log):
+                _log.append(args[0])
+                return _real(*args)
+            monkeypatch.setattr(storage, name, recording)
+
+        def stage(*argv):
+            for log in calls.values():
+                log.clear()
+            assert run_cli(*argv) == 0
+            return ([Path(p) for p in calls["read_chunk"]], [Path(p) for p in calls["write_chunk"]],
+                    len(calls["encode_file"]) + len(calls["decode_file"]))
+
+        def node(*nodes):
+            return [store / f"node{i}.mscr" for i in nodes]
+
+        assert stage("encode", "--n", 6, "--k", 3, "--d", 4, "--h", 2, "--p", 257,
+                     "--random-bytes", 5000, "--out", store) == ([], node(*range(6)), 1)
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        assert stage("repair", "--dir", store, "--helpers", "0,2,3,5") == (
+            node(0, 2, 3, 5), node(1, 4), 0)
+        assert stage("verify", "--dir", store) == (node(*range(6)), [], 0)
+        assert stage("decode", "--dir", store, "--out", tmp_path / "a.bin") == (node(0, 1, 2), [], 1)
+        assert stage("decode", "--dir", store, "--out", tmp_path / "b.bin",
+                     "--nodes", "3,4,5") == (node(3, 4, 5), [], 1)
+        assert all(path.is_file() for path in node(*range(6)))
+
+
+class TestOutputsOutsideTheStore:
+    """decode --out, repair --transcript and repair --csv may not name the
+    manifest, a chunk or a quarantined chunk: the command exits 2 before
+    anything is written."""
+
+    @pytest.mark.parametrize("name", ["node2.mscr", "manifest.json"])
+    def test_decode_out_refused(self, encoded_dir, capsys, name):
+        _, store, _ = encoded_dir
+        before = snapshot(store)
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", store / name) == 2
+        assert f"--out {store / name} is a file of the store" in capsys.readouterr().err
+        assert snapshot(store) == before
+        assert run_cli("verify", "--dir", store) == 0
+
+    def test_symbolic_link_to_a_chunk_refused(self, encoded_dir, capsys):
+        tmp_path, store, _ = encoded_dir
+        link = tmp_path / "link.bin"
+        link.symlink_to(store / "node3.mscr")
+        before = snapshot(store)
+        assert run_cli("decode", "--dir", store, "--out", link, "--nodes", "0") == 2
+        assert "is a file of the store" in capsys.readouterr().err
+        assert snapshot(store) == before
+
+    @pytest.mark.parametrize("option,name", [
+        ("--transcript", "node3.mscr"), ("--transcript", "node0.mscr.failed"),
+        ("--csv", "manifest.json"), ("--csv", "node1.mscr"),
+    ])
+    def test_repair_output_refused(self, encoded_dir, capsys, option, name):
+        _, store, _ = encoded_dir
+        assert run_cli("fail", "--dir", store, "--nodes", "0,1") == 0
+        before = snapshot(store)
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "2,3", option, store / name) == 2
+        captured = capsys.readouterr()
+        assert f"{option} {store / name} is a file of the store" in captured.err
+        assert captured.out == "" and snapshot(store) == before
+
+
+    @pytest.mark.parametrize("option", ["--transcript", "--csv"])
+    def test_repair_output_named_like_a_temporary_file(self, encoded_dir, capsys, option):
+        # a restored chunk is written to a fresh temporary name, so an output
+        # given the name a temporary chunk file might have cannot replace it
+        _, store, _ = encoded_dir
+        assert run_cli("fail", "--dir", store, "--nodes", "0,1") == 0
+        out = store / ".node1.mscr.tmp"
+        assert run_cli("repair", "--dir", store, "--helpers", "2,3", option, out) == 0
+        assert out.is_file()
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 0
+
+
+class TestFailedStreamsLeaveNothing:
+    """A command that fails after some blocks were written leaves no
+    temporary file, and the store byte for byte as it was."""
+
+    @pytest.fixture()
+    def store(self, tmp_path, monkeypatch):
+        # 20000 bytes are 35 stripes of 576, walked in five blocks of 8
+        monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)
+        src = tmp_path / "input.bin"
+        src.write_bytes(np.random.default_rng(3).integers(0, 256, size=20000,
+                                                          dtype=np.uint8).tobytes())
+        store = tmp_path / "store"
+        assert run_cli("encode", "--n", 6, "--k", 3, "--d", 4, "--h", 2, "--p", 257,
+                       "--input", src, "--out", store) == 0
+        assert Manifest.load(store).stripe_count == 35
+        return tmp_path, store
+
+    def test_encode(self, store, fail_halfway, capsys):
+        tmp_path, store = store
+        before = snapshot(store)
+        fail_halfway()
+        for out in (store, tmp_path / "new"):
+            assert run_cli("encode", "--n", 6, "--k", 3, "--d", 4, "--h", 2, "--p", 257,
+                           "--input", tmp_path / "input.bin", "--out", out) == 2
+            assert "error: [Errno 28] No space" in capsys.readouterr().err
+        assert snapshot(store) == before and not (tmp_path / "new").exists()
+
+    def test_repair_with_a_faulty_stripe(self, store, monkeypatch, capsys):
+        # one wrong symbol in stripe 27, in the fourth of the five blocks
+        tmp_path, store = store
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        before = snapshot(store)
+        real, calls = cli.run_repair, []
+
+        def faulty(job, surviving):
+            repaired, transcript = real(job, surviving)
+            calls.append(1)
+            if len(calls) == 28:
+                repaired[4] = repaired[4].copy()
+                repaired[4][0, 0] = (repaired[4][0, 0] + 1) % job.params.p
+            return repaired, transcript
+
+        monkeypatch.setattr(cli, "run_repair", faulty)
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5") == 2
+        assert capsys.readouterr().err == (
+            "error: node 4: restored chunk fails checksum verification; nothing written\n")
+        assert len(calls) == 35 and snapshot(store) == before
+
+    def test_repair(self, store, fail_halfway, capsys):
+        tmp_path, store = store
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        before = snapshot(store)
+        fail_halfway()
+        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5") == 2
+        assert "error: [Errno 28] No space" in capsys.readouterr().err
+        assert snapshot(store) == before
+
+    @pytest.mark.parametrize("fault", ["solver", "write"])
+    def test_decode(self, store, fail_halfway, monkeypatch, capsys, fault):
+        # an earlier output keeps its bytes; stripe 33 lies in the last block
+        tmp_path, store = store
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"an earlier output")
+        if fault == "solver":
+            real = code.solve_erased
+
+            def faulty(params, cols, erased):
+                real(params, cols, erased)
+                if len(cols[erased[0]]) == 3:
+                    cols[erased[0]][1, 0, 0] = (cols[erased[0]][1, 0, 0] + 1) % params.p
+
+            monkeypatch.setattr(code, "solve_erased", faulty)
+            expected = "error: symbols are not jointly on any codeword (stripe 33, plane 1)"
+        else:
+            fail_halfway()
+            expected = "error: [Errno 28] No space"
+        before = snapshot(store)
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out, "--nodes", "3,4,5") == 2
+        assert capsys.readouterr().err.startswith(expected)
+        assert out.read_bytes() == b"an earlier output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "out.bin", "store"]
+        assert snapshot(store) == before
 
 
 class TestTableAndParams:

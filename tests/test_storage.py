@@ -5,7 +5,9 @@ import math
 import os
 import stat
 import struct
+import tempfile
 import tracemalloc
+from contextlib import ExitStack
 from itertools import combinations
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mscr import code, storage
+from mscr import cli, code, storage
 from mscr.code import InconsistentCodewordError, encode, validate_params
 from mscr.storage import (
     ChecksumMismatchError,
@@ -21,7 +23,6 @@ from mscr.storage import (
     MANIFEST_NAME,
     Manifest,
     bits_per_symbol,
-    chunk_bytes,
     chunk_name,
     decode_file,
     encode_file,
@@ -34,7 +35,10 @@ from mscr.storage import (
     unpack_body,
     unpack_symbols,
     write_chunk,
+    write_replacing,
 )
+
+from conftest import chunk_bytes
 
 
 def expected_body_length(payload_len, p):
@@ -48,14 +52,46 @@ def sha256_hex(path):
 
 
 def encode_bytes(data, params):
-    """encode_file of `data`: (chunks, stripes, bodies), where bodies[i] is
-    node i's symbols parsed back from its chunk."""
-    chunks, stripes = encode_file(io.BytesIO(data), len(data), params)
+    """encode_file of `data` into chunk files: (chunks, stripes, bodies),
+    where chunks[i] is node i's chunk file and bodies[i] its flat symbols
+    read back through read_chunk."""
+    stripes = stripes_for(len(data), params)
     payload_len = stripes * params.N
-    body = expected_body_length(payload_len, params.p)
-    bodies = np.stack([unpack_body(bytes(chunk[len(chunk) - body:]), params.p, payload_len)
-                       for chunk in chunks])
-    return chunks, stripes, bodies
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / chunk_name(i) for i in range(params.n)]
+        with ExitStack() as stack:
+            writers = [stack.enter_context(write_chunk(path, params, i, payload_len))
+                       for i, path in enumerate(paths)]
+            assert encode_file(io.BytesIO(data), len(data), params, writers) == \
+                hashlib.sha256(data).hexdigest()
+            digests = [writer.sha256() for writer in writers]
+        chunks = [path.read_bytes() for path in paths]
+        assert digests == [hashlib.sha256(chunk).hexdigest() for chunk in chunks]
+        bodies = []
+        for i, path in enumerate(paths):
+            with read_chunk(path, digests[i], params, i, payload_len) as chunk:
+                bodies.append(chunk.block(0, stripes).reshape(-1))
+    return chunks, stripes, np.stack(bodies)
+
+
+class ArrayChunk:
+    """decode_file's view of a chunk (block(start, stop)), over an in-memory body."""
+
+    def __init__(self, body, params):
+        self.columns = np.asarray(body).reshape(-1, params.planes, params.s_pow_n)
+
+    def block(self, start, stop):
+        return self.columns[start:stop]
+
+
+def decode(bodies, params, length, stripes):
+    """decode_file of {node: flat body} into memory; returns the bytes, and
+    checks the digest decode_file returns against them."""
+    out = io.BytesIO()
+    digest = decode_file({i: ArrayChunk(body, params) for i, body in bodies.items()},
+                         params, length, stripes, out)
+    assert digest == hashlib.sha256(out.getvalue()).hexdigest()
+    return out.getvalue()
 
 
 class TestPacking:
@@ -114,10 +150,21 @@ class TestChunkIO:
     def test_roundtrip(self, tmp_path, example1):
         symbols = np.arange(96, dtype=np.int64) % example1.p
         path = tmp_path / chunk_name(2)
-        write_chunk(path, chunk_bytes(example1, 2, symbols))
-        got_symbols = read_chunk(path, sha256_hex(path), example1, 2, 96)
+        with write_chunk(path, example1, 2, 96) as chunk:
+            chunk.write(0, symbols.reshape(2, 3, 16))
+        assert path.read_bytes() == chunk_bytes(example1, 2, symbols)
+        with read_chunk(path, sha256_hex(path), example1, 2, 96) as chunk:
+            got_symbols = chunk.block(0, 2)
         assert got_symbols.dtype == np.uint16
-        assert np.array_equal(got_symbols, symbols)
+        assert np.array_equal(got_symbols.reshape(-1), symbols)
+
+    def test_chunk_not_filled_refused(self, tmp_path, example1):
+        # a chunk is committed only once every symbol is written
+        path = tmp_path / chunk_name(0)
+        with pytest.raises(ValueError, match="node 0: 48 of 96 symbols written"):
+            with write_chunk(path, example1, 0, 96) as chunk:
+                chunk.write(0, np.zeros((1, 3, 16), dtype=np.uint16))
+        assert list(tmp_path.iterdir()) == []
 
     # u32 header field index (after the magic) -> the disagreement it is refused for
     HEADER_FIELDS = {
@@ -157,7 +204,7 @@ class TestChunkIO:
     def test_truncated_body_rejected(self, tmp_path, example1):
         symbols = np.zeros(48, dtype=np.int64)
         path = tmp_path / chunk_name(0)
-        write_chunk(path, chunk_bytes(example1, 0, symbols))
+        write_replacing(path, chunk_bytes(example1, 0, symbols))
         raw = path.read_bytes()
         path.write_bytes(raw[:-2])
         with pytest.raises(ValueError, match="body"):
@@ -165,7 +212,7 @@ class TestChunkIO:
 
     def test_checksum_checked_before_parsing(self, tmp_path, example1):
         path = tmp_path / chunk_name(0)
-        write_chunk(path, chunk_bytes(example1, 0, np.zeros(48, dtype=np.int64)))
+        write_replacing(path, chunk_bytes(example1, 0, np.zeros(48, dtype=np.int64)))
         digest = sha256_hex(path)
         raw = bytearray(path.read_bytes())
         raw[0] ^= 1  # the damaged magic would fail to parse
@@ -175,7 +222,9 @@ class TestChunkIO:
 
     def test_out_of_field_symbol_rejected(self, tmp_path, example1):
         with pytest.raises(ValueError, match="reduced"):
-            chunk_bytes(example1, 0, np.array([0, 5], dtype=np.int64))
+            with write_chunk(tmp_path / chunk_name(0), example1, 0, 48) as chunk:
+                chunk.write(0, np.full((1, 3, 16), 5, dtype=np.int64))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBodyPacking:
@@ -201,8 +250,9 @@ class TestBodyPacking:
 class TestPackedBodyRejected:
     """Bodies whose sha256 matches the manifest but that do not parse."""
 
-    P, LENGTH = 257, 13  # 9-bit fields, and a length that is no multiple of 8
-    PARAMS = validate_params(6, 3, 4, 2, p=P)
+    # 9-bit fields, and one stripe of N = 243 symbols: no multiple of 8
+    P, LENGTH = 257, 243
+    PARAMS = validate_params(4, 1, 3, 1, p=P)
 
     def chunk(self, tmp_path, raw):
         path = tmp_path / chunk_name(0)
@@ -218,8 +268,9 @@ class TestPackedBodyRejected:
         symbols = np.arange(self.LENGTH, dtype=np.int64)
         symbols[5] = self.P  # fits in the 9-bit field, but is no field element
         path, digest = self.chunk(tmp_path, head + pack_body(symbols, self.P))
-        with pytest.raises(ValueError, match="out of field range"):
-            read_chunk(path, digest, self.PARAMS, 0, self.LENGTH)
+        with read_chunk(path, digest, self.PARAMS, 0, self.LENGTH) as chunk:
+            with pytest.raises(ValueError, match="node 0: .* out of field range"):
+                chunk.block(0, 1)
 
     @pytest.mark.parametrize("edit", [lambda raw: raw[:-1], lambda raw: raw + b"\x00"],
                              ids=["one-byte-short", "one-byte-long"])
@@ -235,17 +286,18 @@ class TestCrashSafeWrites:
     def test_chunk_write(self, tmp_path, example1, fail_halfway):
         path = tmp_path / chunk_name(0)
         old = chunk_bytes(example1, 0, np.zeros(48, dtype=np.int64))
-        write_chunk(path, old)
+        write_replacing(path, old)
         fail_halfway()
         with pytest.raises(OSError, match="No space"):
-            write_chunk(path, chunk_bytes(example1, 0, np.ones(48, dtype=np.int64)))
+            with write_chunk(path, example1, 0, 48) as chunk:
+                chunk.write(0, np.ones((1, 3, 16), dtype=np.uint16))
         assert path.read_bytes() == old
         assert list(tmp_path.iterdir()) == [path]
 
     def test_manifest_save(self, tmp_path, fail_halfway):
         manifest = Manifest(
             format=FORMAT_VERSION, n=4, k=1, d=2, h=2, p=5, lambdas=(0, 1, 2, 3), mus=(4,),
-            bits_per_symbol=2, original_length=100, stripe_count=9, chunks={}, failed=[],
+            bits_per_symbol=2, original_length=100, original_sha256="1" * 64, stripe_count=9, chunks={}, failed=[],
         )
         manifest.save(tmp_path)
         old = (tmp_path / MANIFEST_NAME).read_bytes()
@@ -291,12 +343,13 @@ class TestDurableRename:
     def test_directory_synced_after_rename(self, tmp_path, example1, events, target):
         if target == "chunk":
             path = tmp_path / chunk_name(0)
-            write_chunk(path, chunk_bytes(example1, 0, np.zeros(48, dtype=np.int64)))
+            with write_chunk(path, example1, 0, 48) as chunk:
+                chunk.write(0, np.zeros((1, 3, 16), dtype=np.uint16))
         else:
             path = tmp_path / MANIFEST_NAME
             Manifest(
                 format=FORMAT_VERSION, n=4, k=1, d=2, h=2, p=5, lambdas=(0, 1, 2, 3), mus=(4,),
-                bits_per_symbol=2, original_length=100, stripe_count=9, chunks={}, failed=[],
+                bits_per_symbol=2, original_length=100, original_sha256="1" * 64, stripe_count=9, chunks={}, failed=[],
             ).save(tmp_path)
         directory = os.stat(tmp_path)
         assert [e[0] for e in events] == ["fsync", "replace", "fsync"]
@@ -311,7 +364,7 @@ class TestManifest:
             format=FORMAT_VERSION,
             n=4, k=1, d=2, h=2, p=5,
             lambdas=(0, 1, 2, 3), mus=(4,),
-            bits_per_symbol=2, original_length=100, stripe_count=9,
+            bits_per_symbol=2, original_length=100, original_sha256="1" * 64, stripe_count=9,
             chunks={str(i): {"file": chunk_name(i), "sha256": "0" * 64} for i in range(4)},
             failed=[1],
         )
@@ -320,7 +373,7 @@ class TestManifest:
         assert got == manifest
         assert got.params() == example1
         manifest.failed = []
-        assert Manifest.new(example1, 100, 9, ["0" * 64] * 4) == manifest
+        assert Manifest.new(example1, 100, "1" * 64, 9, ["0" * 64] * 4) == manifest
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -348,7 +401,7 @@ class TestManifest:
     def test_malformed_field_named(self, tmp_path, field, value, match):
         Manifest(
             format=FORMAT_VERSION, n=4, k=1, d=2, h=2, p=5, lambdas=(0, 1, 2, 3), mus=(4,),
-            bits_per_symbol=2, original_length=100, stripe_count=9,
+            bits_per_symbol=2, original_length=100, original_sha256="1" * 64, stripe_count=9,
             chunks={str(i): {"file": chunk_name(i), "sha256": "0" * 64} for i in range(4)},
             failed=[],
         ).save(tmp_path)
@@ -374,21 +427,21 @@ class TestFileStriping:
         assert stripes == 17 == stripes_for(200, example1)
         assert bodies.shape == (4, 17 * 48)
         for subset in combinations(range(4), 1):
-            got = decode_file({i: bodies[i] for i in subset}, example1, 200, stripes)
+            got = decode({i: bodies[i] for i in subset}, example1, 200, stripes)
             assert got == data
 
     def test_empty_input_single_padding_stripe(self, example1):
         _, stripes, bodies = encode_bytes(b"", example1)
         assert stripes == 1
         assert not bodies.any()
-        assert decode_file({0: bodies[0]}, example1, 0, 1) == b""
+        assert decode({0: bodies[0]}, example1, 0, 1) == b""
 
     def test_exact_stripe_boundary(self):
         params = validate_params(4, 1, 2, 2, p=5)
         data = bytes(range(12))  # 96 bits = 48 two-bit symbols = exactly kN
         _, stripes, bodies = encode_bytes(data, params)
         assert stripes == 1
-        assert decode_file({2: bodies[2]}, params, len(data), stripes) == data
+        assert decode({2: bodies[2]}, params, len(data), stripes) == data
 
     def test_byte_symbols_with_large_field(self):
         params = validate_params(6, 3, 4, 2, p=257)
@@ -396,25 +449,32 @@ class TestFileStriping:
         data = bytes(range(256)) * 3  # 768 bytes -> 768 symbols -> 2 stripes
         _, stripes, bodies = encode_bytes(data, params)
         assert stripes == 2
-        got = decode_file({i: bodies[i] for i in (1, 3, 5)}, params, len(data), stripes)
+        got = decode({i: bodies[i] for i in (1, 3, 5)}, params, len(data), stripes)
         assert got == data
 
     def test_decode_needs_k_chunks(self, example1):
         _, stripes, _ = encode_bytes(b"hello", example1)
         with pytest.raises(ValueError, match="at least k"):
-            decode_file({}, example1, 5, stripes)
+            decode_file({}, example1, 5, stripes, io.BytesIO())
 
-    def test_decode_validates_body_length(self, example1):
-        _, stripes, bodies = encode_bytes(b"hello", example1)
-        with pytest.raises(ValueError, match="symbols"):
-            decode_file({0: bodies[0][:-1]}, example1, 5, stripes)
+    def test_decode_validates_body_length(self, tmp_path, example1):
+        # a chunk one stripe short of the file is refused when it is opened
+        _, stripes, bodies = encode_bytes(bytes(range(30)), example1)
+        assert stripes == 3
+        path = tmp_path / chunk_name(0)
+        write_replacing(path, chunk_bytes(example1, 0, bodies[0][:-example1.N]))
+        with pytest.raises(ValueError, match="wrong payload length"):
+            read_chunk(path, sha256_hex(path), example1, 0, stripes * example1.N)
 
     @pytest.mark.parametrize("given,match", [(b"abc", "ended after 3 of 4 bytes"),
                                              (b"abcde", "more than the 4 bytes")])
-    def test_input_of_another_length_refused(self, example1, given, match):
+    def test_input_of_another_length_refused(self, tmp_path, example1, given, match):
         # a file that shrinks or grows while it is read is never encoded
-        with pytest.raises(ValueError, match=match):
-            encode_file(io.BytesIO(given), 4, example1)
+        with pytest.raises(ValueError, match=match), ExitStack() as stack:
+            chunks = [stack.enter_context(write_chunk(tmp_path / chunk_name(i), example1, i, 48))
+                      for i in range(4)]
+            encode_file(io.BytesIO(given), 4, example1, chunks)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOriginalLength:
@@ -424,20 +484,21 @@ class TestOriginalLength:
     PARAMS = validate_params(6, 3, 4, 2, p=257)
 
     def test_length_of_another_stripe_count_refused(self, example1):
-        manifest = Manifest.new(example1, 100, stripes_for(100, example1), ["0" * 64] * 4)
+        manifest = Manifest.new(example1, 100, "1" * 64, stripes_for(100, example1),
+                                ["0" * 64] * 4)
         manifest.params()
         manifest.original_length = 10
         with pytest.raises(ValueError, match="'original_length' = 10 bytes fills 1 stripe"):
             manifest.params()
         with pytest.raises(ValueError, match="do not fill"):
-            decode_file({0: np.zeros(9 * 48, dtype=np.uint16)}, example1, 10, 9)
+            decode({0: np.zeros(9 * 48, dtype=np.uint16)}, example1, 10, 9)
 
     @staticmethod
     def encoded(data, p, nodes):
         params = validate_params(4, 1, 2, 2, p=p)
         _, stripes, bodies = encode_bytes(data, params)
         chosen = {0: bodies[0]} if nodes == "systematic" else {3: bodies[3]}
-        assert decode_file(chosen, params, len(data), stripes) == data
+        assert decode(chosen, params, len(data), stripes) == data
         return params, chosen, stripes
 
     @pytest.mark.parametrize("p", [5, 11, 257])
@@ -449,7 +510,7 @@ class TestOriginalLength:
         params, chosen, stripes = self.encoded(data, p, nodes)
         assert stripes_for(97, params) == stripes
         with pytest.raises(ValueError, match="past original_length = 97 bytes"):
-            decode_file(chosen, params, 97, stripes)
+            decode(chosen, params, 97, stripes)
 
     @pytest.mark.parametrize("p", [5, 11, 257])
     @pytest.mark.parametrize("nodes", ["systematic", "parity"])
@@ -458,7 +519,7 @@ class TestOriginalLength:
         # 98 bytes end inside a symbol whose first bit, byte 97's last, is set
         data = bytes(range(1, 98)) + b"\x01\x00\x00"
         params, chosen, stripes = self.encoded(data, p, nodes)
-        assert decode_file(chosen, params, 98, stripes) == data[:98]
+        assert decode(chosen, params, 98, stripes) == data[:98]
 
 
 class TestStripeBatchAgainstPerStripe:
@@ -500,7 +561,7 @@ class TestStripeBatchAgainstPerStripe:
         params, data = case
         _, stripes, bodies = encode_bytes(data, params)
         for subset in combinations(range(params.n), params.k):
-            got = decode_file({i: bodies[i] for i in subset}, params, len(data), stripes)
+            got = decode({i: bodies[i] for i in subset}, params, len(data), stripes)
             assert got == data, subset
 
 
@@ -557,7 +618,7 @@ class TestBlockWalk:
         params, data, (_, stripes, bodies) = case
         parity = tuple(range(params.n - params.k, params.n))
         for nodes in (tuple(range(params.k)), parity, (0,) + parity[1:]):
-            got = decode_file({i: bodies[i] for i in nodes}, params, len(data), stripes)
+            got = decode({i: bodies[i] for i in nodes}, params, len(data), stripes)
             assert got == data, nodes
 
     def test_empty_input(self, case):
@@ -565,7 +626,7 @@ class TestBlockWalk:
         _, stripes, bodies = encode_bytes(b"", params)
         assert stripes == 1 and not bodies.any()
         parity = {i: bodies[i] for i in range(params.n - params.k, params.n)}
-        assert decode_file(parity, params, 0, 1) == b""
+        assert decode(parity, params, 0, 1) == b""
 
     def test_inconsistency_named_at_its_file_stripe(self, case, monkeypatch):
         # a solve whose result breaks a check of local stripe 2 of the last
@@ -582,43 +643,90 @@ class TestBlockWalk:
         monkeypatch.setattr(code, "solve_erased", faulty)
         nodes = range(params.n - params.k, params.n)
         with pytest.raises(InconsistentCodewordError, match=r"stripe 26, plane 2"):
-            decode_file({i: bodies[i] for i in nodes}, params, len(data), stripes)
+            decode({i: bodies[i] for i in nodes}, params, len(data), stripes)
 
 
 class TestMemoryDoesNotGrowWithTheFile:
-    """encode_file and decode_file hold their chunks or output plus one block:
-    from a 1 MiB to a 4 MiB file their tracemalloc peak grows by at most 1.1
-    times the growth of the n chunks' bytes (2.25 bytes per input byte at
-    p = 257), not by whole-file symbol and work arrays."""
+    """Every command holds one block of stripes per node plus the job's
+    constant state: from a 1 MiB to a 4 MiB (6,3,4,2) p = 257 file, the
+    tracemalloc peak of each stage, run through cli.main, grows by at most
+    0.05 bytes per input byte (whole chunks would be 2.25)."""
 
-    PARAMS = validate_params(6, 3, 4, 2, p=257)
+    PARAMS = ["--n", "6", "--k", "3", "--d", "4", "--h", "2", "--p", "257"]
 
     @staticmethod
-    def peak(fn):
+    def peak(argv):
         tracemalloc.start()
         try:
-            result = fn()
-            return tracemalloc.get_traced_memory()[1], result
+            assert cli.main([str(a) for a in argv]) == 0, argv
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_peak_growth(self):
-        params, rng = self.PARAMS, np.random.default_rng(4)
-        peaks = []
-        for size in (1 << 20, 4 << 20):
-            data = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-            encode_peak, (chunks, stripes) = self.peak(
-                lambda: encode_file(io.BytesIO(data), size, params))
-            _, _, bodies = encode_bytes(data, params)
-            parity = {i: bodies[i] for i in (3, 4, 5)}
-            decode_peak, got = self.peak(lambda: decode_file(parity, params, size, stripes))
-            assert got == data
-            peaks.append((sum(map(len, chunks)), encode_peak, decode_peak))
-            del chunks, bodies, parity, got
-        (small_chunks, *small), (large_chunks, *large) = peaks
-        allowed = 1.1 * (large_chunks - small_chunks)
-        assert large[0] - small[0] <= allowed, ("encode", small, large, allowed)
-        assert large[1] - small[1] <= allowed, ("decode", small, large, allowed)
+    def lifecycle(self, tmp_path, size):
+        data = np.random.default_rng(size).integers(0, 256, size=size, dtype=np.uint8).tobytes()
+        src, store = tmp_path / f"in{size}.bin", tmp_path / f"store{size}"
+        src.write_bytes(data)
+        peaks = {"encode": self.peak(["encode", *self.PARAMS, "--input", src, "--out", store])}
+        assert cli.main(["fail", "--dir", str(store), "--nodes", "1,4"]) == 0
+        peaks["repair"] = self.peak(["repair", "--dir", store, "--helpers", "0,2,3,5"])
+        peaks["verify"] = self.peak(["verify", "--dir", store])
+        for stage, nodes in (("decode_sys", "0,1,2"), ("decode_parity", "3,4,5")):
+            out = tmp_path / f"{stage}{size}.bin"
+            peaks[stage] = self.peak(["decode", "--dir", store, "--out", out, "--nodes", nodes])
+            assert out.read_bytes() == data
+        return peaks
+
+    def test_peak_growth(self, tmp_path, capsys):
+        # the larger file first, so caches the first run builds count against it
+        large, small = (self.lifecycle(tmp_path, size) for size in (4 << 20, 1 << 20))
+        allowed = 0.05 * (3 << 20)
+        for stage in large:
+            assert large[stage] - small[stage] <= allowed, (stage, small[stage], large[stage])
+
+
+class TestBlockReader:
+    """ChunkReader.block(start, stop) preads one block's byte range of every
+    plane; it must equal the matching slice of the whole chunk."""
+
+    @pytest.mark.parametrize("nkdh,p", [
+        ((4, 1, 2, 2), 7),  # three bit planes
+        ((4, 1, 2, 2), 11),  # four bit planes
+        ((4, 1, 2, 2), 257),  # one byte plane and one bit plane
+        ((4, 1, 3, 1), 257),  # N = 243, no multiple of 8
+        ((4, 1, 2, 2), 13399),  # one byte plane and six bit planes
+        ((4, 1, 2, 2), 65521),  # two byte planes
+    ])
+    @pytest.mark.parametrize("stripes", [1, 21])
+    def test_block_is_slice_of_whole_chunk(self, tmp_path, monkeypatch, nkdh, p, stripes):
+        params = validate_params(*nkdh, p=p)
+        rng = np.random.default_rng(p + stripes)
+        symbols = rng.integers(0, p, size=(stripes, params.planes, params.s_pow_n), dtype=np.uint16)
+        path = tmp_path / chunk_name(1)
+        write_replacing(path, chunk_bytes(params, 1, symbols))
+        monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)  # blocks of 8 stripes
+        spans = storage.blocks(params, stripes)
+        assert spans[-1] == ((16, 21) if stripes == 21 else (0, 1))  # a partial last block
+        with read_chunk(path, sha256_hex(path), params, 1, stripes * params.N) as chunk:
+            for start, stop in spans:
+                got = chunk.block(start, stop)
+                assert got.dtype == np.uint16 and np.array_equal(got, symbols[start:stop])
+
+    @pytest.mark.parametrize("rewrite", ["same-size", "grown"])
+    def test_chunk_rewritten_during_read_refused(self, tmp_path, example1, rewrite):
+        symbols = np.arange(16 * 48, dtype=np.uint16).reshape(16, 3, 16) % example1.p
+        path = tmp_path / chunk_name(2)
+        write_replacing(path, chunk_bytes(example1, 2, symbols))
+        with read_chunk(path, sha256_hex(path), example1, 2, 16 * 48) as chunk:
+            assert np.array_equal(chunk.block(0, 8), symbols[:8])
+            before = path.stat()
+            with open(path, "r+b") as fh:  # in place: the open chunk sees the new bytes
+                fh.seek(-1, os.SEEK_END)
+                fh.write(b"\x00" if rewrite == "same-size" else b"\x00\x00")
+            # a timestamp tick may be coarser than the rewrite, so it is set apart
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+            with pytest.raises(ValueError, match="node 2: .* changed while it was read"):
+                chunk.block(8, 16)
 
 
 def test_truncated_header_rejected(tmp_path, example1):

@@ -2,13 +2,13 @@
 cooperatively, verify, decode, and print the access-comparison table.
 
 Configuration comes from flags, optionally backed by a JSON config file
-(--config); flags win over config values.
+(--config) whose keys are options of the commands; flags win over config
+values.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
@@ -31,22 +31,28 @@ class CliError(Exception):
     """Operational error with a message for stderr."""
 
 
-def _load_config(path: str | None) -> dict:
+def _merge_config(parser: argparse.ArgumentParser, args) -> None:
+    """Fill every option not given as a flag from the JSON object in the
+    file --config.  One file may drive a whole experiment, so a key may be
+    an option of any command, and nothing else."""
+    path = getattr(args, "config", None)
     if not path:
-        return {}
-    cfg = json.loads(Path(path).read_text())
-    if not isinstance(cfg, dict):
+        return
+    try:
+        config = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CliError(f"config {path}: not JSON: {exc}") from None
+    if not isinstance(config, dict):
         raise CliError(f"config {path} must hold a JSON object")
-    return cfg
-
-
-def _cfg(args, config: dict, key: str, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+    (commands,) = [action for action in parser._actions if action.dest == "command"]
+    keys = {action.dest for sp in commands.choices.values()
+            for action in sp._actions} - {"help", "config"}
+    for key in config:
+        if key not in keys:
+            raise CliError(f"config {path}: key {key!r} is not an option of any command")
+    for key, value in config.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
 def _parse_nodes(text) -> list[int]:
@@ -58,32 +64,31 @@ def _parse_nodes(text) -> list[int]:
         raise CliError(f"cannot parse node list {text!r}")
 
 
-def _require(args, config: dict, key: str):
-    val = _cfg(args, config, key)
+def _require(args, key: str):
+    val = getattr(args, key)
     if val is None:
         raise CliError(f"missing required option --{key}")
     return val
 
 
-def _params_from(args, config: dict):
-    vals = {}
+def _params_from(args):
     for key in ("n", "k", "d", "h"):
-        v = _cfg(args, config, key)
-        if v is None:
+        if getattr(args, key) is None:
             raise CliError(f"missing required parameter --{key}")
-        vals[key] = int(v)
-    p = _cfg(args, config, "p")
-    return validate_params(vals["n"], vals["k"], vals["d"], vals["h"],
-                           p=None if p is None else int(p))
+    return validate_params(int(args.n), int(args.k), int(args.d), int(args.h),
+                           p=None if args.p is None else int(args.p))
 
 
-def _chunk_path(directory: Path, manifest: storage.Manifest, node: int) -> Path:
-    return directory / manifest.chunks[str(node)]["file"]
+def _store(args):
+    """(directory, manifest, params) of the store in --dir."""
+    directory = Path(_require(args, "dir"))
+    manifest = storage.Manifest.load(directory)
+    return directory, manifest, manifest.params()
 
 
 def _open_chunk(directory: Path, manifest: storage.Manifest, params,
                 node: int) -> storage.ChunkReader:
-    return storage.read_chunk(_chunk_path(directory, manifest, node),
+    return storage.read_chunk(directory / storage.chunk_name(node),
                               manifest.chunks[str(node)]["sha256"], params, node,
                               manifest.stripe_count * params.N)
 
@@ -91,7 +96,7 @@ def _open_chunk(directory: Path, manifest: storage.Manifest, params,
 def _checked_chunk(directory: Path, manifest: storage.Manifest, params, node: int):
     """(open chunk, None) for a chunk that reads and agrees with the manifest,
     else (None, a one-line problem naming the node)."""
-    path = _chunk_path(directory, manifest, node)
+    path = directory / storage.chunk_name(node)
     if not path.exists():
         return None, f"node {node}: chunk missing at {path}"
     try:
@@ -107,7 +112,7 @@ def _refuse_store_file(directory: Path, manifest: storage.Manifest, option: str,
     chunk of the store: writing it would destroy the store."""
     files = [directory / storage.MANIFEST_NAME]
     for i in range(len(manifest.chunks)):
-        chunk = _chunk_path(directory, manifest, i)
+        chunk = directory / storage.chunk_name(i)
         files += [chunk, chunk.with_name(chunk.name + storage.QUARANTINE_SUFFIX)]
     if os.path.realpath(path) in {os.path.realpath(f) for f in files}:
         raise CliError(f"{option} {path} is a file of the store in {directory}; nothing written")
@@ -127,26 +132,23 @@ def _open_input(stack: ExitStack, path):
 
 
 def cmd_encode(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
-    out_dir = Path(_require(args, config, "out"))
-    input_path = _cfg(args, config, "input")
-    random_bytes = _cfg(args, config, "random_bytes")
-    if (input_path is None) == (random_bytes is None):
+    params = _params_from(args)
+    out_dir = Path(_require(args, "out"))
+    if (args.input is None) == (args.random_bytes is None):
         raise CliError("give exactly one of --input or --random-bytes")
     with ExitStack() as inputs:
-        if input_path is not None:
-            fh, original_length, before = _open_input(inputs, input_path)
+        if args.input is not None:
+            fh, original_length, before = _open_input(inputs, args.input)
         else:
-            rng = np.random.default_rng(int(_cfg(args, config, "seed", 0)))
-            data = rng.integers(0, 256, size=int(random_bytes), dtype=np.uint8).tobytes()
+            rng = np.random.default_rng(int(args.seed or 0))
+            data = rng.integers(0, 256, size=int(args.random_bytes), dtype=np.uint8).tobytes()
             fh, original_length, before = io.BytesIO(data), len(data), None
         # the input is open before the store directory is made, and a failed
         # encode removes a directory it made
         made = not out_dir.exists()
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
-            if input_path is None:
+            if args.input is None:
                 source = out_dir / "source.bin"
                 storage.write_replacing(source, data)
                 print(f"wrote generated input to {source}")
@@ -159,7 +161,7 @@ def cmd_encode(args) -> int:
                 if before is not None:
                     after = os.fstat(fh.fileno())
                     if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
-                        raise CliError(f"input {input_path} changed while it was read; "
+                        raise CliError(f"input {args.input} changed while it was read; "
                                        "nothing written")
                 digests = [chunk.sha256() for chunk in chunks]
             storage.Manifest.new(params, original_length, original_sha256, stripes,
@@ -174,23 +176,17 @@ def cmd_encode(args) -> int:
 
 
 def cmd_fail(args) -> int:
-    config = _load_config(args.config)
-    directory = Path(_require(args, config, "dir"))
-    manifest = storage.Manifest.load(directory)
-    params = manifest.params()
-    nodes = sorted(set(_parse_nodes(_require(args, config, "nodes"))))
+    directory, manifest, params = _store(args)
+    nodes = sorted(set(_parse_nodes(_require(args, "nodes"))))
     if len(nodes) != params.h:
         raise CliError(f"repair supports exactly h={params.h} failures, got {len(nodes)}")
-    already = set(manifest.failed)
     for i in nodes:
         if not 0 <= i < params.n:
             raise CliError(f"node {i} out of range [0,{params.n})")
-        if i in already:
-            raise CliError(f"node {i} is already failed")
-    if already:
-        raise CliError(f"nodes {sorted(already)} are already failed; repair them first")
+    if manifest.failed:
+        raise CliError(f"nodes {sorted(manifest.failed)} are already failed; repair them first")
     for i in nodes:
-        path = _chunk_path(directory, manifest, i)
+        path = directory / storage.chunk_name(i)
         if not path.exists():
             raise CliError(f"chunk for node {i} not found at {path}")
         path.rename(path.with_name(path.name + storage.QUARANTINE_SUFFIX))
@@ -253,17 +249,14 @@ def _write_report(job: RepairJob, transcript, stripes: int, transcript_path: Pat
 
 
 def cmd_repair(args) -> int:
-    config = _load_config(args.config)
-    directory = Path(_require(args, config, "dir"))
-    manifest = storage.Manifest.load(directory)
-    params = manifest.params()
+    directory, manifest, params = _store(args)
     failed = sorted(manifest.failed)
     if not failed:
         raise CliError("no failed nodes recorded in the manifest")
-    helpers = sorted(set(_parse_nodes(_require(args, config, "helpers"))))
+    helpers = sorted(set(_parse_nodes(_require(args, "helpers"))))
     job = RepairJob(params, tuple(failed), tuple(helpers))  # checks the count and overlap
-    transcript_path = Path(_cfg(args, config, "transcript") or directory / "transcript.txt")
-    csv_arg = _cfg(args, config, "csv")
+    transcript_path = Path(args.transcript or directory / "transcript.txt")
+    csv_arg = args.csv
     _refuse_store_file(directory, manifest, "--transcript", transcript_path)
     if csv_arg:
         _refuse_store_file(directory, manifest, "--csv", csv_arg)
@@ -276,7 +269,7 @@ def cmd_repair(args) -> int:
         sources = [stack.enter_context(_open_chunk(directory, manifest, params, u))
                    for u in helpers]
         restored = [stack.enter_context(storage.write_chunk(
-            _chunk_path(directory, manifest, i), params, i, stripes * params.N)) for i in failed]
+            directory / storage.chunk_name(i), params, i, stripes * params.N)) for i in failed]
         for start, stop in storage.blocks(params, stripes):
             block = [source.block(start, stop) for source in sources]
             # repaired[st, j]: failed node j's column of stripe start + st
@@ -300,7 +293,7 @@ def cmd_repair(args) -> int:
 
         lines = _write_report(job, first_transcript, stripes, transcript_path, csv_arg)
     for i in failed:
-        path = _chunk_path(directory, manifest, i)
+        path = directory / storage.chunk_name(i)
         path.with_name(path.name + storage.QUARANTINE_SUFFIX).unlink(missing_ok=True)
     manifest.failed = []
     manifest.save(directory)
@@ -310,9 +303,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    directory = Path(args.dir)
-    manifest = storage.Manifest.load(directory)
-    params = manifest.params()
+    directory, manifest, params = _store(args)
     failed = set(manifest.failed)
     stripes = manifest.stripe_count
     problems = []
@@ -328,62 +319,52 @@ def cmd_verify(args) -> int:
                 continue
             chunks[i] = stack.enter_context(chunk)
             print(f"node {i}: checksum OK")
-        # parity needs every chunk, and the original bytes the k systematic ones
-        parity = len(chunks) == params.n
-        parity_skipped = "not all chunks available"
-        systematic = all(i in chunks for i in range(params.k))
+        # the parity sweep needs every chunk, and stops after a block that does not read
+        skipped = None if len(chunks) == params.n else "not all chunks available"
         bad = np.zeros(stripes, dtype=bool)
-        digest, length_problem = hashlib.sha256(), None
         for start, stop in storage.blocks(params, stripes):
-            if not (parity or systematic):
+            if skipped:
                 break
-            block = {}
-            for i in range(params.n if parity else params.k):
+            block = []
+            for i in range(params.n):
                 try:
-                    block[i] = chunks[i].block(start, stop)
-                except storage.BadBlockError as exc:  # the check needing node i stops
+                    block.append(chunks[i].block(start, stop))
+                except storage.BadBlockError as exc:  # named once: no later read of node i
                     problems.append(str(exc))
-                    parity, parity_skipped = False, f"node {i} does not read"
-                    systematic = systematic and i >= params.k
-            if parity:
-                bad[start:stop] = failing_checks(params, list(block.values())).any(axis=1)
-            if systematic and length_problem is None:
-                try:
-                    digest.update(storage.file_bytes(params, [block[i] for i in range(params.k)],
-                                                     start, stop, manifest.original_length,
-                                                     stripes))
-                except ValueError as exc:
-                    length_problem = f"manifest: {exc}"
+                    del chunks[i]
+                    skipped = f"node {i} does not read"
+            if not skipped:
+                bad[start:stop] = failing_checks(params, block).any(axis=1)
             del block  # freed before the next block is read
-    if parity:
-        problems.extend(f"stripe {st}: parity checks fail" for st in np.flatnonzero(bad))
-        if not bad.any():
-            print(f"parity: all {stripes} stripe(s) satisfy every check")
-    else:
-        print(f"parity: skipped ({parity_skipped})")
-    if systematic and length_problem is None:
-        try:
-            manifest.check_decoded(digest.hexdigest())
-        except ValueError as exc:
-            length_problem = f"manifest: {exc}"
-    if length_problem:
-        problems.append(length_problem)
+        if skipped:
+            print(f"parity: skipped ({skipped})")
+        else:
+            problems.extend(f"stripe {st}: parity checks fail" for st in np.flatnonzero(bad))
+            if not bad.any():
+                print(f"parity: all {stripes} stripe(s) satisfy every check")
+        # the k systematic chunks hold the file verbatim: decode it from them
+        if all(i in chunks for i in range(params.k)):
+            try:
+                with open(os.devnull, "wb") as sink:
+                    manifest.check_decoded(storage.decode_file(
+                        {i: chunks[i] for i in range(params.k)}, params,
+                        manifest.original_length, stripes, sink))
+            except storage.BadBlockError as exc:
+                problems.append(str(exc))
+            except ValueError as exc:
+                problems.append(f"manifest: {exc}")
     for msg in problems:
         print(f"PROBLEM: {msg}", file=sys.stderr)
     return 1 if problems else 0
 
 
 def cmd_decode(args) -> int:
-    config = _load_config(args.config)
-    directory = Path(_require(args, config, "dir"))
-    manifest = storage.Manifest.load(directory)
-    params = manifest.params()
-    out_path = Path(_require(args, config, "out"))
+    directory, manifest, params = _store(args)
+    out_path = Path(_require(args, "out"))
     _refuse_store_file(directory, manifest, "--out", out_path)
     failed = set(manifest.failed)
-    nodes = _cfg(args, config, "nodes")
-    if nodes:
-        wanted = sorted(set(_parse_nodes(nodes)))
+    if args.nodes:
+        wanted = sorted(set(_parse_nodes(args.nodes)))
     else:
         wanted = [i for i in range(params.n) if i not in failed]
     for i in wanted:
@@ -436,8 +417,12 @@ def cmd_table(args) -> int:
     rows = list(metrics.DEFAULT_TABLE_ROWS)
     if args.extra:
         for part in args.extra.split(";"):
-            dk, h = part.split(",")
-            rows.append((int(dk), int(h)))
+            try:
+                dk, h = map(int, part.split(","))
+            except ValueError:
+                raise CliError(f"--extra row {part!r} is not two integers dk,h; "
+                               'give rows as "dk,h;dk,h"') from None
+            rows.append((dk, h))
     table = metrics.comparison_table(rows)
     print(metrics.render_table_text(table))
     if args.csv:
@@ -447,8 +432,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_params_check(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
+    params = _params_from(args)
     b = metrics.bounds(params)
     g = metrics.g_ratio(params.d - params.k, params.h)
     print(f"valid: n={params.n} k={params.k} d={params.d} h={params.h}")
@@ -525,6 +509,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _merge_config(parser, args)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

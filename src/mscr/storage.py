@@ -547,8 +547,8 @@ def _check_padding(params: CodeParams, last_stripe: np.ndarray, original_length:
                          f"= {original_length} bytes, which encode pads with zeros")
 
 
-def file_bytes(params: CodeParams, message: list[np.ndarray], start: int, stop: int,
-               original_length: int, stripe_count: int) -> bytes:
+def _file_bytes(params: CodeParams, message: list[np.ndarray], start: int, stop: int,
+                original_length: int, stripe_count: int) -> bytes:
     """The file's bytes held by stripes [start, stop), from their k
     systematic (stop - start, planes, s^n) columns.  The block that ends the
     file must have zero padding (a ValueError names original_length)."""
@@ -570,7 +570,7 @@ def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_c
     chunks by code.erase_decode, whose parity sweep must pass before the
     block is unpacked (InconsistentCodewordError otherwise, naming the
     stripe in the file).  The last stripe's padding must be zero
-    (file_bytes).
+    (_file_bytes).
     """
     if len(chunks) < params.k:
         raise ValueError(f"need at least k={params.k} chunks to decode, got {len(chunks)}")
@@ -586,8 +586,8 @@ def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_c
                 block = code.erase_decode(params, block)
             except InconsistentCodewordError as exc:
                 raise InconsistentCodewordError(start + exc.stripe, exc.plane) from None
-        data = file_bytes(params, [block[i] for i in range(params.k)], start, stop,
-                          original_length, stripe_count)
+        data = _file_bytes(params, [block[i] for i in range(params.k)], start, stop,
+                           original_length, stripe_count)
         del block  # freed before the next block is read: one block at a time
         digest.update(data)
         out.write(data)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -227,6 +228,44 @@ class TestVerifyAndDecode:
         assert run_cli("verify", "--dir", store) == 1
         problems = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("PROBLEM")]
         assert problems == [f"PROBLEM: stripe {stripe}: parity checks fail"]
+
+    def test_verify_reports_the_stripe_before_the_manifest(self, encoded_dir, capsys):
+        _, store, _ = encoded_dir
+        manifest = Manifest.load(store)
+        params = manifest.params()
+        path = store / manifest.chunks["3"]["file"]
+        symbols = chunk_symbols(store, manifest, 3)
+        symbols[params.N + 2] = (symbols[params.N + 2] + 1) % params.p
+        write_replacing(path, chunk_bytes(params, 3, symbols))
+        manifest.chunks["3"]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest.original_sha256 = "0" * 64
+        manifest.save(store)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "PROBLEM: stripe 1: parity checks fail",
+            "PROBLEM: manifest: the decoded 3000 bytes do not match manifest field "
+            "'original_sha256'"]
+
+    def test_verify_reads_the_file_back_through_decode_file(self, encoded_dir, capsys,
+                                                            monkeypatch):
+        _, store, _ = encoded_dir
+        real = storage.decode_file
+
+        def last_byte_flipped(chunks, params, original_length, stripe_count, out):
+            data = io.BytesIO()
+            real(chunks, params, original_length, stripe_count, data)
+            data = data.getvalue()[:-1] + bytes([data.getvalue()[-1] ^ 1])
+            out.write(data)
+            return hashlib.sha256(data).hexdigest()
+
+        monkeypatch.setattr(storage, "decode_file", last_byte_flipped)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        captured = capsys.readouterr()
+        assert "satisfy every check" in captured.out
+        assert captured.err == ("PROBLEM: manifest: the decoded 3000 bytes do not match "
+                                "manifest field 'original_sha256'\n")
 
     def test_verify_reports_quarantined(self, encoded_dir, capsys):
         _, store, _ = encoded_dir
@@ -879,7 +918,7 @@ class TestBenchmarkContract:
         assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
         assert stage("repair", "--dir", store, "--helpers", "0,2,3,5") == (
             node(0, 2, 3, 5), node(1, 4), 0)
-        assert stage("verify", "--dir", store) == (node(*range(6)), [], 0)
+        assert stage("verify", "--dir", store) == (node(*range(6)), [], 1)
         assert stage("decode", "--dir", store, "--out", tmp_path / "a.bin") == (node(0, 1, 2), [], 1)
         assert stage("decode", "--dir", store, "--out", tmp_path / "b.bin",
                      "--nodes", "3,4,5") == (node(3, 4, 5), [], 1)
@@ -1051,6 +1090,17 @@ class TestTableAndParams:
         assert "error: [Errno 28] No space" in capsys.readouterr().err
         assert csv.read_text() == "old\n" and list(tmp_path.iterdir()) == [csv]
 
+    @pytest.mark.parametrize("extra", ["1", "1,x", "6,2;1,2,3"])
+    def test_table_malformed_extra_row_named(self, tmp_path, capsys, extra):
+        csv = tmp_path / "t.csv"
+        assert run_cli("table", "--extra", extra, "--csv", csv) == 2
+        captured = capsys.readouterr()
+        bad = extra.split(";")[-1]
+        assert captured.out == ""
+        assert captured.err == (f"error: --extra row {bad!r} is not two integers dk,h; "
+                                'give rows as "dk,h;dk,h"\n')
+        assert not csv.exists()
+
     def test_params_check(self, capsys):
         assert run_cli("params-check", "--n", 4, "--k", 1, "--d", 2, "--h", 2, "--p", 5) == 0
         out = capsys.readouterr().out
@@ -1098,6 +1148,34 @@ class TestConfigFile:
         out = tmp_path / "roundtrip.bin"
         assert run_cli("decode", "--config", cfg, "--out", out) == 0
         assert out.read_bytes() == (store / "source.bin").read_bytes()
+
+    @pytest.mark.parametrize("key", ["sed", "config", "func"])
+    def test_unknown_key_refused(self, tmp_path, capsys, key):
+        # "sed" for "seed" once encoded seed-0 data without a word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "k": 1, "d": 2, "h": 2, "random_bytes": 64, key: 5}))
+        store = tmp_path / "s"
+        assert run_cli("encode", "--config", cfg, "--out", store) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config {cfg}: key {key!r} is not an option of any command\n"
+        assert not store.exists()
+
+    def test_every_option_of_every_command_is_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n": 4, "k": 1, "d": 2, "h": 2, "p": 5, "input": "data.bin", "random_bytes": 10,
+            "seed": 1, "out": "s", "dir": "s", "nodes": "2,3", "helpers": "0,1",
+            "transcript": "t.txt", "csv": "m.csv", "extra": "1,2"}))
+        assert run_cli("params-check", "--config", cfg) == 0
+        assert "p=5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("raw", [b"\x82{", b"{not JSON"], ids=["bytes", "text"])
+    def test_undecodable_config_named(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(raw)
+        assert run_cli("params-check", "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {cfg}: not JSON: ")
 
     def test_missing_required_after_config(self, tmp_path, capsys):
         assert run_cli("fail", "--nodes", "0,1") == 2

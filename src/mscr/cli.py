@@ -31,10 +31,18 @@ class CliError(Exception):
     """Operational error with a message for stderr."""
 
 
+def _is_int(value) -> bool:
+    """A JSON integer (JSON true and false load as bool, an int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _merge_config(parser: argparse.ArgumentParser, args) -> None:
     """Fill every option not given as a flag from the JSON object in the
     file --config.  One file may drive a whole experiment, so a key may be
-    an option of any command, and nothing else."""
+    an option of any command, and nothing else.  Each value must have its
+    option's type: a JSON integer for an integer option (a fraction is never
+    truncated), a string for any other, and a node list may also be a list
+    of JSON integers."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -45,23 +53,40 @@ def _merge_config(parser: argparse.ArgumentParser, args) -> None:
     if not isinstance(config, dict):
         raise CliError(f"config {path} must hold a JSON object")
     (commands,) = [action for action in parser._actions if action.dest == "command"]
-    keys = {action.dest for sp in commands.choices.values()
-            for action in sp._actions} - {"help", "config"}
-    for key in config:
-        if key not in keys:
-            raise CliError(f"config {path}: key {key!r} is not an option of any command")
+    types = {action.dest: action.type for sp in commands.choices.values()
+             for action in sp._actions if action.dest not in ("help", "config")}
     for key, value in config.items():
+        if key not in types:
+            raise CliError(f"config {path}: key {key!r} is not an option of any command")
+        if value is None:  # null leaves the option unset
+            continue
+        if types[key] is int:
+            ok, want = _is_int(value), "an integer"
+        elif key in ("nodes", "helpers"):  # node lists (_parse_nodes), also [1, 4]
+            ok = isinstance(value, str) or (isinstance(value, list) and all(map(_is_int, value)))
+            want = "a string or a list of integers"
+        else:
+            ok, want = isinstance(value, str), "a string"
+        if not ok:
+            raise CliError(f"config {path}: key {key!r} must be {want}, got {value!r}")
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 
 
 def _parse_nodes(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(x) for x in text]
-    try:
-        return [int(tok) for tok in str(text).replace(",", " ").split()]
-    except ValueError:
-        raise CliError(f"cannot parse node list {text!r}")
+    """Node indices from "1,4" or "1 4", or from a list of integers; an
+    index given twice is refused."""
+    if isinstance(text, list):
+        nodes = list(text)
+    else:
+        try:
+            nodes = [int(tok) for tok in text.replace(",", " ").split()]
+        except ValueError:
+            raise CliError(f"cannot parse node list {text!r}") from None
+    for i in nodes:
+        if nodes.count(i) > 1:
+            raise CliError(f"node {i} is listed twice in {text!r}")
+    return nodes
 
 
 def _require(args, key: str):
@@ -177,7 +202,7 @@ def cmd_encode(args) -> int:
 
 def cmd_fail(args) -> int:
     directory, manifest, params = _store(args)
-    nodes = sorted(set(_parse_nodes(_require(args, "nodes"))))
+    nodes = sorted(_parse_nodes(_require(args, "nodes")))
     if len(nodes) != params.h:
         raise CliError(f"repair supports exactly h={params.h} failures, got {len(nodes)}")
     for i in nodes:
@@ -253,7 +278,7 @@ def cmd_repair(args) -> int:
     failed = sorted(manifest.failed)
     if not failed:
         raise CliError("no failed nodes recorded in the manifest")
-    helpers = sorted(set(_parse_nodes(_require(args, "helpers"))))
+    helpers = sorted(_parse_nodes(_require(args, "helpers")))
     job = RepairJob(params, tuple(failed), tuple(helpers))  # checks the count and overlap
     transcript_path = Path(args.transcript or directory / "transcript.txt")
     csv_arg = args.csv
@@ -364,7 +389,7 @@ def cmd_decode(args) -> int:
     _refuse_store_file(directory, manifest, "--out", out_path)
     failed = set(manifest.failed)
     if args.nodes:
-        wanted = sorted(set(_parse_nodes(args.nodes)))
+        wanted = sorted(_parse_nodes(args.nodes))
     else:
         wanted = [i for i in range(params.n) if i not in failed]
     for i in wanted:

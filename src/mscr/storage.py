@@ -4,7 +4,7 @@ Chunk layout (all integers little-endian):
     magic   4 bytes  b"MSCR"
     u32 x 9          version, n, k, d, h, p, node_index, payload_len, bits_per_symbol
     u32 x (n+s-1)    evaluation points: lambdas then mus
-    body             payload_len symbols packed at w = ceil(log2 p) bits each
+    body             payload_len symbols packed at the node's width (node_width)
 
 payload_len = stripe_count * N.  Files longer than one stripe are striped:
 consecutive kN-symbol runs of the message are independent codewords and each
@@ -22,15 +22,20 @@ p < 2^16, so every symbol fits, and the solver's wider arithmetic lives only
 in its work arrays, of one block.
 
 Two widths are involved.  Message packing (pack_bytes) maps the file's bytes
-to symbols at bits_per_symbol(p) bits each: 8 when p > 255, otherwise
-floor(log2 p), MSB-first within the bitstream, so every message symbol is < p.
-The header records that width and the manifest the original byte length and
-its sha256.  Chunk bodies store every symbol, parity included, at the
-field's full width w = stored_width(p) = ceil(log2 p): first floor(w/8) byte
-planes, each holding one byte of every symbol, low byte first; then w mod 8
-bit planes, each the np.packbits of one bit of every symbol, lowest
-remaining bit first.  So a body is payload_len * floor(w/8) + (w mod 8) *
-ceil(payload_len/8) bytes (body_length).
+to symbols at m = bits_per_symbol(p) bits each: 8 when p > 255, otherwise
+floor(log2 p), MSB-first within the bitstream, so every message symbol is
+below 2^m <= p.  The header records m and the manifest the original byte
+length and its sha256.  A chunk body stores each symbol at its node's width
+(node_width): the k systematic chunks hold message symbols, stored at m
+bits, and the r parity chunks hold any field element, stored at the field's
+full width w = stored_width(p) = ceil(log2 p).  A body of width b is first
+floor(b/8) byte planes, each holding one byte of every symbol, low byte
+first; then b mod 8 bit planes, each the np.packbits of one bit of every
+symbol, lowest remaining bit first.  So it is payload_len * floor(b/8) +
+(b mod 8) * ceil(payload_len/8) bytes (body_length), and at p > 255 a
+systematic body is node i's message bytes, stripe after stripe.  This is
+chunk format 3; format 2 stored every chunk at w, and its parity bodies are
+the same bytes as format 3's.
 
 Only this module knows the format.  write_chunk derives the header from the
 code's parameters and the node; read_chunk checks the whole header, every
@@ -57,7 +62,7 @@ from . import code
 from .code import CodeParams, InconsistentCodewordError, validate_params
 
 MAGIC = b"MSCR"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 QUARANTINE_SUFFIX = ".failed"
 # Symbols per node in one block of stripes (see blocks).  The solver's work
@@ -117,51 +122,61 @@ def stored_width(p: int) -> int:
     return (p - 1).bit_length()
 
 
-def body_length(payload_len: int, p: int) -> int:
-    """Bytes of a chunk body holding payload_len symbols."""
-    w = stored_width(p)
-    return payload_len * (w // 8) + (w % 8) * -(-payload_len // 8)
+def node_width(params: CodeParams, node: int) -> int:
+    """Bits per stored symbol of node `node`'s chunk: a systematic chunk
+    (node < k) holds message symbols, below 2^bits_per_symbol(p); a parity
+    chunk holds any field element, at stored_width(p) bits."""
+    return bits_per_symbol(params.p) if node < params.k else stored_width(params.p)
 
 
-def _plane_spans(payload_len: int, p: int, first: int, last: int) -> list[tuple[int, int]]:
-    """(offset, length) of the bytes of a body of payload_len symbols that
-    hold its symbols [first, last), first a multiple of 8: one range per
-    byte plane, then one per bit plane.  Laid end to end they are the body
-    pack_body writes for those symbols."""
+def body_length(payload_len: int, width: int) -> int:
+    """Bytes of a chunk body holding payload_len symbols of `width` bits."""
+    return payload_len * (width // 8) + (width % 8) * -(-payload_len // 8)
+
+
+def _plane_spans(payload_len: int, width: int, first: int, last: int) -> list[tuple[int, int]]:
+    """(offset, length) of the bytes of a body of payload_len symbols of
+    `width` bits that hold its symbols [first, last), first a multiple of 8:
+    one range per byte plane, then one per bit plane.  Laid end to end they
+    are the body pack_body writes for those symbols."""
     if first % 8:
         raise ValueError(f"a block must start on a multiple of 8 symbols, not {first}")
-    w = stored_width(p)
-    bits_at, plane = w // 8 * payload_len, -(-payload_len // 8)
-    return ([(j * payload_len + first, last - first) for j in range(w // 8)]
+    bits_at, plane = width // 8 * payload_len, -(-payload_len // 8)
+    return ([(j * payload_len + first, last - first) for j in range(width // 8)]
             + [(bits_at + t * plane + first // 8, -(-last // 8) - first // 8)
-               for t in range(w % 8)])
+               for t in range(width % 8)])
 
 
-def pack_body(symbols: np.ndarray, p: int) -> bytes:
-    """Symbols in [0, p) -> byte planes, then bit planes (see module docstring)."""
-    w = stored_width(p)
+def pack_body(symbols: np.ndarray, width: int) -> bytes:
+    """Symbols in [0, 2^width) -> byte planes, then bit planes (see module
+    docstring).  Only the low `width` bits of each symbol are kept."""
     vals = symbols.astype(np.uint16, copy=False).reshape(-1)
-    planes = [(vals >> (8 * j)).astype(np.uint8) for j in range(w // 8)]
-    planes += [np.packbits((vals >> b).astype(np.uint8) & 1) for b in range(w // 8 * 8, w)]
+    planes = [(vals >> (8 * j)).astype(np.uint8) for j in range(width // 8)]
+    planes += [np.packbits((vals >> b).astype(np.uint8) & 1) for b in range(width // 8 * 8, width)]
     return b"".join(plane.tobytes() for plane in planes)
 
 
-def unpack_body(body: bytes, p: int, payload_len: int) -> np.ndarray:
-    """Inverse of pack_body; `body` must be body_length(payload_len, p) bytes.
+def unpack_body(body: bytes, width: int, payload_len: int) -> np.ndarray:
+    """Inverse of pack_body; `body` must be body_length(payload_len, width) bytes.
 
-    Returns uint16: w <= 16, so every stored field fits without overflow.
+    Returns uint16: width <= 16, so every stored symbol fits without overflow.
     """
-    w = stored_width(p)
     buf = np.frombuffer(body, dtype=np.uint8)
     vals = np.zeros(payload_len, dtype=np.uint16)
-    for j in range(w // 8):
+    for j in range(width // 8):
         vals |= np.left_shift(buf[j * payload_len:(j + 1) * payload_len], 8 * j, dtype=np.uint16)
-    off, plane = w // 8 * payload_len, -(-payload_len // 8)
-    for b in range(w // 8 * 8, w):
+    off, plane = width // 8 * payload_len, -(-payload_len // 8)
+    for b in range(width // 8 * 8, width):
         bits = np.unpackbits(buf[off:off + plane], count=payload_len)
         vals |= np.left_shift(bits, b, dtype=np.uint16)
         off += plane
     return vals
+
+
+def _symbol_bound(params: CodeParams, node: int) -> int:
+    """Every symbol of node `node`'s chunk is below this: 2^m for a
+    systematic chunk (m = bits_per_symbol(p), 2^m <= p), p for a parity one."""
+    return min(params.p, 1 << node_width(params, node))
 
 
 def _header_fields(params: CodeParams, node: int, payload_len: int) -> tuple[int, ...]:
@@ -223,18 +238,24 @@ class ChunkWriter:
     def __init__(self, fh, params: CodeParams, node: int, payload_len: int):
         header = _header(params, node, payload_len)
         fh.write(header)
-        self._fh, self._params, self._payload_len = fh, params, payload_len
+        self._fh, self._params, self._node, self._payload_len = fh, params, node, payload_len
+        self._width, self._bound = node_width(params, node), _symbol_bound(params, node)
         self._body_at = len(header)
         self.written = 0  # symbols
 
     def write(self, start: int, symbols: np.ndarray) -> None:
         """Store `symbols`, the (stripes, planes, s^n) columns of stripes
-        start, start+1, ..., at their place in every plane of the body."""
-        code.check_reduced(self._params, symbols, "chunk")
+        start, start+1, ..., at their place in every plane of the body.  A
+        symbol outside [0, _symbol_bound) is a ValueError naming the node:
+        pack_body keeps only the node's width of bits, so it would otherwise
+        be stored truncated."""
+        if symbols.size and ((symbols.dtype.kind != "u" and symbols.min() < 0)
+                             or symbols.max() >= self._bound):
+            raise ValueError(f"node {self._node}: chunk symbols must lie in [0,{self._bound})")
         first = start * self._params.N
-        body = memoryview(pack_body(symbols, self._params.p))
+        body = memoryview(pack_body(symbols, self._width))
         pos = 0
-        for off, size in _plane_spans(self._payload_len, self._params.p,
+        for off, size in _plane_spans(self._payload_len, self._width,
                                       first, first + symbols.size):
             self._fh.seek(self._body_at + off)
             self._fh.write(body[pos:pos + size])
@@ -293,25 +314,27 @@ class ChunkReader:
                  body_at: int, opened: tuple[int, int]):
         self._fh, self._path, self._node, self._params = fh, path, node, params
         self._payload_len, self._body_at, self._opened = payload_len, body_at, opened
+        self._width, self._bound = node_width(params, node), _symbol_bound(params, node)
 
     def block(self, start: int, stop: int) -> np.ndarray:
         """The uint16 (stop - start, planes, s^n) columns of stripes
         [start, stop); start * N must be a multiple of 8.  A chunk whose size
         or modification time changed since it was opened, or that holds a
-        symbol outside the field, is a BadBlockError naming the node."""
+        symbol at or above its node's bound (_symbol_bound), is a
+        BadBlockError naming the node."""
         params, fd = self._params, self._fh.fileno()
         first, last = start * params.N, stop * params.N
         if not 0 <= first <= last <= self._payload_len:
             raise ValueError(f"stripes [{start}, {stop}) are not in node {self._node}'s chunk")
         body = b"".join(os.pread(fd, size, self._body_at + off) for off, size
-                        in _plane_spans(self._payload_len, params.p, first, last))
+                        in _plane_spans(self._payload_len, self._width, first, last))
         st = os.fstat(fd)
         if (st.st_size, st.st_mtime_ns) != self._opened:
             raise BadBlockError(self._node, f"node {self._node}: {self._path} changed while "
                                 "it was read")
-        symbols = unpack_body(body, params.p, last - first)
-        # a w-bit field holds values up to 2^w - 1 >= p
-        if symbols.size and symbols.max() >= params.p:
+        symbols = unpack_body(body, self._width, last - first)
+        # a parity chunk's w-bit field holds values up to 2^w - 1 >= p
+        if symbols.size and symbols.max() >= self._bound:
             raise BadBlockError(self._node, f"node {self._node}: {self._path}: symbol out of "
                                 "field range")
         return symbols.reshape(stop - start, params.planes, params.s_pow_n)
@@ -333,8 +356,8 @@ def read_chunk(path: Path, sha256: str, params: CodeParams, node: int,
     (ChecksumMismatchError), so a damaged chunk is always reported as one;
     then the magic, the version and every header field against what
     write_chunk writes for (params, node, payload_len); then the body length
-    (ValueError).  Returns the open ChunkReader, whose blocks check the
-    symbol range."""
+    at the node's width (ValueError).  Returns the open ChunkReader, whose
+    blocks check the symbol range."""
     fh = open(path, "rb", buffering=0)
     try:
         st = os.fstat(fh.fileno())
@@ -358,7 +381,7 @@ def read_chunk(path: Path, sha256: str, params: CodeParams, node: int,
             raise ValueError(f"chunk file for node {node} claims index {got[6]}")
         if got[7] != payload_len:
             raise ValueError(f"chunk for node {node} has wrong payload length")
-        expected = body_length(payload_len, params.p)
+        expected = body_length(payload_len, node_width(params, node))
         if st.st_size - len(raw) != expected:
             raise ValueError(f"{path}: body holds {st.st_size - len(raw)} bytes, expected {expected}")
         return ChunkReader(fh, path, node, params, payload_len, len(raw),

@@ -32,9 +32,10 @@ def decode_stripe(params, columns):
 
 def chunk_bytes(params, node, symbols):
     """The whole chunk of node `node` holding `symbols`, as one bytes: the
-    header storage.write_chunk writes, then the packed body.  For tests that
-    build or edit a chunk in memory."""
-    return storage._header(params, node, np.asarray(symbols).size) + storage.pack_body(symbols, params.p)
+    header storage.write_chunk writes, then the body packed at the node's
+    width.  For tests that build or edit a chunk in memory."""
+    return (storage._header(params, node, np.asarray(symbols).size)
+            + storage.pack_body(symbols, storage.node_width(params, node)))
 
 
 @pytest.fixture()

@@ -4,7 +4,7 @@ import json
 import math
 import os
 import struct
-
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +144,55 @@ class TestFail:
         assert run_cli("fail", "--dir", store, "--nodes", "0,1") == 0
         assert run_cli("fail", "--dir", store, "--nodes", "2,3") == 2
         assert "already failed" in capsys.readouterr().err
+
+
+class TestRepeatedNodes:
+    """A node list that names an index twice is refused with exit 2,
+    naming the index, before anything is written."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        store = tmp_path / "store"
+        assert run_cli("encode", "--n", 6, "--k", 3, "--d", 4, "--h", 2, "--p", 257,
+                       "--random-bytes", 2000, "--out", store) == 0
+        return tmp_path, store
+
+    def test_fail(self, store, capsys):
+        _, store = store
+        before = snapshot(store)
+        capsys.readouterr()
+        assert run_cli("fail", "--dir", store, "--nodes", "1,1,4") == 2
+        assert capsys.readouterr().err == "error: node 1 is listed twice in '1,1,4'\n"
+        assert snapshot(store) == before
+
+    @pytest.mark.parametrize("helpers,index", [("0,2,3,5,5", 5), ("0,0,2,3", 0)])
+    def test_repair(self, store, capsys, helpers, index):
+        # "0,0,2,3" once read as three helpers: "need exactly d=4 helpers, got 3"
+        tmp_path, store = store
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        before = snapshot(store)
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", helpers) == 2
+        assert capsys.readouterr().err == f"error: node {index} is listed twice in {helpers!r}\n"
+        assert snapshot(store) == before
+
+    def test_decode(self, store, capsys):
+        tmp_path, store = store
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out, "--nodes", "3 4 4 5") == 2
+        assert capsys.readouterr().err == "error: node 4 is listed twice in '3 4 4 5'\n"
+        assert not out.exists()
+
+    def test_config_list(self, store, capsys):
+        tmp_path, store = store
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nodes": [2, 2]}))
+        before = snapshot(store)
+        capsys.readouterr()
+        assert run_cli("fail", "--dir", store, "--config", cfg) == 2
+        assert capsys.readouterr().err == "error: node 2 is listed twice in [2, 2]\n"
+        assert snapshot(store) == before
 
 
 class TestRepair:
@@ -658,10 +707,13 @@ class TestBlockWalk:
 
 
 class TestSymbolOutOfField:
-    """A chunk whose digest matches but that holds a symbol outside the
-    field is found when its block is read: decode skips it and restarts from
-    the next node, and verify names it and keeps the checks that do not
-    need it."""
+    """A chunk whose digest matches but whose block does not read is found
+    when that block is read: decode skips it and restarts from the next
+    node, and verify names it and keeps the checks that do not need it.  A
+    block does not read when it holds a symbol outside its node's range
+    (put_p; only a parity chunk can hold one, as a systematic chunk's m-bit
+    fields hold nothing else) or when the chunk changed since it was opened
+    (change_while_read)."""
 
     @pytest.fixture()
     def store(self, tmp_path, monkeypatch):
@@ -677,9 +729,11 @@ class TestSymbolOutOfField:
 
     @staticmethod
     def put_p(store, node):
-        """Store p = 257, which fits in the 9-bit field of node `node`'s chunk,
-        in stripe 30 (the fourth block), and record the chunk's new digest."""
+        """Store p = 257, which fits in the 9-bit field of parity node `node`'s
+        chunk, in stripe 30 (the fourth block), and record the chunk's new
+        digest."""
         manifest = Manifest.load(store)
+        assert node >= manifest.k
         params = manifest.params()
         symbols = chunk_symbols(store, manifest, node)
         symbols[30 * params.N + 5] = params.p
@@ -689,14 +743,33 @@ class TestSymbolOutOfField:
         manifest.save(store)
         return manifest
 
-    def test_decode_skips_the_chunk_and_restarts(self, store, capsys):
+    @staticmethod
+    def change_while_read(monkeypatch, node):
+        """Rewrite node `node`'s chunk in place, with the same bytes and a
+        later modification time, just before its fourth block (stripes 24 to
+        32) is first read."""
+        real, done = storage.ChunkReader.block, []
+
+        def block(self, start, stop):
+            if self._node == node and start == 24 and not done:
+                done.append(True)
+                raw, before = self._path.read_bytes(), self._path.stat()
+                with open(self._path, "r+b") as fh:
+                    fh.write(raw)
+                os.utime(self._path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+            return real(self, start, stop)
+
+        monkeypatch.setattr(storage.ChunkReader, "block", block)
+
+    def test_decode_skips_the_chunk_and_restarts(self, store, capsys, monkeypatch):
         tmp_path, store, data = store
-        self.put_p(store, 1)
+        self.change_while_read(monkeypatch, 1)
         out = tmp_path / "out.bin"
         capsys.readouterr()
         assert run_cli("decode", "--dir", store, "--out", out) == 0
         captured = capsys.readouterr()
-        assert captured.err == f"skipped node 1: {store / 'node1.mscr'}: symbol out of field range\n"
+        assert captured.err == (f"skipped node 1: {store / 'node1.mscr'} changed while it "
+                                "was read\n")
         assert "from nodes [0, 2, 3]" in captured.out
         assert out.read_bytes() == data
         assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "out.bin", "store"]
@@ -719,15 +792,15 @@ class TestSymbolOutOfField:
             problem, "PROBLEM: manifest: the decoded 20000 bytes do not match manifest "
                      "field 'original_sha256'"]
 
-    def test_verify_names_a_systematic_node(self, store, capsys):
+    def test_verify_names_a_systematic_node(self, store, capsys, monkeypatch):
         _, store, _ = store
-        self.put_p(store, 0)
+        self.change_while_read(monkeypatch, 0)
         capsys.readouterr()
         assert run_cli("verify", "--dir", store) == 1
         captured = capsys.readouterr()
         assert "parity: skipped (node 0 does not read)" in captured.out
         assert captured.err.splitlines() == [
-            f"PROBLEM: node 0: {store / 'node0.mscr'}: symbol out of field range"]
+            f"PROBLEM: node 0: {store / 'node0.mscr'} changed while it was read"]
 
 
 class TestMalformedManifest:
@@ -786,6 +859,21 @@ class TestMalformedManifest:
 
 
 class TestChunkFormat:
+    """Chunk format 3: a systematic chunk stores its message symbols at the
+    message width m (8 bits when p > 255, else floor(log2 p)), a parity
+    chunk its field elements at w = ceil(log2 p).  The sizes below are
+    written out from that description, independently of storage."""
+
+    @staticmethod
+    def sizes(nkdh, p, payload_len):
+        """(header, systematic body, parity body) bytes of one chunk."""
+        n, k, d, h = nkdh
+        m = 8 if p > 255 else math.floor(math.log2(p))
+        w = math.ceil(math.log2(p))
+        header = 4 + 9 * 4 + 4 * (n + (d - k + 1) - 1)
+        body = [payload_len * (b // 8) + (b % 8) * math.ceil(payload_len / 8) for b in (m, w)]
+        return header, *body
+
     @pytest.mark.parametrize("nkdh,p", [((6, 2, 3, 3), 7), ((6, 3, 4, 2), 257)])
     def test_chunk_size_is_header_plus_packed_body(self, tmp_path, nkdh, p):
         n, k, d, h = nkdh
@@ -793,15 +881,46 @@ class TestChunkFormat:
         assert run_cli("encode", "--n", n, "--k", k, "--d", d, "--h", h, "--p", p,
                        "--random-bytes", 3001, "--out", store) == 0
         manifest = Manifest.load(store)
-        payload_len = manifest.stripe_count * manifest.params().N
-        w = math.ceil(math.log2(p))
-        header = 4 + 9 * 4 + 4 * (n + (d - k + 1) - 1)
-        body = payload_len * (w // 8) + (w % 8) * math.ceil(payload_len / 8)
+        header, systematic, parity = self.sizes(
+            nkdh, p, manifest.stripe_count * manifest.params().N)
         for i in range(n):
+            body = systematic if i < k else parity
             assert (store / f"node{i}.mscr").stat().st_size == header + body
         # no temporary file is left behind
         assert sorted(f.name for f in store.iterdir()) == sorted(
             ["manifest.json", "source.bin"] + [f"node{i}.mscr" for i in range(n)])
+
+    # (n, k, d, h), p -> body bytes per input byte of a file of whole stripes:
+    # (k m + r w) / (k m), against n/k symbols per message symbol
+    DISK_PER_INPUT = {
+        ((6, 3, 4, 2), 257): Fraction(17, 8),  # narrow-h2: 3*8 + 3*9 over 3*8
+        ((6, 2, 3, 3), 7): Fraction(4),  # coop-h3-p7: 2*2 + 4*3 over 2*2
+        ((5, 1, 4, 1), 257): Fraction(11, 2),  # wide-s4: 8 + 4*9 over 8
+    }
+
+    @pytest.mark.parametrize("case", list(DISK_PER_INPUT), ids=["6342-p257", "6233-p7", "5141-p257"])
+    def test_bytes_on_disk_per_input_byte(self, tmp_path, case):
+        # three whole stripes of kN m-bit message symbols: no padding is stored
+        (n, k, d, h), p = case
+        stripe_bits = code.validate_params(n, k, d, h, p=p).message_length * storage.bits_per_symbol(p)
+        data = np.random.default_rng(p).integers(0, 256, size=3 * stripe_bits // 8,
+                                                 dtype=np.uint8).tobytes()
+        src, store = tmp_path / "in.bin", tmp_path / "s"
+        src.write_bytes(data)
+        assert run_cli("encode", "--n", n, "--k", k, "--d", d, "--h", h, "--p", p,
+                       "--input", src, "--out", store) == 0
+        manifest = Manifest.load(store)
+        assert manifest.stripe_count == 3
+        header, systematic, parity = self.sizes(case[0], p, 3 * manifest.params().N)
+        chunks = [(store / f"node{i}.mscr").read_bytes() for i in range(n)]
+        disk = sum(map(len, chunks))
+        assert disk == n * header + k * systematic + (n - k) * parity
+        assert Fraction(disk - n * header, len(data)) == self.DISK_PER_INPUT[case]
+        if p > 255:  # a systematic body is the node's message bytes, stripe after stripe
+            per_node = manifest.params().N
+            for i in range(k):
+                assert chunks[i][header:] == b"".join(
+                    data[st * k * per_node + i * per_node:][:per_node] for st in range(3))
 
     @pytest.mark.parametrize("argv", [
         ("verify",), ("decode", "--out", "x.bin"), ("repair", "--helpers", "2,3"),
@@ -810,12 +929,12 @@ class TestChunkFormat:
         tmp_path, store, _ = encoded_dir
         path = store / "manifest.json"
         data = json.loads(path.read_text())
-        data["format"] = 1
+        data["format"] = 2
         path.write_text(json.dumps(data))
         capsys.readouterr()
         assert run_cli(argv[0], "--dir", store, *argv[1:]) == 2
         err = capsys.readouterr().err
-        assert "format 1" in err and "format 2" in err and "re-encode" in err
+        assert "format 2" in err and "format 3" in err and "re-encode" in err
         assert not (tmp_path / "x.bin").exists()
 
 
@@ -829,18 +948,18 @@ class TestGoldenChunks:
     DATA = bytes((7 * i + 3) % 256 for i in range(100))
     PINS = {
         ((4, 1, 2, 2), 5): [
-            (222, "f63db31c3b56b6dbc8d8acc5b84caa8258abb94c978a7ba70a60a38959ed880b"),
-            (222, "368695a183c4dd3e92cec50f4d60e1018451990563d4d5b218996e80d2197abe"),
-            (222, "9f90e5eb9add24735848b98b7f362d828818d1f890ca16347fde7a45f8b34d6d"),
-            (222, "32837e285df5122b0a05dcd26115847235e9018bcd7486f21a223efe82919209"),
+            (168, "9bd3f5e8d203e17c2331402d98e027900ae27ab0375734a7c46f3492ddd57b6f"),
+            (222, "e92e154811d269a03b949a5b8b677f1987bce642aeb0bd0188d9b498ec4ea4ca"),
+            (222, "55661c3b0ae65145ac5a2beb95234df6a6528a408b9ddfafb45220e21c43a4b9"),
+            (222, "b1fe986ea12c3da83695255febe13aabf5baeb0335dd1757a4c4f72f4e7112b5"),
         ],
         ((6, 3, 4, 2), 257): [
-            (284, "ff0f2ce2c24edc7aaa45c860c9d50b5c973ba37a3e23e8b015775bebfaf8a3dc"),
-            (284, "6d025c63ca4c1ecf55847029a0f61886202d6232c04cbbddbe71298bf8ae1a90"),
-            (284, "795f4253eec90ca8a885196a973e9171de690a84e1a6774b695aa0b31b18916a"),
-            (284, "b42967dadf5d9e759623955c28e2a9362c3e6c46b78df440a4e36a6f449789e3"),
-            (284, "b2de1e6c949e57e036465ebd8d63da3cc73c805dadf107cdae57609674e1c661"),
-            (284, "67547d8fecbc19ec7dab282774dd6b077f099f36d12045a47be6548043445848"),
+            (260, "37f67b557a5649522fe3533b56d0b50c89df87be1f6a7ca647fe85a10ec92fc8"),
+            (260, "38bd54c0b575b19469a9dcccd11703a642edf52d3d7514697ff90efd1504dfde"),
+            (260, "b18cfdcc9c8a761b372d297f847b4347cdeea165574bc12081bca51527307360"),
+            (284, "777e219afed3255192f3002cc5fbfff42e5487118d8aa2ea9cdd1d427e6a6bed"),
+            (284, "ca9bb5bd4b0f73f08bc773f974b77a6fed77a04b0dfc140a933075e6736faea6"),
+            (284, "05062cd38b245ed576c79b9d246e9599d7087ac57bc60872fa4c72fcfbc5db59"),
         ],
     }
 
@@ -1026,6 +1145,29 @@ class TestFailedStreamsLeaveNothing:
             "error: node 4: restored chunk fails checksum verification; nothing written\n")
         assert len(calls) == 35 and snapshot(store) == before
 
+    def test_repair_refuses_a_systematic_symbol_past_the_message_width(self, store, monkeypatch,
+                                                                        capsys):
+        # systematic node 1 stores 8-bit message symbols: a repaired value of
+        # 2^8 + v would be stored as v, which a right v makes pass the checksum
+        tmp_path, store = store
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        before = snapshot(store)
+        real, calls = cli.run_repair, []
+
+        def faulty(job, surviving):
+            repaired, transcript = real(job, surviving)
+            calls.append(1)
+            if len(calls) == 28:
+                repaired[1] = repaired[1].copy()
+                repaired[1][0, 0] += 256
+            return repaired, transcript
+
+        monkeypatch.setattr(cli, "run_repair", faulty)
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5") == 2
+        assert capsys.readouterr().err == "error: node 1: chunk symbols must lie in [0,256)\n"
+        assert len(calls) == 32 and snapshot(store) == before
+
     def test_repair(self, store, fail_halfway, capsys):
         tmp_path, store = store
         assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
@@ -1160,6 +1302,44 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err == f"error: config {cfg}: key {key!r} is not an option of any command\n"
         assert not store.exists()
+
+    @pytest.mark.parametrize("argv,config,key,want", [
+        (("params-check",), {"n": 4, "k": 1, "d": 2, "h": 2, "p": 5.9}, "p", "an integer"),
+        (("params-check",), {"n": 4, "k": 1, "d": 2, "h": True, "p": 5}, "h", "an integer"),
+        (("params-check",), {"n": 4, "k": 1, "d": 2, "h": 2, "p": "5"}, "p", "an integer"),
+        (("encode", "--out", "s"), {"n": 4, "k": 1, "d": 2, "h": 2, "random_bytes": 64.9,
+                                    "seed": 1}, "random_bytes", "an integer"),
+        (("encode", "--out", "s"), {"n": 4, "k": 1, "d": 2, "h": 2, "random_bytes": 64,
+                                    "seed": True}, "seed", "an integer"),
+        (("fail", "--nodes", "1,2"), {"dir": 5}, "dir", "a string"),
+        (("fail", "--dir", "s"), {"nodes": [1.7, 4]}, "nodes", "a string or a list of integers"),
+        (("fail", "--dir", "s"), {"nodes": [True, 4]}, "nodes", "a string or a list of integers"),
+        (("repair", "--dir", "s"), {"helpers": 3}, "helpers", "a string or a list of integers"),
+    ], ids=["float-p", "bool-h", "string-p", "float-random-bytes", "bool-seed", "number-dir",
+            "float-node", "bool-node", "number-helpers"])
+    def test_value_of_another_type_refused(self, tmp_path, capsys, argv, config, key, want):
+        # a value is never truncated or coerced: "p": 5.9 once ran with p=5,
+        # and "nodes": [1.7, 4] quarantined node 1
+        store = tmp_path / "s"
+        assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
+                       "--random-bytes", 100, "--out", store) == 0
+        before = snapshot(store)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        argv = [str(store) if a == "s" else a for a in argv]
+        assert run_cli(*argv, "--config", cfg) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: config {cfg}: key {key!r} must be {want}, "
+                                f"got {config[key]!r}\n")
+        assert snapshot(store) == before
+
+    def test_null_leaves_an_option_unset(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "k": 1, "d": 2, "h": 2, "p": None}))
+        assert run_cli("params-check", "--config", cfg) == 0
+        assert "p=5" in capsys.readouterr().out
 
     def test_every_option_of_every_command_is_a_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

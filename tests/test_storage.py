@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,6 +27,7 @@ from mscr.storage import (
     chunk_name,
     decode_file,
     encode_file,
+    node_width,
     pack_body,
     pack_bytes,
     read_chunk,
@@ -41,10 +43,17 @@ from mscr.storage import (
 from conftest import chunk_bytes
 
 
-def expected_body_length(payload_len, p):
+def expected_width(params, node):
+    # written out from the format description, independently of storage.node_width:
+    # systematic chunks at the message width, parity chunks at ceil(log2 p)
+    if node < params.k:
+        return 8 if params.p > 255 else math.floor(math.log2(params.p))
+    return math.ceil(math.log2(params.p))
+
+
+def expected_body_length(payload_len, width):
     # written out from the format description, independently of storage.body_length
-    w = math.ceil(math.log2(p))
-    return payload_len * (w // 8) + (w % 8) * math.ceil(payload_len / 8)
+    return payload_len * (width // 8) + (width % 8) * math.ceil(payload_len / 8)
 
 
 def sha256_hex(path):
@@ -220,56 +229,84 @@ class TestChunkIO:
         with pytest.raises(ChecksumMismatchError, match="node 0: .*checksum mismatch"):
             read_chunk(path, digest, example1, 0, 48)
 
-    def test_out_of_field_symbol_rejected(self, tmp_path, example1):
-        with pytest.raises(ValueError, match="reduced"):
-            with write_chunk(tmp_path / chunk_name(0), example1, 0, 48) as chunk:
-                chunk.write(0, np.full((1, 3, 16), 5, dtype=np.int64))
+    @staticmethod
+    def refused(tmp_path, params, node, value, bound):
+        """Writing `value` to node `node`'s chunk is refused before anything is
+        packed (it would be stored truncated to the node's width), and no
+        temporary file is left."""
+        symbols = np.zeros((1, 3, 16), dtype=np.int64)
+        symbols[0, 2, 7] = value
+        with pytest.raises(ValueError, match=rf"node {node}: chunk symbols must lie in \[0,{bound}\)"):
+            with write_chunk(tmp_path / chunk_name(node), params, node, 48) as chunk:
+                chunk.write(0, symbols)
         assert list(tmp_path.iterdir()) == []
+
+    # p = 5: a parity chunk holds field elements, at 3 bits; a systematic
+    # chunk holds message symbols, below 2^2, at 2 bits
+    def test_out_of_field_symbol_rejected(self, tmp_path, example1):
+        self.refused(tmp_path, example1, 1, 5, 5)
+
+    def test_negative_symbol_rejected(self, tmp_path, example1):
+        self.refused(tmp_path, example1, 1, -1, 5)
+
+    def test_systematic_symbol_of_2_to_the_m_rejected(self, tmp_path, example1):
+        self.refused(tmp_path, example1, 0, 4, 4)
 
 
 class TestBodyPacking:
     def test_stored_width(self):
         assert [stored_width(p) for p in (2, 3, 5, 7, 257, 65521)] == [1, 2, 3, 3, 9, 16]
 
+    @pytest.mark.parametrize("nkdh,p", [((4, 1, 2, 2), 5), ((6, 2, 3, 3), 7),
+                                        ((6, 3, 4, 2), 257), ((4, 1, 2, 2), 13399)])
+    def test_node_width(self, nkdh, p):
+        params = validate_params(*nkdh, p=p)
+        assert [node_width(params, i) for i in range(params.n)] == [
+            expected_width(params, i) for i in range(params.n)]
+
     def test_layout_by_hand(self):
-        # p=257, w=9: one byte plane (low bytes), then the plane of bit 8
-        assert pack_body(np.array([256, 1, 255]), 257) == bytes([0, 1, 255, 0b10000000])
-        # p=7, w=3: bit planes 0, 1, 2 of (5, 3, 6) = (101, 011, 110)
-        assert pack_body(np.array([5, 3, 6]), 7) == bytes([0b11000000, 0b01100000, 0b10100000])
+        # width 9 (parity at p=257): one byte plane (low bytes), then the plane of bit 8
+        assert pack_body(np.array([256, 1, 255]), 9) == bytes([0, 1, 255, 0b10000000])
+        # width 8 (systematic at p=257): the symbols' bytes verbatim
+        assert pack_body(np.array([7, 1, 255]), 8) == bytes([7, 1, 255])
+        # width 3 (parity at p=7): bit planes 0, 1, 2 of (5, 3, 6) = (101, 011, 110)
+        assert pack_body(np.array([5, 3, 6]), 3) == bytes([0b11000000, 0b01100000, 0b10100000])
+        # width 2 (systematic at p=7): bit planes 0, 1 of (1, 3, 2) = (01, 11, 10)
+        assert pack_body(np.array([1, 3, 2]), 2) == bytes([0b11000000, 0b01100000])
 
     @settings(deadline=None)
-    @given(st.sampled_from([2, 3, 5, 7, 17, 257, 65521]).flatmap(
-        lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), max_size=100))))
+    @given(st.integers(1, 16).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 2**w - 1), max_size=100))))
     def test_roundtrip(self, case):
-        p, values = case
-        body = pack_body(np.array(values, dtype=np.int64), p)
-        assert len(body) == expected_body_length(len(values), p)
-        assert unpack_body(body, p, len(values)).tolist() == values
+        width, values = case
+        body = pack_body(np.array(values, dtype=np.int64), width)
+        assert len(body) == expected_body_length(len(values), width)
+        assert unpack_body(body, width, len(values)).tolist() == values
 
 
 class TestPackedBodyRejected:
     """Bodies whose sha256 matches the manifest but that do not parse."""
 
-    # 9-bit fields, and one stripe of N = 243 symbols: no multiple of 8
-    P, LENGTH = 257, 243
+    # parity node 1 has 9-bit fields, and one stripe of N = 243 symbols: no multiple of 8
+    P, LENGTH, NODE = 257, 243, 1
     PARAMS = validate_params(4, 1, 3, 1, p=P)
 
     def chunk(self, tmp_path, raw):
-        path = tmp_path / chunk_name(0)
+        path = tmp_path / chunk_name(self.NODE)
         path.write_bytes(raw)
         return path, hashlib.sha256(raw).hexdigest()
 
     def valid(self):
-        return chunk_bytes(self.PARAMS, 0, np.arange(self.LENGTH, dtype=np.int64))
+        return chunk_bytes(self.PARAMS, self.NODE, np.arange(self.LENGTH, dtype=np.int64))
 
     def test_packed_value_p_rejected(self, tmp_path):
         raw = self.valid()
-        head = raw[: len(raw) - expected_body_length(self.LENGTH, self.P)]
+        head = raw[: len(raw) - expected_body_length(self.LENGTH, 9)]
         symbols = np.arange(self.LENGTH, dtype=np.int64)
         symbols[5] = self.P  # fits in the 9-bit field, but is no field element
-        path, digest = self.chunk(tmp_path, head + pack_body(symbols, self.P))
-        with read_chunk(path, digest, self.PARAMS, 0, self.LENGTH) as chunk:
-            with pytest.raises(ValueError, match="node 0: .* out of field range"):
+        path, digest = self.chunk(tmp_path, head + pack_body(symbols, 9))
+        with read_chunk(path, digest, self.PARAMS, self.NODE, self.LENGTH) as chunk:
+            with pytest.raises(ValueError, match="node 1: .* out of field range"):
                 chunk.block(0, 1)
 
     @pytest.mark.parametrize("edit", [lambda raw: raw[:-1], lambda raw: raw + b"\x00"],
@@ -277,7 +314,7 @@ class TestPackedBodyRejected:
     def test_wrong_body_length_rejected(self, tmp_path, edit):
         path, digest = self.chunk(tmp_path, edit(self.valid()))
         with pytest.raises(ValueError, match="body holds"):
-            read_chunk(path, digest, self.PARAMS, 0, self.LENGTH)
+            read_chunk(path, digest, self.PARAMS, self.NODE, self.LENGTH)
 
 
 class TestCrashSafeWrites:
@@ -379,10 +416,10 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             Manifest.load(tmp_path)
 
-    @pytest.mark.parametrize("version", [1, 3, None])
+    @pytest.mark.parametrize("version", [1, 2, 4, None])
     def test_other_format_rejected(self, tmp_path, version):
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({"format": version}))
-        with pytest.raises(ValueError, match=f"format {version}.* format 2 only; re-encode"):
+        with pytest.raises(ValueError, match=f"format {version}.* format 3 only; re-encode"):
             Manifest.load(tmp_path)
 
 
@@ -687,30 +724,54 @@ class TestMemoryDoesNotGrowWithTheFile:
 
 class TestBlockReader:
     """ChunkReader.block(start, stop) preads one block's byte range of every
-    plane; it must equal the matching slice of the whole chunk."""
+    plane; it must equal the matching slice of the whole chunk, for a parity
+    node (1, width w) and a systematic node (0, message width m)."""
 
-    @pytest.mark.parametrize("nkdh,p", [
-        ((4, 1, 2, 2), 7),  # three bit planes
-        ((4, 1, 2, 2), 11),  # four bit planes
-        ((4, 1, 2, 2), 257),  # one byte plane and one bit plane
+    CASES = [
+        ((4, 1, 2, 2), 7),  # m = 2 and w = 3 bit planes
+        ((4, 1, 2, 2), 11),  # m = 3 and w = 4 bit planes
+        ((4, 1, 2, 2), 257),  # m: one byte plane; w: one byte and one bit plane
         ((4, 1, 3, 1), 257),  # N = 243, no multiple of 8
-        ((4, 1, 2, 2), 13399),  # one byte plane and six bit planes
-        ((4, 1, 2, 2), 65521),  # two byte planes
-    ])
-    @pytest.mark.parametrize("stripes", [1, 21])
-    def test_block_is_slice_of_whole_chunk(self, tmp_path, monkeypatch, nkdh, p, stripes):
-        params = validate_params(*nkdh, p=p)
+        ((4, 1, 2, 2), 13399),  # m: one byte plane; w: one byte and six bit planes
+        ((4, 1, 2, 2), 65521),  # m: one byte plane; w: two byte planes
+        # no code has p = 3 (it needs p >= n+s-1 >= 4), but reading a chunk
+        # only frames it, and p = 3 is the one field with 1-bit message symbols
+        ((4, 1, 2, 2), 3),  # m = 1 and w = 2 bit planes
+    ]
+
+    @staticmethod
+    def check(tmp_path, monkeypatch, nkdh, p, node, stripes):
+        if p == 3:
+            params = dataclasses.replace(validate_params(*nkdh, p=5), p=3)
+        else:
+            params = validate_params(*nkdh, p=p)
+        bound = min(p, 2 ** expected_width(params, node))
         rng = np.random.default_rng(p + stripes)
-        symbols = rng.integers(0, p, size=(stripes, params.planes, params.s_pow_n), dtype=np.uint16)
-        path = tmp_path / chunk_name(1)
-        write_replacing(path, chunk_bytes(params, 1, symbols))
+        symbols = rng.integers(0, bound, size=(stripes, params.planes, params.s_pow_n),
+                               dtype=np.uint16)
+        symbols.reshape(-1)[-1] = bound - 1  # the node's largest symbol
+        path = tmp_path / chunk_name(node)
+        write_replacing(path, chunk_bytes(params, node, symbols))
+        assert path.stat().st_size == len(storage._header(params, node, symbols.size)) + \
+            expected_body_length(symbols.size, expected_width(params, node))
         monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)  # blocks of 8 stripes
         spans = storage.blocks(params, stripes)
         assert spans[-1] == ((16, 21) if stripes == 21 else (0, 1))  # a partial last block
-        with read_chunk(path, sha256_hex(path), params, 1, stripes * params.N) as chunk:
+        with read_chunk(path, sha256_hex(path), params, node, stripes * params.N) as chunk:
             for start, stop in spans:
                 got = chunk.block(start, stop)
                 assert got.dtype == np.uint16 and np.array_equal(got, symbols[start:stop])
+
+    @pytest.mark.parametrize("nkdh,p", CASES)
+    @pytest.mark.parametrize("stripes", [1, 21])
+    def test_block_is_slice_of_whole_chunk(self, tmp_path, monkeypatch, nkdh, p, stripes):
+        self.check(tmp_path, monkeypatch, nkdh, p, 1, stripes)
+
+    @pytest.mark.parametrize("nkdh,p", CASES)
+    @pytest.mark.parametrize("stripes", [1, 21])
+    def test_systematic_block_is_slice_of_whole_chunk(self, tmp_path, monkeypatch, nkdh, p,
+                                                      stripes):
+        self.check(tmp_path, monkeypatch, nkdh, p, 0, stripes)
 
     @pytest.mark.parametrize("rewrite", ["same-size", "grown"])
     def test_chunk_rewritten_during_read_refused(self, tmp_path, example1, rewrite):

@@ -14,7 +14,7 @@ from .code import (
     random_message,
     validate_params,
 )
-from .field import FieldContext, SingularMatrixError
+from .field import SingularMatrixError
 from .metrics import (
     AccessLog,
     Bounds,
@@ -39,7 +39,6 @@ __all__ = [
     "AccessLog",
     "Bounds",
     "CodeParams",
-    "FieldContext",
     "InconsistentCodewordError",
     "RepairJob",
     "RepairMessage",

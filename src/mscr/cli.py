@@ -161,6 +161,8 @@ def cmd_encode(args) -> int:
     out_dir = Path(_require(args, "out"))
     if (args.input is None) == (args.random_bytes is None):
         raise CliError("give exactly one of --input or --random-bytes")
+    if args.seed is not None and args.random_bytes is None:
+        raise CliError("--seed seeds --random-bytes only; it cannot be used with --input")
     with ExitStack() as inputs:
         if args.input is not None:
             fh, original_length, before = _open_input(inputs, args.input)
@@ -210,10 +212,11 @@ def cmd_fail(args) -> int:
             raise CliError(f"node {i} out of range [0,{params.n})")
     if manifest.failed:
         raise CliError(f"nodes {sorted(manifest.failed)} are already failed; repair them first")
-    for i in nodes:
-        path = directory / storage.chunk_name(i)
-        if not path.exists():
+    paths = [directory / storage.chunk_name(i) for i in nodes]
+    for i, path in zip(nodes, paths):
+        if not path.exists():  # before any rename: a refused command changes nothing
             raise CliError(f"chunk for node {i} not found at {path}")
+    for path in paths:
         path.rename(path.with_name(path.name + storage.QUARANTINE_SUFFIX))
     manifest.failed = nodes
     manifest.save(directory)
@@ -388,10 +391,11 @@ def cmd_decode(args) -> int:
     out_path = Path(_require(args, "out"))
     _refuse_store_file(directory, manifest, "--out", out_path)
     failed = set(manifest.failed)
-    if args.nodes:
-        wanted = sorted(_parse_nodes(args.nodes))
-    else:
+    if args.nodes is None:
         wanted = [i for i in range(params.n) if i not in failed]
+    elif not (wanted := sorted(_parse_nodes(args.nodes))):
+        raise CliError("--nodes lists no node; list some, or leave it out to decode from "
+                       "every available node")
     for i in wanted:
         if not 0 <= i < params.n:
             raise CliError(f"node {i} out of range [0,{params.n})")

@@ -6,6 +6,10 @@ imposes the check
 
     sum_i lambda_i^t c[i,b,a]  +  sum_i delta(a_i) sum_e mu_e^t c[i,b,a(i,e)] = 0.
 
+The field is its prime p (CodeParams.p): a symbol is a plain int in [0, p),
+and encode, erase_decode and parity_residual reject any other input through
+field.check_below before they cast or compute.
+
 The checks never mix planes.  For an erased node set E with m = |E| <= r,
 solve_erased peels the unknowns of a plane in layers, the structure of Ye and
 Barg's cooperative MDS construction ("Cooperative repair: constructions of
@@ -48,13 +52,13 @@ fold the batch into (stripes * planes, s^n) rows, one pass for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .field import (
-    FieldContext,
+    check_below,
     is_prime,
     matrix_inverse,
     smallest_prime_at_least,
@@ -88,7 +92,6 @@ class CodeParams:
     p: int
     lambdas: tuple[int, ...]
     mus: tuple[int, ...]
-    field: FieldContext = dc_field(repr=False)
 
     @property
     def s_pow_n(self) -> int:
@@ -131,7 +134,6 @@ def validate_params(
         raise ValueError(f"field too small: p={p} < n+s-1 = {n + s - 1}")
     if p >= 2**16:
         raise ValueError(f"field modulus p={p} exceeds the supported 16-bit symbol width")
-    ctx = FieldContext(p)
     if lambdas is None:
         lambdas = tuple(range(n))
     if mus is None:
@@ -142,14 +144,15 @@ def validate_params(
         raise ValueError(f"need n={n} lambda points, got {len(lambdas)}")
     if len(mus) != s - 1:
         raise ValueError(f"need s-1={s - 1} mu points, got {len(mus)}")
-    for x in lambdas + mus:
-        ctx.check(x)
+    for name, points, first in (("lambda", lambdas, 0), ("mu", mus, 1)):
+        for i, x in enumerate(points, start=first):
+            check_below(x, p, f"evaluation point {name}_{i}={x!r}")
     points = lambdas + mus
     if len(set(points)) != len(points):
         raise ValueError(f"evaluation points must be pairwise distinct, got {points}")
     return CodeParams(
         n=n, k=k, d=d, h=h, r=r, s=s, planes=planes,
-        N=planes * s**n, p=p, lambdas=lambdas, mus=mus, field=ctx,
+        N=planes * s**n, p=p, lambdas=lambdas, mus=mus,
     )
 
 
@@ -157,10 +160,12 @@ def parity_residual(params: CodeParams, cw: np.ndarray, t: int, b: int, a) -> in
     """Scalar evaluation of one parity check of the codeword cw, an
     (n, planes, s^n) array; zero on valid codewords.
 
-    Deliberately independent of the vectorized solver path: plain field
-    arithmetic over the definition, usable as an oracle against it.
+    Deliberately independent of the vectorized solver path: plain integer
+    arithmetic over the definition, reduced mod p, usable as an oracle
+    against it.
     """
-    ctx = params.field
+    p = params.p
+    check_below(np.asarray(cw), p, "codeword symbols")
     if not 0 <= t < params.r:
         raise ValueError(f"power index t={t} out of range [0,{params.r})")
     if not 1 <= b <= params.planes:
@@ -177,12 +182,12 @@ def parity_residual(params: CodeParams, cw: np.ndarray, t: int, b: int, a) -> in
         a_int = vec_to_int(digits, params.s)
     acc = 0
     for i in range(params.n):
-        acc = ctx.add(acc, ctx.mul(ctx.pow(params.lambdas[i], t), int(cw[i, b - 1, a_int])))
+        acc += pow(params.lambdas[i], t, p) * int(cw[i, b - 1, a_int])
         if delta(digits[i]):
             for e in range(1, params.s):
                 a_sub = sub_index(a_int, i, e, params.s)
-                acc = ctx.add(acc, ctx.mul(ctx.pow(params.mus[e - 1], t), int(cw[i, b - 1, a_sub])))
-    return acc
+                acc += pow(params.mus[e - 1], t, p) * int(cw[i, b - 1, a_sub])
+    return acc % p
 
 
 # --- vectorized machinery -------------------------------------------------
@@ -278,8 +283,8 @@ def _peel_plan(params: CodeParams, erased: tuple[int, ...]):
     p, dtype = params.p, accumulator_dtype(params)
     masks, subs = _plane_geometry(params)
     zeros = sum(masks[i].astype(np.int64) for i in erased)
-    vm = vandermonde_matrix(params.field, [params.lambdas[i] for i in erased], m)
-    solve_op = -np.array(matrix_inverse(params.field, vm), dtype=dtype) % p
+    vm = vandermonde_matrix(p, [params.lambdas[i] for i in erased], m)
+    solve_op = -np.array(matrix_inverse(p, vm), dtype=dtype) % p
     mu_powers = np.array([[pow(mu, t, p) for mu in params.mus] for t in range(m)], dtype=dtype)
     layers = []
     for z in range(m + 1):
@@ -352,13 +357,6 @@ def random_message(params: CodeParams, seed: int = 0) -> np.ndarray:
     return rng.integers(0, params.p, size=params.message_length, dtype=np.int64)
 
 
-def check_reduced(params: CodeParams, symbols: np.ndarray, what: str) -> None:
-    """Reject symbols outside [0, p), on the given values, before a cast can wrap one."""
-    if symbols.size and ((symbols.dtype.kind != "u" and symbols.min() < 0)
-                         or symbols.max() >= params.p):
-        raise ValueError(f"{what} symbols must be reduced into [0,{params.p})")
-
-
 def encode(params: CodeParams, message) -> np.ndarray:
     """Systematic encode of stripes * kN message symbols, in file order, into
     (n, stripes, planes, s^n) uint16 codewords: stripe st's columns [0, k)
@@ -369,7 +367,7 @@ def encode(params: CodeParams, message) -> np.ndarray:
     if msg.ndim != 1 or not msg.size or msg.size % kn:
         raise ValueError(f"message must hold a positive multiple of k*N = {kn} symbols, "
                          f"got shape {msg.shape}")
-    check_reduced(params, msg, "message")
+    check_below(msg, params.p, "message symbols")
     arr = np.empty((params.n, msg.size // kn, params.planes, params.s_pow_n), dtype=np.uint16)
     arr[:params.k] = msg.reshape(-1, params.k, *arr.shape[2:]).swapaxes(0, 1)
     solve_erased(params, arr, tuple(range(params.k, params.n)))
@@ -400,7 +398,7 @@ def erase_decode(params: CodeParams, available: dict) -> np.ndarray:
         if col.shape != shape:  # so col has three axes
             raise ValueError(f"node {i}: column must be shaped (stripes, planes, s^n) = (stripes, "
                              f"{params.planes}, {params.s_pow_n}), the same for all, got {col.shape}")
-        check_reduced(params, col, "column")
+        check_below(col, params.p, f"node {i}: column symbols")
         arr[i] = col
     solve_erased(params, arr, erased)
     bad = failing_checks(params, arr)

@@ -1,13 +1,17 @@
-"""Prime-field arithmetic and the small exact matrices everything else builds on.
+"""The prime field F_p and the small exact matrices everything else builds on.
 
-Field elements are plain ints reduced into [0, p).  Public operations reject
-unreduced inputs instead of normalizing silently, so a stray unreduced value
-is caught where it first appears.  Vandermonde matrices and their inverses
-are lists of lists of ints and stay exact; the erasure solve and the repair
-convert the small r x r (or m x m) inverses to numpy and apply them in batch.
+The field is its prime p: an element is a plain int in [0, p), and arithmetic
+is Python's and numpy's with a reduction mod p.  Public routines reject
+values outside [0, p) instead of reducing them silently, through the one
+range check check_below, so a stray value is caught where it first appears.
+Vandermonde matrices and their inverses are lists of lists of ints and stay
+exact; the erasure solve and the repair convert the small r x r (or m x m)
+inverses to numpy and apply them in batch.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class SingularMatrixError(ValueError):
@@ -34,62 +38,32 @@ def smallest_prime_at_least(m: int) -> int:
     return p
 
 
-class FieldContext:
-    """Arithmetic in F_p for a fixed prime p.  Immutable and shareable."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"field modulus {p} is not prime")
-        self.p = p
-
-    def __repr__(self):
-        return f"FieldContext(p={self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, FieldContext) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("FieldContext", self.p))
-
-    def check(self, a: int) -> int:
-        """Reject values outside [0, p); returns the value unchanged."""
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.p:
-            raise ValueError(f"{a!r} is not a reduced element of F_{self.p}")
-        return a
-
-    def add(self, a: int, b: int) -> int:
-        return (self.check(a) + self.check(b)) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (self.check(a) * self.check(b)) % self.p
-
-    def inv(self, a: int) -> int:
-        if self.check(a) == 0:
-            raise ZeroDivisionError(
-                f"inverse of zero in F_{self.p}: singular computation"
-            )
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, t: int) -> int:
-        if t < 0:
-            return self.inv(self.pow(a, -t))
-        return pow(self.check(a), t, self.p)
+def check_below(values, bound: int, what: str) -> None:
+    """Reject anything but an int, or an integer array, with every value in
+    [0, bound): a bool, a float, any other type and any value outside the
+    range are a ValueError naming `what`.  Callers check before a cast could
+    wrap a value."""
+    if isinstance(values, np.ndarray):
+        ok = values.dtype.kind in "iu" and (not values.size or (
+            (values.dtype.kind == "u" or values.min() >= 0) and values.max() < bound))
+    else:
+        ok = isinstance(values, int) and not isinstance(values, bool) and 0 <= values < bound
+    if not ok:
+        raise ValueError(f"{what} must lie in [0,{bound})")
 
 
-def vandermonde_matrix(ctx: FieldContext, points: list[int], rows: int) -> list[list[int]]:
-    """Matrix with entry (t, j) = points[j]**t for t in [0, rows)."""
+def vandermonde_matrix(p: int, points: list[int], rows: int) -> list[list[int]]:
+    """Matrix over F_p with entry (t, j) = points[j]**t for t in [0, rows)."""
     if rows < 1:
         raise ValueError("vandermonde_matrix needs rows >= 1")
     for x in points:
-        ctx.check(x)
+        check_below(x, p, f"vandermonde point {x!r}")
     if len(set(points)) != len(points):
         raise ValueError(f"vandermonde points must be pairwise distinct, got {points}")
-    return [[ctx.pow(x, t) for x in points] for t in range(rows)]
+    return [[pow(x, t, p) for x in points] for t in range(rows)]
 
 
-def matrix_inverse(ctx: FieldContext, matrix: list[list[int]]) -> list[list[int]]:
+def matrix_inverse(p: int, matrix: list[list[int]]) -> list[list[int]]:
     """Inverse of a square matrix over F_p by Gauss-Jordan elimination.
 
     Raises SingularMatrixError when the matrix is not invertible.
@@ -97,8 +71,10 @@ def matrix_inverse(ctx: FieldContext, matrix: list[list[int]]) -> list[list[int]
     m = len(matrix)
     if m < 1 or any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square and nonempty")
-    p = ctx.p
-    a = [[ctx.check(x) for x in row] for row in matrix]
+    for row in matrix:
+        for x in row:
+            check_below(x, p, f"matrix entry {x!r}")
+    a = [list(row) for row in matrix]
     inv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     for col in range(m):
         pivot = next((r for r in range(col, m) if a[r][col] != 0), None)

@@ -58,8 +58,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .code import CodeParams, accumulator_dtype, check_reduced
-from .field import matrix_inverse, vandermonde_matrix
+from .code import CodeParams, accumulator_dtype
+from .field import check_below, matrix_inverse, vandermonde_matrix
 from .indexing import v_indices
 from .metrics import AccessLog
 
@@ -123,10 +123,10 @@ class _JobContext:
         dk, width, size = params.d - params.k, params.s_pow_n, params.s_pow_n // params.s
         unknown = [i for i in range(n) if i not in job.helpers]
         points = [params.lambdas[w] for w in unknown] + list(params.mus)
-        vm = vandermonde_matrix(params.field, points, params.r)
-        inverse = np.array(matrix_inverse(params.field, vm), dtype=np.int64)
+        vm = vandermonde_matrix(p, points, params.r)
+        inverse = np.array(matrix_inverse(p, vm), dtype=np.int64)
         powers = np.array(
-            [[params.field.pow(params.lambdas[u], t) for u in job.helpers] for t in range(params.r)],
+            [[pow(params.lambdas[u], t, p) for u in job.helpers] for t in range(params.r)],
             dtype=np.int64,
         )
         # solve @ downloads: rows 0..n-1 are every node's slice values (identity
@@ -277,7 +277,7 @@ def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], 
             raise ValueError(f"helper {u}: column must be shaped (planes, s^n) = {shape}, "
                              f"got shape {np.shape(col)}")
     helpers = np.array(columns)
-    check_reduced(params, helpers, "column")
+    check_below(helpers, p, "helper column symbols")
     helpers = helpers.reshape(d, -1).astype(ctx.solve.dtype)  # accumulator_dtype(params)
 
     # download phase: pay[m, j] is helper m's payload to failed node j

@@ -60,6 +60,7 @@ import numpy as np
 
 from . import code
 from .code import CodeParams, InconsistentCodewordError, validate_params
+from .field import check_below
 
 MAGIC = b"MSCR"
 FORMAT_VERSION = 3
@@ -98,8 +99,9 @@ def pack_bytes(data: bytes, p: int) -> np.ndarray:
     return vals.astype(np.uint16)
 
 
-def unpack_symbols(symbols: np.ndarray, p: int, original_length: int) -> bytes:
-    """Inverse of pack_bytes, truncated to the recorded byte length."""
+def unpack_symbols(symbols: np.ndarray, p: int, original_length: int | None = None) -> bytes:
+    """Inverse of pack_bytes: the symbols' whole bitstream, its last byte
+    filled with zero bits, truncated to original_length bytes when given."""
     m = bits_per_symbol(p)
     if m == 8:
         return symbols.astype(np.uint8).tobytes()[:original_length]
@@ -108,13 +110,7 @@ def unpack_symbols(symbols: np.ndarray, p: int, original_length: int) -> bytes:
     for i in range(m):
         np.right_shift(vals, m - 1 - i, out=bits[:, i])
         bits[:, i] &= 1
-    flat = bits.reshape(-1)
-    usable = (flat.size // 8) * 8
-    return np.packbits(flat[:usable]).tobytes()[:original_length]
-
-
-def symbols_per_stripe(params: CodeParams) -> int:
-    return params.k * params.N
+    return np.packbits(bits.reshape(-1)).tobytes()[:original_length]
 
 
 def stored_width(p: int) -> int:
@@ -249,9 +245,7 @@ class ChunkWriter:
         symbol outside [0, _symbol_bound) is a ValueError naming the node:
         pack_body keeps only the node's width of bits, so it would otherwise
         be stored truncated."""
-        if symbols.size and ((symbols.dtype.kind != "u" and symbols.min() < 0)
-                             or symbols.max() >= self._bound):
-            raise ValueError(f"node {self._node}: chunk symbols must lie in [0,{self._bound})")
+        check_below(symbols, self._bound, f"node {self._node}: chunk symbols")
         first = start * self._params.N
         body = memoryview(pack_body(symbols, self._width))
         pos = 0
@@ -497,7 +491,7 @@ def stripes_for(original_length: int, params: CodeParams) -> int:
     """Stripes of a file of original_length bytes: its message symbols,
     ceil(8 len / m), in stripes of kN, and at least one."""
     symbols = -(-8 * original_length // bits_per_symbol(params.p))
-    return max(1, -(-symbols // symbols_per_stripe(params)))
+    return max(1, -(-symbols // params.message_length))
 
 
 def blocks(params: CodeParams, stripes: int) -> list[tuple[int, int]]:
@@ -511,7 +505,7 @@ def blocks(params: CodeParams, stripes: int) -> list[tuple[int, int]]:
 
 def _byte_range(params: CodeParams, start: int, stop: int, original_length: int):
     """The file's byte range [first, last) held by stripes [start, stop)."""
-    bits = symbols_per_stripe(params) * bits_per_symbol(params.p)
+    bits = params.message_length * bits_per_symbol(params.p)
     return start * bits // 8, min(original_length, stop * bits // 8)
 
 
@@ -524,7 +518,7 @@ def _read_message(fh, params: CodeParams, start: int, stop: int, length: int,
     if len(data) != last - first:
         raise ValueError(f"input ended after {first + len(data)} of {length} bytes")
     digest.update(data)
-    message = np.zeros((stop - start) * symbols_per_stripe(params), dtype=np.uint16)
+    message = np.zeros((stop - start) * params.message_length, dtype=np.uint16)
     symbols = pack_bytes(data, params.p)
     message[:symbols.size] = symbols
     return message
@@ -551,36 +545,20 @@ def encode_file(fh, length: int, params: CodeParams, chunks: list[ChunkWriter]) 
     return digest.hexdigest()
 
 
-def _check_padding(params: CodeParams, last_stripe: np.ndarray, original_length: int,
-                   stripe_count: int) -> None:
-    """Encode pads the last stripe with zero bits, so a set bit of its
-    message past original_length means the recorded length is wrong
-    (ValueError).  last_stripe is that stripe's message: its k systematic
-    (planes, s^n) columns."""
-    m = bits_per_symbol(params.p)
-    # the pad bits: the last m - r bits of symbol q, in which the file's last
-    # byte ends r bits into the stripe's message, and every later symbol
-    used = 8 * original_length - (stripe_count - 1) * symbols_per_stripe(params) * m
-    q, r = divmod(used, m)
-    pad = np.array(last_stripe, dtype=np.uint16).reshape(-1)[q:]
-    if r:
-        pad[0] &= (1 << (m - r)) - 1
-    if pad.any():
+def _file_bytes(params: CodeParams, message: list[np.ndarray], start: int, stop: int,
+                original_length: int) -> bytes:
+    """The file's bytes held by stripes [start, stop), from their k
+    systematic (stop - start, planes, s^n) columns.  A block starts on a byte
+    of the message bitstream, so the bytes it holds past the file's end are
+    exactly its padding, which encode fills with zeros: a nonzero one is a
+    ValueError naming original_length."""
+    # (stripes, k, planes, s^n): each stripe's message in file order
+    data = unpack_symbols(np.stack(message, axis=1).reshape(-1), params.p)
+    first, last = _byte_range(params, start, stop, original_length)
+    if any(data[last - first:]):
         raise ValueError(f"the last stripe's message has set bits past original_length "
                          f"= {original_length} bytes, which encode pads with zeros")
-
-
-def _file_bytes(params: CodeParams, message: list[np.ndarray], start: int, stop: int,
-                original_length: int, stripe_count: int) -> bytes:
-    """The file's bytes held by stripes [start, stop), from their k
-    systematic (stop - start, planes, s^n) columns.  The block that ends the
-    file must have zero padding (a ValueError names original_length)."""
-    # (stripes, k, planes, s^n): each stripe's message in file order
-    stacked = np.stack(message, axis=1)
-    if stop == stripe_count:
-        _check_padding(params, stacked[-1], original_length, stripe_count)
-    first, last = _byte_range(params, start, stop, original_length)
-    return unpack_symbols(stacked.reshape(-1), params.p, last - first)
+    return data[:last - first]
 
 
 def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_count: int,
@@ -610,7 +588,7 @@ def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_c
             except InconsistentCodewordError as exc:
                 raise InconsistentCodewordError(start + exc.stripe, exc.plane) from None
         data = _file_bytes(params, [block[i] for i in range(params.k)], start, stop,
-                           original_length, stripe_count)
+                           original_length)
         del block  # freed before the next block is read: one block at a time
         digest.update(data)
         out.write(data)

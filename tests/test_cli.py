@@ -70,6 +70,22 @@ class TestEncode:
                        "--random-bytes", 100, "--seed", 3, "--out", store) == 0
         assert (store / "source.bin").stat().st_size == 100
 
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_seed_with_input_refused(self, tmp_path, capsys, from_config):
+        # a seed seeds --random-bytes only; with --input it was once ignored
+        src = tmp_path / "in.bin"
+        src.write_bytes(bytes(range(50)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        seed = ("--config", cfg) if from_config else ("--seed", 5)
+        assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2, "--input", src,
+                       *seed, "--out", tmp_path / "s") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --seed seeds --random-bytes only; it cannot be used "
+                                "with --input\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.bin"]
+
     def test_unreadable_input_reported(self, tmp_path, capsys):
         assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
                        "--input", tmp_path, "--out", tmp_path / "x") == 2
@@ -138,6 +154,21 @@ class TestFail:
         _, store, _ = encoded_dir
         assert run_cli("fail", "--dir", store, "--nodes", "0") == 2
         assert "exactly h=2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes,error", [
+        ("0,4", "node 4 out of range [0,4)"),
+        ("1,x", "cannot parse node list '1,x'"),
+        ("0,1", "chunk for node 1 not found at {store}/node1.mscr"),
+    ], ids=["out-of-range", "unparsable", "missing-chunk"])
+    def test_refused_without_a_change(self, encoded_dir, capsys, nodes, error):
+        # node 0's chunk is checked before node 1's is found missing, and
+        # stays in place: a refused command quarantines nothing
+        _, store, _ = encoded_dir
+        (store / "node1.mscr").unlink()
+        before = snapshot(store)
+        assert run_cli("fail", "--dir", store, "--nodes", nodes) == 2
+        assert capsys.readouterr().err == f"error: {error.format(store=store)}\n"
+        assert snapshot(store) == before
 
     def test_refail_rejected(self, encoded_dir, capsys):
         _, store, _ = encoded_dir
@@ -216,6 +247,33 @@ class TestRepair:
         assert recount((store / "transcript.txt").read_text()).gamma == 96
         csv = (store / "metrics.csv").read_text().splitlines()
         assert csv[1].split(",")[3] == "96"
+
+    def test_single_failure(self, tmp_path, capsys):
+        # h = 1 on (5,1,4,1), p = 257: no cooperative phase, so beta2 is 0,
+        # and every helper reads G(3,1) = 7/16 of its chunk
+        store = tmp_path / "s"
+        # 3 stripes of kN = 4096 bytes
+        assert run_cli("encode", "--n", 5, "--k", 1, "--d", 4, "--h", 1, "--p", 257,
+                       "--random-bytes", 10000, "--out", store) == 0
+        before = (store / "node0.mscr").read_bytes()
+        assert run_cli("fail", "--dir", store, "--nodes", "0") == 0
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "1,2,3,4",
+                       "--csv", tmp_path / "m.csv", "--transcript", tmp_path / "t.txt") == 0
+        out = capsys.readouterr().out
+        assert "beta1 (helper -> failed)      : 1024 symbols/edge" in out
+        assert "beta2 (failed <-> failed)     : 0 symbols/edge" in out
+        assert "gamma (total bandwidth)       : 4096 symbols   [cut-set bound 4096]" in out
+        assert "1792 of 4096 symbols = 7/16 (G = 7/16)" in out
+        assert "gamma total                   : 12288 symbols" in out
+        assert "bandwidth : OPTIMAL" in out and "access    : LOW-ACCESS" in out
+        assert (tmp_path / "m.csv").read_text().splitlines()[1] == (
+            "3,1024,0,4096,12288,7168,21504,1792,4096,7/16,4096,4096")
+        counted = recount((tmp_path / "t.txt").read_text())
+        assert counted.gamma == 4096
+        assert {edge[0] for edge in counted.per_edge} == {"download"}
+        assert (store / "node0.mscr").read_bytes() == before
+        assert run_cli("verify", "--dir", store) == 0
 
     def test_restored_bytes_identical(self, encoded_dir):
         tmp_path, store, data = encoded_dir
@@ -577,6 +635,24 @@ class TestCheckedReads:
         assert out.is_dir() and list(out.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "out", "store"]
 
+    @pytest.mark.parametrize("spelling", ["", " , ", []], ids=["empty", "separators", "config"])
+    def test_decode_refuses_an_empty_node_list(self, encoded_dir, capsys, spelling):
+        # an empty list once decoded from every node, or failed as too few
+        tmp_path, store, _ = encoded_dir
+        if isinstance(spelling, list):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"nodes": spelling}))
+            nodes = ("--config", cfg)
+        else:
+            nodes = ("--nodes", spelling)
+        before = sorted(tmp_path.iterdir())
+        assert run_cli("decode", "--dir", store, "--out", tmp_path / "x", *nodes) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --nodes lists no node; list some, or leave it out to "
+                                "decode from every available node\n")
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_decode_rejects_out_of_range_node(self, encoded_dir, capsys):
         tmp_path, store, _ = encoded_dir
         assert run_cli("decode", "--dir", store, "--out", tmp_path / "x",
@@ -802,6 +878,20 @@ class TestSymbolOutOfField:
         assert captured.err.splitlines() == [
             f"PROBLEM: node 0: {store / 'node0.mscr'} changed while it was read"]
 
+    def test_verify_names_a_systematic_node_it_reads_back(self, store, capsys, monkeypatch):
+        # without node 5 the parity sweep reads nothing, so node 0's changed
+        # block is first met by the read-back through decode_file
+        _, store, _ = store
+        (store / "node5.mscr").unlink()
+        self.change_while_read(monkeypatch, 0)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        captured = capsys.readouterr()
+        assert "parity: skipped (not all chunks available)" in captured.out
+        assert captured.err.splitlines() == [
+            f"PROBLEM: node 5: chunk missing at {store / 'node5.mscr'}",
+            f"PROBLEM: node 0: {store / 'node0.mscr'} changed while it was read"]
+
 
 class TestMalformedManifest:
     # a missing, unknown or mistyped manifest field is an error naming it,
@@ -982,6 +1072,18 @@ class TestBenchmarkContract:
     """perfbench/tracer.py wraps cli.run_repair and derives the traced gamma and
     helper-access totals from one call per stripe and each call's transcript.
     A change to that shape has to change the benchmark first."""
+
+    def test_traced_names_exist(self):
+        # the tracer leaves a missing name untraced, and its metrics read 0
+        from mscr import metrics, oracle, repair
+        names = [(cli, "cmd_encode"), (cli, "cmd_repair"), (cli, "cmd_verify"),
+                 (cli, "cmd_decode"), (cli, "run_repair"), (repair, "matrix_inverse"),
+                 (code, "encode"), (storage, "pack_bytes"), (storage, "unpack_symbols"),
+                 (storage, "read_chunk"), (storage, "write_chunk"), (storage, "encode_file"),
+                 (storage, "decode_file"), (oracle, "recount")]
+        for module, name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+        assert isinstance(metrics.RepairMetrics.__dict__.get("from_run"), classmethod)
 
     def test_one_run_repair_call_per_stripe(self, tmp_path, monkeypatch):
         store = tmp_path / "store"

@@ -76,6 +76,15 @@ class TestValidateParams:
         with pytest.raises(ValueError, match="lambda"):
             validate_params(4, 1, 2, 2, p=7, lambdas=(1, 2, 3))
 
+    @pytest.mark.parametrize("points,named", [
+        (dict(lambdas=(0, 1, 7, 3)), "lambda_2=7"),
+        (dict(mus=(-1,)), "mu_1=-1"),
+        (dict(lambdas=(0, True, 2, 3)), "lambda_1=True"),
+    ], ids=["at-p", "negative", "bool"])
+    def test_point_outside_the_field_named(self, points, named):
+        with pytest.raises(ValueError, match=rf"^evaluation point {named} must lie in \[0,7\)$"):
+            validate_params(4, 1, 2, 2, p=7, **points)
+
 
 class TestEncode:
     def test_zero_message_gives_zero_codeword(self, example1):
@@ -144,7 +153,7 @@ class TestEncode:
             encode(example1, np.zeros(5, dtype=np.int64))
         bad = np.zeros(example1.message_length, dtype=np.int64)
         bad[0] = 5
-        with pytest.raises(ValueError, match="reduced"):
+        with pytest.raises(ValueError, match=r"^message symbols must lie in \[0,5\)$"):
             encode(example1, bad)
 
 
@@ -219,7 +228,7 @@ class TestContainers:
     def test_column_range_enforced(self, example1):
         bad = np.zeros((1, 3, 16), dtype=np.int64)
         bad[0, 0, 0] = 5
-        with pytest.raises(ValueError, match="reduced"):
+        with pytest.raises(ValueError, match=r"^node 0: column symbols must lie in \[0,5\)$"):
             erase_decode(example1, {0: bad})
 
     def test_unbatched_column_rejected(self, example1):

@@ -118,7 +118,7 @@ class TestRunRepair:
             run_repair(job, {2: cw[2]})
 
     @pytest.mark.parametrize("bad,match", [
-        ("shape", "shape"), ("too_large", "reduced"), ("negative", "reduced"),
+        ("shape", "shape"), ("too_large", "lie in"), ("negative", "lie in"),
     ])
     def test_bad_last_helper_column_rejected(self, ex1, bad, match):
         # the block is checked as a whole, so a fault in the last helper counts

@@ -33,7 +33,6 @@ from mscr.storage import (
     read_chunk,
     stored_width,
     stripes_for,
-    symbols_per_stripe,
     unpack_body,
     unpack_symbols,
     write_chunk,
@@ -482,7 +481,7 @@ class TestFileStriping:
 
     def test_byte_symbols_with_large_field(self):
         params = validate_params(6, 3, 4, 2, p=257)
-        assert symbols_per_stripe(params) == 3 * 192
+        assert params.message_length == 3 * 192
         data = bytes(range(256)) * 3  # 768 bytes -> 768 symbols -> 2 stripes
         _, stripes, bodies = encode_bytes(data, params)
         assert stripes == 2
@@ -565,7 +564,7 @@ class TestStripeBatchAgainstPerStripe:
 
     @staticmethod
     def per_stripe_bodies(data, params):
-        per_stripe = symbols_per_stripe(params)
+        per_stripe = params.message_length
         symbols = pack_bytes(data, params.p)
         stripes = max(1, -(-symbols.size // per_stripe))
         padded = np.zeros(stripes * per_stripe, dtype=np.int64)
@@ -582,7 +581,7 @@ class TestStripeBatchAgainstPerStripe:
         nkdh, p = request.param
         params = validate_params(*nkdh, p=p)
         # three full stripes and a partial fourth
-        n_bytes = (3 * symbols_per_stripe(params) + 100) * bits_per_symbol(p) // 8
+        n_bytes = (3 * params.message_length + 100) * bits_per_symbol(p) // 8
         data = np.random.default_rng(sum(nkdh) + p).integers(0, 256, size=n_bytes, dtype=np.uint8)
         return params, data.tobytes()
 
@@ -615,7 +614,7 @@ class TestBlockWalk:
         nkdh, p = request.param
         params = validate_params(*nkdh, p=p)
         # the last stripe holds 100 message symbols
-        n_bytes = ((self.STRIPES - 1) * symbols_per_stripe(params) + 100) * bits_per_symbol(p) // 8
+        n_bytes = ((self.STRIPES - 1) * params.message_length + 100) * bits_per_symbol(p) // 8
         data = np.random.default_rng(p).integers(0, 256, size=n_bytes, dtype=np.uint8).tobytes()
         assert storage.blocks(params, self.STRIPES) == [(0, self.STRIPES)]
         one_block = encode_bytes(data, params)
@@ -644,7 +643,7 @@ class TestBlockWalk:
         real = code.encode
 
         def counting(params, message):
-            calls.append(message.size // symbols_per_stripe(params))
+            calls.append(message.size // params.message_length)
             return real(params, message)
 
         monkeypatch.setattr(code, "encode", counting)

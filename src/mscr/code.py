@@ -193,15 +193,15 @@ def parity_residual(params: CodeParams, cw: np.ndarray, t: int, b: int, a) -> in
 # --- vectorized machinery -------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _plane_geometry(params: CodeParams):
-    """Per-coordinate zero-digit masks and substitution index maps.
+def plane_geometry(params: CodeParams):
+    """The engine's one index geometry, read by the peel and by repair:
+    per-coordinate zero-digit masks and substitution index maps.
 
     Returns (masks, subs): masks[i] is a bool array over Z_s^n marking a_i == 0,
     subs[i][e-1][a] is the integer index of a(i, e).
     """
     n, s = params.n, params.s
-    size = params.s_pow_n
-    idx = np.arange(size)
+    idx = np.arange(params.s_pow_n)
     masks = []
     subs = []
     for i in range(n):
@@ -281,7 +281,7 @@ def _peel_plan(params: CodeParams, erased: tuple[int, ...]):
     """
     m = len(erased)
     p, dtype = params.p, accumulator_dtype(params)
-    masks, subs = _plane_geometry(params)
+    masks, subs = plane_geometry(params)
     zeros = sum(masks[i].astype(np.int64) for i in erased)
     vm = vandermonde_matrix(p, [params.lambdas[i] for i in erased], m)
     solve_op = -np.array(matrix_inverse(p, vm), dtype=dtype) % p

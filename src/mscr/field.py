@@ -40,16 +40,18 @@ def smallest_prime_at_least(m: int) -> int:
 
 def check_below(values, bound: int, what: str) -> None:
     """Reject anything but an int, or an integer array, with every value in
-    [0, bound): a bool, a float, any other type and any value outside the
-    range are a ValueError naming `what`.  Callers check before a cast could
-    wrap a value."""
+    [0, bound), by a ValueError naming `what` and the type required (for a
+    bool, a float, a numpy scalar, any other type) or the range.  Callers
+    check before a cast could wrap a value."""
     if isinstance(values, np.ndarray):
-        ok = values.dtype.kind in "iu" and (not values.size or (
+        typed, need = values.dtype.kind in "iu", "an integer array"
+        ok = typed and (not values.size or (
             (values.dtype.kind == "u" or values.min() >= 0) and values.max() < bound))
     else:
-        ok = isinstance(values, int) and not isinstance(values, bool) and 0 <= values < bound
+        typed, need = isinstance(values, int) and not isinstance(values, bool), "an int"
+        ok = typed and 0 <= values < bound
     if not ok:
-        raise ValueError(f"{what} must lie in [0,{bound})")
+        raise ValueError(f"{what} must {'lie' if typed else 'be ' + need} in [0,{bound})")
 
 
 def vandermonde_matrix(p: int, points: list[int], rows: int) -> list[list[int]]:

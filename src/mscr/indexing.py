@@ -35,13 +35,6 @@ def sub_index(a: int, i: int, v: int, s: int) -> int:
     return a + (v - (a // s**i) % s) * s**i
 
 
-def v_indices(i: int, n: int, s: int) -> list[int]:
-    if not 0 <= i < n:
-        raise ValueError(f"coordinate {i} out of range [0,{n})")
-    w = s**i
-    return [a for a in range(s**n) if (a // w) % s == 0]
-
-
 def union_v_indices(coords, n: int, s: int) -> list[int]:
     coords = sorted(set(coords))
     if not coords:

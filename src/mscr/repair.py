@@ -24,7 +24,7 @@ forwards the slice values of each other failed node t, which completes its
 plane P_j from them.
 
 One pass serves every failed node, helper and pair at once, through maps
-cached per (params, E, R):
+built once per job (params, E, R), held by the job, and freed with it:
 
 - pay = two gathers of the stacked (d, planes*s^n) helper block, added and
   reduced; pay[:, j] is what the d helpers send node j.
@@ -54,19 +54,19 @@ composed sum has F <= n s terms, each of absolute value below p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .code import CodeParams, accumulator_dtype
+from .code import CodeParams, accumulator_dtype, plane_geometry
 from .field import check_below, matrix_inverse, vandermonde_matrix
-from .indexing import v_indices
 from .metrics import AccessLog
 
 
 @dataclass(frozen=True)
 class RepairJob:
-    """A repair instance: which nodes failed, which helpers serve it."""
+    """A repair instance: which nodes failed, which helpers serve it, and its
+    maps, `context`, built on first use, held by the job and freed with it."""
 
     params: CodeParams
     failed: tuple[int, ...]
@@ -93,12 +93,11 @@ class RepairJob:
             raise ValueError(
                 f"failed and helper sets overlap: {set(self.failed) & set(self.helpers)}"
             )
-        # hashed once: _context looks the job up on every run_repair call, and
-        # hashing the fields walks all of CodeParams
-        object.__setattr__(self, "_hash", hash((params, self.failed, self.helpers)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    @cached_property
+    def context(self) -> _JobContext:
+        # cached_property writes the instance __dict__, past the frozen __setattr__
+        return _JobContext(self)
 
 
 class _JobContext:
@@ -145,13 +144,13 @@ class _JobContext:
         # the forms of the repaired columns, (slot, failed node, flat position)
         gather = np.zeros((fan, h, params.planes * width), dtype=np.int32)
         coef = np.zeros(gather.shape, dtype=np.int8)
+        masks, subs = plane_geometry(params)
         for j, i in enumerate(job.failed):
-            vidx = np.array(v_indices(i, n, s), dtype=np.int64)
-            cols = vidx + np.arange(s)[:, None] * s**i
+            vidx = np.flatnonzero(masks[i])
+            cols = np.stack([vidx] + [sub[vidx] for sub in subs[i]])
             rows = np.array([dk + j, *range(dk)])
             place[j] = rows[:, None, None] * width + cols
-            pos = np.full(width, -1, dtype=np.int64)
-            pos[vidx] = np.arange(size)
+            pos = np.cumsum(masks[i]) - 1  # pos[a]: a's rank in V_i, for a in V_i
             # own_*[f, t, e]: slot f of node j's symbols at place[j, t, e]
             own_y = np.zeros((fan, s, s, size), dtype=np.int32)
             own_c = np.zeros(own_y.shape, dtype=np.int8)
@@ -160,10 +159,9 @@ class _JobContext:
             # digit w set to e, for every w != i whose digit w of V_i[q] is zero
             own_y[0, :, 1:], own_c[0, :, 1:] = ypos[n:, j].swapaxes(0, 1), 1
             for f, w in enumerate((w for w in range(n) if w != i), start=1):
-                digit = (vidx // s**w) % s
                 for e in range(1, s):
-                    own_y[f, :, e] = ypos[w, j][:, pos[vidx + (e - digit) * s**w]]
-                    own_c[f, :, e] = -1 * (digit == 0)
+                    own_y[f, :, e] = ypos[w, j][:, pos[subs[w][e - 1][vidx]]]
+                    own_c[f, :, e] = -1 * masks[w][vidx]
             # on V_i, slice t >= 1 holds c[node, t, a] + c[node, repair plane, a(i, t)]
             own_y[1:n + 1, 1:, 0] = own_y[:n, 0, 1:]
             own_c[1:n + 1, 1:, 0] = -own_c[:n, 0, 1:]
@@ -190,11 +188,6 @@ class _JobContext:
         access[self.download] = access[self.cross] = True
         access.flags.writeable = False
         self.access = access.reshape(params.planes, width)
-
-
-@lru_cache(maxsize=None)
-def _context(job: RepairJob) -> _JobContext:
-    return _JobContext(job)
 
 
 # --- transcript ----------------------------------------------------------------
@@ -238,7 +231,7 @@ class RepairTranscript:
 
     @cached_property
     def access_logs(self) -> dict[int, AccessLog]:
-        access = _context(self.job).access
+        access = self.job.context.access
         return {u: AccessLog(u, access) for u in self.job.helpers}
 
     def per_edge_counts(self) -> dict[tuple[str, int, int], int]:
@@ -265,12 +258,10 @@ def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], 
     first read.  The repaired columns and the transcript's arrays are in
     accumulator_dtype(params)."""
     params = job.params
-    ctx = _context(job)
-    try:
-        columns = [surviving[u] for u in job.helpers]
-    except KeyError:
-        missing = [u for u in job.helpers if u not in surviving]
-        raise ValueError(f"surviving columns must cover every helper; missing {missing}") from None
+    ctx = job.context
+    if missing := [u for u in job.helpers if u not in surviving]:
+        raise ValueError(f"surviving columns must cover every helper; missing {missing}")
+    columns = [surviving[u] for u in job.helpers]
     p, d, shape = params.p, params.d, (params.planes, params.s_pow_n)
     for u, col in zip(job.helpers, columns):
         if np.shape(col) != shape:

@@ -409,6 +409,10 @@ class Manifest:
         if (want := stripes_for(self.original_length, params)) != self.stripe_count:
             raise ValueError(f"manifest field 'original_length' = {self.original_length} bytes "
                              f"fills {want} stripe(s), but 'stripe_count' is {self.stripe_count}")
+        distinct = set(self.failed) & set(range(params.n))
+        if len(distinct) != len(self.failed) or len(distinct) not in (0, params.h):
+            raise ValueError(f"manifest field 'failed' = {self.failed} must list none or "
+                             f"h={params.h} distinct nodes of [0,{params.n}), as `fail` records")
         return params
 
     def check_decoded(self, sha256: str) -> None:

@@ -64,6 +64,12 @@ class TestEncode:
                        "--out", tmp_path / "x") == 2
         assert "exactly one of" in capsys.readouterr().err
 
+    def test_requires_n(self, tmp_path, capsys):
+        assert run_cli("encode", "--k", 1, "--d", 2, "--h", 2, "--random-bytes", 64,
+                       "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == "error: missing required parameter --n\n"
+        assert not (tmp_path / "x").exists()
+
     def test_random_bytes_written_to_source(self, tmp_path):
         store = tmp_path / "s"
         assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
@@ -301,6 +307,16 @@ class TestRepair:
 
 
 class TestVerifyAndDecode:
+    def test_decode_from_fewer_than_k_nodes_refused(self, tmp_path, capsys):
+        store, out = tmp_path / "s", tmp_path / "out.bin"
+        assert run_cli("encode", "--n", 6, "--k", 3, "--d", 4, "--h", 2, "--p", 257,
+                       "--random-bytes", 1000, "--out", store) == 0
+        before = snapshot(store)
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", out, "--nodes", "0") == 2
+        assert capsys.readouterr().err == "error: need at least k=3 chunks, have 1\n"
+        assert not out.exists() and snapshot(store) == before
+
     def test_verify_clean(self, encoded_dir, capsys):
         _, store, _ = encoded_dir
         assert run_cli("verify", "--dir", store) == 0
@@ -904,6 +920,8 @@ class TestMalformedManifest:
         "bits_per_symbol": (lambda m: m.update(bits_per_symbol=3),
                             "'bits_per_symbol' must be 2 for p=5, got 3"),
         "no_digest": (lambda m: m.pop("original_sha256"), "'original_sha256' is missing"),
+        "number_digest": (lambda m: m.update(original_sha256=5),
+                          "'original_sha256' must be a string"),
     }
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
@@ -923,6 +941,44 @@ class TestMalformedManifest:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
         assert not out.exists()
+
+    def test_array_manifest_refused(self, encoded_dir, capsys):
+        _, store, _ = encoded_dir
+        path = store / "manifest.json"
+        path.write_text("[1, 2]")
+        before = snapshot(store)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 2
+        assert capsys.readouterr().err == f"error: {path}: manifest must hold a JSON object\n"
+        assert snapshot(store) == before
+
+    # `fail` records none or h distinct nodes of [0, n); any other list would
+    # leave a store that no command can operate
+    FAILED = {"out-of-range": [9], "repeated": [0, 0], "short": [0], "long": [0, 1, 2]}
+
+    @pytest.mark.parametrize("shape", sorted(FAILED))
+    @pytest.mark.parametrize("argv", [
+        ("verify",), ("decode", "--out", "x.bin"), ("repair", "--helpers", "2,3"),
+        ("fail", "--nodes", "0,1"),
+    ], ids=["verify", "decode", "repair", "fail"])
+    def test_failed_list_fail_never_writes_refused(self, encoded_dir, capsys, monkeypatch,
+                                                   shape, argv):
+        tmp_path, store, _ = encoded_dir
+        path = store / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["failed"] = self.FAILED[shape]
+        path.write_text(json.dumps(manifest))
+        before = snapshot(store)
+        opened = []
+        monkeypatch.setattr(storage, "read_chunk", lambda *a: opened.append(a))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run_cli(argv[0], "--dir", store, *argv[1:]) == 2
+        assert capsys.readouterr().err == (
+            f"error: manifest field 'failed' = {self.FAILED[shape]} must list none or h=2 "
+            "distinct nodes of [0,4), as `fail` records\n")
+        assert opened == [] and snapshot(store) == before
+        assert not (tmp_path / "x.bin").exists()
 
     @pytest.mark.parametrize("raw", [b"\x00\x82 not UTF-8", b"{not JSON"], ids=["bytes", "text"])
     def test_undecodable_manifest_named(self, encoded_dir, capsys, raw):
@@ -1066,6 +1122,59 @@ class TestGoldenChunks:
             raw = (store / f"node{i}.mscr").read_bytes()
             got.append((len(raw), hashlib.sha256(raw).hexdigest()))
         assert got == self.PINS[case]
+
+
+class TestGoldenRepair:
+    """Pins of the repair outputs of three fixed stores: (byte length, sha256)
+    of the transcript and of the CSV, and the printed `gamma total` line.
+
+    A restored chunk is checked against its digest, but nothing else pins a
+    transcript's payload values or message order.  A change of the repair
+    maps must update these on purpose and say so in CHANGES.md.
+    """
+
+    # (n, k, d, h), p -> (failed, helpers, transcript pin, CSV pin, gamma total line)
+    PINS = {
+        ((4, 1, 2, 2), 5): (
+            "0,1", "2,3",
+            (492, "0bc5890765ecd1c37094443365cfc812f06c5cfd39f151f1e9ade9eb9cf6bddf"),
+            (181, "5680de2150873e985cf04527902b4e2fcd7d2b0dbe620f626ee00737eb3ddb6f"),
+            "  gamma total                   : 864 symbols",
+        ),
+        ((6, 3, 4, 2), 257): (
+            "1,4", "0,2,3,5",
+            (2736, "702c573dd6d99894ffc4a3a0bf79c373de36b9dab2d81b5dab6c91b4d3af07a3"),
+            (187, "938102b866240c27dadc02b814a2395f7b6ab50ff56e57318fd9e13bc44fd3ae"),
+            "  gamma total                   : 640 symbols",
+        ),
+        ((6, 2, 3, 3), 7): (
+            "0,3,5", "1,2,4",
+            (4113, "32e20928bc2799c135842eb95f36dfba27d376f6b9877e4cf07cc4562394661a"),
+            (187, "3b3f7c2520be2937911fac157f7f9fda7da820034ac2990fe48ad77e05ef6302"),
+            "  gamma total                   : 960 symbols",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(PINS), ids=["4122-p5", "6342-p257", "6233-p7"])
+    def test_pinned_repair(self, tmp_path, capsys, case):
+        (n, k, d, h), p = case
+        failed, helpers, transcript_pin, csv_pin, gamma_line = self.PINS[case]
+        src, store, csv = tmp_path / "in.bin", tmp_path / "s", tmp_path / "m.csv"
+        src.write_bytes(TestGoldenChunks.DATA)
+        assert run_cli("encode", "--n", n, "--k", k, "--d", d, "--h", h, "--p", p,
+                       "--input", src, "--out", store) == 0
+        assert run_cli("fail", "--dir", store, "--nodes", failed) == 0
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", helpers, "--csv", csv) == 0
+        out = capsys.readouterr().out
+
+        def pin(path):
+            raw = path.read_bytes()
+            return len(raw), hashlib.sha256(raw).hexdigest()
+
+        got = (pin(store / "transcript.txt"), pin(csv),
+               next(line for line in out.splitlines() if "gamma total" in line))
+        assert got == (transcript_pin, csv_pin, gamma_line)
 
 
 class TestBenchmarkContract:
@@ -1392,6 +1501,14 @@ class TestConfigFile:
         out = tmp_path / "roundtrip.bin"
         assert run_cli("decode", "--config", cfg, "--out", out) == 0
         assert out.read_bytes() == (store / "source.bin").read_bytes()
+
+    def test_config_array_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"n": 4}]))
+        store = tmp_path / "s"
+        assert run_cli("encode", "--config", cfg, "--out", store) == 2
+        assert capsys.readouterr().err == f"error: config {cfg} must hold a JSON object\n"
+        assert not store.exists()
 
     @pytest.mark.parametrize("key", ["sed", "config", "func"])
     def test_unknown_key_refused(self, tmp_path, capsys, key):

@@ -77,12 +77,14 @@ class TestValidateParams:
             validate_params(4, 1, 2, 2, p=7, lambdas=(1, 2, 3))
 
     @pytest.mark.parametrize("points,named", [
-        (dict(lambdas=(0, 1, 7, 3)), "lambda_2=7"),
-        (dict(mus=(-1,)), "mu_1=-1"),
-        (dict(lambdas=(0, True, 2, 3)), "lambda_1=True"),
-    ], ids=["at-p", "negative", "bool"])
+        (dict(lambdas=(0, 1, 7, 3)), r"lambda_2=7 must lie"),
+        (dict(mus=(-1,)), r"mu_1=-1 must lie"),
+        (dict(lambdas=(0, True, 2, 3)), r"lambda_1=True must be an int"),
+        (dict(lambdas=tuple(np.arange(4))), r"lambda_0=np\.int64\(0\) must be an int"),
+    ], ids=["at-p", "negative", "bool", "numpy-scalar"])
     def test_point_outside_the_field_named(self, points, named):
-        with pytest.raises(ValueError, match=rf"^evaluation point {named} must lie in \[0,7\)$"):
+        # a numpy scalar in CodeParams would not survive the manifest's json.dumps
+        with pytest.raises(ValueError, match=rf"^evaluation point {named} in \[0,7\)$"):
             validate_params(4, 1, 2, 2, p=7, **points)
 
 

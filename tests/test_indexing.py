@@ -6,7 +6,6 @@ from mscr.indexing import (
     sub_index,
     union_v_indices,
     union_v_size,
-    v_indices,
     vec_to_int,
 )
 
@@ -42,14 +41,16 @@ def test_sub_index_matches_tuple_substitution():
                 assert sub_index(a, i, v, s) == expect
 
 
+# V_i is the union over the single coordinate i
+
 def test_v_set_small():
-    assert v_indices(0, 2, 2) == [0, 2]  # (0, 0) and (0, 1)
+    assert union_v_indices({0}, 2, 2) == [0, 2]  # (0, 0) and (0, 1)
 
 
 @pytest.mark.parametrize("n,s", [(3, 2), (4, 2), (3, 3)])
 def test_v_set_cardinality_and_order(n, s):
     for i in range(n):
-        ints = v_indices(i, n, s)
+        ints = union_v_indices({i}, n, s)
         assert len(ints) == s ** (n - 1)
         assert ints == sorted(ints)
         assert all(int_to_vec(a, n, s)[i] == 0 for a in ints)
@@ -57,11 +58,7 @@ def test_v_set_cardinality_and_order(n, s):
 
 def test_v_set_coordinate_out_of_range():
     with pytest.raises(ValueError):
-        v_indices(3, 3, 2)
-
-
-def test_union_single_coordinate_equals_v_set():
-    assert union_v_indices({2}, 4, 2) == v_indices(2, 4, 2)
+        union_v_indices({3}, 3, 2)
 
 
 def test_union_example_counts():

@@ -18,7 +18,7 @@ from mscr.metrics import (
     render_table_text,
 )
 from mscr.indexing import vec_to_int
-from mscr.repair import RepairJob, _context, run_repair
+from mscr.repair import RepairJob, run_repair
 
 from conftest import PARAM_SETS, make_codeword
 
@@ -216,8 +216,8 @@ class TestMeasuredMetrics:
         for b, a in access_set(helpers[0], job):
             expected[b - 1, vec_to_int(a, params.s)] = True
         for u in helpers:
-            assert transcript.access_logs[u].mask is _context(job).access
-        assert np.array_equal(_context(job).access, expected)
+            assert transcript.access_logs[u].mask is job.context.access
+        assert np.array_equal(job.context.access, expected)
 
     def test_nonuniform_transcript_rejected(self, example1):
         class Stub:

@@ -1,12 +1,15 @@
+import gc
+import tracemalloc
+import weakref
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from mscr.code import accumulator_dtype, erase_decode, validate_params
-from mscr.indexing import sub_index, v_indices
+from mscr.code import accumulator_dtype, erase_decode, plane_geometry, validate_params
+from mscr.indexing import sub_index, union_v_indices
 from mscr.oracle import naive_repair
-from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, _context, _JobContext, run_repair
+from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, run_repair
 
 from conftest import make_codeword
 
@@ -24,6 +27,10 @@ class TestRepairJob:
         params, _, _ = ex1
         job = RepairJob(params, (1, 0), (3, 2))
         assert job.failed == (0, 1) and job.helpers == (2, 3)
+        # equal jobs compare and hash equal, each holding its own maps
+        same = RepairJob(params, (0, 1), (2, 3))
+        assert job == same and hash(job) == hash(same)
+        assert job.context is not same.context
 
     def test_wrong_failure_count(self, ex1):
         params, _, _ = ex1
@@ -47,14 +54,10 @@ class TestRepairJob:
         with pytest.raises(ValueError, match="out of range"):
             RepairJob(params, (0, 4), (2, 3))
 
-    def test_equal_jobs_share_one_context(self):
-        # the hash is computed once per job; equal jobs must still meet in the cache
-        job = RepairJob(validate_params(6, 3, 4, 2, p=257), (4, 1), (0, 2, 3, 5))
-        same = RepairJob(validate_params(6, 3, 4, 2, p=257), (1, 4), (5, 3, 2, 0))
-        assert job == same and hash(job) == hash(same)
-        assert _context(job) is _context(same)
-        other = RepairJob(job.params, (1, 5), (0, 2, 3, 4))
-        assert other != job and _context(other) is not _context(job)
+    def test_duplicate_failed_rejected(self, ex1):
+        params, _, _ = ex1
+        with pytest.raises(ValueError, match=r"duplicate failed nodes in \(0, 0\)"):
+            RepairJob(params, (0, 0), (2, 3))
 
 
 class TestRunRepair:
@@ -217,7 +220,7 @@ class TestClosedForm:
 
         def slices(node, i, plane):
             col = cw[node]
-            v = v_indices(i, n, s)
+            v = union_v_indices({i}, n, s)
             out = [int(col[plane - 1, a]) for a in v]
             for b in range(1, d - k + 1):
                 out += [int(col[b - 1, a] + col[plane - 1, sub_index(a, i, b, s)]) % params.p
@@ -290,7 +293,7 @@ class TestOverflowBound:
 
 
 class TestComposedMap:
-    """The cached map from y = solve @ pay to the repaired columns."""
+    """The job's map from y = solve @ pay to the repaired columns."""
 
     @pytest.mark.parametrize("nkdh", [(6, 3, 4, 2), (6, 2, 3, 3), (7, 2, 4, 3), (4, 1, 2, 2)])
     def test_recovery_reads_only_received_payloads(self, nkdh):
@@ -303,7 +306,7 @@ class TestComposedMap:
         block = params.s_pow_n  # y[row, j] holds s slices of s^(n-1) symbols
         for failed in list(combinations(range(n), h))[:4]:
             helpers = tuple(i for i in range(n) if i not in failed)[: params.d]
-            ctx = _context(RepairJob(params, failed, helpers))
+            ctx = RepairJob(params, failed, helpers).context
             assert ctx.gather.shape[0] == n + 2 <= n * s
             assert set(np.unique(ctx.coef)) <= {-1, 0, 1}
             for jt, t in enumerate(failed):
@@ -316,7 +319,35 @@ class TestComposedMap:
         # the map holds F (int32 index, int8 coefficient) pairs per repaired
         # symbol; at the largest desk-scale code it stays under 25 MB
         params = validate_params(7, 1, 4, 3, p=13399)
-        ctx = _JobContext(RepairJob(params, (0, 3, 5), (1, 2, 4, 6)))  # not cached
+        ctx = RepairJob(params, (0, 3, 5), (1, 2, 4, 6)).context
         arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
         assert sum(a.nbytes for a in arrays) < 25_000_000
         assert ctx.gather.shape[0] <= params.n * params.s
+
+    def test_maps_freed_with_the_job(self):
+        # a job holds its own maps: nothing outside it keeps them once it is
+        # dropped, however many distinct jobs one process runs
+        params = validate_params(7, 1, 4, 3, p=13399)
+        plane_geometry(params)  # cached per code, not per job
+        job = RepairJob(params, (0, 3, 5), (1, 2, 4, 6))
+        arrays = [v for v in vars(job.context).values() if isinstance(v, np.ndarray)]
+        one_job = sum(a.nbytes for a in arrays)
+        ref = weakref.ref(job.context)
+        del job, arrays
+        gc.collect()
+        assert ref() is None
+
+        zero = np.zeros((params.planes, params.s_pow_n), dtype=np.uint16)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for failed in [(0, 3, 5), (1, 2, 3), (4, 5, 6), (0, 1, 2)]:
+                job = RepairJob(params, failed, tuple(sorted(set(range(7)) - set(failed)))[:4])
+                _, transcript = run_repair(job, {u: zero for u in job.helpers})
+                assert transcript.access_logs[job.helpers[0]].count() > 0
+                del job, transcript
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < one_job

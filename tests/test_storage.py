@@ -402,7 +402,7 @@ class TestManifest:
             lambdas=(0, 1, 2, 3), mus=(4,),
             bits_per_symbol=2, original_length=100, original_sha256="1" * 64, stripe_count=9,
             chunks={str(i): {"file": chunk_name(i), "sha256": "0" * 64} for i in range(4)},
-            failed=[1],
+            failed=[1, 2],
         )
         manifest.save(tmp_path)
         got = Manifest.load(tmp_path)

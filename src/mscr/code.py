@@ -26,20 +26,27 @@ optimal MDS codes for all admissible parameters", IEEE Trans. IT, 2019):
   costs one product of the cached -V^-1 with every (a, stripe) of the layer.
 
 The checks t >= m are not used by the solve; erase_decode then runs the full
-residual sweep (failing_checks), which rejects inputs that lie on no codeword.
+residual sweep (failing_checks), which rejects inputs that lie on no codeword
+and would also catch a wrapped accumulator in the solve.
 
 Integer bounds: stored symbols are uint16 in [0, p), p < 2^16, and the
-kernels compute in accumulator_dtype(params), int32 when B = n s (p-1)^2 is
-below 2^31 and int64 otherwise.  No intermediate exceeds B:
+kernels compute in accumulator_dtype(params): int16 when B = n s (p-1)^2 is
+below 2^15, int32 when it is below 2^31, and int64 otherwise.  No
+intermediate exceeds B, whatever the dtype:
 - K is summed unreduced over the known nodes and reduced once; each node adds
   at most s(p-1)^2 to an entry (_known_contrib).
-- S is added one erased coordinate at a time and reduced after each, so an
-  accumulator stays below p + (s-1)(p-1)^2 <= s(p-1)^2 (p >= 3).
+- S is added onto the reduced K once per e, as mu_e^t times the unreduced sum
+  of at most m < n solved symbols, so an entry of K + S stays below
+  p + (s-1)m(p-1)^2 <= ((s-1)(n-1) + 1)(p-1)^2 <= B (p >= 3), and is reduced
+  once before the solve.
 - Each entry of -V^-1 (K + S) is a sum of m < n products below (p-1)^2.
-Every code whose s^n index vectors fit in memory has s < n < 64, so B < 2^44
-and int64 cannot overflow.  _known_contrib copies each uint16 column into
-the accumulator dtype before any product: numpy 2 computes a uint16 array
-times a Python int in uint16, which would wrap.
+At the default fields of small codes B is a few hundred ((6,2,3,3) at p = 7
+has B = 12 * 6^2 = 432), so they run in int16; at n s = 12 int16 holds every
+p up to 53 (12 * 52^2 = 32448 < 2^15), and p = 59 takes int32.  Every code
+whose s^n index vectors fit in memory has s < n < 64, so B < 2^44 and int64
+cannot overflow.  _known_contrib copies each uint16 column into the
+accumulator dtype before any product: numpy 2 computes a uint16 array times
+a Python int in uint16, which would wrap.
 
 Files hold many independent codewords (stripes), and every function here
 takes a batch of them: a node's column is a (stripes, planes, s^n) array and
@@ -213,9 +220,12 @@ def plane_geometry(params: CodeParams):
 
 
 def accumulator_dtype(params: CodeParams) -> type:
-    """int32 when the kernels' bound n s (p-1)^2 fits it, else int64 (see the
-    module docstring)."""
-    return np.int32 if params.n * params.s * (params.p - 1) ** 2 < 2**31 else np.int64
+    """The narrowest of int16, int32 and int64 that holds the kernels' bound
+    n s (p-1)^2 (see the module docstring)."""
+    bound = params.n * params.s * (params.p - 1) ** 2
+    if bound < 2**15:
+        return np.int16
+    return np.int32 if bound < 2**31 else np.int64
 
 
 def _add_multiple(acc: np.ndarray, x: np.ndarray, c: int, tmp: np.ndarray) -> None:
@@ -269,33 +279,40 @@ def _peel_plan(params: CodeParams, erased: tuple[int, ...]):
     """Everything solve_erased needs for one erased set, shared by every
     plane and stripe.
 
-    Returns (solve_op, mu_powers, layers).  solve_op is the negated inverse of
-    the m x m Vandermonde matrix of the erased lambdas (rows t < m), so that
-    solve_op @ (K + S) gives the erased symbols of an index vector.
-    mu_powers[t, e-1] is mu_e^t.  Both are in accumulator_dtype(params).
-    layers[z] is (members, terms): members are the index vectors a with
-    z(a) = z, ascending, and terms lists, per erased position q whose
-    coordinate i = erased[q] is zero somewhere in the layer, (q, pos, subs):
-    pos indexes members with a_i = 0 and subs[e-1] holds the matching
-    indices a(i, e), all of which lie in layer z-1.
+    Returns (solve_op, mu_powers, order, position, layers).  solve_op is the
+    negated inverse of the m x m Vandermonde matrix of the erased lambdas
+    (rows t < m), in accumulator_dtype(params), so that solve_op @ (K + S)
+    gives the erased symbols of an index vector.  mu_powers[t][e-1] is mu_e^t.
+    order lists Z_s^n layer by layer, ascending within a layer: the peel
+    holds index vector order[x] at position x, so each layer is one slice of
+    positions, and position[a] is where a is held.  layers[z] is
+    (span, sources): span is layer z's slice, and sources[e-1, f, x] is
+    q s^n + position[a(i, e)] for the f-th of the z erased positions q, in
+    ascending order, whose coordinate i = erased[q] is zero in the layer's
+    x-th index vector a; every such position lies in layer z-1's span.
     """
     m = len(erased)
     p, dtype = params.p, accumulator_dtype(params)
     masks, subs = plane_geometry(params)
-    zeros = sum(masks[i].astype(np.int64) for i in erased)
+    zero_at = np.array([masks[i] for i in erased])  # (m, s^n)
+    sub_at = np.array([subs[i] for i in erased])  # (m, s-1, s^n): a(erased[q], e)
+    zeros = zero_at.sum(axis=0)  # z(a)
     vm = vandermonde_matrix(p, [params.lambdas[i] for i in erased], m)
     solve_op = -np.array(matrix_inverse(p, vm), dtype=dtype) % p
-    mu_powers = np.array([[pow(mu, t, p) for mu in params.mus] for t in range(m)], dtype=dtype)
-    layers = []
-    for z in range(m + 1):
-        members = np.flatnonzero(zeros == z)
-        terms = []
-        for q, i in enumerate(erased):
-            pos = np.flatnonzero(masks[i][members])  # empty in layer 0
-            if len(pos):
-                terms.append((q, pos, np.stack([sub[members[pos]] for sub in subs[i]])))
-        layers.append((members, terms))
-    return solve_op, mu_powers, layers
+    mu_powers = [[pow(mu, t, p) for mu in params.mus] for t in range(m)]
+    # flatnonzero, not argsort: a first argsort maps about 0.4 MB more of numpy
+    members_of = [np.flatnonzero(zeros == z) for z in range(m + 1)]
+    order = np.concatenate(members_of)
+    position = np.empty_like(order)
+    position[order] = np.arange(params.s_pow_n)
+    e = np.arange(params.s - 1)[:, None, None]
+    layers, start = [], 0
+    for z, members in enumerate(members_of):
+        span = slice(start, start + len(members))
+        start = span.stop
+        q = np.nonzero(zero_at[:, members].T)[1].reshape(len(members), z).T  # (z, |layer|)
+        layers.append((span, q * params.s_pow_n + position[sub_at[q, e, members]]))
+    return solve_op, mu_powers, order, position, layers
 
 
 def _as_rows(params: CodeParams, cols) -> list[np.ndarray]:
@@ -310,36 +327,47 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...]) -> None:
     cols[j] is node j's column of every stripe, shape (stripes, planes, s^n);
     an (n, stripes, planes, s^n) array is such a sequence.  Every plane of
     every stripe is solved at once, as one row of (stripes * planes, s^n),
-    layer by layer (see the module docstring): per layer, one gather of the
-    known contributions, one addition of the already-solved substitution
-    terms and the product with the cached m x m inverse, as one einsum
-    (numpy's integer matmul has no BLAS path, and is slower for so small a
-    contraction).  The work array, in accumulator_dtype(params), is
-    contiguous with the row axis innermost, so each gather and scatter moves
-    whole runs of rows.  Its size is m times the batch's symbols per node, so
-    callers with a whole file solve it a block of stripes at a time.
+    layer by layer (see the module docstring).
+
+    The work array, in accumulator_dtype(params), is (m, s^n, rows) with the
+    row axis innermost, and its index axis is put in the plan's layer order
+    one check row at a time, so each layer is a slice of it, solved in place
+    as a view.  Per layer and e, the solved substitution symbols are summed
+    by whole-row gathers and added, times mu_e^t, to every check row; the
+    product with the cached m x m inverse is one einsum (numpy's integer
+    matmul has no BLAS path, and is slower for so small a contraction),
+    reduced back into the slice.  The work array is m times the batch's
+    symbols per node, the permutation copies one check row, and a layer's
+    temporaries are at most m + 3 times the layer's, so callers with a whole
+    file solve it a block of stripes at a time.
     """
     if not erased:
         return
-    solve_op, mu_powers, layers = _peel_plan(params, erased)
+    solve_op, mu_powers, order, position, layers = _peel_plan(params, erased)
     p, m = params.p, len(erased)
     known = [j for j in range(params.n) if j not in erased]
-    # work[t, a, row] starts as check row t's known contributions K; once
-    # a's layer is solved, work[q, a, row] is erased[q]'s symbol
+    # work[t, x, row] starts as check row t's known contributions K at index
+    # vector order[x]; once that layer is solved, work[q, x, row] is
+    # erased[q]'s symbol there
     work = _known_contrib(params, _as_rows(params, cols), known, m)
-    for members, terms in layers:
-        rhs = work[:, members]  # (m, |layer|, rows), reduced
-        for q, pos, subs in terms:
-            acc = rhs[:, pos]
-            for e in range(params.s - 1):
-                acc += mu_powers[:, e, None, None] * work[q, subs[e]]
-            rhs[:, pos] = acc % p
-        unknowns = np.einsum("qt,t...->q...", solve_op, rhs)
-        unknowns %= p
-        work[:, members] = unknowns
+    for t in range(m):  # into layer order, one check row at a time
+        work[t] = work[t, order]
+    flat = work.reshape(m * params.s_pow_n, -1)
+    for span, sources in layers:
+        rhs = work[:, span]  # (m, |layer|, rows), a view
+        if sources.size:
+            tmp = np.empty(rhs.shape[1:], dtype=work.dtype)
+            for e, src in enumerate(sources):
+                g = flat[src[0]]
+                for f in src[1:]:
+                    g += flat[f]
+                for t in range(m):
+                    _add_multiple(rhs[t], g, mu_powers[t][e], tmp)
+            rhs %= p
+        np.remainder(np.einsum("qt,t...->q...", solve_op, rhs), p, out=rhs)
     for q, node in enumerate(erased):
-        # splitting the row axis of the transposed view copies nothing
-        cols[node][...] = work[q].T.reshape(cols[node].shape)
+        # back to index order; splitting the row axis of the transpose copies nothing
+        cols[node][...] = work[q, position].T.reshape(cols[node].shape)
 
 
 def failing_checks(params: CodeParams, cols) -> np.ndarray:

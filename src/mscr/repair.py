@@ -44,11 +44,13 @@ built once per job (params, E, R), held by the job, and freed with it:
 The transcript keeps pay and full and builds its messages the first time
 they are read; every helper's access log is the job's one mask of reads.
 
-Integer bounds: the pass runs in accumulator_dtype(params), int32 when
-B = n s (p-1)^2 < 2^31 and int64 otherwise (see code), and no intermediate
-exceeds B: pay is a sum of two symbols, below 2p, and is reduced before the
-solve; each entry of y is a sum of d < n products below (p-1)^2; the
-composed sum has F <= n s terms, each of absolute value below p.
+Integer bounds: the pass runs in accumulator_dtype(params), int16 when
+B = n s (p-1)^2 < 2^15, int32 when B < 2^31 and int64 otherwise (see code),
+and no intermediate exceeds B, whatever the dtype: pay is a sum of two
+symbols, below 2p, and is reduced before the solve; each entry of y is a sum
+of d < n products below (p-1)^2; the composed sum has F <= n s terms, each
+of absolute value below p <= (p-1)^2.  So a small code repairs in int16 at
+its default field, and at n s = 12 at every p up to 53.
 """
 
 from __future__ import annotations

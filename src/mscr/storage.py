@@ -67,8 +67,8 @@ FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 QUARANTINE_SUFFIX = ".failed"
 # Symbols per node in one block of stripes (see blocks).  The solver's work
-# arrays hold up to r int32 (or int64) entries per symbol of a block, so a
-# block costs a few hundred KB whatever the file's size.
+# arrays hold up to r entries of code.accumulator_dtype per symbol of a
+# block, so a block costs a few hundred KB whatever the file's size.
 BLOCK_SYMBOLS = 1 << 15
 
 
@@ -182,8 +182,15 @@ def _header_fields(params: CodeParams, node: int, payload_len: int) -> tuple[int
 
 
 def _header(params: CodeParams, node: int, payload_len: int) -> bytes:
-    """Magic, header fields and evaluation points of node `node`'s chunk."""
+    """Magic, header fields and evaluation points of node `node`'s chunk.  A
+    field past the format's u32 is a ValueError naming it, in practice
+    payload_len, for 2^32 or more symbols per node; the fields after it are
+    below p < 2^16."""
     fields_ = _header_fields(params, node, payload_len)
+    for name, value in zip(("format", "n", "k", "d", "h", "p", "node", "payload_len"), fields_):
+        if value >= 2**32:
+            raise ValueError(f"chunk header field {name}={value} exceeds the chunk format's "
+                             f"u32 limit of {2**32 - 1}")
     return MAGIC + struct.pack(f"<{len(fields_)}I", *fields_)
 
 

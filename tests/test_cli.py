@@ -108,6 +108,16 @@ class TestEncode:
         assert run_cli("encode", "--n", 4, "--k", 1, "--h", 2, *argv, "--out", "out1") == 2
         assert not (tmp_path / "out1").exists()
 
+    def test_payload_past_the_chunk_format_refused(self, tmp_path, capsys):
+        # n = 40, s = 2: N = 3 * 2^40 symbols per node, past the header's u32,
+        # refused when the first chunk's header is made, before any array
+        store = tmp_path / "X"
+        assert run_cli("encode", "--n", 40, "--k", 1, "--d", 2, "--h", 2,
+                       "--random-bytes", 3, "--out", store) == 2
+        assert "error: chunk header field payload_len=3298534883328 exceeds the chunk " \
+               "format's u32 limit of 4294967295" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_input_changed_while_read_refused(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "input.bin"
         src.write_bytes(bytes(1000))

@@ -3,9 +3,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mscr import code, repair
 from mscr.code import (
     InconsistentCodewordError,
     _known_contrib,
+    _peel_plan,
     accumulator_dtype,
     encode,
     erase_decode,
@@ -15,8 +17,10 @@ from mscr.code import (
     solve_erased,
     validate_params,
 )
+from mscr.field import is_prime
+from mscr.indexing import sub_index
 
-from conftest import decode_stripe, make_codeword
+from conftest import PARAM_SETS, decode_stripe, make_codeword
 
 
 def residuals_array(params, arr):
@@ -282,11 +286,14 @@ def test_residuals_reduced_once_at_the_largest_p():
 
 class TestOverflowBound:
     """The kernels at the largest symbols, p-1 everywhere, in uint16 as stored,
-    on both sides of the int32/int64 accumulator switch, against the scalar
-    oracle parity_residual."""
+    on both sides of each accumulator switch (int16/int32 and int32/int64),
+    against the scalar oracle parity_residual."""
 
-    # (6,3,4,2): n s = 12, so int32 holds 12 (p-1)^2 up to p = 13378
-    CASES = [(13367, np.int32), (13399, np.int64), (65521, np.int64)]
+    # (6,3,4,2): n s = 12, so int16 holds 12 (p-1)^2 < 2^15 while (p-1)^2 <=
+    # 2730, that is up to p = 53 (12 * 52^2 = 32448), and the next prime, 59,
+    # gives 12 * 58^2 = 40368; int32 holds it up to p = 13378
+    CASES = [(53, np.int16), (59, np.int32), (13367, np.int32), (13399, np.int64),
+             (65521, np.int64)]
 
     @staticmethod
     def every_residual(params, cw):
@@ -312,6 +319,21 @@ class TestOverflowBound:
         assert arr.dtype == np.uint16 and (arr[[1, 3, 4]] == p - 1).all()
         assert np.array_equal(arr[:, 0], arr[:, 1])
         assert not self.every_residual(params, arr[:, 0]).any()
+
+
+@pytest.mark.parametrize("nkdh", PARAM_SETS)
+def test_default_field_takes_int16(nkdh):
+    assert accumulator_dtype(validate_params(*nkdh)) == np.int16
+
+
+@pytest.mark.parametrize("nkdh", [(6, 3, 4, 2), (6, 2, 3, 3), (5, 1, 4, 1)])
+def test_int16_exactly_below_2_to_the_15(nkdh):
+    params = validate_params(*nkdh)
+    for p in range(params.n + params.s - 1, 300):
+        if is_prime(p):
+            bound = params.n * params.s * (p - 1) ** 2
+            want = np.int16 if bound < 2**15 else np.int32
+            assert accumulator_dtype(validate_params(*nkdh, p=p)) == want, p
 
 
 def test_uint16_column_products_are_not_wrapped():
@@ -384,3 +406,107 @@ def test_parameters_beyond_a_dense_block_solve():
         a = int(rng.integers(0, params.s_pow_n))
         assert parity_residual(params, cw, t, b, a) == 0
     assert np.array_equal(decode_stripe(params, {6: cw[6]}), cw)
+
+
+class TestPeelPlan:
+    """The two invariants the layer-by-layer peel rests on, for every erased
+    set of every shape: the layers partition Z_s^n by z(a), and every
+    substitution symbol a layer reads lies in the layer below."""
+
+    @pytest.mark.parametrize("nkdh", PARAM_SETS)
+    def test_layers_and_sources(self, nkdh):
+        params = validate_params(*nkdh)
+        n, s, size = params.n, params.s, params.s_pow_n
+        for m in range(1, params.r + 1):
+            for erased in combinations(range(n), m):
+                _, _, order, position, layers = _peel_plan(params, erased)
+                assert sorted(order) == list(range(size))
+                assert np.array_equal(order[position], np.arange(size))
+                z_of = [sum((a // s**i) % s == 0 for i in erased) for a in range(size)]
+                start = 0
+                for z, (span, sources) in enumerate(layers):
+                    assert span.start == start
+                    start = span.stop
+                    members = order[span]
+                    assert members.tolist() == [a for a in range(size) if z_of[a] == z]
+                    assert sources.shape == (s - 1, z, len(members))
+                    for e in range(1, s):
+                        for x, a in enumerate(members):
+                            got = [(int(f) // size, int(order[f % size])) for f in sources[e - 1, :, x]]
+                            want = [(q, sub_index(int(a), i, e, s)) for q, i in enumerate(erased)
+                                    if (a // s**i) % s == 0]
+                            assert got == want, (erased, z, a, e)
+                            assert all(z_of[b] == z - 1 for _, b in got)
+                assert start == size
+
+
+class TestAccumulatorDtypes:
+    """Every kernel gives the same symbols in each accumulator dtype, and
+    runs in the one it is given: a silent promotion to int64 would pass
+    every value test."""
+
+    @pytest.fixture()
+    def forced(self, monkeypatch):
+        """Calling the returned function makes the kernels use `dtype`, and
+        records the dtype of every peel work array and einsum product."""
+        seen = set()
+        real_contrib, real_einsum = code._known_contrib, np.einsum
+
+        def contrib(*args):
+            out = real_contrib(*args)
+            seen.add(out.dtype)
+            return out
+
+        def einsum(*args, **kwargs):
+            out = real_einsum(*args, **kwargs)
+            seen.add(out.dtype)
+            return out
+
+        def force(dtype):
+            _peel_plan.cache_clear()
+            seen.clear()
+            for module in (code, repair):
+                monkeypatch.setattr(module, "accumulator_dtype", lambda params: dtype)
+            monkeypatch.setattr(code, "_known_contrib", contrib)
+            monkeypatch.setattr(np, "einsum", einsum)
+            return seen
+
+        yield force
+        _peel_plan.cache_clear()  # no plan built in a forced dtype outlives the test
+
+    @staticmethod
+    def every_output(params, seen, dtype):
+        msg = random_message(params, seed=41)
+        arr = encode(params, np.concatenate([msg, random_message(params, seed=42)]))
+        out = [arr]
+        for m in range(1, params.r + 1):
+            for erased in combinations(range(params.n), m):
+                out.append(erase_decode(params, {i: arr[i] for i in range(params.n)
+                                                 if i not in erased}))
+        bad = arr.copy()
+        bad[2, 1, 0, 3] = (bad[2, 1, 0, 3] + 1) % params.p
+        out += [failing_checks(params, arr), failing_checks(params, bad)]
+        for failed in combinations(range(params.n), params.h):
+            helpers = [u for u in range(params.n) if u not in failed][:params.d]
+            job = repair.RepairJob(params, failed, helpers)
+            repaired, transcript = repair.run_repair(job, {u: arr[u, 1] for u in helpers})
+            assert {col.dtype for col in repaired.values()} == {np.dtype(dtype)}
+            assert {m.values.dtype for m in transcript.messages} == {np.dtype(dtype)}
+            out += [*repaired.values(), transcript.export_text()]
+        assert seen == {np.dtype(dtype)}
+        return out
+
+    @pytest.mark.parametrize("nkdh", [(6, 2, 3, 3, 7), (6, 3, 4, 2, 53)])
+    def test_same_outputs_in_every_dtype(self, forced, nkdh):
+        params = validate_params(*nkdh)
+        want = self.every_output(params, forced(np.int16), np.int16)
+        for dtype in (np.int32, np.int64):
+            got = self.every_output(params, forced(dtype), dtype)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                if isinstance(w, str):
+                    assert g == w
+                else:
+                    assert g.shape == w.shape and np.array_equal(g, w)
+                    if w.dtype in (np.uint16, np.bool_):
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

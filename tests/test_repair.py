@@ -271,10 +271,13 @@ class TestWiderAlphabet:
 
 class TestOverflowBound:
     """Repair at the largest symbols, helpers in uint16 as stored, on both
-    sides of the int32/int64 accumulator switch."""
+    sides of the int16/int32 and int32/int64 accumulator switches."""
 
-    # (6,3,4,2): n s = 12, so int32 holds 12 (p-1)^2 up to p = 13378
-    @pytest.mark.parametrize("p, dtype", [(13367, np.int32), (13399, np.int64), (65521, np.int64)])
+    # (6,3,4,2): n s = 12, so int16 holds 12 (p-1)^2 < 2^15 up to p = 53
+    # (12 * 52^2 = 32448; the next prime, 59, gives 40368), and int32 up to
+    # p = 13378
+    @pytest.mark.parametrize("p, dtype", [(53, np.int16), (59, np.int32), (13367, np.int32),
+                                          (13399, np.int64), (65521, np.int64)])
     def test_repair_near_p(self, p, dtype):
         params = validate_params(6, 3, 4, 2, p=p)
         assert accumulator_dtype(params) == dtype

@@ -203,6 +203,13 @@ class TestChunkIO:
             read_chunk(path, sha256_hex(path), example1, 2, 48)
         assert not isinstance(info.value, ChecksumMismatchError)
 
+    def test_payload_len_past_u32_refused(self, tmp_path, example1):
+        # the header would not pack: an error naming the field, not struct.error
+        with pytest.raises(ValueError, match=r"payload_len=4294967296 exceeds .* u32 limit of 4294967295"):
+            with write_chunk(tmp_path / chunk_name(0), example1, 0, 2**32):
+                pass
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_magic_rejected(self, tmp_path, example1):
         path = tmp_path / "bad.mscr"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -11,12 +11,10 @@ from .code import (
     encode,
     erase_decode,
     parity_residual,
-    random_message,
     validate_params,
 )
 from .field import SingularMatrixError
 from .metrics import (
-    AccessLog,
     Bounds,
     RepairMetrics,
     access_count,
@@ -28,7 +26,6 @@ from .metrics import (
 from .oracle import naive_repair, recount
 from .repair import (
     RepairJob,
-    RepairMessage,
     RepairTranscript,
     run_repair,
 )
@@ -36,12 +33,10 @@ from .repair import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessLog",
     "Bounds",
     "CodeParams",
     "InconsistentCodewordError",
     "RepairJob",
-    "RepairMessage",
     "RepairMetrics",
     "RepairTranscript",
     "SingularMatrixError",
@@ -54,7 +49,6 @@ __all__ = [
     "g_ratio",
     "naive_repair",
     "parity_residual",
-    "random_message",
     "recount",
     "run_repair",
     "validate_params",

@@ -27,10 +27,6 @@ from .metrics import RepairMetrics
 from .repair import RepairJob, run_repair
 
 
-class CliError(Exception):
-    """Operational error with a message for stderr."""
-
-
 def _is_int(value) -> bool:
     """A JSON integer (JSON true and false load as bool, an int subclass)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -49,15 +45,15 @@ def _merge_config(parser: argparse.ArgumentParser, args) -> None:
     try:
         config = json.loads(Path(path).read_text())
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise CliError(f"config {path}: not JSON: {exc}") from None
+        raise ValueError(f"config {path}: not JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise CliError(f"config {path} must hold a JSON object")
+        raise ValueError(f"config {path} must hold a JSON object")
     (commands,) = [action for action in parser._actions if action.dest == "command"]
     types = {action.dest: action.type for sp in commands.choices.values()
              for action in sp._actions if action.dest not in ("help", "config")}
     for key, value in config.items():
         if key not in types:
-            raise CliError(f"config {path}: key {key!r} is not an option of any command")
+            raise ValueError(f"config {path}: key {key!r} is not an option of any command")
         if value is None:  # null leaves the option unset
             continue
         if types[key] is int:
@@ -68,7 +64,7 @@ def _merge_config(parser: argparse.ArgumentParser, args) -> None:
         else:
             ok, want = isinstance(value, str), "a string"
         if not ok:
-            raise CliError(f"config {path}: key {key!r} must be {want}, got {value!r}")
+            raise ValueError(f"config {path}: key {key!r} must be {want}, got {value!r}")
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 
@@ -82,24 +78,24 @@ def _parse_nodes(text) -> list[int]:
         try:
             nodes = [int(tok) for tok in text.replace(",", " ").split()]
         except ValueError:
-            raise CliError(f"cannot parse node list {text!r}") from None
+            raise ValueError(f"cannot parse node list {text!r}") from None
     for i in nodes:
         if nodes.count(i) > 1:
-            raise CliError(f"node {i} is listed twice in {text!r}")
+            raise ValueError(f"node {i} is listed twice in {text!r}")
     return nodes
 
 
 def _require(args, key: str):
     val = getattr(args, key)
     if val is None:
-        raise CliError(f"missing required option --{key}")
+        raise ValueError(f"missing required option --{key}")
     return val
 
 
 def _params_from(args):
     for key in ("n", "k", "d", "h"):
         if getattr(args, key) is None:
-            raise CliError(f"missing required parameter --{key}")
+            raise ValueError(f"missing required parameter --{key}")
     return validate_params(int(args.n), int(args.k), int(args.d), int(args.h),
                            p=None if args.p is None else int(args.p))
 
@@ -140,7 +136,7 @@ def _refuse_store_file(directory: Path, manifest: storage.Manifest, option: str,
         chunk = directory / storage.chunk_name(i)
         files += [chunk, chunk.with_name(chunk.name + storage.QUARANTINE_SUFFIX)]
     if os.path.realpath(path) in {os.path.realpath(f) for f in files}:
-        raise CliError(f"{option} {path} is a file of the store in {directory}; nothing written")
+        raise ValueError(f"{option} {path} is a file of the store in {directory}; nothing written")
 
 
 def _open_input(stack: ExitStack, path):
@@ -160,9 +156,9 @@ def cmd_encode(args) -> int:
     params = _params_from(args)
     out_dir = Path(_require(args, "out"))
     if (args.input is None) == (args.random_bytes is None):
-        raise CliError("give exactly one of --input or --random-bytes")
+        raise ValueError("give exactly one of --input or --random-bytes")
     if args.seed is not None and args.random_bytes is None:
-        raise CliError("--seed seeds --random-bytes only; it cannot be used with --input")
+        raise ValueError("--seed seeds --random-bytes only; it cannot be used with --input")
     with ExitStack() as inputs:
         if args.input is not None:
             fh, original_length, before = _open_input(inputs, args.input)
@@ -178,7 +174,6 @@ def cmd_encode(args) -> int:
             if args.input is None:
                 source = out_dir / "source.bin"
                 storage.write_replacing(source, data)
-                print(f"wrote generated input to {source}")
             stripes = storage.stripes_for(original_length, params)
             with ExitStack() as stack:
                 chunks = [stack.enter_context(storage.write_chunk(
@@ -188,8 +183,8 @@ def cmd_encode(args) -> int:
                 if before is not None:
                     after = os.fstat(fh.fileno())
                     if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
-                        raise CliError(f"input {args.input} changed while it was read; "
-                                       "nothing written")
+                        raise ValueError(f"input {args.input} changed while it was read; "
+                                         "nothing written")
                 digests = [chunk.sha256() for chunk in chunks]
             storage.Manifest.new(params, original_length, original_sha256, stripes,
                                  digests).save(out_dir)
@@ -197,6 +192,8 @@ def cmd_encode(args) -> int:
             if made:
                 shutil.rmtree(out_dir, ignore_errors=True)
             raise
+    if args.input is None:  # named only once the store is committed
+        print(f"wrote generated input to {source}")
     print(f"encoded {original_length} bytes into {params.n} chunks "
           f"({stripes} stripe(s) of kN={params.k * params.N} symbols, p={params.p})")
     return 0
@@ -206,16 +203,16 @@ def cmd_fail(args) -> int:
     directory, manifest, params = _store(args)
     nodes = sorted(_parse_nodes(_require(args, "nodes")))
     if len(nodes) != params.h:
-        raise CliError(f"repair supports exactly h={params.h} failures, got {len(nodes)}")
+        raise ValueError(f"repair supports exactly h={params.h} failures, got {len(nodes)}")
     for i in nodes:
         if not 0 <= i < params.n:
-            raise CliError(f"node {i} out of range [0,{params.n})")
+            raise ValueError(f"node {i} out of range [0,{params.n})")
     if manifest.failed:
-        raise CliError(f"nodes {sorted(manifest.failed)} are already failed; repair them first")
+        raise ValueError(f"nodes {sorted(manifest.failed)} are already failed; repair them first")
     paths = [directory / storage.chunk_name(i) for i in nodes]
     for i, path in zip(nodes, paths):
         if not path.exists():  # before any rename: a refused command changes nothing
-            raise CliError(f"chunk for node {i} not found at {path}")
+            raise ValueError(f"chunk for node {i} not found at {path}")
     for path in paths:
         path.rename(path.with_name(path.name + storage.QUARANTINE_SUFFIX))
     manifest.failed = nodes
@@ -234,7 +231,7 @@ def _write_report(job: RepairJob, transcript, stripes: int, transcript_path: Pat
     storage.write_replacing(transcript_path, text.encode())
     recount = oracle.recount(text)
     if recount.gamma != measured.gamma:
-        raise CliError(f"transcript recount {recount.gamma} != measured gamma {measured.gamma}")
+        raise ValueError(f"transcript recount {recount.gamma} != measured gamma {measured.gamma}")
 
     b = metrics.bounds(params)
     g = metrics.g_ratio(params.d - params.k, params.h)
@@ -280,7 +277,7 @@ def cmd_repair(args) -> int:
     directory, manifest, params = _store(args)
     failed = sorted(manifest.failed)
     if not failed:
-        raise CliError("no failed nodes recorded in the manifest")
+        raise ValueError("no failed nodes recorded in the manifest")
     helpers = sorted(_parse_nodes(_require(args, "helpers")))
     job = RepairJob(params, tuple(failed), tuple(helpers))  # checks the count and overlap
     transcript_path = Path(args.transcript or directory / "transcript.txt")
@@ -316,8 +313,8 @@ def cmd_repair(args) -> int:
         mismatched = [i for i, chunk in zip(failed, restored)
                       if chunk.sha256() != manifest.chunks[str(i)]["sha256"]]
         if mismatched:
-            raise CliError(", ".join(f"node {i}" for i in mismatched)
-                           + ": restored chunk fails checksum verification; nothing written")
+            raise ValueError(", ".join(f"node {i}" for i in mismatched)
+                             + ": restored chunk fails checksum verification; nothing written")
 
         lines = _write_report(job, first_transcript, stripes, transcript_path, csv_arg)
     for i in failed:
@@ -394,15 +391,15 @@ def cmd_decode(args) -> int:
     if args.nodes is None:
         wanted = [i for i in range(params.n) if i not in failed]
     elif not (wanted := sorted(_parse_nodes(args.nodes))):
-        raise CliError("--nodes lists no node; list some, or leave it out to decode from "
-                       "every available node")
+        raise ValueError("--nodes lists no node; list some, or leave it out to decode from "
+                         "every available node")
     for i in wanted:
         if not 0 <= i < params.n:
-            raise CliError(f"node {i} out of range [0,{params.n})")
+            raise ValueError(f"node {i} out of range [0,{params.n})")
         if i in failed:
-            raise CliError(f"node {i} is failed; repair first or pick other nodes")
+            raise ValueError(f"node {i} is failed; repair first or pick other nodes")
     if len(wanted) < params.k:
-        raise CliError(f"need at least k={params.k} chunks, have {len(wanted)}")
+        raise ValueError(f"need at least k={params.k} chunks, have {len(wanted)}")
     with ExitStack() as stack:
         # decode_file uses the k lowest-indexed chunks, so chunks are opened
         # in order until k of them verify; a bad one is named and skipped
@@ -418,8 +415,8 @@ def cmd_decode(args) -> int:
                 else:
                     chunks[i] = stack.enter_context(chunk)
             if len(chunks) < params.k:
-                raise CliError(f"need k={params.k} verified chunks, only {len(chunks)} of nodes "
-                               f"{wanted} verify; bad nodes {sorted(bad)}")
+                raise ValueError(f"need k={params.k} verified chunks, only {len(chunks)} of nodes "
+                                 f"{wanted} verify; bad nodes {sorted(bad)}")
 
         open_until_k()
         # every check passes before the output replaces out_path
@@ -449,8 +446,8 @@ def cmd_table(args) -> int:
             try:
                 dk, h = map(int, part.split(","))
             except ValueError:
-                raise CliError(f"--extra row {part!r} is not two integers dk,h; "
-                               'give rows as "dk,h;dk,h"') from None
+                raise ValueError(f"--extra row {part!r} is not two integers dk,h; "
+                                 'give rows as "dk,h;dk,h"') from None
             rows.append((dk, h))
     table = metrics.comparison_table(rows)
     print(metrics.render_table_text(table))
@@ -540,7 +537,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(parser, args)
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -380,11 +380,6 @@ def failing_checks(params: CodeParams, cols) -> np.ndarray:
 
 # --- public encode / decode ------------------------------------------------
 
-def random_message(params: CodeParams, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, params.p, size=params.message_length, dtype=np.int64)
-
-
 def encode(params: CodeParams, message) -> np.ndarray:
     """Systematic encode of stripes * kN message symbols, in file order, into
     (n, stripes, planes, s^n) uint16 codewords: stripe st's columns [0, k)

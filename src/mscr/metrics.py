@@ -7,6 +7,7 @@ presentation layer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,16 +22,11 @@ class AccessLog:
     (planes, s^n) mask: a helper reads each needed symbol once and serves
     every failed node from that one pass."""
 
-    def __init__(self, helper: int, mask: np.ndarray):
-        self.helper, self.mask = helper, mask
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask
 
     def count(self) -> int:
         return int(np.count_nonzero(self.mask))
-
-    def vector_set(self, params: CodeParams) -> set[tuple[int, tuple[int, ...]]]:
-        """The reads as (1-based plane, index vector) pairs, as access_set gives them."""
-        return {(int(b0) + 1, int_to_vec(int(a), params.n, params.s))
-                for b0, a in np.argwhere(self.mask)}
 
 
 @dataclass
@@ -47,7 +43,9 @@ class RepairMetrics:
     def from_run(cls, job, transcript) -> "RepairMetrics":
         """Derive metrics from a transcript (with access logs) of run_repair."""
         params = job.params
-        per_edge = transcript.per_edge_counts()
+        per_edge = Counter()
+        for m in transcript.messages:
+            per_edge[m.phase, m.sender, m.receiver] += m.count
         down = {e: c for e, c in per_edge.items() if e[0] == "download"}
         coop = {e: c for e, c in per_edge.items() if e[0] == "cooperative"}
         beta1 = _uniform_count(down, expected_edges=params.d * params.h)
@@ -170,9 +168,7 @@ class TableRow:
         return (f"{float(self.g):.4f}", f"{float(self.envelope):.4f}", f"{float(self.optimal):.4f}")
 
 
-def comparison_table(rows=None) -> list[TableRow]:
-    if rows is None:
-        rows = DEFAULT_TABLE_ROWS
+def comparison_table(rows) -> list[TableRow]:
     return [
         TableRow(dk, h, g_ratio(dk, h), access_envelope(dk, h), optimal_access_ratio(dk, h))
         for dk, h in rows

@@ -234,14 +234,7 @@ class RepairTranscript:
     @cached_property
     def access_logs(self) -> dict[int, AccessLog]:
         access = self.job.context.access
-        return {u: AccessLog(u, access) for u in self.job.helpers}
-
-    def per_edge_counts(self) -> dict[tuple[str, int, int], int]:
-        out: dict[tuple[str, int, int], int] = {}
-        for m in self.messages:
-            key = (m.phase, m.sender, m.receiver)
-            out[key] = out.get(key, 0) + m.count
-        return out
+        return {u: AccessLog(access) for u in self.job.helpers}
 
     def export_text(self) -> str:
         """One message per line: `phase from to count` then hex symbols."""

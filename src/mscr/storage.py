@@ -99,18 +99,18 @@ def pack_bytes(data: bytes, p: int) -> np.ndarray:
     return vals.astype(np.uint16)
 
 
-def unpack_symbols(symbols: np.ndarray, p: int, original_length: int | None = None) -> bytes:
+def unpack_symbols(symbols: np.ndarray, p: int) -> bytes:
     """Inverse of pack_bytes: the symbols' whole bitstream, its last byte
-    filled with zero bits, truncated to original_length bytes when given."""
+    filled with zero bits."""
     m = bits_per_symbol(p)
     if m == 8:
-        return symbols.astype(np.uint8).tobytes()[:original_length]
+        return symbols.astype(np.uint8).tobytes()
     vals = symbols.astype(np.uint8)
     bits = np.empty((vals.size, m), dtype=np.uint8)  # the low m bits, MSB first
     for i in range(m):
         np.right_shift(vals, m - 1 - i, out=bits[:, i])
         bits[:, i] &= 1
-    return np.packbits(bits.reshape(-1)).tobytes()[:original_length]
+    return np.packbits(bits.reshape(-1)).tobytes()
 
 
 def stored_width(p: int) -> int:

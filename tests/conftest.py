@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from mscr import storage
-from mscr.code import encode, erase_decode, random_message, validate_params
+from mscr.code import encode, erase_decode, validate_params
+from mscr.indexing import int_to_vec
 
 # (n, k, d, h) desk-scale parameter sets exercised throughout the suite
 PARAM_SETS = [(4, 1, 2, 2), (5, 2, 3, 2), (6, 3, 4, 2), (6, 2, 3, 3)]
@@ -19,6 +22,11 @@ def example1_codeword(example1):
     return make_codeword(example1, seed=11)
 
 
+def random_message(params, seed=0):
+    """One stripe's kN message symbols, uniform over [0, p)."""
+    return np.random.default_rng(seed).integers(0, params.p, size=params.message_length)
+
+
 def make_codeword(params, seed=0):
     """One stripe's codeword of a random message, (n, planes, s^n) uint16."""
     return encode(params, random_message(params, seed=seed))[:, 0]
@@ -28,6 +36,22 @@ def decode_stripe(params, columns):
     """erase_decode of one stripe's {node: (planes, s^n) column}, passed as a
     batch of one; returns that stripe's (n, planes, s^n) codeword."""
     return erase_decode(params, {i: np.asarray(col)[None] for i, col in columns.items()})[:, 0]
+
+
+def per_edge_counts(transcript):
+    """(phase, sender, receiver) -> symbols sent on that edge, over a
+    repair transcript's messages."""
+    counts = Counter()
+    for m in transcript.messages:
+        counts[m.phase, m.sender, m.receiver] += m.count
+    return counts
+
+
+def vector_set(log, params):
+    """A helper's access log as (1-based plane, index vector) pairs, the
+    form metrics.access_set gives."""
+    return {(int(b0) + 1, int_to_vec(int(a), params.n, params.s))
+            for b0, a in np.argwhere(log.mask)}
 
 
 def chunk_bytes(params, node, symbols):

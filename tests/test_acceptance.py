@@ -19,7 +19,7 @@ from mscr.metrics import RepairMetrics, access_set, g_ratio
 from mscr.oracle import naive_repair, recount
 from mscr.repair import RepairJob, run_repair
 
-from conftest import decode_stripe, make_codeword
+from conftest import decode_stripe, make_codeword, per_edge_counts, vector_set
 
 PARAM_SETS = [(4, 1, 2, 2), (5, 2, 3, 2), (6, 3, 4, 2), (6, 2, 3, 3)]
 
@@ -72,7 +72,7 @@ G_EXACT = {
 
 @criterion(1, "access-comparison table reproduces all ten rows", 1.0)
 def test_criterion_1_table(capsys):
-    table = metrics.comparison_table()
+    table = metrics.comparison_table(metrics.DEFAULT_TABLE_ROWS)
     assert len(table) == 10
     for row in table:
         key = (row.d_minus_k, row.h)
@@ -92,7 +92,7 @@ def test_criterion_2_golden_example():
     repaired, transcript = run_repair(job, {u: cw[u] for u in (2, 3)})
     for i, col in repaired.items():
         assert np.array_equal(col, cw[i])
-    edges = transcript.per_edge_counts()
+    edges = per_edge_counts(transcript)
     for u in (2, 3):
         for i in (0, 1):
             assert edges[("download", u, i)] == 16
@@ -144,7 +144,7 @@ def test_criterion_4_repair_exhaustive(all_repair_runs):
             assert np.array_equal(col, cw[i])
         planes = params.d - params.k + params.h
         beta = params.N // planes
-        edges = transcript.per_edge_counts()
+        edges = per_edge_counts(transcript)
         assert len(edges) == params.d * params.h + params.h * (params.h - 1)
         assert set(edges.values()) == {beta}
         gamma = sum(edges.values())
@@ -160,7 +160,7 @@ def test_criterion_5_access_identity(all_repair_runs):
         assert n_times_g < 2 * optimal_per_helper
         for u in job.helpers:
             assert Fraction(transcript.access_logs[u].count()) == n_times_g
-            assert transcript.access_logs[u].vector_set(params) == access_set(u, job)
+            assert vector_set(transcript.access_logs[u], params) == access_set(u, job)
 
 
 @criterion(6, "oracle equivalence on 200 randomized instances", 120.0)

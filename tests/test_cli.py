@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mscr import cli, code, storage
+from mscr import cli, code, oracle, storage
 from mscr.cli import main
 from mscr.oracle import recount
 from mscr.repair import RepairTranscript
@@ -114,8 +115,10 @@ class TestEncode:
         store = tmp_path / "X"
         assert run_cli("encode", "--n", 40, "--k", 1, "--d", 2, "--h", 2,
                        "--random-bytes", 3, "--out", store) == 2
+        out, err = capsys.readouterr()
         assert "error: chunk header field payload_len=3298534883328 exceeds the chunk " \
-               "format's u32 limit of 4294967295" in capsys.readouterr().err
+               "format's u32 limit of 4294967295" in err
+        assert out == ""  # source.bin is not named: the failed encode removed it
         assert not store.exists()
 
     def test_input_changed_while_read_refused(self, tmp_path, capsys, monkeypatch):
@@ -297,6 +300,21 @@ class TestRepair:
         run_cli("fail", "--dir", store, "--nodes", "0,1")
         assert run_cli("repair", "--dir", store, "--helpers", "2,3") == 0
         assert (store / "node0.mscr").read_bytes() == before
+
+    def test_recount_mismatch_refused(self, encoded_dir, capsys, monkeypatch):
+        # the transcript's independent recount must equal the measured gamma,
+        # or nothing in the store changes
+        tmp_path, store, _ = encoded_dir
+        run_cli("fail", "--dir", store, "--nodes", "0,1")
+        before = snapshot(store)
+        real = oracle.recount
+        monkeypatch.setattr(oracle, "recount",
+                            lambda text: dataclasses.replace(real(text), gamma=97))
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "2,3",
+                       "--transcript", tmp_path / "t.txt") == 2
+        assert capsys.readouterr() == ("", "error: transcript recount 97 != measured gamma 96\n")
+        assert snapshot(store) == before
 
     def test_wrong_helper_count(self, encoded_dir, capsys):
         _, store, _ = encoded_dir

@@ -13,14 +13,13 @@ from mscr.code import (
     erase_decode,
     failing_checks,
     parity_residual,
-    random_message,
     solve_erased,
     validate_params,
 )
 from mscr.field import is_prime
 from mscr.indexing import sub_index
 
-from conftest import PARAM_SETS, decode_stripe, make_codeword
+from conftest import PARAM_SETS, decode_stripe, make_codeword, random_message
 
 
 def residuals_array(params, arr):
@@ -79,6 +78,8 @@ class TestValidateParams:
             validate_params(4, 1, 2, 2, p=7, lambdas=(1, 2, 3, 4), mus=(4,))
         with pytest.raises(ValueError, match="lambda"):
             validate_params(4, 1, 2, 2, p=7, lambdas=(1, 2, 3))
+        with pytest.raises(ValueError, match=r"^need s-1=1 mu points, got 2$"):
+            validate_params(4, 1, 2, 2, p=7, mus=(4, 5))
 
     @pytest.mark.parametrize("points,named", [
         (dict(lambdas=(0, 1, 7, 3)), r"lambda_2=7 must lie"),
@@ -134,6 +135,20 @@ class TestEncode:
         assert cw.shape == (4, 3, 3, 16)
         for st, msg in enumerate(msgs):
             assert np.array_equal(cw[:, st], encode(example1, msg)[:, 0])
+
+    @pytest.mark.parametrize("t,b,a,message", [
+        (3, 1, 0, r"power index t=3 out of range \[0,3\)"),
+        (-1, 1, 0, r"power index t=-1 out of range \[0,3\)"),
+        (0, 0, 0, r"plane 0 out of range \[1,3\]"),
+        (0, 4, 0, r"plane 4 out of range \[1,3\]"),
+        (0, 1, 16, r"index 16 out of range \[0,16\)"),
+        (0, 1, -1, r"index -1 out of range \[0,16\)"),
+        (0, 1, (0, 1, 0), r"index vector must have length n=4"),
+    ], ids=["t-high", "t-negative", "plane-0", "plane-high", "index-high", "index-negative",
+            "short-vector"])
+    def test_residual_arguments_checked(self, example1, example1_codeword, t, b, a, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            parity_residual(example1, example1_codeword, t, b, a)
 
     def test_residual_accepts_vector_index(self, example1, example1_codeword):
         assert parity_residual(example1, example1_codeword, 0, 1, (0, 1, 0, 1)) == parity_residual(

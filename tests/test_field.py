@@ -80,6 +80,11 @@ def test_vandermonde_zero_point_row0_is_one():
     assert vandermonde_matrix(5, [0, 2], 3) == [[1, 1], [0, 2], [0, 4]]
 
 
+def test_vandermonde_without_rows_rejected():
+    with pytest.raises(ValueError, match="rows >= 1"):
+        vandermonde_matrix(7, [1, 2], 0)
+
+
 def test_vandermonde_duplicate_points_rejected():
     with pytest.raises(ValueError, match="distinct"):
         vandermonde_matrix(7, [1, 1, 2], 2)

@@ -1,5 +1,6 @@
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,6 +82,13 @@ class TestGRatio:
         with pytest.raises(ValueError):
             g_ratio(-1, 2)
 
+    @pytest.mark.parametrize("dk,h", [(0, 2), (2, 0), (-1, 2)])
+    def test_envelope_and_optimal_refuse_nonpositive_arguments(self, dk, h):
+        with pytest.raises(ValueError, match="arguments must be positive"):
+            metrics.access_envelope(dk, h)
+        with pytest.raises(ValueError, match="arguments must be positive"):
+            metrics.optimal_access_ratio(dk, h)
+
     def test_h_one_defined(self):
         assert g_ratio(1, 1) == 1 - Fraction(1, 2) * Fraction(1, 2)
 
@@ -103,7 +111,7 @@ class TestGRatio:
 
 class TestComparisonTable:
     def test_default_rows(self):
-        table = comparison_table()
+        table = comparison_table(DEFAULT_TABLE_ROWS)
         assert [(row.d_minus_k, row.h) for row in table] == list(DEFAULT_TABLE_ROWS)
         for row in table:
             key = (row.d_minus_k, row.h)
@@ -219,21 +227,38 @@ class TestMeasuredMetrics:
             assert transcript.access_logs[u].mask is job.context.access
         assert np.array_equal(job.context.access, expected)
 
+    @staticmethod
+    def stub(edges):
+        """A transcript whose messages carry `edges`: (phase, sender, receiver) -> count."""
+        return SimpleNamespace(access_logs={}, messages=[
+            SimpleNamespace(phase=phase, sender=u, receiver=v, count=c)
+            for (phase, u, v), c in edges.items()])
+
     def test_nonuniform_transcript_rejected(self, example1):
-        class Stub:
-            def __init__(self):
-                self.access_logs = {}
-
-            def per_edge_counts(self):
-                return {
-                    ("download", 2, 0): 16, ("download", 3, 0): 16,
-                    ("download", 2, 1): 16, ("download", 3, 1): 15,
-                    ("cooperative", 0, 1): 16, ("cooperative", 1, 0): 16,
-                }
-
         job = RepairJob(example1, (0, 1), (2, 3))
         with pytest.raises(ValueError, match="uniform"):
-            RepairMetrics.from_run(job, Stub())
+            RepairMetrics.from_run(job, self.stub({
+                ("download", 2, 0): 16, ("download", 3, 0): 16,
+                ("download", 2, 1): 16, ("download", 3, 1): 15,
+                ("cooperative", 0, 1): 16, ("cooperative", 1, 0): 16,
+            }))
+
+    def test_wrong_edge_count_rejected(self, example1):
+        job = RepairJob(example1, (0, 1), (2, 3))
+        with pytest.raises(ValueError, match="expected 4 edges, transcript has 3"):
+            RepairMetrics.from_run(job, self.stub({
+                ("download", 2, 0): 16, ("download", 3, 0): 16, ("download", 2, 1): 16,
+                ("cooperative", 0, 1): 16, ("cooperative", 1, 0): 16,
+            }))
+
+    def test_cooperative_edge_without_cooperative_phase_rejected(self):
+        # h = 1 has no cooperative phase, so the edge breaks the gamma identity
+        params = validate_params(5, 2, 4, 1)
+        job = RepairJob(params, (3,), (0, 1, 2, 4))
+        edges = {("download", u, 3): params.N // params.planes for u in (0, 1, 2, 4)}
+        edges["cooperative", 0, 3] = params.N // params.planes
+        with pytest.raises(ValueError, match="violates gamma"):
+            RepairMetrics.from_run(job, self.stub(edges))
 
 
 @pytest.mark.parametrize("nkdh", PARAM_SETS + [(6, 2, 4, 2), (6, 2, 3, 2)])

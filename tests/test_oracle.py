@@ -5,7 +5,7 @@ from mscr.code import validate_params
 from mscr.oracle import naive_repair, recount
 from mscr.repair import RepairJob, run_repair
 
-from conftest import PARAM_SETS, make_codeword
+from conftest import PARAM_SETS, make_codeword, per_edge_counts
 
 
 class TestNaiveRepair:
@@ -27,7 +27,7 @@ class TestNaiveRepair:
         assert naive.total_bandwidth == 2 * 3 * params.N
         job = RepairJob(params, (0, 1), (2, 3, 4, 5))
         _, transcript = run_repair(job, {u: cw[u] for u in (2, 3, 4, 5)})
-        gamma = sum(transcript.per_edge_counts().values())
+        gamma = sum(per_edge_counts(transcript).values())
         assert gamma == 2 * 5 * params.N // 3
         assert gamma < naive.total_bandwidth
 
@@ -80,7 +80,7 @@ class TestRecount:
         _, transcript = run_repair(job, {u: example1_codeword[u] for u in (2, 3)})
         result = recount(transcript.export_text())
         assert result.gamma == 96
-        assert result.per_edge == transcript.per_edge_counts()
+        assert result.per_edge == per_edge_counts(transcript)
 
     def test_empty_transcript(self):
         assert recount("").gamma == 0

@@ -1,22 +1,23 @@
-"""Randomized pipeline checks across every small valid parameter tuple.
+"""Exhaustive pipeline checks across every small valid parameter tuple.
 
 Enumerates all (n, k, d, h) with n <= 6 that the validator accepts, skipping
 only shapes with more than 4000 symbols per node (kept for the targeted
-tests), and runs one full encode / erase / repair / cross-check cycle on
-each with randomized failure and helper choices.
+tests).  On one codeword of each it decodes every erased set of 1..r nodes,
+and repairs every (failed, helpers) pair, checked against naive_repair, the
+symbols on every edge and the closed-form access count of every helper.
 """
 
-import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from mscr.code import encode, random_message, validate_params
+from mscr.code import encode, validate_params
+from mscr.metrics import access_count
 from mscr.oracle import naive_repair
 from mscr.repair import RepairJob, run_repair
 
-from conftest import decode_stripe, make_codeword
+from conftest import decode_stripe, make_codeword, per_edge_counts, random_message
 
 
 def small_param_tuples():
@@ -44,28 +45,31 @@ def test_sweep_is_nontrivial():
 def test_full_cycle(nkdh):
     n, k, d, h = nkdh
     params = validate_params(n, k, d, h)
-    rng = random.Random(hash(nkdh) & 0xFFFF)
-    msg = random_message(params, seed=rng.randrange(10**6))
+    msg = random_message(params, seed=1000 * n + 100 * k + 10 * d + h)
     cw = encode(params, msg)[:, 0]
     assert np.array_equal(cw[:k].reshape(-1), msg)
 
-    failed = tuple(sorted(rng.sample(range(n), h)))
-    rest = [i for i in range(n) if i not in failed]
-    helpers = tuple(sorted(rng.sample(rest, d)))
-    job = RepairJob(params, failed, helpers)
-    repaired, transcript = run_repair(job, {u: cw[u] for u in helpers})
-    for i, col in repaired.items():
-        assert np.array_equal(col, cw[i])
-    beta = params.N // (d - k + h)
-    assert set(transcript.per_edge_counts().values()) == {beta}
+    for m in range(1, params.r + 1):
+        for erased in combinations(range(n), m):
+            available = {i: cw[i] for i in range(n) if i not in erased}
+            assert np.array_equal(decode_stripe(params, available), cw), erased
 
-    naive = naive_repair(failed, {i: cw[i] for i in rest}, params).columns
-    assert list(naive) == list(repaired)
-    assert all(np.array_equal(repaired[i], naive[i]) for i in naive)
-
-    erased = rng.sample(range(n), rng.randint(1, params.r))
-    available = {i: cw[i] for i in range(n) if i not in erased}
-    assert np.array_equal(decode_stripe(params, available), cw)
+    beta = params.N // params.planes
+    for failed in combinations(range(n), h):
+        rest = [i for i in range(n) if i not in failed]
+        naive = naive_repair(failed, {i: cw[i] for i in rest}, params).columns
+        assert list(naive) == list(failed)
+        assert all(np.array_equal(naive[i], cw[i]) for i in failed)
+        for helpers in combinations(rest, d):
+            job = RepairJob(params, failed, helpers)
+            repaired, transcript = run_repair(job, {u: cw[u] for u in helpers})
+            assert list(repaired) == list(failed)
+            assert all(np.array_equal(repaired[i], naive[i]) for i in failed), (failed, helpers)
+            edges = per_edge_counts(transcript)
+            assert len(edges) == d * h + h * (h - 1)
+            assert set(edges.values()) == {beta}
+            assert [log.count() for log in transcript.access_logs.values()] == \
+                [access_count(job)] * d
 
 
 def test_wide_r_with_three_failures():
@@ -77,7 +81,7 @@ def test_wide_r_with_three_failures():
     repaired, transcript = run_repair(job, {u: cw[u] for u in (1, 4)})
     for i, col in repaired.items():
         assert np.array_equal(col, cw[i])
-    assert set(transcript.per_edge_counts().values()) == {params.N // 4}
+    assert set(per_edge_counts(transcript).values()) == {params.N // 4}
     # every 1-subset reconstructs (k = 1)
     for i in range(6):
         assert np.array_equal(decode_stripe(params, {i: cw[i]}), cw)

@@ -11,7 +11,7 @@ from mscr.indexing import sub_index, union_v_indices
 from mscr.oracle import naive_repair
 from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, run_repair
 
-from conftest import make_codeword
+from conftest import make_codeword, per_edge_counts, vector_set
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ class TestRunRepair:
             repaired, transcript = run_repair(job, {u: cw[u] for u in helpers})
             for i, col in repaired.items():
                 assert np.array_equal(col, cw[i])
-            counts = transcript.per_edge_counts()
+            counts = per_edge_counts(transcript)
             assert set(counts.values()) == {16}
             assert len(counts) == params.d * params.h + params.h * (params.h - 1)
 
@@ -89,7 +89,7 @@ class TestRunRepair:
         repaired, transcript = run_repair(job, {u: cw[u] for u in (1, 2, 4)})
         for i, col in repaired.items():
             assert np.array_equal(col, cw[i])
-        counts = transcript.per_edge_counts()
+        counts = per_edge_counts(transcript)
         assert set(counts.values()) == {params.N // params.planes}
         coop_edges = [e for e in counts if e[0] == COOPERATIVE]
         assert len(coop_edges) == 6
@@ -162,7 +162,7 @@ class TestTranscript:
             (DOWNLOAD, 2, 1), (DOWNLOAD, 3, 1),
             (COOPERATIVE, 1, 0), (COOPERATIVE, 0, 1),
         ]
-        assert sum(transcript.per_edge_counts().values()) == 96
+        assert sum(per_edge_counts(transcript).values()) == 96
 
     def test_export_format(self, ex1):
         params, cw, job = ex1
@@ -186,7 +186,7 @@ class TestTranscript:
         def contents(transcript):
             messages = [(m.phase, m.sender, m.receiver, m.values.tolist())
                         for m in transcript.messages]
-            return messages, {u: log.vector_set(params) for u, log in transcript.access_logs.items()}
+            return messages, {u: vector_set(log, params) for u, log in transcript.access_logs.items()}
 
         eager = []
         for cw in stripes:
@@ -252,7 +252,7 @@ class TestWiderAlphabet:
         repaired, transcript = run_repair(job, {u: cw[u] for u in (0, 1, 3, 4)})
         for i, col in repaired.items():
             assert np.array_equal(col, cw[i])
-        counts = transcript.per_edge_counts()
+        counts = per_edge_counts(transcript)
         assert set(counts.values()) == {params.N // params.planes}
 
     def test_access_identity_s3(self):
@@ -266,7 +266,7 @@ class TestWiderAlphabet:
         _, transcript = run_repair(job, {u: cw[u] for u in (2, 3, 4, 5)})
         for u in job.helpers:
             assert Fraction(transcript.access_logs[u].count()) == params.N * g_ratio(2, 2)
-            assert transcript.access_logs[u].vector_set(params) == access_set(u, job)
+            assert vector_set(transcript.access_logs[u], params) == access_set(u, job)
 
 
 class TestOverflowBound:

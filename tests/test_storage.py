@@ -111,7 +111,7 @@ class TestPacking:
         symbols = pack_bytes(data, p)
         if symbols.size:
             assert symbols.max() < p
-        assert unpack_symbols(symbols, p, len(data)) == data
+        assert unpack_symbols(symbols, p)[:len(data)] == data
 
     def test_bits_per_symbol(self):
         assert bits_per_symbol(2) == 1
@@ -128,7 +128,7 @@ class TestPacking:
         for p in (5, 257):
             symbols = pack_bytes(data, p)
             padded = np.concatenate([symbols, np.zeros(10, dtype=np.int64)])
-            assert unpack_symbols(padded, p, len(data)) == data
+            assert unpack_symbols(padded, p)[:len(data)] == data
 
 
 PRIMES_BELOW_256 = [p for p in range(2, 256) if all(p % q for q in range(2, p))]
@@ -149,9 +149,9 @@ class TestPackingDefinition:
 
         symbols = rng.integers(0, 1 << m, size=41)
         bits = "".join(format(int(v), f"0{m}b") for v in symbols)
-        whole = bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits) // 8 * 8, 8))
-        assert unpack_symbols(symbols, p, len(whole)) == whole
-        assert unpack_symbols(symbols, p, 3) == whole[:3]
+        bits += "0" * (-len(bits) % 8)  # the last byte filled with zero bits
+        assert unpack_symbols(symbols, p) == bytes(int(bits[i:i + 8], 2)
+                                                   for i in range(0, len(bits), 8))
 
 
 class TestChunkIO:
@@ -172,6 +172,15 @@ class TestChunkIO:
         with pytest.raises(ValueError, match="node 0: 48 of 96 symbols written"):
             with write_chunk(path, example1, 0, 96) as chunk:
                 chunk.write(0, np.zeros((1, 3, 16), dtype=np.uint16))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_block_write_off_a_byte_boundary_refused(self, tmp_path):
+        # N = 243: stripe 1 starts on symbol 243, inside a byte of every bit plane
+        params = validate_params(4, 1, 3, 1, p=257)
+        path = tmp_path / chunk_name(1)
+        with pytest.raises(ValueError, match="must start on a multiple of 8 symbols, not 243"):
+            with write_chunk(path, params, 1, 2 * params.N) as chunk:
+                chunk.write(1, np.zeros((1, params.planes, params.s_pow_n), dtype=np.uint16))
         assert list(tmp_path.iterdir()) == []
 
     # u32 header field index (after the magic) -> the disagreement it is refused for
@@ -778,6 +787,15 @@ class TestBlockReader:
     def test_systematic_block_is_slice_of_whole_chunk(self, tmp_path, monkeypatch, nkdh, p,
                                                       stripes):
         self.check(tmp_path, monkeypatch, nkdh, p, 0, stripes)
+
+    @pytest.mark.parametrize("start,stop", [(1, 3), (-1, 1), (2, 1)])
+    def test_stripes_outside_the_chunk_refused(self, tmp_path, example1, start, stop):
+        path = tmp_path / chunk_name(2)
+        write_replacing(path, chunk_bytes(example1, 2, np.zeros(2 * 48, dtype=np.uint16)))
+        with read_chunk(path, sha256_hex(path), example1, 2, 2 * 48) as chunk:
+            with pytest.raises(ValueError, match=rf"stripes \[{start}, {stop}\) are not in "
+                                                 "node 2's chunk"):
+                chunk.block(start, stop)
 
     @pytest.mark.parametrize("rewrite", ["same-size", "grown"])
     def test_chunk_rewritten_during_read_refused(self, tmp_path, example1, rewrite):

@@ -78,6 +78,9 @@ class TestValidateParams:
             validate_params(4, 1, 2, 2, p=7, lambdas=(1, 2, 3, 4), mus=(4,))
         with pytest.raises(ValueError, match="lambda"):
             validate_params(4, 1, 2, 2, p=7, lambdas=(1, 2, 3))
+
+    def test_mu_count_checked(self):
+        # a manifest with one mu too many reaches this check through the CLI
         with pytest.raises(ValueError, match=r"^need s-1=1 mu points, got 2$"):
             validate_params(4, 1, 2, 2, p=7, mus=(4, 5))
 

@@ -213,10 +213,17 @@ def cmd_fail(args) -> int:
     for i, path in zip(nodes, paths):
         if not path.exists():  # before any rename: a refused command changes nothing
             raise ValueError(f"chunk for node {i} not found at {path}")
-    for path in paths:
-        path.rename(path.with_name(path.name + storage.QUARANTINE_SUFFIX))
-    manifest.failed = nodes
-    manifest.save(directory)
+    renamed = []
+    try:
+        for path in paths:
+            path.rename(path.with_name(path.name + storage.QUARANTINE_SUFFIX))
+            renamed.append(path)
+        manifest.failed = nodes
+        manifest.save(directory)
+    except BaseException:  # the store keeps no chunk renamed that its manifest does not list
+        for path in renamed:
+            path.with_name(path.name + storage.QUARANTINE_SUFFIX).rename(path)
+        raise
     print(f"quarantined nodes {nodes}")
     return 0
 
@@ -228,10 +235,11 @@ def _write_report(job: RepairJob, transcript, stripes: int, transcript_path: Pat
     params, failed, helpers = job.params, list(job.failed), list(job.helpers)
     measured = RepairMetrics.from_run(job, transcript)
     text = transcript.export_text()
-    storage.write_replacing(transcript_path, text.encode())
+    # checked before anything is written: a refused repair leaves no transcript
     recount = oracle.recount(text)
     if recount.gamma != measured.gamma:
         raise ValueError(f"transcript recount {recount.gamma} != measured gamma {measured.gamma}")
+    storage.write_replacing(transcript_path, text.encode())
 
     b = metrics.bounds(params)
     g = metrics.g_ratio(params.d - params.k, params.h)

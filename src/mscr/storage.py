@@ -4,7 +4,7 @@ Chunk layout (all integers little-endian):
     magic   4 bytes  b"MSCR"
     u32 x 9          version, n, k, d, h, p, node_index, payload_len, bits_per_symbol
     u32 x (n+s-1)    evaluation points: lambdas then mus
-    body             payload_len symbols packed at the node's width (node_width)
+    body             payload_len symbols packed in groups (node_groups)
 
 payload_len = stripe_count * N.  Files longer than one stripe are striped:
 consecutive kN-symbol runs of the message are independent codewords and each
@@ -21,21 +21,34 @@ writes for them.  File-level symbols are uint16 from parsing to writing:
 p < 2^16, so every symbol fits, and the solver's wider arithmetic lives only
 in its work arrays, of one block.
 
-Two widths are involved.  Message packing (pack_bytes) maps the file's bytes
-to symbols at m = bits_per_symbol(p) bits each: 8 when p > 255, otherwise
-floor(log2 p), MSB-first within the bitstream, so every message symbol is
-below 2^m <= p.  The header records m and the manifest the original byte
-length and its sha256.  A chunk body stores each symbol at its node's width
-(node_width): the k systematic chunks hold message symbols, stored at m
-bits, and the r parity chunks hold any field element, stored at the field's
-full width w = stored_width(p) = ceil(log2 p).  A body of width b is first
-floor(b/8) byte planes, each holding one byte of every symbol, low byte
-first; then b mod 8 bit planes, each the np.packbits of one bit of every
-symbol, lowest remaining bit first.  So it is payload_len * floor(b/8) +
-(b mod 8) * ceil(payload_len/8) bytes (body_length), and at p > 255 a
-systematic body is node i's message bytes, stripe after stripe.  This is
-chunk format 3; format 2 stored every chunk at w, and its parity bodies are
-the same bytes as format 3's.
+Message packing (pack_bytes) maps the file's bytes to symbols at
+m = bits_per_symbol(p) bits each: 8 when p > 255, otherwise floor(log2 p),
+MSB-first within the bitstream, so every message symbol is below 2^m <= p.
+The header records m and the manifest the original byte length and its
+sha256.  Each symbol of node i's chunk is below its radix q
+(_symbol_bound): the k systematic chunks hold message symbols, q = 2^m, and
+the r parity chunks any field element, q = p.
+
+A body stores its symbols in groups of c consecutive ones (node_groups):
+each group is the base-q value v = sum_i sym_i q^i, held in
+B = stored_width(q^c) bits, and c is the divisor of N that minimises B/c
+with B <= 64, ties going to the smallest c.  At q = 2^m, B/c = m for every
+c, so a systematic chunk has c = 1 and B = m; a parity chunk stores near
+log2 p bits per symbol (8.167 at p = 257 and N = 192).  Horner's rule
+builds v in value_dtype(B), uint16 for B <= 16 and uint64 otherwise: the
+partial sum of the top i+1 digits is below q^(i+1) <= q^c <= 2^B <= 2^64,
+and so is its product with q before the next digit is added; none wraps.  The
+group values of a body are first floor(B/8) byte planes, each holding one
+byte of every value, low byte first; then B mod 8 bit planes, each the
+np.packbits of one bit of every value, lowest remaining bit first.  So a
+body of G = payload_len / c values is G * floor(B/8) + (B mod 8) * ceil(G/8)
+bytes (body_length), and at p > 255 a systematic body is node i's message
+bytes, stripe after stripe.  A B-bit value can reach 2^B - 1 >= q^c, so a
+read peels the digits by floor division and checks the top one against q
+while it is still B bits wide.  A block of 8 stripes starts on a group, as
+c divides N, and so on a byte of every plane.  This is chunk format 4;
+format 3 stored each parity symbol alone at ceil(log2 p) bits, and its
+systematic bodies are the same bytes as format 4's.
 
 Only this module knows the format.  write_chunk derives the header from the
 code's parameters and the node; read_chunk checks the whole header, every
@@ -54,6 +67,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +77,7 @@ from .code import CodeParams, InconsistentCodewordError, validate_params
 from .field import check_below
 
 MAGIC = b"MSCR"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 QUARANTINE_SUFFIX = ".failed"
 # Symbols per node in one block of stripes (see blocks).  The solver's work
@@ -113,66 +127,91 @@ def unpack_symbols(symbols: np.ndarray, p: int) -> bytes:
     return np.packbits(bits.reshape(-1)).tobytes()
 
 
-def stored_width(p: int) -> int:
-    """Bits per stored symbol, ceil(log2 p); at most 16, as p < 2^16."""
-    return (p - 1).bit_length()
+def stored_width(bound: int) -> int:
+    """Bits that hold any value below `bound`, ceil(log2 bound)."""
+    return (bound - 1).bit_length()
 
 
-def node_width(params: CodeParams, node: int) -> int:
-    """Bits per stored symbol of node `node`'s chunk: a systematic chunk
-    (node < k) holds message symbols, below 2^bits_per_symbol(p); a parity
-    chunk holds any field element, at stored_width(p) bits."""
-    return bits_per_symbol(params.p) if node < params.k else stored_width(params.p)
+def _symbol_bound(params: CodeParams, node: int) -> int:
+    """The radix of node `node`'s chunk: every symbol is below it.  2^m for
+    a systematic chunk (m = bits_per_symbol(p), 2^m <= p), p for a parity
+    one."""
+    return 1 << bits_per_symbol(params.p) if node < params.k else params.p
 
 
-def body_length(payload_len: int, width: int) -> int:
-    """Bytes of a chunk body holding payload_len symbols of `width` bits."""
-    return payload_len * (width // 8) + (width % 8) * -(-payload_len // 8)
+def node_groups(params: CodeParams, node: int) -> tuple[int, int]:
+    """(c, B): node `node`'s chunk stores its symbols c at a time, each group
+    as one B-bit base-q value, q = _symbol_bound.  c is the divisor of N
+    that minimises B/c, with B = stored_width(q^c) <= 64; the first such c
+    on ties, so c = 1 and B = m for a systematic chunk."""
+    q, shapes, c = _symbol_bound(params, node), [], 1
+    while (width := stored_width(q**c)) <= 64:
+        if params.N % c == 0:
+            shapes.append((c, width))
+        c += 1
+    return min(shapes, key=lambda shape: Fraction(shape[1], shape[0]))
 
 
-def _plane_spans(payload_len: int, width: int, first: int, last: int) -> list[tuple[int, int]]:
-    """(offset, length) of the bytes of a body of payload_len symbols of
-    `width` bits that hold its symbols [first, last), first a multiple of 8:
+def value_dtype(width: int) -> type:
+    """The unsigned dtype of `width`-bit group values: uint16 up to 16
+    bits, which holds every symbol, else uint64."""
+    return np.uint16 if width <= 16 else np.uint64
+
+
+def body_length(values: int, width: int) -> int:
+    """Bytes of a chunk body holding `values` group values of `width` bits."""
+    return values * (width // 8) + (width % 8) * -(-values // 8)
+
+
+def _plane_spans(values: int, width: int, first: int, last: int) -> list[tuple[int, int]]:
+    """(offset, length) of the bytes of a body of `values` group values of
+    `width` bits that hold its values [first, last), first a multiple of 8:
     one range per byte plane, then one per bit plane.  Laid end to end they
-    are the body pack_body writes for those symbols."""
+    are the body pack_body writes for those values."""
     if first % 8:
-        raise ValueError(f"a block must start on a multiple of 8 symbols, not {first}")
-    bits_at, plane = width // 8 * payload_len, -(-payload_len // 8)
-    return ([(j * payload_len + first, last - first) for j in range(width // 8)]
+        raise ValueError(f"a block must start on a multiple of 8 groups, not {first}")
+    bits_at, plane = width // 8 * values, -(-values // 8)
+    return ([(j * values + first, last - first) for j in range(width // 8)]
             + [(bits_at + t * plane + first // 8, -(-last // 8) - first // 8)
                for t in range(width % 8)])
 
 
-def pack_body(symbols: np.ndarray, width: int) -> bytes:
-    """Symbols in [0, 2^width) -> byte planes, then bit planes (see module
-    docstring).  Only the low `width` bits of each symbol are kept."""
-    vals = symbols.astype(np.uint16, copy=False).reshape(-1)
+def group_values(symbols: np.ndarray, q: int, c: int, width: int) -> np.ndarray:
+    """The base-q value sum_i sym_i q^i of each run of c consecutive
+    symbols, all below q, by Horner's rule in value_dtype(width); q^c must
+    be at most 2^width (see the module docstring for the bound)."""
+    digits = symbols.reshape(-1, c).astype(value_dtype(width))
+    values = digits[:, c - 1].copy()
+    for i in range(c - 2, -1, -1):
+        values *= q
+        values += digits[:, i]
+    return values
+
+
+def pack_body(values: np.ndarray, width: int) -> bytes:
+    """Values in [0, 2^width) -> byte planes, then bit planes (see module
+    docstring).  Only the low `width` bits of each value are kept."""
+    vals = values.astype(value_dtype(width), copy=False).reshape(-1)
     planes = [(vals >> (8 * j)).astype(np.uint8) for j in range(width // 8)]
     planes += [np.packbits((vals >> b).astype(np.uint8) & 1) for b in range(width // 8 * 8, width)]
     return b"".join(plane.tobytes() for plane in planes)
 
 
-def unpack_body(body: bytes, width: int, payload_len: int) -> np.ndarray:
-    """Inverse of pack_body; `body` must be body_length(payload_len, width) bytes.
-
-    Returns uint16: width <= 16, so every stored symbol fits without overflow.
-    """
+def unpack_body(body: bytes, width: int, count: int) -> np.ndarray:
+    """Inverse of pack_body: `count` values in value_dtype(width), which
+    holds every width-bit value; `body` must be body_length(count, width)
+    bytes."""
+    dtype = value_dtype(width)
     buf = np.frombuffer(body, dtype=np.uint8)
-    vals = np.zeros(payload_len, dtype=np.uint16)
+    vals = np.zeros(count, dtype=dtype)
     for j in range(width // 8):
-        vals |= np.left_shift(buf[j * payload_len:(j + 1) * payload_len], 8 * j, dtype=np.uint16)
-    off, plane = width // 8 * payload_len, -(-payload_len // 8)
+        vals |= np.left_shift(buf[j * count:(j + 1) * count], 8 * j, dtype=dtype)
+    off, plane = width // 8 * count, -(-count // 8)
     for b in range(width // 8 * 8, width):
-        bits = np.unpackbits(buf[off:off + plane], count=payload_len)
-        vals |= np.left_shift(bits, b, dtype=np.uint16)
+        bits = np.unpackbits(buf[off:off + plane], count=count)
+        vals |= np.left_shift(bits, b, dtype=dtype)
         off += plane
     return vals
-
-
-def _symbol_bound(params: CodeParams, node: int) -> int:
-    """Every symbol of node `node`'s chunk is below this: 2^m for a
-    systematic chunk (m = bits_per_symbol(p), 2^m <= p), p for a parity one."""
-    return min(params.p, 1 << node_width(params, node))
 
 
 def _header_fields(params: CodeParams, node: int, payload_len: int) -> tuple[int, ...]:
@@ -242,22 +281,23 @@ class ChunkWriter:
         header = _header(params, node, payload_len)
         fh.write(header)
         self._fh, self._params, self._node, self._payload_len = fh, params, node, payload_len
-        self._width, self._bound = node_width(params, node), _symbol_bound(params, node)
+        self._q, (self._c, self._width) = _symbol_bound(params, node), node_groups(params, node)
         self._body_at = len(header)
         self.written = 0  # symbols
 
     def write(self, start: int, symbols: np.ndarray) -> None:
         """Store `symbols`, the (stripes, planes, s^n) columns of stripes
         start, start+1, ..., at their place in every plane of the body.  A
-        symbol outside [0, _symbol_bound) is a ValueError naming the node:
-        pack_body keeps only the node's width of bits, so it would otherwise
-        be stored truncated."""
-        check_below(symbols, self._bound, f"node {self._node}: chunk symbols")
-        first = start * self._params.N
-        body = memoryview(pack_body(symbols, self._width))
+        symbol outside [0, q) (_symbol_bound) is a ValueError naming the
+        node: its group's value would otherwise hold other digits."""
+        check_below(symbols, self._q, f"node {self._node}: chunk symbols")
+        c, width = self._c, self._width
+        first = start * self._params.N // c
+        values = group_values(symbols, self._q, c, width)
+        body = memoryview(pack_body(values, width))
         pos = 0
-        for off, size in _plane_spans(self._payload_len, self._width,
-                                      first, first + symbols.size):
+        for off, size in _plane_spans(self._payload_len // c, width,
+                                      first, first + values.size):
             self._fh.seek(self._body_at + off)
             self._fh.write(body[pos:pos + size])
             pos += size
@@ -315,29 +355,37 @@ class ChunkReader:
                  body_at: int, opened: tuple[int, int]):
         self._fh, self._path, self._node, self._params = fh, path, node, params
         self._payload_len, self._body_at, self._opened = payload_len, body_at, opened
-        self._width, self._bound = node_width(params, node), _symbol_bound(params, node)
+        self._q, (self._c, self._width) = _symbol_bound(params, node), node_groups(params, node)
 
     def block(self, start: int, stop: int) -> np.ndarray:
         """The uint16 (stop - start, planes, s^n) columns of stripes
-        [start, stop); start * N must be a multiple of 8.  A chunk whose size
-        or modification time changed since it was opened, or that holds a
-        symbol at or above its node's bound (_symbol_bound), is a
-        BadBlockError naming the node."""
+        [start, stop); start * N / c must be a multiple of 8.  A chunk whose
+        size or modification time changed since it was opened, or whose
+        group value is q^c or more (a top digit of q or more, q =
+        _symbol_bound), is a BadBlockError naming the node."""
         params, fd = self._params, self._fh.fileno()
         first, last = start * params.N, stop * params.N
         if not 0 <= first <= last <= self._payload_len:
             raise ValueError(f"stripes [{start}, {stop}) are not in node {self._node}'s chunk")
-        body = b"".join(os.pread(fd, size, self._body_at + off) for off, size
-                        in _plane_spans(self._payload_len, self._width, first, last))
+        c, q = self._c, self._q
+        body = b"".join(os.pread(fd, size, self._body_at + off) for off, size in
+                        _plane_spans(self._payload_len // c, self._width, first // c, last // c))
         st = os.fstat(fd)
         if (st.st_size, st.st_mtime_ns) != self._opened:
             raise BadBlockError(self._node, f"node {self._node}: {self._path} changed while "
                                 "it was read")
-        symbols = unpack_body(body, self._width, last - first)
-        # a parity chunk's w-bit field holds values up to 2^w - 1 >= p
-        if symbols.size and symbols.max() >= self._bound:
+        values = unpack_body(body, self._width, (last - first) // c)
+        symbols = np.empty((values.size, c), dtype=np.uint16)
+        for i in range(c - 1):  # floor division by a scalar is about twice np.divmod's speed
+            rest = values // q
+            symbols[:, i] = values - rest * q
+            values = rest
+        # a B-bit value holds up to 2^B - 1 >= q^c: the top digit is checked
+        # at the values' width, before it is narrowed to uint16
+        if values.size and values.max() >= q:
             raise BadBlockError(self._node, f"node {self._node}: {self._path}: symbol out of "
                                 "field range")
+        symbols[:, c - 1] = values
         return symbols.reshape(stop - start, params.planes, params.s_pow_n)
 
     def close(self) -> None:
@@ -357,7 +405,7 @@ def read_chunk(path: Path, sha256: str, params: CodeParams, node: int,
     (ChecksumMismatchError), so a damaged chunk is always reported as one;
     then the magic, the version and every header field against what
     write_chunk writes for (params, node, payload_len); then the body length
-    at the node's width (ValueError).  Returns the open ChunkReader, whose
+    in group values (node_groups, ValueError).  Returns the open ChunkReader, whose
     blocks check the symbol range."""
     fh = open(path, "rb", buffering=0)
     try:
@@ -382,9 +430,12 @@ def read_chunk(path: Path, sha256: str, params: CodeParams, node: int,
             raise ValueError(f"chunk file for node {node} claims index {got[6]}")
         if got[7] != payload_len:
             raise ValueError(f"chunk for node {node} has wrong payload length")
-        expected = body_length(payload_len, node_width(params, node))
+        c, width = node_groups(params, node)
+        expected = body_length(payload_len // c, width)
         if st.st_size - len(raw) != expected:
-            raise ValueError(f"{path}: body holds {st.st_size - len(raw)} bytes, expected {expected}")
+            raise ValueError(f"{path}: body holds {st.st_size - len(raw)} bytes, expected "
+                             f"{expected} for {payload_len // c} groups of {c} symbols "
+                             f"at {width} bits")
         return ChunkReader(fh, path, node, params, payload_len, len(raw),
                            (st.st_size, st.st_mtime_ns))
     except BaseException:

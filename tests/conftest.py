@@ -1,11 +1,21 @@
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mscr import storage
 from mscr.code import encode, erase_decode, validate_params
 from mscr.indexing import int_to_vec
+
+# Hypothesis profiles: "bounded", the default, keeps every property test of
+# the suite to about a second; HYPOTHESIS_PROFILE=long searches 20 times as
+# far, for a run outside the tier-1 suite.  Neither has a deadline: a shared
+# machine's pauses are not failures.
+settings.register_profile("bounded", max_examples=100, deadline=None)
+settings.register_profile("long", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "bounded"))
 
 # (n, k, d, h) desk-scale parameter sets exercised throughout the suite
 PARAM_SETS = [(4, 1, 2, 2), (5, 2, 3, 2), (6, 3, 4, 2), (6, 2, 3, 3)]
@@ -56,10 +66,13 @@ def vector_set(log, params):
 
 def chunk_bytes(params, node, symbols):
     """The whole chunk of node `node` holding `symbols`, as one bytes: the
-    header storage.write_chunk writes, then the body packed at the node's
-    width.  For tests that build or edit a chunk in memory."""
+    header storage.write_chunk writes, then the body of the node's group
+    values.  For tests that build or edit a chunk in memory."""
+    c, width = storage.node_groups(params, node)
+    values = storage.group_values(np.asarray(symbols), storage._symbol_bound(params, node),
+                                  c, width)
     return (storage._header(params, node, np.asarray(symbols).size)
-            + storage.pack_body(symbols, storage.node_width(params, node)))
+            + storage.pack_body(values, width))
 
 
 @pytest.fixture()

@@ -189,6 +189,25 @@ class TestFail:
         assert capsys.readouterr().err == f"error: {error.format(store=store)}\n"
         assert snapshot(store) == before
 
+    def test_manifest_write_failure_renames_back(self, encoded_dir, capsys, monkeypatch):
+        # a manifest that cannot be saved (a full disk) leaves both chunks
+        # under their own names, as the unchanged manifest lists them
+        _, store, _ = encoded_dir
+        before = snapshot(store)
+        real = storage.write_replacing
+
+        def full_disk(path, data):
+            if Path(path).name == storage.MANIFEST_NAME:
+                raise OSError(28, "No space left on device")
+            real(path, data)
+
+        monkeypatch.setattr(storage, "write_replacing", full_disk)
+        assert run_cli("fail", "--dir", store, "--nodes", "0,1") == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert snapshot(store) == before
+        monkeypatch.undo()
+        assert run_cli("fail", "--dir", store, "--nodes", "0,1") == 0
+
     def test_refail_rejected(self, encoded_dir, capsys):
         _, store, _ = encoded_dir
         assert run_cli("fail", "--dir", store, "--nodes", "0,1") == 0
@@ -313,6 +332,20 @@ class TestRepair:
         capsys.readouterr()
         assert run_cli("repair", "--dir", store, "--helpers", "2,3",
                        "--transcript", tmp_path / "t.txt") == 2
+        assert capsys.readouterr() == ("", "error: transcript recount 97 != measured gamma 96\n")
+        assert snapshot(store) == before
+
+    def test_recount_mismatch_writes_no_transcript(self, encoded_dir, capsys, monkeypatch):
+        # with --transcript at its default, inside the store, a refused
+        # repair leaves the store byte-identical: no transcript is written
+        _, store, _ = encoded_dir
+        run_cli("fail", "--dir", store, "--nodes", "0,1")
+        before = snapshot(store)
+        real = oracle.recount
+        monkeypatch.setattr(oracle, "recount",
+                            lambda text: dataclasses.replace(real(text), gamma=97))
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "2,3") == 2
         assert capsys.readouterr() == ("", "error: transcript recount 97 != measured gamma 96\n")
         assert snapshot(store) == before
 
@@ -849,9 +882,9 @@ class TestSymbolOutOfField:
 
     @staticmethod
     def put_p(store, node):
-        """Store p = 257, which fits in the 9-bit field of parity node `node`'s
-        chunk, in stripe 30 (the fourth block), and record the chunk's new
-        digest."""
+        """Store p = 257 as symbol 5 of stripe 30 (the fourth block) of parity
+        node `node`'s chunk, and record the chunk's new digest.  Symbol 5 is
+        the top digit of a group of c = 6, whose 49-bit value holds it."""
         manifest = Manifest.load(store)
         assert node >= manifest.k
         params = manifest.params()
@@ -1033,19 +1066,29 @@ class TestMalformedManifest:
 
 
 class TestChunkFormat:
-    """Chunk format 3: a systematic chunk stores its message symbols at the
+    """Chunk format 4: a systematic chunk stores its message symbols at the
     message width m (8 bits when p > 255, else floor(log2 p)), a parity
-    chunk its field elements at w = ceil(log2 p).  The sizes below are
-    written out from that description, independently of storage."""
+    chunk its field elements in groups of c, each group one base-p value of
+    B bits.  The sizes below are written out from that description and the
+    (c, B) of each shape, independently of storage."""
 
-    @staticmethod
-    def sizes(nkdh, p, payload_len):
+    # (n, k, d, h), p -> a parity chunk's (c, B): the divisor c of N with the
+    # fewest bits per symbol B/c, B = ceil(log2 p^c) <= 64
+    PARITY_GROUPS = {
+        ((6, 3, 4, 2), 257): (6, 49),  # N = 192: 8.167 bits per symbol, not 9
+        ((6, 2, 3, 3), 7): (16, 45),  # N = 256: 2.8125 bits, not 3
+        ((5, 1, 4, 1), 257): (4, 33),  # N = 4096: 8.25 bits, not 9
+    }
+
+    @classmethod
+    def sizes(cls, nkdh, p, payload_len):
         """(header, systematic body, parity body) bytes of one chunk."""
         n, k, d, h = nkdh
         m = 8 if p > 255 else math.floor(math.log2(p))
-        w = math.ceil(math.log2(p))
+        c, width = cls.PARITY_GROUPS[nkdh, p]
         header = 4 + 9 * 4 + 4 * (n + (d - k + 1) - 1)
-        body = [payload_len * (b // 8) + (b % 8) * math.ceil(payload_len / 8) for b in (m, w)]
+        body = [values * (b // 8) + (b % 8) * math.ceil(values / 8)
+                for values, b in ((payload_len, m), (payload_len // c, width))]
         return header, *body
 
     @pytest.mark.parametrize("nkdh,p", [((6, 2, 3, 3), 7), ((6, 3, 4, 2), 257)])
@@ -1065,11 +1108,11 @@ class TestChunkFormat:
             ["manifest.json", "source.bin"] + [f"node{i}.mscr" for i in range(n)])
 
     # (n, k, d, h), p -> body bytes per input byte of a file of whole stripes:
-    # (k m + r w) / (k m), against n/k symbols per message symbol
+    # (k m + r B/c) / (k m), against n/k symbols per message symbol
     DISK_PER_INPUT = {
-        ((6, 3, 4, 2), 257): Fraction(17, 8),  # narrow-h2: 3*8 + 3*9 over 3*8
-        ((6, 2, 3, 3), 7): Fraction(4),  # coop-h3-p7: 2*2 + 4*3 over 2*2
-        ((5, 1, 4, 1), 257): Fraction(11, 2),  # wide-s4: 8 + 4*9 over 8
+        ((6, 3, 4, 2), 257): Fraction(97, 48),  # narrow-h2: 3*8 + 3*49/6 over 3*8
+        ((6, 2, 3, 3), 7): Fraction(61, 16),  # coop-h3-p7: 2*2 + 4*45/16 over 2*2
+        ((5, 1, 4, 1), 257): Fraction(41, 8),  # wide-s4: 8 + 4*33/4 over 8
     }
 
     @pytest.mark.parametrize("case", list(DISK_PER_INPUT), ids=["6342-p257", "6233-p7", "5141-p257"])
@@ -1103,12 +1146,12 @@ class TestChunkFormat:
         tmp_path, store, _ = encoded_dir
         path = store / "manifest.json"
         data = json.loads(path.read_text())
-        data["format"] = 2
+        data["format"] = 3
         path.write_text(json.dumps(data))
         capsys.readouterr()
         assert run_cli(argv[0], "--dir", store, *argv[1:]) == 2
         err = capsys.readouterr().err
-        assert "format 2" in err and "format 3" in err and "re-encode" in err
+        assert "format 3" in err and "format 4" in err and "re-encode" in err
         assert not (tmp_path / "x.bin").exists()
 
 
@@ -1122,18 +1165,18 @@ class TestGoldenChunks:
     DATA = bytes((7 * i + 3) % 256 for i in range(100))
     PINS = {
         ((4, 1, 2, 2), 5): [
-            (168, "9bd3f5e8d203e17c2331402d98e027900ae27ab0375734a7c46f3492ddd57b6f"),
-            (222, "e92e154811d269a03b949a5b8b677f1987bce642aeb0bd0188d9b498ec4ea4ca"),
-            (222, "55661c3b0ae65145ac5a2beb95234df6a6528a408b9ddfafb45220e21c43a4b9"),
-            (222, "b1fe986ea12c3da83695255febe13aabf5baeb0335dd1757a4c4f72f4e7112b5"),
+            (168, "a4299d5c356b994d25d7b63af91b683e12c232ffdf912d4dc7fe71bbf7bca968"),
+            (186, "fc645e396aa9260dba2480ff897171c1310e88963fc78df9b3e49fcf516b978b"),
+            (186, "ef6f39c97735391638fdaa1d15a1c19c6128bd14baec3e4ea78b6b1824f73c9e"),
+            (186, "0c7d28dd7b99a96d5273576fe623f6320b8f332e7eb048b437e34cd1c2a81759"),
         ],
         ((6, 3, 4, 2), 257): [
-            (260, "37f67b557a5649522fe3533b56d0b50c89df87be1f6a7ca647fe85a10ec92fc8"),
-            (260, "38bd54c0b575b19469a9dcccd11703a642edf52d3d7514697ff90efd1504dfde"),
-            (260, "b18cfdcc9c8a761b372d297f847b4347cdeea165574bc12081bca51527307360"),
-            (284, "777e219afed3255192f3002cc5fbfff42e5487118d8aa2ea9cdd1d427e6a6bed"),
-            (284, "ca9bb5bd4b0f73f08bc773f974b77a6fed77a04b0dfc140a933075e6736faea6"),
-            (284, "05062cd38b245ed576c79b9d246e9599d7087ac57bc60872fa4c72fcfbc5db59"),
+            (260, "dea061191e0697871f6bac4000410ba336b9097f81741e2a9803ce1530adc9c9"),
+            (260, "c277f064cb3fd8444d5e008283f27084161b976fa2f34d0bce9a5807accc1f02"),
+            (260, "986676a6fd571c2a7ed42f33328364488075e8e8a959604ae165ae3b5c233f8e"),
+            (264, "87b582710abce8c60699cbc160717901aebc95d60c0985255fb6c931d6282b0f"),
+            (264, "d2f469c736ac35476e942cea0413e184b5d4e9955eb8be5a5482d0bdd9e68f8e"),
+            (264, "d298badf63fea77f6b05a37a87babbf836cae9b4df358c508f5281f87e67175e"),
         ],
     }
 

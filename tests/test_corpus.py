@@ -99,26 +99,27 @@ def lifecycle(tmp_path, capsys, shape):
     return steps
 
 
-# computed by the code of commit 988d003
+# computed by the code of commit 988d003; the chunk and manifest pins again
+# under chunk format 4, which changed no other output
 PINS = {
     "narrow-h2": [
         ("params-check", 0, (274, "1bced3d48bbec8358f01ee078b5614565fd805fd00af1505d3cb9c82977562a4"),
          "", {}),
         ("encode", 0, (74, "4a4595f57b567f18a04e27dd7704cdc384ce55437f298c6db19a6d25bb440804"),
          "", {
-             "store/manifest.json": (1124, "86151813d1960d790f48ee20f6ddae4e1232388d65dd8942f76c89c719608af4"),
-             "store/node0.mscr": (3524, "c59f27afe0569bace3b79eb967e9b452283028604f9d3adb6c0341f9ec55c46e"),
-             "store/node1.mscr": (3524, "43f7c9d4943919b474ec1566c4f88e104cabffc60069540a515f9a434c5577f8"),
-             "store/node2.mscr": (3524, "3d045622112c8cd1044ac8a03239694cc59fb50e9e2098245831dc76c4c79c9d"),
-             "store/node3.mscr": (3956, "e28bd1612bbc819f5ad24960bbe933bd170df004321e4446613fbbd2bcf74ce2"),
-             "store/node4.mscr": (3956, "b4dab4d7f2cac8052c01db5dc59fa861635d8cc6d86b6fb98744759833df962f"),
-             "store/node5.mscr": (3956, "5855ec07bbbfb5a291e05273587516c4c8831a3a1ebf675916648fee769075a5"),
+             "store/manifest.json": (1124, "9c9a4d7b5a14386947d3801aeb13bc20a39586b9bd28dd08ae9f9e292a222cc8"),
+             "store/node0.mscr": (3524, "56dd9c65a9f3259a0a8667c1c037896329186079f87200d44d39b135d5e0f292"),
+             "store/node1.mscr": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
+             "store/node2.mscr": (3524, "c7a585620a385ac3d70fd2fffad08051d42a53f8fa853c86eacc16119a9d0ef5"),
+             "store/node3.mscr": (3596, "9dd2261e4f75329fa425d4add39f90f918603974e156a169e5ee28eb9134de06"),
+             "store/node4.mscr": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
+             "store/node5.mscr": (3596, "c5639d38724a88a9444a0a74864ae3c573dcef0e2040762ad4bcfc62f2d08aea"),
          }),
         ("fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
          "", {
-             "store/manifest.json": (1140, "e76a8fd9c50cbf6caabc6e762d1d58ca30a278249b66b3082d215c1d0bf2b671"),
-             "store/node1.mscr.failed": (3524, "43f7c9d4943919b474ec1566c4f88e104cabffc60069540a515f9a434c5577f8"),
-             "store/node4.mscr.failed": (3956, "b4dab4d7f2cac8052c01db5dc59fa861635d8cc6d86b6fb98744759833df962f"),
+             "store/manifest.json": (1140, "d80950f63b34612f389688b16073bea8330f1a47842b47a306718f80d3df76d9"),
+             "store/node1.mscr.failed": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
+             "store/node4.mscr.failed": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
              "store/node1.mscr": None,
              "store/node4.mscr": None,
          }),
@@ -129,9 +130,9 @@ PINS = {
         ("repair", 0, (701, "562c0b2c02de4bbca356658ccf736e944597561d4f7b3398acc4688a85677ebe"),
          "", {
              "metrics.csv": (192, "4f394db79f1175e4c34ca50e4009a19e65f01567f9b0c6c3bde73d5d64804e7e"),
-             "store/manifest.json": (1124, "86151813d1960d790f48ee20f6ddae4e1232388d65dd8942f76c89c719608af4"),
-             "store/node1.mscr": (3524, "43f7c9d4943919b474ec1566c4f88e104cabffc60069540a515f9a434c5577f8"),
-             "store/node4.mscr": (3956, "b4dab4d7f2cac8052c01db5dc59fa861635d8cc6d86b6fb98744759833df962f"),
+             "store/manifest.json": (1124, "9c9a4d7b5a14386947d3801aeb13bc20a39586b9bd28dd08ae9f9e292a222cc8"),
+             "store/node1.mscr": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
+             "store/node4.mscr": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
              "transcript.txt": (2736, "e41c9272b946d9f4ccad03589dce59a3654f73befbb783b180b81a6774f7dd5e"),
              "store/node1.mscr.failed": None,
              "store/node4.mscr.failed": None,
@@ -170,20 +171,20 @@ PINS = {
          "", {}),
         ("encode", 0, (71, "b28296e18ae95e78ba7b1ef09a3c0c6855525718e0234ac19490d89dae16e7cb"),
          "", {
-             "store/manifest.json": (1121, "b9c18f77fd7bea46e589cf9cbf23516610ca9a9d5a6ce8dbfab7c9f0e35245f3"),
-             "store/node0.mscr": (1604, "d7f04c0e8ba7e9a09d14f2016c20d37cb082537f5fb3160323c86cd46805cec9"),
-             "store/node1.mscr": (1604, "6d709e74602f5bc736cff9d3ea7a2f362bbd0fe22e6a3cfc51d9db2d84ee2225"),
-             "store/node2.mscr": (2372, "1fa0516ddabc555518d2fb2b106de6a4248d87d7754613639ff3af889766bacf"),
-             "store/node3.mscr": (2372, "e4e01b4be405069581cf4ba99515bb45a0d6c7dc59e91017b5a920b31b9b71f2"),
-             "store/node4.mscr": (2372, "8eca9a05fb901ecd2dcd9460baa19591b01e1893f4fad41b86779212828d9120"),
-             "store/node5.mscr": (2372, "cfa89d187b9a197eb9c1700905bdce59100dda899db8070503a9e83f8890e878"),
+             "store/manifest.json": (1121, "9647cc432b0238f0fbc0cc8fc59fb1ac1962474a179e56af438ca38f1f7fddbd"),
+             "store/node0.mscr": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
+             "store/node1.mscr": (1604, "61263a19ba8a1ef16f5cd0ae14cc867183759bac4c8268de9c371c9e7a34fa18"),
+             "store/node2.mscr": (2228, "3cfa2ae0e67c1dce85cfa9d5624fd0cca0b77345fbde342fddfa7f5179fcafe0"),
+             "store/node3.mscr": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
+             "store/node4.mscr": (2228, "93ef4e61920c9e9ba804f9ef3571fdaea2d8b6a94bff8acb76f6734c50fa3093"),
+             "store/node5.mscr": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
          }),
         ("fail", 0, (28, "9499d939aa8da4e4de21b2350a6201e470f0a272571e07d161ab8aa66d7857ef"),
          "", {
-             "store/manifest.json": (1144, "9297f6c6af996dc613ec8f57b61debc9c186c8100e4f98469a6a6d1ed94a7acb"),
-             "store/node0.mscr.failed": (1604, "d7f04c0e8ba7e9a09d14f2016c20d37cb082537f5fb3160323c86cd46805cec9"),
-             "store/node3.mscr.failed": (2372, "e4e01b4be405069581cf4ba99515bb45a0d6c7dc59e91017b5a920b31b9b71f2"),
-             "store/node5.mscr.failed": (2372, "cfa89d187b9a197eb9c1700905bdce59100dda899db8070503a9e83f8890e878"),
+             "store/manifest.json": (1144, "7fb7b374f1c01e8461447a426ecaa1f78fd380301dc714a2f29805558b833ee7"),
+             "store/node0.mscr.failed": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
+             "store/node3.mscr.failed": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
+             "store/node5.mscr.failed": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
              "store/node0.mscr": None,
              "store/node3.mscr": None,
              "store/node5.mscr": None,
@@ -195,10 +196,10 @@ PINS = {
         ("repair", 0, (699, "b61715269f898b473591afdb910946f3705c9b8595ecbd845641d81fea75a8e0"),
          "", {
              "metrics.csv": (192, "1791a7cd65ecba0380497605ee39fc32e7e11c1ed91887b1029d1956bfc51391"),
-             "store/manifest.json": (1121, "b9c18f77fd7bea46e589cf9cbf23516610ca9a9d5a6ce8dbfab7c9f0e35245f3"),
-             "store/node0.mscr": (1604, "d7f04c0e8ba7e9a09d14f2016c20d37cb082537f5fb3160323c86cd46805cec9"),
-             "store/node3.mscr": (2372, "e4e01b4be405069581cf4ba99515bb45a0d6c7dc59e91017b5a920b31b9b71f2"),
-             "store/node5.mscr": (2372, "cfa89d187b9a197eb9c1700905bdce59100dda899db8070503a9e83f8890e878"),
+             "store/manifest.json": (1121, "9647cc432b0238f0fbc0cc8fc59fb1ac1962474a179e56af438ca38f1f7fddbd"),
+             "store/node0.mscr": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
+             "store/node3.mscr": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
+             "store/node5.mscr": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
              "transcript.txt": (4113, "edb10718c39a4e855bcf6cc23a9f76347f2fd8da4ada9db72e497a93cbb86113"),
              "store/node0.mscr.failed": None,
              "store/node3.mscr.failed": None,
@@ -240,17 +241,17 @@ PINS = {
          "", {}),
         ("encode", 0, (74, "dea99b7d845ae193a5490e1e3a2137f558229d543a4edc7369fdf9a8c8b2d5aa"),
          "", {
-             "store/manifest.json": (1001, "68dc737fdd06c08acfc1c70bdac2db0fe3dcd60ffb5e780e73745d21d43727de"),
-             "store/node0.mscr": (36936, "f0318219ccd4c32472ba2333d4e7b8d96f781cb00d02a1b15993e2537dbad696"),
-             "store/node1.mscr": (41544, "827039fbf3a858c1479d0986f8b5582f1aeeb790a8e15644f6a1430ce94190fb"),
-             "store/node2.mscr": (41544, "1622e2c5576600ef7ec89546d8dff32e63da10139b3446d1f2e688f094cd5a52"),
-             "store/node3.mscr": (41544, "b1ab38aaf44d46946b7a7652187eff315445e698dd4bee8b86c8cb8bca3358f1"),
-             "store/node4.mscr": (41544, "a34c86a19b485d99d94a568e61fcdc8b90328761f77db2f4d311149732b31b5a"),
+             "store/manifest.json": (1001, "36d95d18b08eee4e1d37dd994796b533fc60cf48ae3669c8475ba6a6eb5931fb"),
+             "store/node0.mscr": (36936, "5ad098db4aecf7de61af165505a4da0cb1f0f8a9287b8cbc5d4be83ab365ac32"),
+             "store/node1.mscr": (38088, "67e64ccb5b08aa4640fe1274b0926e609e1cd3de6805d4925e7dd2b9d46741e0"),
+             "store/node2.mscr": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
+             "store/node3.mscr": (38088, "63f34ffa3d8e2d429c9b93a0948cd195857ee79c5d04a1c4ba92446571974fd6"),
+             "store/node4.mscr": (38088, "479f67ae9f1cd2b7a5d351a1ad1086f326dfb842d5e444f1e8303a28de8e00ac"),
          }),
         ("fail", 0, (22, "b0a37c312a9515071b935d5ecd4d5ab926d5ae089fd6779692193043e8baaf2d"),
          "", {
-             "store/manifest.json": (1010, "da69b3579f03f77f30c6e8bf0689cc61ef32a37ef0b185282558328df8b50815"),
-             "store/node2.mscr.failed": (41544, "1622e2c5576600ef7ec89546d8dff32e63da10139b3446d1f2e688f094cd5a52"),
+             "store/manifest.json": (1010, "f0c82472bb0c798733c41778389880287a54e4559dbd106d59ebc21b92fdf4da"),
+             "store/node2.mscr.failed": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
              "store/node2.mscr": None,
          }),
         ("fail again", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -260,8 +261,8 @@ PINS = {
         ("repair", 0, (702, "f93107951920d0800afdc1c68857d48126f3fd402dadaa1393def9350370159f"),
          "", {
              "metrics.csv": (197, "e9d58d5704397f7f0d51c53638ea1095dc7fbb90eb9400d06d3808c13b227fca"),
-             "store/manifest.json": (1001, "68dc737fdd06c08acfc1c70bdac2db0fe3dcd60ffb5e780e73745d21d43727de"),
-             "store/node2.mscr": (41544, "1622e2c5576600ef7ec89546d8dff32e63da10139b3446d1f2e688f094cd5a52"),
+             "store/manifest.json": (1001, "36d95d18b08eee4e1d37dd994796b533fc60cf48ae3669c8475ba6a6eb5931fb"),
+             "store/node2.mscr": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
              "transcript.txt": (16460, "dc0858512430a4995f2960a7bef9d1367d4a26472a30216c6b7f51e8ef73d167"),
              "store/node2.mscr.failed": None,
          }),

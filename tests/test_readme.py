@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mscr import storage
 from mscr.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,3 +29,9 @@ def test_cli_walkthrough_runs(tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv) == 0, argv
     assert (tmp_path / "roundtrip.bin").read_bytes() == data
+
+
+def test_format_version_matches():
+    # the README describes the chunk format that storage writes
+    assert re.findall(r"This is chunk format (\d+)", README.read_text()) == [
+        str(storage.FORMAT_VERSION)]

@@ -27,7 +27,7 @@ from mscr.storage import (
     chunk_name,
     decode_file,
     encode_file,
-    node_width,
+    node_groups,
     pack_body,
     pack_bytes,
     read_chunk,
@@ -42,17 +42,46 @@ from mscr.storage import (
 from conftest import chunk_bytes
 
 
-def expected_width(params, node):
-    # written out from the format description, independently of storage.node_width:
-    # systematic chunks at the message width, parity chunks at ceil(log2 p)
+def expected_radix(params, node):
+    # written out from the format description, independently of storage:
+    # systematic chunks hold m-bit message symbols, parity chunks field elements
     if node < params.k:
-        return 8 if params.p > 255 else math.floor(math.log2(params.p))
-    return math.ceil(math.log2(params.p))
+        return 2 ** (8 if params.p > 255 else math.floor(math.log2(params.p)))
+    return params.p
 
 
-def expected_body_length(payload_len, width):
+def expected_groups(params, node):
+    # (c, B), independently of storage.node_groups: over the divisors c of N
+    # with q^c <= 2^64, the fewest bits per symbol, B/c, with B the bits of
+    # q^c - 1; the smallest c on ties
+    q, best = expected_radix(params, node), None
+    for c in range(1, params.N + 1):
+        bits = len(bin(q**c - 1)) - 2
+        if bits > 64:
+            break
+        if params.N % c == 0 and (best is None or bits * best[0] < best[1] * c):
+            best = (c, bits)
+    return best
+
+
+def expected_body_length(values, width):
     # written out from the format description, independently of storage.body_length
-    return payload_len * (width // 8) + (width % 8) * math.ceil(payload_len / 8)
+    return values * (width // 8) + (width % 8) * math.ceil(values / 8)
+
+
+def reference_body(symbols, q, c, width):
+    """A chunk body of `symbols` written out with Python integers,
+    independently of storage: the base-q value of each run of c symbols,
+    then its byte planes and its bit planes."""
+    syms = [int(x) for x in np.asarray(symbols).reshape(-1)]
+    values = [sum(d * q**i for i, d in enumerate(syms[g:g + c])) for g in range(0, len(syms), c)]
+    out = bytearray()
+    for j in range(width // 8):
+        out += bytes((v >> (8 * j)) & 0xFF for v in values)
+    for b in range(width // 8 * 8, width):
+        bits = [(v >> b) & 1 for v in values] + [0] * (-len(values) % 8)
+        out += bytes(int("".join(map(str, bits[i:i + 8])), 2) for i in range(0, len(bits), 8))
+    return bytes(out)
 
 
 def sha256_hex(path):
@@ -175,10 +204,11 @@ class TestChunkIO:
         assert list(tmp_path.iterdir()) == []
 
     def test_block_write_off_a_byte_boundary_refused(self, tmp_path):
-        # N = 243: stripe 1 starts on symbol 243, inside a byte of every bit plane
+        # N = 243 in 81 groups of 3: stripe 1 starts on group 81, inside a
+        # byte of every bit plane
         params = validate_params(4, 1, 3, 1, p=257)
         path = tmp_path / chunk_name(1)
-        with pytest.raises(ValueError, match="must start on a multiple of 8 symbols, not 243"):
+        with pytest.raises(ValueError, match="must start on a multiple of 8 groups, not 81"):
             with write_chunk(path, params, 1, 2 * params.N) as chunk:
                 chunk.write(1, np.zeros((1, params.planes, params.s_pow_n), dtype=np.uint16))
         assert list(tmp_path.iterdir()) == []
@@ -276,33 +306,103 @@ class TestBodyPacking:
                                         ((6, 3, 4, 2), 257), ((4, 1, 2, 2), 13399)])
     def test_node_width(self, nkdh, p):
         params = validate_params(*nkdh, p=p)
-        assert [node_width(params, i) for i in range(params.n)] == [
-            expected_width(params, i) for i in range(params.n)]
+        assert [node_groups(params, i) for i in range(params.n)] == [
+            expected_groups(params, i) for i in range(params.n)]
+        # a systematic chunk keeps one symbol per group, at the message width
+        assert node_groups(params, 0) == (1, bits_per_symbol(p))
 
     def test_layout_by_hand(self):
-        # width 9 (parity at p=257): one byte plane (low bytes), then the plane of bit 8
+        # width 9: one byte plane (low bytes), then the plane of bit 8
         assert pack_body(np.array([256, 1, 255]), 9) == bytes([0, 1, 255, 0b10000000])
         # width 8 (systematic at p=257): the symbols' bytes verbatim
         assert pack_body(np.array([7, 1, 255]), 8) == bytes([7, 1, 255])
-        # width 3 (parity at p=7): bit planes 0, 1, 2 of (5, 3, 6) = (101, 011, 110)
+        # width 3: bit planes 0, 1, 2 of (5, 3, 6) = (101, 011, 110)
         assert pack_body(np.array([5, 3, 6]), 3) == bytes([0b11000000, 0b01100000, 0b10100000])
         # width 2 (systematic at p=7): bit planes 0, 1 of (1, 3, 2) = (01, 11, 10)
         assert pack_body(np.array([1, 3, 2]), 2) == bytes([0b11000000, 0b01100000])
+        # groups of 3 base-7 digits, the low digit first: 1 + 2*7 + 3*49 = 162
+        assert storage.group_values(np.array([1, 2, 3, 6, 0, 0]), 7, 3, 9).tolist() == [162, 6]
 
     @settings(deadline=None)
-    @given(st.integers(1, 16).flatmap(
+    @given(st.integers(1, 64).flatmap(
         lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 2**w - 1), max_size=100))))
     def test_roundtrip(self, case):
         width, values = case
-        body = pack_body(np.array(values, dtype=np.int64), width)
+        body = pack_body(np.array(values, dtype=np.uint64), width)
         assert len(body) == expected_body_length(len(values), width)
         assert unpack_body(body, width, len(values)).tolist() == values
+
+
+class TestGroupCodec:
+    """Chunk format 4 bodies against reference_body, a packer written with
+    Python integers, at fields from 1-bit to 16-bit symbols and at N = 192,
+    256 and 243 (no multiple of 8).  Reading a chunk only frames it, so a
+    field too small for a shape's code is set on its parameters directly."""
+
+    SHAPES = {192: (6, 3, 4, 2), 256: (6, 2, 3, 3), 243: (4, 1, 3, 1)}
+    PRIMES = [3, 5, 7, 11, 257, 13399, 55103, 65521]
+    STRIPES = 21  # blocks of 8, 8 and 5 stripes
+
+    @classmethod
+    def params(cls, N, p):
+        params = dataclasses.replace(validate_params(*cls.SHAPES[N]), p=p)
+        assert params.N == N
+        return params
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("N", list(SHAPES))
+    def test_roundtrip_matches_reference(self, tmp_path, monkeypatch, N, p):
+        params = self.params(N, p)
+        c, width = node_groups(params, params.n - 1)
+        assert (c, width) == expected_groups(params, params.n - 1)
+        if p in (13399, 55103) and N % 4 == 0:
+            assert c == 4
+        if p == 65521:
+            assert c == 1
+        monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)  # blocks of 8 stripes
+        assert storage.blocks(params, self.STRIPES)[-1] == (16, 21)
+        payload_len = self.STRIPES * N
+        for node in (0, params.n - 1):
+            q = expected_radix(params, node)
+            c, width = expected_groups(params, node)
+            rng = np.random.default_rng(p * N + node)
+            symbols = rng.integers(0, q, size=(self.STRIPES, params.planes, params.s_pow_n),
+                                   dtype=np.uint16)
+            symbols.reshape(-1)[-c:] = q - 1  # the largest group value, q^c - 1
+            path = tmp_path / chunk_name(node)
+            with write_chunk(path, params, node, payload_len) as chunk:
+                for start, stop in storage.blocks(params, self.STRIPES):
+                    chunk.write(start, symbols[start:stop])
+            raw = path.read_bytes()
+            head = len(storage._header(params, node, payload_len))
+            assert raw[head:] == reference_body(symbols, q, c, width)
+            with read_chunk(path, sha256_hex(path), params, node, payload_len) as chunk:
+                for start, stop in storage.blocks(params, self.STRIPES):
+                    assert np.array_equal(chunk.block(start, stop), symbols[start:stop])
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_all_ones_group_is_a_bad_block(self, tmp_path, p):
+        # a B-bit value of 2^B - 1 is at least p^c, behind a matching digest
+        params = self.params(192, p)
+        node = params.n - 1
+        c, width = node_groups(params, node)
+        symbols = np.zeros(2 * params.N, dtype=np.uint16)
+        values = storage.group_values(symbols, p, c, width)
+        values[-1] = 2**width - 1
+        path = tmp_path / chunk_name(node)
+        path.write_bytes(storage._header(params, node, symbols.size) + pack_body(values, width))
+        with read_chunk(path, sha256_hex(path), params, node, symbols.size) as chunk:
+            with pytest.raises(storage.BadBlockError, match=f"node {node}: .* out of field range") \
+                    as caught:
+                chunk.block(0, 2)
+        assert caught.value.node == node
 
 
 class TestPackedBodyRejected:
     """Bodies whose sha256 matches the manifest but that do not parse."""
 
-    # parity node 1 has 9-bit fields, and one stripe of N = 243 symbols: no multiple of 8
+    # parity node 1 stores groups of 3 symbols in 25 bits, and one stripe of
+    # N = 243 symbols, 81 groups: no multiple of 8
     P, LENGTH, NODE = 257, 243, 1
     PARAMS = validate_params(4, 1, 3, 1, p=P)
 
@@ -315,11 +415,11 @@ class TestPackedBodyRejected:
         return chunk_bytes(self.PARAMS, self.NODE, np.arange(self.LENGTH, dtype=np.int64))
 
     def test_packed_value_p_rejected(self, tmp_path):
-        raw = self.valid()
-        head = raw[: len(raw) - expected_body_length(self.LENGTH, 9)]
-        symbols = np.arange(self.LENGTH, dtype=np.int64)
-        symbols[5] = self.P  # fits in the 9-bit field, but is no field element
-        path, digest = self.chunk(tmp_path, head + pack_body(symbols, 9))
+        assert node_groups(self.PARAMS, self.NODE) == (3, 25)
+        head = storage._header(self.PARAMS, self.NODE, self.LENGTH)
+        values = storage.group_values(np.arange(self.LENGTH), self.P, 3, 25)
+        values[1] = self.P**3  # digits (0, 0, p): fits in 25 bits, but p is no field element
+        path, digest = self.chunk(tmp_path, head + pack_body(values, 25))
         with read_chunk(path, digest, self.PARAMS, self.NODE, self.LENGTH) as chunk:
             with pytest.raises(ValueError, match="node 1: .* out of field range"):
                 chunk.block(0, 1)
@@ -431,10 +531,10 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             Manifest.load(tmp_path)
 
-    @pytest.mark.parametrize("version", [1, 2, 4, None])
+    @pytest.mark.parametrize("version", [1, 2, 3, 5, None])
     def test_other_format_rejected(self, tmp_path, version):
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({"format": version}))
-        with pytest.raises(ValueError, match=f"format {version}.* format 3 only; re-encode"):
+        with pytest.raises(ValueError, match=f"format {version}.* format 4 only; re-encode"):
             Manifest.load(tmp_path)
 
 
@@ -740,18 +840,19 @@ class TestMemoryDoesNotGrowWithTheFile:
 class TestBlockReader:
     """ChunkReader.block(start, stop) preads one block's byte range of every
     plane; it must equal the matching slice of the whole chunk, for a parity
-    node (1, width w) and a systematic node (0, message width m)."""
+    node (1, groups of c symbols in B bits) and a systematic node (0, one
+    symbol at the message width m)."""
 
     CASES = [
-        ((4, 1, 2, 2), 7),  # m = 2 and w = 3 bit planes
-        ((4, 1, 2, 2), 11),  # m = 3 and w = 4 bit planes
-        ((4, 1, 2, 2), 257),  # m: one byte plane; w: one byte and one bit plane
-        ((4, 1, 3, 1), 257),  # N = 243, no multiple of 8
-        ((4, 1, 2, 2), 13399),  # m: one byte plane; w: one byte and six bit planes
-        ((4, 1, 2, 2), 65521),  # m: one byte plane; w: two byte planes
+        ((4, 1, 2, 2), 7),  # m = 2 bit planes; (c, B) = (16, 45): five bytes, five bits
+        ((4, 1, 2, 2), 11),  # m = 3 bit planes; (c, B) = (2, 7): seven bit planes
+        ((4, 1, 2, 2), 257),  # m: one byte plane; (c, B) = (6, 49)
+        ((4, 1, 3, 1), 257),  # N = 243, no multiple of 8; (c, B) = (3, 25)
+        ((4, 1, 2, 2), 13399),  # m: one byte plane; (c, B) = (4, 55)
+        ((4, 1, 2, 2), 65521),  # m: one byte plane; (c, B) = (1, 16): two byte planes
         # no code has p = 3 (it needs p >= n+s-1 >= 4), but reading a chunk
         # only frames it, and p = 3 is the one field with 1-bit message symbols
-        ((4, 1, 2, 2), 3),  # m = 1 and w = 2 bit planes
+        ((4, 1, 2, 2), 3),  # m = 1 bit plane; (c, B) = (8, 13)
     ]
 
     @staticmethod
@@ -760,7 +861,7 @@ class TestBlockReader:
             params = dataclasses.replace(validate_params(*nkdh, p=5), p=3)
         else:
             params = validate_params(*nkdh, p=p)
-        bound = min(p, 2 ** expected_width(params, node))
+        bound = expected_radix(params, node)
         rng = np.random.default_rng(p + stripes)
         symbols = rng.integers(0, bound, size=(stripes, params.planes, params.s_pow_n),
                                dtype=np.uint16)
@@ -768,7 +869,8 @@ class TestBlockReader:
         path = tmp_path / chunk_name(node)
         write_replacing(path, chunk_bytes(params, node, symbols))
         assert path.stat().st_size == len(storage._header(params, node, symbols.size)) + \
-            expected_body_length(symbols.size, expected_width(params, node))
+            expected_body_length(symbols.size // expected_groups(params, node)[0],
+                                 expected_groups(params, node)[1])
         monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)  # blocks of 8 stripes
         spans = storage.blocks(params, stripes)
         assert spans[-1] == ((16, 21) if stripes == 21 else (0, 1))  # a partial last block

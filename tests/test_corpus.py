@@ -7,7 +7,11 @@ failed, repair with --csv and --transcript, verify, decode from the default
 nodes and from the parity nodes; then three damaged copies of the repaired
 store: a flipped body bit in a systematic chunk (verify, decode), a
 truncated parity chunk (verify, decode from parity), and a manifest with
-one mu too many (every command exits 2).
+one mu too many (every command exits 2); encode of a seeded --random-bytes
+input and table with the shape's own row; then two more damaged copies: a
+parity helper whose header node_index is edited behind a re-recorded
+digest (verify, decode from parity, fail, repair) and a deleted helper
+chunk (verify, decode, fail, repair).
 
 Every step pins its exit code, the (byte length, sha256) of its stdout,
 its stderr, with the temporary directory shown as <tmp> in both, and the
@@ -19,6 +23,7 @@ the pins on purpose and say so in CHANGES.md.
 import hashlib
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -96,11 +101,39 @@ def lifecycle(tmp_path, capsys, shape):
     run("extra mu: decode", "decode", "--dir", extra_mu, "--out", tmp_path / "extra.bin")
     run("extra mu: fail", "fail", "--dir", extra_mu, "--nodes", failed)
     run("extra mu: repair", "repair", "--dir", extra_mu, "--helpers", helpers)
+
+    run("encode random", "encode", *shape_args, "--random-bytes", size, "--seed", 7,
+        "--out", tmp_path / "random")
+    run("table", "table", "--extra", f"{d - k},{h}", "--csv", tmp_path / "table.csv")
+
+    # a parity helper's header claims another node; its digest is re-recorded
+    edited = max(map(int, helpers.split(",")))
+    header = shutil.copytree(store, tmp_path / "header")
+    chunk = header / storage.chunk_name(edited)
+    raw = bytearray(chunk.read_bytes())
+    struct.pack_into("<I", raw, 4 + 4 * 6, (edited + 1) % n)  # header field node_index
+    chunk.write_bytes(raw)
+    manifest = json.loads((header / storage.MANIFEST_NAME).read_text())
+    manifest["chunks"][str(edited)]["sha256"] = hashlib.sha256(raw).hexdigest()
+    (header / storage.MANIFEST_NAME).write_text(json.dumps(manifest))
+    run("header: verify", "verify", "--dir", header)
+    run("header: decode parity", "decode", "--dir", header, "--nodes", parity,
+        "--out", tmp_path / "header.bin")
+    run("header: fail", "fail", "--dir", header, "--nodes", failed)
+    run("header: repair", "repair", "--dir", header, "--helpers", helpers)
+
+    missing = shutil.copytree(store, tmp_path / "missing")
+    (missing / storage.chunk_name(min(map(int, helpers.split(","))))).unlink()
+    run("missing: verify", "verify", "--dir", missing)
+    run("missing: decode", "decode", "--dir", missing, "--out", tmp_path / "missing.bin")
+    run("missing: fail", "fail", "--dir", missing, "--nodes", failed)
+    run("missing: repair", "repair", "--dir", missing, "--helpers", helpers)
     return steps
 
 
 # computed by the code of commit 988d003; the chunk and manifest pins again
-# under chunk format 4, which changed no other output
+# under chunk format 4, which changed no other output; the steps from
+# "encode random" on by the code of commit ced7880
 PINS = {
     "narrow-h2": [
         ("params-check", 0, (274, "1bced3d48bbec8358f01ee078b5614565fd805fd00af1505d3cb9c82977562a4"),
@@ -165,6 +198,51 @@ PINS = {
          "error: need s-1=1 mu points, got 2\n", {}),
         ("extra mu: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
          "error: need s-1=1 mu points, got 2\n", {}),
+        ("encode random", 0, (123, "bfec686dd0742469eddc710d9c58032f570a66a06e90de4b3d7875a9fff70594"),
+         "", {
+             "random/manifest.json": (1124, "091021f109cfe35879b66c9effb6f5faa5edf050dc732bf3ccd91b87bce25d44"),
+             "random/node0.mscr": (3524, "b5b5b8c7c3b67753094b4054ca1e4411ae7670ff4a3f8de7d1fea59bbab72e77"),
+             "random/node1.mscr": (3524, "0776bea8cb72127f3b3601df98e36e1c4b251e942ba47b4adc78eb9e654879d8"),
+             "random/node2.mscr": (3524, "34c801d390fbd956e09f19c1bc2abba309e7a05a8f97f956707590a4b89be40c"),
+             "random/node3.mscr": (3596, "418eca866396812f8113d4a6495ac75016310884cdc1a63eb28394f25bc47254"),
+             "random/node4.mscr": (3596, "44939f64dbcf84e289a2d1a0299c14b853eca77fc2b32c1170cb2f320091845d"),
+             "random/node5.mscr": (3596, "28af14958cb61c1a76ebe5edb727a86581118edcee87d9532aa26b0508503cc7"),
+             "random/source.bin": (10000, "bdfc70b4d4b9cec8deebcd9c091074604ddabe3da52bf2f2a0519871af46408c"),
+         }),
+        ("table", 0, (895, "3734cec6c1131876c25559ad143f9a424861dba1b9dee52cb688a21e17cf4aef"),
+         "", {
+             "table.csv": (502, "566bfbd856c9bd1a9297c61263cbd6a293ec0643619dce32db37d1609b82fcb4"),
+         }),
+        ("header: verify", 1, (143, "2763b1f992874d4edd3686f668cf5ff4a7d65e831934738f4f850d9320806269"),
+         "PROBLEM: node 5: chunk file for node 5 claims index 0\n", {}),
+        ("header: decode parity", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "skipped node 5: chunk file for node 5 claims index 0\nerror: need k=3 verified chunks, only 2 of nodes [3, 4, 5] verify; bad nodes [5]\n", {}),
+        ("header: fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
+         "", {
+             "header/manifest.json": (1140, "ff9695ac12b4086e31ee7c0d1c75b9fca9d79f39e5bd96cf28910b43b44cf733"),
+             "header/node1.mscr.failed": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
+             "header/node4.mscr.failed": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
+             "header/node1.mscr": None,
+             "header/node4.mscr": None,
+         }),
+        ("header: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: chunk file for node 5 claims index 0\n", {}),
+        ("missing: verify", 1, (143, "dafee7d32bbbfe89b3f86c30290acbacddfdc724b3b3faf2a6c8d13c2b769011"),
+         "PROBLEM: node 0: chunk missing at <tmp>/missing/node0.mscr\n", {}),
+        ("missing: decode", 0, (62, "a70d2a7d4fd528fc421106f3a69bbdea0f81d4049157440e07fd400a6cd47960"),
+         "skipped node 0: chunk missing at <tmp>/missing/node0.mscr\n", {
+             "missing.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
+         }),
+        ("missing: fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
+         "", {
+             "missing/manifest.json": (1140, "d80950f63b34612f389688b16073bea8330f1a47842b47a306718f80d3df76d9"),
+             "missing/node1.mscr.failed": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
+             "missing/node4.mscr.failed": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
+             "missing/node1.mscr": None,
+             "missing/node4.mscr": None,
+         }),
+        ("missing: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: [Errno 2] No such file or directory: '<tmp>/missing/node0.mscr'\n", {}),
     ],
     "coop-h3-p7": [
         ("params-check", 0, (272, "7586a78f7d6842222a68402fcce507f66e67c782b5f17cae3052f0ea2d96d65e"),
@@ -235,6 +313,57 @@ PINS = {
          "error: need s-1=1 mu points, got 2\n", {}),
         ("extra mu: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
          "error: need s-1=1 mu points, got 2\n", {}),
+        ("encode random", 0, (120, "a470242928c79ab0c5de67fc8c9d2b0abbe8302b48a2145732ea459c693796cd"),
+         "", {
+             "random/manifest.json": (1121, "8579c1852733f6e6c660836fa59a86dde15f8ab3ccffd919fd117d5c9acdeb7e"),
+             "random/node0.mscr": (1604, "5dbe6733081aff47e223504191809228ea31eab4a8d9d127bf530d6600b60142"),
+             "random/node1.mscr": (1604, "ab2672416208ac589417d69db3ab20793d63f508bc403daf54f92e71c08142a4"),
+             "random/node2.mscr": (2228, "868c1b3c0dbc3db167608b7573d4cafcfe4571cb67d9b9af42c62ffd192ac08a"),
+             "random/node3.mscr": (2228, "c7a1f14fb657bcbfa91d5ceb4551a6564e472e7cbda712e06564b907b1741b4c"),
+             "random/node4.mscr": (2228, "5a3f5f4738ae7aa7d5e5480ed7224069341616e977cb64aaf757576a5128303b"),
+             "random/node5.mscr": (2228, "368ba29bb91554d570aab6c9d8402a5ba5685a8d5c8008572abf93d9a69b7262"),
+             "random/source.bin": (3000, "68ca1f6e30123c5841c26fa8e98730d70d87d75d80462ba833148803a18a370c"),
+         }),
+        ("table", 0, (895, "e978e2c3b2d981d07698db8589f0fce1f772659b83b43736715ac415235dcaee"),
+         "", {
+             "table.csv": (504, "e6c09fe300da3d0671dfeb9cc9de60ea1794e4db5aa7e76eeed7aa57be1ae8d1"),
+         }),
+        ("header: verify", 1, (143, "4f843189724fe43bd3838a858cbc9712dc2a6196f89c9627b7f88e1371b209a7"),
+         "PROBLEM: node 4: chunk file for node 4 claims index 5\n", {}),
+        ("header: decode parity", 0, (57, "863aa872131178f069d0963692242ccb177f652ba67dfe8857e84ffd69a9d3d7"),
+         "", {
+             "header.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
+         }),
+        ("header: fail", 0, (28, "9499d939aa8da4e4de21b2350a6201e470f0a272571e07d161ab8aa66d7857ef"),
+         "", {
+             "header/manifest.json": (1144, "a05a8f7abecd327c3686b1580f1312841d7075bc297f05289f94e8f8fc7a321e"),
+             "header/node0.mscr.failed": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
+             "header/node3.mscr.failed": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
+             "header/node5.mscr.failed": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
+             "header/node0.mscr": None,
+             "header/node3.mscr": None,
+             "header/node5.mscr": None,
+         }),
+        ("header: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: chunk file for node 4 claims index 5\n", {}),
+        ("missing: verify", 1, (143, "1ce1e6eb5289284b9ab89f95fee0f28e6e7325242152c216499f836bfa83fbc0"),
+         "PROBLEM: node 1: chunk missing at <tmp>/missing/node1.mscr\n", {}),
+        ("missing: decode", 0, (58, "35adfa80d1b0ddd092c4c4bdbef823100a8b2d1fe04a208e02111f232558cdbe"),
+         "skipped node 1: chunk missing at <tmp>/missing/node1.mscr\n", {
+             "missing.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
+         }),
+        ("missing: fail", 0, (28, "9499d939aa8da4e4de21b2350a6201e470f0a272571e07d161ab8aa66d7857ef"),
+         "", {
+             "missing/manifest.json": (1144, "7fb7b374f1c01e8461447a426ecaa1f78fd380301dc714a2f29805558b833ee7"),
+             "missing/node0.mscr.failed": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
+             "missing/node3.mscr.failed": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
+             "missing/node5.mscr.failed": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
+             "missing/node0.mscr": None,
+             "missing/node3.mscr": None,
+             "missing/node5.mscr": None,
+         }),
+        ("missing: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: [Errno 2] No such file or directory: '<tmp>/missing/node1.mscr'\n", {}),
     ],
     "wide-s4": [
         ("params-check", 0, (282, "e80ad4977318ff953f9191e95d94ea5aa530db4fffba11c0b16d6ff5a4781304"),
@@ -296,6 +425,48 @@ PINS = {
          "error: need s-1=3 mu points, got 4\n", {}),
         ("extra mu: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
          "error: need s-1=3 mu points, got 4\n", {}),
+        ("encode random", 0, (123, "c9e6841bffb5541f807b6deeb15d119e6dbc7e8b7fae47239907f0f0f4492fbb"),
+         "", {
+             "random/manifest.json": (1001, "27ea6d1cdcdc1a22d20235608dfb5c50f5c15ae9eea21ed3c588e0faabb85da6"),
+             "random/node0.mscr": (36936, "9b19c6e7ef307f35e6e3202e4bea9da0ae5728541b4b8c1f4e233317288577ac"),
+             "random/node1.mscr": (38088, "b824fdde5b231e1c25264d015faa70a4b9b37203bad8d103e8c86b77a586d9c2"),
+             "random/node2.mscr": (38088, "e4c6daa92ec90b3962a3a489676a596f03a430d1b784cff52b0f91379786fbfb"),
+             "random/node3.mscr": (38088, "c34b323679118168c8ccf6cf1dd4e23f5842b862a291b74d2e1315c1808c7949"),
+             "random/node4.mscr": (38088, "0ed3e9474d45599c78723d4a79df7339d8ee0e1aa3a5175e25020422fd8590b9"),
+             "random/source.bin": (36000, "9d3ed88113891f771a38d284e26abad0d9d7369ba9db73ba75dcaa1b11187b21"),
+         }),
+        ("table", 0, (895, "0563ef710d5c1a18fb18b1675a626d0cd51f1909fc46ed5a53fb10185c2ca722"),
+         "", {
+             "table.csv": (504, "0ae7943adae978024e7803285d08374cdf34f4661264bb4b38878dcd3d7146d7"),
+         }),
+        ("header: verify", 1, (123, "a770836dbdcced36188229ac03fda859abf595c2ffec645233af7b9e38b0f219"),
+         "PROBLEM: node 4: chunk file for node 4 claims index 0\n", {}),
+        ("header: decode parity", 0, (55, "c51312d504c2e0019c62a4a4181b48320fcd7363a6b58baf51575177361191d9"),
+         "", {
+             "header.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
+         }),
+        ("header: fail", 0, (22, "b0a37c312a9515071b935d5ecd4d5ab926d5ae089fd6779692193043e8baaf2d"),
+         "", {
+             "header/manifest.json": (1010, "a490238971c69caab4e2ca2d097289e2fb5bfb746d144d7c333499cd3bbe5047"),
+             "header/node2.mscr.failed": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
+             "header/node2.mscr": None,
+         }),
+        ("header: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: chunk file for node 4 claims index 0\n", {}),
+        ("missing: verify", 1, (123, "562ba6b63d155813513514958d041dcccf045482b5e5b7697416b45fdbb029cc"),
+         "PROBLEM: node 0: chunk missing at <tmp>/missing/node0.mscr\n", {}),
+        ("missing: decode", 0, (56, "43b50670e3f1bfd1fae34253a5207e15eb4c6674c26426ede4fab57e9822778a"),
+         "skipped node 0: chunk missing at <tmp>/missing/node0.mscr\n", {
+             "missing.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
+         }),
+        ("missing: fail", 0, (22, "b0a37c312a9515071b935d5ecd4d5ab926d5ae089fd6779692193043e8baaf2d"),
+         "", {
+             "missing/manifest.json": (1010, "f0c82472bb0c798733c41778389880287a54e4559dbd106d59ebc21b92fdf4da"),
+             "missing/node2.mscr.failed": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
+             "missing/node2.mscr": None,
+         }),
+        ("missing: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: [Errno 2] No such file or directory: '<tmp>/missing/node0.mscr'\n", {}),
     ],
 }
 

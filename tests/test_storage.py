@@ -242,6 +242,20 @@ class TestChunkIO:
             read_chunk(path, sha256_hex(path), example1, 2, 48)
         assert not isinstance(info.value, ChecksumMismatchError)
 
+    def test_every_header_byte_edit_refused(self, tmp_path, example1):
+        # each bit of every header byte flipped behind a matching digest:
+        # read_chunk refuses every one with a ValueError naming the node
+        raw = chunk_bytes(example1, 2, np.zeros(48, dtype=np.uint16))
+        path = tmp_path / chunk_name(2)
+        for at in range(len(storage._header(example1, 2, 48))):
+            for bit in range(8):
+                edited = bytearray(raw)
+                edited[at] ^= 1 << bit
+                path.write_bytes(bytes(edited))
+                with pytest.raises(ValueError) as info:
+                    read_chunk(path, sha256_hex(path), example1, 2, 48)
+                assert "node 2" in str(info.value) or path.name in str(info.value), (at, bit)
+
     def test_payload_len_past_u32_refused(self, tmp_path, example1):
         # the header would not pack: an error naming the field, not struct.error
         with pytest.raises(ValueError, match=r"payload_len=4294967296 exceeds .* u32 limit of 4294967295"):

@@ -117,14 +117,11 @@ def _open_chunk(directory: Path, manifest: storage.Manifest, params,
 def _checked_chunk(directory: Path, manifest: storage.Manifest, params, node: int):
     """(open chunk, None) for a chunk that reads and agrees with the manifest,
     else (None, a one-line problem naming the node)."""
-    path = directory / storage.chunk_name(node)
-    if not path.exists():
-        return None, f"node {node}: chunk missing at {path}"
     try:
         return _open_chunk(directory, manifest, params, node), None
-    except storage.ChecksumMismatchError:
-        return None, f"node {node}: checksum mismatch"
-    except (OSError, ValueError) as exc:  # unreadable, or disagrees with the manifest
+    except ValueError as exc:  # refused by read_chunk, which names the node
+        return None, str(exc)
+    except OSError as exc:  # unreadable
         return None, f"node {node}: {exc}"
 
 

@@ -46,13 +46,12 @@ bytes (body_length), and at p > 255 a systematic body is node i's message
 bytes, stripe after stripe.  A B-bit value can reach 2^B - 1 >= q^c, so a
 read peels the digits by floor division and checks the top one against q
 while it is still B bits wide.  A block of 8 stripes starts on a group, as
-c divides N, and so on a byte of every plane.  This is chunk format 4;
-format 3 stored each parity symbol alone at ceil(log2 p) bits, and its
-systematic bodies are the same bytes as format 4's.
+c divides N, and so on a byte of every plane.  This is chunk format 4.
 
 Only this module knows the format.  write_chunk derives the header from the
-code's parameters and the node; read_chunk checks the whole header, every
-field and evaluation point, against the one it writes.
+code's parameters, the node and the payload length alone (_header), and
+read_chunk, after the digest, compares the header on disk with those bytes:
+any field or evaluation point that differs is one refusal naming the node.
 
 Every file the package writes (chunks, the manifest, and the CLI's outputs)
 goes through replacing: a temporary file beside its destination, synced,
@@ -214,22 +213,17 @@ def unpack_body(body: bytes, width: int, count: int) -> np.ndarray:
     return vals
 
 
-def _header_fields(params: CodeParams, node: int, payload_len: int) -> tuple[int, ...]:
-    """The u32 header fields of node `node`'s chunk of `params`, in file order."""
-    return (FORMAT_VERSION, params.n, params.k, params.d, params.h, params.p, node,
-            payload_len, bits_per_symbol(params.p), *params.lambdas, *params.mus)
-
-
 def _header(params: CodeParams, node: int, payload_len: int) -> bytes:
-    """Magic, header fields and evaluation points of node `node`'s chunk.  A
-    field past the format's u32 is a ValueError naming it, in practice
-    payload_len, for 2^32 or more symbols per node; the fields after it are
-    below p < 2^16."""
-    fields_ = _header_fields(params, node, payload_len)
+    """Magic, header fields and evaluation points of node `node`'s chunk,
+    the bytes write_chunk writes and read_chunk expects.  A field past the
+    format's u32 is a ValueError naming it, in practice payload_len, for
+    2^32 or more symbols per node; the fields after it are below p < 2^16."""
+    fields_ = (FORMAT_VERSION, params.n, params.k, params.d, params.h, params.p, node,
+               payload_len, bits_per_symbol(params.p), *params.lambdas, *params.mus)
     for name, value in zip(("format", "n", "k", "d", "h", "p", "node", "payload_len"), fields_):
         if value >= 2**32:
-            raise ValueError(f"chunk header field {name}={value} exceeds the chunk format's "
-                             f"u32 limit of {2**32 - 1}")
+            raise ValueError(f"node {node}: chunk header field {name}={value} exceeds the "
+                             f"chunk format's u32 limit of {2**32 - 1}")
     return MAGIC + struct.pack(f"<{len(fields_)}I", *fields_)
 
 
@@ -333,10 +327,6 @@ def _sha256(fh) -> str:
     return digest.hexdigest()
 
 
-class ChecksumMismatchError(ValueError):
-    """A chunk file's bytes do not hash to the digest recorded for them."""
-
-
 class BadBlockError(ValueError):
     """A block of an open chunk does not read: the chunk changed since it
     was opened, or holds a symbol outside the field.  `node` is its node."""
@@ -400,43 +390,32 @@ class ChunkReader:
 
 def read_chunk(path: Path, sha256: str, params: CodeParams, node: int,
                payload_len: int) -> ChunkReader:
-    """Open node `node`'s chunk at `path` and check it, in order: the digest
-    `sha256`, hashed in fixed-size sequential reads before any byte is parsed
-    (ChecksumMismatchError), so a damaged chunk is always reported as one;
-    then the magic, the version and every header field against what
-    write_chunk writes for (params, node, payload_len); then the body length
-    in group values (node_groups, ValueError).  Returns the open ChunkReader, whose
-    blocks check the symbol range."""
-    fh = open(path, "rb", buffering=0)
+    """Open node `node`'s chunk at `path` and check it, in order: that it
+    exists; its digest `sha256`, hashed in fixed-size sequential reads before
+    any byte is parsed, so a damaged chunk is always reported as a checksum
+    mismatch; that its header is the bytes write_chunk writes for (params,
+    node, payload_len); then the body length in group values (node_groups).
+    Each refusal is a ValueError whose message starts with "node <node>:".
+    Returns the open ChunkReader, whose blocks check the symbol range."""
+    try:
+        fh = open(path, "rb", buffering=0)
+    except FileNotFoundError:
+        raise ValueError(f"node {node}: chunk missing at {path}") from None
     try:
         st = os.fstat(fh.fileno())
         if _sha256(fh) != sha256:
-            raise ChecksumMismatchError(f"node {node}: {path}: checksum mismatch against the manifest")
-        want = _header_fields(params, node, payload_len)
-        raw = os.pread(fh.fileno(), 4 + 4 * len(want), 0)
-        if raw[:4] != MAGIC:
-            raise ValueError(f"{path}: bad magic {raw[:4]!r}, not a chunk file")
-        try:
-            got = struct.unpack_from(f"<{len(want)}I", raw, 4)
-        except struct.error as exc:
-            raise ValueError(f"{path}: truncated chunk header") from exc
-        if got[0] != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {got[0]}")
-        # fields 6 and 7 are node_index and payload_len; the rest fix the code
-        if got[1:6] + got[8:] != want[1:6] + want[8:]:
-            raise ValueError(f"chunk for node {node} was written with different parameters "
-                             "or evaluation points")
-        if got[6] != node:
-            raise ValueError(f"chunk file for node {node} claims index {got[6]}")
-        if got[7] != payload_len:
-            raise ValueError(f"chunk for node {node} has wrong payload length")
+            raise ValueError(f"node {node}: checksum mismatch")
+        header = _header(params, node, payload_len)
+        if os.pread(fh.fileno(), len(header), 0) != header:
+            raise ValueError(f"node {node}: {path}: header is not the one written for node "
+                             f"{node} of this code and payload length")
         c, width = node_groups(params, node)
         expected = body_length(payload_len // c, width)
-        if st.st_size - len(raw) != expected:
-            raise ValueError(f"{path}: body holds {st.st_size - len(raw)} bytes, expected "
-                             f"{expected} for {payload_len // c} groups of {c} symbols "
+        if st.st_size - len(header) != expected:
+            raise ValueError(f"node {node}: {path}: body holds {st.st_size - len(header)} bytes, "
+                             f"expected {expected} for {payload_len // c} groups of {c} symbols "
                              f"at {width} bits")
-        return ChunkReader(fh, path, node, params, payload_len, len(raw),
+        return ChunkReader(fh, path, node, params, payload_len, len(header),
                            (st.st_size, st.st_mtime_ns))
     except BaseException:
         fh.close()

@@ -116,8 +116,8 @@ class TestEncode:
         assert run_cli("encode", "--n", 40, "--k", 1, "--d", 2, "--h", 2,
                        "--random-bytes", 3, "--out", store) == 2
         out, err = capsys.readouterr()
-        assert "error: chunk header field payload_len=3298534883328 exceeds the chunk " \
-               "format's u32 limit of 4294967295" in err
+        assert "error: node 0: chunk header field payload_len=3298534883328 exceeds the " \
+               "chunk format's u32 limit of 4294967295" in err
         assert out == ""  # source.bin is not named: the failed encode removed it
         assert not store.exists()
 
@@ -578,7 +578,8 @@ class TestCheckedReads:
         capsys.readouterr()
         assert run_cli("verify", "--dir", store) == 1
         captured = capsys.readouterr()
-        assert "PROBLEM: node 2: chunk file for node 2 claims index 3" in captured.err
+        assert (f"PROBLEM: node 2: {path}: header is not the one written for node 2 of this "
+                "code and payload length") in captured.err
         assert "error:" not in captured.err
         for i in (0, 1, 3, 4, 5):
             assert f"node {i}: checksum OK" in captured.out

@@ -214,9 +214,9 @@ PINS = {
              "table.csv": (502, "566bfbd856c9bd1a9297c61263cbd6a293ec0643619dce32db37d1609b82fcb4"),
          }),
         ("header: verify", 1, (143, "2763b1f992874d4edd3686f668cf5ff4a7d65e831934738f4f850d9320806269"),
-         "PROBLEM: node 5: chunk file for node 5 claims index 0\n", {}),
+         "PROBLEM: node 5: <tmp>/header/node5.mscr: header is not the one written for node 5 of this code and payload length\n", {}),
         ("header: decode parity", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-         "skipped node 5: chunk file for node 5 claims index 0\nerror: need k=3 verified chunks, only 2 of nodes [3, 4, 5] verify; bad nodes [5]\n", {}),
+         "skipped node 5: <tmp>/header/node5.mscr: header is not the one written for node 5 of this code and payload length\nerror: need k=3 verified chunks, only 2 of nodes [3, 4, 5] verify; bad nodes [5]\n", {}),
         ("header: fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
          "", {
              "header/manifest.json": (1140, "ff9695ac12b4086e31ee7c0d1c75b9fca9d79f39e5bd96cf28910b43b44cf733"),
@@ -226,7 +226,7 @@ PINS = {
              "header/node4.mscr": None,
          }),
         ("header: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-         "error: chunk file for node 5 claims index 0\n", {}),
+         "error: node 5: <tmp>/header/node5.mscr: header is not the one written for node 5 of this code and payload length\n", {}),
         ("missing: verify", 1, (143, "dafee7d32bbbfe89b3f86c30290acbacddfdc724b3b3faf2a6c8d13c2b769011"),
          "PROBLEM: node 0: chunk missing at <tmp>/missing/node0.mscr\n", {}),
         ("missing: decode", 0, (62, "a70d2a7d4fd528fc421106f3a69bbdea0f81d4049157440e07fd400a6cd47960"),
@@ -242,7 +242,7 @@ PINS = {
              "missing/node4.mscr": None,
          }),
         ("missing: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-         "error: [Errno 2] No such file or directory: '<tmp>/missing/node0.mscr'\n", {}),
+         "error: node 0: chunk missing at <tmp>/missing/node0.mscr\n", {}),
     ],
     "coop-h3-p7": [
         ("params-check", 0, (272, "7586a78f7d6842222a68402fcce507f66e67c782b5f17cae3052f0ea2d96d65e"),
@@ -329,7 +329,7 @@ PINS = {
              "table.csv": (504, "e6c09fe300da3d0671dfeb9cc9de60ea1794e4db5aa7e76eeed7aa57be1ae8d1"),
          }),
         ("header: verify", 1, (143, "4f843189724fe43bd3838a858cbc9712dc2a6196f89c9627b7f88e1371b209a7"),
-         "PROBLEM: node 4: chunk file for node 4 claims index 5\n", {}),
+         "PROBLEM: node 4: <tmp>/header/node4.mscr: header is not the one written for node 4 of this code and payload length\n", {}),
         ("header: decode parity", 0, (57, "863aa872131178f069d0963692242ccb177f652ba67dfe8857e84ffd69a9d3d7"),
          "", {
              "header.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
@@ -345,7 +345,7 @@ PINS = {
              "header/node5.mscr": None,
          }),
         ("header: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-         "error: chunk file for node 4 claims index 5\n", {}),
+         "error: node 4: <tmp>/header/node4.mscr: header is not the one written for node 4 of this code and payload length\n", {}),
         ("missing: verify", 1, (143, "1ce1e6eb5289284b9ab89f95fee0f28e6e7325242152c216499f836bfa83fbc0"),
          "PROBLEM: node 1: chunk missing at <tmp>/missing/node1.mscr\n", {}),
         ("missing: decode", 0, (58, "35adfa80d1b0ddd092c4c4bdbef823100a8b2d1fe04a208e02111f232558cdbe"),
@@ -363,7 +363,7 @@ PINS = {
              "missing/node5.mscr": None,
          }),
         ("missing: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-         "error: [Errno 2] No such file or directory: '<tmp>/missing/node1.mscr'\n", {}),
+         "error: node 1: chunk missing at <tmp>/missing/node1.mscr\n", {}),
     ],
     "wide-s4": [
         ("params-check", 0, (282, "e80ad4977318ff953f9191e95d94ea5aa530db4fffba11c0b16d6ff5a4781304"),
@@ -440,7 +440,7 @@ PINS = {
              "table.csv": (504, "0ae7943adae978024e7803285d08374cdf34f4661264bb4b38878dcd3d7146d7"),
          }),
         ("header: verify", 1, (123, "a770836dbdcced36188229ac03fda859abf595c2ffec645233af7b9e38b0f219"),
-         "PROBLEM: node 4: chunk file for node 4 claims index 0\n", {}),
+         "PROBLEM: node 4: <tmp>/header/node4.mscr: header is not the one written for node 4 of this code and payload length\n", {}),
         ("header: decode parity", 0, (55, "c51312d504c2e0019c62a4a4181b48320fcd7363a6b58baf51575177361191d9"),
          "", {
              "header.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
@@ -452,7 +452,7 @@ PINS = {
              "header/node2.mscr": None,
          }),
         ("header: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-         "error: chunk file for node 4 claims index 0\n", {}),
+         "error: node 4: <tmp>/header/node4.mscr: header is not the one written for node 4 of this code and payload length\n", {}),
         ("missing: verify", 1, (123, "562ba6b63d155813513514958d041dcccf045482b5e5b7697416b45fdbb029cc"),
          "PROBLEM: node 0: chunk missing at <tmp>/missing/node0.mscr\n", {}),
         ("missing: decode", 0, (56, "43b50670e3f1bfd1fae34253a5207e15eb4c6674c26426ede4fab57e9822778a"),
@@ -466,7 +466,7 @@ PINS = {
              "missing/node2.mscr": None,
          }),
         ("missing: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-         "error: [Errno 2] No such file or directory: '<tmp>/missing/node0.mscr'\n", {}),
+         "error: node 0: chunk missing at <tmp>/missing/node0.mscr\n", {}),
     ],
 }
 

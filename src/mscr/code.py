@@ -23,7 +23,8 @@ optimal MDS codes for all admissible parameters", IEEE Trans. IT, 2019):
   are an m x m Vandermonde system in the erased lambdas: the known nodes'
   contributions K (_known_contrib) plus the solved substitution terms S on
   the right, c[E, b, a] = -V^-1 (K + S).  V depends on E only, so each layer
-  costs one product of the cached -V^-1 with every (a, stripe) of the layer.
+  costs one product of -V^-1, built once per solve, with every (a, stripe)
+  of the layer.
 
 The checks t >= m are not used by the solve; erase_decode then runs the full
 residual sweep (failing_checks), which rejects inputs that lie on no codeword
@@ -60,7 +61,6 @@ fold the batch into (stripes * planes, s^n) rows, one pass for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -199,7 +199,6 @@ def parity_residual(params: CodeParams, cw: np.ndarray, t: int, b: int, a) -> in
 
 # --- vectorized machinery -------------------------------------------------
 
-@lru_cache(maxsize=None)
 def plane_geometry(params: CodeParams):
     """The engine's one index geometry, read by the peel and by repair:
     per-coordinate zero-digit masks and substitution index maps.
@@ -274,7 +273,6 @@ def _known_contrib(params: CodeParams, rows_of, known_nodes, rows: int) -> np.nd
     return out
 
 
-@lru_cache(maxsize=None)
 def _peel_plan(params: CodeParams, erased: tuple[int, ...]):
     """Everything solve_erased needs for one erased set, shared by every
     plane and stripe.
@@ -334,7 +332,7 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...]) -> None:
     one check row at a time, so each layer is a slice of it, solved in place
     as a view.  Per layer and e, the solved substitution symbols are summed
     by whole-row gathers and added, times mu_e^t, to every check row; the
-    product with the cached m x m inverse is one einsum (numpy's integer
+    product with the plan's m x m inverse is one einsum (numpy's integer
     matmul has no BLAS path, and is slower for so small a contraction),
     reduced back into the slice.  The work array is m times the batch's
     symbols per node, the permutation copies one check row, and a layer's

@@ -481,7 +481,6 @@ class TestAccumulatorDtypes:
             return out
 
         def force(dtype):
-            _peel_plan.cache_clear()
             seen.clear()
             for module in (code, repair):
                 monkeypatch.setattr(module, "accumulator_dtype", lambda params: dtype)
@@ -490,7 +489,6 @@ class TestAccumulatorDtypes:
             return seen
 
         yield force
-        _peel_plan.cache_clear()  # no plan built in a forced dtype outlives the test
 
     @staticmethod
     def every_output(params, seen, dtype):

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mscr.code import accumulator_dtype, erase_decode, plane_geometry, validate_params
+from mscr.code import accumulator_dtype, erase_decode, validate_params
 from mscr.indexing import sub_index, union_v_indices
 from mscr.oracle import naive_repair
 from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, run_repair
@@ -331,7 +331,6 @@ class TestComposedMap:
         # a job holds its own maps: nothing outside it keeps them once it is
         # dropped, however many distinct jobs one process runs
         params = validate_params(7, 1, 4, 3, p=13399)
-        plane_geometry(params)  # cached per code, not per job
         job = RepairJob(params, (0, 3, 5), (1, 2, 4, 6))
         arrays = [v for v in vars(job.context).values() if isinstance(v, np.ndarray)]
         one_job = sum(a.nbytes for a in arrays)

@@ -156,6 +156,9 @@ def cmd_encode(args) -> int:
         raise ValueError("give exactly one of --input or --random-bytes")
     if args.seed is not None and args.random_bytes is None:
         raise ValueError("--seed seeds --random-bytes only; it cannot be used with --input")
+    # no replace of n chunks and a manifest is atomic: a store is never overwritten
+    if (out_dir / storage.MANIFEST_NAME).exists():
+        raise ValueError(f"--out {out_dir} already holds a store; encode into a new directory")
     with ExitStack() as inputs:
         if args.input is not None:
             fh, original_length, before = _open_input(inputs, args.input)
@@ -290,6 +293,9 @@ def cmd_repair(args) -> int:
     _refuse_store_file(directory, manifest, "--transcript", transcript_path)
     if csv_arg:
         _refuse_store_file(directory, manifest, "--csv", csv_arg)
+        if os.path.realpath(csv_arg) == os.path.realpath(transcript_path):
+            raise ValueError(f"--csv {csv_arg} and --transcript {transcript_path} name one "
+                             "file; nothing written")
 
     stripes = manifest.stripe_count
     # the restored chunks are committed as this block ends, after the
@@ -546,6 +552,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

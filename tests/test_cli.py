@@ -4,7 +4,10 @@ import io
 import json
 import math
 import os
+import re
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,6 +62,34 @@ class TestEncode:
         assert manifest.failed == []
         assert manifest.original_length == 3000
         assert manifest.original_sha256 == hashlib.sha256(data).hexdigest()
+
+    def test_encode_into_a_store_refused(self, encoded_dir, capsys):
+        tmp_path, store, _ = encoded_dir
+        before = snapshot(store)
+        capsys.readouterr()
+        assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
+                       "--input", tmp_path / "input.bin", "--out", store) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --out {store} already holds a store; encode into a new directory\n")
+        assert snapshot(store) == before
+
+    def test_refused_encode_leaves_the_store(self, tmp_path, capsys, monkeypatch):
+        # a second encode whose manifest cannot be saved once replaced every
+        # chunk, so no chunk matched the manifest left in place
+        store = tmp_path / "s"
+        argv = ("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2, "--random-bytes", 100)
+        assert run_cli(*argv, "--seed", 1, "--out", store) == 0
+        before = snapshot(store)
+
+        def full_disk(self, directory):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(storage.Manifest, "save", full_disk)
+        assert run_cli(*argv, "--seed", 2, "--out", store) == 2
+        assert snapshot(store) == before
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 0
 
     def test_requires_input_or_random(self, tmp_path, capsys):
         assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
@@ -1365,6 +1396,21 @@ class TestOutputsOutsideTheStore:
         assert f"{option} {store / name} is a file of the store" in captured.err
         assert captured.out == "" and snapshot(store) == before
 
+    @pytest.mark.parametrize("transcript", [True, False], ids=["given", "default"])
+    def test_repair_csv_and_transcript_in_one_file_refused(self, encoded_dir, capsys,
+                                                           transcript):
+        # the CSV, written second, would replace the transcript it names
+        tmp_path, store = encoded_dir[:2]
+        out = tmp_path / "out.txt" if transcript else store / "transcript.txt"
+        assert run_cli("fail", "--dir", store, "--nodes", "0,1") == 0
+        before = snapshot(store)
+        capsys.readouterr()
+        given = ("--transcript", out) if transcript else ()
+        assert run_cli("repair", "--dir", store, "--helpers", "2,3", *given, "--csv", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --csv {out} and --transcript {out} name one file; " \
+                               "nothing written\n"
+        assert captured.out == "" and snapshot(store) == before and not out.exists()
 
     @pytest.mark.parametrize("option", ["--transcript", "--csv"])
     def test_repair_output_named_like_a_temporary_file(self, encoded_dir, capsys, option):
@@ -1400,10 +1446,13 @@ class TestFailedStreamsLeaveNothing:
         tmp_path, store = store
         before = snapshot(store)
         fail_halfway()
-        for out in (store, tmp_path / "new"):
+        # the store itself is refused before anything is written; a new
+        # directory is written halfway, then removed
+        for out, error in ((store, f"error: --out {store} already holds a store"),
+                           (tmp_path / "new", "error: [Errno 28] No space")):
             assert run_cli("encode", "--n", 6, "--k", 3, "--d", 4, "--h", 2, "--p", 257,
                            "--input", tmp_path / "input.bin", "--out", out) == 2
-            assert "error: [Errno 28] No space" in capsys.readouterr().err
+            assert error in capsys.readouterr().err
         assert snapshot(store) == before and not (tmp_path / "new").exists()
 
     def test_repair_with_a_faulty_stripe(self, store, monkeypatch, capsys):
@@ -1671,3 +1720,27 @@ class TestEveryFailurePattern:
             out = store / "out.bin"
             assert run_cli("decode", "--dir", store, "--out", out) == 0
             assert out.read_bytes() == data
+
+
+class TestModuleEntryPoint:
+    """`python -m mscr`, the command the benchmark starts, in a process of its own."""
+
+    @staticmethod
+    def mscr(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "mscr", *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        return proc.stdout
+
+    def test_lifecycle(self, tmp_path):
+        shape = ("--n", 4, "--k", 1, "--d", 2, "--h", 2, "--p", 5)
+        assert "N=(d-k+h)*s^n=48 symbols/node" in self.mscr("params-check", *shape)
+        store = tmp_path / "store"
+        assert "into 4 chunks (9 stripe(s)" in self.mscr("encode", *shape, "--random-bytes",
+                                                         100, "--out", store)
+        self.mscr("fail", "--dir", store, "--nodes", "0,1")
+        # the total the benchmark reads: 96 symbols per stripe, 9 stripes
+        found = re.search(r"gamma total\s*:\s*(\d+)",
+                          self.mscr("repair", "--dir", store, "--helpers", "2,3"))
+        assert found and int(found.group(1)) == 96 * 9

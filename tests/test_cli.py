@@ -74,8 +74,8 @@ class TestEncode:
         assert snapshot(store) == before
 
     def test_refused_encode_leaves_the_store(self, tmp_path, capsys, monkeypatch):
-        # a second encode whose manifest cannot be saved once replaced every
-        # chunk, so no chunk matched the manifest left in place
+        # an encode into the store that fails as it saves the manifest must
+        # not leave new chunks beside the old manifest
         store = tmp_path / "s"
         argv = ("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2, "--random-bytes", 100)
         assert run_cli(*argv, "--seed", 1, "--out", store) == 0

@@ -11,7 +11,14 @@ one mu too many (every command exits 2); encode of a seeded --random-bytes
 input and table with the shape's own row; then two more damaged copies: a
 parity helper whose header node_index is edited behind a re-recorded
 digest (verify, decode from parity, fail, repair) and a deleted helper
-chunk (verify, decode, fail, repair).
+chunk (verify, decode, fail, repair); then, each behind a re-recorded digest
+where a chunk is edited: a parity group value of q^c or more (verify, and
+decode from a node list whose spare replaces it mid-file), one symbol moved
+to another field element in a systematic and in a parity chunk (verify,
+decode through the edited node), original_length shortened and grown within
+the recorded stripe count (verify, decode) and an edited chunk digest in the
+manifest (verify, decode); last, encode, fail and repair driven by one
+--config file.
 
 Every step pins its exit code, the (byte length, sha256) of its stdout,
 its stderr, with the temporary directory shown as <tmp> in both, and the
@@ -128,12 +135,93 @@ def lifecycle(tmp_path, capsys, shape):
     run("missing: decode", "decode", "--dir", missing, "--out", tmp_path / "missing.bin")
     run("missing: fail", "fail", "--dir", missing, "--nodes", failed)
     run("missing: repair", "repair", "--dir", missing, "--helpers", helpers)
+
+    # a parity group value of q^c or more, read only when its block is: decode
+    # opens the k lowest listed nodes, skips this one at its last block and
+    # starts again with the spare
+    value = shutil.copytree(store, tmp_path / "value")
+    rewrite_body(value, k, top_value_on_last_group)
+    others = sorted(set(range(n)) - {k})[-k:]
+    run("value: verify", "verify", "--dir", value)
+    run("value: decode", "decode", "--dir", value, "--nodes", ",".join(map(str, sorted(others + [k]))),
+        "--out", tmp_path / "value.bin")
+
+    # one symbol moved to another field element, in a systematic and in a
+    # parity chunk; decode reads the edited node with the top parity nodes
+    for name, node in (("symbol sys", 0), ("symbol parity", n - 1)):
+        edited = shutil.copytree(store, tmp_path / name.replace(" ", "-"))
+        rewrite_body(edited, node, bump_one_symbol)
+        rest = sorted(set(range(k, n)) - {node})
+        nodes = sorted([node] + rest[len(rest) - (k - 1):])
+        run(f"{name}: verify", "verify", "--dir", edited)
+        run(f"{name}: decode", "decode", "--dir", edited, "--nodes", ",".join(map(str, nodes)),
+            "--out", tmp_path / f"{name.replace(' ', '-')}.bin")
+
+    # original_length moved within the stripe count the manifest records
+    for name, delta in (("shorter", -5), ("longer", 5)):
+        moved = shutil.copytree(store, tmp_path / name)
+        manifest = json.loads((moved / storage.MANIFEST_NAME).read_text())
+        manifest["original_length"] += delta
+        params = storage.Manifest(**manifest).params()  # the stripe count still holds
+        assert storage.stripes_for(manifest["original_length"], params) == manifest["stripe_count"]
+        (moved / storage.MANIFEST_NAME).write_text(json.dumps(manifest))
+        run(f"{name}: verify", "verify", "--dir", moved)
+        run(f"{name}: decode", "decode", "--dir", moved, "--out", tmp_path / f"{name}.bin")
+
+    # the manifest records another digest for node 0's intact chunk
+    digest = shutil.copytree(store, tmp_path / "digest")
+    manifest = json.loads((digest / storage.MANIFEST_NAME).read_text())
+    manifest["chunks"]["0"]["sha256"] = hashlib.sha256(b"not node 0").hexdigest()
+    (digest / storage.MANIFEST_NAME).write_text(json.dumps(manifest))
+    run("digest: verify", "verify", "--dir", digest)
+    run("digest: decode", "decode", "--dir", digest, "--out", tmp_path / "digest.bin")
+
+    # one --config file drives encode, fail and repair
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "n": n, "k": k, "d": d, "h": h, "p": p, "random_bytes": size // 3, "seed": 11,
+        "out": str(tmp_path / "configured"), "dir": str(tmp_path / "configured"),
+        "nodes": [int(i) for i in failed.split(",")], "helpers": helpers,
+        "transcript": str(tmp_path / "configured.txt")}))
+    run("config: encode", "encode", "--config", config)
+    run("config: fail", "fail", "--config", config)
+    run("config: repair", "repair", "--config", config)
     return steps
+
+
+def rewrite_body(store, node, edit):
+    """Apply edit(values, q, width) in place to the group values of node's chunk in
+    store, write the chunk back and re-record its digest in the manifest."""
+    manifest = json.loads((store / storage.MANIFEST_NAME).read_text())
+    params = storage.Manifest(**manifest).params()
+    (c, width), count = storage.node_groups(params, node), manifest["stripe_count"] * params.N
+    q = params.p if node >= params.k else 1 << storage.bits_per_symbol(params.p)
+    chunk = store / storage.chunk_name(node)
+    raw = chunk.read_bytes()
+    at = len(raw) - storage.body_length(count // c, width)
+    values = storage.unpack_body(raw[at:], width, count // c)
+    edit(values, q, width)
+    raw = raw[:at] + storage.pack_body(values, width)
+    chunk.write_bytes(raw)
+    manifest["chunks"][str(node)]["sha256"] = hashlib.sha256(raw).hexdigest()
+    (store / storage.MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def top_value_on_last_group(values, q, width):
+    """The last group holds 2^width - 1, at least q^c, as width bits can."""
+    values[-1] = 2**width - 1
+
+
+def bump_one_symbol(values, q, width):
+    """The lowest symbol of the middle group becomes the next field element."""
+    v = int(values[values.size // 2])
+    values[values.size // 2] = v - v % q + (v % q + 1) % q
 
 
 # computed by the code of commit 988d003; the chunk and manifest pins again
 # under chunk format 4, which changed no other output; the steps from
-# "encode random" on by the code of commit ced7880
+# "encode random" on by the code of commit ced7880, and the steps from
+# "value: verify" on by the code of commit 571a29c
 PINS = {
     "narrow-h2": [
         ("params-check", 0, (274, "1bced3d48bbec8358f01ee078b5614565fd805fd00af1505d3cb9c82977562a4"),
@@ -243,6 +331,62 @@ PINS = {
          }),
         ("missing: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
          "error: node 0: chunk missing at <tmp>/missing/node0.mscr\n", {}),
+        ("value: verify", 1, (159, "fb0a94cce082ca1c354037aafed68289de9994c755b1265d7796fa71dcab6703"),
+         "PROBLEM: node 3: <tmp>/value/node3.mscr: symbol out of field range\n", {}),
+        ("value: decode", 0, (60, "94ce7eb176aaa27dcb82a91502e893a2f4c18747639631447fb5101ddbeaba08"),
+         "skipped node 3: <tmp>/value/node3.mscr: symbol out of field range\n", {
+             "value.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
+         }),
+        ("symbol sys: verify", 1, (120, "0001296ec10271670f189f588ee83a53b69f7c5dd7664418a5caba2a48eaadbe"),
+         "PROBLEM: stripe 9: parity checks fail\nPROBLEM: manifest: the decoded 10000 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("symbol sys: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the decoded 10000 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("symbol parity: verify", 1, (120, "0001296ec10271670f189f588ee83a53b69f7c5dd7664418a5caba2a48eaadbe"),
+         "PROBLEM: stripe 9: parity checks fail\n", {}),
+        ("symbol parity: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the decoded 10000 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("shorter: verify", 1, (165, "c7405b77b93d912bbb2bb8ca31ab091de9e882f95c48008cd1b04f5c2d6565bb"),
+         "PROBLEM: manifest: the last stripe's message has set bits past original_length = 9995 bytes, which encode pads with zeros\n", {}),
+        ("shorter: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the last stripe's message has set bits past original_length = 9995 bytes, which encode pads with zeros\n", {}),
+        ("longer: verify", 1, (165, "c7405b77b93d912bbb2bb8ca31ab091de9e882f95c48008cd1b04f5c2d6565bb"),
+         "PROBLEM: manifest: the decoded 10005 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("longer: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the decoded 10005 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("digest: verify", 1, (143, "dafee7d32bbbfe89b3f86c30290acbacddfdc724b3b3faf2a6c8d13c2b769011"),
+         "PROBLEM: node 0: checksum mismatch\n", {}),
+        ("digest: decode", 0, (61, "fa487349a1a898bfd1313d376fa945593f0d58f688b9bcd60ac18da6630cee42"),
+         "skipped node 0: checksum mismatch\n", {
+             "digest.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
+         }),
+        ("config: encode", 0, (125, "bf083341d45a4b77942c05066b5b61074291e02493f40b8540e90dac9d333fa0"),
+         "", {
+             "configured/manifest.json": (1122, "85daea51dc65a054157cf5e915b74e4e7c2a99eb54a907afa809374439fc1365"),
+             "configured/node0.mscr": (1220, "6afaf9bbed67f779625fa50f4edef4733772577138cb759c260dbd8fc3cb5e7f"),
+             "configured/node1.mscr": (1220, "6293cd4de2edc685338e5e1c735e59c5fd734c1c4de524373502a248ef337ac0"),
+             "configured/node2.mscr": (1220, "983db357555c88b4732eb2c6b474962eb3ddec720c0602d9e697f35b1996fd79"),
+             "configured/node3.mscr": (1244, "69779ecede88e2edd51eb9ea79aa0b1f9f44c354360ff60945543e0d22b763b4"),
+             "configured/node4.mscr": (1244, "0290c3a3c49e3ca0b2b0e0734b12c224dcc9a26d5d9184ca4a6d2c8948a07938"),
+             "configured/node5.mscr": (1244, "b744ed99a2bc7bd8e1bf076d55c822a7f4e24b2e9cdce7024f48cedfc98be9ac"),
+             "configured/source.bin": (3333, "1c39a3f8613a38b8316e324144e188d76f74183c0fe49e7c53867afe20adfda5"),
+         }),
+        ("config: fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
+         "", {
+             "configured/manifest.json": (1138, "e3676e7ff825194be54f711da9094e4681b20fcab47b93225e5fc93730fb6b4e"),
+             "configured/node1.mscr.failed": (1220, "6293cd4de2edc685338e5e1c735e59c5fd734c1c4de524373502a248ef337ac0"),
+             "configured/node4.mscr.failed": (1244, "0290c3a3c49e3ca0b2b0e0734b12c224dcc9a26d5d9184ca4a6d2c8948a07938"),
+             "configured/node1.mscr": None,
+             "configured/node4.mscr": None,
+         }),
+        ("config: repair", 0, (698, "ac445720acdf54d0fc01df40ee5407c29bf0d388c237a420970e55017f97c0dc"),
+         "", {
+             "configured.txt": (2736, "151077c869aee302188cdac839e40b5cb6578b24652d27ae32fa1bc08cd6593e"),
+             "configured/manifest.json": (1122, "85daea51dc65a054157cf5e915b74e4e7c2a99eb54a907afa809374439fc1365"),
+             "configured/node1.mscr": (1220, "6293cd4de2edc685338e5e1c735e59c5fd734c1c4de524373502a248ef337ac0"),
+             "configured/node4.mscr": (1244, "0290c3a3c49e3ca0b2b0e0734b12c224dcc9a26d5d9184ca4a6d2c8948a07938"),
+             "configured/node1.mscr.failed": None,
+             "configured/node4.mscr.failed": None,
+         }),
     ],
     "coop-h3-p7": [
         ("params-check", 0, (272, "7586a78f7d6842222a68402fcce507f66e67c782b5f17cae3052f0ea2d96d65e"),
@@ -364,6 +508,66 @@ PINS = {
          }),
         ("missing: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
          "error: node 1: chunk missing at <tmp>/missing/node1.mscr\n", {}),
+        ("value: verify", 1, (159, "f06b2bc3be4f1c902196dea713ab55b9202523d347d15d45b8627995df56c1a1"),
+         "PROBLEM: node 2: <tmp>/value/node2.mscr: symbol out of field range\n", {}),
+        ("value: decode", 0, (56, "c4c780508c18bc26d9659a77d4b93a787d6537bfa8ee92eeb8779e2be56b7a52"),
+         "skipped node 2: <tmp>/value/node2.mscr: symbol out of field range\n", {
+             "value.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
+         }),
+        ("symbol sys: verify", 1, (120, "0001296ec10271670f189f588ee83a53b69f7c5dd7664418a5caba2a48eaadbe"),
+         "PROBLEM: stripe 12: parity checks fail\nPROBLEM: manifest: the decoded 3000 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("symbol sys: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the decoded 3000 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("symbol parity: verify", 1, (120, "0001296ec10271670f189f588ee83a53b69f7c5dd7664418a5caba2a48eaadbe"),
+         "PROBLEM: stripe 12: parity checks fail\n", {}),
+        ("symbol parity: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the decoded 3000 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("shorter: verify", 1, (165, "6e125197731c1ac1b1d114527dd6d6803ee115d92bde0a6e8d3f9e6542025d9f"),
+         "PROBLEM: manifest: the last stripe's message has set bits past original_length = 2995 bytes, which encode pads with zeros\n", {}),
+        ("shorter: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the last stripe's message has set bits past original_length = 2995 bytes, which encode pads with zeros\n", {}),
+        ("longer: verify", 1, (165, "6e125197731c1ac1b1d114527dd6d6803ee115d92bde0a6e8d3f9e6542025d9f"),
+         "PROBLEM: manifest: the decoded 3005 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("longer: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the decoded 3005 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("digest: verify", 1, (143, "dafee7d32bbbfe89b3f86c30290acbacddfdc724b3b3faf2a6c8d13c2b769011"),
+         "PROBLEM: node 0: checksum mismatch\n", {}),
+        ("digest: decode", 0, (57, "418f2b6b74f5bf0581d095199f111feac04877dfc46283978afc9b33415b7e44"),
+         "skipped node 0: checksum mismatch\n", {
+             "digest.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
+         }),
+        ("config: encode", 0, (123, "3086ebe888dde8bbc70833fd5735eddf8b037b7689fc441f7bcdfaff5d16837c"),
+         "", {
+             "configured/manifest.json": (1120, "6a8f221880fedfa96d1f34945971525ccc8ddaa11fdcb28baeb8b0f45c209cac"),
+             "configured/node0.mscr": (580, "7fc792289254cb5734aa23bf266a596378c9bf11ac0572ed9875d8b3bf317835"),
+             "configured/node1.mscr": (580, "4a25e39491de24a30b553824114fb130d25331b5454feb54d9b91d77f691efca"),
+             "configured/node2.mscr": (788, "5c707977d8515ed45cbd66e9fc91ba661172d4ba20830921452172cfc29da94e"),
+             "configured/node3.mscr": (788, "bb6dfa7880af8d7105aa1b693b08b5a4a782fa23dcf61be402d7f1911e9f5261"),
+             "configured/node4.mscr": (788, "c6d3b1a9cad4731abb39fc87fc0c77124e9754b8cd33bb03cdc1429e346fa3c7"),
+             "configured/node5.mscr": (788, "57b45bb683574e2c27f7a20ee6fab1e77017ee70797a068f250dcbe748ebda43"),
+             "configured/source.bin": (1000, "3cc4a0b4dc76e1fe0ee167e1cf711425bf26004193a276b71893c5da45ae0b2a"),
+         }),
+        ("config: fail", 0, (28, "9499d939aa8da4e4de21b2350a6201e470f0a272571e07d161ab8aa66d7857ef"),
+         "", {
+             "configured/manifest.json": (1143, "56ff3e636474541d86663f8ea6ae620a021e0097d56e274450470ce7e0175fab"),
+             "configured/node0.mscr.failed": (580, "7fc792289254cb5734aa23bf266a596378c9bf11ac0572ed9875d8b3bf317835"),
+             "configured/node3.mscr.failed": (788, "bb6dfa7880af8d7105aa1b693b08b5a4a782fa23dcf61be402d7f1911e9f5261"),
+             "configured/node5.mscr.failed": (788, "57b45bb683574e2c27f7a20ee6fab1e77017ee70797a068f250dcbe748ebda43"),
+             "configured/node0.mscr": None,
+             "configured/node3.mscr": None,
+             "configured/node5.mscr": None,
+         }),
+        ("config: repair", 0, (696, "d83e64730fb396f4c5109650e42c91d6594f64d074bc7c6c97a89494993dd5df"),
+         "", {
+             "configured.txt": (4113, "e0de33ebbf9a87d12340c7b93258a2df492419f509e2b329cd7602de025248f3"),
+             "configured/manifest.json": (1120, "6a8f221880fedfa96d1f34945971525ccc8ddaa11fdcb28baeb8b0f45c209cac"),
+             "configured/node0.mscr": (580, "7fc792289254cb5734aa23bf266a596378c9bf11ac0572ed9875d8b3bf317835"),
+             "configured/node3.mscr": (788, "bb6dfa7880af8d7105aa1b693b08b5a4a782fa23dcf61be402d7f1911e9f5261"),
+             "configured/node5.mscr": (788, "57b45bb683574e2c27f7a20ee6fab1e77017ee70797a068f250dcbe748ebda43"),
+             "configured/node0.mscr.failed": None,
+             "configured/node3.mscr.failed": None,
+             "configured/node5.mscr.failed": None,
+         }),
     ],
     "wide-s4": [
         ("params-check", 0, (282, "e80ad4977318ff953f9191e95d94ea5aa530db4fffba11c0b16d6ff5a4781304"),
@@ -467,6 +671,57 @@ PINS = {
          }),
         ("missing: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
          "error: node 0: chunk missing at <tmp>/missing/node0.mscr\n", {}),
+        ("value: verify", 1, (139, "a540c797afce2a6e6bafb04e57a553d9f7051c1c26a00d181aeddf6caf8149f5"),
+         "PROBLEM: node 1: <tmp>/value/node1.mscr: symbol out of field range\n", {}),
+        ("value: decode", 0, (54, "58d8c1000bdde8433bf2d88334ec567cd703c63610224c1f4a811d41f02f72b4"),
+         "skipped node 1: <tmp>/value/node1.mscr: symbol out of field range\n", {
+             "value.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
+         }),
+        ("symbol sys: verify", 1, (100, "969a9f048c4214468f85ecf2589285860839463968dfcd40e7bf9ad0221b41ed"),
+         "PROBLEM: stripe 4: parity checks fail\nPROBLEM: manifest: the decoded 36000 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("symbol sys: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the decoded 36000 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("symbol parity: verify", 1, (100, "969a9f048c4214468f85ecf2589285860839463968dfcd40e7bf9ad0221b41ed"),
+         "PROBLEM: stripe 4: parity checks fail\n", {}),
+        ("symbol parity: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the decoded 36000 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("shorter: verify", 1, (144, "044a0901489f7085a733b5920a556c720596c6a0a1057af23aa11b1587a4cdc1"),
+         "PROBLEM: manifest: the last stripe's message has set bits past original_length = 35995 bytes, which encode pads with zeros\n", {}),
+        ("shorter: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the last stripe's message has set bits past original_length = 35995 bytes, which encode pads with zeros\n", {}),
+        ("longer: verify", 1, (144, "044a0901489f7085a733b5920a556c720596c6a0a1057af23aa11b1587a4cdc1"),
+         "PROBLEM: manifest: the decoded 36005 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("longer: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the decoded 36005 bytes do not match manifest field 'original_sha256'\n", {}),
+        ("digest: verify", 1, (123, "562ba6b63d155813513514958d041dcccf045482b5e5b7697416b45fdbb029cc"),
+         "PROBLEM: node 0: checksum mismatch\n", {}),
+        ("digest: decode", 0, (55, "ea07abe99f6677678d0a76f856af1768593778f2eeafb6c3045a3fe544f983da"),
+         "skipped node 0: checksum mismatch\n", {
+             "digest.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
+         }),
+        ("config: encode", 0, (127, "d9847f80b81679796197c7d19bd1e905e5083bac9ba1f064a8952df8eb4e1fcd"),
+         "", {
+             "configured/manifest.json": (1001, "3363e196bfeabaee324da4d24bb1ad51774267109e198fcbb19ca855ee19e6f1"),
+             "configured/node0.mscr": (12360, "4e3b492f7cc238d4a74ef62412154455d7a2a3667fb7a9770552f8fe6080ecf1"),
+             "configured/node1.mscr": (12744, "853c9754ad985e66d840035db059db4865b0bd09966ae1c4efb33f27fb7f9592"),
+             "configured/node2.mscr": (12744, "1d798f35c75480e7b817101e0be0e150fdd7dba243b422e5f2bc6372de9fa23e"),
+             "configured/node3.mscr": (12744, "460cbba3102ff3e7b4fa7d6f363cdc1f62c35f3c128f941d6198281db3925e34"),
+             "configured/node4.mscr": (12744, "bf6d7a9eb447e933683f822ab3bd66c4b394ec06eed115f59c3efee4ea98febe"),
+             "configured/source.bin": (12000, "883bbeb64719d85f831a25f33a3c5d9fedd0f02d6732166909525fd5b58ae8e9"),
+         }),
+        ("config: fail", 0, (22, "b0a37c312a9515071b935d5ecd4d5ab926d5ae089fd6779692193043e8baaf2d"),
+         "", {
+             "configured/manifest.json": (1010, "3f5e37091da7ea7ff5c414cf230d810605cc6a1c7c399027c185136cd09e560c"),
+             "configured/node2.mscr.failed": (12744, "1d798f35c75480e7b817101e0be0e150fdd7dba243b422e5f2bc6372de9fa23e"),
+             "configured/node2.mscr": None,
+         }),
+        ("config: repair", 0, (702, "21cd627ff31b0aec73136907a6b4ba0210b3eb8b3b765e970533f5022fb46818"),
+         "", {
+             "configured.txt": (16460, "b8035e94592b20b7cc4a1c9f1c06faa33e253942a2d472399cb0da071031432a"),
+             "configured/manifest.json": (1001, "3363e196bfeabaee324da4d24bb1ad51774267109e198fcbb19ca855ee19e6f1"),
+             "configured/node2.mscr": (12744, "1d798f35c75480e7b817101e0be0e150fdd7dba243b422e5f2bc6372de9fa23e"),
+             "configured/node2.mscr.failed": None,
+         }),
     ],
 }
 

@@ -35,3 +35,29 @@ def test_format_version_matches():
     # the README describes the chunk format that storage writes
     assert re.findall(r"This is chunk format (\d+)", README.read_text()) == [
         str(storage.FORMAT_VERSION)]
+
+
+
+def modules_named():
+    """The code spans outside parentheses in the README's sentence that
+    starts "Modules:", up to its first full stop outside parentheses."""
+    text = README.read_text().split("\nModules: ", 1)[1]
+    names, depth = [], 0
+    for i, part in enumerate(text.split("`")):
+        if i % 2:  # a code span, whose brackets do not count
+            if depth == 0:
+                names.append(part)
+            continue
+        for ch in part:
+            if ch == "." and depth == 0:
+                return names
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+    raise AssertionError("the Modules: sentence never ends")
+
+
+def test_modules_paragraph_names_every_module():
+    package = Path(storage.__file__).parent
+    modules = [path.stem for path in package.glob("*.py")
+               if path.stem not in ("__init__", "__main__")]
+    names = modules_named()
+    assert sorted(names) == sorted(modules) and len(set(names)) == len(names)

@@ -10,7 +10,6 @@ from .code import (
     InconsistentCodewordError,
     encode,
     erase_decode,
-    parity_residual,
     validate_params,
 )
 from .field import SingularMatrixError
@@ -18,12 +17,11 @@ from .metrics import (
     Bounds,
     RepairMetrics,
     access_count,
-    access_set,
     bounds,
     comparison_table,
     g_ratio,
 )
-from .oracle import naive_repair, recount
+from .oracle import access_set, naive_repair, parity_residual, recount
 from .repair import (
     RepairJob,
     RepairTranscript,

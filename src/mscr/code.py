@@ -7,8 +7,8 @@ imposes the check
     sum_i lambda_i^t c[i,b,a]  +  sum_i delta(a_i) sum_e mu_e^t c[i,b,a(i,e)] = 0.
 
 The field is its prime p (CodeParams.p): a symbol is a plain int in [0, p),
-and encode, erase_decode and parity_residual reject any other input through
-field.check_below before they cast or compute.
+and encode and erase_decode reject any other input through field.check_below
+before they cast or compute (so does the scalar oracle.parity_residual).
 
 The checks never mix planes.  For an erased node set E with m = |E| <= r,
 solve_erased peels the unknowns of a plane in layers, the structure of Ye and
@@ -71,7 +71,6 @@ from .field import (
     smallest_prime_at_least,
     vandermonde_matrix,
 )
-from .indexing import delta, sub_index, vec_to_int
 
 
 class InconsistentCodewordError(ValueError):
@@ -161,40 +160,6 @@ def validate_params(
         n=n, k=k, d=d, h=h, r=r, s=s, planes=planes,
         N=planes * s**n, p=p, lambdas=lambdas, mus=mus,
     )
-
-
-def parity_residual(params: CodeParams, cw: np.ndarray, t: int, b: int, a) -> int:
-    """Scalar evaluation of one parity check of the codeword cw, an
-    (n, planes, s^n) array; zero on valid codewords.
-
-    Deliberately independent of the vectorized solver path: plain integer
-    arithmetic over the definition, reduced mod p, usable as an oracle
-    against it.
-    """
-    p = params.p
-    check_below(np.asarray(cw), p, "codeword symbols")
-    if not 0 <= t < params.r:
-        raise ValueError(f"power index t={t} out of range [0,{params.r})")
-    if not 1 <= b <= params.planes:
-        raise ValueError(f"plane {b} out of range [1,{params.planes}]")
-    if isinstance(a, int):
-        if not 0 <= a < params.s_pow_n:
-            raise ValueError(f"index {a} out of range [0,{params.s_pow_n})")
-        a_int = a
-        digits = tuple((a_int // params.s**i) % params.s for i in range(params.n))
-    else:
-        digits = tuple(a)
-        if len(digits) != params.n:
-            raise ValueError(f"index vector must have length n={params.n}")
-        a_int = vec_to_int(digits, params.s)
-    acc = 0
-    for i in range(params.n):
-        acc += pow(params.lambdas[i], t, p) * int(cw[i, b - 1, a_int])
-        if delta(digits[i]):
-            for e in range(1, params.s):
-                a_sub = sub_index(a_int, i, e, params.s)
-                acc += pow(params.mus[e - 1], t, p) * int(cw[i, b - 1, a_sub])
-    return acc % p
 
 
 # --- vectorized machinery -------------------------------------------------

@@ -1,4 +1,6 @@
-"""Bandwidth and disk-access accounting: closed forms, bounds, and tables.
+"""Bandwidth and disk-access accounting: closed forms, bounds, tables, and
+RepairMetrics, which sums a repair transcript's messages and counts its
+helpers' access logs (repair.AccessLog).
 
 Everything here is exact: ratios are fractions.Fraction, measured quantities
 are integer symbol counts.  Decimal rendering happens only at the
@@ -11,22 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .code import CodeParams
-from .indexing import int_to_vec, union_v_indices, union_v_size
-
-
-class AccessLog:
-    """The (plane, index) symbols one helper reads from disk, as a boolean
-    (planes, s^n) mask: a helper reads each needed symbol once and serves
-    every failed node from that one pass."""
-
-    def __init__(self, mask: np.ndarray):
-        self.mask = mask
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.mask))
 
 
 @dataclass
@@ -74,31 +61,17 @@ def _uniform_count(edges: dict, expected_edges: int) -> int:
     return counts.pop()
 
 
-def access_set(u: int, job) -> set[tuple[int, tuple[int, ...]]]:
-    """Exact index set a helper reads: the h repair planes in full, plus the
-    first d-k planes on the union of the failed nodes' zero-digit sets.
-
-    The shape is the same for every helper; u is validated against R.
-    """
-    params = job.params
-    if u not in job.helpers:
-        raise ValueError(f"node {u} is not a helper in {job.helpers}")
-    n, s = params.n, params.s
-    out: set[tuple[int, tuple[int, ...]]] = set()
-    for b in range(params.d - params.k + 1, params.planes + 1):
-        out.update((b, int_to_vec(a, n, s)) for a in range(params.s_pow_n))
-    union = union_v_indices(job.failed, n, s)
-    for b in range(1, params.d - params.k + 1):
-        out.update((b, int_to_vec(a, n, s)) for a in union)
-    return out
-
-
 def access_count(job) -> int:
     """|access_set(u)| without materializing it: h*s^n + (d-k)*|union V|."""
     params = job.params
     return params.h * params.s_pow_n + (params.d - params.k) * union_v_size(
         params.n, params.s, params.h
     )
+
+
+def union_v_size(n: int, s: int, m: int) -> int:
+    """Closed form |V_{i_1} u ... u V_{i_m}| = s^(n-m) (s^m - (s-1)^m)."""
+    return s ** (n - m) * (s**m - (s - 1) ** m)
 
 
 def g_ratio(d_minus_k: int, h: int) -> Fraction:

@@ -62,7 +62,6 @@ import numpy as np
 
 from .code import CodeParams, accumulator_dtype, plane_geometry
 from .field import check_below, matrix_inverse, vandermonde_matrix
-from .metrics import AccessLog
 
 
 @dataclass(frozen=True)
@@ -208,6 +207,18 @@ class RepairMessage:
     @property
     def count(self) -> int:
         return int(self.values.size)
+
+
+class AccessLog:
+    """The (plane, index) symbols one helper reads from disk, as a boolean
+    (planes, s^n) mask: a helper reads each needed symbol once and serves
+    every failed node from that one pass."""
+
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask
+
+    def count(self) -> int:
+        return int(np.count_nonzero(self.mask))
 
 
 class RepairTranscript:

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from mscr import storage
 from mscr.code import encode, erase_decode, validate_params
-from mscr.indexing import int_to_vec
+from mscr.oracle import int_to_vec
 
 # Hypothesis profiles: "bounded", the default, keeps every property test of
 # the suite to about a second; HYPOTHESIS_PROFILE=long searches 20 times as
@@ -59,7 +59,7 @@ def per_edge_counts(transcript):
 
 def vector_set(log, params):
     """A helper's access log as (1-based plane, index vector) pairs, the
-    form metrics.access_set gives."""
+    form oracle.access_set gives."""
     return {(int(b0) + 1, int_to_vec(int(a), params.n, params.s))
             for b0, a in np.argwhere(log.mask)}
 

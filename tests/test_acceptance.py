@@ -15,8 +15,8 @@ import pytest
 from mscr import metrics
 from mscr.cli import main as cli_main
 from mscr.code import validate_params
-from mscr.metrics import RepairMetrics, access_set, g_ratio
-from mscr.oracle import naive_repair, recount
+from mscr.metrics import RepairMetrics, g_ratio
+from mscr.oracle import access_set, naive_repair, recount
 from mscr.repair import RepairJob, run_repair
 
 from conftest import decode_stripe, make_codeword, per_edge_counts, vector_set

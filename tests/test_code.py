@@ -12,12 +12,11 @@ from mscr.code import (
     encode,
     erase_decode,
     failing_checks,
-    parity_residual,
     solve_erased,
     validate_params,
 )
 from mscr.field import is_prime
-from mscr.indexing import sub_index
+from mscr.oracle import parity_residual, sub_index
 
 from conftest import PARAM_SETS, decode_stripe, make_codeword, random_message
 

@@ -1,11 +1,11 @@
 import pytest
 
-from mscr.indexing import (
+from mscr.metrics import union_v_size
+from mscr.oracle import (
     delta,
     int_to_vec,
     sub_index,
     union_v_indices,
-    union_v_size,
     vec_to_int,
 )
 

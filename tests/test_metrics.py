@@ -11,14 +11,13 @@ from mscr.metrics import (
     DEFAULT_TABLE_ROWS,
     RepairMetrics,
     access_count,
-    access_set,
     bounds,
     comparison_table,
     g_ratio,
     render_table_csv,
     render_table_text,
 )
-from mscr.indexing import vec_to_int
+from mscr.oracle import access_set, vec_to_int
 from mscr.repair import RepairJob, run_repair
 
 from conftest import PARAM_SETS, make_codeword
@@ -263,7 +262,7 @@ class TestMeasuredMetrics:
 
 @pytest.mark.parametrize("nkdh", PARAM_SETS + [(6, 2, 4, 2), (6, 2, 3, 2)])
 def test_access_never_exceeds_column(nkdh):
-    from mscr.indexing import union_v_size
+    from mscr.metrics import union_v_size
 
     params = validate_params(*nkdh)
     failed = tuple(range(params.h))

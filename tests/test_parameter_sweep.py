@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mscr.code import encode, parity_residual, validate_params
+from mscr.code import encode, validate_params
 from mscr.field import is_prime
 from mscr.metrics import access_count
-from mscr.oracle import naive_repair
+from mscr.oracle import naive_repair, parity_residual
 from mscr.repair import RepairJob, run_repair
 
 from conftest import decode_stripe, make_codeword, per_edge_counts, random_message

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from mscr.code import accumulator_dtype, erase_decode, validate_params
-from mscr.indexing import sub_index, union_v_indices
-from mscr.oracle import naive_repair
+from mscr.oracle import naive_repair, sub_index, union_v_indices
 from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, run_repair
 
 from conftest import make_codeword, per_edge_counts, vector_set
@@ -258,7 +257,8 @@ class TestWiderAlphabet:
     def test_access_identity_s3(self):
         from fractions import Fraction
 
-        from mscr.metrics import access_set, g_ratio
+        from mscr.metrics import g_ratio
+        from mscr.oracle import access_set
 
         params = validate_params(6, 2, 4, 2)
         cw = make_codeword(params, seed=73)

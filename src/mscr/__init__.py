@@ -12,7 +12,6 @@ from .code import (
     erase_decode,
     validate_params,
 )
-from .field import SingularMatrixError
 from .metrics import (
     Bounds,
     RepairMetrics,
@@ -37,7 +36,6 @@ __all__ = [
     "RepairJob",
     "RepairMetrics",
     "RepairTranscript",
-    "SingularMatrixError",
     "access_count",
     "access_set",
     "bounds",

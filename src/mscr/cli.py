@@ -156,6 +156,9 @@ def cmd_encode(args) -> int:
         raise ValueError("give exactly one of --input or --random-bytes")
     if args.seed is not None and args.random_bytes is None:
         raise ValueError("--seed seeds --random-bytes only; it cannot be used with --input")
+    for option, value in (("--random-bytes", args.random_bytes), ("--seed", args.seed)):
+        if value is not None and value < 0:
+            raise ValueError(f"{option} {value} must be a non-negative integer; nothing written")
     # no replace of n chunks and a manifest is atomic: a store is never overwritten
     if (out_dir / storage.MANIFEST_NAME).exists():
         raise ValueError(f"--out {out_dir} already holds a store; encode into a new directory")

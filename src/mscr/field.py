@@ -14,10 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class SingularMatrixError(ValueError):
-    """Raised when a linear system has no unique solution over F_p."""
-
-
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -68,7 +64,7 @@ def vandermonde_matrix(p: int, points: list[int], rows: int) -> list[list[int]]:
 def matrix_inverse(p: int, matrix: list[list[int]]) -> list[list[int]]:
     """Inverse of a square matrix over F_p by Gauss-Jordan elimination.
 
-    Raises SingularMatrixError when the matrix is not invertible.
+    Raises ValueError when the matrix is not invertible.
     """
     m = len(matrix)
     if m < 1 or any(len(row) != m for row in matrix):
@@ -81,7 +77,7 @@ def matrix_inverse(p: int, matrix: list[list[int]]) -> list[list[int]]:
     for col in range(m):
         pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
         if pivot is None:
-            raise SingularMatrixError(f"matrix rank-deficient over F_{p} (column {col})")
+            raise ValueError(f"matrix rank-deficient over F_{p} (column {col})")
         a[col], a[pivot] = a[pivot], a[col]
         inv[col], inv[pivot] = inv[pivot], inv[col]
         scale = pow(a[col][col], p - 2, p)

@@ -124,6 +124,28 @@ class TestEncode:
                                 "with --input\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.bin"]
 
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("option,values", [
+        ("--random-bytes", {"random_bytes": -3}),
+        ("--seed", {"random_bytes": 10, "seed": -1}),
+    ], ids=["random-bytes", "seed"])
+    def test_negative_count_refused(self, tmp_path, capsys, monkeypatch, option, values,
+                                    from_config):
+        # numpy's own words named no option: "negative dimensions are not
+        # allowed" and "expected non-negative integer"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        flags = [(f"--{key.replace('_', '-')}", value) for key, value in values.items()]
+        given = ("--config", cfg) if from_config else [a for flag in flags for a in flag]
+        monkeypatch.setattr(np.random, "default_rng", None)  # no data is generated
+        assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2, *given,
+                       "--out", tmp_path / "X") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {option} {values[option[2:].replace('-', '_')]} must "
+                                "be a non-negative integer; nothing written\n")
+        assert not (tmp_path / "X").exists()
+
     def test_unreadable_input_reported(self, tmp_path, capsys):
         assert run_cli("encode", "--n", 4, "--k", 1, "--d", 2, "--h", 2,
                        "--input", tmp_path, "--out", tmp_path / "x") == 2

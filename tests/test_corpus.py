@@ -17,7 +17,10 @@ decode from a node list whose spare replaces it mid-file), one symbol moved
 to another field element in a systematic and in a parity chunk (verify,
 decode through the edited node), original_length shortened and grown within
 the recorded stripe count (verify, decode) and an edited chunk digest in the
-manifest (verify, decode); last, encode, fail and repair driven by one
+manifest (verify, decode); a directory in place of a helper's chunk
+(verify, decode, fail, repair); two parity group values of q^c or more in
+two listed nodes, one in the first block and one in the last (verify, and
+decode through both spares); last, encode, fail and repair driven by one
 --config file.
 
 Every step pins its exit code, the (byte length, sha256) of its stdout,
@@ -176,6 +179,28 @@ def lifecycle(tmp_path, capsys, shape):
     run("digest: verify", "verify", "--dir", digest)
     run("digest: decode", "decode", "--dir", digest, "--out", tmp_path / "digest.bin")
 
+    # a directory in place of a helper's chunk: it cannot be opened at all
+    unreadable = shutil.copytree(store, tmp_path / "unreadable")
+    chunk = unreadable / storage.chunk_name(min(map(int, helpers.split(","))))
+    chunk.unlink()
+    chunk.mkdir()
+    run("unreadable: verify", "verify", "--dir", unreadable)
+    run("unreadable: decode", "decode", "--dir", unreadable, "--out", tmp_path / "unreadable.bin")
+    run("unreadable: fail", "fail", "--dir", unreadable, "--nodes", failed)
+    run("unreadable: repair", "repair", "--dir", unreadable, "--helpers", helpers)
+
+    # two parity group values of q^c or more, the lower node's in its first
+    # block and the higher node's in its last: decode lists the top k+2
+    # nodes, so it skips both and ends with the two spares above them
+    two_bad = shutil.copytree(store, tmp_path / "two-bad")
+    listed = list(range(n))[-(k + 2):]
+    first, last = [i for i in listed if i >= k][:2]
+    rewrite_body(two_bad, first, top_value_on_first_group)
+    rewrite_body(two_bad, last, top_value_on_last_group)
+    run("two bad: verify", "verify", "--dir", two_bad)
+    run("two bad: decode", "decode", "--dir", two_bad, "--nodes", ",".join(map(str, listed)),
+        "--out", tmp_path / "two-bad.bin")
+
     # one --config file drives encode, fail and repair
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -212,6 +237,11 @@ def top_value_on_last_group(values, q, width):
     values[-1] = 2**width - 1
 
 
+def top_value_on_first_group(values, q, width):
+    """The first group holds 2^width - 1, at least q^c."""
+    values[0] = 2**width - 1
+
+
 def bump_one_symbol(values, q, width):
     """The lowest symbol of the middle group becomes the next field element."""
     v = int(values[values.size // 2])
@@ -220,8 +250,9 @@ def bump_one_symbol(values, q, width):
 
 # computed by the code of commit 988d003; the chunk and manifest pins again
 # under chunk format 4, which changed no other output; the steps from
-# "encode random" on by the code of commit ced7880, and the steps from
-# "value: verify" on by the code of commit 571a29c
+# "encode random" on by the code of commit ced7880, the steps from
+# "value: verify" on by the code of commit 571a29c, and the "unreadable" and
+# "two bad" steps by the code of commit 3fa6187
 PINS = {
     "narrow-h2": [
         ("params-check", 0, (274, "1bced3d48bbec8358f01ee078b5614565fd805fd00af1505d3cb9c82977562a4"),
@@ -358,6 +389,28 @@ PINS = {
         ("digest: decode", 0, (61, "fa487349a1a898bfd1313d376fa945593f0d58f688b9bcd60ac18da6630cee42"),
          "skipped node 0: checksum mismatch\n", {
              "digest.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
+         }),
+        ("unreadable: verify", 1, (143, "dafee7d32bbbfe89b3f86c30290acbacddfdc724b3b3faf2a6c8d13c2b769011"),
+         "PROBLEM: node 0: [Errno 21] Is a directory: '<tmp>/unreadable/node0.mscr'\n", {}),
+        ("unreadable: decode", 0, (65, "f62b6eea46595fb3026e8ef377816f8976304fea044012980ab0be37a6597060"),
+         "skipped node 0: [Errno 21] Is a directory: '<tmp>/unreadable/node0.mscr'\n", {
+             "unreadable.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
+         }),
+        ("unreadable: fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
+         "", {
+             "unreadable/manifest.json": (1140, "d80950f63b34612f389688b16073bea8330f1a47842b47a306718f80d3df76d9"),
+             "unreadable/node1.mscr.failed": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
+             "unreadable/node4.mscr.failed": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
+             "unreadable/node1.mscr": None,
+             "unreadable/node4.mscr": None,
+         }),
+        ("unreadable: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: [Errno 21] Is a directory: '<tmp>/unreadable/node0.mscr'\n", {}),
+        ("two bad: verify", 1, (159, "fb0a94cce082ca1c354037aafed68289de9994c755b1265d7796fa71dcab6703"),
+         "PROBLEM: node 3: <tmp>/two-bad/node3.mscr: symbol out of field range\n", {}),
+        ("two bad: decode", 0, (62, "f2538d702238c97a2dd8ee271c96440cecf1ac78787b19ebc3dac4bcfffbd545"),
+         "skipped node 3: <tmp>/two-bad/node3.mscr: symbol out of field range\nskipped node 4: <tmp>/two-bad/node4.mscr: symbol out of field range\n", {
+             "two-bad.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
          }),
         ("config: encode", 0, (125, "bf083341d45a4b77942c05066b5b61074291e02493f40b8540e90dac9d333fa0"),
          "", {
@@ -536,6 +589,30 @@ PINS = {
          "skipped node 0: checksum mismatch\n", {
              "digest.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
          }),
+        ("unreadable: verify", 1, (143, "1ce1e6eb5289284b9ab89f95fee0f28e6e7325242152c216499f836bfa83fbc0"),
+         "PROBLEM: node 1: [Errno 21] Is a directory: '<tmp>/unreadable/node1.mscr'\n", {}),
+        ("unreadable: decode", 0, (61, "52f95051673dd21ed25199fa1edc588e3fd95d88054a91181c85d6fb7957681c"),
+         "skipped node 1: [Errno 21] Is a directory: '<tmp>/unreadable/node1.mscr'\n", {
+             "unreadable.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
+         }),
+        ("unreadable: fail", 0, (28, "9499d939aa8da4e4de21b2350a6201e470f0a272571e07d161ab8aa66d7857ef"),
+         "", {
+             "unreadable/manifest.json": (1144, "7fb7b374f1c01e8461447a426ecaa1f78fd380301dc714a2f29805558b833ee7"),
+             "unreadable/node0.mscr.failed": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
+             "unreadable/node3.mscr.failed": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
+             "unreadable/node5.mscr.failed": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
+             "unreadable/node0.mscr": None,
+             "unreadable/node3.mscr": None,
+             "unreadable/node5.mscr": None,
+         }),
+        ("unreadable: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: [Errno 21] Is a directory: '<tmp>/unreadable/node1.mscr'\n", {}),
+        ("two bad: verify", 1, (159, "f06b2bc3be4f1c902196dea713ab55b9202523d347d15d45b8627995df56c1a1"),
+         "PROBLEM: node 2: <tmp>/two-bad/node2.mscr: symbol out of field range\n", {}),
+        ("two bad: decode", 0, (58, "96b089eb213b0af41a54a7571ba30daafb69846416f6b143c83170690446bfb6"),
+         "skipped node 2: <tmp>/two-bad/node2.mscr: symbol out of field range\nskipped node 3: <tmp>/two-bad/node3.mscr: symbol out of field range\n", {
+             "two-bad.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
+         }),
         ("config: encode", 0, (123, "3086ebe888dde8bbc70833fd5735eddf8b037b7689fc441f7bcdfaff5d16837c"),
          "", {
              "configured/manifest.json": (1120, "6a8f221880fedfa96d1f34945971525ccc8ddaa11fdcb28baeb8b0f45c209cac"),
@@ -698,6 +775,26 @@ PINS = {
         ("digest: decode", 0, (55, "ea07abe99f6677678d0a76f856af1768593778f2eeafb6c3045a3fe544f983da"),
          "skipped node 0: checksum mismatch\n", {
              "digest.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
+         }),
+        ("unreadable: verify", 1, (123, "562ba6b63d155813513514958d041dcccf045482b5e5b7697416b45fdbb029cc"),
+         "PROBLEM: node 0: [Errno 21] Is a directory: '<tmp>/unreadable/node0.mscr'\n", {}),
+        ("unreadable: decode", 0, (59, "b425cc7dd69b7be395d1c29fe0a292ed6d617fe70f46a81262c8a643b3eca6aa"),
+         "skipped node 0: [Errno 21] Is a directory: '<tmp>/unreadable/node0.mscr'\n", {
+             "unreadable.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
+         }),
+        ("unreadable: fail", 0, (22, "b0a37c312a9515071b935d5ecd4d5ab926d5ae089fd6779692193043e8baaf2d"),
+         "", {
+             "unreadable/manifest.json": (1010, "f0c82472bb0c798733c41778389880287a54e4559dbd106d59ebc21b92fdf4da"),
+             "unreadable/node2.mscr.failed": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
+             "unreadable/node2.mscr": None,
+         }),
+        ("unreadable: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: [Errno 21] Is a directory: '<tmp>/unreadable/node0.mscr'\n", {}),
+        ("two bad: verify", 1, (139, "010961dbe2820967ebc98a2df2d89b02ffb2594af649c79e32110c8cf077b733"),
+         "PROBLEM: node 2: <tmp>/two-bad/node2.mscr: symbol out of field range\n", {}),
+        ("two bad: decode", 0, (56, "3665ed4fc54ca97ccf505e8722ee308651c1436d18dc47c56261c7494c424796"),
+         "skipped node 2: <tmp>/two-bad/node2.mscr: symbol out of field range\nskipped node 3: <tmp>/two-bad/node3.mscr: symbol out of field range\n", {
+             "two-bad.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
          }),
         ("config: encode", 0, (127, "d9847f80b81679796197c7d19bd1e905e5083bac9ba1f064a8952df8eb4e1fcd"),
          "", {

@@ -114,17 +114,6 @@ def _open_chunk(directory: Path, manifest: storage.Manifest, params,
                               manifest.stripe_count * params.N)
 
 
-def _checked_chunk(directory: Path, manifest: storage.Manifest, params, node: int):
-    """(open chunk, None) for a chunk that reads and agrees with the manifest,
-    else (None, a one-line problem naming the node)."""
-    try:
-        return _open_chunk(directory, manifest, params, node), None
-    except ValueError as exc:  # refused by read_chunk, which names the node
-        return None, str(exc)
-    except OSError as exc:  # unreadable
-        return None, f"node {node}: {exc}"
-
-
 def _refuse_store_file(directory: Path, manifest: storage.Manifest, option: str, path) -> None:
     """An output path must not be the manifest, a chunk or a quarantined
     chunk of the store: writing it would destroy the store."""
@@ -352,11 +341,11 @@ def cmd_verify(args) -> int:
             if i in failed:
                 print(f"node {i}: FAILED (quarantined)")
                 continue
-            chunk, problem = _checked_chunk(directory, manifest, params, i)
-            if problem:
-                problems.append(problem)
+            try:
+                chunks[i] = stack.enter_context(_open_chunk(directory, manifest, params, i))
+            except ValueError as exc:  # refused by read_chunk, which names the node
+                problems.append(str(exc))
                 continue
-            chunks[i] = stack.enter_context(chunk)
             print(f"node {i}: checksum OK")
         # the parity sweep needs every chunk, and stops after a block that does not read
         skipped = None if len(chunks) == params.n else "not all chunks available"
@@ -416,18 +405,22 @@ def cmd_decode(args) -> int:
         raise ValueError(f"need at least k={params.k} chunks, have {len(wanted)}")
     with ExitStack() as stack:
         # decode_file uses the k lowest-indexed chunks, so chunks are opened
-        # in order until k of them verify; a bad one is named and skipped
+        # in order until k of them verify; a bad one is named and skipped,
+        # and so is one whose block does not read (exc, from decode_file)
         chunks, bad, pending = {}, [], list(wanted)
 
-        def open_until_k():
+        def open_until_k(exc=None):
+            if exc is not None:
+                print(f"skipped {exc}", file=sys.stderr)
+                bad.append(exc.node)
+                chunks.pop(exc.node).close()
             while len(chunks) < params.k and pending:
                 i = pending.pop(0)
-                chunk, problem = _checked_chunk(directory, manifest, params, i)
-                if problem:
+                try:
+                    chunks[i] = stack.enter_context(_open_chunk(directory, manifest, params, i))
+                except ValueError as problem:  # refused by read_chunk, which names the node
                     print(f"skipped {problem}", file=sys.stderr)
                     bad.append(i)
-                else:
-                    chunks[i] = stack.enter_context(chunk)
             if len(chunks) < params.k:
                 raise ValueError(f"need k={params.k} verified chunks, only {len(chunks)} of nodes "
                                  f"{wanted} verify; bad nodes {sorted(bad)}")
@@ -435,20 +428,8 @@ def cmd_decode(args) -> int:
         open_until_k()
         # every check passes before the output replaces out_path
         with storage.replacing(out_path) as out:
-            while True:
-                try:
-                    sha256 = storage.decode_file(chunks, params, manifest.original_length,
-                                                 manifest.stripe_count, out)
-                    break
-                except storage.BadBlockError as exc:
-                    # skipped like a chunk that does not verify; decoding starts again
-                    print(f"skipped {exc}", file=sys.stderr)
-                    bad.append(exc.node)
-                    chunks.pop(exc.node).close()
-                    open_until_k()
-                    out.seek(0)
-                    out.truncate()
-            manifest.check_decoded(sha256)
+            manifest.check_decoded(storage.decode_file(chunks, params, manifest.original_length,
+                                                       manifest.stripe_count, out, open_until_k))
     print(f"decoded {manifest.original_length} bytes from nodes {sorted(chunks)} to {out_path}")
     return 0
 

@@ -395,31 +395,34 @@ def read_chunk(path: Path, sha256: str, params: CodeParams, node: int,
     any byte is parsed, so a damaged chunk is always reported as a checksum
     mismatch; that its header is the bytes write_chunk writes for (params,
     node, payload_len); then the body length in group values (node_groups).
-    Each refusal is a ValueError whose message starts with "node <node>:".
-    Returns the open ChunkReader, whose blocks check the symbol range."""
+    Each refusal, a chunk that cannot be read (OSError) included, is a
+    ValueError whose message starts with "node <node>:".  Returns the open
+    ChunkReader, whose blocks check the symbol range."""
     try:
         fh = open(path, "rb", buffering=0)
+        try:
+            st = os.fstat(fh.fileno())
+            if _sha256(fh) != sha256:
+                raise ValueError(f"node {node}: checksum mismatch")
+            header = _header(params, node, payload_len)
+            if os.pread(fh.fileno(), len(header), 0) != header:
+                raise ValueError(f"node {node}: {path}: header is not the one written for node "
+                                 f"{node} of this code and payload length")
+            c, width = node_groups(params, node)
+            expected = body_length(payload_len // c, width)
+            if st.st_size - len(header) != expected:
+                raise ValueError(f"node {node}: {path}: body holds {st.st_size - len(header)} "
+                                 f"bytes, expected {expected} for {payload_len // c} groups of "
+                                 f"{c} symbols at {width} bits")
+            return ChunkReader(fh, path, node, params, payload_len, len(header),
+                               (st.st_size, st.st_mtime_ns))
+        except BaseException:
+            fh.close()
+            raise
     except FileNotFoundError:
         raise ValueError(f"node {node}: chunk missing at {path}") from None
-    try:
-        st = os.fstat(fh.fileno())
-        if _sha256(fh) != sha256:
-            raise ValueError(f"node {node}: checksum mismatch")
-        header = _header(params, node, payload_len)
-        if os.pread(fh.fileno(), len(header), 0) != header:
-            raise ValueError(f"node {node}: {path}: header is not the one written for node "
-                             f"{node} of this code and payload length")
-        c, width = node_groups(params, node)
-        expected = body_length(payload_len // c, width)
-        if st.st_size - len(header) != expected:
-            raise ValueError(f"node {node}: {path}: body holds {st.st_size - len(header)} bytes, "
-                             f"expected {expected} for {payload_len // c} groups of {c} symbols "
-                             f"at {width} bits")
-        return ChunkReader(fh, path, node, params, payload_len, len(header),
-                           (st.st_size, st.st_mtime_ns))
-    except BaseException:
-        fh.close()
-        raise
+    except OSError as exc:  # a directory, a permission, an I/O error
+        raise ValueError(f"node {node}: {exc}") from None
 
 
 @dataclass
@@ -603,7 +606,7 @@ def _file_bytes(params: CodeParams, message: list[np.ndarray], start: int, stop:
 
 
 def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_count: int,
-                out) -> str:
+                out, spare=None) -> str:
     """Rebuild the original bytes from any >= k chunks ({node: ChunkReader})
     into the binary file `out`; returns their sha256 hex digest.
 
@@ -612,17 +615,26 @@ def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_c
     chunks by code.erase_decode, whose parity sweep must pass before the
     block is unpacked (InconsistentCodewordError otherwise, naming the
     stripe in the file).  The last stripe's padding must be zero
-    (_file_bytes).
+    (_file_bytes).  A block that does not read raises its BadBlockError;
+    given `spare`, spare(exc) puts another open chunk in exc.node's place in
+    `chunks` or raises, and that block is read again; the blocks written stay.
     """
     if len(chunks) < params.k:
         raise ValueError(f"need at least k={params.k} chunks to decode, got {len(chunks)}")
     if stripes_for(original_length, params) != stripe_count:
         raise ValueError(f"{original_length} bytes do not fill {stripe_count} stripe(s)")
-    # the k lowest-indexed chunks: the systematic ones, when all are given
-    nodes = sorted(chunks)[:params.k]
     digest = hashlib.sha256()
     for start, stop in blocks(params, stripe_count):
-        block = {i: chunks[i].block(start, stop) for i in nodes}
+        while True:
+            # the k lowest-indexed chunks: the systematic ones, when all are given
+            nodes = sorted(chunks)[:params.k]
+            try:
+                block = {i: chunks[i].block(start, stop) for i in nodes}
+                break
+            except BadBlockError as exc:
+                if spare is None:
+                    raise
+                spare(exc)
         if nodes != list(range(params.k)):
             try:
                 block = code.erase_decode(params, block)

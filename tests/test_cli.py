@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -638,7 +639,7 @@ class TestCheckedReads:
             assert f"node {i}: checksum OK" in captured.out
         assert "parity: skipped" in captured.out
 
-    @pytest.mark.parametrize("command", ["verify", "decode"])
+    @pytest.mark.parametrize("command", ["verify", "decode", "repair"])
     def test_unreadable_chunk_is_a_bad_chunk(self, store6, capsys, command):
         tmp_path, store, data = store6
         (store / "node0.mscr").unlink()
@@ -648,6 +649,13 @@ class TestCheckedReads:
         if command == "verify":
             assert run_cli("verify", "--dir", store) == 1
             assert "PROBLEM: node 0: [Errno 21] Is a directory" in capsys.readouterr().err
+        elif command == "repair":
+            assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+            before = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
+            capsys.readouterr()
+            assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5") == 2
+            assert capsys.readouterr().err.startswith("error: node 0: [Errno 21] Is a directory")
+            assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == before
         else:
             assert run_cli("decode", "--dir", store, "--out", out) == 0
             captured = capsys.readouterr()
@@ -915,8 +923,9 @@ class TestBlockWalk:
 
 class TestSymbolOutOfField:
     """A chunk whose digest matches but whose block does not read is found
-    when that block is read: decode skips it and restarts from the next
-    node, and verify names it and keeps the checks that do not need it.  A
+    when that block is read: decode skips it and reads that block again with
+    the next node in its place, keeping the blocks it has written, and
+    verify names it and keeps the checks that do not need it.  A
     block does not read when it holds a symbol outside its node's range
     (put_p; only a parity chunk can hold one, as a systematic chunk's m-bit
     fields hold nothing else) or when the chunk changed since it was opened
@@ -980,6 +989,24 @@ class TestSymbolOutOfField:
         assert "from nodes [0, 2, 3]" in captured.out
         assert out.read_bytes() == data
         assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "out.bin", "store"]
+
+    def test_decode_reads_no_earlier_block_again(self, store, monkeypatch):
+        # the spare takes node 1's place at stripe 24: the blocks before it
+        # are decoded once, from nodes 0, 1 and 2
+        tmp_path, store, data = store
+        self.change_while_read(monkeypatch, 1)
+        reads, real = Counter(), storage.ChunkReader.block
+
+        def counted(self, start, stop):
+            reads[self._node, start] += 1
+            return real(self, start, stop)
+
+        monkeypatch.setattr(storage.ChunkReader, "block", counted)
+        out = tmp_path / "out.bin"
+        assert run_cli("decode", "--dir", store, "--out", out) == 0
+        assert out.read_bytes() == data
+        assert {key: n for key, n in reads.items() if key[1] < 24 and n > 1} == {}
+        assert reads[1, 24] == 1 and reads[3, 24] == 1
 
     def test_verify_keeps_the_digest_check_without_a_parity_node(self, store, capsys):
         _, store, _ = store

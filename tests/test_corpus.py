@@ -141,7 +141,7 @@ def lifecycle(tmp_path, capsys, shape):
 
     # a parity group value of q^c or more, read only when its block is: decode
     # opens the k lowest listed nodes, skips this one at its last block and
-    # starts again with the spare
+    # reads that block again with the spare in its place
     value = shutil.copytree(store, tmp_path / "value")
     rewrite_body(value, k, top_value_on_last_group)
     others = sorted(set(range(n)) - {k})[-k:]
@@ -252,7 +252,8 @@ def bump_one_symbol(values, q, width):
 # under chunk format 4, which changed no other output; the steps from
 # "encode random" on by the code of commit ced7880, the steps from
 # "value: verify" on by the code of commit 571a29c, and the "unreadable" and
-# "two bad" steps by the code of commit 3fa6187
+# "two bad" steps by the code of commit 3fa6187, where "unreadable: repair"
+# printed no node before read_chunk named every chunk it cannot read
 PINS = {
     "narrow-h2": [
         ("params-check", 0, (274, "1bced3d48bbec8358f01ee078b5614565fd805fd00af1505d3cb9c82977562a4"),
@@ -405,7 +406,7 @@ PINS = {
              "unreadable/node4.mscr": None,
          }),
         ("unreadable: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-         "error: [Errno 21] Is a directory: '<tmp>/unreadable/node0.mscr'\n", {}),
+         "error: node 0: [Errno 21] Is a directory: '<tmp>/unreadable/node0.mscr'\n", {}),
         ("two bad: verify", 1, (159, "fb0a94cce082ca1c354037aafed68289de9994c755b1265d7796fa71dcab6703"),
          "PROBLEM: node 3: <tmp>/two-bad/node3.mscr: symbol out of field range\n", {}),
         ("two bad: decode", 0, (62, "f2538d702238c97a2dd8ee271c96440cecf1ac78787b19ebc3dac4bcfffbd545"),
@@ -606,7 +607,7 @@ PINS = {
              "unreadable/node5.mscr": None,
          }),
         ("unreadable: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-         "error: [Errno 21] Is a directory: '<tmp>/unreadable/node1.mscr'\n", {}),
+         "error: node 1: [Errno 21] Is a directory: '<tmp>/unreadable/node1.mscr'\n", {}),
         ("two bad: verify", 1, (159, "f06b2bc3be4f1c902196dea713ab55b9202523d347d15d45b8627995df56c1a1"),
          "PROBLEM: node 2: <tmp>/two-bad/node2.mscr: symbol out of field range\n", {}),
         ("two bad: decode", 0, (58, "96b089eb213b0af41a54a7571ba30daafb69846416f6b143c83170690446bfb6"),
@@ -789,7 +790,7 @@ PINS = {
              "unreadable/node2.mscr": None,
          }),
         ("unreadable: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-         "error: [Errno 21] Is a directory: '<tmp>/unreadable/node0.mscr'\n", {}),
+         "error: node 0: [Errno 21] Is a directory: '<tmp>/unreadable/node0.mscr'\n", {}),
         ("two bad: verify", 1, (139, "010961dbe2820967ebc98a2df2d89b02ffb2594af649c79e32110c8cf077b733"),
          "PROBLEM: node 2: <tmp>/two-bad/node2.mscr: symbol out of field range\n", {}),
         ("two bad: decode", 0, (56, "3665ed4fc54ca97ccf505e8722ee308651c1436d18dc47c56261c7494c424796"),

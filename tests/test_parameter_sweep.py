@@ -8,13 +8,14 @@ symbols on every edge and the closed-form access count of every helper.
 test_any_evaluation_points draws the field and the evaluation points too.
 """
 
+import os
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mscr.code import encode, validate_params
+from mscr.code import accumulator_dtype, encode, validate_params
 from mscr.field import is_prime
 from mscr.metrics import access_count
 from mscr.oracle import naive_repair, parity_residual
@@ -106,15 +107,25 @@ def test_custom_evaluation_points():
 
 # small shapes: s = 2 and s = 3, h = 1 and h = 2
 POINT_SHAPES = [(4, 1, 2, 2), (5, 2, 3, 2), (4, 1, 3, 1), (4, 2, 3, 1)]
+# HYPOTHESIS_PROFILE=long (conftest) also draws the sweep's two larger shapes
+# and primes past 31, where (5,2,3,2)'s accumulator turns from int16 to int32
+LONG = os.environ.get("HYPOTHESIS_PROFILE") == "long"
+DRAWN_SHAPES = POINT_SHAPES + ([(6, 2, 3, 3), (6, 3, 4, 2)] if LONG else [])
+TOP_PRIME = 61 if LONG else 31
+
+
+def test_long_primes_cross_the_accumulator_boundary():
+    dtypes = {p: accumulator_dtype(validate_params(5, 2, 3, 2, p=p)) for p in (53, 59, 61)}
+    assert dtypes == {53: np.int16, 59: np.int32, 61: np.int32}
 
 
 @st.composite
 def coded_draws(draw):
-    """(params, seed, failed, helpers): a shape, a prime p from n+s-1 to 31,
-    n+s-1 distinct evaluation points of F_p, and one repair of it."""
-    n, k, d, h = draw(st.sampled_from(POINT_SHAPES))
+    """(params, seed, failed, helpers): a shape, a prime p from n+s-1 to
+    TOP_PRIME, n+s-1 distinct evaluation points of F_p, and one repair of it."""
+    n, k, d, h = draw(st.sampled_from(DRAWN_SHAPES))
     s = d - k + 1
-    p = draw(st.sampled_from([q for q in range(n + s - 1, 32) if is_prime(q)]))
+    p = draw(st.sampled_from([q for q in range(n + s - 1, TOP_PRIME + 1) if is_prime(q)]))
     points = draw(st.lists(st.integers(0, p - 1), min_size=n + s - 1, max_size=n + s - 1,
                            unique=True))
     params = validate_params(n, k, d, h, p=p, lambdas=points[:n], mus=points[n:])

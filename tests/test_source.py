@@ -1,5 +1,5 @@
 """Every module of the package parses as the oldest Python that
-pyproject.toml's requires-python accepts."""
+pyproject.toml's requires-python accepts, and uses every name it imports."""
 
 import ast
 import re
@@ -21,3 +21,35 @@ def test_module_parses_as_the_oldest_python(path):
 def test_newer_syntax_is_refused():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST)
+
+
+
+def unused_imports(tree) -> set[str]:
+    """The names a module's import statements bind (`from __future__`
+    aside) that it neither reads nor lists in a module-level __all__."""
+    bound, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["__all__"]:
+            exported.update(elt.value for elt in node.value.elts)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - used - exported
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "mscr").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    # no linter is installed, so a name left imported after its last use is
+    # found here
+    assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == set()
+
+
+def test_an_unused_import_is_found():
+    assert unused_imports(ast.parse(
+        "import os\nimport numpy as np\nfrom .code import encode, erase_decode\n"
+        "__all__ = ['erase_decode']\nnp.zeros(encode)\n")) == {"os"}

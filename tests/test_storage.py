@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -276,6 +277,18 @@ class TestChunkIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="^node 0: checksum mismatch$"):
             read_chunk(path, digest, example1, 0, 48)
+
+    def test_read_error_names_the_node(self, tmp_path, example1, monkeypatch):
+        # a chunk that cannot be read is refused like any other, by node
+        path = tmp_path / chunk_name(0)
+        write_replacing(path, chunk_bytes(example1, 0, np.zeros(48, dtype=np.int64)))
+
+        def unreadable(fh):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(storage, "_sha256", unreadable)
+        with pytest.raises(ValueError, match=r"^node 0: \[Errno 5\] Input/output error$"):
+            read_chunk(path, sha256_hex(path), example1, 0, 48)
 
     @staticmethod
     def refused(tmp_path, params, node, value, bound):

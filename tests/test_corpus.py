@@ -20,8 +20,12 @@ the recorded stripe count (verify, decode) and an edited chunk digest in the
 manifest (verify, decode); a directory in place of a helper's chunk
 (verify, decode, fail, repair); two parity group values of q^c or more in
 two listed nodes, one in the first block and one in the last (verify, and
-decode through both spares); last, encode, fail and repair driven by one
---config file.
+decode through both spares); three stores with two kinds of damage at once,
+a flipped systematic bit and a truncated parity chunk, a deleted helper and
+a parity group value of q^c or more in node k, an edited original_length and
+a directory in place of a helper's chunk (verify, decode); last, encode,
+fail and repair driven by one --config file.  The same lifecycle runs again
+at the default BLOCK_SYMBOLS, where a small file is a single block.
 
 Every step pins its exit code, the (byte length, sha256) of its stdout,
 its stderr, with the temporary directory shown as <tmp> in both, and the
@@ -39,6 +43,7 @@ import numpy as np
 import pytest
 
 from mscr import cli, storage
+from mscr.code import validate_params
 
 # name -> (n, k, d, h), p, input bytes, failed nodes, helpers, parity nodes
 SHAPES = {
@@ -201,6 +206,39 @@ def lifecycle(tmp_path, capsys, shape):
     run("two bad: decode", "decode", "--dir", two_bad, "--nodes", ",".join(map(str, listed)),
         "--out", tmp_path / "two-bad.bin")
 
+    # two kinds of damage at once: a flipped systematic bit and a truncated
+    # parity chunk; a deleted helper and a parity group value of q^c or more
+    # in node k; an edited original_length and a directory in place of the
+    # highest helper's chunk, so verify still reads the file back
+    lowest_helper = min(map(int, helpers.split(",")))
+    both = shutil.copytree(store, tmp_path / "flipped-truncated")
+    chunk = both / storage.chunk_name(0)
+    raw = bytearray(chunk.read_bytes())
+    raw[-1] ^= 1
+    chunk.write_bytes(raw)
+    chunk = both / storage.chunk_name(n - 1)
+    chunk.write_bytes(chunk.read_bytes()[:-1])
+    run("flipped truncated: verify", "verify", "--dir", both)
+    run("flipped truncated: decode", "decode", "--dir", both,
+        "--out", tmp_path / "flipped-truncated.bin")
+
+    both = shutil.copytree(store, tmp_path / "missing-value")
+    (both / storage.chunk_name(lowest_helper)).unlink()
+    rewrite_body(both, k, top_value_on_last_group)
+    run("missing value: verify", "verify", "--dir", both)
+    run("missing value: decode", "decode", "--dir", both, "--out", tmp_path / "missing-value.bin")
+
+    both = shutil.copytree(store, tmp_path / "length-unreadable")
+    manifest = json.loads((both / storage.MANIFEST_NAME).read_text())
+    manifest["original_length"] -= 5
+    (both / storage.MANIFEST_NAME).write_text(json.dumps(manifest))
+    chunk = both / storage.chunk_name(max(map(int, helpers.split(","))))
+    chunk.unlink()
+    chunk.mkdir()
+    run("length unreadable: verify", "verify", "--dir", both)
+    run("length unreadable: decode", "decode", "--dir", both,
+        "--out", tmp_path / "length-unreadable.bin")
+
     # one --config file drives encode, fail and repair
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -253,7 +291,9 @@ def bump_one_symbol(values, q, width):
 # "encode random" on by the code of commit ced7880, the steps from
 # "value: verify" on by the code of commit 571a29c, and the "unreadable" and
 # "two bad" steps by the code of commit 3fa6187, where "unreadable: repair"
-# printed no node before read_chunk named every chunk it cannot read
+# printed no node before read_chunk named every chunk it cannot read, and the
+# "flipped truncated", "missing value" and "length unreadable" steps by the
+# code of commit a90d80b
 PINS = {
     "narrow-h2": [
         ("params-check", 0, (274, "1bced3d48bbec8358f01ee078b5614565fd805fd00af1505d3cb9c82977562a4"),
@@ -413,6 +453,22 @@ PINS = {
          "skipped node 3: <tmp>/two-bad/node3.mscr: symbol out of field range\nskipped node 4: <tmp>/two-bad/node4.mscr: symbol out of field range\n", {
              "two-bad.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
          }),
+        ("flipped truncated: verify", 1, (123, "562ba6b63d155813513514958d041dcccf045482b5e5b7697416b45fdbb029cc"),
+         "PROBLEM: node 0: checksum mismatch\nPROBLEM: node 5: checksum mismatch\n", {}),
+        ("flipped truncated: decode", 0, (72, "5de96ff71cee412bb523ce80da6c9cbebb60fdd4755d0e33046b1bd650b4e9d8"),
+         "skipped node 0: checksum mismatch\n", {
+             "flipped-truncated.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
+         }),
+        ("missing value: verify", 1, (143, "dafee7d32bbbfe89b3f86c30290acbacddfdc724b3b3faf2a6c8d13c2b769011"),
+         "PROBLEM: node 0: chunk missing at <tmp>/missing-value/node0.mscr\n", {}),
+        ("missing value: decode", 0, (68, "5b4963b88bc8c3f7a86ebde8224065124a62d320d59341de644b0ea0727420f7"),
+         "skipped node 0: chunk missing at <tmp>/missing-value/node0.mscr\nskipped node 3: <tmp>/missing-value/node3.mscr: symbol out of field range\n", {
+             "missing-value.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
+         }),
+        ("length unreadable: verify", 1, (143, "2763b1f992874d4edd3686f668cf5ff4a7d65e831934738f4f850d9320806269"),
+         "PROBLEM: node 5: [Errno 21] Is a directory: '<tmp>/length-unreadable/node5.mscr'\nPROBLEM: manifest: the last stripe's message has set bits past original_length = 9995 bytes, which encode pads with zeros\n", {}),
+        ("length unreadable: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the last stripe's message has set bits past original_length = 9995 bytes, which encode pads with zeros\n", {}),
         ("config: encode", 0, (125, "bf083341d45a4b77942c05066b5b61074291e02493f40b8540e90dac9d333fa0"),
          "", {
              "configured/manifest.json": (1122, "85daea51dc65a054157cf5e915b74e4e7c2a99eb54a907afa809374439fc1365"),
@@ -614,6 +670,22 @@ PINS = {
          "skipped node 2: <tmp>/two-bad/node2.mscr: symbol out of field range\nskipped node 3: <tmp>/two-bad/node3.mscr: symbol out of field range\n", {
              "two-bad.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
          }),
+        ("flipped truncated: verify", 1, (123, "562ba6b63d155813513514958d041dcccf045482b5e5b7697416b45fdbb029cc"),
+         "PROBLEM: node 0: checksum mismatch\nPROBLEM: node 5: checksum mismatch\n", {}),
+        ("flipped truncated: decode", 0, (68, "d9a55748c7d85af315fe62ac9f746475c196aff29205e10e126bb0f1dedac5f4"),
+         "skipped node 0: checksum mismatch\n", {
+             "flipped-truncated.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
+         }),
+        ("missing value: verify", 1, (143, "1ce1e6eb5289284b9ab89f95fee0f28e6e7325242152c216499f836bfa83fbc0"),
+         "PROBLEM: node 1: chunk missing at <tmp>/missing-value/node1.mscr\n", {}),
+        ("missing value: decode", 0, (64, "0024e6979726f5889fea786a023006194518fda5fbe6795af9e9bcb416357d05"),
+         "skipped node 1: chunk missing at <tmp>/missing-value/node1.mscr\nskipped node 2: <tmp>/missing-value/node2.mscr: symbol out of field range\n", {
+             "missing-value.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
+         }),
+        ("length unreadable: verify", 1, (143, "4f843189724fe43bd3838a858cbc9712dc2a6196f89c9627b7f88e1371b209a7"),
+         "PROBLEM: node 4: [Errno 21] Is a directory: '<tmp>/length-unreadable/node4.mscr'\nPROBLEM: manifest: the last stripe's message has set bits past original_length = 2995 bytes, which encode pads with zeros\n", {}),
+        ("length unreadable: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the last stripe's message has set bits past original_length = 2995 bytes, which encode pads with zeros\n", {}),
         ("config: encode", 0, (123, "3086ebe888dde8bbc70833fd5735eddf8b037b7689fc441f7bcdfaff5d16837c"),
          "", {
              "configured/manifest.json": (1120, "6a8f221880fedfa96d1f34945971525ccc8ddaa11fdcb28baeb8b0f45c209cac"),
@@ -797,6 +869,22 @@ PINS = {
          "skipped node 2: <tmp>/two-bad/node2.mscr: symbol out of field range\nskipped node 3: <tmp>/two-bad/node3.mscr: symbol out of field range\n", {
              "two-bad.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
          }),
+        ("flipped truncated: verify", 1, (103, "ef482b3d73e351bf553c5573d500b87f7503ca44b395ffc99b9b0b9cb70808bb"),
+         "PROBLEM: node 0: checksum mismatch\nPROBLEM: node 4: checksum mismatch\n", {}),
+        ("flipped truncated: decode", 0, (66, "542b0306dcb9b13f14e5b6c4e6c0f6b9e01b9a2beef9c4f4e0356545214a42f1"),
+         "skipped node 0: checksum mismatch\n", {
+             "flipped-truncated.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
+         }),
+        ("missing value: verify", 1, (123, "562ba6b63d155813513514958d041dcccf045482b5e5b7697416b45fdbb029cc"),
+         "PROBLEM: node 0: chunk missing at <tmp>/missing-value/node0.mscr\n", {}),
+        ("missing value: decode", 0, (62, "0514fb1cf6fb028760abc096a4c10be7ab683a0a76b7ece4a0f5ad24931156d0"),
+         "skipped node 0: chunk missing at <tmp>/missing-value/node0.mscr\nskipped node 1: <tmp>/missing-value/node1.mscr: symbol out of field range\n", {
+             "missing-value.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
+         }),
+        ("length unreadable: verify", 1, (123, "a770836dbdcced36188229ac03fda859abf595c2ffec645233af7b9e38b0f219"),
+         "PROBLEM: node 4: [Errno 21] Is a directory: '<tmp>/length-unreadable/node4.mscr'\nPROBLEM: manifest: the last stripe's message has set bits past original_length = 35995 bytes, which encode pads with zeros\n", {}),
+        ("length unreadable: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "error: the last stripe's message has set bits past original_length = 35995 bytes, which encode pads with zeros\n", {}),
         ("config: encode", 0, (127, "d9847f80b81679796197c7d19bd1e905e5083bac9ba1f064a8952df8eb4e1fcd"),
          "", {
              "configured/manifest.json": (1001, "3363e196bfeabaee324da4d24bb1ad51774267109e198fcbb19ca855ee19e6f1"),
@@ -831,3 +919,31 @@ def test_same_outputs(tmp_path, capsys, monkeypatch, shape):
     assert [step[0] for step in steps] == [step[0] for step in PINS[shape]]
     for (step, rc, out, err, written), want in zip(steps, PINS[shape]):
         assert (step, rc, pin(out.encode()), err, written) == want, out
+
+
+# at the default BLOCK_SYMBOLS the narrow-h2 and coop-h3-p7 files are one
+# block each (wide-s4's default block is the floor, 8 stripes, so
+# test_same_outputs already walks it at the default); every output is the
+# multi-block one but these, computed by the code of commit a90d80b
+ONE_BLOCK = {
+    "narrow-h2": {
+        "two bad: verify": ("two bad: verify", 1, (159, "63c208851f0b5780bffc1f7160e4eb417d36fd313062069ebe6e8630669c8757"),
+                            "PROBLEM: node 3: <tmp>/two-bad/node3.mscr: symbol out of field range\nPROBLEM: node 4: <tmp>/two-bad/node4.mscr: symbol out of field range\n", {}),
+    },
+    "coop-h3-p7": {
+        "two bad: verify": ("two bad: verify", 1, (159, "fb0a94cce082ca1c354037aafed68289de9994c755b1265d7796fa71dcab6703"),
+                            "PROBLEM: node 2: <tmp>/two-bad/node2.mscr: symbol out of field range\nPROBLEM: node 3: <tmp>/two-bad/node3.mscr: symbol out of field range\n", {}),
+    },
+}
+
+
+@pytest.mark.parametrize("shape", list(ONE_BLOCK))
+def test_same_outputs_in_one_block(tmp_path, capsys, shape):
+    (n, k, d, h), p, size = SHAPES[shape][:3]
+    params = validate_params(n, k, d, h, p=p)
+    assert len(storage.blocks(params, storage.stripes_for(size, params))) == 1
+    steps = lifecycle(tmp_path, capsys, shape)
+    want = [ONE_BLOCK[shape].get(step[0], step) for step in PINS[shape]]
+    assert [step[0] for step in steps] == [step[0] for step in want]
+    for (step, rc, out, err, written), pinned in zip(steps, want):
+        assert (step, rc, pin(out.encode()), err, written) == pinned, out

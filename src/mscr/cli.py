@@ -294,23 +294,25 @@ def cmd_repair(args) -> int:
     # transcript and the CSV, so an output that cannot be written stops the
     # command before the store changes
     with ExitStack() as stack:
-        sources = [stack.enter_context(_open_chunk(directory, manifest, params, u))
-                   for u in helpers]
+        sources = {u: stack.enter_context(_open_chunk(directory, manifest, params, u))
+                   for u in helpers}
         restored = [stack.enter_context(storage.write_chunk(
             directory / storage.chunk_name(i), params, i, stripes * params.N)) for i in failed]
-        for start, stop in storage.blocks(params, stripes):
-            block = [source.block(start, stop) for source in sources]
-            # repaired[st, j]: failed node j's column of stripe start + st
-            repaired_block = np.empty((stop - start, params.h, params.planes, params.s_pow_n),
-                                      dtype=np.uint16)
+        first_transcript = []  # a store holds at least one stripe
+
+        def repair_block(start, stop, block):
+            # repaired[j, st]: failed node j's column of stripe start + st
+            repaired = np.empty((params.h, stop - start, params.planes, params.s_pow_n),
+                                dtype=np.uint16)
             for st in range(stop - start):
-                repaired, transcript = run_repair(job, {u: col[st] for u, col in zip(helpers, block)})
-                repaired_block[st] = tuple(repaired.values())
-                if start + st == 0:  # a store holds at least one stripe
-                    first_transcript = transcript
-            for j, chunk in enumerate(restored):
-                chunk.write(start, repaired_block[:, j])
-            del block, repaired_block  # freed before the next block is read
+                columns, transcript = run_repair(job, {u: block[u][st] for u in helpers})
+                repaired[:, st] = tuple(columns.values())
+                if start + st == 0:
+                    first_transcript.append(transcript)
+            return repaired
+
+        # the helpers are named: a block that does not read stops the command
+        storage.walk(params, stripes, sources, repair_block, restored)
 
         # every restored chunk must match its recorded checksum before any is committed
         mismatched = [i for i, chunk in zip(failed, restored)
@@ -319,7 +321,7 @@ def cmd_repair(args) -> int:
             raise ValueError(", ".join(f"node {i}" for i in mismatched)
                              + ": restored chunk fails checksum verification; nothing written")
 
-        lines = _write_report(job, first_transcript, stripes, transcript_path, csv_arg)
+        lines = _write_report(job, first_transcript[0], stripes, transcript_path, csv_arg)
     for i in failed:
         path = directory / storage.chunk_name(i)
         path.with_name(path.name + storage.QUARANTINE_SUFFIX).unlink(missing_ok=True)
@@ -347,23 +349,21 @@ def cmd_verify(args) -> int:
                 problems.append(str(exc))
                 continue
             print(f"node {i}: checksum OK")
-        # the parity sweep needs every chunk, and stops after a block that does not read
+        # the parity sweep needs every chunk; one whose block does not read is
+        # named, and the sweep goes on without it to name every other one
         skipped = None if len(chunks) == params.n else "not all chunks available"
         bad = np.zeros(stripes, dtype=bool)
-        for start, stop in storage.blocks(params, stripes):
-            if skipped:
-                break
-            block = []
-            for i in range(params.n):
-                try:
-                    block.append(chunks[i].block(start, stop))
-                except storage.BadBlockError as exc:  # named once: no later read of node i
-                    problems.append(str(exc))
-                    del chunks[i]
-                    skipped = f"node {i} does not read"
-            if not skipped:
-                bad[start:stop] = failing_checks(params, block).any(axis=1)
-            del block  # freed before the next block is read
+
+        def check_block(start, stop, block):
+            if len(block) == params.n:
+                bad[start:stop] = failing_checks(
+                    params, [block[i] for i in range(params.n)]).any(axis=1)
+
+        if not skipped:
+            storage.walk(params, stripes, chunks, check_block, (),
+                         lambda exc: problems.append(str(exc)))
+            if len(chunks) < params.n:
+                skipped = f"node {min(set(range(params.n)) - set(chunks))} does not read"
         if skipped:
             print(f"parity: skipped ({skipped})")
         else:
@@ -375,8 +375,7 @@ def cmd_verify(args) -> int:
             try:
                 with open(os.devnull, "wb") as sink:
                     manifest.check_decoded(storage.decode_file(
-                        {i: chunks[i] for i in range(params.k)}, params,
-                        manifest.original_length, stripes, sink))
+                        chunks, params, manifest.original_length, stripes, sink))
             except storage.BadBlockError as exc:
                 problems.append(str(exc))
             except ValueError as exc:
@@ -406,7 +405,7 @@ def cmd_decode(args) -> int:
     with ExitStack() as stack:
         # decode_file uses the k lowest-indexed chunks, so chunks are opened
         # in order until k of them verify; a bad one is named and skipped,
-        # and so is one whose block does not read (exc, from decode_file)
+        # and so is one whose block does not read (exc, from the walk)
         chunks, bad, pending = {}, [], list(wanted)
 
         def open_until_k(exc=None):
@@ -424,6 +423,7 @@ def cmd_decode(args) -> int:
             if len(chunks) < params.k:
                 raise ValueError(f"need k={params.k} verified chunks, only {len(chunks)} of nodes "
                                  f"{wanted} verify; bad nodes {sorted(bad)}")
+            return chunks
 
         open_until_k()
         # every check passes before the output replaces out_path

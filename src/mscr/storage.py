@@ -10,16 +10,19 @@ payload_len = stripe_count * N.  Files longer than one stripe are striped:
 consecutive kN-symbol runs of the message are independent codewords and each
 node's chunk concatenates its per-stripe columns in stripe order.  So every
 stage walks a file in blocks of stripes (blocks) and holds one block per
-node, whatever the file's size: read_chunk returns a ChunkReader whose
-block(start, stop) reads one block of a chunk, write_chunk a ChunkWriter
-that writes one, encode_file reads its input one block at a time, and
-decode_file writes its output one block at a time.  A block is a multiple
-of 8 stripes, so every block starts on a byte of each bit plane of a body
-and of the message bitstream: its symbols lie in one contiguous byte range
-per plane (_plane_spans), which laid end to end are the body pack_body
-writes for them.  File-level symbols are uint16 from parsing to writing:
-p < 2^16, so every symbol fits, and the solver's wider arithmetic lives only
-in its work arrays, of one block.
+node, whatever the file's size, through one function, walk: it reads the
+block of each open chunk (read_chunk's ChunkReader.block), calls the stage's
+kernel on {node: block} and writes the results (write_chunk's ChunkWriter).
+A block that does not read (BadBlockError) is decided there, once per node:
+encode reads no chunk; repair's helpers are named, so it stops repair;
+decode names the node and reads the next listed one in its place, and
+verify names it and goes on without it, both keeping the blocks already
+read.  A block is a multiple of 8 stripes, so every block starts on a byte
+of each bit plane of a body and of the message bitstream: its symbols lie
+in one contiguous byte range per plane (_plane_spans), which laid end to end
+are the body pack_body writes for them.  File-level symbols are uint16 from
+parsing to writing: p < 2^16, so every symbol fits, and the solver's wider
+arithmetic lives only in its work arrays, of one block.
 
 Message packing (pack_bytes) maps the file's bytes to symbols at
 m = bits_per_symbol(p) bits each: 8 when p > 255, otherwise floor(log2 p),
@@ -547,6 +550,31 @@ def blocks(params: CodeParams, stripes: int) -> list[tuple[int, int]]:
     return [(st, min(st + size, stripes)) for st in range(0, stripes, size)]
 
 
+def walk(params: CodeParams, stripes: int, readers: dict, kernel, writers=(),
+         spare=None) -> None:
+    """Walk a file of `stripes` stripes block by block (blocks): read the
+    block of each chunk in `readers` ({node: ChunkReader}), lowest node
+    first, call kernel(start, stop, {node: block}) and write its i-th result
+    to writers[i].  A BadBlockError propagates without `spare`; with it, the
+    node leaves `readers`, spare(exc) returns the chunks to read in its place
+    ({node: ChunkReader}) or None, and the blocks read are kept."""
+    for start, stop in blocks(params, stripes):
+        block = {}
+        while unread := readers.keys() - block.keys():
+            node = min(unread)
+            try:
+                block[node] = readers[node].block(start, stop)
+            except BadBlockError as exc:
+                if spare is None:
+                    raise
+                del readers[node]
+                readers.update(spare(exc) or {})
+        results = kernel(start, stop, block)
+        for i, writer in enumerate(writers):
+            writer.write(start, results[i])
+        del block, results  # freed before the next block is read
+
+
 def _byte_range(params: CodeParams, start: int, stop: int, original_length: int):
     """The file's byte range [first, last) held by stripes [start, stop)."""
     bits = params.message_length * bits_per_symbol(params.p)
@@ -573,17 +601,17 @@ def encode_file(fh, length: int, params: CodeParams, chunks: list[ChunkWriter]) 
     writers (write_chunk, payload_len = stripes_for(length) * N); returns
     the sha256 hex digest of the bytes read.
 
-    The input is read one block of stripes at a time (blocks); each block is
+    The input is read one block of stripes at a time (walk); each block is
     packed, encoded by code.encode, and written to every chunk.  A read that
     ends before `length` bytes or a byte past them is a ValueError, so a
     file that shrinks or grows while it is read is never encoded.
     """
     digest = hashlib.sha256()
-    for start, stop in blocks(params, stripes_for(length, params)):
-        codewords = code.encode(params, _read_message(fh, params, start, stop, length, digest))
-        for i, chunk in enumerate(chunks):
-            chunk.write(start, codewords[i])
-        del codewords  # freed before the next block is read: one block at a time
+
+    def encode_block(start, stop, _):
+        return code.encode(params, _read_message(fh, params, start, stop, length, digest))
+
+    walk(params, stripes_for(length, params), {}, encode_block, chunks)
     if fh.read(1):
         raise ValueError(f"input holds more than the {length} bytes it had when encoding began")
     return digest.hexdigest()
@@ -610,39 +638,33 @@ def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_c
     """Rebuild the original bytes from any >= k chunks ({node: ChunkReader})
     into the binary file `out`; returns their sha256 hex digest.
 
-    The output is written one block of stripes at a time (blocks).  Without
+    The output is written one block of stripes at a time (walk).  Without
     every systematic chunk, each block is decoded from the k lowest-indexed
     chunks by code.erase_decode, whose parity sweep must pass before the
     block is unpacked (InconsistentCodewordError otherwise, naming the
     stripe in the file).  The last stripe's padding must be zero
     (_file_bytes).  A block that does not read raises its BadBlockError;
-    given `spare`, spare(exc) puts another open chunk in exc.node's place in
-    `chunks` or raises, and that block is read again; the blocks written stay.
+    given `spare`, walk drops that node and reads the open chunks spare(exc)
+    returns in its place, or spare raises; the blocks written stay.
     """
     if len(chunks) < params.k:
         raise ValueError(f"need at least k={params.k} chunks to decode, got {len(chunks)}")
     if stripes_for(original_length, params) != stripe_count:
         raise ValueError(f"{original_length} bytes do not fill {stripe_count} stripe(s)")
     digest = hashlib.sha256()
-    for start, stop in blocks(params, stripe_count):
-        while True:
-            # the k lowest-indexed chunks: the systematic ones, when all are given
-            nodes = sorted(chunks)[:params.k]
-            try:
-                block = {i: chunks[i].block(start, stop) for i in nodes}
-                break
-            except BadBlockError as exc:
-                if spare is None:
-                    raise
-                spare(exc)
-        if nodes != list(range(params.k)):
+
+    def decode_block(start, stop, block):
+        if sorted(block) != list(range(params.k)):
             try:
                 block = code.erase_decode(params, block)
             except InconsistentCodewordError as exc:
                 raise InconsistentCodewordError(start + exc.stripe, exc.plane) from None
         data = _file_bytes(params, [block[i] for i in range(params.k)], start, stop,
                            original_length)
-        del block  # freed before the next block is read: one block at a time
         digest.update(data)
         out.write(data)
+
+    # the k lowest-indexed chunks: the systematic ones, when all are given
+    walk(params, stripe_count, {i: chunks[i] for i in sorted(chunks)[:params.k]},
+         decode_block, (), spare)
     return digest.hexdigest()

@@ -1,5 +1,6 @@
 """Every module of the package parses as the oldest Python that
-pyproject.toml's requires-python accepts, and uses every name it imports."""
+pyproject.toml's requires-python accepts, and uses every name it imports;
+one function alone walks a file's blocks."""
 
 import ast
 import re
@@ -53,3 +54,38 @@ def test_an_unused_import_is_found():
     assert unused_imports(ast.parse(
         "import os\nimport numpy as np\nfrom .code import encode, erase_decode\n"
         "__all__ = ['erase_decode']\nnp.zeros(encode)\n")) == {"os"}
+
+
+def block_walkers(tree) -> set[str]:
+    """The dotted names of the functions (or "<module>") of a module that
+    call `blocks`, as `blocks(...)` or `storage.blocks(...)`."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and \
+                    getattr(child.func, "id", getattr(child.func, "attr", None)) == "blocks":
+                found.add(scope or "<module>")
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_function_walks_the_blocks():
+    # every stage walks a file through storage.walk, which alone decides
+    # what a block that does not read means; a second loop over blocks
+    # would decide it again
+    walkers = {f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "mscr").glob("*.py"))
+               for name in block_walkers(ast.parse(path.read_text()))}
+    assert walkers == {"storage.walk"}
+
+
+def test_a_second_block_loop_is_found():
+    assert block_walkers(ast.parse(
+        "def walk():\n    blocks(p, 1)\n"
+        "class C:\n    def run(self):\n        def inner():\n            storage.blocks(p, 2)\n"
+        "[s for s in blocks(p, 3)]\n")) == {"walk", "C.run.inner", "<module>"}

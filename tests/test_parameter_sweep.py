@@ -2,9 +2,10 @@
 
 Enumerates all (n, k, d, h) with n <= 6 that the validator accepts, skipping
 only shapes with more than 4000 symbols per node (kept for the targeted
-tests).  On one codeword of each it decodes every erased set of 1..r nodes,
-and repairs every (failed, helpers) pair, checked against naive_repair, the
-symbols on every edge and the closed-form access count of every helper.
+tests).  On a batch of 41 codewords of each it decodes every erased set of
+1..r nodes and repairs every (failed, helpers) pair, checked against
+encode's output; on the first codeword it checks naive_repair, the symbols
+on every edge and the closed-form access count of every helper.
 test_any_evaluation_points draws the field and the evaluation points too.
 """
 
@@ -15,13 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mscr.code import accumulator_dtype, encode, validate_params
+from mscr.code import accumulator_dtype, encode, erase_decode, validate_params
 from mscr.field import is_prime
 from mscr.metrics import access_count
 from mscr.oracle import naive_repair, parity_residual
 from mscr.repair import RepairJob, run_repair
 
-from conftest import decode_stripe, make_codeword, per_edge_counts, random_message
+from conftest import decode_stripe, make_codeword, per_edge_counts
 
 
 def small_param_tuples():
@@ -47,17 +48,28 @@ def test_sweep_is_nontrivial():
 
 @pytest.mark.parametrize("nkdh", SWEEP)
 def test_full_cycle(nkdh):
+    """Encode, erase_decode and run_repair are F_p-linear in the message, so
+    a wrong map differs from the right one by a nonzero linear map A and
+    agrees with it on a uniform random stripe with probability
+    p^-rank(A) <= 1/p.  So this batch of 40 independent random stripes
+    misses a wrong map with probability at most p^-40 <= 5^-40 < 10^-27 per
+    shape.  The last stripe holds p-1 in every symbol, the accumulators'
+    worst case, which a random stripe seldom reaches."""
     n, k, d, h = nkdh
     params = validate_params(n, k, d, h)
-    msg = random_message(params, seed=1000 * n + 100 * k + 10 * d + h)
-    cw = encode(params, msg)[:, 0]
-    assert np.array_equal(cw[:k].reshape(-1), msg)
+    rng = np.random.default_rng(1000 * n + 100 * k + 10 * d + h)
+    kn = params.message_length
+    msg = np.concatenate([rng.integers(0, params.p, size=40 * kn),
+                          np.full(kn, params.p - 1)])
+    cws = encode(params, msg)  # (n, 41, planes, s^n)
+    assert np.array_equal(cws[:k].swapaxes(0, 1).reshape(-1), msg)
 
     for m in range(1, params.r + 1):
         for erased in combinations(range(n), m):
-            available = {i: cw[i] for i in range(n) if i not in erased}
-            assert np.array_equal(decode_stripe(params, available), cw), erased
+            available = {i: cws[i] for i in range(n) if i not in erased}
+            assert np.array_equal(erase_decode(params, available), cws), erased
 
+    cw = cws[:, 0]
     beta = params.N // params.planes
     for failed in combinations(range(n), h):
         rest = [i for i in range(n) if i not in failed]
@@ -66,13 +78,17 @@ def test_full_cycle(nkdh):
         assert all(np.array_equal(naive[i], cw[i]) for i in failed)
         for helpers in combinations(rest, d):
             job = RepairJob(params, failed, helpers)
-            repaired, transcript = run_repair(job, {u: cw[u] for u in helpers})
-            assert list(repaired) == list(failed)
-            assert all(np.array_equal(repaired[i], naive[i]) for i in failed), (failed, helpers)
-            edges = per_edge_counts(transcript)
+            for st in range(cws.shape[1]):
+                repaired, transcript = run_repair(job, {u: cws[u, st] for u in helpers})
+                assert list(repaired) == list(failed)
+                assert all(np.array_equal(repaired[i], cws[i, st]) for i in failed), \
+                    (failed, helpers, st)
+                if st == 0:
+                    first = transcript
+            edges = per_edge_counts(first)
             assert len(edges) == d * h + h * (h - 1)
             assert set(edges.values()) == {beta}
-            assert [log.count() for log in transcript.access_logs.values()] == \
+            assert [log.count() for log in first.access_logs.values()] == \
                 [access_count(job)] * d
 
 

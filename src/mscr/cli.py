@@ -334,13 +334,12 @@ def cmd_repair(args) -> int:
 
 def cmd_verify(args) -> int:
     directory, manifest, params = _store(args)
-    failed = set(manifest.failed)
     stripes = manifest.stripe_count
     problems = []
     with ExitStack() as stack:
         chunks = {}
         for i in range(params.n):
-            if i in failed:
+            if i in manifest.failed:
                 print(f"node {i}: FAILED (quarantined)")
                 continue
             try:
@@ -349,9 +348,9 @@ def cmd_verify(args) -> int:
                 problems.append(str(exc))
                 continue
             print(f"node {i}: checksum OK")
-        # the parity sweep needs every chunk; one whose block does not read is
-        # named, and the sweep goes on without it to name every other one
-        skipped = None if len(chunks) == params.n else "not all chunks available"
+        # walk every chunk that opened: one whose block does not read is named
+        # and left out, and the parity sweep checks only blocks of all n nodes
+        opened = set(chunks)
         bad = np.zeros(stripes, dtype=bool)
 
         def check_block(start, stop, block):
@@ -359,13 +358,12 @@ def cmd_verify(args) -> int:
                 bad[start:stop] = failing_checks(
                     params, [block[i] for i in range(params.n)]).any(axis=1)
 
-        if not skipped:
-            storage.walk(params, stripes, chunks, check_block, (),
-                         lambda exc: problems.append(str(exc)))
-            if len(chunks) < params.n:
-                skipped = f"node {min(set(range(params.n)) - set(chunks))} does not read"
-        if skipped:
-            print(f"parity: skipped ({skipped})")
+        storage.walk(params, stripes, chunks, check_block, (),
+                     lambda exc: problems.append(str(exc)))
+        if len(opened) < params.n:
+            print("parity: skipped (not all chunks available)")
+        elif len(chunks) < params.n:
+            print(f"parity: skipped (node {min(opened - set(chunks))} does not read)")
         else:
             problems.extend(f"stripe {st}: parity checks fail" for st in np.flatnonzero(bad))
             if not bad.any():

@@ -961,19 +961,20 @@ class TestSymbolOutOfField:
         return manifest
 
     @staticmethod
-    def change_while_read(monkeypatch, node):
+    def change_while_read(monkeypatch, node, read=1):
         """Rewrite node `node`'s chunk in place, with the same bytes and a
         later modification time, just before its fourth block (stripes 24 to
-        32) is first read."""
-        real, done = storage.ChunkReader.block, []
+        32) is read for the `read`-th time."""
+        real, reads = storage.ChunkReader.block, []
 
         def block(self, start, stop):
-            if self._node == node and start == 24 and not done:
-                done.append(True)
-                raw, before = self._path.read_bytes(), self._path.stat()
-                with open(self._path, "r+b") as fh:
-                    fh.write(raw)
-                os.utime(self._path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+            if self._node == node and start == 24:
+                reads.append(True)
+                if len(reads) == read:
+                    raw, before = self._path.read_bytes(), self._path.stat()
+                    with open(self._path, "r+b") as fh:
+                        fh.write(raw)
+                    os.utime(self._path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
             return real(self, start, stop)
 
         monkeypatch.setattr(storage.ChunkReader, "block", block)
@@ -1044,6 +1045,21 @@ class TestSymbolOutOfField:
             for i in (3, 5)]
         assert {path.name: path.read_bytes() for path in store.iterdir()} == before
 
+    def test_verify_names_a_chunk_that_does_not_read_beside_a_missing_one(self, store,
+                                                                           capsys):
+        # node 0 does not open and node 4's block does not read: the walk
+        # reads the chunks that opened, so it names node 4 too
+        _, store, _ = store
+        (store / "node0.mscr").unlink()
+        self.put_p(store, 4)
+        capsys.readouterr()
+        assert run_cli("verify", "--dir", store) == 1
+        captured = capsys.readouterr()
+        assert "parity: skipped (not all chunks available)" in captured.out
+        assert captured.err.splitlines() == [
+            f"PROBLEM: node 0: chunk missing at {store / 'node0.mscr'}",
+            f"PROBLEM: node 4: {store / 'node4.mscr'}: symbol out of field range"]
+
     def test_verify_names_a_systematic_node(self, store, capsys, monkeypatch):
         _, store, _ = store
         self.change_while_read(monkeypatch, 0)
@@ -1055,11 +1071,12 @@ class TestSymbolOutOfField:
             f"PROBLEM: node 0: {store / 'node0.mscr'} changed while it was read"]
 
     def test_verify_names_a_systematic_node_it_reads_back(self, store, capsys, monkeypatch):
-        # without node 5 the parity sweep reads nothing, so node 0's changed
-        # block is first met by the read-back through decode_file
+        # without node 5 the walk reads node 0's block 24 once and checks no
+        # parity, and the chunk changes before the read-back through
+        # decode_file reads that block again: the read-back names node 0
         _, store, _ = store
         (store / "node5.mscr").unlink()
-        self.change_while_read(monkeypatch, 0)
+        self.change_while_read(monkeypatch, 0, read=2)
         capsys.readouterr()
         assert run_cli("verify", "--dir", store) == 1
         captured = capsys.readouterr()

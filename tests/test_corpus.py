@@ -23,8 +23,13 @@ two listed nodes, one in the first block and one in the last (verify, and
 decode through both spares); three stores with two kinds of damage at once,
 a flipped systematic bit and a truncated parity chunk, a deleted helper and
 a parity group value of q^c or more in node k, an edited original_length and
-a directory in place of a helper's chunk (verify, decode); last, encode,
-fail and repair driven by one --config file.  The same lifecycle runs again
+a directory in place of a helper's chunk (verify, decode); three more that
+pair a chunk that does not open with a block that does not read: the store
+as fail left it with a group value of q^c or more in its highest surviving
+parity node (verify), node n-1 truncated with one in node k's first group
+(verify, decode from parity), and node 0's last bit flipped with one in
+node k's last group (verify, decode); last, encode, fail and repair driven
+by one --config file.  The same lifecycle runs again
 at the default BLOCK_SYMBOLS, where a small file is a single block.
 
 Every step pins its exit code, the (byte length, sha256) of its stdout,
@@ -85,6 +90,7 @@ def lifecycle(tmp_path, capsys, shape):
     run("encode", "encode", *shape_args, "--input", tmp_path / "in.bin", "--out", store)
     run("fail", "fail", "--dir", store, "--nodes", failed)
     run("fail again", "fail", "--dir", store, "--nodes", failed)
+    failed_value = shutil.copytree(store, tmp_path / "failed-value")  # damaged below
     run("verify failed", "verify", "--dir", store)
     run("repair", "repair", "--dir", store, "--helpers", helpers,
         "--csv", tmp_path / "metrics.csv", "--transcript", tmp_path / "transcript.txt")
@@ -239,6 +245,31 @@ def lifecycle(tmp_path, capsys, shape):
     run("length unreadable: decode", "decode", "--dir", both,
         "--out", tmp_path / "length-unreadable.bin")
 
+    # a chunk that does not open beside a block that does not read: the
+    # failed store with a group value of q^c or more in its highest
+    # surviving parity node; node n-1 truncated, or node 0's last bit
+    # flipped, and a group value of q^c or more in node k
+    surviving_parity = set(range(k, n)) - set(map(int, failed.split(",")))
+    rewrite_body(failed_value, max(surviving_parity), top_value_on_last_group)
+    run("failed value: verify", "verify", "--dir", failed_value)
+
+    both = shutil.copytree(store, tmp_path / "truncated-value")
+    chunk = both / storage.chunk_name(n - 1)
+    chunk.write_bytes(chunk.read_bytes()[:-1])
+    rewrite_body(both, k, top_value_on_first_group)
+    run("truncated value: verify", "verify", "--dir", both)
+    run("truncated value: decode parity", "decode", "--dir", both, "--nodes", parity,
+        "--out", tmp_path / "truncated-value.bin")
+
+    both = shutil.copytree(store, tmp_path / "flipped-value")
+    chunk = both / storage.chunk_name(0)
+    raw = bytearray(chunk.read_bytes())
+    raw[-1] ^= 1
+    chunk.write_bytes(raw)
+    rewrite_body(both, k, top_value_on_last_group)
+    run("flipped value: verify", "verify", "--dir", both)
+    run("flipped value: decode", "decode", "--dir", both, "--out", tmp_path / "flipped-value.bin")
+
     # one --config file drives encode, fail and repair
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -294,7 +325,10 @@ def bump_one_symbol(values, q, width):
 # printed no node before read_chunk named every chunk it cannot read, and the
 # "flipped truncated", "missing value" and "length unreadable" steps by the
 # code of commit a90d80b; "two bad: verify" gained its second PROBLEM line
-# when verify's sweep went on past a chunk whose block does not read
+# when verify's sweep went on past a chunk whose block does not read; and
+# when verify walked every chunk that opened, also beside one that did not,
+# "missing value: verify" gained its PROBLEM line naming node k, and the
+# "failed value", "truncated value" and "flipped value" steps were computed
 PINS = {
     "narrow-h2": [
         ("params-check", 0, (274, "1bced3d48bbec8358f01ee078b5614565fd805fd00af1505d3cb9c82977562a4"),
@@ -461,7 +495,7 @@ PINS = {
              "flipped-truncated.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
          }),
         ("missing value: verify", 1, (143, "dafee7d32bbbfe89b3f86c30290acbacddfdc724b3b3faf2a6c8d13c2b769011"),
-         "PROBLEM: node 0: chunk missing at <tmp>/missing-value/node0.mscr\n", {}),
+         "PROBLEM: node 0: chunk missing at <tmp>/missing-value/node0.mscr\nPROBLEM: node 3: <tmp>/missing-value/node3.mscr: symbol out of field range\n", {}),
         ("missing value: decode", 0, (68, "5b4963b88bc8c3f7a86ebde8224065124a62d320d59341de644b0ea0727420f7"),
          "skipped node 0: chunk missing at <tmp>/missing-value/node0.mscr\nskipped node 3: <tmp>/missing-value/node3.mscr: symbol out of field range\n", {
              "missing-value.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
@@ -470,6 +504,18 @@ PINS = {
          "PROBLEM: node 5: [Errno 21] Is a directory: '<tmp>/length-unreadable/node5.mscr'\nPROBLEM: manifest: the last stripe's message has set bits past original_length = 9995 bytes, which encode pads with zeros\n", {}),
         ("length unreadable: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
          "error: the last stripe's message has set bits past original_length = 9995 bytes, which encode pads with zeros\n", {}),
+        ("failed value: verify", 1, (181, "6b488c43ee70c511b10ad11dc60b69a28d19439fd5a98a459a0a7e660d9517e0"),
+         "PROBLEM: node 5: <tmp>/failed-value/node5.mscr: symbol out of field range\n", {}),
+        ("truncated value: verify", 1, (143, "2763b1f992874d4edd3686f668cf5ff4a7d65e831934738f4f850d9320806269"),
+         "PROBLEM: node 5: checksum mismatch\nPROBLEM: node 3: <tmp>/truncated-value/node3.mscr: symbol out of field range\n", {}),
+        ("truncated value: decode parity", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+         "skipped node 5: checksum mismatch\nerror: need k=3 verified chunks, only 2 of nodes [3, 4, 5] verify; bad nodes [5]\n", {}),
+        ("flipped value: verify", 1, (143, "dafee7d32bbbfe89b3f86c30290acbacddfdc724b3b3faf2a6c8d13c2b769011"),
+         "PROBLEM: node 0: checksum mismatch\nPROBLEM: node 3: <tmp>/flipped-value/node3.mscr: symbol out of field range\n", {}),
+        ("flipped value: decode", 0, (68, "22fdadf954cc127935eee2c2a646d19c713c213a965b7d11034c2df7ee279538"),
+         "skipped node 0: checksum mismatch\nskipped node 3: <tmp>/flipped-value/node3.mscr: symbol out of field range\n", {
+             "flipped-value.bin": (10000, "2c9fe22d4e6e0c3a7ea3d5c2bf38a639ae13b953ecba9e504513edb8ba3c0e8e"),
+         }),
         ("config: encode", 0, (125, "bf083341d45a4b77942c05066b5b61074291e02493f40b8540e90dac9d333fa0"),
          "", {
              "configured/manifest.json": (1122, "85daea51dc65a054157cf5e915b74e4e7c2a99eb54a907afa809374439fc1365"),
@@ -678,7 +724,7 @@ PINS = {
              "flipped-truncated.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
          }),
         ("missing value: verify", 1, (143, "1ce1e6eb5289284b9ab89f95fee0f28e6e7325242152c216499f836bfa83fbc0"),
-         "PROBLEM: node 1: chunk missing at <tmp>/missing-value/node1.mscr\n", {}),
+         "PROBLEM: node 1: chunk missing at <tmp>/missing-value/node1.mscr\nPROBLEM: node 2: <tmp>/missing-value/node2.mscr: symbol out of field range\n", {}),
         ("missing value: decode", 0, (64, "0024e6979726f5889fea786a023006194518fda5fbe6795af9e9bcb416357d05"),
          "skipped node 1: chunk missing at <tmp>/missing-value/node1.mscr\nskipped node 2: <tmp>/missing-value/node2.mscr: symbol out of field range\n", {
              "missing-value.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
@@ -687,6 +733,20 @@ PINS = {
          "PROBLEM: node 4: [Errno 21] Is a directory: '<tmp>/length-unreadable/node4.mscr'\nPROBLEM: manifest: the last stripe's message has set bits past original_length = 2995 bytes, which encode pads with zeros\n", {}),
         ("length unreadable: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
          "error: the last stripe's message has set bits past original_length = 2995 bytes, which encode pads with zeros\n", {}),
+        ("failed value: verify", 1, (190, "d172e1abde8acf7f74d42b8acafd411c5908e09bbedd3d331f10841305c4308e"),
+         "PROBLEM: node 4: <tmp>/failed-value/node4.mscr: symbol out of field range\n", {}),
+        ("truncated value: verify", 1, (143, "2763b1f992874d4edd3686f668cf5ff4a7d65e831934738f4f850d9320806269"),
+         "PROBLEM: node 5: checksum mismatch\nPROBLEM: node 2: <tmp>/truncated-value/node2.mscr: symbol out of field range\n", {}),
+        ("truncated value: decode parity", 0, (66, "698cbcd0b87a11c9c55dbb0f082714f5836c315299d6e0d17ab9ae3e0bac0031"),
+         "skipped node 2: <tmp>/truncated-value/node2.mscr: symbol out of field range\n", {
+             "truncated-value.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
+         }),
+        ("flipped value: verify", 1, (143, "dafee7d32bbbfe89b3f86c30290acbacddfdc724b3b3faf2a6c8d13c2b769011"),
+         "PROBLEM: node 0: checksum mismatch\nPROBLEM: node 2: <tmp>/flipped-value/node2.mscr: symbol out of field range\n", {}),
+        ("flipped value: decode", 0, (64, "c82819871c7e19ff1b1477b8c85d1f24c18cb24889506877750cbd7c3c4a7bbe"),
+         "skipped node 0: checksum mismatch\nskipped node 2: <tmp>/flipped-value/node2.mscr: symbol out of field range\n", {
+             "flipped-value.bin": (3000, "ae003cd6d30e189bd6ba8ca27a3a7198f868de0228252152aa47dc246d588770"),
+         }),
         ("config: encode", 0, (123, "3086ebe888dde8bbc70833fd5735eddf8b037b7689fc441f7bcdfaff5d16837c"),
          "", {
              "configured/manifest.json": (1120, "6a8f221880fedfa96d1f34945971525ccc8ddaa11fdcb28baeb8b0f45c209cac"),
@@ -877,7 +937,7 @@ PINS = {
              "flipped-truncated.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
          }),
         ("missing value: verify", 1, (123, "562ba6b63d155813513514958d041dcccf045482b5e5b7697416b45fdbb029cc"),
-         "PROBLEM: node 0: chunk missing at <tmp>/missing-value/node0.mscr\n", {}),
+         "PROBLEM: node 0: chunk missing at <tmp>/missing-value/node0.mscr\nPROBLEM: node 1: <tmp>/missing-value/node1.mscr: symbol out of field range\n", {}),
         ("missing value: decode", 0, (62, "0514fb1cf6fb028760abc096a4c10be7ab683a0a76b7ece4a0f5ad24931156d0"),
          "skipped node 0: chunk missing at <tmp>/missing-value/node0.mscr\nskipped node 1: <tmp>/missing-value/node1.mscr: symbol out of field range\n", {
              "missing-value.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
@@ -886,6 +946,20 @@ PINS = {
          "PROBLEM: node 4: [Errno 21] Is a directory: '<tmp>/length-unreadable/node4.mscr'\nPROBLEM: manifest: the last stripe's message has set bits past original_length = 35995 bytes, which encode pads with zeros\n", {}),
         ("length unreadable: decode", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
          "error: the last stripe's message has set bits past original_length = 35995 bytes, which encode pads with zeros\n", {}),
+        ("failed value: verify", 1, (152, "5e766eb8addeb56d35092de305def647461b951b00c33b825a784a1a59b28918"),
+         "PROBLEM: node 4: <tmp>/failed-value/node4.mscr: symbol out of field range\n", {}),
+        ("truncated value: verify", 1, (123, "a770836dbdcced36188229ac03fda859abf595c2ffec645233af7b9e38b0f219"),
+         "PROBLEM: node 4: checksum mismatch\nPROBLEM: node 1: <tmp>/truncated-value/node1.mscr: symbol out of field range\n", {}),
+        ("truncated value: decode parity", 0, (64, "15639687b63c35b287469e649a01b23585f44f733d8575409e9782cc2f4000a6"),
+         "skipped node 1: <tmp>/truncated-value/node1.mscr: symbol out of field range\n", {
+             "truncated-value.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
+         }),
+        ("flipped value: verify", 1, (123, "562ba6b63d155813513514958d041dcccf045482b5e5b7697416b45fdbb029cc"),
+         "PROBLEM: node 0: checksum mismatch\nPROBLEM: node 1: <tmp>/flipped-value/node1.mscr: symbol out of field range\n", {}),
+        ("flipped value: decode", 0, (62, "9a14c79a7b6f95bec930c15778b08fabce7437fc4f9015336a1d7f7efd24549e"),
+         "skipped node 0: checksum mismatch\nskipped node 1: <tmp>/flipped-value/node1.mscr: symbol out of field range\n", {
+             "flipped-value.bin": (36000, "8cacea6c7e5327584b30293fde0de63e069202f06ba6e9a4ae08dad57f135b53"),
+         }),
         ("config: encode", 0, (127, "d9847f80b81679796197c7d19bd1e905e5083bac9ba1f064a8952df8eb4e1fcd"),
          "", {
              "configured/manifest.json": (1001, "3363e196bfeabaee324da4d24bb1ad51774267109e198fcbb19ca855ee19e6f1"),
@@ -913,13 +987,20 @@ PINS = {
 }
 
 
+def check_pins(steps, pins):
+    """Each step's (step, rc, pin(stdout), stderr, written) equals its pin; a
+    step that differs shows its stdout and the tuple computed, to paste into
+    PINS when the change is intended."""
+    assert [step[0] for step in steps] == [step[0] for step in pins]
+    for (step, rc, out, err, written), want in zip(steps, pins):
+        got = (step, rc, pin(out.encode()), err, written)
+        assert got == want, f"{out}\n{got!r}"
+
+
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_same_outputs(tmp_path, capsys, monkeypatch, shape):
     monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)  # blocks of 8 stripes
-    steps = lifecycle(tmp_path, capsys, shape)
-    assert [step[0] for step in steps] == [step[0] for step in PINS[shape]]
-    for (step, rc, out, err, written), want in zip(steps, PINS[shape]):
-        assert (step, rc, pin(out.encode()), err, written) == want, out
+    check_pins(lifecycle(tmp_path, capsys, shape), PINS[shape])
 
 
 # at the default BLOCK_SYMBOLS the narrow-h2 and coop-h3-p7 files are one
@@ -930,7 +1011,4 @@ def test_same_outputs_in_one_block(tmp_path, capsys, shape):
     (n, k, d, h), p, size = SHAPES[shape][:3]
     params = validate_params(n, k, d, h, p=p)
     assert len(storage.blocks(params, storage.stripes_for(size, params))) == 1
-    steps = lifecycle(tmp_path, capsys, shape)
-    assert [step[0] for step in steps] == [step[0] for step in PINS[shape]]
-    for (step, rc, out, err, written), want in zip(steps, PINS[shape]):
-        assert (step, rc, pin(out.encode()), err, written) == want, out
+    check_pins(lifecycle(tmp_path, capsys, shape), PINS[shape])

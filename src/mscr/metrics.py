@@ -18,7 +18,7 @@ from .code import CodeParams
 
 @dataclass
 class RepairMetrics:
-    """Measured accounting of one repair run, all in field symbols."""
+    """Measured accounting of one repair run, over all its stripes, in symbols."""
 
     beta1: int
     beta2: int
@@ -28,7 +28,8 @@ class RepairMetrics:
 
     @classmethod
     def from_run(cls, job, transcript) -> "RepairMetrics":
-        """Derive metrics from a transcript (with access logs) of run_repair."""
+        """Derive metrics from a transcript (with access logs) of run_repair;
+        on a batch of stripes every count totals the batch."""
         params = job.params
         per_edge = Counter()
         for m in transcript.messages:

@@ -5,8 +5,9 @@ repairs by the any-k decoder, recount recounts bandwidth from an exported
 transcript's text, and access_set lists the symbols a helper reads.  So that
 an engine bug cannot mask itself, this module imports from the package only
 code.CodeParams, code.erase_decode and field.check_below, never repair,
-storage or metrics (tests/test_layers.py checks it).  Columns of one stripe
-are passed as {node index: (planes, s^n) array}, as for repair.run_repair.
+storage or metrics (tests/test_layers.py checks it).  naive_repair takes a
+batch of stripes as {node index: (stripes, planes, s^n) array}, as
+repair.run_repair does.
 
 The oracles' scalar index algebra over Z_s^n is here too.  An index vector
 a = (a_0, ..., a_{n-1}) is a tuple of digits, digit i in [0, s), stored
@@ -97,31 +98,20 @@ def parity_residual(params: CodeParams, cw: np.ndarray, t: int, b: int, a) -> in
     return acc % p
 
 
-@dataclass
-class NaiveRepairResult:
-    """Repair-by-decoding output with its bandwidth cost."""
-
-    columns: dict[int, np.ndarray]  # failed node -> repaired column, ascending
-    per_node_bandwidth: int  # kN: one full decode per failed node
-    total_bandwidth: int  # h * kN
-
-
-def naive_repair(failed, surviving: dict, params: CodeParams) -> NaiveRepairResult:
+def naive_repair(failed, surviving: dict, params: CodeParams) -> dict[int, np.ndarray]:
     """Classical MDS repair: download k whole columns, decode, re-extract.
 
-    Uses the k lowest-indexed survivors.  Bandwidth is kN per failed node.
+    Uses the k lowest-indexed survivors' (stripes, planes, s^n) columns and
+    returns {failed node: (stripes, planes, s^n) column}, ascending.
+    Bandwidth is kN per failed node and stripe.
     """
     failed = sorted(set(failed))
     if set(failed) & set(surviving):
         raise ValueError("failed nodes listed among the survivors")
     if len(surviving) < params.k:
         raise ValueError(f"need at least k={params.k} surviving columns, got {len(surviving)}")
-    # one stripe, passed to the decoder as a batch of one
-    cw = erase_decode(params, {i: np.asarray(surviving[i])[None]
-                               for i in sorted(surviving)[: params.k]})[:, 0]
-    kn = params.k * params.N
-    return NaiveRepairResult(columns={i: cw[i] for i in failed}, per_node_bandwidth=kn,
-                             total_bandwidth=len(failed) * kn)
+    cw = erase_decode(params, {i: surviving[i] for i in sorted(surviving)[: params.k]})
+    return {i: cw[i] for i in failed}
 
 
 @dataclass

@@ -4,9 +4,10 @@ The engine is a deterministic in-process simulation.  Helpers serve payloads
 computed from their own column only, and each failed node's recovery is a
 function of the payloads it received only, never of the global codeword.
 Every download payload is delivered and processed before any cooperative
-payload is produced.  run_repair repairs one stripe: it takes the survivors
-as {node index: (planes, s^n) column}, in any integer dtype, and returns the
-repaired columns the same way, in accumulator_dtype(params).
+payload is produced.  run_repair repairs a batch of stripes: it takes the
+survivors as {node index: (stripes, planes, s^n) column}, in any integer
+dtype, as code.erase_decode does, and returns the repaired columns the same
+way, in accumulator_dtype(params), each stripe on its own.
 
 Per failed node i (sorted position j in the failed set, repair plane
 P_j = d-k+j) the download phase carries, from every helper u,
@@ -23,15 +24,16 @@ values isolates node i's own symbols.  In the cooperative phase node i
 forwards the slice values of each other failed node t, which completes its
 plane P_j from them.
 
-One pass serves every failed node, helper and pair at once, through maps
-built once per job (params, E, R), held by the job, and freed with it:
+One pass serves every stripe, failed node, helper and pair at once, through
+maps built once per job (params, E, R), held by the job, and freed with it;
+per stripe (the leading axis of every array below, dropped here):
 
 - pay = two gathers of the stacked (d, planes*s^n) helper block, added and
   reduced; pay[:, j] is what the d helpers send node j.
 - One product with the (n + d-k) x d operator [I; -V^-1 Lambda] turns
   pay[:, j] into y[:, j]: every node's d-k+1 slice values on V_i, and node
   j's Deltas.  Column j of the product reads pay[:, j] only, and the
-  cooperative payload j -> t is full[j, t] = y[t, j].
+  cooperative payload j -> t is y[t, j].
 - Everything after the solve (the Delta strip, the assembly of each node's
   own planes, the cooperative completion) is linear in y with coefficients
   +-1, so it is one composed map, built once per job:
@@ -41,8 +43,10 @@ built once per job (params, E, R), held by the job, and freed with it:
   less a plane-t symbol, that is a slice value less a repair-plane symbol,
   which is a Delta less up to n-1 substitution terms.
 
-The transcript keeps pay and full and builds its messages the first time
-they are read; every helper's access log is the job's one mask of reads.
+The transcript keeps pay and y and builds its messages the first time
+they are read, each edge's payload for every stripe, stripe after stripe;
+every helper's access log is the job's one mask of reads, counted once per
+stripe.
 
 Integer bounds: the pass runs in accumulator_dtype(params), int16 when
 B = n s (p-1)^2 < 2^15, int32 when B < 2^31 and int64 otherwise (see code),
@@ -168,8 +172,8 @@ class _JobContext:
             own_c[1:n + 1, 1:, 0] = -own_c[:n, 0, 1:]
             gather[:, j, place[j]], coef[:, j, place[j]] = own_y, own_c
 
-        # cooperative pair (receiver jr, sender js): js sends full[js, jr's
-        # node], jr's slice values on js's V.  Slice 0 is jr's symbols in
+        # cooperative pair (receiver jr, sender js): js sends y[jr's node,
+        # js], jr's slice values on js's V.  Slice 0 is jr's symbols in
         # js's repair plane there; slice t >= 1, less jr's own plane t, gives
         # them at the positions with js's digit set to t
         for jr, i in enumerate(job.failed):
@@ -210,42 +214,44 @@ class RepairMessage:
 
 
 class AccessLog:
-    """The (plane, index) symbols one helper reads from disk, as a boolean
-    (planes, s^n) mask: a helper reads each needed symbol once and serves
-    every failed node from that one pass."""
+    """The (plane, index) symbols one helper reads from disk in each stripe,
+    as a boolean (planes, s^n) mask: a helper reads each needed symbol once
+    and serves every failed node from that one pass.  count() is over the
+    whole batch."""
 
-    def __init__(self, mask: np.ndarray):
-        self.mask = mask
+    def __init__(self, mask: np.ndarray, stripes: int):
+        self.mask, self.stripes = mask, stripes
 
     def count(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return self.stripes * int(np.count_nonzero(self.mask))
 
 
 class RepairTranscript:
     """Every message of a repair run plus the helpers' disk-access logs,
     built from the run's payload arrays the first time each is read."""
 
-    def __init__(self, job: RepairJob, pay: np.ndarray, full: np.ndarray):
+    def __init__(self, job: RepairJob, pay: np.ndarray, y: np.ndarray):
         self.job = job
-        self._pay = pay  # pay[m, j]: helper m's download payload to failed node j
-        self._full = full  # full[j, t]: failed node j's cooperative payload to node t
+        self._pay = pay  # pay[st, m, j]: helper m's download payload to failed node j
+        self._y = y  # y[st, t, j], t < n: failed node j's cooperative payload to node t
 
     @cached_property
     def messages(self) -> list[RepairMessage]:
-        """Downloads grouped by receiver, then cooperative messages by receiver."""
+        """Downloads grouped by receiver, then cooperative messages by
+        receiver; each carries its edge's payload for every stripe, in order."""
         job = self.job
         return [
-            RepairMessage(DOWNLOAD, u, node, self._pay[m, j].reshape(-1))
+            RepairMessage(DOWNLOAD, u, node, self._pay[:, m, j].reshape(-1))
             for j, node in enumerate(job.failed) for m, u in enumerate(job.helpers)
         ] + [
-            RepairMessage(COOPERATIVE, sender, receiver, self._full[js, receiver].reshape(-1))
+            RepairMessage(COOPERATIVE, sender, receiver, self._y[:, receiver, js].reshape(-1))
             for receiver in job.failed for js, sender in enumerate(job.failed) if sender != receiver
         ]
 
     @cached_property
     def access_logs(self) -> dict[int, AccessLog]:
-        access = self.job.context.access
-        return {u: AccessLog(access) for u in self.job.helpers}
+        access, stripes = self.job.context.access, len(self._pay)
+        return {u: AccessLog(access, stripes) for u in self.job.helpers}
 
     def export_text(self) -> str:
         """One message per line: `phase from to count` then hex symbols."""
@@ -257,36 +263,39 @@ class RepairTranscript:
 
 
 def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], RepairTranscript]:
-    """Execute both phases on one stripe.  surviving maps node index to its
-    (planes, s^n) column and must cover every helper; other entries are
-    ignored.  Returns {failed node: repaired column}, ascending, and the
+    """Execute both phases on a batch of stripes.  surviving maps node index
+    to its (stripes, planes, s^n) column, the same stripes for every node,
+    and must cover every helper; other entries are ignored.  Returns
+    {failed node: repaired (stripes, planes, s^n) column}, ascending, and the
     transcript, whose messages and per-helper access logs are built when
-    first read.  The repaired columns and the transcript's arrays are in
-    accumulator_dtype(params)."""
+    first read and total the batch.  The repaired columns and the
+    transcript's arrays are in accumulator_dtype(params)."""
     params = job.params
     ctx = job.context
     if missing := [u for u in job.helpers if u not in surviving]:
         raise ValueError(f"surviving columns must cover every helper; missing {missing}")
     columns = [surviving[u] for u in job.helpers]
-    p, d, shape = params.p, params.d, (params.planes, params.s_pow_n)
+    p, d = params.p, params.d
+    shape = np.shape(columns[0])[:1] + (params.planes, params.s_pow_n)
     for u, col in zip(job.helpers, columns):
-        if np.shape(col) != shape:
-            raise ValueError(f"helper {u}: column must be shaped (planes, s^n) = {shape}, "
+        if np.shape(col) != shape:  # so col has three axes
+            raise ValueError(f"helper {u}: column must be shaped (stripes, planes, s^n) = "
+                             f"(stripes, {params.planes}, {params.s_pow_n}), the same for all, "
                              f"got shape {np.shape(col)}")
-    helpers = np.array(columns)
+    stripes, helpers = shape[0], np.concatenate(columns, axis=1)  # stripes outermost
     check_below(helpers, p, "helper column symbols")
-    helpers = helpers.reshape(d, -1).astype(ctx.solve.dtype)  # accumulator_dtype(params)
+    helpers = helpers.reshape(stripes, d, -1).astype(ctx.solve.dtype)  # accumulator_dtype
 
-    # download phase: pay[m, j] is helper m's payload to failed node j
-    pay = helpers.take(ctx.download, axis=1)
-    pay[:, :, 1:] += helpers.take(ctx.cross, axis=1)
+    # download phase: pay[st, m, j] is helper m's payload to failed node j
+    pay = helpers.take(ctx.download, axis=2)
+    pay[:, :, :, 1:] += helpers.take(ctx.cross, axis=2)
     pay %= p
-    y = ctx.solve @ pay.reshape(d, -1)
+    y = ctx.solve @ pay.reshape(stripes, d, -1)
     y %= p
     # the Delta strip, each node's own planes and the cooperative phase: one map of y
-    repaired = y.take(ctx.gather)
+    repaired = y.reshape(stripes, -1).take(ctx.gather, axis=1)
     repaired *= ctx.coef
-    repaired = repaired.sum(axis=0, dtype=y.dtype)
+    repaired = repaired.sum(axis=1, dtype=y.dtype)
     repaired %= p
-    full = y[:params.n].reshape(params.n, params.h, params.s, -1).swapaxes(0, 1)
-    return dict(zip(job.failed, repaired)), RepairTranscript(job, pay, full)
+    y = y.reshape(stripes, -1, params.h, params.s_pow_n)
+    return dict(zip(job.failed, repaired.swapaxes(0, 1))), RepairTranscript(job, pay, y)

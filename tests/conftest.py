@@ -8,6 +8,7 @@ from hypothesis import settings
 from mscr import storage
 from mscr.code import encode, erase_decode, validate_params
 from mscr.oracle import int_to_vec
+from mscr.repair import run_repair
 
 # Hypothesis profiles: "bounded", the default, keeps every property test of
 # the suite to about a second; HYPOTHESIS_PROFILE=long searches 20 times as
@@ -46,6 +47,15 @@ def decode_stripe(params, columns):
     """erase_decode of one stripe's {node: (planes, s^n) column}, passed as a
     batch of one; returns that stripe's (n, planes, s^n) codeword."""
     return erase_decode(params, {i: np.asarray(col)[None] for i, col in columns.items()})[:, 0]
+
+
+def repair_stripe(job, columns):
+    """run_repair of one stripe's {node: (planes, s^n) column}, passed as a
+    batch of one; returns that stripe's {failed node: (planes, s^n) column}
+    and the transcript."""
+    repaired, transcript = run_repair(job, {u: np.asarray(col)[None]
+                                            for u, col in columns.items()})
+    return {i: col[0] for i, col in repaired.items()}, transcript
 
 
 def per_edge_counts(transcript):

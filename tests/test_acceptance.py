@@ -19,7 +19,7 @@ from mscr.metrics import RepairMetrics, g_ratio
 from mscr.oracle import access_set, naive_repair, recount
 from mscr.repair import RepairJob, run_repair
 
-from conftest import decode_stripe, make_codeword, per_edge_counts, vector_set
+from conftest import decode_stripe, make_codeword, per_edge_counts, repair_stripe, vector_set
 
 PARAM_SETS = [(4, 1, 2, 2), (5, 2, 3, 2), (6, 3, 4, 2), (6, 2, 3, 3)]
 
@@ -89,7 +89,7 @@ def test_criterion_2_golden_example():
     params = validate_params(4, 1, 2, 2, p=5)
     cw = make_codeword(params, seed=2024)
     job = RepairJob(params, (0, 1), (2, 3))
-    repaired, transcript = run_repair(job, {u: cw[u] for u in (2, 3)})
+    repaired, transcript = repair_stripe(job, {u: cw[u] for u in (2, 3)})
     for i, col in repaired.items():
         assert np.array_equal(col, cw[i])
     edges = per_edge_counts(transcript)
@@ -131,7 +131,7 @@ def all_repair_runs():
             for helpers in combinations(rest, params.d):
                 job = RepairJob(params, failed, helpers)
                 for cw in codewords:
-                    repaired, transcript = run_repair(job, {u: cw[u] for u in helpers})
+                    repaired, transcript = repair_stripe(job, {u: cw[u] for u in helpers})
                     runs.append((params, job, cw, repaired, transcript))
     return runs
 
@@ -170,13 +170,13 @@ def test_criterion_6_oracle_equivalence():
     while instances < 200:
         for nkdh in PARAM_SETS:
             params = validate_params(*nkdh)
-            cw = make_codeword(params, seed=6000 + instances)
+            cw = make_codeword(params, seed=6000 + instances)[:, None]  # a batch of one
             failed = tuple(sorted(rng.sample(range(params.n), params.h)))
             rest = [i for i in range(params.n) if i not in failed]
             helpers = tuple(sorted(rng.sample(rest, params.d)))
             job = RepairJob(params, failed, helpers)
             repaired, transcript = run_repair(job, {u: cw[u] for u in helpers})
-            naive = naive_repair(failed, {i: cw[i] for i in rest}, params).columns
+            naive = naive_repair(failed, {i: cw[i] for i in rest}, params)
             assert list(naive) == list(repaired)
             assert all(np.array_equal(repaired[i], naive[i]) for i in naive), (nkdh, failed)
             planes = params.d - params.k + params.h

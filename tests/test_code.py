@@ -504,7 +504,7 @@ class TestAccumulatorDtypes:
         for failed in combinations(range(params.n), params.h):
             helpers = [u for u in range(params.n) if u not in failed][:params.d]
             job = repair.RepairJob(params, failed, helpers)
-            repaired, transcript = repair.run_repair(job, {u: arr[u, 1] for u in helpers})
+            repaired, transcript = repair.run_repair(job, {u: arr[u, 1:2] for u in helpers})
             assert {col.dtype for col in repaired.values()} == {np.dtype(dtype)}
             assert {m.values.dtype for m in transcript.messages} == {np.dtype(dtype)}
             out += [*repaired.values(), transcript.export_text()]

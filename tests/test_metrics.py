@@ -1,5 +1,7 @@
 import warnings
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +22,7 @@ from mscr.metrics import (
 from mscr.oracle import access_set, vec_to_int
 from mscr.repair import RepairJob, run_repair
 
-from conftest import PARAM_SETS, make_codeword
+from conftest import PARAM_SETS, make_codeword, repair_stripe
 
 G_EXPECTED = {
     (1, 2): Fraction(11, 12),
@@ -208,7 +210,7 @@ class TestMeasuredMetrics:
         failed = tuple(range(params.h))
         helpers = tuple(range(params.h, params.h + params.d))
         job = RepairJob(params, failed, helpers)
-        _, transcript = run_repair(job, {u: cw[u] for u in helpers})
+        _, transcript = repair_stripe(job, {u: cw[u] for u in helpers})
         m = RepairMetrics.from_run(job, transcript)
         planes = params.d - params.k + params.h
         assert m.beta1 == params.N // planes
@@ -273,3 +275,38 @@ def test_access_never_exceeds_column(nkdh):
     assert count == params.h * params.s_pow_n + (params.d - params.k) * partial
     assert count <= params.N
 
+
+class TestAccessByDependency:
+    """The symbols each helper reads, measured from what the engine computes.
+
+    run_repair is F_p-linear in the helper columns, so on the unit stripe
+    that holds 1 at one helper symbol and 0 everywhere else, a repaired
+    symbol is nonzero exactly when it depends on that helper symbol.  A
+    helper symbol is needed when some repaired symbol depends on it, and
+    the needed set of every helper must be the declared access mask: an
+    unused read fails, and so does an undeclared use.  One batch holds the
+    d*N unit stripes of a pair, d*N stripes of d*N symbols per node, so the
+    check is kept to d*N <= 1024."""
+
+    @pytest.mark.parametrize("nkdh", PARAM_SETS)
+    def test_needed_symbols_are_the_declared_access(self, nkdh):
+        params = validate_params(*nkdh)
+        d, width = params.d, params.d * params.N
+        assert width <= 1024
+        units = np.eye(width, dtype=np.uint16).reshape(width, d, params.planes, params.s_pow_n)
+        pairs = 0
+        for failed in combinations(range(params.n), params.h):
+            rest = [u for u in range(params.n) if u not in failed]
+            for helpers in combinations(rest, d):
+                job = RepairJob(params, failed, helpers)
+                repaired, _ = run_repair(job, {u: units[:, m] for m, u in enumerate(helpers)})
+                # needed[m]: the symbols of helper m some repaired symbol depends on
+                needed = np.zeros(width, dtype=bool)
+                for col in repaired.values():
+                    needed |= col.reshape(width, -1).any(axis=1)
+                for m, u in enumerate(helpers):
+                    used = needed.reshape(d, params.planes, params.s_pow_n)[m]
+                    assert np.array_equal(used, job.context.access), (failed, u)
+                    assert np.count_nonzero(used) == access_count(job)
+                pairs += 1
+        assert pairs == comb(params.n, params.h) * comb(params.n - params.h, d)

@@ -3,9 +3,10 @@
 Enumerates all (n, k, d, h) with n <= 6 that the validator accepts, skipping
 only shapes with more than 4000 symbols per node (kept for the targeted
 tests).  On a batch of 41 codewords of each it decodes every erased set of
-1..r nodes and repairs every (failed, helpers) pair, checked against
-encode's output; on the first codeword it checks naive_repair, the symbols
-on every edge and the closed-form access count of every helper.
+1..r nodes, and repairs every (failed, helpers) pair, and checks naive_repair
+for every failed set, each as one call on the whole batch, checked against
+encode's output, with the batch's symbols on every edge and the closed-form
+access count of every helper.
 test_any_evaluation_points draws the field and the evaluation points too.
 """
 
@@ -22,7 +23,7 @@ from mscr.metrics import access_count
 from mscr.oracle import naive_repair, parity_residual
 from mscr.repair import RepairJob, run_repair
 
-from conftest import decode_stripe, make_codeword, per_edge_counts
+from conftest import decode_stripe, make_codeword, per_edge_counts, repair_stripe
 
 
 def small_param_tuples():
@@ -69,27 +70,23 @@ def test_full_cycle(nkdh):
             available = {i: cws[i] for i in range(n) if i not in erased}
             assert np.array_equal(erase_decode(params, available), cws), erased
 
-    cw = cws[:, 0]
+    stripes = cws.shape[1]
     beta = params.N // params.planes
     for failed in combinations(range(n), h):
         rest = [i for i in range(n) if i not in failed]
-        naive = naive_repair(failed, {i: cw[i] for i in rest}, params).columns
+        naive = naive_repair(failed, {i: cws[i] for i in rest}, params)
         assert list(naive) == list(failed)
-        assert all(np.array_equal(naive[i], cw[i]) for i in failed)
+        assert all(np.array_equal(naive[i], cws[i]) for i in failed)
         for helpers in combinations(rest, d):
             job = RepairJob(params, failed, helpers)
-            for st in range(cws.shape[1]):
-                repaired, transcript = run_repair(job, {u: cws[u, st] for u in helpers})
-                assert list(repaired) == list(failed)
-                assert all(np.array_equal(repaired[i], cws[i, st]) for i in failed), \
-                    (failed, helpers, st)
-                if st == 0:
-                    first = transcript
-            edges = per_edge_counts(first)
+            repaired, transcript = run_repair(job, {u: cws[u] for u in helpers})
+            assert list(repaired) == list(failed)
+            assert all(np.array_equal(repaired[i], cws[i]) for i in failed), (failed, helpers)
+            edges = per_edge_counts(transcript)
             assert len(edges) == d * h + h * (h - 1)
-            assert set(edges.values()) == {beta}
-            assert [log.count() for log in first.access_logs.values()] == \
-                [access_count(job)] * d
+            assert set(edges.values()) == {stripes * beta}
+            assert [log.count() for log in transcript.access_logs.values()] == \
+                [stripes * access_count(job)] * d
 
 
 def test_wide_r_with_three_failures():
@@ -98,7 +95,7 @@ def test_wide_r_with_three_failures():
     assert (params.r, params.s, params.planes) == (5, 2, 4)
     cw = make_codeword(params, seed=97)
     job = RepairJob(params, (0, 3, 5), (1, 4))
-    repaired, transcript = run_repair(job, {u: cw[u] for u in (1, 4)})
+    repaired, transcript = repair_stripe(job, {u: cw[u] for u in (1, 4)})
     for i, col in repaired.items():
         assert np.array_equal(col, cw[i])
     assert set(per_edge_counts(transcript).values()) == {params.N // 4}
@@ -116,7 +113,7 @@ def test_custom_evaluation_points():
     for subset in combinations(range(5), 2):
         assert np.array_equal(decode_stripe(params, {i: cw[i] for i in subset}), cw)
     job = RepairJob(params, (1, 3), (0, 2, 4))
-    repaired, _ = run_repair(job, {u: cw[u] for u in (0, 2, 4)})
+    repaired, _ = repair_stripe(job, {u: cw[u] for u in (0, 2, 4)})
     for i, col in repaired.items():
         assert np.array_equal(col, cw[i])
 
@@ -162,9 +159,9 @@ def test_any_evaluation_points(draw):
     for subset in combinations(range(n), k):
         assert np.array_equal(decode_stripe(params, {i: cw[i] for i in subset}), cw), subset
     rest = [i for i in range(n) if i not in failed]
-    naive = naive_repair(failed, {i: cw[i] for i in rest}, params).columns
+    naive = naive_repair(failed, {i: cw[None, i] for i in rest}, params)  # a batch of one
     job = RepairJob(params, failed, helpers)
-    repaired, transcript = run_repair(job, {u: cw[u] for u in job.helpers})
+    repaired, transcript = run_repair(job, {u: cw[None, u] for u in job.helpers})
     assert list(repaired) == list(job.failed)
     assert all(np.array_equal(repaired[i], naive[i]) for i in job.failed)
     edges = per_edge_counts(transcript)

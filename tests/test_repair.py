@@ -6,11 +6,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mscr.code import accumulator_dtype, erase_decode, validate_params
-from mscr.oracle import naive_repair, sub_index, union_v_indices
+from mscr.code import accumulator_dtype, encode, erase_decode, validate_params
+from mscr.metrics import RepairMetrics
+from mscr.oracle import naive_repair, recount, sub_index, union_v_indices
 from mscr.repair import COOPERATIVE, DOWNLOAD, RepairJob, run_repair
 
-from conftest import make_codeword, per_edge_counts, vector_set
+from conftest import (PARAM_SETS, make_codeword, per_edge_counts, random_message, repair_stripe,
+                      vector_set)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +67,7 @@ class TestRunRepair:
         for failed in combinations(range(params.n), params.h):
             helpers = tuple(i for i in range(params.n) if i not in failed)
             job = RepairJob(params, failed, helpers)
-            repaired, transcript = run_repair(job, {u: cw[u] for u in helpers})
+            repaired, transcript = repair_stripe(job, {u: cw[u] for u in helpers})
             for i, col in repaired.items():
                 assert np.array_equal(col, cw[i])
             counts = per_edge_counts(transcript)
@@ -77,7 +79,7 @@ class TestRunRepair:
         params = validate_params(6, 2, 3, 2)
         cw = make_codeword(params, seed=41)
         job = RepairJob(params, (1, 4), (0, 2, 5))
-        repaired, _ = run_repair(job, {u: cw[u] for u in (0, 2, 5)})
+        repaired, _ = repair_stripe(job, {u: cw[u] for u in (0, 2, 5)})
         assert np.array_equal(repaired[1], cw[1])
         assert np.array_equal(repaired[4], cw[4])
 
@@ -85,7 +87,7 @@ class TestRunRepair:
         params = validate_params(6, 2, 3, 3)
         cw = make_codeword(params, seed=43)
         job = RepairJob(params, (0, 3, 5), (1, 2, 4))
-        repaired, transcript = run_repair(job, {u: cw[u] for u in (1, 2, 4)})
+        repaired, transcript = repair_stripe(job, {u: cw[u] for u in (1, 2, 4)})
         for i, col in repaired.items():
             assert np.array_equal(col, cw[i])
         counts = per_edge_counts(transcript)
@@ -97,7 +99,7 @@ class TestRunRepair:
         params = validate_params(5, 2, 4, 1)
         cw = make_codeword(params, seed=47)
         job = RepairJob(params, (3,), (0, 1, 2, 4))
-        repaired, transcript = run_repair(job, {u: cw[u] for u in (0, 1, 2, 4)})
+        repaired, transcript = repair_stripe(job, {u: cw[u] for u in (0, 1, 2, 4)})
         assert np.array_equal(repaired[3], cw[3])
         assert all(m.phase == DOWNLOAD for m in transcript.messages)
 
@@ -107,8 +109,8 @@ class TestRunRepair:
         params = validate_params(6, 2, 3, 2)
         cw = make_codeword(params, seed=37)
         job = RepairJob(params, (1, 4), (0, 2, 5))
-        only_helpers, t1 = run_repair(job, {u: cw[u] for u in (0, 2, 5)})
-        with_extra, t2 = run_repair(job, dict(enumerate(cw)))
+        only_helpers, t1 = repair_stripe(job, {u: cw[u] for u in (0, 2, 5)})
+        with_extra, t2 = repair_stripe(job, dict(enumerate(cw)))
         assert list(only_helpers) == list(with_extra) == [1, 4]
         for i in (1, 4):
             assert np.array_equal(only_helpers[i], with_extra[i])
@@ -117,7 +119,7 @@ class TestRunRepair:
     def test_missing_helper_column_rejected(self, ex1):
         params, cw, job = ex1
         with pytest.raises(ValueError, match="missing"):
-            run_repair(job, {2: cw[2]})
+            repair_stripe(job, {2: cw[2]})
 
     @pytest.mark.parametrize("bad,match", [
         ("shape", "shape"), ("too_large", "lie in"), ("negative", "lie in"),
@@ -126,35 +128,79 @@ class TestRunRepair:
         # the block is checked as a whole, so a fault in the last helper counts
         params, cw, job = ex1
         # int64 copies: a uint16 column cannot hold the -1 written below
-        surviving = {u: cw[u].astype(np.int64) for u in job.helpers}
+        surviving = {u: cw[u][None].astype(np.int64) for u in job.helpers}
         last = surviving[job.helpers[-1]]
         if bad == "shape":
             surviving[job.helpers[-1]] = last.reshape(-1)[:-1]
         else:
-            last[-1, -1] = params.p if bad == "too_large" else -1
+            last[0, -1, -1] = params.p if bad == "too_large" else -1
         with pytest.raises(ValueError, match=match):
             run_repair(job, surviving)
 
-    def test_flat_helper_column_rejected(self, ex1):
+    @pytest.mark.parametrize("stripes", [(1, 2), (2, 1)])
+    def test_stripe_counts_must_agree(self, ex1, stripes):
+        # the first helper's batch sets the stripe count; helper 3's differs
         params, cw, job = ex1
-        surviving = {u: cw[u] for u in job.helpers}
-        surviving[3] = cw[3].reshape(-1)
-        with pytest.raises(ValueError, match=r"helper 3: .* shaped \(planes, s\^n\) = \(3, 16\), "
-                                             r"got shape \(48,\)"):
+        surviving = {u: np.stack([cw[u]] * m) for u, m in zip(job.helpers, stripes)}
+        with pytest.raises(ValueError, match=r"helper 3: .* shaped \(stripes, planes, s\^n\) = "
+                                             r"\(stripes, 3, 16\), the same for all, "
+                                             rf"got shape \({stripes[1]}, 3, 16\)"):
             run_repair(job, surviving)
+
+    def test_flat_helper_column_rejected(self, ex1):
+        # a one-stripe (planes, s^n) column, without the stripe axis, first or last
+        params, cw, job = ex1
+        for helper in job.helpers:
+            surviving = {u: cw[u][None] for u in job.helpers}
+            surviving[helper] = cw[helper]
+            with pytest.raises(ValueError, match=rf"helper {helper}: .* shaped "
+                                                 r"\(stripes, planes, s\^n\) .* got shape \(3, 16\)"):
+                run_repair(job, surviving)
 
     def test_zero_codeword_repairs_to_zero(self, ex1):
         params, _, job = ex1
         zero = np.zeros((params.planes, params.s_pow_n), dtype=np.int64)
-        repaired, _ = run_repair(job, {u: zero for u in job.helpers})
+        repaired, _ = repair_stripe(job, {u: zero for u in job.helpers})
         for col in repaired.values():
             assert not col.any()
+
+
+class TestBatch:
+    @pytest.mark.parametrize("nkdh", PARAM_SETS)
+    def test_batch_matches_one_stripe_calls(self, nkdh):
+        # a batch in one call: the same columns as one call per stripe, each
+        # edge's payload the one-stripe payloads stripe after stripe, and
+        # every measured total the stripe count times one stripe's
+        params = validate_params(*nkdh)
+        stripes = 5
+        cws = encode(params, np.concatenate([random_message(params, seed=31 + st)
+                                             for st in range(stripes)]))
+        job = RepairJob(params, tuple(range(params.h)), tuple(range(params.h, params.h + params.d)))
+        batch, transcript = run_repair(job, {u: cws[u] for u in job.helpers})
+        singles = [repair_stripe(job, {u: cws[u, st] for u in job.helpers}) for st in range(stripes)]
+        assert list(batch) == list(job.failed)
+        for i in job.failed:
+            assert batch[i].shape == cws[i].shape
+            assert np.array_equal(batch[i], np.stack([columns[i] for columns, _ in singles]))
+            assert np.array_equal(batch[i], cws[i])
+        for m, *ones in zip(transcript.messages, *(t.messages for _, t in singles)):
+            assert {(o.phase, o.sender, o.receiver) for o in ones} == {(m.phase, m.sender, m.receiver)}
+            assert m.values.tolist() == [v for o in ones for v in o.values.tolist()]
+        total = RepairMetrics.from_run(job, transcript)
+        one = RepairMetrics.from_run(job, singles[0][1])
+        assert (total.beta1, total.beta2, total.gamma, total.gamma_A) == \
+            tuple(stripes * x for x in (one.beta1, one.beta2, one.gamma, one.gamma_A))
+        assert total.per_helper_access == {u: stripes * c for u, c in one.per_helper_access.items()}
+        counted = recount(transcript.export_text())
+        assert counted.gamma == total.gamma
+        assert counted.per_edge == per_edge_counts(transcript)
+        assert set(counted.per_edge.values()) == {total.beta1, total.beta2}
 
 
 class TestTranscript:
     def test_message_order_and_counts(self, ex1):
         params, cw, job = ex1
-        _, transcript = run_repair(job, {u: cw[u] for u in (2, 3)})
+        _, transcript = repair_stripe(job, {u: cw[u] for u in (2, 3)})
         heads = [(m.phase, m.sender, m.receiver) for m in transcript.messages]
         assert heads == [
             (DOWNLOAD, 2, 0), (DOWNLOAD, 3, 0),
@@ -165,7 +211,7 @@ class TestTranscript:
 
     def test_export_format(self, ex1):
         params, cw, job = ex1
-        _, transcript = run_repair(job, {u: cw[u] for u in (2, 3)})
+        _, transcript = repair_stripe(job, {u: cw[u] for u in (2, 3)})
         lines = transcript.export_text().strip().splitlines()
         assert len(lines) == 6
         for line in lines:
@@ -189,15 +235,15 @@ class TestTranscript:
 
         eager = []
         for cw in stripes:
-            _, transcript = run_repair(job, {u: cw[u] for u in job.helpers})
+            _, transcript = repair_stripe(job, {u: cw[u] for u in job.helpers})
             eager.append(contents(transcript))
-        lazy = [run_repair(job, {u: cw[u] for u in job.helpers})[1] for cw in stripes]
+        lazy = [repair_stripe(job, {u: cw[u] for u in job.helpers})[1] for cw in stripes]
         assert eager[0][0] != eager[1][0]
         assert [contents(t) for t in lazy] == eager
 
     def test_access_logs_attached(self, ex1):
         params, cw, job = ex1
-        _, transcript = run_repair(job, {u: cw[u] for u in (2, 3)})
+        _, transcript = repair_stripe(job, {u: cw[u] for u in (2, 3)})
         assert sorted(transcript.access_logs) == [2, 3]
         assert transcript.access_logs[2].count() == 44
 
@@ -229,7 +275,7 @@ class TestClosedForm:
         for failed in combinations(range(n), h):
             helpers = tuple(i for i in range(n) if i not in failed)[:d]
             job = RepairJob(params, failed, helpers)
-            _, transcript = run_repair(job, {u: cw[u] for u in helpers})
+            _, transcript = repair_stripe(job, {u: cw[u] for u in helpers})
             assert len(transcript.messages) == h * d + h * (h - 1)
             for m in transcript.messages:
                 if m.phase == DOWNLOAD:
@@ -248,7 +294,7 @@ class TestWiderAlphabet:
         assert params.s == 3 and params.planes == 4
         cw = make_codeword(params, seed=71)
         job = RepairJob(params, (2, 5), (0, 1, 3, 4))
-        repaired, transcript = run_repair(job, {u: cw[u] for u in (0, 1, 3, 4)})
+        repaired, transcript = repair_stripe(job, {u: cw[u] for u in (0, 1, 3, 4)})
         for i, col in repaired.items():
             assert np.array_equal(col, cw[i])
         counts = per_edge_counts(transcript)
@@ -263,7 +309,7 @@ class TestWiderAlphabet:
         params = validate_params(6, 2, 4, 2)
         cw = make_codeword(params, seed=73)
         job = RepairJob(params, (0, 1), (2, 3, 4, 5))
-        _, transcript = run_repair(job, {u: cw[u] for u in (2, 3, 4, 5)})
+        _, transcript = repair_stripe(job, {u: cw[u] for u in (2, 3, 4, 5)})
         for u in job.helpers:
             assert Fraction(transcript.access_logs[u].count()) == params.N * g_ratio(2, 2)
             assert vector_set(transcript.access_logs[u], params) == access_set(u, job)
@@ -283,11 +329,11 @@ class TestOverflowBound:
         assert accumulator_dtype(params) == dtype
         # nodes 1, 3 and 4 hold p-1 everywhere; 0, 2 and 5 complete the codeword
         worst = np.full((1, params.planes, params.s_pow_n), p - 1, dtype=np.uint16)
-        cw = erase_decode(params, {1: worst, 3: worst, 4: worst})[:, 0]
+        cw = erase_decode(params, {1: worst, 3: worst, 4: worst})  # a batch of one
         job = RepairJob(params, (0, 2), (1, 3, 4, 5))
         surviving = {u: cw[u] for u in job.helpers}
         repaired, transcript = run_repair(job, surviving)
-        naive = naive_repair(job.failed, surviving, params).columns
+        naive = naive_repair(job.failed, surviving, params)
         for i in job.failed:
             assert repaired[i].dtype == dtype
             assert np.array_equal(repaired[i], cw[i])
@@ -345,7 +391,7 @@ class TestComposedMap:
             before = tracemalloc.get_traced_memory()[0]
             for failed in [(0, 3, 5), (1, 2, 3), (4, 5, 6), (0, 1, 2)]:
                 job = RepairJob(params, failed, tuple(sorted(set(range(7)) - set(failed)))[:4])
-                _, transcript = run_repair(job, {u: zero for u in job.helpers})
+                _, transcript = repair_stripe(job, {u: zero for u in job.helpers})
                 assert transcript.access_logs[job.helpers[0]].count() > 0
                 del job, transcript
             gc.collect()

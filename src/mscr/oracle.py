@@ -4,7 +4,7 @@ parity_residual evaluates one parity check by its definition, naive_repair
 repairs by the any-k decoder, recount recounts bandwidth from an exported
 transcript's text, and access_set lists the symbols a helper reads.  So that
 an engine bug cannot mask itself, this module imports from the package only
-code.CodeParams, code.erase_decode and field.check_below, never repair,
+code.CodeParams, code.erase_decode and code.check_below, never repair,
 storage or metrics (tests/test_layers.py checks it).  naive_repair takes a
 batch of stripes as {node index: (stripes, planes, s^n) array}, as
 repair.run_repair does.
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import CodeParams, erase_decode
-from .field import check_below
+from .code import CodeParams, check_below, erase_decode
 
 # --- index algebra over Z_s^n ----------------------------------------------
 

@@ -64,8 +64,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .code import CodeParams, accumulator_dtype, plane_geometry
-from .field import check_below, matrix_inverse, vandermonde_matrix
+from .code import (CodeParams, accumulator_dtype, check_below, matrix_inverse,
+                   plane_geometry, vandermonde_matrix)
 
 
 @dataclass(frozen=True)
@@ -283,19 +283,26 @@ def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], 
                              f"(stripes, {params.planes}, {params.s_pow_n}), the same for all, "
                              f"got shape {np.shape(col)}")
     stripes, helpers = shape[0], np.concatenate(columns, axis=1)  # stripes outermost
-    check_below(helpers, p, "helper column symbols")
-    helpers = helpers.reshape(stripes, d, -1).astype(ctx.solve.dtype)  # accumulator_dtype
+    try:
+        check_below(helpers, p, "helper column symbols")
+    except ValueError:  # name the first helper at fault; mixed dtypes can stack into floats
+        for u, col in zip(job.helpers, columns):
+            check_below(col, p, f"helper {u}: column symbols")
+        raise
+    # explicit sizes, so that a batch of zero stripes has a shape
+    width, rows = params.planes * params.s_pow_n, len(ctx.solve)
+    helpers = helpers.reshape(stripes, d, width).astype(ctx.solve.dtype)  # accumulator_dtype
 
     # download phase: pay[st, m, j] is helper m's payload to failed node j
     pay = helpers.take(ctx.download, axis=2)
     pay[:, :, :, 1:] += helpers.take(ctx.cross, axis=2)
     pay %= p
-    y = ctx.solve @ pay.reshape(stripes, d, -1)
+    y = ctx.solve @ pay.reshape(stripes, d, params.h * params.s_pow_n)
     y %= p
     # the Delta strip, each node's own planes and the cooperative phase: one map of y
-    repaired = y.reshape(stripes, -1).take(ctx.gather, axis=1)
+    repaired = y.reshape(stripes, rows * params.h * params.s_pow_n).take(ctx.gather, axis=1)
     repaired *= ctx.coef
     repaired = repaired.sum(axis=1, dtype=y.dtype)
     repaired %= p
-    y = y.reshape(stripes, -1, params.h, params.s_pow_n)
+    y = y.reshape(stripes, rows, params.h, params.s_pow_n)
     return dict(zip(job.failed, repaired.swapaxes(0, 1))), RepairTranscript(job, pay, y)

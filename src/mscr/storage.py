@@ -75,8 +75,7 @@ from pathlib import Path
 import numpy as np
 
 from . import code
-from .code import CodeParams, InconsistentCodewordError, validate_params
-from .field import check_below
+from .code import CodeParams, InconsistentCodewordError, check_below, validate_params
 
 MAGIC = b"MSCR"
 FORMAT_VERSION = 4

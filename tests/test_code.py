@@ -12,10 +12,10 @@ from mscr.code import (
     encode,
     erase_decode,
     failing_checks,
+    is_prime,
     solve_erased,
     validate_params,
 )
-from mscr.field import is_prime
 from mscr.oracle import parity_residual, sub_index
 
 from conftest import PARAM_SETS, decode_stripe, make_codeword, random_message

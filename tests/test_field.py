@@ -3,12 +3,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mscr.code import validate_params
-from mscr.field import (
+from mscr.code import (
     check_below,
     is_prime,
     matrix_inverse,
     smallest_prime_at_least,
+    validate_params,
     vandermonde_matrix,
 )
 

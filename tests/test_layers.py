@@ -1,9 +1,10 @@
 """The package's import layers, read from the source by ast.
 
 Every module is engine, reference or accounting, and cli sits on top:
-- the engine (field, code, repair, storage) imports only the engine;
+- the engine (code, repair, storage) imports only the engine;
 - oracle, the four independent references, imports only what it checks
-  against: the code's parameters, the any-k decoder and the range check;
+  against: the code's parameters, the any-k decoder and the range check,
+  all three from code;
 - metrics, the closed forms and the transcript accounting, imports only the
   code's parameters.
 So no oracle shares code with the repair engine it validates.
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mscr"
-ENGINE = {"field", "code", "repair", "storage"}
+ENGINE = {"code", "repair", "storage"}
 TOP = {"cli", "__init__", "__main__"}
 
 
@@ -56,7 +57,7 @@ def test_the_engine_imports_only_the_engine(module):
 
 def test_oracle_imports_only_what_it_checks_against():
     assert imports("oracle") == {("code", "CodeParams"), ("code", "erase_decode"),
-                                 ("field", "check_below")}
+                                 ("code", "check_below")}
 
 
 def test_metrics_imports_only_the_parameters():

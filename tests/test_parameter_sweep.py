@@ -7,6 +7,9 @@ tests).  On a batch of 41 codewords of each it decodes every erased set of
 for every failed set, each as one call on the whole batch, checked against
 encode's output, with the batch's symbols on every edge and the closed-form
 access count of every helper.
+test_every_message_by_the_unit_basis runs the same checks on the kN unit
+messages of every shape with kN <= 576 (1458 under the long profile), a
+proof for every message by linearity.
 test_any_evaluation_points draws the field and the evaluation points too.
 """
 
@@ -17,8 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mscr.code import accumulator_dtype, encode, erase_decode, validate_params
-from mscr.field import is_prime
+from mscr.code import (accumulator_dtype, encode, erase_decode, failing_checks, is_prime,
+                       validate_params)
 from mscr.metrics import access_count
 from mscr.oracle import naive_repair, parity_residual
 from mscr.repair import RepairJob, run_repair
@@ -39,6 +42,13 @@ def small_param_tuples():
 
 
 SWEEP = small_param_tuples()
+# HYPOTHESIS_PROFILE=long (conftest) searches further than tier-1: see
+# test_every_message_by_the_unit_basis and DRAWN_SHAPES
+LONG = os.environ.get("HYPOTHESIS_PROFILE") == "long"
+# the shapes whose kN unit messages are proved one by one; the six with
+# kN >= 2187 would take minutes
+BASIS = [nkdh for nkdh in SWEEP
+         if validate_params(*nkdh).message_length <= (1458 if LONG else 576)]
 
 
 def test_sweep_is_nontrivial():
@@ -89,6 +99,51 @@ def test_full_cycle(nkdh):
                 [stripes * access_count(job)] * d
 
 
+@pytest.mark.parametrize("nkdh", BASIS)
+def test_every_message_by_the_unit_basis(nkdh):
+    """A proof for every message of the shape, not a sample: encode,
+    erase_decode, run_repair and naive_repair are F_p-linear in the message,
+    each step a sum or a product by a constant, reduced mod p, and the kN
+    unit messages span F_p^kN.  So a pipeline that returns encode's codeword
+    of every unit message, and encode's systematic identity with every check
+    vanishing, returns the codeword of every message.  Overflow is not
+    linear: a wrapped accumulator could spare every unit message.  So the
+    batch also holds one stripe of p-1 in every symbol, the accumulators'
+    worst case, and the dtype tests at p = 53 and 59 stay."""
+    n, k, d, h = nkdh
+    params = validate_params(n, k, d, h)
+    kn = params.message_length
+    unit = np.eye(kn, dtype=np.uint16)
+    msg = np.concatenate([unit.reshape(-1), np.full(kn, params.p - 1)])
+    cws = encode(params, msg)  # (n, kN + 1, planes, s^n)
+    stripes = cws.shape[1]
+    systematic = cws[:k].swapaxes(0, 1).reshape(stripes, kn)
+    assert np.array_equal(systematic[:kn], unit) and (systematic[kn] == params.p - 1).all()
+    assert not failing_checks(params, cws).any()
+
+    for m in range(1, params.r + 1):
+        for erased in combinations(range(n), m):
+            available = {i: cws[i] for i in range(n) if i not in erased}
+            assert np.array_equal(erase_decode(params, available), cws), erased
+
+    beta = params.N // params.planes
+    for failed in combinations(range(n), h):
+        rest = [i for i in range(n) if i not in failed]
+        naive = naive_repair(failed, {i: cws[i] for i in rest}, params)
+        assert list(naive) == list(failed)
+        assert all(np.array_equal(naive[i], cws[i]) for i in failed)
+        for helpers in combinations(rest, d):
+            job = RepairJob(params, failed, helpers)
+            repaired, transcript = run_repair(job, {u: cws[u] for u in helpers})
+            assert list(repaired) == list(failed)
+            assert all(np.array_equal(repaired[i], cws[i]) for i in failed), (failed, helpers)
+            edges = per_edge_counts(transcript)
+            assert len(edges) == d * h + h * (h - 1)
+            assert set(edges.values()) == {stripes * beta}
+            assert [log.count() for log in transcript.access_logs.values()] == \
+                [stripes * access_count(job)] * d
+
+
 def test_wide_r_with_three_failures():
     # r = 5, four planes, a bystander, and h = 3 cooperative exchange
     params = validate_params(6, 1, 2, 3)
@@ -120,9 +175,8 @@ def test_custom_evaluation_points():
 
 # small shapes: s = 2 and s = 3, h = 1 and h = 2
 POINT_SHAPES = [(4, 1, 2, 2), (5, 2, 3, 2), (4, 1, 3, 1), (4, 2, 3, 1)]
-# HYPOTHESIS_PROFILE=long (conftest) also draws the sweep's two larger shapes
-# and primes past 31, where (5,2,3,2)'s accumulator turns from int16 to int32
-LONG = os.environ.get("HYPOTHESIS_PROFILE") == "long"
+# the long profile also draws the sweep's two larger shapes and primes past
+# 31, where (5,2,3,2)'s accumulator turns from int16 to int32
 DRAWN_SHAPES = POINT_SHAPES + ([(6, 2, 3, 3), (6, 3, 4, 2)] if LONG else [])
 TOP_PRIME = 61 if LONG else 31
 

@@ -137,6 +137,21 @@ class TestRunRepair:
         with pytest.raises(ValueError, match=match):
             run_repair(job, surviving)
 
+    @pytest.mark.parametrize("bad,need", [
+        (5, "lie"), (-1, "lie"), (0.5, "be an integer array"),
+    ])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_helper_outside_the_field_named(self, ex1, position, bad, need):
+        # as erase_decode names the node: the first helper whose column is at fault
+        params, cw, job = ex1
+        helper = job.helpers[position]
+        surviving = {u: cw[u][None].astype(type(bad) if u == helper else np.int64)
+                     for u in job.helpers}
+        surviving[helper][0, 1, 2] = bad
+        with pytest.raises(ValueError, match=rf"^helper {helper}: column symbols must {need} "
+                                             r"in \[0,5\)$"):
+            run_repair(job, surviving)
+
     @pytest.mark.parametrize("stripes", [(1, 2), (2, 1)])
     def test_stripe_counts_must_agree(self, ex1, stripes):
         # the first helper's batch sets the stripe count; helper 3's differs
@@ -195,6 +210,22 @@ class TestBatch:
         assert counted.gamma == total.gamma
         assert counted.per_edge == per_edge_counts(transcript)
         assert set(counted.per_edge.values()) == {total.beta1, total.beta2}
+
+    @pytest.mark.parametrize("nkdh", PARAM_SETS)
+    def test_batch_of_zero_stripes(self, nkdh):
+        # like erase_decode and naive_repair: an empty batch in, an empty
+        # batch out, and every measured total zero
+        params = validate_params(*nkdh)
+        job = RepairJob(params, tuple(range(params.h)), tuple(range(params.h, params.h + params.d)))
+        empty = np.zeros((0, params.planes, params.s_pow_n), dtype=np.uint16)
+        repaired, transcript = run_repair(job, {u: empty for u in job.helpers})
+        naive = naive_repair(job.failed, {u: empty for u in range(params.h, params.n)}, params)
+        assert list(repaired) == list(naive) == list(job.failed)
+        assert all(repaired[i].shape == naive[i].shape == empty.shape for i in job.failed)
+        total = RepairMetrics.from_run(job, transcript)
+        assert (total.beta1, total.beta2, total.gamma, total.gamma_A) == (0, 0, 0, 0)
+        assert total.per_helper_access == dict.fromkeys(job.helpers, 0)
+        assert recount(transcript.export_text()).gamma == 0
 
 
 class TestTranscript:

@@ -355,8 +355,7 @@ def cmd_verify(args) -> int:
 
         def check_block(start, stop, block):
             if len(block) == params.n:
-                bad[start:stop] = failing_checks(
-                    params, [block[i] for i in range(params.n)]).any(axis=1)
+                bad[start:stop] = failing_checks(params, block).any(axis=1)
 
         storage.walk(params, stripes, chunks, check_block, (),
                      lambda exc: problems.append(str(exc)))

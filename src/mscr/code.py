@@ -11,10 +11,11 @@ The field is its prime p (CodeParams.p): a symbol is a plain int in [0, p),
 and arithmetic is Python's and numpy's with a reduction mod p.  encode and
 erase_decode reject any other input through check_below, the one range check,
 before they cast or compute (so does the scalar oracle.parity_residual): a
-stray value is refused where it first appears, never reduced.  Vandermonde
-matrices and their inverses are exact lists of lists of ints; the peel and
-repair convert the small m x m (or r x r) inverses to numpy and apply them in
-batch.
+stray value is refused where it first appears, never reduced.  The only
+matrices inverted are Vandermonde matrices of distinct points, the peel's
+m x m and repair's r x r, and matrix_inverse takes their inverses exactly in
+closed form, row j the coefficients of the j-th Lagrange polynomial; the
+callers apply them in batch.
 
 The checks never mix planes.  For an erased node set E with m = |E| <= r,
 solve_erased peels the unknowns of a plane in layers, the structure of Ye and
@@ -61,11 +62,13 @@ a batch of codewords an (n, stripes, planes, s^n) array, stored uint16.
 encode and erase_decode are the one encoder and decoder: storage calls them
 once per block of stripes, and a one-stripe caller passes a batch of one.
 The peel depends only on the erased set, so solve_erased and failing_checks
-fold the batch into (stripes * planes, s^n) rows, one pass for all of them.
+read each column as it is held and work on (s^n, planes, stripes) arrays,
+the index axis first: one pass for every plane of every stripe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,45 +112,32 @@ def check_below(values, bound: int, what: str) -> None:
         raise ValueError(f"{what} must {'lie' if typed else 'be ' + need} in [0,{bound})")
 
 
-def vandermonde_matrix(p: int, points: list[int], rows: int) -> list[list[int]]:
-    """Matrix over F_p with entry (t, j) = points[j]**t for t in [0, rows)."""
-    if rows < 1:
-        raise ValueError("vandermonde_matrix needs rows >= 1")
+def matrix_inverse(p: int, points) -> np.ndarray:
+    """The inverse over F_p of the Vandermonde matrix V[t, j] = points[j]^t,
+    t < m = len(points), as an int64 (m, m) array in [0, p).
+
+    Row j holds the coefficients, lowest power first, of the Lagrange
+    polynomial L_j(z) = prod_{i != j} (z - x_i) / (x_j - x_i): row j of
+    M V is L_j at every point, that is row j of the identity.  V is
+    invertible exactly when the points are pairwise distinct in [0, p); any
+    other points are refused.
+    """
     for x in points:
         check_below(x, p, f"vandermonde point {x!r}")
     if len(set(points)) != len(points):
         raise ValueError(f"vandermonde points must be pairwise distinct, got {points}")
-    return [[pow(x, t, p) for x in points] for t in range(rows)]
-
-
-def matrix_inverse(p: int, matrix: list[list[int]]) -> list[list[int]]:
-    """Inverse of a square matrix over F_p by Gauss-Jordan elimination.
-
-    Raises ValueError when the matrix is not invertible.
-    """
-    m = len(matrix)
-    if m < 1 or any(len(row) != m for row in matrix):
-        raise ValueError("matrix must be square and nonempty")
-    for row in matrix:
-        for x in row:
-            check_below(x, p, f"matrix entry {x!r}")
-    a = [list(row) for row in matrix]
-    inv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError(f"matrix rank-deficient over F_{p} (column {col})")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = pow(a[col][col], p - 2, p)
-        a[col] = [(v * scale) % p for v in a[col]]
-        inv[col] = [(v * scale) % p for v in inv[col]]
-        for r in range(m):
-            f = a[r][col]
-            if r != col and f:
-                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[col])]
-                inv[r] = [(v - f * w) % p for v, w in zip(inv[r], inv[col])]
-    return inv
+    full = [1]  # prod_i (z - x_i), lowest power first
+    for x in points:
+        full = [(a - x * b) % p for a, b in zip([0] + full, full + [0])]
+    rows = []
+    for x in points:
+        quotient, acc = [], 0  # full / (z - x), by synthetic division from the top
+        for c in reversed(full[1:]):
+            acc = (c + x * acc) % p
+            quotient.append(acc)
+        scale = pow(math.prod(x - w for w in points if w != x), -1, p)
+        rows.append([c * scale % p for c in reversed(quotient)])
+    return np.array(rows, dtype=np.int64)
 
 
 class InconsistentCodewordError(ValueError):
@@ -199,8 +189,9 @@ def validate_params(
     Default field: the smallest prime >= n+s-1.  Default evaluation points:
     lambda_i = i and mu_e = n-1+e, which are distinct whenever p >= n+s-1.
     """
-    for name, v in (("n", n), ("k", k), ("d", d), ("h", h)):
-        if not isinstance(v, int) or v < 1:
+    given = (("n", n), ("k", k), ("d", d), ("h", h)) + ((("p", p),) if p is not None else ())
+    for name, v in given:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValueError(f"parameter {name}={v!r} must be a positive integer")
     if not k < d <= n - 1:
         raise ValueError(f"need k < d <= n-1, got k={k}, d={d}, n={n}")
@@ -280,13 +271,13 @@ def _add_multiple(acc: np.ndarray, x: np.ndarray, c: int, tmp: np.ndarray) -> No
         acc += tmp
 
 
-def _known_contrib(params: CodeParams, rows_of, known_nodes, rows: int) -> np.ndarray:
+def _known_contrib(params: CodeParams, cols, known_nodes, rows: int) -> np.ndarray:
     """K[t, a, ...] for t < rows: the sum over known nodes j of their check
     contributions at (t, a), reduced into [0, p), in accumulator_dtype(params).
 
-    rows_of[j] is node j's symbols, shape (R, s^n) for R rows of (stripe,
-    plane) pairs, or (s^n,); K has the index axis first and the row axis
-    innermost, (rows, s^n, R) or (rows, s^n).  Each known column is copied
+    cols[j] is node j's column as held, shape (stripes, planes, s^n) or
+    (s^n,); K has the index axis first and the column's axes reversed,
+    (rows, s^n, planes, stripes) or (rows, s^n).  Each known column is copied
     once, transposed, into a buffer of K's dtype, so every product below runs
     in that dtype.  Node j's substitution terms are read through the digit-j
     view (s^(n-1-j), s, s^j, ...) of that buffer: check row t gains
@@ -296,13 +287,13 @@ def _known_contrib(params: CodeParams, rows_of, known_nodes, rows: int) -> np.nd
     it).
     """
     p, n, s = params.p, params.n, params.s
-    shape = rows_of[known_nodes[0]].T.shape
+    shape = cols[known_nodes[0]].T.shape
     dtype = accumulator_dtype(params)
     out = np.zeros((rows,) + shape, dtype=dtype)
     col = np.empty(shape, dtype=dtype)
     tmp = np.empty(shape, dtype=dtype)
     for j in known_nodes:
-        col[...] = rows_of[j].T
+        col[...] = cols[j].T
         digits = (s ** (n - 1 - j), s, s**j) + shape[1:]
         col_digits = col.reshape(digits)
         tmp_zero = tmp.reshape(digits)[:, 0]
@@ -337,8 +328,7 @@ def _peel_plan(params: CodeParams, erased: tuple[int, ...]):
     zero_at = np.array([masks[i] for i in erased])  # (m, s^n)
     sub_at = np.array([subs[i] for i in erased])  # (m, s-1, s^n): a(erased[q], e)
     zeros = zero_at.sum(axis=0)  # z(a)
-    vm = vandermonde_matrix(p, [params.lambdas[i] for i in erased], m)
-    solve_op = -np.array(matrix_inverse(p, vm), dtype=dtype) % p
+    solve_op = (-matrix_inverse(p, [params.lambdas[i] for i in erased]) % p).astype(dtype)
     mu_powers = [[pow(mu, t, p) for mu in params.mus] for t in range(m)]
     # flatnonzero, not argsort: a first argsort maps about 0.4 MB more of numpy
     members_of = [np.flatnonzero(zeros == z) for z in range(m + 1)]
@@ -355,46 +345,41 @@ def _peel_plan(params: CodeParams, erased: tuple[int, ...]):
     return solve_op, mu_powers, order, position, layers
 
 
-def _as_rows(params: CodeParams, cols) -> list[np.ndarray]:
-    """Each node's (stripes, planes, s^n) column as (stripes * planes, s^n)
-    rows: a view of a contiguous column, else a copy, which is only read."""
-    return [np.reshape(col, (-1, params.s_pow_n)) for col in cols]
-
-
 def solve_erased(params: CodeParams, cols, erased: tuple[int, ...]) -> None:
     """Fill the erased columns of a batch of codewords in place.
 
-    cols[j] is node j's column of every stripe, shape (stripes, planes, s^n);
-    an (n, stripes, planes, s^n) array is such a sequence.  Every plane of
-    every stripe is solved at once, as one row of (stripes * planes, s^n),
-    layer by layer (see the module docstring).
+    cols[j] is node j's column of every stripe, shape (stripes, planes, s^n),
+    read and written as held, so a view is filled through; an (n, stripes,
+    planes, s^n) array, a list or a {node: column} dict serves as cols.
+    Every plane of every stripe is solved at once, layer by layer (see the
+    module docstring).
 
-    The work array, in accumulator_dtype(params), is (m, s^n, rows) with the
-    row axis innermost, and its index axis is put in the plan's layer order
-    one check row at a time, so each layer is a slice of it, solved in place
-    as a view.  Per layer and e, the solved substitution symbols are summed
-    by whole-row gathers and added, times mu_e^t, to every check row; the
-    product with the plan's m x m inverse is one einsum (numpy's integer
-    matmul has no BLAS path, and is slower for so small a contraction),
-    reduced back into the slice.  The work array is m times the batch's
-    symbols per node, the permutation copies one check row, and a layer's
-    temporaries are at most m + 3 times the layer's, so callers with a whole
-    file solve it a block of stripes at a time.
+    The work array, in accumulator_dtype(params), is _known_contrib's K,
+    (m, s^n, planes, stripes), and its index axis is put in the plan's layer
+    order one check row at a time, so each layer is a slice of it, solved in
+    place as a view.  Per layer and e, the solved substitution symbols are
+    summed by gathers of whole (planes, stripes) slices and added, times
+    mu_e^t, to every check row; the product with the plan's m x m inverse
+    is one einsum (numpy's integer matmul has no BLAS path, and is slower for
+    so small a contraction), reduced back into the slice.  The work array is
+    m times the batch's symbols per node, the permutation copies one check
+    row, and a layer's temporaries are at most m + 3 times the layer's, so
+    callers with a whole file solve it a block of stripes at a time.
     """
     if not erased:
         return
     solve_op, mu_powers, order, position, layers = _peel_plan(params, erased)
     p, m = params.p, len(erased)
     known = [j for j in range(params.n) if j not in erased]
-    # work[t, x, row] starts as check row t's known contributions K at index
-    # vector order[x]; once that layer is solved, work[q, x, row] is
+    # work[t, x, b, st] starts as check row t's known contributions K at
+    # index vector order[x]; once that layer is solved, work[q, x, b, st] is
     # erased[q]'s symbol there
-    work = _known_contrib(params, _as_rows(params, cols), known, m)
+    work = _known_contrib(params, cols, known, m)
     for t in range(m):  # into layer order, one check row at a time
         work[t] = work[t, order]
-    flat = work.reshape(m * params.s_pow_n, -1)
+    flat = work.reshape((m * params.s_pow_n,) + work.shape[2:])
     for span, sources in layers:
-        rhs = work[:, span]  # (m, |layer|, rows), a view
+        rhs = work[:, span]  # (m, |layer|, planes, stripes), a view
         if sources.size:
             tmp = np.empty(rhs.shape[1:], dtype=work.dtype)
             for e, src in enumerate(sources):
@@ -406,16 +391,14 @@ def solve_erased(params: CodeParams, cols, erased: tuple[int, ...]) -> None:
             rhs %= p
         np.remainder(np.einsum("qt,t...->q...", solve_op, rhs), p, out=rhs)
     for q, node in enumerate(erased):
-        # back to index order; splitting the row axis of the transpose copies nothing
-        cols[node][...] = work[q, position].T.reshape(cols[node].shape)
+        cols[node][...] = work[q, position].T  # back to index order
 
 
 def failing_checks(params: CodeParams, cols) -> np.ndarray:
     """Mask (stripes, planes): True where a parity check of that stripe and
     plane is nonzero.  cols is as for solve_erased, and the work array is r
     times the batch's symbols per node."""
-    contrib = _known_contrib(params, _as_rows(params, cols), range(params.n), params.r)
-    return contrib.any(axis=(0, 1)).reshape(-1, params.planes)
+    return _known_contrib(params, cols, range(params.n), params.r).any(axis=(0, 1)).T
 
 
 # --- public encode / decode ------------------------------------------------

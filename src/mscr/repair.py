@@ -64,8 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .code import (CodeParams, accumulator_dtype, check_below, matrix_inverse,
-                   plane_geometry, vandermonde_matrix)
+from .code import CodeParams, accumulator_dtype, check_below, matrix_inverse, plane_geometry
 
 
 @dataclass(frozen=True)
@@ -126,9 +125,7 @@ class _JobContext:
         n, s, h, p = params.n, params.s, params.h, params.p
         dk, width, size = params.d - params.k, params.s_pow_n, params.s_pow_n // params.s
         unknown = [i for i in range(n) if i not in job.helpers]
-        points = [params.lambdas[w] for w in unknown] + list(params.mus)
-        vm = vandermonde_matrix(p, points, params.r)
-        inverse = np.array(matrix_inverse(p, vm), dtype=np.int64)
+        inverse = matrix_inverse(p, [params.lambdas[w] for w in unknown] + list(params.mus))
         powers = np.array(
             [[pow(params.lambdas[u], t, p) for u in job.helpers] for t in range(params.r)],
             dtype=np.int64,
@@ -288,7 +285,7 @@ def run_repair(job: RepairJob, surviving: dict) -> tuple[dict[int, np.ndarray], 
     except ValueError:  # name the first helper at fault; mixed dtypes can stack into floats
         for u, col in zip(job.helpers, columns):
             check_below(col, p, f"helper {u}: column symbols")
-        raise
+        helpers = np.concatenate([np.asarray(col, dtype=np.int64) for col in columns], axis=1)
     # explicit sizes, so that a batch of zero stripes has a shape
     width, rows = params.planes * params.s_pow_n, len(ctx.solve)
     helpers = helpers.reshape(stripes, d, width).astype(ctx.solve.dtype)  # accumulator_dtype

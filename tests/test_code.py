@@ -9,10 +9,13 @@ from mscr.code import (
     _known_contrib,
     _peel_plan,
     accumulator_dtype,
+    check_below,
     encode,
     erase_decode,
     failing_checks,
     is_prime,
+    matrix_inverse,
+    smallest_prime_at_least,
     solve_erased,
     validate_params,
 )
@@ -30,6 +33,68 @@ def residuals_array(params, arr):
 def failing_planes(params, cw):
     """failing_checks of a single codeword, one flag per plane."""
     return failing_checks(params, cw[:, None])[0]
+
+
+# --- the field F_p ----------------------------------------------------------
+
+PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def test_composite_modulus_rejected():
+    assert not any(map(is_prime, (0, 1, 4, 6, 9, 15, 25, 49)))
+    with pytest.raises(ValueError, match="composite"):
+        validate_params(4, 1, 2, 2, p=6)
+
+
+def test_primality_helpers():
+    assert [p for p in range(2, 20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert smallest_prime_at_least(5) == 5
+    assert smallest_prime_at_least(8) == 11
+    assert smallest_prime_at_least(1) == 2
+
+
+def test_unreduced_inputs_rejected():
+    for ok in (0, 4, np.array([0, 4]), np.array([[3]], dtype=np.uint16), np.array([], dtype=np.int8)):
+        check_below(ok, 5, "x")
+    for bad in (5, -1, 7, np.array([0, 5]), np.array([-1], dtype=np.int8)):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0,5\)$"):
+            check_below(bad, 5, "x")
+    for bad in (True, 2.0, "2", None, np.int64(2)):
+        with pytest.raises(ValueError, match=r"^x must be an int in \[0,5\)$"):
+            check_below(bad, 5, "x")
+    for bad in (np.array([1.0]), np.array([], dtype=float), np.array([True])):
+        with pytest.raises(ValueError, match=r"^x must be an integer array in \[0,5\)$"):
+            check_below(bad, 5, "x")
+    with pytest.raises(ValueError, match=r"vandermonde point 7 must lie in \[0,7\)"):
+        matrix_inverse(7, [1, 7])
+    with pytest.raises(ValueError, match=r"vandermonde point -1 must lie in \[0,5\)"):
+        matrix_inverse(5, [-1, 1])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_field_axioms_exhaustive(p):
+    # every nonzero element of F_p has an inverse, which the closed form finds:
+    # at the points {0, a}, row 1 of V^-1 is L_1(z) = z / a
+    for a in range(1, p):
+        _, (_, inv) = matrix_inverse(p, [0, a]).tolist()
+        assert a * inv % p == 1
+        check_below(a, p, "element")
+
+
+def test_vandermonde_duplicate_points_rejected():
+    with pytest.raises(ValueError, match="distinct"):
+        matrix_inverse(7, [1, 1, 2])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_all_square_vandermonde_submatrices_invertible(p):
+    for r in range(1, 5):
+        for points in combinations(range(p), r):
+            vm = np.array([[x**t % p for x in points] for t in range(r)], dtype=np.int64)
+            inverse = matrix_inverse(p, list(points))
+            assert inverse.shape == (r, r) and inverse.min() >= 0 and inverse.max() < p
+            assert np.array_equal(vm @ inverse % p, np.eye(r, dtype=np.int64))
+            assert np.array_equal(inverse @ vm % p, np.eye(r, dtype=np.int64))
 
 
 class TestValidateParams:
@@ -53,6 +118,14 @@ class TestValidateParams:
             validate_params(5, 2, 3, 3)  # n-d = 2 < 3
         with pytest.raises(ValueError, match="positive"):
             validate_params(5, 2, 3, 0)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("name", ["n", "k", "d", "h", "p"])
+    def test_bool_refused_by_name(self, name, value):
+        # a bool is an int to Python: k=True would stand for 1, p=True read as composite
+        given = dict(n=4, k=1, d=2, h=2, p=5) | {name: value}
+        with pytest.raises(ValueError, match=rf"^parameter {name}={value} must be a positive integer$"):
+            validate_params(**given)
 
     def test_default_prime_is_smallest_valid(self):
         assert validate_params(4, 1, 2, 2).p == 5  # n+s-1 = 5
@@ -399,6 +472,25 @@ class TestStripeBatch:
         bad = failing_checks(params, arr)
         assert bad.shape == (4, params.planes)
         assert np.argwhere(bad).tolist() == [[2, 1]]
+
+    def test_columns_read_and_filled_as_held(self):
+        # the kernels read each column in its own shape and strides: here
+        # every node's column is a non-contiguous view of one (stripes, n,
+        # planes, s^n) array, with 5 stripes against 3 planes
+        params = validate_params(5, 2, 3, 2)
+        _, arr = self.stripes_of(params, (10, 11, 12, 13, 14))
+        held = np.ascontiguousarray(arr.swapaxes(0, 1))
+        views = {i: held[:, i] for i in range(params.n)}
+        assert not any(view.flags.c_contiguous for view in views.values())
+        assert not failing_checks(params, views).any()
+        held[3, 1, 2, 7] = (held[3, 1, 2, 7] + 1) % params.p
+        bad = failing_checks(params, views)
+        assert bad.shape == (5, params.planes)
+        assert np.argwhere(bad).tolist() == [[3, 2]]
+        held[3, 1, 2, 7] = arr[1, 3, 2, 7]
+        held[:, [0, 3]] = 0
+        solve_erased(params, views, (0, 3))
+        assert np.array_equal(held.swapaxes(0, 1), arr)
 
     @pytest.mark.parametrize("erased", [(), (4,), (0, 4)])
     def test_inconsistency_error_names_stripe_and_plane(self, erased):

@@ -152,6 +152,17 @@ class TestRunRepair:
                                              r"in \[0,5\)$"):
             run_repair(job, surviving)
 
+    def test_mixed_integer_dtypes_accepted(self, ex1):
+        # uint64 and int64 columns stack into float64; each is in the field,
+        # and erase_decode decodes the same dict
+        params, _, job = ex1
+        arr = encode(params, random_message(params, seed=31))
+        surviving = {2: arr[2].astype(np.uint64), 3: arr[3].astype(np.int64)}
+        repaired, _ = run_repair(job, surviving)
+        for i in job.failed:
+            assert np.array_equal(repaired[i], arr[i])
+        assert np.array_equal(erase_decode(params, surviving), arr)
+
     @pytest.mark.parametrize("stripes", [(1, 2), (2, 1)])
     def test_stripe_counts_must_agree(self, ex1, stripes):
         # the first helper's batch sets the stripe count; helper 3's differs

@@ -1,6 +1,7 @@
 """Every module of the package parses as the oldest Python that
 pyproject.toml's requires-python accepts, and uses every name it imports;
-one function alone walks a file's blocks."""
+one function alone walks a file's blocks; and every top-level function and
+class is read somewhere in the package or the benchmark."""
 
 import ast
 import re
@@ -89,3 +90,49 @@ def test_a_second_block_loop_is_found():
         "def walk():\n    blocks(p, 1)\n"
         "class C:\n    def run(self):\n        def inner():\n            storage.blocks(p, 2)\n"
         "[s for s in blocks(p, 3)]\n")) == {"walk", "C.run.inner", "<module>"}
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# the independent references that tests compare the engine against
+UNREAD_BY_DESIGN = {"oracle.parity_residual", "oracle.naive_repair", "oracle.access_set",
+                    "metrics.access_count"}
+
+
+def unread_definitions(trees: dict) -> set[str]:
+    """The top-level functions and classes, as "module.name", of the trees
+    ({(package, module): tree}) in package "mscr" that no tree reads, as a
+    loaded name or attribute, outside their own definition.  An import is
+    not a read, so __init__'s re-export does not count."""
+    reads = set()  # ((package, module, enclosing top-level definition), name)
+    for (package, module), tree in trees.items():
+        for top in tree.body:
+            owner = top.name if isinstance(top, DEFINITIONS) else None
+            for node in ast.walk(top):
+                if isinstance(getattr(node, "ctx", None), ast.Load):
+                    name = getattr(node, "id", getattr(node, "attr", None))
+                    reads.add(((package, module, owner), name))
+    unread = set()
+    for (package, module), tree in trees.items():
+        for top in tree.body if package == "mscr" else ():
+            if isinstance(top, DEFINITIONS) and not any(
+                    name == top.name and where != (package, module, top.name)
+                    for where, name in reads):
+                unread.add(f"{module}.{top.name}")
+    return unread
+
+
+def test_every_definition_is_read():
+    # code that nothing uses except its own tests is a deletion candidate
+    trees = {(path.parent.name, path.stem): ast.parse(path.read_text())
+             for folder in (ROOT / "src" / "mscr", ROOT / "perfbench")
+             for path in sorted(folder.glob("*.py"))}
+    assert unread_definitions(trees) == UNREAD_BY_DESIGN
+
+
+def test_an_unread_definition_is_found():
+    trees = {("mscr", "code"): ast.parse(
+                 "def used(): pass\ndef recursive(): recursive()\nclass Kept: pass\n"
+                 "def only_stored(): pass\n"),
+             ("mscr", "__init__"): ast.parse("from .code import recursive, only_stored\n"),
+             ("perfbench", "run"): ast.parse("code.used()\nx = Kept\nonly_stored = 1\n")}
+    assert unread_definitions(trees) == {"code.recursive", "code.only_stored"}

@@ -9,6 +9,7 @@ values.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -352,10 +353,19 @@ def cmd_verify(args) -> int:
         # and left out, and the parity sweep checks only blocks of all n nodes
         opened = set(chunks)
         bad = np.zeros(stripes, dtype=bool)
+        digest, file_problems = hashlib.sha256(), []  # of the file the walk reads
 
         def check_block(start, stop, block):
             if len(block) == params.n:
                 bad[start:stop] = failing_checks(params, block).any(axis=1)
+            if all(i in block for i in range(params.k)):  # the systematic blocks hold the file
+                try:  # a set padding bit (in the last block only) leaves no digest to judge
+                    digest.update(storage.file_bytes(params, [block[i] for i in range(params.k)],
+                                                     start, stop, manifest.original_length))
+                    if stop == stripes:  # a dropped node never returns: every block was read
+                        manifest.check_decoded(digest.hexdigest())
+                except ValueError as exc:  # held until the parity lines
+                    file_problems.append(f"manifest: {exc}")
 
         storage.walk(params, stripes, chunks, check_block, (),
                      lambda exc: problems.append(str(exc)))
@@ -367,16 +377,7 @@ def cmd_verify(args) -> int:
             problems.extend(f"stripe {st}: parity checks fail" for st in np.flatnonzero(bad))
             if not bad.any():
                 print(f"parity: all {stripes} stripe(s) satisfy every check")
-        # the k systematic chunks hold the file verbatim: decode it from them
-        if all(i in chunks for i in range(params.k)):
-            try:
-                with open(os.devnull, "wb") as sink:
-                    manifest.check_decoded(storage.decode_file(
-                        chunks, params, manifest.original_length, stripes, sink))
-            except storage.BadBlockError as exc:
-                problems.append(str(exc))
-            except ValueError as exc:
-                problems.append(f"manifest: {exc}")
+        problems.extend(file_problems)
     for msg in problems:
         print(f"PROBLEM: {msg}", file=sys.stderr)
     return 1 if problems else 0

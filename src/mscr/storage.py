@@ -17,12 +17,14 @@ A block that does not read (BadBlockError) is decided there, once per node:
 encode reads no chunk; repair's helpers are named, so it stops repair;
 decode names the node and reads the next listed one in its place, and
 verify names it and goes on without it, both keeping the blocks already
-read.  A block is a multiple of 8 stripes, so every block starts on a byte
-of each bit plane of a body and of the message bitstream: its symbols lie
-in one contiguous byte range per plane (_plane_spans), which laid end to end
-are the body pack_body writes for them.  File-level symbols are uint16 from
-parsing to writing: p < 2^16, so every symbol fits, and the solver's wider
-arithmetic lives only in its work arrays, of one block.
+read; verify hashes the file from the bytes (file_bytes) of the k
+systematic blocks it walks, so it reads each block once.  A block is a
+multiple of 8 stripes, so every block starts on a byte of each bit plane
+of a body and of the message bitstream: its symbols lie in one contiguous
+byte range per plane (_plane_spans), which laid end to end are the body
+pack_body writes for them.  File-level symbols are uint16 from parsing to
+writing: p < 2^16, so every symbol fits, and the solver's wider arithmetic
+lives only in its work arrays, of one block.
 
 Message packing (pack_bytes) maps the file's bytes to symbols at
 m = bits_per_symbol(p) bits each: 8 when p > 255, otherwise floor(log2 p),
@@ -616,7 +618,7 @@ def encode_file(fh, length: int, params: CodeParams, chunks: list[ChunkWriter]) 
     return digest.hexdigest()
 
 
-def _file_bytes(params: CodeParams, message: list[np.ndarray], start: int, stop: int,
+def file_bytes(params: CodeParams, message: list[np.ndarray], start: int, stop: int,
                 original_length: int) -> bytes:
     """The file's bytes held by stripes [start, stop), from their k
     systematic (stop - start, planes, s^n) columns.  A block starts on a byte
@@ -642,7 +644,7 @@ def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_c
     chunks by code.erase_decode, whose parity sweep must pass before the
     block is unpacked (InconsistentCodewordError otherwise, naming the
     stripe in the file).  The last stripe's padding must be zero
-    (_file_bytes).  A block that does not read raises its BadBlockError;
+    (file_bytes).  A block that does not read raises its BadBlockError;
     given `spare`, walk drops that node and reads the open chunks spare(exc)
     returns in its place, or spare raises; the blocks written stay.
     """
@@ -658,7 +660,7 @@ def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_c
                 block = code.erase_decode(params, block)
             except InconsistentCodewordError as exc:
                 raise InconsistentCodewordError(start + exc.stripe, exc.plane) from None
-        data = _file_bytes(params, [block[i] for i in range(params.k)], start, stop,
+        data = file_bytes(params, [block[i] for i in range(params.k)], start, stop,
                            original_length)
         digest.update(data)
         out.write(data)

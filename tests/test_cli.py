@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -485,19 +484,17 @@ class TestVerifyAndDecode:
             "PROBLEM: manifest: the decoded 3000 bytes do not match manifest field "
             "'original_sha256'"]
 
-    def test_verify_reads_the_file_back_through_decode_file(self, encoded_dir, capsys,
-                                                            monkeypatch):
+    def test_verify_judges_the_bytes_its_walk_read(self, encoded_dir, capsys, monkeypatch):
+        # the digest is of the bytes file_bytes gives the walk's kernel, not
+        # of a second read: flipping the file's last byte there is a mismatch
         _, store, _ = encoded_dir
-        real = storage.decode_file
+        real, stripes = storage.file_bytes, Manifest.load(store).stripe_count
 
-        def last_byte_flipped(chunks, params, original_length, stripe_count, out):
-            data = io.BytesIO()
-            real(chunks, params, original_length, stripe_count, data)
-            data = data.getvalue()[:-1] + bytes([data.getvalue()[-1] ^ 1])
-            out.write(data)
-            return hashlib.sha256(data).hexdigest()
+        def last_byte_flipped(params, message, start, stop, original_length):
+            data = real(params, message, start, stop, original_length)
+            return data[:-1] + bytes([data[-1] ^ 1]) if stop == stripes else data
 
-        monkeypatch.setattr(storage, "decode_file", last_byte_flipped)
+        monkeypatch.setattr(storage, "file_bytes", last_byte_flipped)
         capsys.readouterr()
         assert run_cli("verify", "--dir", store) == 1
         captured = capsys.readouterr()
@@ -1070,13 +1067,14 @@ class TestSymbolOutOfField:
         assert captured.err.splitlines() == [
             f"PROBLEM: node 0: {store / 'node0.mscr'} changed while it was read"]
 
-    def test_verify_names_a_systematic_node_it_reads_back(self, store, capsys, monkeypatch):
-        # without node 5 the walk reads node 0's block 24 once and checks no
-        # parity, and the chunk changes before the read-back through
-        # decode_file reads that block again: the read-back names node 0
+    def test_verify_names_a_systematic_node_beside_a_missing_one(self, store, capsys,
+                                                                 monkeypatch):
+        # without node 5 the walk checks no parity, and node 0 changes before
+        # its block 24 is read: each is named once, and the file, whose
+        # systematic blocks were not all read, is not judged
         _, store, _ = store
         (store / "node5.mscr").unlink()
-        self.change_while_read(monkeypatch, 0, read=2)
+        self.change_while_read(monkeypatch, 0)
         capsys.readouterr()
         assert run_cli("verify", "--dir", store) == 1
         captured = capsys.readouterr()
@@ -1084,6 +1082,24 @@ class TestSymbolOutOfField:
         assert captured.err.splitlines() == [
             f"PROBLEM: node 5: chunk missing at {store / 'node5.mscr'}",
             f"PROBLEM: node 0: {store / 'node0.mscr'} changed while it was read"]
+
+    @pytest.mark.parametrize("missing", [None, 4])
+    def test_verify_reads_each_block_once(self, store, capsys, monkeypatch, missing):
+        # the parity sweep and the file's digest share one walk: every block
+        # of every chunk that opened is read exactly once
+        _, store, _ = store
+        if missing is not None:
+            (store / f"node{missing}.mscr").unlink()
+        reads, real = Counter(), storage.ChunkReader.block
+
+        def counted(self, start, stop):
+            reads[self._node, start] += 1
+            return real(self, start, stop)
+
+        monkeypatch.setattr(storage.ChunkReader, "block", counted)
+        assert run_cli("verify", "--dir", store) == (0 if missing is None else 1)
+        opened = [i for i in range(6) if i != missing]
+        assert reads == Counter({(i, start): 1 for i in opened for start in range(0, 35, 8)})
 
 
 class TestMalformedManifest:
@@ -1435,7 +1451,7 @@ class TestBenchmarkContract:
         assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
         assert stage("repair", "--dir", store, "--helpers", "0,2,3,5") == (
             node(0, 2, 3, 5), node(1, 4), 0)
-        assert stage("verify", "--dir", store) == (node(*range(6)), [], 1)
+        assert stage("verify", "--dir", store) == (node(*range(6)), [], 0)
         assert stage("decode", "--dir", store, "--out", tmp_path / "a.bin") == (node(0, 1, 2), [], 1)
         assert stage("decode", "--dir", store, "--out", tmp_path / "b.bin",
                      "--nodes", "3,4,5") == (node(3, 4, 5), [], 1)

@@ -215,7 +215,8 @@ def lifecycle(tmp_path, capsys, shape):
     # two kinds of damage at once: a flipped systematic bit and a truncated
     # parity chunk; a deleted helper and a parity group value of q^c or more
     # in node k; an edited original_length and a directory in place of the
-    # highest helper's chunk, so verify still reads the file back
+    # highest helper's chunk, so verify still walks every systematic block
+    # and judges the file from them
     lowest_helper = min(map(int, helpers.split(",")))
     both = shutil.copytree(store, tmp_path / "flipped-truncated")
     chunk = both / storage.chunk_name(0)

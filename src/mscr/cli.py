@@ -232,7 +232,6 @@ def _write_report(job: RepairJob, transcript, stripes: int, transcript_path: Pat
     recount = oracle.recount(text)
     if recount.gamma != measured.gamma:
         raise ValueError(f"transcript recount {recount.gamma} != measured gamma {measured.gamma}")
-    storage.write_replacing(transcript_path, text.encode())
 
     b = metrics.bounds(params)
     g = metrics.g_ratio(params.d - params.k, params.h)
@@ -262,15 +261,18 @@ def _write_report(job: RepairJob, transcript, stripes: int, transcript_path: Pat
         f"  access    : {'LOW-ACCESS (< 2x the optimal per-helper access)' if low_access else 'NOT LOW-ACCESS'}",
         f"transcript (stripe 0) written to {transcript_path}",
     ]
+    outputs = {transcript_path: text}
     if csv_path:
-        csv_lines = [
+        outputs[Path(csv_path)] = (
             "stripes,beta1,beta2,gamma_per_stripe,gamma_total,gamma_A_per_stripe,"
-            "gamma_A_total,per_helper_access,N,g_exact,cooperative_bound,access_bound",
+            "gamma_A_total,per_helper_access,N,g_exact,cooperative_bound,access_bound\n"
             f"{stripes},{measured.beta1},{measured.beta2},{measured.gamma},"
             f"{measured.gamma * stripes},{measured.gamma_A},{measured.gamma_A * stripes},"
-            f"{per_helper},{params.N},{g},{b.cooperative},{b.access}",
-        ]
-        storage.write_replacing(Path(csv_path), ("\n".join(csv_lines) + "\n").encode())
+            f"{per_helper},{params.N},{g},{b.cooperative},{b.access}\n")
+    with ExitStack() as stack:  # all opened before any is written: a refusal leaves none
+        files = [stack.enter_context(storage.replacing(path)) for path in outputs]
+        for fh, data in zip(files, outputs.values()):
+            fh.write(data.encode())
     return lines
 
 

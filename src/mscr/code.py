@@ -33,9 +33,9 @@ optimal MDS codes for all admissible parameters", IEEE Trans. IT, 2019):
   costs one product of -V^-1, built once per solve, with every (a, stripe)
   of the layer.
 
-The checks t >= m are not used by the solve; erase_decode then runs the full
-residual sweep (failing_checks), which rejects inputs that lie on no codeword
-and would also catch a wrapped accumulator in the solve.
+The checks t >= m are not used by the solve: with m < r, erase_decode then
+runs the full residual sweep (failing_checks), which rejects inputs that lie
+on no codeword; with m = r the peel uses every check row, so none can fail.
 
 Integer bounds: stored symbols are uint16 in [0, p), p < 2^16, and the
 kernels compute in accumulator_dtype(params): int16 when B = n s (p-1)^2 is
@@ -147,7 +147,6 @@ class InconsistentCodewordError(ValueError):
     def __init__(self, stripe: int, plane: int):
         super().__init__(
             f"symbols are not jointly on any codeword (stripe {stripe}, plane {plane})")
-        self.stripe, self.plane = stripe, plane
 
 
 @dataclass(frozen=True)
@@ -425,11 +424,11 @@ def erase_decode(params: CodeParams, available: dict) -> np.ndarray:
 
     available maps node index to its (stripes, planes, s^n) column, in any
     integer dtype, with the same stripes for every node.  Returns the
-    (n, stripes, planes, s^n) uint16 codewords.  After the solve every parity
-    check of every stripe must vanish, else InconsistentCodewordError names
-    the first failing stripe and plane: with fewer than r columns missing the
-    system is overdetermined, and this sweep is what rejects symbols that lie
-    on no codeword.
+    (n, stripes, planes, s^n) uint16 codewords.  With fewer than r columns
+    missing, that is more than k given, the system is overdetermined: after
+    the solve every parity check of every stripe must vanish, else
+    InconsistentCodewordError names the first failing stripe and plane.
+    With exactly k given, the solve uses every check, and no sweep runs.
     """
     for i in available:
         if not 0 <= i < params.n:
@@ -447,8 +446,7 @@ def erase_decode(params: CodeParams, available: dict) -> np.ndarray:
         check_below(col, params.p, f"node {i}: column symbols")
         arr[i] = col
     solve_erased(params, arr, erased)
-    bad = failing_checks(params, arr)
-    if bad.any():
+    if len(erased) < params.r and (bad := failing_checks(params, arr)).any():
         st, b0 = np.argwhere(bad)[0]
         raise InconsistentCodewordError(int(st), int(b0) + 1)
     return arr

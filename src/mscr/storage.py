@@ -77,7 +77,7 @@ from pathlib import Path
 import numpy as np
 
 from . import code
-from .code import CodeParams, InconsistentCodewordError, check_below, validate_params
+from .code import CodeParams, check_below, validate_params
 
 MAGIC = b"MSCR"
 FORMAT_VERSION = 4
@@ -247,7 +247,10 @@ def replacing(path: Path):
     # a fresh name, created exclusively: two writes never share a temporary
     # file, and no output path named in advance can be one
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named by the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with open(fd, "w+b") as fh:
             yield fh
@@ -641,12 +644,12 @@ def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_c
 
     The output is written one block of stripes at a time (walk).  Without
     every systematic chunk, each block is decoded from the k lowest-indexed
-    chunks by code.erase_decode, whose parity sweep must pass before the
-    block is unpacked (InconsistentCodewordError otherwise, naming the
-    stripe in the file).  The last stripe's padding must be zero
-    (file_bytes).  A block that does not read raises its BadBlockError;
-    given `spare`, walk drops that node and reads the open chunks spare(exc)
-    returns in its place, or spare raises; the blocks written stay.
+    chunks by code.erase_decode.  Any k columns lie on one codeword, so
+    erase_decode runs no parity sweep: the caller's check of the returned
+    digest finds a wrong block.  The last stripe's padding must be zero
+    (file_bytes).  A block that does not read raises its BadBlockError; given
+    `spare`, walk drops that node and reads the open chunks spare(exc) returns
+    in its place, or spare raises; the blocks written stay.
     """
     if len(chunks) < params.k:
         raise ValueError(f"need at least k={params.k} chunks to decode, got {len(chunks)}")
@@ -656,10 +659,7 @@ def decode_file(chunks: dict, params: CodeParams, original_length: int, stripe_c
 
     def decode_block(start, stop, block):
         if sorted(block) != list(range(params.k)):
-            try:
-                block = code.erase_decode(params, block)
-            except InconsistentCodewordError as exc:
-                raise InconsistentCodewordError(start + exc.stripe, exc.plane) from None
+            block = code.erase_decode(params, block)
         data = file_bytes(params, [block[i] for i in range(params.k)], start, stop,
                            original_length)
         digest.update(data)

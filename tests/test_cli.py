@@ -666,15 +666,29 @@ class TestCheckedReads:
         assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
         before = (store / "manifest.json").read_bytes()
         capsys.readouterr()
-        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5",
-                       option, tmp_path / "missing" / "out.txt") == 2
+        missing = tmp_path / "missing" / "out.txt"
+        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5", option, missing) == 2
         captured = capsys.readouterr()
+        # the error names the file asked for, not the temporary file beside it
         assert captured.err.startswith("error: [Errno 2]")
+        assert str(missing) in captured.err and ".tmp" not in captured.err
         assert captured.out == ""
         for i in (1, 4):
             assert not (store / f"node{i}.mscr").exists()
             assert (store / f"node{i}.mscr.failed").exists()
         assert (store / "manifest.json").read_bytes() == before
+        # with --csv unwritable, the default transcript is not left either
+        assert not (store / "transcript.txt").exists()
+
+    def test_decode_refuses_unwritable_output(self, store6, capsys):
+        tmp_path, store, _ = store6
+        missing = tmp_path / "missing" / "out.bin"
+        capsys.readouterr()
+        assert run_cli("decode", "--dir", store, "--out", missing) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno 2]")
+        assert str(missing) in captured.err and ".tmp" not in captured.err
+        assert captured.out == "" and not missing.parent.exists()
 
     def test_decode_ignores_corrupt_chunk_it_does_not_read(self, store6, capsys):
         tmp_path, store, data = store6
@@ -1560,14 +1574,15 @@ class TestFailedStreamsLeaveNothing:
         tmp_path, store = store
         assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
         before = snapshot(store)
-        real, calls = cli.run_repair, []
+        real, seen = cli.run_repair, []
 
         def faulty(job, surviving):
             repaired, transcript = real(job, surviving)
-            calls.append(1)
-            if len(calls) == 28:
+            first = sum(seen)  # the batch holds stripes first, first + 1, ...
+            seen.append(len(next(iter(surviving.values()))))
+            if first <= 27 < sum(seen):
                 repaired[4] = repaired[4].copy()
-                repaired[4][0, 0] = (repaired[4][0, 0] + 1) % job.params.p
+                repaired[4][27 - first, 0] = (repaired[4][27 - first, 0] + 1) % job.params.p
             return repaired, transcript
 
         monkeypatch.setattr(cli, "run_repair", faulty)
@@ -1575,7 +1590,7 @@ class TestFailedStreamsLeaveNothing:
         assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5") == 2
         assert capsys.readouterr().err == (
             "error: node 4: restored chunk fails checksum verification; nothing written\n")
-        assert len(calls) == 35 and snapshot(store) == before
+        assert sum(seen) == 35 and snapshot(store) == before
 
     def test_repair_refuses_a_systematic_symbol_past_the_message_width(self, store, monkeypatch,
                                                                         capsys):
@@ -1584,21 +1599,23 @@ class TestFailedStreamsLeaveNothing:
         tmp_path, store = store
         assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
         before = snapshot(store)
-        real, calls = cli.run_repair, []
+        real, seen = cli.run_repair, []
 
         def faulty(job, surviving):
             repaired, transcript = real(job, surviving)
-            calls.append(1)
-            if len(calls) == 28:
+            first = sum(seen)  # the batch holds stripes first, first + 1, ...
+            seen.append(len(next(iter(surviving.values()))))
+            if first <= 27 < sum(seen):
                 repaired[1] = repaired[1].copy()
-                repaired[1][0, 0] += 256
+                repaired[1][27 - first, 0] += 256
             return repaired, transcript
 
         monkeypatch.setattr(cli, "run_repair", faulty)
         capsys.readouterr()
         assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5") == 2
         assert capsys.readouterr().err == "error: node 1: chunk symbols must lie in [0,256)\n"
-        assert len(calls) == 32 and snapshot(store) == before
+        # the walk stops with the block holding stripes 24-31
+        assert sum(seen) == 32 and snapshot(store) == before
 
     def test_repair(self, store, fail_halfway, capsys):
         tmp_path, store = store
@@ -1623,8 +1640,10 @@ class TestFailedStreamsLeaveNothing:
                 if len(cols[erased[0]]) == 3:
                     cols[erased[0]][1, 0, 0] = (cols[erased[0]][1, 0, 0] + 1) % params.p
 
+            # exactly k columns get no parity sweep: the output's digest refuses it
             monkeypatch.setattr(code, "solve_erased", faulty)
-            expected = "error: symbols are not jointly on any codeword (stripe 33, plane 1)"
+            expected = ("error: the decoded 20000 bytes do not match manifest field "
+                        "'original_sha256'\n")
         else:
             fail_halfway()
             expected = "error: [Errno 28] No space"
@@ -1635,6 +1654,45 @@ class TestFailedStreamsLeaveNothing:
         assert out.read_bytes() == b"an earlier output"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "out.bin", "store"]
         assert snapshot(store) == before
+
+
+class TestParitySweepRunsWhereACheckCanFail:
+    """code.failing_checks runs only where a check can fail: in erase_decode
+    when more than k columns are given (with exactly k, the solve uses every
+    check), and in verify once per block."""
+
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        real, calls = code.failing_checks, []
+
+        def counting(params, cols):
+            calls.append(1)
+            return real(params, cols)
+
+        for module in (code, cli):  # cli holds the name it imported
+            monkeypatch.setattr(module, "failing_checks", counting)
+        return calls
+
+    def test_erase_decode(self, sweeps):
+        params = code.validate_params(6, 3, 4, 2, p=257)
+        message = np.random.default_rng(4).integers(0, 256, size=3 * params.message_length)
+        arr = code.encode(params, message)
+        for given, count in (((1, 4, 5), 0), ((0, 1, 4, 5), 1)):
+            sweeps.clear()
+            assert np.array_equal(code.erase_decode(params, {i: arr[i] for i in given}), arr)
+            assert len(sweeps) == count, given
+
+    def test_decode_and_verify(self, tmp_path, monkeypatch, sweeps):
+        # 20000 bytes are 35 stripes of 576, walked in five blocks of 8
+        monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)
+        store, out = tmp_path / "store", tmp_path / "out.bin"
+        assert run_cli("encode", "--n", 6, "--k", 3, "--d", 4, "--h", 2, "--p", 257,
+                       "--random-bytes", 20000, "--out", store) == 0
+        assert Manifest.load(store).stripe_count == 35
+        assert run_cli("decode", "--dir", store, "--out", out, "--nodes", "3,4,5") == 0
+        assert out.read_bytes() == (store / "source.bin").read_bytes() and sweeps == []
+        assert run_cli("verify", "--dir", store) == 0
+        assert len(sweeps) == 5
 
 
 class TestTableAndParams:

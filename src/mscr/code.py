@@ -201,12 +201,13 @@ def validate_params(
     planes = d - k + h
     if p is None:
         p = smallest_prime_at_least(n + s - 1)
-    if not is_prime(p):
-        raise ValueError(f"field modulus p={p} is composite")
+    # the range first: is_prime tries every odd divisor up to sqrt(p)
     if p < n + s - 1:
         raise ValueError(f"field too small: p={p} < n+s-1 = {n + s - 1}")
     if p >= 2**16:
         raise ValueError(f"field modulus p={p} exceeds the supported 16-bit symbol width")
+    if not is_prime(p):
+        raise ValueError(f"field modulus p={p} is composite")
     if lambdas is None:
         lambdas = tuple(range(n))
     if mus is None:

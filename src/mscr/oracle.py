@@ -1,13 +1,13 @@
-"""Independent baselines for validating the engine: the four oracles.
+"""Independent baselines for validating the engine: the five oracles.
 
-parity_residual evaluates one parity check by its definition, naive_repair
-repairs by the any-k decoder, recount recounts bandwidth from an exported
-transcript's text, and access_set lists the symbols a helper reads.  So that
-an engine bug cannot mask itself, this module imports from the package only
-code.CodeParams, code.erase_decode and code.check_below, never repair,
-storage or metrics (tests/test_layers.py checks it).  naive_repair takes a
-batch of stripes as {node index: (stripes, planes, s^n) array}, as
-repair.run_repair does.
+parity_residual evaluates one parity check by its definition, check_matrix
+writes a plane's checks as one matrix, naive_repair repairs by the any-k
+decoder, recount recounts bandwidth from an exported transcript's text, and
+access_set lists the symbols a helper reads.  So that an engine bug cannot
+mask itself, this module imports from the package only code.CodeParams,
+code.erase_decode and code.check_below, never repair, storage or metrics
+(tests/test_layers.py checks it).  naive_repair takes a batch of stripes as
+{node index: (stripes, planes, s^n) array}, as repair.run_repair does.
 
 The oracles' scalar index algebra over Z_s^n is here too.  An index vector
 a = (a_0, ..., a_{n-1}) is a tuple of digits, digit i in [0, s), stored
@@ -95,6 +95,26 @@ def parity_residual(params: CodeParams, cw: np.ndarray, t: int, b: int, a) -> in
                 a_sub = sub_index(a_int, i, e, params.s)
                 acc += pow(params.mus[e - 1], t, p) * int(cw[i, b - 1, a_sub])
     return acc % p
+
+
+def check_matrix(params: CodeParams) -> np.ndarray:
+    """The paper's parity checks of one plane as an (r s^n) x (n s^n)
+    matrix H over [0, p): row t s^n + a is check (t, a), column i s^n + a'
+    is node i's symbol at index a', so H c = 0 (mod p) for every plane c of
+    a codeword, its columns laid end to end.  Plain loops over the
+    definition, as parity_residual evaluates one check."""
+    p, n, s, size = params.p, params.n, params.s, params.s_pow_n
+    H = np.zeros((params.r * size, n * size), dtype=np.int64)
+    for t in range(params.r):
+        for a in range(size):
+            digits = int_to_vec(a, n, s)
+            for i in range(n):
+                H[t * size + a, i * size + a] += pow(params.lambdas[i], t, p)
+                if delta(digits[i]):
+                    for e in range(1, s):
+                        H[t * size + a, i * size + sub_index(a, i, e, s)] += \
+                            pow(params.mus[e - 1], t, p)
+    return H % p
 
 
 def naive_repair(failed, surviving: dict, params: CodeParams) -> dict[int, np.ndarray]:

@@ -19,20 +19,22 @@ decode names the node and reads the next listed one in its place, and
 verify names it and goes on without it, both keeping the blocks already
 read; verify hashes the file from the bytes (file_bytes) of the k
 systematic blocks it walks, so it reads each block once.  A block is a
-multiple of 8 stripes, so every block starts on a byte of each bit plane
-of a body and of the message bitstream: its symbols lie in one contiguous
-byte range per plane (_plane_spans), which laid end to end are the body
-pack_body writes for them.  File-level symbols are uint16 from parsing to
-writing: p < 2^16, so every symbol fits, and the solver's wider arithmetic
-lives only in its work arrays, of one block.
+multiple of 8 stripes, so every block starts on a run of the message (c
+divides 8) and on a byte of each bit plane of a body: its symbols lie in
+one contiguous byte range per plane (_plane_spans), which laid end to end
+are the body pack_body writes for them.  File-level symbols are uint16 from
+parsing to writing: p < 2^16, so every symbol fits, and the solver's wider
+arithmetic lives only in its work arrays, of one block.
 
-Message packing (pack_bytes) maps the file's bytes to symbols at
-m = bits_per_symbol(p) bits each: 8 when p > 255, otherwise floor(log2 p),
-MSB-first within the bitstream, so every message symbol is below 2^m <= p.
+Message packing (pack_bytes) reads the file's bytes as an MSB-first
+bitstream of m = bits_per_symbol(p) bit symbols (8 when p > 255, otherwise
+floor(log2 p)), each below 2^m <= p, with a body's radix codec (below): a
+run of b = m c / 8 bytes, c = 8 / gcd(8, m), is one big-endian value
+(group_values) peeled into c base-2^m digits, top digit first (digits).
 The header records m and the manifest the original byte length and its
-sha256.  Each symbol of node i's chunk is below its radix q
-(_symbol_bound): the k systematic chunks hold message symbols, q = 2^m, and
-the r parity chunks any field element, q = p.
+sha256.  Each symbol of node i's chunk is below its radix q (_symbol_bound):
+the k systematic chunks hold message symbols, q = 2^m, and the r parity
+chunks any field element, q = p.
 
 A body stores its symbols in groups of c consecutive ones (node_groups):
 each group is the base-q value v = sum_i sym_i q^i, held in
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -94,40 +97,33 @@ def chunk_name(node: int) -> str:
 
 
 def bits_per_symbol(p: int) -> int:
-    if p > 255:
-        return 8
-    return max(1, p.bit_length() - 1)  # floor(log2 p) for p >= 2
+    return 8 if p > 255 else max(1, p.bit_length() - 1)  # floor(log2 p) for p >= 2
+
+
+def _message_runs(p: int) -> tuple[int, int, int]:
+    """(m, b, c): c symbols of m bits in each run of b bytes."""
+    m = bits_per_symbol(p)
+    c = 8 // math.gcd(8, m)
+    return m, m * c // 8, c
 
 
 def pack_bytes(data: bytes, p: int) -> np.ndarray:
-    """File bytes -> uint16 field symbols (< p), MSB-first for sub-byte widths."""
-    m = bits_per_symbol(p)
-    if m == 8:
-        return np.frombuffer(data, dtype=np.uint8).astype(np.uint16)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    pad = (-bits.size) % m
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    rows = bits.reshape(-1, m)  # one symbol's bits per row, MSB first
-    vals = rows[:, 0].copy()
-    for i in range(1, m):
-        vals <<= 1
-        vals |= rows[:, i]
-    return vals.astype(np.uint16)
+    """File bytes -> uint16 symbols of m bits, MSB first (module docstring);
+    the last symbol is filled with zero bits."""
+    m, b, c = _message_runs(p)
+    runs = np.frombuffer(data + bytes(-len(data) % b), dtype=np.uint8)
+    values = group_values(runs.reshape(-1, b)[:, ::-1], 256, b, 8 * b)
+    symbols = digits(values, 1 << m, c)[:, ::-1].reshape(-1)
+    return symbols[:-(-8 * len(data) // m)].astype(np.uint16)
 
 
 def unpack_symbols(symbols: np.ndarray, p: int) -> bytes:
-    """Inverse of pack_bytes: the symbols' whole bitstream, its last byte
-    filled with zero bits."""
-    m = bits_per_symbol(p)
-    if m == 8:
-        return symbols.astype(np.uint8).tobytes()
-    vals = symbols.astype(np.uint8)
-    bits = np.empty((vals.size, m), dtype=np.uint8)  # the low m bits, MSB first
-    for i in range(m):
-        np.right_shift(vals, m - 1 - i, out=bits[:, i])
-        bits[:, i] &= 1
-    return np.packbits(bits.reshape(-1)).tobytes()
+    """Inverse of pack_bytes, from the low m bits of every symbol."""
+    m, b, c = _message_runs(p)
+    runs = np.pad(symbols.reshape(-1) & ((1 << m) - 1), (0, -symbols.size % c))
+    values = group_values(runs.reshape(-1, c)[:, ::-1], 1 << m, c, 8 * b)
+    data = digits(values, 256, b)[:, ::-1].reshape(-1)
+    return data[:-(-m * symbols.size // 8)].astype(np.uint8).tobytes()
 
 
 def stored_width(bound: int) -> int:
@@ -183,12 +179,24 @@ def group_values(symbols: np.ndarray, q: int, c: int, width: int) -> np.ndarray:
     """The base-q value sum_i sym_i q^i of each run of c consecutive
     symbols, all below q, by Horner's rule in value_dtype(width); q^c must
     be at most 2^width (see the module docstring for the bound)."""
-    digits = symbols.reshape(-1, c).astype(value_dtype(width))
-    values = digits[:, c - 1].copy()
+    symbols = symbols.reshape(-1, c).astype(value_dtype(width))
+    values = symbols[:, c - 1].copy()
     for i in range(c - 2, -1, -1):
         values *= q
-        values += digits[:, i]
+        values += symbols[:, i]
     return values
+
+
+def digits(values: np.ndarray, q: int, c: int) -> np.ndarray:
+    """Inverse of group_values: the (values.size, c) base-q digits, lowest
+    first, in values' dtype; a value of q^c or more has a top digit >= q."""
+    out = np.empty((values.size, c), dtype=values.dtype)
+    for i in range(c - 1):  # floor division by a scalar is about twice np.divmod's speed
+        rest = values // q
+        out[:, i] = values - rest * q
+        values = rest
+    out[:, c - 1] = values
+    return out
 
 
 def pack_body(values: np.ndarray, width: int) -> bytes:
@@ -371,19 +379,13 @@ class ChunkReader:
         if (st.st_size, st.st_mtime_ns) != self._opened:
             raise BadBlockError(self._node, f"node {self._node}: {self._path} changed while "
                                 "it was read")
-        values = unpack_body(body, self._width, (last - first) // c)
-        symbols = np.empty((values.size, c), dtype=np.uint16)
-        for i in range(c - 1):  # floor division by a scalar is about twice np.divmod's speed
-            rest = values // q
-            symbols[:, i] = values - rest * q
-            values = rest
+        symbols = digits(unpack_body(body, self._width, (last - first) // c), q, c)
         # a B-bit value holds up to 2^B - 1 >= q^c: the top digit is checked
         # at the values' width, before it is narrowed to uint16
-        if values.size and values.max() >= q:
+        if symbols.size and symbols[:, c - 1].max() >= q:
             raise BadBlockError(self._node, f"node {self._node}: {self._path}: symbol out of "
                                 "field range")
-        symbols[:, c - 1] = values
-        return symbols.reshape(stop - start, params.planes, params.s_pow_n)
+        return symbols.astype(np.uint16).reshape(stop - start, params.planes, params.s_pow_n)
 
     def close(self) -> None:
         self._fh.close()
@@ -594,10 +596,8 @@ def _read_message(fh, params: CodeParams, start: int, stop: int, length: int,
     if len(data) != last - first:
         raise ValueError(f"input ended after {first + len(data)} of {length} bytes")
     digest.update(data)
-    message = np.zeros((stop - start) * params.message_length, dtype=np.uint16)
     symbols = pack_bytes(data, params.p)
-    message[:symbols.size] = symbols
-    return message
+    return np.pad(symbols, (0, (stop - start) * params.message_length - symbols.size))
 
 
 def encode_file(fh, length: int, params: CodeParams, chunks: list[ChunkWriter]) -> str:

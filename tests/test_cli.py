@@ -1626,19 +1626,25 @@ class TestFailedStreamsLeaveNothing:
         assert "error: [Errno 28] No space" in capsys.readouterr().err
         assert snapshot(store) == before
 
-    @pytest.mark.parametrize("fault", ["solver", "write"])
+    @pytest.mark.parametrize("fault", ["solver", "write", "solver-past-width"])
     def test_decode(self, store, fail_halfway, monkeypatch, capsys, fault):
         # an earlier output keeps its bytes; stripe 33 lies in the last block
         tmp_path, store = store
         out = tmp_path / "out.bin"
         out.write_bytes(b"an earlier output")
-        if fault == "solver":
+        if fault.startswith("solver"):
             real = code.solve_erased
+            # "solver-past-width" solves node 0's first symbol of stripe 33
+            # as p - 1 = 256, past its 8-bit message width: its low 8 bits, 0,
+            # are not the file's byte 33 kN = 19008
+            assert (tmp_path / "input.bin").read_bytes()[19008] != 0
 
             def faulty(params, cols, erased):
                 real(params, cols, erased)
                 if len(cols[erased[0]]) == 3:
-                    cols[erased[0]][1, 0, 0] = (cols[erased[0]][1, 0, 0] + 1) % params.p
+                    wrong = params.p - 1 if fault == "solver-past-width" else \
+                        (cols[erased[0]][1, 0, 0] + 1) % params.p
+                    cols[erased[0]][1, 0, 0] = wrong
 
             # exactly k columns get no parity sweep: the output's digest refuses it
             monkeypatch.setattr(code, "solve_erased", faulty)
@@ -1743,6 +1749,21 @@ class TestTableAndParams:
     def test_params_check_rejects(self, capsys):
         assert run_cli("params-check", "--n", 4, "--k", 1, "--d", 4, "--h", 2) == 2
         assert "d <= n-1" in capsys.readouterr().err
+
+    def test_params_check_refuses_a_large_prime_at_once(self, monkeypatch, capsys):
+        # a 61-bit prime is refused by its width, before a primality test
+        # that would not finish
+        real = code.is_prime
+
+        def small_only(p):
+            assert p < 2**16, f"is_prime({p}) was called"
+            return real(p)
+
+        monkeypatch.setattr(code, "is_prime", small_only)
+        assert run_cli("params-check", "--n", 6, "--k", 3, "--d", 4, "--h", 2,
+                       "--p", 2**61 - 1) == 2
+        assert capsys.readouterr().err == (f"error: field modulus p={2**61 - 1} exceeds the "
+                                           "supported 16-bit symbol width\n")
 
 
 class TestConfigFile:

@@ -143,6 +143,20 @@ class TestValidateParams:
         with pytest.raises(ValueError, match="16-bit"):
             validate_params(4, 1, 2, 2, p=65537)
 
+    def test_large_p_refused_before_primality(self, monkeypatch):
+        # is_prime tries every odd divisor up to sqrt(p): at a 61-bit prime
+        # it would not finish, so the range is checked first
+        real = code.is_prime
+
+        def small_only(p):
+            assert p < 2**16, f"is_prime({p}) was called"
+            return real(p)
+
+        monkeypatch.setattr(code, "is_prime", small_only)
+        with pytest.raises(ValueError, match=rf"^field modulus p={2**61 - 1} exceeds the "
+                                             "supported 16-bit symbol width$"):
+            validate_params(6, 3, 4, 2, p=2**61 - 1)
+
     def test_point_overrides(self):
         p = validate_params(4, 1, 2, 2, p=7, lambdas=(1, 2, 3, 4), mus=(6,))
         assert p.lambdas == (1, 2, 3, 4) and p.mus == (6,)

@@ -2,7 +2,7 @@
 
 Every module is engine, reference or accounting, and cli sits on top:
 - the engine (code, repair, storage) imports only the engine;
-- oracle, the four independent references, imports only what it checks
+- oracle, the five independent references, imports only what it checks
   against: the code's parameters, the any-k decoder and the range check,
   all three from code;
 - metrics, the closed forms and the transcript accounting, imports only the

@@ -9,7 +9,9 @@ encode's output, with the batch's symbols on every edge and the closed-form
 access count of every helper.
 test_every_message_by_the_unit_basis runs the same checks on the kN unit
 messages of every shape with kN <= 576 (1458 under the long profile), a
-proof for every message by linearity.
+proof for every message by linearity, with every check of the paper's
+equation (oracle.check_matrix) vanishing; test_engine_check_map_is_the_papers
+shows the engine's check map is that matrix.
 test_any_evaluation_points draws the field and the evaluation points too.
 """
 
@@ -20,10 +22,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mscr.code import (accumulator_dtype, encode, erase_decode, failing_checks, is_prime,
-                       validate_params)
+from mscr.code import (_known_contrib, accumulator_dtype, encode, erase_decode, failing_checks,
+                       is_prime, validate_params)
 from mscr.metrics import access_count
-from mscr.oracle import naive_repair, parity_residual
+from mscr.oracle import check_matrix, naive_repair, parity_residual
 from mscr.repair import RepairJob, run_repair
 
 from conftest import decode_stripe, make_codeword, per_edge_counts, repair_stripe
@@ -99,6 +101,18 @@ def test_full_cycle(nkdh):
                 [stripes * access_count(job)] * d
 
 
+def violated_checks(params, H, cws) -> bool:
+    """Whether a check of the matrix H (oracle.check_matrix's shape) is
+    nonzero on some plane of the codewords cws, (n, stripes, planes, s^n).
+    One float64 product per plane is exact: a row of H has at most n s
+    entries below p, so every sum is below n s p^2 < 2^53."""
+    assert params.n * params.s * params.p**2 < 2**53
+    size = params.n * params.s_pow_n
+    H = H.astype(np.float64)
+    return any((H @ cws[:, :, b].transpose(0, 2, 1).reshape(size, -1) % params.p).any()
+               for b in range(params.planes))
+
+
 @pytest.mark.parametrize("nkdh", BASIS)
 def test_every_message_by_the_unit_basis(nkdh):
     """A proof for every message of the shape, not a sample: encode,
@@ -106,10 +120,12 @@ def test_every_message_by_the_unit_basis(nkdh):
     each step a sum or a product by a constant, reduced mod p, and the kN
     unit messages span F_p^kN.  So a pipeline that returns encode's codeword
     of every unit message, and encode's systematic identity with every check
-    vanishing, returns the codeword of every message.  Overflow is not
-    linear: a wrapped accumulator could spare every unit message.  So the
-    batch also holds one stripe of p-1 in every symbol, the accumulators'
-    worst case, and the dtype tests at p = 53 and 59 stay."""
+    of the paper's equation vanishing (oracle.check_matrix, not the engine's
+    own map), returns the codeword of every message.  A check matrix with
+    one entry changed is seen failing.  Overflow is not linear: a wrapped
+    accumulator could spare every unit message.  So the batch also holds one
+    stripe of p-1 in every symbol, the accumulators' worst case, and the
+    dtype tests at p = 53 and 59 stay."""
     n, k, d, h = nkdh
     params = validate_params(n, k, d, h)
     kn = params.message_length
@@ -120,6 +136,12 @@ def test_every_message_by_the_unit_basis(nkdh):
     systematic = cws[:k].swapaxes(0, 1).reshape(stripes, kn)
     assert np.array_equal(systematic[:kn], unit) and (systematic[kn] == params.p - 1).all()
     assert not failing_checks(params, cws).any()
+    H = check_matrix(params)
+    assert not violated_checks(params, H, cws)
+    wrong = H.copy()
+    row, col = np.random.default_rng(kn).integers(0, wrong.shape)
+    wrong[row, col] = (wrong[row, col] + 1) % params.p
+    assert violated_checks(params, wrong, cws)
 
     for m in range(1, params.r + 1):
         for erased in combinations(range(n), m):
@@ -142,6 +164,23 @@ def test_every_message_by_the_unit_basis(nkdh):
             assert set(edges.values()) == {stripes * beta}
             assert [log.count() for log in transcript.access_logs.values()] == \
                 [stripes * access_count(job)] * d
+
+
+@pytest.mark.parametrize("nkdh", BASIS)
+def test_engine_check_map_is_the_papers(nkdh):
+    """code._known_contrib, the map behind the solve's right-hand side and
+    failing_checks, is the paper's check matrix: on the n s^n unit columns,
+    one per stripe, it returns oracle.check_matrix column by column.  (That
+    a wrong check matrix is caught is shown on encode's codewords, in
+    test_every_message_by_the_unit_basis.)"""
+    params = validate_params(*nkdh)
+    size = params.n * params.s_pow_n
+    # stripe x holds the unit column of node x // s^n at index x % s^n
+    unit = np.eye(size, dtype=np.uint16).reshape(size, params.n, 1, params.s_pow_n)
+    engine = _known_contrib(params, unit.swapaxes(0, 1), range(params.n), params.r)
+    assert engine.shape == (params.r, params.s_pow_n, 1, size)
+    H = check_matrix(params)
+    assert np.array_equal(engine.reshape(H.shape), H)
 
 
 def test_wide_r_with_three_failures():

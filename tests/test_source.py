@@ -1,7 +1,8 @@
 """Every module of the package parses as the oldest Python that
 pyproject.toml's requires-python accepts, and uses every name it imports;
-one function alone walks a file's blocks; and every top-level function and
-class is read somewhere in the package or the benchmark."""
+one function alone walks a file's blocks; only a chunk body's codec packs
+bits; and every top-level function and class is read somewhere in the
+package or the benchmark."""
 
 import ast
 import re
@@ -57,9 +58,9 @@ def test_an_unused_import_is_found():
         "__all__ = ['erase_decode']\nnp.zeros(encode)\n")) == {"os"}
 
 
-def block_walkers(tree) -> set[str]:
+def callers(tree, *names) -> set[str]:
     """The dotted names of the functions (or "<module>") of a module that
-    call `blocks`, as `blocks(...)` or `storage.blocks(...)`."""
+    call one of `names`, as `name(...)` or `module.name(...)`."""
     found = set()
 
     def visit(node, scope):
@@ -68,7 +69,7 @@ def block_walkers(tree) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
             elif isinstance(child, ast.Call) and \
-                    getattr(child.func, "id", getattr(child.func, "attr", None)) == "blocks":
+                    getattr(child.func, "id", getattr(child.func, "attr", None)) in names:
                 found.add(scope or "<module>")
             visit(child, inner)
 
@@ -76,26 +77,37 @@ def block_walkers(tree) -> set[str]:
     return found
 
 
+def package_callers(*names) -> set[str]:
+    """callers of `names` in every module of the package, as "module.function"."""
+    return {f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "mscr").glob("*.py"))
+            for name in callers(ast.parse(path.read_text()), *names)}
+
+
 def test_one_function_walks_the_blocks():
     # every stage walks a file through storage.walk, which alone decides
     # what a block that does not read means; a second loop over blocks
     # would decide it again
-    walkers = {f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "mscr").glob("*.py"))
-               for name in block_walkers(ast.parse(path.read_text()))}
-    assert walkers == {"storage.walk"}
+    assert package_callers("blocks") == {"storage.walk"}
 
 
 def test_a_second_block_loop_is_found():
-    assert block_walkers(ast.parse(
+    assert callers(ast.parse(
         "def walk():\n    blocks(p, 1)\n"
         "class C:\n    def run(self):\n        def inner():\n            storage.blocks(p, 2)\n"
-        "[s for s in blocks(p, 3)]\n")) == {"walk", "C.run.inner", "<module>"}
+        "[s for s in blocks(p, 3)]\n"), "blocks") == {"walk", "C.run.inner", "<module>"}
+
+
+def test_one_bit_plane_codec():
+    # bytes become symbols by one radix codec, group values and their digit
+    # peel; only a chunk body's bit planes are packed bit by bit
+    assert package_callers("packbits", "unpackbits") == {"storage.pack_body",
+                                                         "storage.unpack_body"}
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # the independent references that tests compare the engine against
-UNREAD_BY_DESIGN = {"oracle.parity_residual", "oracle.naive_repair", "oracle.access_set",
-                    "metrics.access_count"}
+UNREAD_BY_DESIGN = {"oracle.parity_residual", "oracle.check_matrix", "oracle.naive_repair",
+                    "oracle.access_set", "metrics.access_count"}
 
 
 def unread_definitions(trees: dict) -> set[str]:

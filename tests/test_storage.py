@@ -160,27 +160,41 @@ class TestPacking:
             assert unpack_symbols(padded, p)[:len(data)] == data
 
 
-PRIMES_BELOW_256 = [p for p in range(2, 256) if all(p % q for q in range(2, p))]
+PRIMES_TO_257 = [p for p in range(2, 258) if all(p % q for q in range(2, p))]
 
 
 class TestPackingDefinition:
-    # the sub-byte packing, pinned against its MSB-first bitstream definition
-    @pytest.mark.parametrize("p", PRIMES_BELOW_256)
+    # the message packing, pinned against its MSB-first bitstream definition
+    @pytest.mark.parametrize("p", PRIMES_TO_257)
     def test_matches_msb_first_bitstream(self, p):
+        # every length up to two whole runs of b bytes (c symbols) and one
+        # more, so every partial last run is packed and unpacked
         m = bits_per_symbol(p)
+        c = 8 // math.gcd(8, m)
+        b = m * c // 8
         rng = np.random.default_rng(p)
-        data = rng.integers(0, 256, size=37, dtype=np.uint8).tobytes()
-        bits = "".join(f"{b:08b}" for b in data)
-        bits += "0" * (-len(bits) % m)
-        symbols = pack_bytes(data, p)
-        assert symbols.dtype == np.uint16  # file-level symbols are uint16 at rest
-        assert symbols.tolist() == [int(bits[i:i + m], 2) for i in range(0, len(bits), m)]
+        for size in [*range(2 * b + 2), 37]:
+            data = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+            bits = "".join(f"{byte:08b}" for byte in data)
+            bits += "0" * (-len(bits) % m)
+            symbols = pack_bytes(data, p)
+            assert symbols.dtype == np.uint16  # file-level symbols are uint16 at rest
+            assert symbols.tolist() == [int(bits[i:i + m], 2) for i in range(0, len(bits), m)]
 
-        symbols = rng.integers(0, 1 << m, size=41)
-        bits = "".join(format(int(v), f"0{m}b") for v in symbols)
-        bits += "0" * (-len(bits) % 8)  # the last byte filled with zero bits
-        assert unpack_symbols(symbols, p) == bytes(int(bits[i:i + 8], 2)
-                                                   for i in range(0, len(bits), 8))
+        for size in [*range(2 * c + 2), 41]:
+            symbols = rng.integers(0, 1 << m, size=size)
+            bits = "".join(format(int(v), f"0{m}b") for v in symbols)
+            bits += "0" * (-len(bits) % 8)  # the last byte filled with zero bits
+            assert unpack_symbols(symbols, p) == bytes(int(bits[i:i + 8], 2)
+                                                       for i in range(0, len(bits), 8))
+
+    def test_a_symbol_past_the_message_width_counts_by_its_low_bits(self):
+        # a faulty solve can hand decode a systematic symbol of 2^m or more:
+        # it is read by its low m bits, so the file's digest refuses it
+        assert unpack_symbols(np.array([5, 1, 2, 3, 6, 0]), 7) == bytes.fromhex("5b80")
+        assert unpack_symbols(np.array([256, 300, 7]), 257) == bytes.fromhex("002c07")
+        # inside a run of c = 8 symbols too, where a carry would reach the next one
+        assert unpack_symbols(np.array([3, 10, 0, 9, 1, 2, 8, 4]), 11) == bytes.fromhex("681284")
 
 
 class TestChunkIO:

@@ -59,8 +59,9 @@ a Python int in uint16, which would wrap.
 Files hold many independent codewords (stripes), and every function here
 takes a batch of them: a node's column is a (stripes, planes, s^n) array and
 a batch of codewords an (n, stripes, planes, s^n) array, stored uint16.
-encode and erase_decode are the one encoder and decoder: storage calls them
-once per block of stripes, and a one-stripe caller passes a batch of one.
+erase_decode is the one way into the peel: encode is erase_decode of the r
+parity columns, storage calls both once per block of stripes, and a
+one-stripe caller passes a batch of one.
 The peel depends only on the erased set, so solve_erased and failing_checks
 read each column as it is held and work on (s^n, planes, stripes) arrays,
 the index axis first: one pass for every plane of every stripe.
@@ -236,19 +237,16 @@ def plane_geometry(params: CodeParams):
     """The engine's one index geometry, read by the peel and by repair:
     per-coordinate zero-digit masks and substitution index maps.
 
-    Returns (masks, subs): masks[i] is a bool array over Z_s^n marking a_i == 0,
-    subs[i][e-1][a] is the integer index of a(i, e).
+    Returns (masks, subs): masks is an (n, s^n) bool array, masks[i, a] True
+    where a_i == 0, and subs an (n, s-1, s^n) integer array, subs[i, e-1, a]
+    the index of a(i, e).
     """
     n, s = params.n, params.s
     idx = np.arange(params.s_pow_n)
-    masks = []
-    subs = []
-    for i in range(n):
-        w = s**i
-        digit = (idx // w) % s
-        masks.append(digit == 0)
-        subs.append([idx + (e - digit) * w for e in range(1, s)])
-    return masks, subs
+    weights = s ** np.arange(n)[:, None, None]  # (n, 1, 1)
+    digit = idx // weights % s  # (n, 1, s^n)
+    subs = idx + (np.arange(1, s)[:, None] - digit) * weights  # (n, s-1, s^n)
+    return digit[:, 0] == 0, subs
 
 
 def accumulator_dtype(params: CodeParams) -> type:
@@ -325,8 +323,8 @@ def _peel_plan(params: CodeParams, erased: tuple[int, ...]):
     m = len(erased)
     p, dtype = params.p, accumulator_dtype(params)
     masks, subs = plane_geometry(params)
-    zero_at = np.array([masks[i] for i in erased])  # (m, s^n)
-    sub_at = np.array([subs[i] for i in erased])  # (m, s-1, s^n): a(erased[q], e)
+    zero_at = masks[list(erased)]  # (m, s^n)
+    sub_at = subs[list(erased)]  # (m, s-1, s^n): a(erased[q], e)
     zeros = zero_at.sum(axis=0)  # z(a)
     solve_op = (-matrix_inverse(p, [params.lambdas[i] for i in erased]) % p).astype(dtype)
     mu_powers = [[pow(mu, t, p) for mu in params.mus] for t in range(m)]
@@ -407,17 +405,16 @@ def encode(params: CodeParams, message) -> np.ndarray:
     """Systematic encode of stripes * kN message symbols, in file order, into
     (n, stripes, planes, s^n) uint16 codewords: stripe st's columns [0, k)
     hold message symbols [st kN, (st+1) kN) verbatim, in (node, plane, index)
-    order, and one solve fills every stripe's parity columns."""
+    order.  The code is defined by its checks alone, so encoding is the
+    erasure decode of the r parity columns."""
     msg = np.asarray(message)
     kn = params.message_length
     if msg.ndim != 1 or not msg.size or msg.size % kn:
         raise ValueError(f"message must hold a positive multiple of k*N = {kn} symbols, "
                          f"got shape {msg.shape}")
     check_below(msg, params.p, "message symbols")
-    arr = np.empty((params.n, msg.size // kn, params.planes, params.s_pow_n), dtype=np.uint16)
-    arr[:params.k] = msg.reshape(-1, params.k, *arr.shape[2:]).swapaxes(0, 1)
-    solve_erased(params, arr, tuple(range(params.k, params.n)))
-    return arr
+    columns = msg.reshape(-1, params.k, params.planes, params.s_pow_n).swapaxes(0, 1)
+    return erase_decode(params, dict(enumerate(columns)))
 
 
 def erase_decode(params: CodeParams, available: dict) -> np.ndarray:

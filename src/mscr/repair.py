@@ -149,7 +149,7 @@ class _JobContext:
         masks, subs = plane_geometry(params)
         for j, i in enumerate(job.failed):
             vidx = np.flatnonzero(masks[i])
-            cols = np.stack([vidx] + [sub[vidx] for sub in subs[i]])
+            cols = np.vstack([vidx, subs[i][:, vidx]])
             rows = np.array([dk + j, *range(dk)])
             place[j] = rows[:, None, None] * width + cols
             pos = np.cumsum(masks[i]) - 1  # pos[a]: a's rank in V_i, for a in V_i
@@ -254,7 +254,7 @@ class RepairTranscript:
         """One message per line: `phase from to count` then hex symbols."""
         lines = []
         for m in self.messages:
-            blob = "".join(f"{int(v):04x}" for v in m.values)
+            blob = m.values.astype(">u2").tobytes().hex()  # every value is below p < 2^16
             lines.append(f"{m.phase} {m.sender} {m.receiver} {m.count} {blob}")
         return "\n".join(lines) + ("\n" if lines else "")
 

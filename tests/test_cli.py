@@ -1022,6 +1022,27 @@ class TestSymbolOutOfField:
         assert sum(reads.values()) == 16  # five blocks of three nodes, and node 1's failed read
         assert reads[1, 24] == 1 and reads[3, 24] == 1
 
+    @pytest.mark.parametrize("fault", ["out of field", "changed"])
+    def test_repair_stops_at_a_helper_block_and_changes_nothing(self, store, capsys,
+                                                                monkeypatch, fault):
+        # repair has no spare helper: the walk re-raises, and the store is
+        # left as fail left it
+        _, store, _ = store
+        if fault == "out of field":
+            self.put_p(store, 5)
+            problem = f"{store / 'node5.mscr'}: symbol out of field range"
+        assert run_cli("fail", "--dir", store, "--nodes", "1,4") == 0
+        if fault == "changed":
+            self.change_while_read(monkeypatch, 5)
+            problem = f"{store / 'node5.mscr'} changed while it was read"
+        failed = snapshot(store)
+        capsys.readouterr()
+        assert run_cli("repair", "--dir", store, "--helpers", "0,2,3,5") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: node 5: {problem}\n"
+        assert snapshot(store) == failed
+
     def test_verify_keeps_the_digest_check_without_a_parity_node(self, store, capsys):
         _, store, _ = store
         manifest = self.put_p(store, 4)

@@ -10,8 +10,11 @@ access count of every helper.
 test_every_message_by_the_unit_basis runs the same checks on the kN unit
 messages of every shape with kN <= 576 (1458 under the long profile), a
 proof for every message by linearity, with every check of the paper's
-equation (oracle.check_matrix) vanishing; test_engine_check_map_is_the_papers
-shows the engine's check map is that matrix.
+equation (oracle.check_matrix) vanishing; the long profile proves encode
+alone on the six larger shapes.  test_engine_check_map_is_the_papers shows
+the engine's check map is that matrix, and
+test_check_matrix_is_parity_residual that the matrix is the scalar oracle's
+check.
 test_any_evaluation_points draws the field and the evaluation points too.
 """
 
@@ -48,9 +51,11 @@ SWEEP = small_param_tuples()
 # test_every_message_by_the_unit_basis and DRAWN_SHAPES
 LONG = os.environ.get("HYPOTHESIS_PROFILE") == "long"
 # the shapes whose kN unit messages are proved one by one; the six with
-# kN >= 2187 would take minutes
+# kN >= 2187 would take minutes, and the long profile proves their encode
+# alone (test_encode_by_the_unit_basis)
 BASIS = [nkdh for nkdh in SWEEP
          if validate_params(*nkdh).message_length <= (1458 if LONG else 576)]
+ENCODE_BASIS = [nkdh for nkdh in SWEEP if validate_params(*nkdh).message_length >= 2187]
 
 
 def test_sweep_is_nontrivial():
@@ -164,6 +169,54 @@ def test_every_message_by_the_unit_basis(nkdh):
             assert set(edges.values()) == {stripes * beta}
             assert [log.count() for log in transcript.access_logs.values()] == \
                 [stripes * access_count(job)] * d
+
+
+@pytest.mark.skipif(not LONG, reason="45 s of encode: HYPOTHESIS_PROFILE=long only")
+@pytest.mark.parametrize("nkdh", ENCODE_BASIS)
+def test_encode_by_the_unit_basis(nkdh):
+    """test_every_message_by_the_unit_basis's proof of encode alone, for the
+    shapes with kN >= 2187: the kN unit messages and one stripe of p-1 in
+    every symbol keep the systematic identity, with every check of
+    oracle.check_matrix vanishing.  Decode and repair are not proved here.
+    The basis is encoded 512 stripes at a time, each stripe independent of
+    the others, so no batch holds all kN codewords."""
+    n, k, d, h = nkdh
+    params = validate_params(n, k, d, h)
+    kn = params.message_length
+    H = check_matrix(params)
+    for start in range(0, kn + 1, 512):
+        rows = np.arange(start, min(start + 512, kn + 1))  # row kn: the all-(p-1) stripe
+        msg = np.zeros((rows.size, kn), dtype=np.uint16)
+        unit = np.flatnonzero(rows < kn)
+        msg[unit, rows[unit]] = 1
+        msg[rows == kn] = params.p - 1
+        cws = encode(params, msg.reshape(-1))
+        assert np.array_equal(cws[:k].swapaxes(0, 1).reshape(rows.size, kn), msg)
+        assert not violated_checks(params, H, cws)
+
+
+@pytest.mark.parametrize("nkdh", BASIS)
+def test_check_matrix_is_parity_residual(nkdh):
+    """oracle.check_matrix and oracle.parity_residual are two plain readings
+    of the paper's check, and they agree: on 8 seeded unit columns (node i,
+    plane 1, index a'), parity_residual at every (t, a) is H's column
+    i s^n + a'.  H with one entry changed in a sampled column is caught."""
+    params = validate_params(*nkdh)
+    size = params.s_pow_n
+    H = check_matrix(params)
+    rng = np.random.default_rng(params.message_length)
+    columns = rng.choice(params.n * size, size=8, replace=False)
+    residuals = np.empty((params.r * size, columns.size), dtype=np.int64)
+    for x, column in enumerate(columns):
+        cw = np.zeros((params.n, params.planes, size), dtype=np.uint16)
+        cw[column // size, 0, column % size] = 1
+        residuals[:, x] = [parity_residual(params, cw, t, 1, a)
+                           for t in range(params.r) for a in range(size)]
+    assert np.array_equal(residuals, H[:, columns])
+    wrong = H.copy()
+    row, x = rng.integers(0, residuals.shape)
+    wrong[row, columns[x]] = (wrong[row, columns[x]] + 1) % params.p
+    assert not np.array_equal(residuals, wrong[:, columns])
 
 
 @pytest.mark.parametrize("nkdh", BASIS)

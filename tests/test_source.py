@@ -1,8 +1,8 @@
 """Every module of the package parses as the oldest Python that
 pyproject.toml's requires-python accepts, and uses every name it imports;
-one function alone walks a file's blocks; only a chunk body's codec packs
-bits; and every top-level function and class is read somewhere in the
-package or the benchmark."""
+one function alone walks a file's blocks, and one calls the peel; only a
+chunk body's codec packs bits; and every top-level function and class is
+read somewhere in the package or the benchmark."""
 
 import ast
 import re
@@ -88,6 +88,12 @@ def test_one_function_walks_the_blocks():
     # what a block that does not read means; a second loop over blocks
     # would decide it again
     assert package_callers("blocks") == {"storage.walk"}
+
+
+def test_one_way_into_the_peel():
+    # the code is its parity checks alone: encode is erase_decode of the
+    # parity columns, so one function calls the peel
+    assert package_callers("solve_erased") == {"code.erase_decode"}
 
 
 def test_a_second_block_loop_is_found():

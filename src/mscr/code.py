@@ -406,13 +406,12 @@ def encode(params: CodeParams, message) -> np.ndarray:
     (n, stripes, planes, s^n) uint16 codewords: stripe st's columns [0, k)
     hold message symbols [st kN, (st+1) kN) verbatim, in (node, plane, index)
     order.  The code is defined by its checks alone, so encoding is the
-    erasure decode of the r parity columns."""
+    erasure decode of the r parity columns, which range-checks each column."""
     msg = np.asarray(message)
     kn = params.message_length
     if msg.ndim != 1 or not msg.size or msg.size % kn:
         raise ValueError(f"message must hold a positive multiple of k*N = {kn} symbols, "
                          f"got shape {msg.shape}")
-    check_below(msg, params.p, "message symbols")
     columns = msg.reshape(-1, params.k, params.planes, params.s_pow_n).swapaxes(0, 1)
     return erase_decode(params, dict(enumerate(columns)))
 

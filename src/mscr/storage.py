@@ -19,12 +19,12 @@ decode names the node and reads the next listed one in its place, and
 verify names it and goes on without it, both keeping the blocks already
 read; verify hashes the file from the bytes (file_bytes) of the k
 systematic blocks it walks, so it reads each block once.  A block is a
-multiple of 8 stripes, so every block starts on a run of the message (c
-divides 8) and on a byte of each bit plane of a body: its symbols lie in
-one contiguous byte range per plane (_plane_spans), which laid end to end
-are the body pack_body writes for them.  File-level symbols are uint16 from
-parsing to writing: p < 2^16, so every symbol fits, and the solver's wider
-arithmetic lives only in its work arrays, of one block.
+multiple of 8 stripes: every block starts on a run of the message (c
+divides 8) and on a segment of each body (below), so it is one byte range:
+one pread reads it, and a writer appends it without a seek and hashes the
+bytes it writes.  File-level symbols are uint16 from parsing to writing:
+p < 2^16, so every symbol fits, and the solver's wider arithmetic lives only
+in its work arrays, of one block.
 
 Message packing (pack_bytes) reads the file's bytes as an MSB-first
 bitstream of m = bits_per_symbol(p) bit symbols (8 when p > 255, otherwise
@@ -44,16 +44,19 @@ c, so a systematic chunk has c = 1 and B = m; a parity chunk stores near
 log2 p bits per symbol (8.167 at p = 257 and N = 192).  Horner's rule
 builds v in value_dtype(B), uint16 for B <= 16 and uint64 otherwise: the
 partial sum of the top i+1 digits is below q^(i+1) <= q^c <= 2^B <= 2^64,
-and so is its product with q before the next digit is added; none wraps.  The
-group values of a body are first floor(B/8) byte planes, each holding one
-byte of every value, low byte first; then B mod 8 bit planes, each the
-np.packbits of one bit of every value, lowest remaining bit first.  So a
-body of G = payload_len / c values is G * floor(B/8) + (B mod 8) * ceil(G/8)
-bytes (body_length), and at p > 255 a systematic body is node i's message
-bytes, stripe after stripe.  A B-bit value can reach 2^B - 1 >= q^c, so a
-read peels the digits by floor division and checks the top one against q
-while it is still B bits wide.  A block of 8 stripes starts on a group, as
-c divides N, and so on a byte of every plane.  This is chunk format 4.
+and so is its product with q before the next digit is added; none wraps.  A
+body stores its group values in segments of G = 8N/c, the values of 8
+stripes, the last one holding what remains.  A segment is floor(B/8) byte
+planes, each one byte of each of its values, low byte first; then B mod 8
+bit planes, each the np.packbits of one bit of each value, lowest remaining
+bit first.  G is a multiple of 8, so a body of V values is body_length(V,
+B) = V floor(B/8) + (B mod 8) ceil(V/8) bytes however it is cut into
+segments, and a block's stripes [start, stop) are the bytes from
+body_length(start N/c, B) to body_length(stop N/c, B).  At p > 255 a
+systematic body (c = 1, B = 8) is node i's message bytes, stripe after
+stripe.  A B-bit value can reach 2^B - 1 >= q^c, so a read peels the digits
+by floor division and checks the top one against q while it is still B bits
+wide.  This is chunk format 5.
 
 Only this module knows the format.  write_chunk derives the header from the
 code's parameters, the node and the payload length alone (_header), and
@@ -83,7 +86,7 @@ from . import code
 from .code import CodeParams, check_below, validate_params
 
 MAGIC = b"MSCR"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 QUARANTINE_SUFFIX = ".failed"
 # Symbols per node in one block of stripes (see blocks).  The solver's work
@@ -162,19 +165,6 @@ def body_length(values: int, width: int) -> int:
     return values * (width // 8) + (width % 8) * -(-values // 8)
 
 
-def _plane_spans(values: int, width: int, first: int, last: int) -> list[tuple[int, int]]:
-    """(offset, length) of the bytes of a body of `values` group values of
-    `width` bits that hold its values [first, last), first a multiple of 8:
-    one range per byte plane, then one per bit plane.  Laid end to end they
-    are the body pack_body writes for those values."""
-    if first % 8:
-        raise ValueError(f"a block must start on a multiple of 8 groups, not {first}")
-    bits_at, plane = width // 8 * values, -(-values // 8)
-    return ([(j * values + first, last - first) for j in range(width // 8)]
-            + [(bits_at + t * plane + first // 8, -(-last // 8) - first // 8)
-               for t in range(width % 8)])
-
-
 def group_values(symbols: np.ndarray, q: int, c: int, width: int) -> np.ndarray:
     """The base-q value sum_i sym_i q^i of each run of c consecutive
     symbols, all below q, by Horner's rule in value_dtype(width); q^c must
@@ -199,30 +189,41 @@ def digits(values: np.ndarray, q: int, c: int) -> np.ndarray:
     return out
 
 
-def pack_body(values: np.ndarray, width: int) -> bytes:
-    """Values in [0, 2^width) -> byte planes, then bit planes (see module
-    docstring).  Only the low `width` bits of each value are kept."""
+def pack_body(values: np.ndarray, width: int, segment: int) -> bytes:
+    """Values in [0, 2^width) -> a body of segments of `segment` values,
+    the last one holding what remains, each its byte planes, then its bit
+    planes (see module docstring): the whole segments as one (segments,
+    segment) array, then the short one.  Only the low `width` bits of each
+    value are kept."""
     vals = values.astype(value_dtype(width), copy=False).reshape(-1)
-    planes = [(vals >> (8 * j)).astype(np.uint8) for j in range(width // 8)]
-    planes += [np.packbits((vals >> b).astype(np.uint8) & 1) for b in range(width // 8 * 8, width)]
-    return b"".join(plane.tobytes() for plane in planes)
+    if 0 < (cut := vals.size // segment * segment) < vals.size:
+        return pack_body(vals[:cut], width, segment) + pack_body(vals[cut:], width, segment)
+    rows = vals.reshape(-1, segment) if cut else vals.reshape(1, -1)
+    planes = [(rows >> (8 * j)).astype(np.uint8) for j in range(width // 8)]
+    planes += [np.packbits((rows >> b).astype(np.uint8) & 1, axis=1)
+               for b in range(width // 8 * 8, width)]
+    return np.concatenate(planes, axis=1).tobytes()
 
 
-def unpack_body(body: bytes, width: int, count: int) -> np.ndarray:
+def unpack_body(body: bytes, width: int, count: int, segment: int) -> np.ndarray:
     """Inverse of pack_body: `count` values in value_dtype(width), which
     holds every width-bit value; `body` must be body_length(count, width)
     bytes."""
-    dtype = value_dtype(width)
-    buf = np.frombuffer(body, dtype=np.uint8)
-    vals = np.zeros(count, dtype=dtype)
+    if 0 < (cut := count // segment * segment) < count:
+        at = body_length(cut, width)
+        return np.concatenate([unpack_body(body[:at], width, cut, segment),
+                               unpack_body(body[at:], width, count - cut, segment)])
+    dtype, size = value_dtype(width), segment if cut else count
+    rows = np.frombuffer(body, dtype=np.uint8).reshape(cut // segment or 1, -1)
+    vals = np.zeros((len(rows), size), dtype=dtype)
     for j in range(width // 8):
-        vals |= np.left_shift(buf[j * count:(j + 1) * count], 8 * j, dtype=dtype)
-    off, plane = width // 8 * count, -(-count // 8)
+        vals |= np.left_shift(rows[:, j * size:(j + 1) * size], 8 * j, dtype=dtype)
+    off, plane = width // 8 * size, -(-size // 8)
     for b in range(width // 8 * 8, width):
-        bits = np.unpackbits(buf[off:off + plane], count=count)
+        bits = np.unpackbits(rows[:, off:off + plane], axis=1, count=size)
         vals |= np.left_shift(bits, b, dtype=dtype)
         off += plane
-    return vals
+    return vals.reshape(-1)
 
 
 def _header(params: CodeParams, node: int, payload_len: int) -> bytes:
@@ -283,40 +284,36 @@ def write_replacing(path: Path, data: bytes) -> None:
 
 
 class ChunkWriter:
-    """A chunk being written, one block of stripes at a time, into the
-    temporary file of replacing (see write_chunk)."""
+    """A chunk being written, one block of stripes at a time and in order,
+    into the temporary file of replacing (see write_chunk)."""
 
     def __init__(self, fh, params: CodeParams, node: int, payload_len: int):
         header = _header(params, node, payload_len)
         fh.write(header)
-        self._fh, self._params, self._node, self._payload_len = fh, params, node, payload_len
+        self._fh, self._params, self._node, self._digest = fh, params, node, hashlib.sha256(header)
         self._q, (self._c, self._width) = _symbol_bound(params, node), node_groups(params, node)
-        self._body_at = len(header)
         self.written = 0  # symbols
 
     def write(self, start: int, symbols: np.ndarray) -> None:
-        """Store `symbols`, the (stripes, planes, s^n) columns of stripes
-        start, start+1, ..., at their place in every plane of the body.  A
-        symbol outside [0, q) (_symbol_bound) is a ValueError naming the
-        node: its group's value would otherwise hold other digits."""
+        """Append `symbols`, the (stripes, planes, s^n) columns of stripes
+        start, start+1, ..., where start is the next unwritten stripe, a
+        multiple of 8.  A symbol outside [0, q) (_symbol_bound) is a
+        ValueError naming the node: its group's value would otherwise hold
+        other digits."""
+        N = self._params.N
+        if start * N != self.written or start % 8:
+            raise ValueError(f"node {self._node}: a block must start at the next unwritten stripe, "
+                             f"{self.written // N}, on a multiple of 8; not at stripe {start}")
         check_below(symbols, self._q, f"node {self._node}: chunk symbols")
         c, width = self._c, self._width
-        first = start * self._params.N // c
-        values = group_values(symbols, self._q, c, width)
-        body = memoryview(pack_body(values, width))
-        pos = 0
-        for off, size in _plane_spans(self._payload_len // c, width,
-                                      first, first + values.size):
-            self._fh.seek(self._body_at + off)
-            self._fh.write(body[pos:pos + size])
-            pos += size
+        body = pack_body(group_values(symbols, self._q, c, width), width, 8 * N // c)
+        self._fh.write(body)
+        self._digest.update(body)
         self.written += symbols.size
 
     def sha256(self) -> str:
-        """The hex digest of the chunk written so far, read back from the file."""
-        self._fh.flush()
-        self._fh.seek(0)
-        return _sha256(self._fh)
+        """The hex digest of the chunk written so far, from the bytes written."""
+        return self._digest.hexdigest()
 
 
 @contextmanager
@@ -364,7 +361,7 @@ class ChunkReader:
 
     def block(self, start: int, stop: int) -> np.ndarray:
         """The uint16 (stop - start, planes, s^n) columns of stripes
-        [start, stop); start * N / c must be a multiple of 8.  A chunk whose
+        [start, stop), one pread; start must be a multiple of 8.  A chunk whose
         size or modification time changed since it was opened, or whose
         group value is q^c or more (a top digit of q or more, q =
         _symbol_bound), is a BadBlockError naming the node."""
@@ -372,14 +369,16 @@ class ChunkReader:
         first, last = start * params.N, stop * params.N
         if not 0 <= first <= last <= self._payload_len:
             raise ValueError(f"stripes [{start}, {stop}) are not in node {self._node}'s chunk")
-        c, q = self._c, self._q
-        body = b"".join(os.pread(fd, size, self._body_at + off) for off, size in
-                        _plane_spans(self._payload_len // c, self._width, first // c, last // c))
+        if start % 8:
+            raise ValueError(f"a block must start on a segment of 8 stripes, not at stripe {start}")
+        c, q, width = self._c, self._q, self._width
+        at = body_length(first // c, width)
+        body = os.pread(fd, body_length(last // c, width) - at, self._body_at + at)
         st = os.fstat(fd)
         if (st.st_size, st.st_mtime_ns) != self._opened:
             raise BadBlockError(self._node, f"node {self._node}: {self._path} changed while "
                                 "it was read")
-        symbols = digits(unpack_body(body, self._width, (last - first) // c), q, c)
+        symbols = digits(unpack_body(body, width, (last - first) // c, 8 * params.N // c), q, c)
         # a B-bit value holds up to 2^B - 1 >= q^c: the top digit is checked
         # at the values' width, before it is narrowed to uint16
         if symbols.size and symbols[:, c - 1].max() >= q:

@@ -77,12 +77,13 @@ def vector_set(log, params):
 def chunk_bytes(params, node, symbols):
     """The whole chunk of node `node` holding `symbols`, as one bytes: the
     header storage.write_chunk writes, then the body of the node's group
-    values.  For tests that build or edit a chunk in memory."""
+    values, in segments of 8 stripes.  For tests that build or edit a
+    chunk in memory."""
     c, width = storage.node_groups(params, node)
     values = storage.group_values(np.asarray(symbols), storage._symbol_bound(params, node),
                                   c, width)
     return (storage._header(params, node, np.asarray(symbols).size)
-            + storage.pack_body(values, width))
+            + storage.pack_body(values, width, 8 * params.N // c))
 
 
 @pytest.fixture()

@@ -1233,7 +1233,7 @@ class TestMalformedManifest:
 
 
 class TestChunkFormat:
-    """Chunk format 4: a systematic chunk stores its message symbols at the
+    """Chunk format 5: a systematic chunk stores its message symbols at the
     message width m (8 bits when p > 255, else floor(log2 p)), a parity
     chunk its field elements in groups of c, each group one base-p value of
     B bits.  The sizes below are written out from that description and the
@@ -1313,12 +1313,12 @@ class TestChunkFormat:
         tmp_path, store, _ = encoded_dir
         path = store / "manifest.json"
         data = json.loads(path.read_text())
-        data["format"] = 3
+        data["format"] = 4
         path.write_text(json.dumps(data))
         capsys.readouterr()
         assert run_cli(argv[0], "--dir", store, *argv[1:]) == 2
         err = capsys.readouterr().err
-        assert "format 3" in err and "format 4" in err and "re-encode" in err
+        assert "format 4" in err and "format 5" in err and "re-encode" in err
         assert not (tmp_path / "x.bin").exists()
 
 
@@ -1326,24 +1326,26 @@ class TestGoldenChunks:
     """Pins of every chunk of two fixed encodes: (byte length, sha256).
 
     A change of the chunk layout must update these on purpose, bump
-    storage.FORMAT_VERSION, and say so in CHANGES.md.
+    storage.FORMAT_VERSION, and say so in CHANGES.md.  Format 5 moved the
+    bodies of the 9-stripe (4,1,2,2) store, a whole segment of 8 stripes and
+    a short one, and only the version field of the one-stripe (6,3,4,2) store.
     """
 
     DATA = bytes((7 * i + 3) % 256 for i in range(100))
     PINS = {
         ((4, 1, 2, 2), 5): [
-            (168, "a4299d5c356b994d25d7b63af91b683e12c232ffdf912d4dc7fe71bbf7bca968"),
-            (186, "fc645e396aa9260dba2480ff897171c1310e88963fc78df9b3e49fcf516b978b"),
-            (186, "ef6f39c97735391638fdaa1d15a1c19c6128bd14baec3e4ea78b6b1824f73c9e"),
-            (186, "0c7d28dd7b99a96d5273576fe623f6320b8f332e7eb048b437e34cd1c2a81759"),
+            (168, "a3f7c5d96483b83c7567f9d8cd64be6cee4391eaf80d8ddc8f135c829f7e0e0a"),
+            (186, "903889ed3eb29f407f3a446a2657f842eeb7f9bae783460a5f289aed3e65fea3"),
+            (186, "7010ddbda6475a18c6b447a549d6386afdb75a6935058c2409983ddd2016c9c0"),
+            (186, "6ecba6fcead830bd03f776776f6ac4df59a132ac34447e70cd21991d8ccdbc56"),
         ],
         ((6, 3, 4, 2), 257): [
-            (260, "dea061191e0697871f6bac4000410ba336b9097f81741e2a9803ce1530adc9c9"),
-            (260, "c277f064cb3fd8444d5e008283f27084161b976fa2f34d0bce9a5807accc1f02"),
-            (260, "986676a6fd571c2a7ed42f33328364488075e8e8a959604ae165ae3b5c233f8e"),
-            (264, "87b582710abce8c60699cbc160717901aebc95d60c0985255fb6c931d6282b0f"),
-            (264, "d2f469c736ac35476e942cea0413e184b5d4e9955eb8be5a5482d0bdd9e68f8e"),
-            (264, "d298badf63fea77f6b05a37a87babbf836cae9b4df358c508f5281f87e67175e"),
+            (260, "5fc01b3974eb61b759307de1953e22dd43807afb69fe6038b55fcd2c93af3b47"),
+            (260, "16c16a0a59db206fb40fe2b4098a2e30867a527527aaf9e139f59d42cd99e6bd"),
+            (260, "307ca7296e64be531a2734e2a7f3b76caca5836969acb97b3ae13b2af3260a52"),
+            (264, "87bba310c2c0f44d4bacd64896598dfa735272b618b4491b6770fd40839fdd2e"),
+            (264, "4a2737a0c9b863ac02f7bf6f109b524314687a6d3a333cf24ca16d303546032b"),
+            (264, "44db363968c36568db1761c9623e52077a5b87ca0dc67017b40f1ec5a3c4d35a"),
         ],
     }
 

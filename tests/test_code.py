@@ -263,7 +263,7 @@ class TestEncode:
             encode(example1, np.zeros(5, dtype=np.int64))
         bad = np.zeros(example1.message_length, dtype=np.int64)
         bad[0] = 5
-        with pytest.raises(ValueError, match=r"^message symbols must lie in \[0,5\)$"):
+        with pytest.raises(ValueError, match=r"^node 0: column symbols must lie in \[0,5\)$"):
             encode(example1, bad)
 
 

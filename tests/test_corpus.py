@@ -293,10 +293,10 @@ def rewrite_body(store, node, edit):
     q = params.p if node >= params.k else 1 << storage.bits_per_symbol(params.p)
     chunk = store / storage.chunk_name(node)
     raw = chunk.read_bytes()
-    at = len(raw) - storage.body_length(count // c, width)
-    values = storage.unpack_body(raw[at:], width, count // c)
+    at, segment = len(raw) - storage.body_length(count // c, width), 8 * params.N // c
+    values = storage.unpack_body(raw[at:], width, count // c, segment)
     edit(values, q, width)
-    raw = raw[:at] + storage.pack_body(values, width)
+    raw = raw[:at] + storage.pack_body(values, width, segment)
     chunk.write_bytes(raw)
     manifest["chunks"][str(node)]["sha256"] = hashlib.sha256(raw).hexdigest()
     (store / storage.MANIFEST_NAME).write_text(json.dumps(manifest))
@@ -319,7 +319,7 @@ def bump_one_symbol(values, q, width):
 
 
 # computed by the code of commit 988d003; the chunk and manifest pins again
-# under chunk format 4, which changed no other output; the steps from
+# under chunk formats 4 and 5, which changed no other output; the steps from
 # "encode random" on by the code of commit ced7880, the steps from
 # "value: verify" on by the code of commit 571a29c, and the "unreadable" and
 # "two bad" steps by the code of commit 3fa6187, where "unreadable: repair"
@@ -336,19 +336,19 @@ PINS = {
          "", {}),
         ("encode", 0, (74, "4a4595f57b567f18a04e27dd7704cdc384ce55437f298c6db19a6d25bb440804"),
          "", {
-             "store/manifest.json": (1124, "9c9a4d7b5a14386947d3801aeb13bc20a39586b9bd28dd08ae9f9e292a222cc8"),
-             "store/node0.mscr": (3524, "56dd9c65a9f3259a0a8667c1c037896329186079f87200d44d39b135d5e0f292"),
-             "store/node1.mscr": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
-             "store/node2.mscr": (3524, "c7a585620a385ac3d70fd2fffad08051d42a53f8fa853c86eacc16119a9d0ef5"),
-             "store/node3.mscr": (3596, "9dd2261e4f75329fa425d4add39f90f918603974e156a169e5ee28eb9134de06"),
-             "store/node4.mscr": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
-             "store/node5.mscr": (3596, "c5639d38724a88a9444a0a74864ae3c573dcef0e2040762ad4bcfc62f2d08aea"),
+             "store/manifest.json": (1124, "e697da37f039c96888457e03b5289d1cff5fd70d034dea898bb9999a94cc9583"),
+             "store/node0.mscr": (3524, "91a9e4ad1851a913ad4278e29327a6fdc98eb5614d9719449486628c7fadb543"),
+             "store/node1.mscr": (3524, "84cc613cfa9611da77280d0d367d096f931ebeb0782e4d4e54eee6a115cfd360"),
+             "store/node2.mscr": (3524, "70eb35e5a544732f9a398e6d78102f6baaba5b5249f44587dc39d30c48415e85"),
+             "store/node3.mscr": (3596, "c0900c2502e5f2430f91b1a4aa449d6164acaff045e0679c7a188fb87335c75b"),
+             "store/node4.mscr": (3596, "a4559f00593d276d8b30b05eef421571a134164fbede068c52afd7d19bc11fe7"),
+             "store/node5.mscr": (3596, "722ad17f3c9a9c76a7ee8c0b6760ff2f17f9c47afcb2cc41d128128536dd479f"),
          }),
         ("fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
          "", {
-             "store/manifest.json": (1140, "d80950f63b34612f389688b16073bea8330f1a47842b47a306718f80d3df76d9"),
-             "store/node1.mscr.failed": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
-             "store/node4.mscr.failed": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
+             "store/manifest.json": (1140, "357358db07f89c25a140b65166266e1621b3bdd531df0e38d43dbda8474016dc"),
+             "store/node1.mscr.failed": (3524, "84cc613cfa9611da77280d0d367d096f931ebeb0782e4d4e54eee6a115cfd360"),
+             "store/node4.mscr.failed": (3596, "a4559f00593d276d8b30b05eef421571a134164fbede068c52afd7d19bc11fe7"),
              "store/node1.mscr": None,
              "store/node4.mscr": None,
          }),
@@ -359,9 +359,9 @@ PINS = {
         ("repair", 0, (701, "562c0b2c02de4bbca356658ccf736e944597561d4f7b3398acc4688a85677ebe"),
          "", {
              "metrics.csv": (192, "4f394db79f1175e4c34ca50e4009a19e65f01567f9b0c6c3bde73d5d64804e7e"),
-             "store/manifest.json": (1124, "9c9a4d7b5a14386947d3801aeb13bc20a39586b9bd28dd08ae9f9e292a222cc8"),
-             "store/node1.mscr": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
-             "store/node4.mscr": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
+             "store/manifest.json": (1124, "e697da37f039c96888457e03b5289d1cff5fd70d034dea898bb9999a94cc9583"),
+             "store/node1.mscr": (3524, "84cc613cfa9611da77280d0d367d096f931ebeb0782e4d4e54eee6a115cfd360"),
+             "store/node4.mscr": (3596, "a4559f00593d276d8b30b05eef421571a134164fbede068c52afd7d19bc11fe7"),
              "transcript.txt": (2736, "e41c9272b946d9f4ccad03589dce59a3654f73befbb783b180b81a6774f7dd5e"),
              "store/node1.mscr.failed": None,
              "store/node4.mscr.failed": None,
@@ -396,13 +396,13 @@ PINS = {
          "error: need s-1=1 mu points, got 2\n", {}),
         ("encode random", 0, (123, "bfec686dd0742469eddc710d9c58032f570a66a06e90de4b3d7875a9fff70594"),
          "", {
-             "random/manifest.json": (1124, "091021f109cfe35879b66c9effb6f5faa5edf050dc732bf3ccd91b87bce25d44"),
-             "random/node0.mscr": (3524, "b5b5b8c7c3b67753094b4054ca1e4411ae7670ff4a3f8de7d1fea59bbab72e77"),
-             "random/node1.mscr": (3524, "0776bea8cb72127f3b3601df98e36e1c4b251e942ba47b4adc78eb9e654879d8"),
-             "random/node2.mscr": (3524, "34c801d390fbd956e09f19c1bc2abba309e7a05a8f97f956707590a4b89be40c"),
-             "random/node3.mscr": (3596, "418eca866396812f8113d4a6495ac75016310884cdc1a63eb28394f25bc47254"),
-             "random/node4.mscr": (3596, "44939f64dbcf84e289a2d1a0299c14b853eca77fc2b32c1170cb2f320091845d"),
-             "random/node5.mscr": (3596, "28af14958cb61c1a76ebe5edb727a86581118edcee87d9532aa26b0508503cc7"),
+             "random/manifest.json": (1124, "6dac2ab5c316898f63f98a6347ba496f3112097b16d46c9d01a4d6e031710c2b"),
+             "random/node0.mscr": (3524, "34e1396229344bc0d26f2e259e5d0376f4803bb3815a4649f7ec2ae3bc3bc735"),
+             "random/node1.mscr": (3524, "8475e3c2ce3970b44f129d92b23c8b747ed8fca1928d1ad1fda6e8c5a229f24f"),
+             "random/node2.mscr": (3524, "ae725d40ee77f6038325f18de4f6098f2f37472ed64218619c6ec034876429ee"),
+             "random/node3.mscr": (3596, "7f5f20133100329fd2986f2468c4721814aa2d9529113a2df4554a79465e2856"),
+             "random/node4.mscr": (3596, "0acbb8050bc38faa13ac0585d35091d046d3d882d2a520b10cd6d9e3ac49530d"),
+             "random/node5.mscr": (3596, "841e0b4949c16d2b33f482fdb3e82084e3130724aa932d1eb7a830eff3c3a988"),
              "random/source.bin": (10000, "bdfc70b4d4b9cec8deebcd9c091074604ddabe3da52bf2f2a0519871af46408c"),
          }),
         ("table", 0, (895, "3734cec6c1131876c25559ad143f9a424861dba1b9dee52cb688a21e17cf4aef"),
@@ -415,9 +415,9 @@ PINS = {
          "skipped node 5: <tmp>/header/node5.mscr: header is not the one written for node 5 of this code and payload length\nerror: need k=3 verified chunks, only 2 of nodes [3, 4, 5] verify; bad nodes [5]\n", {}),
         ("header: fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
          "", {
-             "header/manifest.json": (1140, "ff9695ac12b4086e31ee7c0d1c75b9fca9d79f39e5bd96cf28910b43b44cf733"),
-             "header/node1.mscr.failed": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
-             "header/node4.mscr.failed": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
+             "header/manifest.json": (1140, "2873892a0060890a8fa95ad3044acc01635aa16362d755c879362ba03b171ac3"),
+             "header/node1.mscr.failed": (3524, "84cc613cfa9611da77280d0d367d096f931ebeb0782e4d4e54eee6a115cfd360"),
+             "header/node4.mscr.failed": (3596, "a4559f00593d276d8b30b05eef421571a134164fbede068c52afd7d19bc11fe7"),
              "header/node1.mscr": None,
              "header/node4.mscr": None,
          }),
@@ -431,9 +431,9 @@ PINS = {
          }),
         ("missing: fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
          "", {
-             "missing/manifest.json": (1140, "d80950f63b34612f389688b16073bea8330f1a47842b47a306718f80d3df76d9"),
-             "missing/node1.mscr.failed": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
-             "missing/node4.mscr.failed": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
+             "missing/manifest.json": (1140, "357358db07f89c25a140b65166266e1621b3bdd531df0e38d43dbda8474016dc"),
+             "missing/node1.mscr.failed": (3524, "84cc613cfa9611da77280d0d367d096f931ebeb0782e4d4e54eee6a115cfd360"),
+             "missing/node4.mscr.failed": (3596, "a4559f00593d276d8b30b05eef421571a134164fbede068c52afd7d19bc11fe7"),
              "missing/node1.mscr": None,
              "missing/node4.mscr": None,
          }),
@@ -475,9 +475,9 @@ PINS = {
          }),
         ("unreadable: fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
          "", {
-             "unreadable/manifest.json": (1140, "d80950f63b34612f389688b16073bea8330f1a47842b47a306718f80d3df76d9"),
-             "unreadable/node1.mscr.failed": (3524, "b28743f338e8c64612d0dc916ac72e0d74d1b87dec96be213c14cb27ab419f3c"),
-             "unreadable/node4.mscr.failed": (3596, "4ad8d84a4180765a8131dc717118f7ce1c8084fecb8304ac6e8c2215db00bec8"),
+             "unreadable/manifest.json": (1140, "357358db07f89c25a140b65166266e1621b3bdd531df0e38d43dbda8474016dc"),
+             "unreadable/node1.mscr.failed": (3524, "84cc613cfa9611da77280d0d367d096f931ebeb0782e4d4e54eee6a115cfd360"),
+             "unreadable/node4.mscr.failed": (3596, "a4559f00593d276d8b30b05eef421571a134164fbede068c52afd7d19bc11fe7"),
              "unreadable/node1.mscr": None,
              "unreadable/node4.mscr": None,
          }),
@@ -519,29 +519,29 @@ PINS = {
          }),
         ("config: encode", 0, (125, "bf083341d45a4b77942c05066b5b61074291e02493f40b8540e90dac9d333fa0"),
          "", {
-             "configured/manifest.json": (1122, "85daea51dc65a054157cf5e915b74e4e7c2a99eb54a907afa809374439fc1365"),
-             "configured/node0.mscr": (1220, "6afaf9bbed67f779625fa50f4edef4733772577138cb759c260dbd8fc3cb5e7f"),
-             "configured/node1.mscr": (1220, "6293cd4de2edc685338e5e1c735e59c5fd734c1c4de524373502a248ef337ac0"),
-             "configured/node2.mscr": (1220, "983db357555c88b4732eb2c6b474962eb3ddec720c0602d9e697f35b1996fd79"),
-             "configured/node3.mscr": (1244, "69779ecede88e2edd51eb9ea79aa0b1f9f44c354360ff60945543e0d22b763b4"),
-             "configured/node4.mscr": (1244, "0290c3a3c49e3ca0b2b0e0734b12c224dcc9a26d5d9184ca4a6d2c8948a07938"),
-             "configured/node5.mscr": (1244, "b744ed99a2bc7bd8e1bf076d55c822a7f4e24b2e9cdce7024f48cedfc98be9ac"),
+             "configured/manifest.json": (1122, "04cf4fc8752b5cdeb054313d77cd28f4d31e1758b7ecd36d9c895af320222186"),
+             "configured/node0.mscr": (1220, "615aac0e0f5f5277e8931faaa48c4028e6b9d813b337b259545651b898acaf9c"),
+             "configured/node1.mscr": (1220, "e30a69382b042537b4517ce1b59229eaff38d53f7f91821ecb3f4344637ecd82"),
+             "configured/node2.mscr": (1220, "e31477d2505bab321961b050e88a2e0c5c818e37b36ee65950824399327c83d7"),
+             "configured/node3.mscr": (1244, "5e9ed5d213e4b61dbfc04a74006bb02930bd1f3caabe2dad08627ed2a38d31e8"),
+             "configured/node4.mscr": (1244, "b4b658b85b2eefd389663805f8b0aad2b9691323d69f2049b571864953c6190f"),
+             "configured/node5.mscr": (1244, "4f0f74b29ff1291ca45e274d636398fa6dbbfb44564a79a9cc297259d68b098f"),
              "configured/source.bin": (3333, "1c39a3f8613a38b8316e324144e188d76f74183c0fe49e7c53867afe20adfda5"),
          }),
         ("config: fail", 0, (25, "6161bcb9b2c47f89dcfa34b8610496a43af9c9d569da278a2468e2d464ff84f9"),
          "", {
-             "configured/manifest.json": (1138, "e3676e7ff825194be54f711da9094e4681b20fcab47b93225e5fc93730fb6b4e"),
-             "configured/node1.mscr.failed": (1220, "6293cd4de2edc685338e5e1c735e59c5fd734c1c4de524373502a248ef337ac0"),
-             "configured/node4.mscr.failed": (1244, "0290c3a3c49e3ca0b2b0e0734b12c224dcc9a26d5d9184ca4a6d2c8948a07938"),
+             "configured/manifest.json": (1138, "65203ad2796a2a8d5f18f19a1faabb7b9b8d7325eb8fa8f354a7267e7f2244c7"),
+             "configured/node1.mscr.failed": (1220, "e30a69382b042537b4517ce1b59229eaff38d53f7f91821ecb3f4344637ecd82"),
+             "configured/node4.mscr.failed": (1244, "b4b658b85b2eefd389663805f8b0aad2b9691323d69f2049b571864953c6190f"),
              "configured/node1.mscr": None,
              "configured/node4.mscr": None,
          }),
         ("config: repair", 0, (698, "ac445720acdf54d0fc01df40ee5407c29bf0d388c237a420970e55017f97c0dc"),
          "", {
              "configured.txt": (2736, "151077c869aee302188cdac839e40b5cb6578b24652d27ae32fa1bc08cd6593e"),
-             "configured/manifest.json": (1122, "85daea51dc65a054157cf5e915b74e4e7c2a99eb54a907afa809374439fc1365"),
-             "configured/node1.mscr": (1220, "6293cd4de2edc685338e5e1c735e59c5fd734c1c4de524373502a248ef337ac0"),
-             "configured/node4.mscr": (1244, "0290c3a3c49e3ca0b2b0e0734b12c224dcc9a26d5d9184ca4a6d2c8948a07938"),
+             "configured/manifest.json": (1122, "04cf4fc8752b5cdeb054313d77cd28f4d31e1758b7ecd36d9c895af320222186"),
+             "configured/node1.mscr": (1220, "e30a69382b042537b4517ce1b59229eaff38d53f7f91821ecb3f4344637ecd82"),
+             "configured/node4.mscr": (1244, "b4b658b85b2eefd389663805f8b0aad2b9691323d69f2049b571864953c6190f"),
              "configured/node1.mscr.failed": None,
              "configured/node4.mscr.failed": None,
          }),
@@ -551,20 +551,20 @@ PINS = {
          "", {}),
         ("encode", 0, (71, "b28296e18ae95e78ba7b1ef09a3c0c6855525718e0234ac19490d89dae16e7cb"),
          "", {
-             "store/manifest.json": (1121, "9647cc432b0238f0fbc0cc8fc59fb1ac1962474a179e56af438ca38f1f7fddbd"),
-             "store/node0.mscr": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
-             "store/node1.mscr": (1604, "61263a19ba8a1ef16f5cd0ae14cc867183759bac4c8268de9c371c9e7a34fa18"),
-             "store/node2.mscr": (2228, "3cfa2ae0e67c1dce85cfa9d5624fd0cca0b77345fbde342fddfa7f5179fcafe0"),
-             "store/node3.mscr": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
-             "store/node4.mscr": (2228, "93ef4e61920c9e9ba804f9ef3571fdaea2d8b6a94bff8acb76f6734c50fa3093"),
-             "store/node5.mscr": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
+             "store/manifest.json": (1121, "2c6361a6915641098da90c3ffe0604eeaef65a9fc9b1321e14a1776d8a4f9789"),
+             "store/node0.mscr": (1604, "89cef3bdea158dc4837184351edbfa6585f4b6add3c89f9c78e979714c4795e5"),
+             "store/node1.mscr": (1604, "5c18a2eef599b1ed8653208959729d9fbceb6d3979e669f16a78548f5d587153"),
+             "store/node2.mscr": (2228, "4c02933a8fef7c4a73125b574fa98cf0746487ea4fd77293da0c53c3925641c4"),
+             "store/node3.mscr": (2228, "1adc549a2efe22e05b5d5b58d7ec52b25d9bf27439014760473291558137c799"),
+             "store/node4.mscr": (2228, "13b2483afdabfe6a48fa72d0bfd5f198dff88c7b478322f6cad21f99a1a845da"),
+             "store/node5.mscr": (2228, "6dd34d65ffefd3816b9d479b41aea605c8b8c15822753c856a8dd7ec8866074c"),
          }),
         ("fail", 0, (28, "9499d939aa8da4e4de21b2350a6201e470f0a272571e07d161ab8aa66d7857ef"),
          "", {
-             "store/manifest.json": (1144, "7fb7b374f1c01e8461447a426ecaa1f78fd380301dc714a2f29805558b833ee7"),
-             "store/node0.mscr.failed": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
-             "store/node3.mscr.failed": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
-             "store/node5.mscr.failed": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
+             "store/manifest.json": (1144, "d6afcba390ffe4e343a259976f23c12a440639e3eb20240af9deb75658c10420"),
+             "store/node0.mscr.failed": (1604, "89cef3bdea158dc4837184351edbfa6585f4b6add3c89f9c78e979714c4795e5"),
+             "store/node3.mscr.failed": (2228, "1adc549a2efe22e05b5d5b58d7ec52b25d9bf27439014760473291558137c799"),
+             "store/node5.mscr.failed": (2228, "6dd34d65ffefd3816b9d479b41aea605c8b8c15822753c856a8dd7ec8866074c"),
              "store/node0.mscr": None,
              "store/node3.mscr": None,
              "store/node5.mscr": None,
@@ -576,10 +576,10 @@ PINS = {
         ("repair", 0, (699, "b61715269f898b473591afdb910946f3705c9b8595ecbd845641d81fea75a8e0"),
          "", {
              "metrics.csv": (192, "1791a7cd65ecba0380497605ee39fc32e7e11c1ed91887b1029d1956bfc51391"),
-             "store/manifest.json": (1121, "9647cc432b0238f0fbc0cc8fc59fb1ac1962474a179e56af438ca38f1f7fddbd"),
-             "store/node0.mscr": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
-             "store/node3.mscr": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
-             "store/node5.mscr": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
+             "store/manifest.json": (1121, "2c6361a6915641098da90c3ffe0604eeaef65a9fc9b1321e14a1776d8a4f9789"),
+             "store/node0.mscr": (1604, "89cef3bdea158dc4837184351edbfa6585f4b6add3c89f9c78e979714c4795e5"),
+             "store/node3.mscr": (2228, "1adc549a2efe22e05b5d5b58d7ec52b25d9bf27439014760473291558137c799"),
+             "store/node5.mscr": (2228, "6dd34d65ffefd3816b9d479b41aea605c8b8c15822753c856a8dd7ec8866074c"),
              "transcript.txt": (4113, "edb10718c39a4e855bcf6cc23a9f76347f2fd8da4ada9db72e497a93cbb86113"),
              "store/node0.mscr.failed": None,
              "store/node3.mscr.failed": None,
@@ -617,13 +617,13 @@ PINS = {
          "error: need s-1=1 mu points, got 2\n", {}),
         ("encode random", 0, (120, "a470242928c79ab0c5de67fc8c9d2b0abbe8302b48a2145732ea459c693796cd"),
          "", {
-             "random/manifest.json": (1121, "8579c1852733f6e6c660836fa59a86dde15f8ab3ccffd919fd117d5c9acdeb7e"),
-             "random/node0.mscr": (1604, "5dbe6733081aff47e223504191809228ea31eab4a8d9d127bf530d6600b60142"),
-             "random/node1.mscr": (1604, "ab2672416208ac589417d69db3ab20793d63f508bc403daf54f92e71c08142a4"),
-             "random/node2.mscr": (2228, "868c1b3c0dbc3db167608b7573d4cafcfe4571cb67d9b9af42c62ffd192ac08a"),
-             "random/node3.mscr": (2228, "c7a1f14fb657bcbfa91d5ceb4551a6564e472e7cbda712e06564b907b1741b4c"),
-             "random/node4.mscr": (2228, "5a3f5f4738ae7aa7d5e5480ed7224069341616e977cb64aaf757576a5128303b"),
-             "random/node5.mscr": (2228, "368ba29bb91554d570aab6c9d8402a5ba5685a8d5c8008572abf93d9a69b7262"),
+             "random/manifest.json": (1121, "88d9ef69b8c5ddfd79a02bc58d9e6bafee8ede7368ab318b5cfd6d68cc7c895a"),
+             "random/node0.mscr": (1604, "96712f0c232d37b9561e5c71748d26539bd6a9e31c08288e1a0feda1ed328887"),
+             "random/node1.mscr": (1604, "4be62214369f5a3aa8022763e0812baa52d35c0636aaaa482de0c3a1cd6ca3a5"),
+             "random/node2.mscr": (2228, "4b3b9112ca5f2d014bffd398324c3331e1bf27f95c025c4244628d9f2e34b0cc"),
+             "random/node3.mscr": (2228, "ac42b1f379766bf8011034fed3e5d2fdf881e48e67c424015b0e8cce158ad067"),
+             "random/node4.mscr": (2228, "121f9425f11c06d8775f8ce833d62581d1189e01310bdd1eaad90adab2de730d"),
+             "random/node5.mscr": (2228, "9c64a136317f5cd80dd8c85121a9b44afd3255b1349b6e605b8675ad49207247"),
              "random/source.bin": (3000, "68ca1f6e30123c5841c26fa8e98730d70d87d75d80462ba833148803a18a370c"),
          }),
         ("table", 0, (895, "e978e2c3b2d981d07698db8589f0fce1f772659b83b43736715ac415235dcaee"),
@@ -638,10 +638,10 @@ PINS = {
          }),
         ("header: fail", 0, (28, "9499d939aa8da4e4de21b2350a6201e470f0a272571e07d161ab8aa66d7857ef"),
          "", {
-             "header/manifest.json": (1144, "a05a8f7abecd327c3686b1580f1312841d7075bc297f05289f94e8f8fc7a321e"),
-             "header/node0.mscr.failed": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
-             "header/node3.mscr.failed": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
-             "header/node5.mscr.failed": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
+             "header/manifest.json": (1144, "0eb19085802811a3af0140da17bcb1f027a84ef7b09d823022d06a33ac5c7cd3"),
+             "header/node0.mscr.failed": (1604, "89cef3bdea158dc4837184351edbfa6585f4b6add3c89f9c78e979714c4795e5"),
+             "header/node3.mscr.failed": (2228, "1adc549a2efe22e05b5d5b58d7ec52b25d9bf27439014760473291558137c799"),
+             "header/node5.mscr.failed": (2228, "6dd34d65ffefd3816b9d479b41aea605c8b8c15822753c856a8dd7ec8866074c"),
              "header/node0.mscr": None,
              "header/node3.mscr": None,
              "header/node5.mscr": None,
@@ -656,10 +656,10 @@ PINS = {
          }),
         ("missing: fail", 0, (28, "9499d939aa8da4e4de21b2350a6201e470f0a272571e07d161ab8aa66d7857ef"),
          "", {
-             "missing/manifest.json": (1144, "7fb7b374f1c01e8461447a426ecaa1f78fd380301dc714a2f29805558b833ee7"),
-             "missing/node0.mscr.failed": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
-             "missing/node3.mscr.failed": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
-             "missing/node5.mscr.failed": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
+             "missing/manifest.json": (1144, "d6afcba390ffe4e343a259976f23c12a440639e3eb20240af9deb75658c10420"),
+             "missing/node0.mscr.failed": (1604, "89cef3bdea158dc4837184351edbfa6585f4b6add3c89f9c78e979714c4795e5"),
+             "missing/node3.mscr.failed": (2228, "1adc549a2efe22e05b5d5b58d7ec52b25d9bf27439014760473291558137c799"),
+             "missing/node5.mscr.failed": (2228, "6dd34d65ffefd3816b9d479b41aea605c8b8c15822753c856a8dd7ec8866074c"),
              "missing/node0.mscr": None,
              "missing/node3.mscr": None,
              "missing/node5.mscr": None,
@@ -702,10 +702,10 @@ PINS = {
          }),
         ("unreadable: fail", 0, (28, "9499d939aa8da4e4de21b2350a6201e470f0a272571e07d161ab8aa66d7857ef"),
          "", {
-             "unreadable/manifest.json": (1144, "7fb7b374f1c01e8461447a426ecaa1f78fd380301dc714a2f29805558b833ee7"),
-             "unreadable/node0.mscr.failed": (1604, "9789b0da145660eb522372dd5c8cc4d311f969bdcee0adf401958dcb8df1b684"),
-             "unreadable/node3.mscr.failed": (2228, "92723647bac4cb35676aacf85c9bb8228542057fcffb290b2d7adf73e0eb448a"),
-             "unreadable/node5.mscr.failed": (2228, "7c456e895adade0d9a6d48dd0078167ba20f2d5939a33c662b621f62d1f4a259"),
+             "unreadable/manifest.json": (1144, "d6afcba390ffe4e343a259976f23c12a440639e3eb20240af9deb75658c10420"),
+             "unreadable/node0.mscr.failed": (1604, "89cef3bdea158dc4837184351edbfa6585f4b6add3c89f9c78e979714c4795e5"),
+             "unreadable/node3.mscr.failed": (2228, "1adc549a2efe22e05b5d5b58d7ec52b25d9bf27439014760473291558137c799"),
+             "unreadable/node5.mscr.failed": (2228, "6dd34d65ffefd3816b9d479b41aea605c8b8c15822753c856a8dd7ec8866074c"),
              "unreadable/node0.mscr": None,
              "unreadable/node3.mscr": None,
              "unreadable/node5.mscr": None,
@@ -750,21 +750,21 @@ PINS = {
          }),
         ("config: encode", 0, (123, "3086ebe888dde8bbc70833fd5735eddf8b037b7689fc441f7bcdfaff5d16837c"),
          "", {
-             "configured/manifest.json": (1120, "6a8f221880fedfa96d1f34945971525ccc8ddaa11fdcb28baeb8b0f45c209cac"),
-             "configured/node0.mscr": (580, "7fc792289254cb5734aa23bf266a596378c9bf11ac0572ed9875d8b3bf317835"),
-             "configured/node1.mscr": (580, "4a25e39491de24a30b553824114fb130d25331b5454feb54d9b91d77f691efca"),
-             "configured/node2.mscr": (788, "5c707977d8515ed45cbd66e9fc91ba661172d4ba20830921452172cfc29da94e"),
-             "configured/node3.mscr": (788, "bb6dfa7880af8d7105aa1b693b08b5a4a782fa23dcf61be402d7f1911e9f5261"),
-             "configured/node4.mscr": (788, "c6d3b1a9cad4731abb39fc87fc0c77124e9754b8cd33bb03cdc1429e346fa3c7"),
-             "configured/node5.mscr": (788, "57b45bb683574e2c27f7a20ee6fab1e77017ee70797a068f250dcbe748ebda43"),
+             "configured/manifest.json": (1120, "ff902023371c385dc305bbcc5bcbb05017156776577b28d97d361d013ccf046a"),
+             "configured/node0.mscr": (580, "84972395d4b1328351f5856a053f5813152e361bde50b17acb36c68d364fce58"),
+             "configured/node1.mscr": (580, "6fe08f70af881407652c64e9475c338a89ac24df8f04fbdbf9d129475964759d"),
+             "configured/node2.mscr": (788, "635d7edd7bfed60a7cbd58f4e6b1d6f97bc6b5141882014752f132c98952bd78"),
+             "configured/node3.mscr": (788, "01dbea031a03292f68d4436f38538f56e59d8f4bdc127d5fdb4ed1e9848712ad"),
+             "configured/node4.mscr": (788, "f39b8969cc36b8a404a9685736838f8e99efc271050d77ca36273a3b360e2144"),
+             "configured/node5.mscr": (788, "0e99741a93c9a1988bbc87bdffe1d3c31da7d2f52772800e625583f1d4b2e26b"),
              "configured/source.bin": (1000, "3cc4a0b4dc76e1fe0ee167e1cf711425bf26004193a276b71893c5da45ae0b2a"),
          }),
         ("config: fail", 0, (28, "9499d939aa8da4e4de21b2350a6201e470f0a272571e07d161ab8aa66d7857ef"),
          "", {
-             "configured/manifest.json": (1143, "56ff3e636474541d86663f8ea6ae620a021e0097d56e274450470ce7e0175fab"),
-             "configured/node0.mscr.failed": (580, "7fc792289254cb5734aa23bf266a596378c9bf11ac0572ed9875d8b3bf317835"),
-             "configured/node3.mscr.failed": (788, "bb6dfa7880af8d7105aa1b693b08b5a4a782fa23dcf61be402d7f1911e9f5261"),
-             "configured/node5.mscr.failed": (788, "57b45bb683574e2c27f7a20ee6fab1e77017ee70797a068f250dcbe748ebda43"),
+             "configured/manifest.json": (1143, "afc975c3ac6fc5a805417e2202e300911800d3c9a11defa1b8e7b0f202c2ea2e"),
+             "configured/node0.mscr.failed": (580, "84972395d4b1328351f5856a053f5813152e361bde50b17acb36c68d364fce58"),
+             "configured/node3.mscr.failed": (788, "01dbea031a03292f68d4436f38538f56e59d8f4bdc127d5fdb4ed1e9848712ad"),
+             "configured/node5.mscr.failed": (788, "0e99741a93c9a1988bbc87bdffe1d3c31da7d2f52772800e625583f1d4b2e26b"),
              "configured/node0.mscr": None,
              "configured/node3.mscr": None,
              "configured/node5.mscr": None,
@@ -772,10 +772,10 @@ PINS = {
         ("config: repair", 0, (696, "d83e64730fb396f4c5109650e42c91d6594f64d074bc7c6c97a89494993dd5df"),
          "", {
              "configured.txt": (4113, "e0de33ebbf9a87d12340c7b93258a2df492419f509e2b329cd7602de025248f3"),
-             "configured/manifest.json": (1120, "6a8f221880fedfa96d1f34945971525ccc8ddaa11fdcb28baeb8b0f45c209cac"),
-             "configured/node0.mscr": (580, "7fc792289254cb5734aa23bf266a596378c9bf11ac0572ed9875d8b3bf317835"),
-             "configured/node3.mscr": (788, "bb6dfa7880af8d7105aa1b693b08b5a4a782fa23dcf61be402d7f1911e9f5261"),
-             "configured/node5.mscr": (788, "57b45bb683574e2c27f7a20ee6fab1e77017ee70797a068f250dcbe748ebda43"),
+             "configured/manifest.json": (1120, "ff902023371c385dc305bbcc5bcbb05017156776577b28d97d361d013ccf046a"),
+             "configured/node0.mscr": (580, "84972395d4b1328351f5856a053f5813152e361bde50b17acb36c68d364fce58"),
+             "configured/node3.mscr": (788, "01dbea031a03292f68d4436f38538f56e59d8f4bdc127d5fdb4ed1e9848712ad"),
+             "configured/node5.mscr": (788, "0e99741a93c9a1988bbc87bdffe1d3c31da7d2f52772800e625583f1d4b2e26b"),
              "configured/node0.mscr.failed": None,
              "configured/node3.mscr.failed": None,
              "configured/node5.mscr.failed": None,
@@ -786,17 +786,17 @@ PINS = {
          "", {}),
         ("encode", 0, (74, "dea99b7d845ae193a5490e1e3a2137f558229d543a4edc7369fdf9a8c8b2d5aa"),
          "", {
-             "store/manifest.json": (1001, "36d95d18b08eee4e1d37dd994796b533fc60cf48ae3669c8475ba6a6eb5931fb"),
-             "store/node0.mscr": (36936, "5ad098db4aecf7de61af165505a4da0cb1f0f8a9287b8cbc5d4be83ab365ac32"),
-             "store/node1.mscr": (38088, "67e64ccb5b08aa4640fe1274b0926e609e1cd3de6805d4925e7dd2b9d46741e0"),
-             "store/node2.mscr": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
-             "store/node3.mscr": (38088, "63f34ffa3d8e2d429c9b93a0948cd195857ee79c5d04a1c4ba92446571974fd6"),
-             "store/node4.mscr": (38088, "479f67ae9f1cd2b7a5d351a1ad1086f326dfb842d5e444f1e8303a28de8e00ac"),
+             "store/manifest.json": (1001, "72aa31e715979d654f29a7d88d9347a208b7c53114dcb0d5f75dc2259d83a99a"),
+             "store/node0.mscr": (36936, "9c261148609231df94d00593321fb79ed7b547654e3c3fc5a0d0d18a9dbe3984"),
+             "store/node1.mscr": (38088, "01d64257271014dfba0c7dc6fb9c85faa9d8ca50458e4505ef386df8ef631e67"),
+             "store/node2.mscr": (38088, "85b0eb188355adbd2d1ffbde11c102b744c5722b258bfc124d486f5db886ca65"),
+             "store/node3.mscr": (38088, "7942483165c604e1c591ef7479f23bcde770196a98eca31494f64a4d4b4162a6"),
+             "store/node4.mscr": (38088, "f93827a5c2d3e1ac1243eca0c6e17492994c1cd4cb593078625c595b74647ef8"),
          }),
         ("fail", 0, (22, "b0a37c312a9515071b935d5ecd4d5ab926d5ae089fd6779692193043e8baaf2d"),
          "", {
-             "store/manifest.json": (1010, "f0c82472bb0c798733c41778389880287a54e4559dbd106d59ebc21b92fdf4da"),
-             "store/node2.mscr.failed": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
+             "store/manifest.json": (1010, "9ae5f703c85e59b30131153eb5459bb4145ffd5579ff2d4b49093b1b8e1f498d"),
+             "store/node2.mscr.failed": (38088, "85b0eb188355adbd2d1ffbde11c102b744c5722b258bfc124d486f5db886ca65"),
              "store/node2.mscr": None,
          }),
         ("fail again", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -806,8 +806,8 @@ PINS = {
         ("repair", 0, (702, "f93107951920d0800afdc1c68857d48126f3fd402dadaa1393def9350370159f"),
          "", {
              "metrics.csv": (197, "e9d58d5704397f7f0d51c53638ea1095dc7fbb90eb9400d06d3808c13b227fca"),
-             "store/manifest.json": (1001, "36d95d18b08eee4e1d37dd994796b533fc60cf48ae3669c8475ba6a6eb5931fb"),
-             "store/node2.mscr": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
+             "store/manifest.json": (1001, "72aa31e715979d654f29a7d88d9347a208b7c53114dcb0d5f75dc2259d83a99a"),
+             "store/node2.mscr": (38088, "85b0eb188355adbd2d1ffbde11c102b744c5722b258bfc124d486f5db886ca65"),
              "transcript.txt": (16460, "dc0858512430a4995f2960a7bef9d1367d4a26472a30216c6b7f51e8ef73d167"),
              "store/node2.mscr.failed": None,
          }),
@@ -843,12 +843,12 @@ PINS = {
          "error: need s-1=3 mu points, got 4\n", {}),
         ("encode random", 0, (123, "c9e6841bffb5541f807b6deeb15d119e6dbc7e8b7fae47239907f0f0f4492fbb"),
          "", {
-             "random/manifest.json": (1001, "27ea6d1cdcdc1a22d20235608dfb5c50f5c15ae9eea21ed3c588e0faabb85da6"),
-             "random/node0.mscr": (36936, "9b19c6e7ef307f35e6e3202e4bea9da0ae5728541b4b8c1f4e233317288577ac"),
-             "random/node1.mscr": (38088, "b824fdde5b231e1c25264d015faa70a4b9b37203bad8d103e8c86b77a586d9c2"),
-             "random/node2.mscr": (38088, "e4c6daa92ec90b3962a3a489676a596f03a430d1b784cff52b0f91379786fbfb"),
-             "random/node3.mscr": (38088, "c34b323679118168c8ccf6cf1dd4e23f5842b862a291b74d2e1315c1808c7949"),
-             "random/node4.mscr": (38088, "0ed3e9474d45599c78723d4a79df7339d8ee0e1aa3a5175e25020422fd8590b9"),
+             "random/manifest.json": (1001, "5f4ef6f41e14877370459581b78c77e56092097c469a3f3dfa8be9d61440828a"),
+             "random/node0.mscr": (36936, "7d3849c5ec56c00bff37dfc47f8522329aedb42f94901625722e331c7fd8d85f"),
+             "random/node1.mscr": (38088, "20b1e8f1d52d75d9b6b471faf86897443acfcc8a1116932e15f43e0c01a078bc"),
+             "random/node2.mscr": (38088, "0e5f84e81629154b196ab816a69299c53167298093344c672ff4fab5fb249891"),
+             "random/node3.mscr": (38088, "8356221d2709135d92f09b24849d7ab04deef73552df5fb8f426c48cb3a5b22c"),
+             "random/node4.mscr": (38088, "93f5e6010f24a5bdef0f4ae29dc06b1dd1c12c1ba2a21c7b81ebcfaae648dbc8"),
              "random/source.bin": (36000, "9d3ed88113891f771a38d284e26abad0d9d7369ba9db73ba75dcaa1b11187b21"),
          }),
         ("table", 0, (895, "0563ef710d5c1a18fb18b1675a626d0cd51f1909fc46ed5a53fb10185c2ca722"),
@@ -863,8 +863,8 @@ PINS = {
          }),
         ("header: fail", 0, (22, "b0a37c312a9515071b935d5ecd4d5ab926d5ae089fd6779692193043e8baaf2d"),
          "", {
-             "header/manifest.json": (1010, "a490238971c69caab4e2ca2d097289e2fb5bfb746d144d7c333499cd3bbe5047"),
-             "header/node2.mscr.failed": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
+             "header/manifest.json": (1010, "92a63260be13b5166a75e36b535fd163a2bae59097eb7630c0e3468e64a244a7"),
+             "header/node2.mscr.failed": (38088, "85b0eb188355adbd2d1ffbde11c102b744c5722b258bfc124d486f5db886ca65"),
              "header/node2.mscr": None,
          }),
         ("header: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -877,8 +877,8 @@ PINS = {
          }),
         ("missing: fail", 0, (22, "b0a37c312a9515071b935d5ecd4d5ab926d5ae089fd6779692193043e8baaf2d"),
          "", {
-             "missing/manifest.json": (1010, "f0c82472bb0c798733c41778389880287a54e4559dbd106d59ebc21b92fdf4da"),
-             "missing/node2.mscr.failed": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
+             "missing/manifest.json": (1010, "9ae5f703c85e59b30131153eb5459bb4145ffd5579ff2d4b49093b1b8e1f498d"),
+             "missing/node2.mscr.failed": (38088, "85b0eb188355adbd2d1ffbde11c102b744c5722b258bfc124d486f5db886ca65"),
              "missing/node2.mscr": None,
          }),
         ("missing: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -919,8 +919,8 @@ PINS = {
          }),
         ("unreadable: fail", 0, (22, "b0a37c312a9515071b935d5ecd4d5ab926d5ae089fd6779692193043e8baaf2d"),
          "", {
-             "unreadable/manifest.json": (1010, "f0c82472bb0c798733c41778389880287a54e4559dbd106d59ebc21b92fdf4da"),
-             "unreadable/node2.mscr.failed": (38088, "82845f12fd3567d1ebf382b5583abd0266e28ea9747f40a20165f942cc3f1a1d"),
+             "unreadable/manifest.json": (1010, "9ae5f703c85e59b30131153eb5459bb4145ffd5579ff2d4b49093b1b8e1f498d"),
+             "unreadable/node2.mscr.failed": (38088, "85b0eb188355adbd2d1ffbde11c102b744c5722b258bfc124d486f5db886ca65"),
              "unreadable/node2.mscr": None,
          }),
         ("unreadable: repair", 2, (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -963,25 +963,25 @@ PINS = {
          }),
         ("config: encode", 0, (127, "d9847f80b81679796197c7d19bd1e905e5083bac9ba1f064a8952df8eb4e1fcd"),
          "", {
-             "configured/manifest.json": (1001, "3363e196bfeabaee324da4d24bb1ad51774267109e198fcbb19ca855ee19e6f1"),
-             "configured/node0.mscr": (12360, "4e3b492f7cc238d4a74ef62412154455d7a2a3667fb7a9770552f8fe6080ecf1"),
-             "configured/node1.mscr": (12744, "853c9754ad985e66d840035db059db4865b0bd09966ae1c4efb33f27fb7f9592"),
-             "configured/node2.mscr": (12744, "1d798f35c75480e7b817101e0be0e150fdd7dba243b422e5f2bc6372de9fa23e"),
-             "configured/node3.mscr": (12744, "460cbba3102ff3e7b4fa7d6f363cdc1f62c35f3c128f941d6198281db3925e34"),
-             "configured/node4.mscr": (12744, "bf6d7a9eb447e933683f822ab3bd66c4b394ec06eed115f59c3efee4ea98febe"),
+             "configured/manifest.json": (1001, "6977e4c41545ed5561275bc26de7748caa35181b75b55f20309daf2efb6b2e51"),
+             "configured/node0.mscr": (12360, "4c7f0135dc40b05ebc91bf46e74cd5355b094b4d632ca03f6813b459de37a72e"),
+             "configured/node1.mscr": (12744, "edd46c8253625830560ead9dc57bcd3e1ea4157a9f5c168a42a422a5e93bdf6a"),
+             "configured/node2.mscr": (12744, "68fe5ac99745f0822c96ba9bcacc260a5c968f1014b0122133dc5d4ba9b87e7e"),
+             "configured/node3.mscr": (12744, "edaf0e40b85a9e32d7d951a1cb1b20a19f98b3b411f00d59b9fe655bfa453b52"),
+             "configured/node4.mscr": (12744, "1bd43c720afb074cc15f44c6a8b2e0de0a214816104f4c6ae5d620b932c69f05"),
              "configured/source.bin": (12000, "883bbeb64719d85f831a25f33a3c5d9fedd0f02d6732166909525fd5b58ae8e9"),
          }),
         ("config: fail", 0, (22, "b0a37c312a9515071b935d5ecd4d5ab926d5ae089fd6779692193043e8baaf2d"),
          "", {
-             "configured/manifest.json": (1010, "3f5e37091da7ea7ff5c414cf230d810605cc6a1c7c399027c185136cd09e560c"),
-             "configured/node2.mscr.failed": (12744, "1d798f35c75480e7b817101e0be0e150fdd7dba243b422e5f2bc6372de9fa23e"),
+             "configured/manifest.json": (1010, "da68535ff32ebc1cba607904b910dc009121e90f0204ca86a354098ab649b19f"),
+             "configured/node2.mscr.failed": (12744, "68fe5ac99745f0822c96ba9bcacc260a5c968f1014b0122133dc5d4ba9b87e7e"),
              "configured/node2.mscr": None,
          }),
         ("config: repair", 0, (702, "21cd627ff31b0aec73136907a6b4ba0210b3eb8b3b765e970533f5022fb46818"),
          "", {
              "configured.txt": (16460, "b8035e94592b20b7cc4a1c9f1c06faa33e253942a2d472399cb0da071031432a"),
-             "configured/manifest.json": (1001, "3363e196bfeabaee324da4d24bb1ad51774267109e198fcbb19ca855ee19e6f1"),
-             "configured/node2.mscr": (12744, "1d798f35c75480e7b817101e0be0e150fdd7dba243b422e5f2bc6372de9fa23e"),
+             "configured/manifest.json": (1001, "6977e4c41545ed5561275bc26de7748caa35181b75b55f20309daf2efb6b2e51"),
+             "configured/node2.mscr": (12744, "68fe5ac99745f0822c96ba9bcacc260a5c968f1014b0122133dc5d4ba9b87e7e"),
              "configured/node2.mscr.failed": None,
          }),
     ],

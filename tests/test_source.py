@@ -1,8 +1,8 @@
 """Every module of the package parses as the oldest Python that
 pyproject.toml's requires-python accepts, and uses every name it imports;
 one function alone walks a file's blocks, and one calls the peel; only a
-chunk body's codec packs bits; and every top-level function and class is
-read somewhere in the package or the benchmark."""
+chunk body's codec packs bits; nothing seeks; and every top-level function
+and class is read somewhere in the package or the benchmark."""
 
 import ast
 import re
@@ -108,6 +108,12 @@ def test_one_bit_plane_codec():
     # peel; only a chunk body's bit planes are packed bit by bit
     assert package_callers("packbits", "unpackbits") == {"storage.pack_body",
                                                          "storage.unpack_body"}
+
+
+def test_no_seek():
+    # a chunk is written in order, each block appended, and hashed from the
+    # bytes written; reads are preads at an offset
+    assert package_callers("seek") == set()
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -9,6 +9,7 @@ import stat
 import struct
 import tempfile
 import tracemalloc
+from collections import Counter
 from contextlib import ExitStack
 from itertools import combinations
 from pathlib import Path
@@ -69,18 +70,21 @@ def expected_body_length(values, width):
     return values * (width // 8) + (width % 8) * math.ceil(values / 8)
 
 
-def reference_body(symbols, q, c, width):
+def reference_body(symbols, q, c, width, N):
     """A chunk body of `symbols` written out with Python integers,
-    independently of storage: the base-q value of each run of c symbols,
-    then its byte planes and its bit planes."""
+    independently of storage: the base-q value of each run of c symbols;
+    then, for each segment of 8 stripes, 8N/c values (the last segment
+    holding what remains), its byte planes and its bit planes."""
     syms = [int(x) for x in np.asarray(symbols).reshape(-1)]
     values = [sum(d * q**i for i, d in enumerate(syms[g:g + c])) for g in range(0, len(syms), c)]
     out = bytearray()
-    for j in range(width // 8):
-        out += bytes((v >> (8 * j)) & 0xFF for v in values)
-    for b in range(width // 8 * 8, width):
-        bits = [(v >> b) & 1 for v in values] + [0] * (-len(values) % 8)
-        out += bytes(int("".join(map(str, bits[i:i + 8])), 2) for i in range(0, len(bits), 8))
+    for at in range(0, len(values), 8 * N // c):
+        segment = values[at:at + 8 * N // c]
+        for j in range(width // 8):
+            out += bytes((v >> (8 * j)) & 0xFF for v in segment)
+        for b in range(width // 8 * 8, width):
+            bits = [(v >> b) & 1 for v in segment] + [0] * (-len(segment) % 8)
+            out += bytes(int("".join(map(str, bits[i:i + 8])), 2) for i in range(0, len(bits), 8))
     return bytes(out)
 
 
@@ -217,15 +221,26 @@ class TestChunkIO:
                 chunk.write(0, np.zeros((1, 3, 16), dtype=np.uint16))
         assert list(tmp_path.iterdir()) == []
 
-    def test_block_write_off_a_byte_boundary_refused(self, tmp_path):
-        # N = 243 in 81 groups of 3: stripe 1 starts on group 81, inside a
-        # byte of every bit plane
+    def test_write_not_at_the_next_stripe_refused(self, tmp_path):
+        # a writer appends blocks in order, each on a segment of 8 stripes:
+        # a first write past stripe 0, a block written twice, a skipped
+        # block, and a block after a short one are refused, and no file is left
         params = validate_params(4, 1, 3, 1, p=257)
         path = tmp_path / chunk_name(1)
-        with pytest.raises(ValueError, match="must start on a multiple of 8 groups, not 81"):
-            with write_chunk(path, params, 1, 2 * params.N) as chunk:
-                chunk.write(1, np.zeros((1, params.planes, params.s_pow_n), dtype=np.uint16))
-        assert list(tmp_path.iterdir()) == []
+
+        def block(stripes):
+            return np.zeros((stripes, params.planes, params.s_pow_n), dtype=np.uint16)
+
+        for writes, nxt, start in [([], 0, 1), ([(0, 8)], 8, 0), ([(0, 8)], 8, 16),
+                                   ([(0, 5)], 5, 5)]:
+            with pytest.raises(ValueError, match=rf"^node 1: a block must start at the next "
+                                                 rf"unwritten stripe, {nxt}, on a multiple of 8; "
+                                                 rf"not at stripe {start}$"):
+                with write_chunk(path, params, 1, 24 * params.N) as chunk:
+                    for at, stripes in writes:
+                        chunk.write(at, block(stripes))
+                    chunk.write(start, block(8))
+            assert list(tmp_path.iterdir()) == []
 
     # u32 header field index, after the magic
     HEADER_FIELDS = {"version": 0, "n": 1, "k": 2, "d": 3, "h": 4, "p": 5, "node_index": 6,
@@ -342,29 +357,61 @@ class TestBodyPacking:
         assert node_groups(params, 0) == (1, bits_per_symbol(p))
 
     def test_layout_by_hand(self):
+        # one short segment of 3 values:
         # width 9: one byte plane (low bytes), then the plane of bit 8
-        assert pack_body(np.array([256, 1, 255]), 9) == bytes([0, 1, 255, 0b10000000])
+        assert pack_body(np.array([256, 1, 255]), 9, 8) == bytes([0, 1, 255, 0b10000000])
         # width 8 (systematic at p=257): the symbols' bytes verbatim
-        assert pack_body(np.array([7, 1, 255]), 8) == bytes([7, 1, 255])
+        assert pack_body(np.array([7, 1, 255]), 8, 8) == bytes([7, 1, 255])
         # width 3: bit planes 0, 1, 2 of (5, 3, 6) = (101, 011, 110)
-        assert pack_body(np.array([5, 3, 6]), 3) == bytes([0b11000000, 0b01100000, 0b10100000])
+        assert pack_body(np.array([5, 3, 6]), 3, 8) == bytes([0b11000000, 0b01100000, 0b10100000])
         # width 2 (systematic at p=7): bit planes 0, 1 of (1, 3, 2) = (01, 11, 10)
-        assert pack_body(np.array([1, 3, 2]), 2) == bytes([0b11000000, 0b01100000])
+        assert pack_body(np.array([1, 3, 2]), 2, 8) == bytes([0b11000000, 0b01100000])
+        # a segment of 8 values, then a short one of 1: each its own planes
+        assert pack_body(np.array([1, 3, 2, 0, 0, 0, 0, 1, 3]), 2, 8) == bytes(
+            [0b11000001, 0b01100000, 0b10000000, 0b10000000])
         # groups of 3 base-7 digits, the low digit first: 1 + 2*7 + 3*49 = 162
         assert storage.group_values(np.array([1, 2, 3, 6, 0, 0]), 7, 3, 9).tolist() == [162, 6]
 
     @settings(deadline=None)
     @given(st.integers(1, 64).flatmap(
-        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 2**w - 1), max_size=100))))
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 2**w - 1), max_size=100),
+                            st.integers(1, 4))))
     def test_roundtrip(self, case):
-        width, values = case
-        body = pack_body(np.array(values, dtype=np.uint64), width)
+        width, values, segment = case[0], case[1], 8 * case[2]
+        body = pack_body(np.array(values, dtype=np.uint64), width, segment)
         assert len(body) == expected_body_length(len(values), width)
-        assert unpack_body(body, width, len(values)).tolist() == values
+        assert unpack_body(body, width, len(values), segment).tolist() == values
+        assert body == reference_body(values, 2**width, 1, width, segment // 8)
+
+    # N -> the c of a parity chunk at each shape's listed p (257, 7, 257),
+    # and c = 1, a systematic chunk's
+    SEGMENT_SHAPES = [(192, 6), (192, 1), (256, 16), (256, 1), (243, 3), (243, 1)]
+
+    @pytest.mark.parametrize("N,c", SEGMENT_SHAPES)
+    def test_segments(self, N, c):
+        # G = 8N/c values a segment: a body of whole segments and one of
+        # a short last segment round-trip, at the body length of format 4;
+        # a body's whole segments are its prefix; and a systematic body at
+        # p > 255 (c = 1, width 8) is its values' bytes
+        G = 8 * N // c
+        rng = np.random.default_rng(N + c)
+        for width in range(1, 65):
+            values = rng.integers(0, 2**width, size=2 * G + N // c + 3, dtype=np.uint64)
+            values[-1] = 2**width - 1
+            for count in (2 * G, values.size):
+                body = pack_body(values[:count], width, G)
+                assert len(body) == storage.body_length(count, width) \
+                    == expected_body_length(count, width)
+                assert np.array_equal(unpack_body(body, width, count, G), values[:count])
+            for k in range(3):
+                assert pack_body(values[:k * G], width, G) == \
+                    body[:expected_body_length(k * G, width)], (width, k)
+            if width == 8 and c == 1:
+                assert body == values.astype(np.uint8).tobytes()
 
 
 class TestGroupCodec:
-    """Chunk format 4 bodies against reference_body, a packer written with
+    """Chunk format 5 bodies against reference_body, a packer written with
     Python integers, at fields from 1-bit to 16-bit symbols and at N = 192,
     256 and 243 (no multiple of 8).  Reading a chunk only frames it, so a
     field too small for a shape's code is set on its parameters directly."""
@@ -405,10 +452,80 @@ class TestGroupCodec:
                     chunk.write(start, symbols[start:stop])
             raw = path.read_bytes()
             head = len(storage._header(params, node, payload_len))
-            assert raw[head:] == reference_body(symbols, q, c, width)
+            assert raw[head:] == reference_body(symbols, q, c, width, N)
             with read_chunk(path, sha256_hex(path), params, node, payload_len) as chunk:
                 for start, stop in storage.blocks(params, self.STRIPES):
                     assert np.array_equal(chunk.block(start, stop), symbols[start:stop])
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("N", list(SHAPES))
+    def test_one_pread_per_block_and_no_seek(self, tmp_path, monkeypatch, N, p):
+        # the writer appends the header and each block with one write each,
+        # never seeks, and reads nothing back for its digest, which is the
+        # committed file's; each block of the reader is one pread
+        params = self.params(N, p)
+        monkeypatch.setattr(storage, "BLOCK_SYMBOLS", 1)  # blocks of 8, 8 and 5 stripes
+        spans = storage.blocks(params, self.STRIPES)
+        assert len(spans) == 3
+        calls, real_open, real_pread = Counter(), open, os.pread
+
+        class Counting:
+            """A file of storage's that counts seeks, writes and bytes read."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def seek(self, *args):
+                calls["seek"] += 1
+                return self.fh.seek(*args)
+
+            def write(self, data):
+                calls["write"] += 1
+                return self.fh.write(data)
+
+            def readinto(self, buf):
+                size = self.fh.readinto(buf)
+                calls["bytes read"] += size
+                return size
+
+            def read(self, *args):
+                data = self.fh.read(*args)
+                calls["bytes read"] += len(data)
+                return data
+
+        def pread(fd, size, offset):
+            calls["pread"] += 1
+            return real_pread(fd, size, offset)
+
+        monkeypatch.setattr(storage, "open", Counting, raising=False)
+        monkeypatch.setattr(storage.os, "pread", pread)
+        payload_len = self.STRIPES * N
+        for node in (0, params.n - 1):
+            symbols = np.random.default_rng(p + node).integers(
+                0, expected_radix(params, node), dtype=np.uint16,
+                size=(self.STRIPES, params.planes, params.s_pow_n))
+            path = tmp_path / chunk_name(node)
+            calls.clear()
+            with write_chunk(path, params, node, payload_len) as chunk:
+                for start, stop in spans:
+                    chunk.write(start, symbols[start:stop])
+                digest = chunk.sha256()
+            assert calls == {"write": 1 + len(spans)}
+            assert digest == sha256_hex(path)
+            with read_chunk(path, digest, params, node, payload_len) as chunk:
+                for start, stop in spans:
+                    calls.clear()
+                    assert np.array_equal(chunk.block(start, stop), symbols[start:stop])
+                    assert calls == {"pread": 1}
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_all_ones_group_is_a_bad_block(self, tmp_path, p):
@@ -420,7 +537,8 @@ class TestGroupCodec:
         values = storage.group_values(symbols, p, c, width)
         values[-1] = 2**width - 1
         path = tmp_path / chunk_name(node)
-        path.write_bytes(storage._header(params, node, symbols.size) + pack_body(values, width))
+        path.write_bytes(storage._header(params, node, symbols.size)
+                         + pack_body(values, width, 8 * params.N // c))
         with read_chunk(path, sha256_hex(path), params, node, symbols.size) as chunk:
             with pytest.raises(storage.BadBlockError, match=f"node {node}: .* out of field range") \
                     as caught:
@@ -449,7 +567,7 @@ class TestPackedBodyRejected:
         head = storage._header(self.PARAMS, self.NODE, self.LENGTH)
         values = storage.group_values(np.arange(self.LENGTH), self.P, 3, 25)
         values[1] = self.P**3  # digits (0, 0, p): fits in 25 bits, but p is no field element
-        path, digest = self.chunk(tmp_path, head + pack_body(values, 25))
+        path, digest = self.chunk(tmp_path, head + pack_body(values, 25, 8 * self.LENGTH // 3))
         with read_chunk(path, digest, self.PARAMS, self.NODE, self.LENGTH) as chunk:
             with pytest.raises(ValueError, match="node 1: .* out of field range"):
                 chunk.block(0, 1)
@@ -561,10 +679,10 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             Manifest.load(tmp_path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 5, None])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6, None])
     def test_other_format_rejected(self, tmp_path, version):
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({"format": version}))
-        with pytest.raises(ValueError, match=f"format {version}.* format 4 only; re-encode"):
+        with pytest.raises(ValueError, match=f"format {version}.* format 5 only; re-encode"):
             Manifest.load(tmp_path)
 
 
@@ -871,8 +989,8 @@ class TestMemoryDoesNotGrowWithTheFile:
 
 
 class TestBlockReader:
-    """ChunkReader.block(start, stop) preads one block's byte range of every
-    plane; it must equal the matching slice of the whole chunk, for a parity
+    """ChunkReader.block(start, stop) preads one block's byte range; it
+    must equal the matching slice of the whole chunk, for a parity
     node (1, groups of c symbols in B bits) and a systematic node (0, one
     symbol at the message width m)."""
 
@@ -931,6 +1049,15 @@ class TestBlockReader:
             with pytest.raises(ValueError, match=rf"stripes \[{start}, {stop}\) are not in "
                                                  "node 2's chunk"):
                 chunk.block(start, stop)
+
+    def test_block_off_a_segment_refused(self, tmp_path, example1):
+        # stripe 1 starts inside a segment of 8 stripes, so no one byte range holds its block
+        path = tmp_path / chunk_name(2)
+        write_replacing(path, chunk_bytes(example1, 2, np.zeros(16 * 48, dtype=np.uint16)))
+        with read_chunk(path, sha256_hex(path), example1, 2, 16 * 48) as chunk:
+            with pytest.raises(ValueError, match=r"^a block must start on a segment of 8 "
+                                                 r"stripes, not at stripe 1$"):
+                chunk.block(1, 9)
 
     @pytest.mark.parametrize("rewrite", ["same-size", "grown"])
     def test_chunk_rewritten_during_read_refused(self, tmp_path, example1, rewrite):
